@@ -93,13 +93,25 @@ func TestDumbbellSimCompletionRate(t *testing.T) {
 
 func TestPathSimSequentialFetches(t *testing.T) {
 	ps := NewPathSim(1, netem.PathConfig{RateBps: 10 * netem.Mbps, RTT: 50 * sim.Millisecond, BufferBytes: 1 << 20})
-	st1 := ps.FetchOnce(scheme.MustNew(scheme.TCP), 50_000, 60*sim.Second)
-	st2 := ps.FetchOnce(scheme.MustNew(scheme.Halfback), 50_000, 60*sim.Second)
+	// Halfback first: its sender finishes while proactive copies are
+	// still on the wire, so the first window ends (by Stop) with events
+	// queued. They belong to the second fetch's future, never its past.
+	st1 := ps.FetchOnce(scheme.MustNew(scheme.Halfback), 50_000, 60*sim.Second)
+	if ps.Sched.Pending() == 0 {
+		t.Fatal("test setup: the first fetch left nothing queued")
+	}
+	start2 := ps.Sched.Now()
+	ps.Path.Net.Trace = func(ev netem.TraceEvent) {
+		if ev.At < start2 {
+			t.Fatalf("second fetch observed a %v event at %v, before its own start %v", ev.Kind, ev.At, start2)
+		}
+	}
+	st2 := ps.FetchOnce(scheme.MustNew(scheme.TCP), 50_000, 60*sim.Second)
 	if !st1.Completed || !st2.Completed {
 		t.Fatal("fetches did not complete")
 	}
-	if !(st2.Start >= st1.ReceiverDone) {
-		t.Fatal("fetches must be sequential in virtual time")
+	if st2.Start != start2 || !(st2.Start >= st1.SenderDone) {
+		t.Fatalf("fetches must be sequential in virtual time: first done %v, second start %v", st1.SenderDone, st2.Start)
 	}
 }
 

@@ -47,8 +47,8 @@ func Fig9(seed uint64, sc Scale) *Fig9Result {
 		return fmt.Sprintf("fig9 %s server %d scheme %s", profiles[r/servers].Name, r%servers, schemes[si])
 	}, func(r, si int) fetch {
 		pi := r % servers
-		ps := NewPathSim(seed^uint64(pi*977+si+13), specs[r/servers][pi].ToConfig())
-		st := ps.FetchOnce(scheme.MustNew(schemes[si]), PlanetLabFlowBytes, 120*sim.Second)
+		st := fetchCold(seed^uint64(pi*977+si+13), specs[r/servers][pi].ToConfig(),
+			scheme.MustNew(schemes[si]), PlanetLabFlowBytes, 120*sim.Second)
 		return fetch{Completed: st.Completed, FctMs: st.FCT().Seconds() * 1000}
 	})
 

@@ -40,7 +40,8 @@ type PlanetLabData struct {
 }
 
 // RunPlanetLab executes the §4.2.1 campaign: for every generated path
-// and every scheme, one cold 100 KB download on a fresh network. The
+// and every scheme, one cold 100 KB download on a network in its
+// just-built state (a pooled universe, reset; see fetchCold). The
 // path population is drawn serially (its generator is shared), then the
 // path×scheme universes fan out across sc.Workers goroutines.
 func RunPlanetLab(seed uint64, sc Scale) *PlanetLabData {
@@ -54,8 +55,8 @@ func RunPlanetLab(seed uint64, sc Scale) *PlanetLabData {
 	}, func(pi, si int) PlanetLabTrial {
 		spec := specs[pi]
 		name := schemes[si]
-		ps := NewPathSim(seed^uint64(pi*131+si+7), spec.ToConfig())
-		st := ps.FetchOnce(scheme.MustNew(name), PlanetLabFlowBytes, 120*sim.Second)
+		st := fetchCold(seed^uint64(pi*131+si+7), spec.ToConfig(),
+			scheme.MustNew(name), PlanetLabFlowBytes, 120*sim.Second)
 		return PlanetLabTrial{Pair: pi, Scheme: name, Path: spec, Stats: st}
 	})
 	return data

@@ -8,9 +8,12 @@
 //
 //   - every job runs entirely on one goroutine — a simulation universe
 //     is never split across workers;
-//   - jobs share no mutable state — each builds its own scheduler, RNG
-//     and network from its inputs (seeds derived up front, e.g. via
-//     sim.ChildSeed, never from a generator shared between jobs);
+//   - jobs share no mutable state — each owns its scheduler, RNG and
+//     network for the duration of the cell and derives them from its
+//     inputs (seeds derived up front, e.g. via sim.ChildSeed, never
+//     from a generator shared between jobs); a job may recycle a
+//     universe an earlier job is done with, reset to the state a fresh
+//     one has (experiment.TestRecycledPathSimMatchesFresh);
 //   - results land at their job's index, so the merged slice is
 //     independent of completion order and of the worker count.
 //

@@ -141,3 +141,77 @@ func TestOnDropHookStillFires(t *testing.T) {
 	}
 	sched.Run()
 }
+
+// TestPathResetReclaimsAndClears: Reset on a path abandoned mid-transfer
+// (packets queued, one being serialized, others propagating in the
+// arrival ring) returns every one of them to the free list zeroed, and
+// leaves nothing of the previous use: counters, hooks, discipline,
+// adversity and the TxTime memo are gone, the links carry the new
+// configuration, and both draw the loss sequence a new path would.
+func TestPathResetReclaimsAndClears(t *testing.T) {
+	old := PathConfig{RateBps: 1 * Mbps, RTT: 40 * sim.Millisecond, BufferBytes: 1 << 20, LossProb: 0.1}
+	sched := sim.NewScheduler()
+	p := NewPath(sched, sim.NewRand(7), old)
+	p.Client.Deliver = func(*Packet, sim.Time) {}
+	p.Net.Trace = func(TraceEvent) {}
+	p.Back.OnDrop = func(*Packet, sim.Time) {}
+	p.Back.Discipline = CoDel
+	p.Forward.ReorderProb = 0.5
+	p.Forward.SetAdversity(MustAdversityPreset("torture"))
+
+	distinct := map[*Packet]bool{}
+	for i := 0; i < 40; i++ {
+		pkt := p.Net.NewPacket()
+		distinct[pkt] = true
+		pkt.Kind, pkt.Src, pkt.Dst, pkt.Size, pkt.Seq = KindData, p.Server.ID, p.Client.ID, SegmentSize, int32(i)
+		p.Net.Inject(pkt, sched.Now())
+	}
+	sched.RunUntil(sim.Time(30 * sim.Millisecond))
+	if p.Back.qLen == 0 || p.Back.txPkt == nil || p.Back.arrLen == 0 {
+		t.Fatalf("test setup: want packets queued, serializing and propagating; queue=%d tx=%v ring=%d",
+			p.Back.qLen, p.Back.txPkt != nil, p.Back.arrLen)
+	}
+	held := p.Back.qLen + p.Back.arrLen + 1 + len(p.Net.pktFree)
+
+	cfg := PathConfig{RateBps: 8 * Mbps, UpRateBps: 2 * Mbps, RTT: 10 * sim.Millisecond, BufferBytes: 5000, LossProb: 0.3}
+	sched.Reset()
+	p.Reset(sched, sim.NewRand(9), cfg)
+	fresh := NewPath(sim.NewScheduler(), sim.NewRand(9), cfg)
+
+	if got := len(p.Net.pktFree); got != held {
+		t.Fatalf("free list holds %d packets after Reset, want %d", got, held)
+	}
+	for _, pkt := range p.Net.pktFree {
+		if *pkt != (Packet{pooled: true}) {
+			t.Fatalf("reclaimed packet not zeroed: %+v", pkt)
+		}
+	}
+	if n := p.Net; n.InjectedTotal|n.DeliveredTotal|n.DroppedTotal|n.DuplicatedTotal != 0 || n.Trace != nil {
+		t.Fatalf("network counters or tracer survived Reset: %+v", n)
+	}
+	if p.Client.Deliver != nil || p.Server.Deliver != nil {
+		t.Fatal("Deliver handler survived Reset")
+	}
+	if p.Config() != fresh.Config() {
+		t.Fatalf("config %+v, want %+v", p.Config(), fresh.Config())
+	}
+	for i, l := range p.Net.Links() {
+		f := fresh.Net.Links()[i]
+		if l.RateBps != f.RateBps || l.Delay != f.Delay || l.BufferCap != f.BufferCap || l.LossProb != f.LossProb {
+			t.Fatalf("%s: configuration %v, want %v", l.Name(), l, f)
+		}
+		if l.Stats != (LinkStats{}) || l.OnDrop != nil || l.Discipline != DropTail || l.ReorderProb != 0 ||
+			l.Adversity().Enabled() || l.advRng != nil || l.Down() || l.aqmReady ||
+			l.qLen != 0 || l.arrLen != 0 || l.txPkt != nil || l.busy || l.queuedByte != 0 {
+			t.Fatalf("%s: state of the previous use survived Reset: %+v", l.Name(), l)
+		}
+		if l.TxTime(SegmentSize) != f.TxTime(SegmentSize) {
+			t.Fatalf("%s: TxTime memo survived a rate change", l.Name())
+		}
+		for k := 0; k < 64; k++ {
+			if a, b := l.rng.Uint64(), f.rng.Uint64(); a != b {
+				t.Fatalf("%s: loss stream diverges from a new path's at draw %d", l.Name(), k)
+			}
+		}
+	}
+}

@@ -117,6 +117,35 @@ type Link struct {
 // Name renders the link's human-readable "from->to" label on demand.
 func (l *Link) Name() string { return l.fromName + "->" + l.toName }
 
+// reset puts the link in the state AddLink builds for cfg: queue,
+// counters, hooks, discipline, reorder and adversity state and the TxTime
+// memo cleared, and the loss stream forked afresh from the network RNG
+// under the link's name. Packets still queued, being serialized or in the
+// arrival ring go back to the network's free list; the rings keep their
+// storage. (Packets propagating on the slow path are referenced only by
+// scheduler events, which the scheduler's own reset drops.)
+func (l *Link) reset(cfg LinkConfig) {
+	if cfg.RateBps <= 0 {
+		panic("netem: link rate must be positive")
+	}
+	n := l.net
+	for l.qLen > 0 {
+		n.releasePacket(l.qPop().pkt)
+	}
+	for l.arrLen > 0 {
+		n.releasePacket(l.arrPop().pkt)
+	}
+	if l.txPkt != nil {
+		n.releasePacket(l.txPkt)
+	}
+	*l = Link{
+		From: l.From, To: l.To, fromName: l.fromName, toName: l.toName, net: n,
+		RateBps: cfg.RateBps, Delay: cfg.Delay, BufferCap: cfg.BufferCap, LossProb: cfg.LossProb,
+		queue: l.queue, qMask: l.qMask, arrQ: l.arrQ, arrMask: l.arrMask,
+		rng: n.rng.ForkNamed(lossForkName(l.From, l.To)),
+	}
+}
+
 // queuedPacket pairs a packet with its enqueue instant so disciplines
 // can compute sojourn times.
 type queuedPacket struct {

@@ -103,10 +103,24 @@ type TraceEvent struct {
 // random-loss processes of links; pass a forked stream so topology loss is
 // independent of workload randomness.
 func NewNetwork(sched *sim.Scheduler, rng *sim.Rand) *Network {
+	n := &Network{}
+	n.reset(sched, rng)
+	return n
+}
+
+// reset rebinds the network to sched and rng and clears everything a run
+// leaves behind — counters, the tracer, the nodes' Deliver handlers —
+// keeping the topology and the packet free list. Links are reset one by
+// one afterwards (Link.reset): each re-forks its loss stream from rng, so
+// link order is the fork order, as at construction.
+func (n *Network) reset(sched *sim.Scheduler, rng *sim.Rand) {
 	if rng == nil {
 		rng = sim.NewRand(1)
 	}
-	return &Network{sched: sched, rng: rng}
+	for _, node := range n.nodes {
+		node.Deliver = nil
+	}
+	*n = Network{sched: sched, rng: rng, nodes: n.nodes, links: n.links, pktFree: n.pktFree}
 }
 
 // Scheduler returns the event scheduler driving this network.
@@ -190,21 +204,8 @@ type LinkConfig struct {
 // human-readable link name is rendered lazily by Link.Name/String rather
 // than formatted here, keeping topology construction off fmt.
 func (n *Network) AddLink(a, b *Node, cfg LinkConfig) *Link {
-	if cfg.RateBps <= 0 {
-		panic("netem: link rate must be positive")
-	}
-	l := &Link{
-		fromName:  a.Name,
-		toName:    b.Name,
-		From:      a.ID,
-		To:        b.ID,
-		RateBps:   cfg.RateBps,
-		Delay:     cfg.Delay,
-		BufferCap: cfg.BufferCap,
-		LossProb:  cfg.LossProb,
-		net:       n,
-		rng:       n.rng.ForkNamed(lossForkName(a.ID, b.ID)),
-	}
+	l := &Link{From: a.ID, To: b.ID, fromName: a.Name, toName: b.Name, net: n}
+	l.reset(cfg)
 	n.links = append(n.links, l)
 	return l
 }

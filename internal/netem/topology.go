@@ -134,6 +134,20 @@ type PathConfig struct {
 
 // NewPath builds the two-node topology.
 func NewPath(sched *sim.Scheduler, rng *sim.Rand, cfg PathConfig) *Path {
+	p := new(Path)
+	p.Reset(sched, rng, cfg)
+	return p
+}
+
+// Reset puts the path in the state NewPath(sched, rng, cfg) builds,
+// reusing the topology, link rings and packet free list of an earlier
+// use; on a zero Path it builds them first, so a fresh path and a
+// recycled one are initialised by the same code. Whatever the previous
+// use left behind — queued and in-flight packets, counters, Trace, OnDrop
+// and Deliver hooks, AQM, reorder and adversity settings — is gone, and
+// both links draw loss from streams forked from rng exactly as on a new
+// path.
+func (p *Path) Reset(sched *sim.Scheduler, rng *sim.Rand, cfg PathConfig) {
 	if cfg.RateBps <= 0 {
 		panic("netem: path rate must be positive")
 	}
@@ -144,19 +158,22 @@ func NewPath(sched *sim.Scheduler, rng *sim.Rand, cfg PathConfig) *Path {
 	if up <= 0 {
 		up = cfg.RateBps
 	}
-	net := NewNetwork(sched, rng)
-	p := &Path{Net: net, cfg: cfg}
-	p.Client = net.AddNode("client")
-	p.Server = net.AddNode("server")
 	oneWay := cfg.RTT / 2
-	p.Forward = net.AddLink(p.Client, p.Server, LinkConfig{
-		RateBps: up, Delay: oneWay, BufferCap: cfg.BufferBytes, LossProb: cfg.LossProb,
-	})
-	p.Back = net.AddLink(p.Server, p.Client, LinkConfig{
-		RateBps: cfg.RateBps, Delay: oneWay, BufferCap: cfg.BufferBytes, LossProb: cfg.LossProb,
-	})
-	net.ComputeRoutes()
-	return p
+	forward := LinkConfig{RateBps: up, Delay: oneWay, BufferCap: cfg.BufferBytes, LossProb: cfg.LossProb}
+	back := LinkConfig{RateBps: cfg.RateBps, Delay: oneWay, BufferCap: cfg.BufferBytes, LossProb: cfg.LossProb}
+	p.cfg = cfg
+	if p.Net == nil {
+		p.Net = NewNetwork(sched, rng)
+		p.Client = p.Net.AddNode("client")
+		p.Server = p.Net.AddNode("server")
+		p.Forward = p.Net.AddLink(p.Client, p.Server, forward)
+		p.Back = p.Net.AddLink(p.Server, p.Client, back)
+		p.Net.ComputeRoutes()
+		return
+	}
+	p.Net.reset(sched, rng)
+	p.Forward.reset(forward)
+	p.Back.reset(back)
 }
 
 // Config returns the parameters the path was built with.

@@ -215,15 +215,37 @@ func TimerCancelsTotal() uint64 { return timerCancelsTotal.Load() }
 // each exhibit to report event-structure trends alongside ns/op.
 func TakePeakPending() uint64 { return peakPendingTotal.Swap(0) }
 
+// schedulerPresize is the initial capacity of the event pool, heap and
+// free list. Universes hold from ~6 (one-flow paths) to a few hundred
+// (dumbbells) pending events; a small seed keeps construction cheap and
+// append grows the busy ones within their first few events.
+const schedulerPresize = 32
+
 // NewScheduler returns an empty scheduler positioned at time zero.
 func NewScheduler() *Scheduler {
-	// Seed the pool and heap with room for a busy universe's steady
-	// state so the first few thousand events grow nothing.
 	return &Scheduler{
-		items: make([]eventItem, 0, 1024),
-		heap:  make([]heapEntry, 0, 1024),
-		free:  make([]int32, 0, 1024),
+		items: make([]eventItem, 0, schedulerPresize),
+		heap:  make([]heapEntry, 0, schedulerPresize),
+		free:  make([]int32, 0, schedulerPresize),
 	}
+}
+
+// Reset returns the scheduler to the state NewScheduler builds — time
+// zero, sequence zero, nothing pending, no limits — keeping its storage.
+// Every queued event is discarded without running. The event pool keeps
+// its length and every slot's generation advances, so a Timer taken
+// before the reset stays inert (Stop and Pending report false) instead
+// of matching whatever event reuses its slot. Counts not yet folded into
+// the process-wide totals are folded first, so ProcessedTotal loses
+// nothing.
+func (s *Scheduler) Reset() {
+	s.flushProcessed()
+	items, heap, free := s.items, s.heap[:0], s.free[:0]
+	for i := len(items) - 1; i >= 0; i-- {
+		items[i] = eventItem{gen: items[i].gen + 1}
+		free = append(free, int32(i))
+	}
+	*s = Scheduler{items: items, heap: heap, free: free}
 }
 
 // Now returns the current virtual time.
@@ -669,15 +691,18 @@ func (s *Scheduler) Run() {
 }
 
 // RunUntil executes events with time ≤ deadline, leaving later events
-// queued, and advances the clock to exactly deadline. It is the primary
-// way scenario runners bound an experiment's virtual duration.
+// queued, and advances the clock to exactly deadline. A window ended by
+// Stop leaves the clock at the stopping event instead: events ≤ deadline
+// may still be queued, and the next window must not run them in its past.
+// It is the primary way scenario runners bound an experiment's virtual
+// duration.
 func (s *Scheduler) RunUntil(deadline Time) {
 	s.stopped = false
 	s.runBound = deadline
 	for !s.stopped && s.stepBounded(deadline) {
 	}
 	s.runBound = 0
-	if s.now < deadline {
+	if !s.stopped && s.now < deadline {
 		s.now = deadline
 	}
 	s.flushProcessed()

@@ -28,9 +28,23 @@ type packetHandler interface {
 
 // NewStack attaches a transport stack to node.
 func NewStack(net *netem.Network, node *netem.Node) *Stack {
-	s := &Stack{Net: net, Node: node, endpoints: make(map[netem.FlowID]packetHandler)}
-	node.Deliver = s.deliver
+	s := new(Stack)
+	s.Reset(net, node)
 	return s
+}
+
+// Reset puts the stack in the state NewStack(net, node) builds — no
+// endpoints, zero counters, the node's Deliver handler (re-)attached, so
+// a wrapper an earlier user put around it is gone — keeping the endpoint
+// map's storage.
+func (s *Stack) Reset(net *netem.Network, node *netem.Node) {
+	endpoints := s.endpoints
+	if endpoints == nil {
+		endpoints = make(map[netem.FlowID]packetHandler)
+	}
+	clear(endpoints)
+	*s = Stack{Net: net, Node: node, endpoints: endpoints}
+	node.Deliver = s.deliver
 }
 
 func (s *Stack) deliver(pkt *netem.Packet, now sim.Time) {
