@@ -138,7 +138,20 @@ func fail(code int, format string, args ...any) int {
 	return code
 }
 
-func run(args []string) int {
+// closeJournal is deferred by run for the journal it opened. Close is
+// the journal's last barrier, so a late sync failure shows up here: it
+// is printed, and turns a clean exit into exit 1 (an interrupted run
+// stays 130).
+func closeJournal(j *fleet.Journal, code *int) {
+	if err := j.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "fctsweep: journal %s: %v\n", j.Path(), err)
+		if *code == 0 {
+			*code = 1
+		}
+	}
+}
+
+func run(args []string) (code int) {
 	var cfg config
 	fs := flagSet(&cfg)
 	if err := fs.Parse(args); err != nil {
@@ -162,7 +175,7 @@ func run(args []string) int {
 		if err != nil {
 			return fail(2, "%v", err)
 		}
-		defer j.Close()
+		defer closeJournal(j, &code)
 		meta := j.Meta()
 		if meta.Tool != "fctsweep" {
 			return fail(2, "journal %s was written by %q, not fctsweep", cfg.resume, meta.Tool)
@@ -228,7 +241,7 @@ func run(args []string) int {
 		if err != nil {
 			return fail(2, "%v", err)
 		}
-		defer j.Close()
+		defer closeJournal(j, &code)
 		journal = j
 	}
 

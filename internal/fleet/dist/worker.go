@@ -149,7 +149,7 @@ func (w *Worker) Stop() {
 		sess := w.sess
 		w.mu.Unlock()
 		if sess != nil {
-			sess.teardown()
+			sess.teardown(w.logf)
 		}
 	})
 }
@@ -329,10 +329,14 @@ func (s *session) finish(err error) {
 // including in-flight cells that the cancellation itself unblocks —
 // can become durable, which is the fencing guarantee a replacement
 // Configure relies on. (Journal appends after Close fail and are
-// swallowed by the serve path's belt-and-braces append.)
-func (s *session) teardown() {
+// swallowed by the serve path's belt-and-braces append.) Close is also
+// the worker journal's last barrier, so its error — a record this
+// worker wrote may not be on disk for the next upload — is logged.
+func (s *session) teardown(logf func(string, ...any)) {
 	if s.journal != nil {
-		s.journal.Close()
+		if err := s.journal.Close(); err != nil {
+			logf("dist worker: journal %s: %v", s.journal.Path(), err)
+		}
 	}
 	s.cancel()
 	s.mu.Lock()
@@ -386,7 +390,7 @@ func (a *workerAPI) Configure(args *ConfigureArgs, reply *ConfigureReply) error 
 		w.logf("dist worker: replacing session gen=%d with gen=%d", s.gen, args.Gen)
 		w.sess = nil
 		w.mu.Unlock()
-		s.teardown()
+		s.teardown(w.logf)
 		w.mu.Lock()
 	}
 

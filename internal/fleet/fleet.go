@@ -24,8 +24,9 @@
 // On top of execution the engine carries the crash-safety layer
 // (DESIGN.md §9 "Crash-safe runs and resume"): when a *Run with an
 // attached *Journal rides along in Options, every finished cell is
-// appended to a write-ahead journal before the sweep moves on, and a
-// resumed run replays journaled cells instead of re-executing them —
+// appended to a write-ahead journal and every appended cell is durable
+// before the sweep returns, and a resumed run replays journaled cells
+// instead of re-executing them —
 // which, combined with per-cell seeding, makes a killed-and-resumed
 // sweep bit-identical to an uninterrupted one. Cancelling the context
 // in Options drains the sweep gracefully: in-flight cells finish and
@@ -218,7 +219,7 @@ func MapOpts[T any](o Options, n int, fn func(i, attempt int) (T, error)) ([]T, 
 				errs[i] = &JobError{Index: i, Label: job.label(i), Err: err}
 			}
 		}
-		return out, errors.Join(errs...)
+		return out, job.sweepDone(errs)
 	}
 
 	w := Workers(o.Workers)
@@ -235,8 +236,7 @@ func MapOpts[T any](o Options, n int, fn func(i, attempt int) (T, error)) ([]T, 
 			}
 			out[i], errs[i] = job.run(i)
 		}
-		job.sweepDone()
-		return out, errors.Join(errs...)
+		return out, job.sweepDone(errs)
 	}
 
 	// next hands out job indices; results go straight to their slot, so
@@ -280,8 +280,7 @@ func MapOpts[T any](o Options, n int, fn func(i, attempt int) (T, error)) ([]T, 
 			errs[i] = &JobError{Index: i, Label: job.label(i), Err: err}
 		}
 	}
-	job.sweepDone()
-	return out, errors.Join(errs...)
+	return out, job.sweepDone(errs)
 }
 
 // cellRunner executes one cell end to end: repro filtering, journal
@@ -306,12 +305,23 @@ func newCellRunner[T any](o Options, n int, fn func(i, attempt int) (T, error)) 
 	return c
 }
 
-// sweepDone tells the dispatcher (if any) that every cell of this sweep
-// has merged, releasing workers blocked on the sweep's end.
-func (c *cellRunner[T]) sweepDone() {
-	if r := c.o.Run; r != nil && r.Dispatch != nil {
-		r.Dispatch.SweepDone(c.sweep)
+// sweepDone is the one exit of every MapOpts that ran a sweep. It waits
+// for the journal's barrier — every cell this sweep appended is durable,
+// or the journal's error joins the cells' as a sweep error — and only
+// then tells the dispatcher (if any) that every cell has merged,
+// releasing workers blocked on the sweep's end.
+func (c *cellRunner[T]) sweepDone(errs []error) error {
+	if r := c.o.Run; r != nil {
+		if r.Journal != nil {
+			if err := r.Journal.barrier(); err != nil {
+				errs = append(errs, fmt.Errorf("journal %s: sweep %d is not durable: %w", r.Journal.Path(), c.sweep, err))
+			}
+		}
+		if r.Dispatch != nil {
+			r.Dispatch.SweepDone(c.sweep)
+		}
 	}
+	return errors.Join(errs...)
 }
 
 func (c *cellRunner[T]) label(i int) string {

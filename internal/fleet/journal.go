@@ -8,7 +8,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
+	"math/bits"
 	"os"
 	"sort"
 	"sync"
@@ -32,13 +34,35 @@ import (
 // JournalMeta — enough to reconstruct the command line that produced
 // the run). Every later record is either a completed cell (kind 1:
 // sweep, cell index, gob-encoded result) or a failed cell (kind 2:
-// sweep, cell index, label, failure class, message). Appends are
-// atomic with respect to crashes: each record is a single write(2) to
-// an O_APPEND descriptor followed by fsync, and the decoder tolerates
-// a torn tail — a record whose length field, payload or checksum is
-// incomplete or wrong ends the journal at the last fully valid record,
-// which is exactly the prefix a crashed run is guaranteed to have made
-// durable.
+// sweep, cell index, label, failure class, message).
+//
+// Each record is a single write(2) to an O_APPEND descriptor, issued
+// under the journal mutex in arrival order, and the decoder tolerates a
+// torn tail — a record whose length field, payload or checksum is
+// incomplete or wrong ends the journal at the last fully valid record.
+// Appends do not wait for the disk: one background syncer per open
+// journal runs fsync whenever bytes have been written since the last
+// sync started, at most one in flight, the next starting as soon as the
+// previous returns. A barrier ("everything written so far is durable,
+// or here is the error") is awaited only where the run's state escapes
+// the process:
+//
+//   - at the end of every MapOpts, before the dispatcher is told the
+//     sweep has merged;
+//   - inside appendFailure, before the repro bundle is written;
+//   - after the meta record, in CreateJournal;
+//   - in Close.
+//
+// The first write or sync error is sticky: a failed fsync may drop the
+// dirty pages and report success the next time, and a torn record hides
+// everything appended behind it from ScanJournal, so after an error
+// every append, barrier and Close returns it without touching the file.
+//
+// What can be lost: the death of the process (SIGKILL, OOM, panic)
+// loses nothing that was written — the page cache outlives it. A crash
+// of the machine leaves a valid prefix that misses at most the cells
+// appended during the last one or two fsync latencies; they re-execute
+// on resume from their own seeds to the same bytes.
 //
 // Replay is last-record-wins per (sweep, cell): a failure later
 // superseded by a success (a retry, or a resumed re-execution) replays
@@ -284,12 +308,23 @@ type SweepProgress struct {
 	Failed int // cells whose latest record is a failure
 }
 
+// journalFile is what the journal needs of its file; production uses
+// *os.File, tests substitute one that blocks or fails on demand.
+type journalFile interface {
+	io.Writer
+	Sync() error
+	Close() error
+}
+
+// errJournalClosed is what an append to a closed journal reports.
+var errJournalClosed = errors.New("fleet: journal closed")
+
 // Journal is the write-ahead, per-cell result journal Map writes
 // through when a Run carries one. It is safe for concurrent use by the
 // fleet workers.
 type Journal struct {
 	mu       sync.Mutex
-	f        *os.File
+	f        journalFile // nil once closed
 	path     string
 	meta     JournalMeta
 	replay   map[cellKey][]byte   // cells whose latest record is a success (gob payload)
@@ -297,6 +332,16 @@ type Journal struct {
 	progress map[uint32]*SweepProgress
 	sweeps   []uint32 // sweep IDs in begin order
 	bundles  []string // repro bundle paths written this process
+
+	// Coalesced durability, all under mu. written counts records handed
+	// to write(2), synced how many of them a completed fsync covers; the
+	// syncer sleeps on wake while the two are equal and barriers sleep on
+	// it while synced trails the count they captured.
+	wake       *sync.Cond
+	written    uint64
+	synced     uint64
+	err        error // sticky: the first write or sync error
+	syncerDone chan struct{}
 }
 
 // CreateJournal starts a fresh journal at path. It refuses to clobber
@@ -306,6 +351,10 @@ func CreateJournal(path string, meta JournalMeta) (*Journal, error) {
 	if meta.Version == 0 {
 		meta.Version = 1
 	}
+	body, err := json.Marshal(meta)
+	if err != nil {
+		return nil, err
+	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		if errors.Is(err, os.ErrExist) {
@@ -313,18 +362,22 @@ func CreateJournal(path string, meta JournalMeta) (*Journal, error) {
 		}
 		return nil, err
 	}
-	j := newJournal(f, path, meta)
-	body, err := json.Marshal(meta)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
 	if _, err := f.Write([]byte(journalMagic)); err != nil {
 		f.Close()
 		return nil, err
 	}
-	if err := j.appendRecord(append([]byte{recMeta}, body...)); err != nil {
-		f.Close()
+	j := newJournal(f, path, meta)
+	rec := make([]byte, recHeaderLen, recHeaderLen+1+len(body))
+	rec = append(append(rec, recMeta), body...)
+	j.mu.Lock()
+	err = j.appendRecord(rec)
+	if err == nil {
+		// A run whose identity is not on disk has nothing to resume.
+		err = j.barrierLocked()
+	}
+	j.mu.Unlock()
+	if err != nil {
+		j.Close()
 		return nil, err
 	}
 	return j, nil
@@ -370,13 +423,78 @@ func ResumeJournal(path string) (*Journal, error) {
 	return j, nil
 }
 
-func newJournal(f *os.File, path string, meta JournalMeta) *Journal {
-	return &Journal{
+// newJournal wraps an open journal file and starts its syncer, which
+// Close stops and joins.
+func newJournal(f journalFile, path string, meta JournalMeta) *Journal {
+	j := &Journal{
 		f: f, path: path, meta: meta,
-		replay:   make(map[cellKey][]byte),
-		failed:   make(map[cellKey]failInfo),
-		progress: make(map[uint32]*SweepProgress),
+		replay:     make(map[cellKey][]byte),
+		failed:     make(map[cellKey]failInfo),
+		progress:   make(map[uint32]*SweepProgress),
+		syncerDone: make(chan struct{}),
 	}
+	j.wake = sync.NewCond(&j.mu)
+	go j.syncLoop(f)
+	return j
+}
+
+// syncLoop is the journal's one background syncer: it runs fsync, one
+// at a time, whenever records have been written since the last sync
+// started, and exits on the first error or once Close has been called
+// (j.f is nil) and everything written is covered. Close closes f only
+// after the loop has exited.
+func (j *Journal) syncLoop(f journalFile) {
+	defer close(j.syncerDone)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for j.err == nil {
+		if j.synced == j.written {
+			if j.f == nil {
+				return
+			}
+			j.wake.Wait()
+			continue
+		}
+		// Only records whose write returned before this sync starts are
+		// covered by it.
+		covers := j.written
+		j.mu.Unlock()
+		err := f.Sync()
+		j.mu.Lock()
+		if err != nil {
+			j.fail(err)
+			return
+		}
+		j.synced = covers
+		j.wake.Broadcast()
+	}
+}
+
+// fail records the journal's first I/O error and wakes every waiter.
+// Callers hold j.mu.
+func (j *Journal) fail(err error) {
+	if j.err == nil {
+		j.err = err
+	}
+	j.wake.Broadcast()
+}
+
+// barrierLocked waits until every record written before the call is
+// covered by a completed fsync, or returns the sticky error. It sleeps
+// with j.mu released, so appenders keep going. Callers hold j.mu.
+func (j *Journal) barrierLocked() error {
+	for covers := j.written; j.synced < covers && j.err == nil; {
+		j.wake.Wait()
+	}
+	return j.err
+}
+
+// barrier is barrierLocked for callers that do not hold j.mu: the sweep
+// barrier at the end of MapOpts.
+func (j *Journal) barrier() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.barrierLocked()
 }
 
 // Meta returns the run identity the journal was created with.
@@ -413,19 +531,25 @@ func (j *Journal) Progress() []SweepProgress {
 	return out
 }
 
-// Close fsyncs and closes the journal file.
+// Close refuses further appends, waits for the syncer to make every
+// written record durable and exit, and closes the file. It returns the
+// journal's sticky error, if any; closing again is a no-op that returns
+// the same.
 func (j *Journal) Close() error {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Sync()
-	if cerr := j.f.Close(); err == nil {
-		err = cerr
-	}
+	f := j.f
 	j.f = nil
-	return err
+	j.wake.Broadcast()
+	j.mu.Unlock()
+	<-j.syncerDone
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if f != nil {
+		if err := f.Close(); err != nil {
+			j.fail(err)
+		}
+	}
+	return j.err
 }
 
 // beginSweep registers a sweep's size for progress accounting.
@@ -471,29 +595,55 @@ func encodeCellData(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// cellPayload frames a success record payload: kind, key, gob data.
-func cellPayload(sweep, cell uint32, data []byte) []byte {
-	var buf bytes.Buffer
-	buf.WriteByte(recCell)
-	writeCellKey(&buf, sweep, cell)
-	buf.Write(data)
-	return buf.Bytes()
+// startRecord allocates one record buffer of exactly its final size —
+// header, kind, cell key, then body more bytes for the caller to append
+// — and fills in everything but the header (appendRecord's job) and the
+// body.
+func startRecord(kind byte, sweep, cell uint32, body int) []byte {
+	rec := make([]byte, recHeaderLen,
+		recHeaderLen+1+uvarintLen(uint64(sweep))+uvarintLen(uint64(cell))+body)
+	rec = append(rec, kind)
+	rec = binary.AppendUvarint(rec, uint64(sweep))
+	return binary.AppendUvarint(rec, uint64(cell))
 }
 
-// failPayload frames a failure record payload.
-func failPayload(sweep, cell uint32, label, class, msg string) []byte {
-	var buf bytes.Buffer
-	buf.WriteByte(recFail)
-	writeCellKey(&buf, sweep, cell)
-	for _, s := range []string{label, class, msg} {
-		var tmp [binary.MaxVarintLen64]byte
-		buf.Write(tmp[:binary.PutUvarint(tmp[:], uint64(len(s)))])
-		buf.WriteString(s)
+// uvarintLen is the number of bytes binary.AppendUvarint emits for x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// appendCellLocked writes one success record and makes it the cell's
+// replay state; the replay entry aliases the record's data bytes.
+// Callers hold j.mu.
+func (j *Journal) appendCellLocked(key cellKey, data []byte) error {
+	rec := append(startRecord(recCell, key.sweep, key.cell, len(data)), data...)
+	if err := j.appendRecord(rec); err != nil {
+		return err
 	}
-	return buf.Bytes()
+	j.replay[key] = rec[len(rec)-len(data):]
+	delete(j.failed, key)
+	return nil
 }
 
-// appendCell journals one completed cell: gob-encode, append, fsync.
+// appendFailLocked writes one failure record and makes it the cell's
+// state. Callers hold j.mu.
+func (j *Journal) appendFailLocked(key cellKey, fi failInfo) error {
+	fields := [...]string{fi.label, fi.class, fi.msg}
+	body := 0
+	for _, s := range fields {
+		body += uvarintLen(uint64(len(s))) + len(s)
+	}
+	rec := startRecord(recFail, key.sweep, key.cell, body)
+	for _, s := range fields {
+		rec = append(binary.AppendUvarint(rec, uint64(len(s))), s...)
+	}
+	if err := j.appendRecord(rec); err != nil {
+		return err
+	}
+	j.failed[key] = fi
+	delete(j.replay, key)
+	return nil
+}
+
+// appendCell journals one completed cell: gob-encode, then append.
 func (j *Journal) appendCell(sweep, cell uint32, v any) error {
 	data, err := encodeCellData(v)
 	if err != nil {
@@ -515,32 +665,32 @@ func (j *Journal) AppendCellData(sweep, cell uint32, data []byte) error {
 	if _, ok := j.replay[key]; ok {
 		return nil
 	}
-	if err := j.appendRecord(cellPayload(sweep, cell, data)); err != nil {
+	if err := j.appendCellLocked(key, data); err != nil {
 		return err
 	}
-	j.replay[key] = append([]byte(nil), data...)
-	delete(j.failed, key)
 	j.progressLocked(sweep).Done++
 	return nil
 }
 
-// appendFailure journals one failed cell and emits its repro bundle.
-// Journal I/O errors here are deliberately swallowed: the cell's real
-// error is already on its way to the caller and must not be masked by
-// a bookkeeping failure. Last-record-wins applies within a journal: a
-// failure recorded after a success supersedes it (and vice versa), the
-// same order ScanJournal-based replay reconstructs.
+// appendFailure journals one failed cell and, once the record is
+// durable, emits its repro bundle — a bundle must never point at a
+// failure the journal could still lose. Journal I/O errors here are
+// deliberately not returned: the cell's real error is already on its
+// way to the caller and must not be masked by a bookkeeping failure;
+// being sticky, they surface at the sweep barrier. Last-record-wins
+// applies within a journal: a failure recorded after a success
+// supersedes it (and vice versa), the same order ScanJournal-based
+// replay reconstructs.
 func (j *Journal) appendFailure(sweep, cell uint32, label, class, msg string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	key := cellKey{sweep, cell}
-	if err := j.appendRecord(failPayload(sweep, cell, label, class, msg)); err != nil {
+	if j.appendFailLocked(cellKey{sweep, cell}, failInfo{label, class, msg}) != nil {
 		return
 	}
-	j.failed[key] = failInfo{label, class, msg}
-	delete(j.replay, key)
 	j.progressLocked(sweep).Failed++
-	j.writeBundleLocked(sweep, cell, label, class, msg)
+	if j.barrierLocked() == nil {
+		j.writeBundleLocked(sweep, cell, label, class, msg)
+	}
 }
 
 // SnapshotRecords returns the journal's current per-cell state — the
@@ -570,26 +720,28 @@ func (j *Journal) SnapshotRecords() []JournalRecord {
 	return out
 }
 
-// appendRecord frames and durably appends one payload. Callers hold
-// j.mu (or are the constructor, pre-sharing).
-func (j *Journal) appendRecord(payload []byte) error {
-	if j.f == nil {
-		return errors.New("fleet: journal closed")
+// appendRecord seals rec — a buffer whose first recHeaderLen bytes are
+// reserved for the header and whose remainder is the payload — and
+// appends it with one write(2). It does not wait for the disk; it wakes
+// the syncer. After the first write or sync error, and after Close, it
+// refuses without touching the file. Callers hold j.mu.
+func (j *Journal) appendRecord(rec []byte) error {
+	if j.err != nil {
+		return j.err
 	}
-	rec := make([]byte, recHeaderLen+len(payload))
+	if j.f == nil {
+		return errJournalClosed
+	}
+	payload := rec[recHeaderLen:]
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(payload, crcTable))
-	copy(rec[recHeaderLen:], payload)
-	if _, err := j.f.Write(rec); err != nil {
+	if _, err := j.f.Write(rec); err != nil { // a short write is an error too (io.Writer)
+		j.fail(err)
 		return err
 	}
-	return j.f.Sync()
-}
-
-func writeCellKey(buf *bytes.Buffer, sweep, cell uint32) {
-	var tmp [binary.MaxVarintLen64]byte
-	buf.Write(tmp[:binary.PutUvarint(tmp[:], uint64(sweep))])
-	buf.Write(tmp[:binary.PutUvarint(tmp[:], uint64(cell))])
+	j.written++
+	j.wake.Broadcast()
+	return nil
 }
 
 // ReproBundle is the self-contained description of one failed cell: it

@@ -18,9 +18,10 @@ package fleet
 //     about the cell — it never downgrades a success, and a cell both
 //     sides saw fail keeps the destination's record.
 //
-// Merged records are appended durably (same framing, CRC and fsync as
-// live appends) and enter the in-memory replay state, so a run started
-// after Merge replays merged cells exactly like its own journaled ones.
+// Merged records go through the same append path as live ones (same
+// framing and CRC, durable by the next barrier) and enter the in-memory
+// replay state, so a run started after Merge replays merged cells
+// exactly like its own journaled ones.
 
 // MergeStats summarizes one Merge call.
 type MergeStats struct {
@@ -41,8 +42,8 @@ func (s MergeStats) Total() int { return s.Applied + s.Superseded + s.Skipped }
 // Merge folds scanned records (typically a worker journal's — use
 // ScanJournal, or another journal's SnapshotRecords) into j under the
 // policy above. Non-cell records (meta) are ignored. The first append
-// error aborts the merge; everything already appended remains durable
-// and idempotent to re-merge.
+// error aborts the merge; everything already appended stays in the
+// journal and is idempotent to re-merge.
 func (j *Journal) Merge(recs []JournalRecord) (MergeStats, error) {
 	// Fold the source: last record per key wins, append order follows
 	// first appearance so the merged journal is deterministic in the
@@ -72,12 +73,10 @@ func (j *Journal) Merge(recs []JournalRecord) (MergeStats, error) {
 		_, wasFailed := j.failed[key]
 		switch rec.Kind {
 		case recCell:
-			if err := j.appendRecord(cellPayload(rec.Sweep, rec.Cell, rec.Data)); err != nil {
+			if err := j.appendCellLocked(key, rec.Data); err != nil {
 				return st, err
 			}
-			j.replay[key] = append([]byte(nil), rec.Data...)
 			if wasFailed {
-				delete(j.failed, key)
 				st.Superseded++
 			} else {
 				st.Applied++
@@ -87,10 +86,9 @@ func (j *Journal) Merge(recs []JournalRecord) (MergeStats, error) {
 				st.Skipped++ // both failed; keep the destination's record
 				continue
 			}
-			if err := j.appendRecord(failPayload(rec.Sweep, rec.Cell, rec.Label, rec.Class, rec.Error)); err != nil {
+			if err := j.appendFailLocked(key, failInfo{rec.Label, rec.Class, rec.Error}); err != nil {
 				return st, err
 			}
-			j.failed[key] = failInfo{rec.Label, rec.Class, rec.Error}
 			st.Applied++
 		}
 	}
