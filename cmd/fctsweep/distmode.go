@@ -27,6 +27,11 @@ func runServeWorker(cfg config) int {
 	if cfg.journal != "" || cfg.resume != "" || cfg.workersRemote != "" || cfg.distributed > 0 {
 		return fail(2, "-serve-worker excludes -journal, -resume, -workers-remote and -distributed")
 	}
+	stopProfiles, err := startProfiles(cfg.cpuprofile, cfg.memprofile)
+	if err != nil {
+		return fail(1, "%v", err)
+	}
+	defer stopProfiles()
 	return dist.ServeWorker(dist.ServeConfig{
 		Addr:        cfg.serveWorker,
 		JournalPath: cfg.workerJournal,
@@ -87,7 +92,13 @@ func setupCoordinator(cfg config, journal *fleet.Journal, resuming bool) (coord 
 	coord, forked, err := dist.LaunchCoordinator(journal, cfg.workersRemote, cfg.distributed,
 		dist.Options{SpeculateAfter: cfg.speculate, Key: dist.ResolveKey(cfg.clusterKey), Logf: distLogf},
 		func(i int) []string {
-			return []string{"-serve-worker", "127.0.0.1:0", "-worker-journal", dist.WorkerJournalPath(journal.Path(), i)}
+			args := []string{"-serve-worker", "127.0.0.1:0", "-worker-journal", dist.WorkerJournalPath(journal.Path(), i)}
+			if cfg.cpuprofile != "" {
+				// The workers do most of a distributed run's computing;
+				// each profiles itself next to the coordinator's file.
+				args = append(args, "-cpuprofile", fmt.Sprintf("%s.w%d", cfg.cpuprofile, i))
+			}
+			return args
 		})
 	if err != nil {
 		return nil, cleanup, fail(1, "%v", err)

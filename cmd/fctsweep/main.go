@@ -151,6 +151,41 @@ func closeJournal(j *fleet.Journal, code *int) {
 	}
 }
 
+// startProfiles honours -cpuprofile and -memprofile for whichever mode
+// this process runs in — a sweep, a coordinator or a -serve-worker. The
+// returned stop ends the CPU profile and writes the allocation profile.
+func startProfiles(cpu, mem string) (stop func(), err error) {
+	var cpuFile *os.File
+	if cpu != "" {
+		if cpuFile, err = os.Create(cpu); err != nil {
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, fmt.Errorf("start cpu profile: %w", err)
+		}
+	}
+	return func() {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			cpuFile.Close()
+		}
+		if mem == "" {
+			return
+		}
+		f, err := os.Create(mem)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "fctsweep: -memprofile: %v\n", err)
+			return
+		}
+		defer f.Close()
+		runtime.GC()
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			fmt.Fprintf(os.Stderr, "fctsweep: write mem profile: %v\n", err)
+		}
+	}, nil
+}
+
 func run(args []string) (code int) {
 	var cfg config
 	fs := flagSet(&cfg)
@@ -197,34 +232,11 @@ func run(args []string) (code int) {
 		fmt.Fprintf(os.Stderr, "fctsweep: resuming %s (%d journaled cells)\n", j.Path(), j.Replayable())
 	}
 
-	if cfg.cpuprofile != "" {
-		f, err := os.Create(cfg.cpuprofile)
-		if err != nil {
-			return fail(1, "-cpuprofile: %v", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fail(1, "start cpu profile: %v", err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+	stopProfiles, err := startProfiles(cfg.cpuprofile, cfg.memprofile)
+	if err != nil {
+		return fail(1, "%v", err)
 	}
-	defer func() {
-		if cfg.memprofile == "" {
-			return
-		}
-		f, err := os.Create(cfg.memprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fctsweep: -memprofile: %v\n", err)
-			return
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-			fmt.Fprintf(os.Stderr, "fctsweep: write mem profile: %v\n", err)
-		}
-	}()
+	defer stopProfiles()
 
 	if cfg.workers < 1 {
 		return fail(2, "-workers must be ≥ 1")
@@ -253,7 +265,14 @@ func run(args []string) (code int) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	installSignalHandler(cancel)
+	installSignalHandler(func() {
+		cancel()
+		if coord != nil {
+			// Cells the coordinator has queued but not leased have not
+			// started anywhere; a drain does not start them.
+			coord.Drain()
+		}
+	})
 
 	// The misbehave column (flows aborted for peer misbehavior plus
 	// total flagged ACKs) appears only when an attacker is attached, so
@@ -411,7 +430,7 @@ func resumeHint(j *fleet.Journal) string {
 // installSignalHandler wires cooperative cancellation: the first
 // SIGINT/SIGTERM cancels the sweep context (in-flight cells drain and
 // are journaled), a second one force-exits.
-func installSignalHandler(cancel context.CancelFunc) {
+func installSignalHandler(cancel func()) {
 	ch := make(chan os.Signal, 2)
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 	go func() {

@@ -273,20 +273,11 @@ func run(args []string) (code int) {
 		journal = j
 	}
 
-	if cfg.cpuprofile != "" {
-		f, err := os.Create(cfg.cpuprofile)
-		if err != nil {
-			return fail(1, "-cpuprofile: %v", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fail(1, "start cpu profile: %v", err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+	stopProfiles, err := startProfiles(cfg.cpuprofile, cfg.memprofile)
+	if err != nil {
+		return fail(1, "%v", err)
 	}
-	defer writeMemProfile(cfg.memprofile)
+	defer stopProfiles()
 
 	coord, coordCleanup, code := setupCoordinator(cfg, journal, resuming)
 	if code != 0 {
@@ -296,7 +287,14 @@ func run(args []string) (code int) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	installSignalHandler(cancel)
+	installSignalHandler(func() {
+		cancel()
+		if coord != nil {
+			// Cells the coordinator has queued but not leased have not
+			// started anywhere; a drain does not start them.
+			coord.Drain()
+		}
+	})
 
 	sc := experiment.Scale{Trials: cfg.scale, Horizon: cfg.scale, Workers: cfg.workers, Ctx: ctx}
 	if journal != nil {
@@ -446,7 +444,7 @@ func firstLine(s string) string {
 // installSignalHandler wires cooperative cancellation: the first
 // SIGINT/SIGTERM cancels the sweep context (in-flight cells drain and
 // are journaled), a second one force-exits.
-func installSignalHandler(cancel context.CancelFunc) {
+func installSignalHandler(cancel func()) {
 	ch := make(chan os.Signal, 2)
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 	go func() {
@@ -523,21 +521,39 @@ func runBench(ctx context.Context, entries []experiment.Entry, seed uint64, sc e
 	return 0, nil
 }
 
-// writeMemProfile dumps an allocation profile if -memprofile was given.
-func writeMemProfile(path string) {
-	if path == "" {
-		return
+// startProfiles honours -cpuprofile and -memprofile for whichever mode
+// this process runs in — a sweep, a coordinator or a -serve-worker. The
+// returned stop ends the CPU profile and writes the allocation profile.
+func startProfiles(cpu, mem string) (stop func(), err error) {
+	var cpuFile *os.File
+	if cpu != "" {
+		if cpuFile, err = os.Create(cpu); err != nil {
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, fmt.Errorf("start cpu profile: %w", err)
+		}
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "halfback-sim: -memprofile: %v\n", err)
-		return
-	}
-	defer f.Close()
-	runtime.GC()
-	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-		fmt.Fprintf(os.Stderr, "halfback-sim: write mem profile: %v\n", err)
-	}
+	return func() {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			cpuFile.Close()
+		}
+		if mem == "" {
+			return
+		}
+		f, err := os.Create(mem)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "halfback-sim: -memprofile: %v\n", err)
+			return
+		}
+		defer f.Close()
+		runtime.GC()
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			fmt.Fprintf(os.Stderr, "halfback-sim: write mem profile: %v\n", err)
+		}
+	}, nil
 }
 
 // runExhibit converts an exhibit panic (e.g. the aggregate job error a

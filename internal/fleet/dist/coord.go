@@ -3,6 +3,7 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"net"
 	"net/rpc"
 	"os"
@@ -15,8 +16,9 @@ import (
 
 // Options tunes the coordinator. The zero value picks sane defaults.
 type Options struct {
-	// SlotsPerWorker bounds concurrent RunCell calls per worker — the
-	// worker-side parallelism (default 4).
+	// SlotsPerWorker bounds concurrent leases per worker and, because a
+	// worker runs a lease's cells one after another, concurrent cell
+	// executions per worker — the worker-side parallelism (default 4).
 	SlotsPerWorker int
 	// HeartbeatEvery is the Ping interval (default 1s).
 	HeartbeatEvery time.Duration
@@ -28,17 +30,19 @@ type Options struct {
 	// ConfigureTimeout bounds each Configure call (default 30s) — a
 	// dialable but mute endpoint must not hang Connect or a reconnect.
 	ConfigureTimeout time.Duration
-	// RunCellTimeout bounds each RunCell and EndSweep call (default
-	// 10m — cells legitimately run for minutes; the deadline exists so
-	// a *trickling connection* cannot wedge dispatch forever, not to
-	// police cell runtime). On expiry the connection is torn down and
-	// the reconnect path takes over; re-running a cell is safe because
-	// results are seed-determined and worker journals replay.
+	// RunCellTimeout bounds each lease (one RunCells call) and each
+	// EndSweep call (default 10m — cells legitimately run for minutes;
+	// the deadline exists so a *trickling connection* cannot wedge
+	// dispatch forever, not to police cell runtime). On expiry the
+	// connection is torn down and the reconnect path takes over;
+	// re-running a cell is safe because results are seed-determined and
+	// worker journals replay.
 	RunCellTimeout time.Duration
-	// SpeculateAfter, when positive, re-dispatches a cell to a second
-	// worker once its first lease is older than this — RepFlow-style
-	// cheap redundancy against stragglers. First result wins, which is
-	// deterministic because results are seed-determined. 0 disables.
+	// SpeculateAfter, when positive, duplicates a lease older than this
+	// onto an idle slot of a second worker, carrying only the cells no
+	// result has resolved yet — RepFlow-style cheap redundancy against
+	// stragglers. First result wins per cell, which is deterministic
+	// because results are seed-determined. 0 disables.
 	SpeculateAfter time.Duration
 
 	// Key is the shared cluster secret. When set, every connection runs
@@ -104,8 +108,11 @@ func (o Options) redialPolicy() fleet.Retry {
 var ErrNoWorkers = errors.New("dist: no live workers")
 
 // errCoordClosed aborts in-flight calls when the coordinator shuts
-// down.
-var errCoordClosed = errors.New("dist: coordinator closed")
+// down; errDraining fails the cells still queued at Drain or Close.
+var (
+	errCoordClosed = errors.New("dist: coordinator closed")
+	errDraining    = errors.New("dist: coordinator draining — not leasing cells")
+)
 
 // isServerError reports whether err is an application-level error the
 // worker itself returned (net/rpc's ServerError) — the connection
@@ -132,7 +139,8 @@ type workerConn struct {
 
 	// guarded by the coordinator's mu:
 	dead  bool
-	inUse int // leased slots
+	inUse int        // slots holding an outstanding lease
+	sizer leaseSizer // what a cell has been costing on this worker
 }
 
 // current snapshots the live client and its connection generation.
@@ -149,10 +157,10 @@ type Metrics struct {
 	// Redials counts connections re-established after a transport
 	// failure (reconnect-before-reassign successes).
 	Redials uint64
-	// Reassignments counts cell leases moved to another worker after
-	// the reconnect budget ran out.
+	// Reassignments counts leases formed to re-run cells of a lease
+	// whose worker died (the reconnect budget ran out).
 	Reassignments uint64
-	// Speculated counts speculative duplicate dispatches.
+	// Speculated counts speculative duplicate leases.
 	Speculated uint64
 	// FencedZombieAttempts sums, across workers, the RPCs refused from
 	// stale generations.
@@ -172,10 +180,16 @@ type Coordinator struct {
 	opts    Options
 	gen     uint64
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	workers []*workerConn
-	closed  bool
+	mu       sync.Mutex
+	workers  []*workerConn
+	draining bool // Drain or Close: no new lease forms
+	closed   bool
+	// queue holds the cells DispatchCell callers are waiting on that no
+	// lease carries yet, oldest first; lastErr is why the latest worker
+	// died; leaseSizes counts formed leases by size class (bits.Len).
+	queue      []*pendingCell
+	lastErr    error
+	leaseSizes [8]uint64
 
 	redials    atomic.Uint64
 	reassigns  atomic.Uint64
@@ -213,8 +227,6 @@ func Connect(addrs []string, journal *fleet.Journal, meta fleet.JournalMeta, opt
 		gen:  uint64(time.Now().UnixNano())<<8 | uint64(os.Getpid())&0xff,
 		stop: make(chan struct{}),
 	}
-	c.cond = sync.NewCond(&c.mu)
-
 	var lastErr error
 	for _, addr := range addrs {
 		wc, err := c.establish(addr)
@@ -439,12 +451,16 @@ func (c *Coordinator) logf(format string, args ...any) {
 	}
 }
 
-// Slots returns the total lease capacity — the natural fleet worker
-// count for the dispatching Map, so every worker slot can hold a cell.
+// Slots returns the dispatch window — the fleet worker count for the
+// dispatching Map: every worker slot times the most cells one lease
+// carries. Leases only form from cells that are waiting, so the Map
+// needs that many DispatchCell callers parked here for every slot to be
+// able to fill a lease; the callers beyond the slots cost a parked
+// goroutine each.
 func (c *Coordinator) Slots() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.workers) * c.opts.SlotsPerWorker
+	return len(c.workers) * c.opts.SlotsPerWorker * leaseCap
 }
 
 // Live returns how many workers are currently usable.
@@ -489,7 +505,8 @@ func (c *Coordinator) markDead(wc *workerConn, cause error) {
 		return
 	}
 	wc.dead = true
-	c.cond.Broadcast()
+	c.lastErr = cause
+	c.pumpLocked() // with no worker left, the queue falls back to local execution
 	c.mu.Unlock()
 	c.logf("dist: worker %s dead (%v) — reassigning its cells", wc.addr, cause)
 	client, _ := wc.current()
@@ -537,142 +554,255 @@ func (c *Coordinator) heartbeat(wc *workerConn) {
 	}
 }
 
-// acquire leases a slot on the least-loaded live worker (excluding
-// `not`, for speculation), blocking while all live workers are
-// saturated. Returns nil when no live worker remains.
-func (c *Coordinator) acquire(not *workerConn) *workerConn {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for {
-		if c.closed {
-			return nil
-		}
-		var best *workerConn
-		anyLive := false
-		for _, wc := range c.workers {
-			if wc.dead {
-				continue
-			}
-			anyLive = true
-			if wc == not || wc.inUse >= c.opts.SlotsPerWorker {
-				continue
-			}
-			if best == nil || wc.inUse < best.inUse {
-				best = wc
-			}
-		}
-		if !anyLive {
-			return nil
-		}
-		if best != nil {
-			best.inUse++
-			return best
-		}
-		c.cond.Wait() // all live workers saturated (or excluded); wait for a release or a death
-	}
+// Lease sizing (DESIGN.md §12 has the measurements that chose both
+// constants). leaseTarget is how long a lease should keep its slot busy:
+// long enough that the round trip (150–250 µs of wake-ups per lease on
+// loopback) is a few per cent of it, short enough that the tail of a
+// sweep, a draining worker and a speculation decision wait milliseconds.
+// leaseCap bounds a lease however cheap its cells look, which bounds
+// both the damage of one misjudged lease and the dispatch window.
+const (
+	leaseTarget = 8 * time.Millisecond
+	leaseCap    = 32
+)
+
+// leaseSizer is the coordinator's running estimate of what one cell
+// costs on one worker: the wall time of that worker's leases divided by
+// the cells they carried, halved towards each new observation, so one
+// slow lease shrinks the next one at once while cheap ones grow it over
+// a few leases. The zero value has observed nothing.
+type leaseSizer struct {
+	secPerCell float64
 }
 
-// tryAcquire is acquire without blocking — the speculation path only
-// duplicates a cell onto capacity that is otherwise idle.
-func (c *Coordinator) tryAcquire(not *workerConn) *workerConn {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (s *leaseSizer) observe(elapsed time.Duration, cells int) {
+	obs := elapsed.Seconds() / float64(cells)
+	if s.secPerCell == 0 {
+		s.secPerCell = obs
+		return
+	}
+	s.secPerCell = (s.secPerCell + obs) / 2
+}
+
+// size is how many cells the worker's next lease carries: as many as
+// fit leaseTarget at the observed cost — one until something has been
+// observed — but never more than leaseCap, nor than an even share of
+// the queued cells among the live slots (so the end of a sweep is
+// spread over every slot), nor fewer than one.
+func (s leaseSizer) size(queued, liveSlots int) int {
+	n := 1
+	if s.secPerCell > 0 {
+		n = int(leaseTarget.Seconds() / s.secPerCell)
+	}
+	share := (queued + liveSlots - 1) / liveSlots
+	return max(1, min(n, leaseCap, share))
+}
+
+// pendingCell is one DispatchCell caller waiting for its cell. The
+// fields below done are guarded by the coordinator's mu until done is
+// closed, which publishes res and err to the caller.
+type pendingCell struct {
+	sweep, cell uint32
+	done        chan struct{}
+	resolved    bool // first result wins
+	requeued    bool // its previous lease died
+	res         *fleet.CellOutcome
+	err         error
+}
+
+// lease is a batch of cells of one sweep that travels as one RunCells
+// call — plus, under speculation, a duplicate call on a second worker.
+type lease struct {
+	sweep uint32
+	cells []*pendingCell
+	// attempts counts the calls in flight for this lease, guarded by the
+	// coordinator's mu. The lease is over when it drops to zero.
+	attempts int
+}
+
+// resolveLocked delivers a cell's outcome to its caller; a second result
+// for the same cell (a speculative duplicate) is dropped.
+func (c *Coordinator) resolveLocked(p *pendingCell, res *fleet.CellOutcome, err error) {
+	if p.resolved {
+		return
+	}
+	p.resolved, p.res, p.err = true, res, err
+	close(p.done)
+}
+
+// idleSlotLocked picks the least-loaded live worker with a free slot,
+// excluding not (for speculation); nil when every live slot is taken.
+func (c *Coordinator) idleSlotLocked(not *workerConn) *workerConn {
+	var best *workerConn
 	for _, wc := range c.workers {
-		if !wc.dead && wc != not && wc.inUse < c.opts.SlotsPerWorker {
-			wc.inUse++
-			return wc
+		if wc.dead || wc == not || wc.inUse >= c.opts.SlotsPerWorker {
+			continue
+		}
+		if best == nil || wc.inUse < best.inUse {
+			best = wc
 		}
 	}
-	return nil
+	return best
 }
 
-func (c *Coordinator) release(wc *workerConn) {
-	c.mu.Lock()
-	wc.inUse--
-	c.cond.Broadcast()
-	c.mu.Unlock()
+// pumpLocked is the one place leases form: while cells are queued and a
+// live worker has a free slot, it cuts a lease off the head of the queue
+// — the cells already waiting, never waiting for more — and starts it.
+// It runs whenever either side of that condition may have changed: a
+// cell was queued, a lease ended, a worker died. With no live worker (or
+// once draining) the queue is failed instead, which makes fleet run
+// those cells locally — or, in a cancelled sweep, report them cancelled.
+func (c *Coordinator) pumpLocked() {
+	for len(c.queue) > 0 {
+		live := c.liveLocked()
+		if c.draining || live == 0 {
+			err := ErrNoWorkers
+			switch {
+			case c.draining:
+				err = errDraining
+			case c.lastErr != nil:
+				err = fmt.Errorf("%w (last worker error: %v)", ErrNoWorkers, c.lastErr)
+			}
+			for _, p := range c.queue {
+				c.resolveLocked(p, nil, err)
+			}
+			c.queue = nil
+			return
+		}
+		wc := c.idleSlotLocked(nil)
+		if wc == nil {
+			return
+		}
+		n := wc.sizer.size(len(c.queue), live*c.opts.SlotsPerWorker)
+		l := &lease{sweep: c.queue[0].sweep, attempts: 1}
+		reassigned := false
+		for len(l.cells) < n && len(c.queue) > 0 && c.queue[0].sweep == l.sweep {
+			p := c.queue[0]
+			c.queue = c.queue[1:]
+			l.cells = append(l.cells, p)
+			reassigned = reassigned || p.requeued
+		}
+		if reassigned {
+			c.reassigns.Add(1)
+		}
+		c.leaseSizes[min(bits.Len(uint(len(l.cells))), len(c.leaseSizes)-1)]++
+		wc.inUse++
+		c.wg.Add(1)
+		go c.runLease(wc, l)
+	}
 }
 
 // BeginSweep implements fleet.Dispatcher. Workers learn sweeps from
 // their own program, so there is nothing to announce.
 func (c *Coordinator) BeginSweep(sweep uint32, n int) {}
 
-// DispatchCell implements fleet.Dispatcher: lease a worker, push the
-// cell, and on worker death (post-reconnect-budget) reassign to a
-// survivor — with optional speculative duplication after
-// SpeculateAfter. Only when every worker is gone does it report
-// ErrNoWorkers, making fleet run the cell locally.
+// DispatchCell implements fleet.Dispatcher: queue the cell for the next
+// lease and wait for its outcome. A cell whose lease died (the worker
+// stayed unreachable past the reconnect budget) is leased again to a
+// survivor. Only when every worker is gone does it report ErrNoWorkers,
+// making fleet run the cell locally. The label stays on this side: the
+// worker derives it from its own program.
 func (c *Coordinator) DispatchCell(sweep, cell uint32, label string) (*fleet.CellOutcome, error) {
-	args := &RunCellArgs{Gen: c.gen, Sweep: sweep, Cell: cell, Label: label}
-	var lastErr error
-	for {
-		primary := c.acquire(nil)
-		if primary == nil {
-			if lastErr != nil {
-				return nil, fmt.Errorf("%w (last worker error: %v)", ErrNoWorkers, lastErr)
-			}
-			return nil, ErrNoWorkers
-		}
-		if lastErr != nil {
-			c.reassigns.Add(1) // this lease replaces one that died
-		}
-		res, err := c.runCellOn(primary, args)
-		if err == nil {
-			return res, nil
-		}
-		lastErr = err // every lease holder died mid-call; lease again on a survivor
-	}
+	p := &pendingCell{sweep: sweep, cell: cell, done: make(chan struct{})}
+	c.mu.Lock()
+	c.queue = append(c.queue, p)
+	c.pumpLocked()
+	c.mu.Unlock()
+	<-p.done
+	return p.res, p.err
 }
 
-// runCellOn pushes the cell to primary, optionally duplicating it onto
-// an idle worker after the speculation delay. First successful reply
-// wins; the call fails only when every worker it leased died.
-func (c *Coordinator) runCellOn(primary *workerConn, args *RunCellArgs) (*fleet.CellOutcome, error) {
-	type reply struct {
-		res *RunCellReply
-		err error
-		wc  *workerConn
-	}
-	ch := make(chan reply, 2) // buffered: a losing duplicate must not leak its goroutine
-	launch := func(wc *workerConn) {
-		go func() {
-			var r RunCellReply
-			err := c.callWorker(wc, "Worker.RunCell", args, &r, c.opts.RunCellTimeout)
-			c.release(wc)
-			ch <- reply{&r, err, wc}
-		}()
-	}
-	launch(primary)
-	inFlight := 1
-
-	var spec <-chan time.Time
+// runLease pushes the lease to its primary worker, duplicating it onto
+// an idle one if it is still unresolved after the speculation delay.
+func (c *Coordinator) runLease(primary *workerConn, l *lease) {
+	defer c.wg.Done()
 	if c.opts.SpeculateAfter > 0 {
-		spec = time.After(c.opts.SpeculateAfter)
+		t := time.AfterFunc(c.opts.SpeculateAfter, func() { c.speculate(primary, l) })
+		defer t.Stop()
 	}
-	var lastErr error
-	for inFlight > 0 {
-		select {
-		case r := <-ch:
-			inFlight--
-			if r.err == nil {
-				return &r.res.Outcome, nil
-			}
-			// The worker (or its session) failed beyond the reconnect
-			// budget: revoke it and let the other attempt — if any —
-			// finish.
-			c.markDead(r.wc, r.err)
-			lastErr = r.err
-		case <-spec:
-			spec = nil
-			if wc := c.tryAcquire(primary); wc != nil {
-				c.logf("dist: speculating sweep %d cell %d onto %s", args.Sweep, args.Cell, wc.addr)
-				c.speculated.Add(1)
-				launch(wc)
-				inFlight++
-			}
+	c.attempt(primary, l)
+}
+
+// speculate duplicates a straggling lease onto capacity that is
+// otherwise idle, on a worker other than its primary.
+func (c *Coordinator) speculate(primary *workerConn, l *lease) {
+	c.mu.Lock()
+	var wc *workerConn
+	if l.attempts > 0 && !c.draining {
+		wc = c.idleSlotLocked(primary)
+	}
+	if wc == nil {
+		c.mu.Unlock()
+		return
+	}
+	wc.inUse++
+	l.attempts++
+	c.wg.Add(1)
+	c.mu.Unlock()
+	defer c.wg.Done()
+	c.logf("dist: speculating a lease of sweep %d (first cell %d) onto %s", l.sweep, l.cells[0].cell, wc.addr)
+	c.speculated.Add(1)
+	c.attempt(wc, l)
+}
+
+// attempt sends the lease's still-unresolved cells to wc as one RunCells
+// call and delivers the outcomes, first result winning per cell. An
+// error means the worker (or its session) failed beyond the reconnect
+// budget, or refused: it is revoked, and once no other attempt at this
+// lease is in flight the cells nobody resolved go back to the head of
+// the queue for the survivors.
+func (c *Coordinator) attempt(wc *workerConn, l *lease) {
+	c.mu.Lock()
+	var open []*pendingCell
+	for _, p := range l.cells {
+		if !p.resolved {
+			open = append(open, p)
 		}
 	}
-	return nil, lastErr
+	c.mu.Unlock()
+
+	var (
+		reply   RunCellsReply
+		err     error
+		elapsed time.Duration
+	)
+	if len(open) > 0 {
+		args := &RunCellsArgs{Gen: c.gen, Sweep: l.sweep, Cells: make([]uint32, len(open))}
+		for i, p := range open {
+			args.Cells[i] = p.cell
+		}
+		start := time.Now()
+		err = c.callWorker(wc, "Worker.RunCells", args, &reply, c.opts.RunCellTimeout)
+		elapsed = time.Since(start)
+		if err == nil && len(reply.Outcomes) != len(open) {
+			err = fmt.Errorf("dist: %s answered a lease of %d cells with %d outcomes", wc.addr, len(open), len(reply.Outcomes))
+		}
+		if err != nil {
+			c.markDead(wc, err)
+		}
+	}
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	wc.inUse--
+	l.attempts--
+	switch {
+	case err == nil && len(open) > 0:
+		wc.sizer.observe(elapsed, len(open))
+		for i, p := range open {
+			c.resolveLocked(p, &reply.Outcomes[i], nil)
+		}
+	case err != nil && l.attempts == 0:
+		var back []*pendingCell
+		for _, p := range l.cells {
+			if !p.resolved {
+				p.requeued = true
+				back = append(back, p)
+			}
+		}
+		c.queue = append(back, c.queue...)
+	}
+	c.pumpLocked()
 }
 
 // SweepDone implements fleet.Dispatcher: every cell of the sweep has
@@ -710,7 +840,8 @@ func (c *Coordinator) SweepDone(sweep uint32) {
 }
 
 // ShutdownWorkers asks every live worker process to exit — the clean
-// end of a run whose workers this coordinator owns.
+// end of a run whose workers this coordinator owns. A worker that does
+// not answer within DialTimeout is logged and left behind.
 func (c *Coordinator) ShutdownWorkers() {
 	c.mu.Lock()
 	workers := append([]*workerConn(nil), c.workers...)
@@ -720,26 +851,46 @@ func (c *Coordinator) ShutdownWorkers() {
 			continue
 		}
 		client, _ := wc.current()
-		if client != nil {
-			client.Call("Worker.Shutdown", &ShutdownArgs{}, &Empty{})
+		if client == nil {
+			continue
+		}
+		// Deadlined like every other RPC: a worker that accepts but never
+		// answers must not hold a finished run.
+		err := c.timedCall(wc.addr, client, "Worker.Shutdown", &ShutdownArgs{}, &Empty{}, c.opts.DialTimeout)
+		if err != nil {
+			c.logf("dist: Shutdown to %s undelivered: %v", wc.addr, err)
 		}
 	}
 }
 
-// Close stops heartbeats and disconnects. Workers keep running (a
-// resumed coordinator may reconnect to them) unless ShutdownWorkers was
-// called first.
+// Drain is the coordinator's half of a graceful interrupt: the cells no
+// lease carries yet fail at once (the cancelled sweep reports them as
+// not started), in-flight leases finish and merge, and no new lease
+// forms. Call it after cancelling the sweep's context. Idempotent.
+func (c *Coordinator) Drain() {
+	c.mu.Lock()
+	c.draining = true
+	c.pumpLocked()
+	c.mu.Unlock()
+}
+
+// Close stops heartbeats, fails queued and in-flight cells, and
+// disconnects. Workers keep running (a resumed coordinator may
+// reconnect to them) unless ShutdownWorkers was called first.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return
 	}
-	c.closed = true
-	c.cond.Broadcast()
+	c.closed, c.draining = true, true
+	c.pumpLocked()
+	sizes := c.leaseSizes
 	c.mu.Unlock()
 	close(c.stop)
 	c.wg.Wait()
+	c.logf("dist: lease sizes 1:%d 2-3:%d 4-7:%d 8-15:%d 16-31:%d 32-63:%d",
+		sizes[1], sizes[2], sizes[3], sizes[4], sizes[5], sizes[6])
 	for _, wc := range c.workers {
 		client, _ := wc.current()
 		if client != nil {

@@ -155,8 +155,11 @@ func TestDistributedRunMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	if got := coord.Slots(); got != 6 {
-		t.Fatalf("Slots = %d, want 3 workers × 2", got)
+	// Slots is the dispatch window, not the slot count: leases are cut
+	// from the cells already waiting, so the Map needs leaseCap callers
+	// parked per slot for a slot to be able to fill a lease.
+	if got := coord.Slots(); got != 3*2*leaseCap {
+		t.Fatalf("Slots = %d, want 3 workers × 2 slots × leaseCap %d", got, leaseCap)
 	}
 
 	coordProg := &testProgram{sweeps: 3, cells: 8}
@@ -522,7 +525,7 @@ func TestHeartbeatDeclaresUnresponsiveWorkerDead(t *testing.T) {
 
 	// Now a real worker that answers Configure but whose program hangs
 	// forever without registering any sweep; pair it with a healthy one.
-	// The registration deadline turns its RunCell leases into errors and
+	// The registration deadline turns its leases into errors and
 	// the cells reassign.
 	hang := make(chan struct{})
 	defer close(hang)

@@ -228,7 +228,7 @@ func TestZombieGenerationIsFenced(t *testing.T) {
 	// A gen-100 cell goes in flight and blocks inside its closure.
 	cellErr := make(chan error, 1)
 	go func() {
-		cellErr <- api.RunCell(&RunCellArgs{Gen: 100, Sweep: 0, Cell: 0, Label: "s0c0"}, &RunCellReply{})
+		cellErr <- api.RunCells(&RunCellsArgs{Gen: 100, Sweep: 0, Cells: []uint32{0}}, &RunCellsReply{})
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for started.Load() == 0 && time.Now().Before(deadline) {
@@ -252,8 +252,8 @@ func TestZombieGenerationIsFenced(t *testing.T) {
 	if err := api.EndSweep(&EndSweepArgs{Gen: 100, Sweep: 0}, &Empty{}); err == nil {
 		t.Fatal("zombie EndSweep accepted")
 	}
-	if err := api.RunCell(&RunCellArgs{Gen: 100, Sweep: 0, Cell: 1, Label: "s0c1"}, &RunCellReply{}); err == nil {
-		t.Fatal("zombie RunCell accepted")
+	if err := api.RunCells(&RunCellsArgs{Gen: 100, Sweep: 0, Cells: []uint32{1}}, &RunCellsReply{}); err == nil {
+		t.Fatal("zombie RunCells accepted")
 	}
 	// An even older incarnation cannot replace the live session either.
 	var stale ConfigureReply
@@ -270,8 +270,8 @@ func TestZombieGenerationIsFenced(t *testing.T) {
 	close(release)
 	select {
 	case err := <-cellErr:
-		if err == nil || !strings.Contains(err.Error(), "fenced mid-cell") {
-			t.Fatalf("zombie in-flight cell err = %v, want fenced mid-cell", err)
+		if err == nil || !strings.Contains(err.Error(), "fenced mid-lease") {
+			t.Fatalf("zombie in-flight cell err = %v, want fenced mid-lease", err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("zombie cell never returned")
@@ -419,9 +419,9 @@ func TestDrainFinishesInFlightAndRefusesNewWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	cellDone := make(chan error, 1)
-	var reply RunCellReply
+	var reply RunCellsReply
 	go func() {
-		cellDone <- api.RunCell(&RunCellArgs{Gen: 1, Sweep: 0, Cell: 0, Label: "s0c0"}, &reply)
+		cellDone <- api.RunCells(&RunCellsArgs{Gen: 1, Sweep: 0, Cells: []uint32{0}}, &reply)
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for started.Load() == 0 && time.Now().Before(deadline) {
@@ -447,9 +447,9 @@ func TestDrainFinishesInFlightAndRefusesNewWork(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := api.RunCell(&RunCellArgs{Gen: 1, Sweep: 0, Cell: 1, Label: "s0c1"}, &RunCellReply{}); err == nil ||
+	if err := api.RunCells(&RunCellsArgs{Gen: 1, Sweep: 0, Cells: []uint32{1}}, &RunCellsReply{}); err == nil ||
 		!strings.Contains(err.Error(), "draining") {
-		t.Fatalf("RunCell during drain err = %v, want draining refusal", err)
+		t.Fatalf("RunCells during drain err = %v, want draining refusal", err)
 	}
 	if err := api.Configure(&ConfigureArgs{Gen: 2, Proto: ProtoVersion, Meta: meta}, &ConfigureReply{}); err == nil ||
 		!strings.Contains(err.Error(), "draining") {

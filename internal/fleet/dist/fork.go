@@ -32,12 +32,21 @@ const forkStartTimeout = 30 * time.Second
 
 // Fork launches n worker processes of binary, each with argsFor(i) on
 // its command line (which must put the worker into -serve-worker mode
-// on a self-picked port), and waits for each to announce its address.
-// extraEnv entries ("KEY=value") are appended to each child's
-// environment — the secret-passing channel: the cluster key travels
-// here, never on argv, so ps(1) cannot leak it.
+// on a self-picked port). All n are started first and then awaited
+// together, under one deadline, for the address each announces — so
+// start-up costs one child's latency, not n. extraEnv entries
+// ("KEY=value") are appended to each child's environment — the
+// secret-passing channel: the cluster key travels here, never on argv,
+// so ps(1) cannot leak it. On any failure every child already started
+// is stopped and reaped.
 func Fork(binary string, n int, argsFor func(i int) []string, extraEnv ...string) (*Forked, error) {
-	f := &Forked{}
+	f := &Forked{Addrs: make([]string, n)}
+	type announced struct {
+		i    int
+		addr string
+		err  error
+	}
+	ch := make(chan announced, n) // one send per started child
 	for i := 0; i < n; i++ {
 		cmd := exec.Command(binary, argsFor(i)...)
 		cmd.Env = append(append(os.Environ(), stdinExitEnv+"=1"), extraEnv...)
@@ -58,42 +67,42 @@ func Fork(binary string, n int, argsFor func(i int) []string, extraEnv ...string
 		}
 		f.cmds = append(f.cmds, cmd)
 		f.stdins = append(f.stdins, stdin)
-
-		addr, err := awaitListenLine(stdout)
-		if err != nil {
+		// The reader ends when the child's stdout closes, which Stop
+		// guarantees by reaping the child.
+		go func(i int) {
+			addr, err := scanListenLine(stdout)
+			ch <- announced{i, addr, err}
+			// Keep draining so the child never blocks on a full stdout pipe.
+			io.Copy(io.Discard, stdout)
+		}(i)
+	}
+	deadline := time.NewTimer(forkStartTimeout)
+	defer deadline.Stop()
+	for pending := n; pending > 0; pending-- {
+		select {
+		case a := <-ch:
+			if a.err != nil {
+				f.Stop()
+				return nil, fmt.Errorf("dist: worker %d: %w", a.i, a.err)
+			}
+			f.Addrs[a.i] = a.addr
+		case <-deadline.C:
 			f.Stop()
-			return nil, fmt.Errorf("dist: worker %d: %w", i, err)
+			return nil, fmt.Errorf("dist: %d of %d workers announced no address within %v", pending, n, forkStartTimeout)
 		}
-		f.Addrs = append(f.Addrs, addr)
-		// Keep draining so the child never blocks on a full stdout pipe.
-		go io.Copy(io.Discard, stdout)
 	}
 	return f, nil
 }
 
-// awaitListenLine scans the worker's stdout for its address line.
-func awaitListenLine(stdout io.Reader) (string, error) {
-	type scanned struct {
-		addr string
-		err  error
-	}
-	ch := make(chan scanned, 1)
+// scanListenLine reads the worker's stdout up to its address line.
+func scanListenLine(stdout io.Reader) (string, error) {
 	sc := bufio.NewScanner(stdout)
-	go func() {
-		for sc.Scan() {
-			if line := sc.Text(); strings.HasPrefix(line, listenLinePrefix) {
-				ch <- scanned{addr: strings.TrimPrefix(line, listenLinePrefix)}
-				return
-			}
+	for sc.Scan() {
+		if line := sc.Text(); strings.HasPrefix(line, listenLinePrefix) {
+			return strings.TrimPrefix(line, listenLinePrefix), nil
 		}
-		ch <- scanned{err: fmt.Errorf("exited before announcing its address (%v)", sc.Err())}
-	}()
-	select {
-	case s := <-ch:
-		return s.addr, s.err
-	case <-time.After(forkStartTimeout):
-		return "", fmt.Errorf("no address announced within %v", forkStartTimeout)
 	}
+	return "", fmt.Errorf("exited before announcing its address (%v)", sc.Err())
 }
 
 // Kill SIGKILLs worker i — the chaos-test path.

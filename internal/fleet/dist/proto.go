@@ -15,17 +15,34 @@
 //
 //   - Workers are net/rpc servers. The coordinator dials them, sends one
 //     Configure carrying the run's journal meta (the worker re-derives
-//     the whole run from it), then pushes RunCell calls. A worker's
+//     the whole run from it), then pushes RunCells calls. A worker's
 //     Configure reply uploads everything its local journal already holds
 //     — the recovery path for a coordinator that crashed and resumed.
 //
-//   - A lease is simply an outstanding RunCell call. Worker death is
-//     detected by the call failing (TCP reset) or by missed Ping
-//     heartbeats; either way the coordinator marks the worker dead,
-//     which fails its in-flight calls, and the affected cells are
-//     reassigned to surviving workers — or executed locally when no
-//     worker is left. Duplicated execution is safe: results are
-//     seed-determined, so first-result-wins is deterministic.
+//   - The unit of a round trip is a lease: one outstanding RunCells call
+//     carrying N ≥ 1 cells of one sweep, which the worker runs in order
+//     on the call's goroutine and answers with N outcomes. A slot is one
+//     outstanding lease, so SlotsPerWorker bounds concurrent cell
+//     executions per worker. Concurrent DispatchCell callers queue; every
+//     free slot takes a lease off the head of the queue, sized by the
+//     coordinator from what it measures (leaseSize): a worker's first
+//     lease is one cell, the next ones hold as many cells as fit
+//     leaseTarget at the seconds-per-cell its last leases took, never
+//     more than leaseCap nor than an even share of the queue. Cheap cells
+//     therefore travel dozens per round trip; a cell slower than the
+//     target keeps a one-cell lease, and with it per-cell load balance.
+//
+//   - Worker death is detected by the call failing (TCP reset) or by
+//     missed Ping heartbeats; either way the coordinator marks the worker
+//     dead, which fails its in-flight leases, and every cell of a dead
+//     lease that no duplicate has resolved goes back to the head of the
+//     queue for the surviving workers — or is executed locally when no
+//     worker is left. A draining worker finishes its in-flight leases
+//     (bounded by leaseTarget for cheap cells) and refuses the next. A
+//     lease older than SpeculateAfter is duplicated onto an idle worker,
+//     carrying only its still-unresolved cells. Duplicated execution is
+//     safe: results are seed-determined, so first-result-wins per cell
+//     is deterministic.
 package dist
 
 import "halfback/internal/fleet"
@@ -37,8 +54,8 @@ import "halfback/internal/fleet"
 // depth for a peer that somehow skipped the handshake).
 //
 // v2: authenticated session handshake before net/rpc, Fenced counters
-// in replies.
-const ProtoVersion = 2
+// in replies. v3: RunCells (a lease of N cells) replaces RunCell.
+const ProtoVersion = 3
 
 // ConfigureArgs establishes (or re-establishes) a worker session: the
 // worker tears down any previous session, starts the run Meta describes
@@ -64,22 +81,23 @@ type ConfigureReply struct {
 	Fenced uint64
 }
 
-// RunCellArgs asks the worker to produce one cell's outcome. The call
-// blocks until the worker's program registers the sweep (both sides
-// reach sweeps in the same order, so the wait is brief).
-type RunCellArgs struct {
+// RunCellsArgs is one lease: the worker produces the outcomes of Cells,
+// all of sweep Sweep, in order. The call blocks until the worker's
+// program registers the sweep (both sides reach sweeps in the same
+// order, so the wait is brief).
+type RunCellsArgs struct {
 	Gen   uint64
 	Sweep uint32
-	Cell  uint32
-	Label string
+	Cells []uint32
 }
 
-// RunCellReply carries the cell's terminal outcome — the gob payload of
-// a success or the recorded failure. RPC-level errors, by contrast,
-// mean the worker could not serve at all (stale session, dead program)
-// and the coordinator reassigns the cell.
-type RunCellReply struct {
-	Outcome fleet.CellOutcome
+// RunCellsReply carries one terminal outcome per leased cell, in lease
+// order — the gob payload of a success or the recorded failure.
+// RPC-level errors, by contrast, mean the worker could not serve the
+// lease at all (stale session, dead program, draining) and the
+// coordinator puts its cells back in the queue.
+type RunCellsReply struct {
+	Outcomes []fleet.CellOutcome
 }
 
 // EndSweepArgs tells the worker every cell of the sweep has merged into
@@ -103,7 +121,7 @@ type PingArgs struct {
 type PingReply struct {
 	// Running is true while the worker's program is still executing
 	// and the worker is not draining (a draining worker finishes its
-	// in-flight cells but accepts no new ones).
+	// in-flight leases but accepts no new ones).
 	Running bool
 	// Fenced mirrors ConfigureReply.Fenced.
 	Fenced uint64

@@ -32,12 +32,12 @@ type WorkerOptions struct {
 	JournalPath string
 	// Start runs the configured program (required).
 	Start StartFunc
-	// RegisterWait bounds how long a RunCell call waits for the program
+	// RegisterWait bounds how long a RunCells call waits for the program
 	// to offer its sweep (default 30s). Both sides run the same
 	// deterministic program and advance sweeps in lockstep, so a sweep
 	// the coordinator asks for is at most a program-startup away; a
 	// worker that blows this deadline has a hung or dead program, and
-	// the erroring call makes the coordinator reassign the cell.
+	// the erroring call makes the coordinator reassign the lease.
 	RegisterWait time.Duration
 	// Key is the shared cluster secret; when set, every accepted
 	// connection must pass the HMAC handshake before RPC.
@@ -81,13 +81,13 @@ type Worker struct {
 	fenced atomic.Uint64
 
 	// drainMu guards draining and inflight; drainCond wakes Drain when
-	// the last in-flight cell ends. (A WaitGroup cannot express this:
-	// Add racing Wait at counter zero is illegal, and RunCell arrivals
+	// the last in-flight lease ends. (A WaitGroup cannot express this:
+	// Add racing Wait at counter zero is illegal, and RunCells arrivals
 	// are concurrent with Drain by design.)
 	drainMu   sync.Mutex
 	drainCond *sync.Cond
-	// draining is set by Drain: in-flight cells finish (and journal),
-	// new work is refused, Ping answers Running=false.
+	// draining is set by Drain: in-flight leases finish (and journal),
+	// new ones are refused, Ping answers Running=false.
 	draining bool
 	inflight int
 
@@ -102,9 +102,9 @@ func NewWorker(opts WorkerOptions) *Worker {
 	return w
 }
 
-// beginCell admits one cell into the in-flight count, or refuses it if
+// beginLease admits one lease into the in-flight count, or refuses it if
 // the worker is draining.
-func (w *Worker) beginCell() bool {
+func (w *Worker) beginLease() bool {
 	w.drainMu.Lock()
 	defer w.drainMu.Unlock()
 	if w.draining {
@@ -114,7 +114,7 @@ func (w *Worker) beginCell() bool {
 	return true
 }
 
-func (w *Worker) endCell() {
+func (w *Worker) endLease() {
 	w.drainMu.Lock()
 	w.inflight--
 	if w.inflight == 0 {
@@ -140,7 +140,7 @@ func (w *Worker) logf(format string, args ...any) {
 func (w *Worker) Done() <-chan struct{} { return w.done }
 
 // Stop tears the worker down immediately: the live session is canceled
-// and Serve returns. Idempotent. In-flight cells are abandoned — use
+// and Serve returns. Idempotent. In-flight leases are abandoned — use
 // Drain for the graceful path.
 func (w *Worker) Stop() {
 	w.stopOnce.Do(func() {
@@ -154,7 +154,7 @@ func (w *Worker) Stop() {
 	})
 }
 
-// Drain is the graceful stop: refuse new cells, let in-flight ones
+// Drain is the graceful stop: refuse new leases, let in-flight ones
 // finish and journal, linger briefly so the coordinator's next Ping
 // observes Running=false, then Stop. Idempotent; returns when the
 // worker is down.
@@ -166,7 +166,7 @@ func (w *Worker) Drain() {
 		return
 	}
 	w.draining = true
-	w.logf("dist worker: draining — finishing in-flight cells")
+	w.logf("dist worker: draining — finishing in-flight leases")
 	for w.inflight > 0 {
 		w.drainCond.Wait()
 	}
@@ -264,7 +264,7 @@ func (s *session) sweepState(id uint32) *sweepState {
 }
 
 // ServeSweep implements fleet.SweepServer: it publishes the sweep's
-// cell runner for RunCell calls and blocks until the coordinator ends
+// cell runner for RunCells calls and blocks until the coordinator ends
 // the sweep or the session dies.
 func (s *session) ServeSweep(sweep uint32, n int, run func(cell uint32) *fleet.CellOutcome) error {
 	s.mu.Lock()
@@ -437,19 +437,21 @@ func (w *Worker) liveSession(gen uint64) (*session, error) {
 	return w.sess, nil
 }
 
-// RunCell executes one cell through the sweep's registered runner with
-// the full local semantics (replay, retries, panic capture, worker-side
-// journaling) and replies its wire outcome. Refused while draining; and
-// if the session was replaced while the cell ran (a zombie coordinator
-// losing a race with its successor), the result is withheld — the old
-// session's journal is already closed, so the record cannot land
-// anywhere.
-func (a *workerAPI) RunCell(args *RunCellArgs, reply *RunCellReply) error {
+// RunCells executes one lease: its cells run in order, on this call's
+// goroutine, through the sweep's registered runner with the full local
+// semantics (replay, retries, panic capture, worker-side journaling),
+// and the reply carries their wire outcomes in the same order. Refused
+// while draining; abandoned between cells once the session is torn
+// down; and if the session was replaced while the lease ran (a zombie
+// coordinator losing a race with its successor), the results are
+// withheld — the old session's journal is already closed, so the
+// records cannot land anywhere.
+func (a *workerAPI) RunCells(args *RunCellsArgs, reply *RunCellsReply) error {
 	w := a.w
-	if !w.beginCell() {
+	if !w.beginLease() {
 		return errors.New("dist: worker draining — not accepting cells")
 	}
-	defer w.endCell()
+	defer w.endLease()
 	sess, err := w.liveSession(args.Gen)
 	if err != nil {
 		return err
@@ -458,14 +460,22 @@ func (a *workerAPI) RunCell(args *RunCellArgs, reply *RunCellReply) error {
 	if err != nil {
 		return err
 	}
-	if int(args.Cell) >= ss.n {
-		return fmt.Errorf("dist: cell %d out of range for sweep %d (n=%d)", args.Cell, args.Sweep, ss.n)
+	for _, cell := range args.Cells {
+		if int(cell) >= ss.n {
+			return fmt.Errorf("dist: cell %d out of range for sweep %d (n=%d)", cell, args.Sweep, ss.n)
+		}
 	}
-	res := ss.run(args.Cell)
+	outcomes := make([]fleet.CellOutcome, len(args.Cells))
+	for i, cell := range args.Cells {
+		if err := sess.ctx.Err(); err != nil {
+			return fmt.Errorf("dist: session torn down mid-lease: %w", err)
+		}
+		outcomes[i] = *ss.run(cell)
+	}
 	if _, err := w.liveSession(args.Gen); err != nil {
-		return fmt.Errorf("dist: fenced mid-cell: %w", err)
+		return fmt.Errorf("dist: fenced mid-lease: %w", err)
 	}
-	reply.Outcome = *res
+	reply.Outcomes = outcomes
 	return nil
 }
 

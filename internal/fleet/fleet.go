@@ -395,6 +395,12 @@ func (c *cellRunner[T]) attempt(i int) (out T, err error) {
 		// Dispatch infrastructure failed (every worker dead): fall
 		// through and execute the cell locally — the result is the same
 		// bytes, because cells derive everything from their own seed.
+		// Unless the sweep was cancelled meanwhile: a cell that started
+		// nowhere (the dispatcher is draining) does not start now.
+		if ctx := c.o.Ctx; ctx != nil && ctx.Err() != nil {
+			var zero T
+			return zero, ctx.Err()
+		}
 	}
 
 	out, err = c.retryLoop(i)

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"encoding/json"
@@ -581,20 +580,6 @@ func (j *Journal) lookupCell(sweep, cell uint32) ([]byte, bool) {
 	return data, ok
 }
 
-// encodeCellData gob-encodes one cell result into the payload form
-// journal records and the distributed wire protocol carry. The encoder
-// is fresh per cell, so the bytes are self-contained and identical for
-// the same value wherever (and in whatever order) cells are encoded —
-// the property that makes worker results byte-interchangeable with
-// locally journaled ones.
-func encodeCellData(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // startRecord allocates one record buffer of exactly its final size —
 // header, kind, cell key, then body more bytes for the caller to append
 // — and fills in everything but the header (appendRecord's job) and the
@@ -782,11 +767,6 @@ func (j *Journal) writeBundleLocked(sweep, cell uint32, label, class, msg string
 	if os.WriteFile(path, append(data, '\n'), 0o644) == nil {
 		j.bundles = append(j.bundles, path)
 	}
-}
-
-// decodeCell gob-decodes a journaled cell payload into v (a *T).
-func decodeCell(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
 }
 
 func init() {

@@ -222,7 +222,7 @@ func TestDispatchSkipsReplayedCells(t *testing.T) {
 }
 
 // fakeServer drives the worker-side hook: it runs a chosen set of cells
-// through the provided closure, like a coordinator pushing RunCell
+// through the provided closure, like a coordinator pushing RunCells
 // calls.
 type fakeServer struct {
 	cells    []uint32 // which cells to run, in order
