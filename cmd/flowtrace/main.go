@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -28,33 +29,49 @@ import (
 	"halfback/internal/transport"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run traces one flow. Bad input is a usage error: one line on stderr
+// and exit 2, never a panic out of the simulator.
+func run(args []string, stdout, stderr io.Writer) int {
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "flowtrace: "+format+"\n", args...)
+		return 2
+	}
+	fs := flag.NewFlagSet("flowtrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		schemeName  = flag.String("scheme", "Halfback", "scheme to trace")
-		bytes       = flag.Int("bytes", 10*netem.SegmentPayload, "flow size in bytes")
-		rateMbps    = flag.Int64("rate", 15, "bottleneck rate, Mbit/s")
-		rtt         = flag.Duration("rtt", 60*time.Millisecond, "path RTT")
-		buf         = flag.Int("buffer", 115_000, "bottleneck buffer, bytes")
-		loss        = flag.Float64("loss", 0, "random loss probability per direction")
-		dropsArg    = flag.String("drop", "", "comma-separated segment numbers whose first copy is dropped")
-		seed        = flag.Uint64("seed", 1, "simulation seed")
-		advName     = flag.String("adversity", "none", "fault-injection preset on both directions: "+strings.Join(netem.AdversityPresetNames(), "|"))
-		misbehave   = flag.String("misbehave", "none", "replace the receiver with a Byzantine attacker: none|"+strings.Join(ptest.AttackerNames(), "|"))
-		validation  = flag.String("ackvalidation", "clamp", "sender policy for flagged ACKs: clamp|abort|off")
-		deadline    = flag.Duration("flowdeadline", 0, "per-flow lifetime bound; the flow aborts (deadline) when it elapses; 0 disables")
-		maxRetx     = flag.Int("maxretx", 0, "per-flow retransmission budget; the flow aborts (retx-budget) beyond it; 0 disables")
-		maxTimeouts = flag.Int("maxtimeouts", 0, "consecutive-RTO give-up; the flow aborts (retx-budget) beyond it; 0 selects the default of 15, negative retries forever")
+		schemeName  = fs.String("scheme", "Halfback", "scheme to trace")
+		bytes       = fs.Int("bytes", 10*netem.SegmentPayload, "flow size in bytes")
+		rateMbps    = fs.Int64("rate", 15, "bottleneck rate, Mbit/s")
+		rtt         = fs.Duration("rtt", 60*time.Millisecond, "path RTT")
+		buf         = fs.Int("buffer", 115_000, "bottleneck buffer, bytes")
+		loss        = fs.Float64("loss", 0, "random loss probability per direction")
+		dropsArg    = fs.String("drop", "", "comma-separated segment numbers whose first copy is dropped")
+		seed        = fs.Uint64("seed", 1, "simulation seed")
+		advName     = fs.String("adversity", "none", "fault-injection preset on both directions: "+strings.Join(netem.AdversityPresetNames(), "|"))
+		misbehave   = fs.String("misbehave", "none", "replace the receiver with a Byzantine attacker: none|"+strings.Join(ptest.AttackerNames(), "|"))
+		validation  = fs.String("ackvalidation", "clamp", "sender policy for flagged ACKs: clamp|abort|off")
+		deadline    = fs.Duration("flowdeadline", 0, "per-flow lifetime bound; the flow aborts (deadline) when it elapses; 0 disables")
+		maxRetx     = fs.Int("maxretx", 0, "per-flow retransmission budget; the flow aborts (retx-budget) beyond it; 0 disables")
+		maxTimeouts = fs.Int("maxtimeouts", 0, "consecutive-RTO give-up; the flow aborts (retx-budget) beyond it; 0 selects the default of 15, negative retries forever")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if _, err := scheme.New(*schemeName); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return fail("%v", err)
+	}
+	if *bytes < 1 {
+		return fail("-bytes must be at least 1")
 	}
 	adv, err := netem.AdversityPreset(*advName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "flowtrace:", err)
-		os.Exit(2)
+		return fail("%v", err)
+	}
+	if err := ptest.CheckAttacker(*misbehave); err != nil {
+		return fail("%v", err)
 	}
 
 	ps := experiment.NewPathSim(*seed, netem.PathConfig{
@@ -72,8 +89,7 @@ func main() {
 	case "off":
 		ps.Opts.AckValidation = transport.AckValidationOff
 	default:
-		fmt.Fprintf(os.Stderr, "flowtrace: bad -ackvalidation %q (want clamp|abort|off)\n", *validation)
-		os.Exit(2)
+		return fail("bad -ackvalidation %q (want clamp|abort|off)", *validation)
 	}
 	if *misbehave != "none" {
 		ps.OnConn = func(c *transport.Conn) { ptest.Attach(c, *misbehave) }
@@ -89,8 +105,7 @@ func main() {
 		for _, f := range strings.Split(*dropsArg, ",") {
 			v, err := strconv.Atoi(strings.TrimSpace(f))
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "flowtrace: bad -drop entry %q\n", f)
-				os.Exit(2)
+				return fail("bad -drop entry %q", f)
 			}
 			pending[int32(v)] = true
 		}
@@ -106,18 +121,19 @@ func main() {
 
 	st := ps.FetchOnce(scheme.MustNew(*schemeName), *bytes, 300*sim.Second)
 
-	fmt.Printf("flow: %s, %d bytes (%d segments) over %dMbps/%v, buffer %dB\n\n",
+	fmt.Fprintf(stdout, "flow: %s, %d bytes (%d segments) over %dMbps/%v, buffer %dB\n\n",
 		*schemeName, *bytes, netem.SegmentsFor(*bytes), *rateMbps, *rtt, *buf)
-	fmt.Print(rec.Sequence())
+	fmt.Fprint(stdout, rec.Sequence())
 	s := rec.Summarize()
-	fmt.Printf("\ncompleted=%v fct=%v timeouts=%d\n", st.Completed, st.FCT(), st.Timeouts)
+	fmt.Fprintf(stdout, "\ncompleted=%v fct=%v timeouts=%d\n", st.Completed, st.FCT(), st.Timeouts)
 	if st.Aborted {
-		fmt.Printf("aborted: reason=%s at=%v\n", st.AbortReason, st.AbortedAt)
+		fmt.Fprintf(stdout, "aborted: reason=%s at=%v\n", st.AbortReason, st.AbortedAt)
 	}
 	if *misbehave != "none" {
-		fmt.Printf("misbehavior: attacker=%s policy=%s flagged=%d first=%s\n",
+		fmt.Fprintf(stdout, "misbehavior: attacker=%s policy=%s flagged=%d first=%s\n",
 			*misbehave, ps.Opts.AckValidation, st.MisbehaviorTotal(), st.FirstMisbehavior)
 	}
-	fmt.Printf("wire: %d data sent (%d proactive, %d reactive), %d dropped, %d delivered, %d acks\n",
+	fmt.Fprintf(stdout, "wire: %d data sent (%d proactive, %d reactive), %d dropped, %d delivered, %d acks\n",
 		s.DataSent, s.ProactiveSent, s.ReactiveSent, s.DataDropped, s.DataDelivered, s.AcksDelivered)
+	return 0
 }

@@ -1,0 +1,73 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+
+	"halfback/internal/experiment"
+)
+
+func invoke(args ...string) (code int, stdout, stderr string) {
+	var out, errb bytes.Buffer
+	code = run(args, &out, &errb)
+	return code, out.String(), errb.String()
+}
+
+func TestModeFlagsAndUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args   []string
+		code   int
+		stdout string // prefix
+		stderr string // substring
+	}{
+		{[]string{"-list"}, 0, "available exhibits:\n  1 ", ""},
+		{[]string{"-list", "-workers", "0"}, 0, "available exhibits:", ""},
+		{nil, 2, "available exhibits:", ""},
+		{[]string{"-scale", "0.5"}, 2, "available exhibits:", ""},
+		{[]string{"-fig", "nope"}, 2, "", `unknown exhibit "nope"`},
+		{[]string{"-fig", "3", "-scale", "0"}, 2, "", "-scale must be in (0,1]"},
+		{[]string{"-fig", "3", "-scale", "1.5"}, 2, "", "-scale must be in (0,1]"},
+		{[]string{"-fig", "3", "-workers", "0"}, 2, "", "-workers must be"},
+		{[]string{"-benchjson", "-fig", "3", "-journal", "j"}, 2, "", "-journal does not apply to -benchjson"},
+		{[]string{"-benchjson", "-fig", "3", "-distributed", "2"}, 2, "", "distributed mode does not apply to -benchjson"},
+	} {
+		code, stdout, stderr := invoke(tc.args...)
+		if code != tc.code || !strings.HasPrefix(stdout, tc.stdout) || !strings.Contains(stderr, tc.stderr) {
+			t.Errorf("%v: exit %d stdout %.40q stderr %q; want exit %d, stdout %q…, stderr …%q…",
+				tc.args, code, stdout, stderr, tc.code, tc.stdout, tc.stderr)
+		}
+	}
+}
+
+// Minus its banners, the tool's output is the experiment package's
+// render of the exhibit, whatever the worker count.
+func TestFig3IsTheExperimentRender(t *testing.T) {
+	var want bytes.Buffer
+	for _, tab := range experiment.Fig3(1, experiment.Scale{Trials: 1, Horizon: 1, Workers: 1}).Tables() {
+		tab.WriteTo(&want)
+		want.WriteByte('\n')
+	}
+	for _, workers := range []string{"1", "2"} {
+		code, stdout, stderr := invoke("-fig", "3", "-workers", workers)
+		if code != 0 {
+			t.Fatalf("exit %d: %s", code, stderr)
+		}
+		var got strings.Builder
+		banners := 0
+		for _, line := range strings.SplitAfter(stdout, "\n") {
+			if strings.HasPrefix(line, "=== ") {
+				banners++
+				continue
+			}
+			got.WriteString(line)
+		}
+		// The "done in" banner is followed by one blank line.
+		if got.String() != want.String()+"\n" || banners != 2 {
+			t.Errorf("-workers %s: %d banners and\n%s\nwant\n%s", workers, banners, got.String(), want.String())
+		}
+		if !strings.HasPrefix(stdout, "=== exhibit 3: Fig. 3 walkthrough: ROPR recovers a lost packet (seed=1 scale=1 workers="+workers+")\n") {
+			t.Errorf("banner: %.120q", stdout)
+		}
+	}
+}

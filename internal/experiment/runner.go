@@ -97,8 +97,8 @@ func (s Scale) fleetOptions(label func(int) string, r fleet.Retry) fleet.Options
 // back as their zero value plus a non-nil entry in the returned error
 // slice (index-aligned, nil for successes), so the exhibit can render
 // them as explicit FAILED(class) rows instead of panicking like sweep.
-// Jobs run under fleet.MapRetry, so a failure marked fleet.Retryable
-// gets one re-run before being recorded.
+// Jobs run with a two-attempt fleet.Retry, so a failure marked
+// fleet.Retryable gets one re-run before being recorded.
 func sweepPartial[T any](sc Scale, n int, label func(int) string, fn func(int) (T, error)) ([]T, []error) {
 	out, err := fleet.MapOpts(sc.fleetOptions(label, fleet.Retry{Attempts: 2}), n,
 		func(i, attempt int) (T, error) { return fn(i) })

@@ -44,8 +44,9 @@ func TestMapCanceledBeforeStart(t *testing.T) {
 	cancel()
 	for _, w := range []int{1, 4} {
 		var ran atomic.Int32
-		out, err := Map(ctx, w, 6, func(i int) string { return fmt.Sprintf("cell-%d", i) },
-			func(i int) (int, error) { ran.Add(1); return i, nil })
+		label := func(i int) string { return fmt.Sprintf("cell-%d", i) }
+		out, err := MapOpts(Options{Ctx: ctx, Workers: w, Label: label}, 6,
+			func(i, _ int) (int, error) { ran.Add(1); return i, nil })
 		if ran.Load() != 0 {
 			t.Fatalf("workers=%d: %d cells ran under a dead context", w, ran.Load())
 		}
@@ -77,7 +78,7 @@ func TestMapCancelMidSweepDrains(t *testing.T) {
 	const n = 64
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int32
-	out, err := Map(ctx, 4, n, nil, func(i int) (int, error) {
+	out, err := MapOpts(Options{Ctx: ctx, Workers: 4}, n, func(i, _ int) (int, error) {
 		if ran.Add(1) == 10 {
 			cancel()
 		}

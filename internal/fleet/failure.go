@@ -87,13 +87,14 @@ func (e *PanicError) FailureClass() string { return ClassPanicked }
 // retryable wraps an error a caller has judged transient — worth
 // re-running the job for. Deterministic simulation failures (a stall,
 // an abort, a panic) are never transient: the same seed reproduces
-// them, so MapRetry does not retry them unless explicitly wrapped.
+// them, so a Retry policy does not retry them unless explicitly
+// wrapped.
 type retryable struct{ err error }
 
 func (e *retryable) Error() string { return e.err.Error() }
 func (e *retryable) Unwrap() error { return e.err }
 
-// Retryable marks err as transient for MapRetry. Nil stays nil.
+// Retryable marks err as transient for a Retry policy. Nil stays nil.
 func Retryable(err error) error {
 	if err == nil {
 		return nil
@@ -112,7 +113,13 @@ func IsRetryable(err error) bool {
 // not set its own ceiling.
 const DefaultMaxBackoff = 30 * time.Second
 
-// Retry configures the per-job retry policy of MapRetry/MapOpts.
+// Retry configures the per-job retry policy of MapOpts: a job whose
+// error IsRetryable is re-run (with capped exponential backoff, see
+// BackoffAt) up to Attempts times before its failure is recorded.
+// Determinism of the merged output is unaffected because retries happen
+// inside the job's index slot. Non-retryable failures — including
+// captured panics — fail immediately: re-running a deterministic
+// universe cannot change its outcome.
 type Retry struct {
 	// Attempts is the total number of tries per job, including the
 	// first; values below 1 mean 1 (no retry).
@@ -177,24 +184,9 @@ func (r Retry) sleep(d time.Duration) {
 	time.Sleep(d)
 }
 
-// MapRetry is Map with bounded retry: a job whose error IsRetryable is
-// re-run (with capped exponential backoff, see Retry.BackoffAt) up to
-// r.Attempts times before its failure is recorded. fn receives the
-// attempt number (0-based) so a job can vary transient behaviour or
-// log retries; determinism of the merged output is unaffected because
-// retries happen inside the job's index slot.
-//
-// Non-retryable failures — including captured panics — fail
-// immediately: re-running a deterministic universe cannot change its
-// outcome.
-func MapRetry[T any](ctx context.Context, workers int, r Retry, n int, label func(int) string, fn func(i, attempt int) (T, error)) ([]T, error) {
-	return MapOpts(Options{Ctx: ctx, Workers: workers, Label: label, Retry: r}, n, fn)
-}
-
-// JobErrors unpacks the joined error returned by Map/MapSeeded/MapRetry
-// into its individual *JobError entries, in job-index order. It returns
-// nil for a nil error, and tolerates arbitrary extra wrapping around
-// the join.
+// JobErrors unpacks the joined error returned by MapOpts into its
+// individual *JobError entries, in job-index order. It returns nil for
+// a nil error, and tolerates arbitrary extra wrapping around the join.
 func JobErrors(err error) []*JobError {
 	if err == nil {
 		return nil

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -35,15 +34,15 @@ func TestClassify(t *testing.T) {
 	}
 }
 
-// Partial-result semantics (the documented contract of Map/MapSeeded):
+// Partial-result semantics (the documented contract of MapOpts):
 // failed jobs leave zero values at their indices, every successful
 // index is still usable, and the joined error carries one *JobError
 // per failure.
 func TestMapPartialResults(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		out, err := Map(context.Background(), workers, 10, func(i int) string {
+		out, err := MapOpts(Options{Workers: workers, Label: func(i int) string {
 			return fmt.Sprintf("job-%d", i)
-		}, func(i int) (int, error) {
+		}}, 10, func(i, _ int) (int, error) {
 			switch {
 			case i == 3:
 				return 0, errors.New("deterministic failure")
@@ -116,11 +115,11 @@ func TestRetryableMarker(t *testing.T) {
 	}
 }
 
-// MapRetry re-runs only retryable failures, and only up to the attempt
+// A Retry policy re-runs only retryable failures, and only up to the attempt
 // budget; deterministic failures and panics fail on the spot.
 func TestMapRetry(t *testing.T) {
 	attemptsSeen := make([][]int, 4)
-	out, err := MapRetry(context.Background(), 1, Retry{Attempts: 3}, 4, nil, func(i, attempt int) (int, error) {
+	out, err := MapOpts(Options{Workers: 1, Retry: Retry{Attempts: 3}}, 4, func(i, attempt int) (int, error) {
 		attemptsSeen[i] = append(attemptsSeen[i], attempt)
 		switch i {
 		case 0: // succeeds immediately
@@ -155,7 +154,7 @@ func TestMapRetry(t *testing.T) {
 
 // A panic on a retry attempt is captured like any other panic.
 func TestMapRetryPanicOnRetry(t *testing.T) {
-	_, err := MapRetry(context.Background(), 1, Retry{Attempts: 2}, 1, nil, func(i, attempt int) (int, error) {
+	_, err := MapOpts(Options{Workers: 1, Retry: Retry{Attempts: 2}}, 1, func(i, attempt int) (int, error) {
 		if attempt == 0 {
 			return 0, Retryable(errors.New("transient"))
 		}

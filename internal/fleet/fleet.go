@@ -42,8 +42,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-
-	"halfback/internal/sim"
 )
 
 // JobError labels one failed job of a sweep: which index crashed, the
@@ -157,11 +155,13 @@ type Options struct {
 	Run *Run
 }
 
-// Map runs fn for every index in [0,n) across Workers(workers)
+// MapOpts runs fn for every index in [0,n) across Workers(o.Workers)
 // goroutines and returns the results in index order: out[i] is fn(i)'s
-// value no matter which worker ran it or when it finished.
-//
-// label, when non-nil, names job i for error reports.
+// value no matter which worker ran it or when it finished. On top of
+// the bounded fan-out and ordered merge it does panic capture, bounded
+// retry, cooperative cancellation and journal write-through/replay. fn
+// receives the job index and the attempt number (0-based; always 0
+// unless o.Retry enables retries).
 //
 // Partial-result semantics: a failed sweep is still a valid, labelled
 // result, never a truncated one. A job that returns an error or panics
@@ -170,29 +170,9 @@ type Options struct {
 // the joined error carries one *JobError per failure (recover them
 // individually with JobErrors, or match through the join with
 // errors.Is/As). The remaining jobs always run to completion; nothing
-// is cancelled except by ctx. Callers that tolerate partial results
+// is cancelled except by o.Ctx. Callers that tolerate partial results
 // therefore index the slice by the failed jobs' indices (via
 // JobErrors) and use everything else.
-func Map[T any](ctx context.Context, workers, n int, label func(int) string, fn func(int) (T, error)) ([]T, error) {
-	return MapOpts(Options{Ctx: ctx, Workers: workers, Label: label}, n,
-		func(i, attempt int) (T, error) { return fn(i) })
-}
-
-// MapSeeded is Map for seeded universes: job i additionally receives
-// the SplitMix64-derived child seed sim.ChildSeed(root, i), giving
-// every universe an independent, collision-free seed that does not
-// depend on worker count or completion order.
-func MapSeeded[T any](ctx context.Context, workers int, root uint64, n int, label func(int) string, fn func(i int, seed uint64) (T, error)) ([]T, error) {
-	return Map(ctx, workers, n, label, func(i int) (T, error) {
-		return fn(i, sim.ChildSeed(root, uint64(i)))
-	})
-}
-
-// MapOpts is the engine behind Map/MapSeeded/MapRetry: bounded
-// fan-out, ordered merge, panic capture, bounded retry, cooperative
-// cancellation, and journal write-through/replay. fn receives the job
-// index and the attempt number (0-based; always 0 unless o.Retry
-// enables retries).
 func MapOpts[T any](o Options, n int, fn func(i, attempt int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -27,7 +26,7 @@ func TestWorkersNormalize(t *testing.T) {
 func TestMapOrderPreservedAcrossWorkerCounts(t *testing.T) {
 	// Each job does seed-derived work; results must land at their index
 	// for every worker count, including the serial path.
-	job := func(i int) (uint64, error) {
+	job := func(i, _ int) (uint64, error) {
 		r := sim.NewRand(sim.ChildSeed(99, uint64(i)))
 		var acc uint64
 		for k := 0; k < 100+i%7; k++ {
@@ -35,12 +34,12 @@ func TestMapOrderPreservedAcrossWorkerCounts(t *testing.T) {
 		}
 		return acc, nil
 	}
-	want, err := Map(context.Background(), 1, 64, nil, job)
+	want, err := MapOpts(Options{Workers: 1}, 64, job)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 3, 8, 64} {
-		got, err := Map(context.Background(), w, 64, nil, job)
+		got, err := MapOpts(Options{Workers: w}, 64, job)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,11 +52,11 @@ func TestMapOrderPreservedAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestMapEmptyAndSingle(t *testing.T) {
-	out, err := Map(context.Background(), 8, 0, nil, func(i int) (int, error) { return i, nil })
+	out, err := MapOpts(Options{Workers: 8}, 0, func(i, _ int) (int, error) { return i, nil })
 	if err != nil || len(out) != 0 {
 		t.Fatalf("n=0: %v %v", out, err)
 	}
-	out, err = Map(context.Background(), 8, 1, nil, func(i int) (int, error) { return 41 + i, nil })
+	out, err = MapOpts(Options{Workers: 8}, 1, func(i, _ int) (int, error) { return 41 + i, nil })
 	if err != nil || len(out) != 1 || out[0] != 41 {
 		t.Fatalf("n=1: %v %v", out, err)
 	}
@@ -66,9 +65,9 @@ func TestMapEmptyAndSingle(t *testing.T) {
 func TestMapPanicBecomesLabelledJobError(t *testing.T) {
 	for _, w := range []int{1, 4} {
 		var ran atomic.Int32
-		out, err := Map(context.Background(), w, 10, func(i int) string {
+		out, err := MapOpts(Options{Workers: w, Label: func(i int) string {
 			return fmt.Sprintf("universe-%d", i)
-		}, func(i int) (int, error) {
+		}}, 10, func(i, _ int) (int, error) {
 			if i == 3 {
 				panic("universe exploded")
 			}
@@ -103,7 +102,7 @@ func TestMapPanicBecomesLabelledJobError(t *testing.T) {
 }
 
 func TestMapCollectsEveryError(t *testing.T) {
-	_, err := Map(context.Background(), 4, 6, nil, func(i int) (int, error) {
+	_, err := MapOpts(Options{Workers: 4}, 6, func(i, _ int) (int, error) {
 		if i%2 == 1 {
 			return 0, fmt.Errorf("odd job %d", i)
 		}
@@ -121,7 +120,7 @@ func TestMapCollectsEveryError(t *testing.T) {
 
 func TestMapRespectsWorkerBound(t *testing.T) {
 	var cur, peak atomic.Int32
-	_, err := Map(context.Background(), 4, 32, nil, func(i int) (int, error) {
+	_, err := MapOpts(Options{Workers: 4}, 32, func(i, _ int) (int, error) {
 		c := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -138,24 +137,5 @@ func TestMapRespectsWorkerBound(t *testing.T) {
 	}
 	if p := peak.Load(); p > 4 {
 		t.Fatalf("observed %d concurrent jobs, worker bound is 4", p)
-	}
-}
-
-func TestMapSeededHandsOutChildSeeds(t *testing.T) {
-	seeds, err := MapSeeded(context.Background(), 3, 7, 16, nil, func(i int, seed uint64) (uint64, error) {
-		return seed, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[uint64]bool)
-	for i, s := range seeds {
-		if want := sim.ChildSeed(7, uint64(i)); s != want {
-			t.Fatalf("job %d got seed %#x, want ChildSeed(7,%d) = %#x", i, s, i, want)
-		}
-		if seen[s] {
-			t.Fatalf("duplicate seed %#x", s)
-		}
-		seen[s] = true
 	}
 }

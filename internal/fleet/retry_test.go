@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"context"
 	"errors"
 	"math"
 	"testing"
@@ -78,10 +77,9 @@ func TestMapRetrySleepInjection(t *testing.T) {
 		Backoff:  8 * time.Millisecond,
 		Sleep:    func(d time.Duration) { slept = append(slept, d) },
 	}
-	_, err := MapRetry(context.Background(), 1, r, 1, nil,
-		func(i, attempt int) (int, error) {
-			return 0, Retryable(errors.New("always down"))
-		})
+	_, err := MapOpts(Options{Workers: 1, Retry: r}, 1, func(i, attempt int) (int, error) {
+		return 0, Retryable(errors.New("always down"))
+	})
 	if err == nil {
 		t.Fatal("want exhaustion error")
 	}
@@ -103,14 +101,13 @@ func TestMapRetryNoSleepOnDeterministicFailure(t *testing.T) {
 	var slept []time.Duration
 	r := Retry{Attempts: 5, Backoff: time.Hour, Sleep: func(d time.Duration) { slept = append(slept, d) }}
 	attempts := 0
-	_, err := MapRetry(context.Background(), 1, r, 2, nil,
-		func(i, attempt int) (int, error) {
-			attempts++
-			if i == 0 {
-				return 0, errors.New("deterministic")
-			}
-			panic("deterministic crash")
-		})
+	_, err := MapOpts(Options{Workers: 1, Retry: r}, 2, func(i, attempt int) (int, error) {
+		attempts++
+		if i == 0 {
+			return 0, errors.New("deterministic")
+		}
+		panic("deterministic crash")
+	})
 	if err == nil {
 		t.Fatal("want errors")
 	}
@@ -127,13 +124,12 @@ func TestMapRetryNoSleepOnDeterministicFailure(t *testing.T) {
 func TestMapRetryZeroBackoffNeverSleeps(t *testing.T) {
 	var slept int
 	r := Retry{Attempts: 3, Sleep: func(time.Duration) { slept++ }}
-	out, err := MapRetry(context.Background(), 1, r, 1, nil,
-		func(i, attempt int) (int, error) {
-			if attempt < 2 {
-				return 0, Retryable(errors.New("flaky"))
-			}
-			return 99, nil
-		})
+	out, err := MapOpts(Options{Workers: 1, Retry: r}, 1, func(i, attempt int) (int, error) {
+		if attempt < 2 {
+			return 0, Retryable(errors.New("flaky"))
+		}
+		return 99, nil
+	})
 	if err != nil || out[0] != 99 {
 		t.Fatalf("out=%v err=%v", out, err)
 	}

@@ -2,6 +2,7 @@ package ptest
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -52,6 +53,15 @@ func AttackerNames() []string {
 	return []string{AttackOptimist, AttackDivider, AttackSackLiar, AttackDupFlood, AttackWithholder}
 }
 
+// CheckAttacker validates a -misbehave flag value: "none" or one of
+// AttackerNames.
+func CheckAttacker(name string) error {
+	if name != "none" && !slices.Contains(AttackerNames(), name) {
+		return fmt.Errorf("bad -misbehave %q (want none|%s)", name, strings.Join(AttackerNames(), "|"))
+	}
+	return nil
+}
+
 // dupFloodCopies is how many duplicate copies AttackDupFlood emits per
 // honest ACK, and withholdAfter how many data packets AttackWithholder
 // acknowledges before going silent.
@@ -84,14 +94,7 @@ type AttackHost struct {
 // Attach installs the named attacker on conn (before Start). It panics
 // on an unknown name, mirroring scheme.MustNew.
 func Attach(conn *transport.Conn, attack string) *AttackHost {
-	ok := false
-	for _, n := range AttackerNames() {
-		if n == attack {
-			ok = true
-			break
-		}
-	}
-	if !ok {
+	if !slices.Contains(AttackerNames(), attack) {
 		panic(fmt.Sprintf("ptest: unknown attacker %q (have %s)",
 			attack, strings.Join(AttackerNames(), ", ")))
 	}

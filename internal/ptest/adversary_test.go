@@ -1,7 +1,6 @@
 package ptest
 
 import (
-	"context"
 	"testing"
 
 	"halfback/internal/fleet"
@@ -53,9 +52,9 @@ func TestBoundedWasteAllSchemesAllAttackers(t *testing.T) {
 		}
 	}
 
-	results, err := fleet.Map(context.Background(), 0, len(cells), func(i int) string {
+	results, err := fleet.MapOpts(fleet.Options{Label: func(i int) string {
 		return cells[i].scheme + "/" + cells[i].attack
-	}, func(i int) (*AttackResult, error) {
+	}}, len(cells), func(i, _ int) (*AttackResult, error) {
 		c := cells[i]
 		r := RunAttack(sim.ChildSeed(0x5afe, uint64(i)), c.scheme, c.attack, attackFlowBytes, c.mode)
 		return r, CheckAttack(r)

@@ -1,8 +1,6 @@
 package ptest
 
 import (
-	"context"
-
 	"fmt"
 	"testing"
 
@@ -21,9 +19,9 @@ import (
 func TestPayloadIntegrityAllSchemes(t *testing.T) {
 	const flowBytes = 1_000_000
 	names := scheme.AllNames()
-	_, err := fleet.Map(context.Background(), 0, len(names), func(i int) string {
+	_, err := fleet.MapOpts(fleet.Options{Label: func(i int) string {
 		return names[i]
-	}, func(i int) (struct{}, error) {
+	}}, len(names), func(i, _ int) (struct{}, error) {
 		name := names[i]
 		sched := sim.NewScheduler()
 		sched.MaxEvents = 100_000_000

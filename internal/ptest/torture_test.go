@@ -1,8 +1,6 @@
 package ptest
 
 import (
-	"context"
-
 	"testing"
 
 	"halfback/internal/fleet"
@@ -33,9 +31,9 @@ func TestTortureAllSchemes(t *testing.T) {
 	nu := tortureUniverses()
 	n := len(schemes) * nu
 
-	results, err := fleet.Map(context.Background(), 0, n, func(i int) string {
+	results, err := fleet.MapOpts(fleet.Options{Label: func(i int) string {
 		return schemes[i/nu]
-	}, func(i int) (*TortureResult, error) {
+	}}, n, func(i, _ int) (*TortureResult, error) {
 		u := RandomUniverse(sim.ChildSeed(0xbad, uint64(i%nu)))
 		r := RunTorture(u, schemes[i/nu], flowBytes)
 		return r, r.Err()
