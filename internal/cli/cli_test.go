@@ -568,3 +568,50 @@ func TestDistributedMatchesSerial(t *testing.T) {
 		t.Errorf("stderr %s", r.stderr)
 	}
 }
+
+// Worker journals left by a run whose canonical journal was removed
+// belong to that run: a different run at the same path must not replay
+// them (it used to print the old run's tables under its own banner and
+// exit 0). Every forked worker refuses, the invocation fails naming the
+// file, and nothing foreign is merged — not by the resume either.
+func TestDistributedRefusesAnotherRunsWorkerJournals(t *testing.T) {
+	t.Setenv(workerEnv, "1")
+	journal := filepath.Join(t.TempDir(), "t.journal")
+	f := newFake()
+	shape := []string{"-cells", "40", "-sweeps", "2"}
+	run := func(seed string, exec ...string) result {
+		return f.invoke(nil, append(append(shape, "-seed", seed), exec...)...)
+	}
+	if r := run("1", "-journal", journal, "-distributed", "2"); r.code != 0 {
+		t.Fatalf("seed 1: exit %d: %s", r.code, r.stderr)
+	}
+	if err := os.Remove(journal); err != nil {
+		t.Fatal(err)
+	}
+
+	r := run("2", "-journal", journal, "-distributed", "2")
+	if r.code == 0 {
+		t.Fatalf("seed 2 over seed 1's worker journals exited 0:\n%s\n%s", r.stdout, r.stderr)
+	}
+	for _, want := range []string{journal + ".w", "belongs to another run", "seed=1", "seed=2", "remove the file"} {
+		if !strings.Contains(r.stderr, want) {
+			t.Errorf("stderr does not mention %q:\n%s", want, r.stderr)
+		}
+	}
+	if strings.Contains(r.stderr, "merged") || strings.Contains(r.stdout, "sweep 0:") {
+		t.Errorf("the refused run merged or rendered cells:\n%s\n%s", r.stdout, r.stderr)
+	}
+	if r := f.invoke(nil, "-resume", journal, "-distributed", "2"); r.code == 0 || !strings.Contains(r.stderr, "belongs to another run") {
+		t.Errorf("resume beside seed 1's worker journals: exit %d\n%s", r.code, r.stderr)
+	}
+
+	for _, w := range []string{".w0", ".w1"} {
+		if err := os.Remove(journal + w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref := run("2", "-workers", "1")
+	if r := f.invoke(nil, "-resume", journal, "-distributed", "2"); r.code != 0 || tables(r.stdout) != tables(ref.stdout) {
+		t.Errorf("seed 2 once the stale files are gone: exit %d\n%s\nwant:\n%s\n%s", r.code, r.stdout, ref.stdout, r.stderr)
+	}
+}

@@ -179,10 +179,12 @@ func (k *killAfterFirst) DispatchCell(sweep, cell uint32, label string) (*fleet.
 }
 
 // startLocalWorkers runs n in-process dist workers on loopback and
-// returns their addresses.
-func startLocalWorkers(t *testing.T, dir string, n int) []string {
+// returns their addresses and a function that stops them all (closing
+// their journals) ahead of the test's end.
+func startLocalWorkers(t *testing.T, dir string, n int) (addrs []string, stop func()) {
 	t.Helper()
-	addrs := make([]string, n)
+	addrs = make([]string, n)
+	var workers []*dist.Worker
 	for i := 0; i < n; i++ {
 		w := dist.NewWorker(dist.WorkerOptions{
 			JournalPath: filepath.Join(dir, fmt.Sprintf("w%d.journal", i)),
@@ -196,8 +198,13 @@ func startLocalWorkers(t *testing.T, dir string, n int) []string {
 		go w.Serve(lis)
 		t.Cleanup(w.Stop)
 		addrs[i] = lis.Addr().String()
+		workers = append(workers, w)
 	}
-	return addrs
+	return addrs, func() {
+		for _, w := range workers {
+			w.Stop()
+		}
+	}
 }
 
 // TestDistributedMatchesSerial shards each contract exhibit across
@@ -233,7 +240,7 @@ func TestDistributedMatchesSerial(t *testing.T) {
 			}
 
 			dir := t.TempDir()
-			addrs := startLocalWorkers(t, dir, 3)
+			addrs, stopWorkers := startLocalWorkers(t, dir, 3)
 			j, err := fleet.CreateJournal(filepath.Join(dir, "run.journal"), distMeta(id, seed, sc))
 			if err != nil {
 				t.Fatal(err)
@@ -257,7 +264,9 @@ func TestDistributedMatchesSerial(t *testing.T) {
 			}
 			// Every cell must have executed on a worker — each journals
 			// what it runs, so a silent local fallback shows up as a
-			// shortfall here.
+			// shortfall here. The files are read once the workers have
+			// closed them: a worker's last records may still be in memory.
+			stopWorkers()
 			remote := 0
 			for i := 0; i < 3; i++ {
 				data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("w%d.journal", i)))

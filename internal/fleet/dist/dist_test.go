@@ -453,6 +453,75 @@ func TestConfigureUploadsWorkerJournal(t *testing.T) {
 	}
 }
 
+// A worker journal left behind by a different run — another seed, other
+// args, another tool — is never replayed into this one: the worker
+// refuses the session, naming the file and both runs, the coordinator
+// does not redial, and no foreign cell reaches the canonical journal. A
+// fleet with one stale worker runs on the others.
+func TestConfigureRefusesForeignWorkerJournal(t *testing.T) {
+	foreign := map[string]fleet.JournalMeta{
+		"seed": testMeta(1),
+		"args": {Tool: "dist-test", Seed: 2, Args: []string{"-seed", "2", "-scale", "0.5"}},
+		"tool": {Tool: "other-tool", Seed: 2, Args: []string{"-seed", "2"}},
+	}
+	meta := testMeta(2)
+	for name, old := range foreign {
+		t.Run(name, func(t *testing.T) {
+			stale := filepath.Join(t.TempDir(), "w.journal")
+			wj, err := fleet.CreateJournal(stale, old)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := appendTestCell(wj, 0, 3, "another run's cell"); err != nil {
+				t.Fatal(err)
+			}
+			wj.Close()
+			_, staleAddr := startWorker(t, WorkerOptions{JournalPath: stale, Start: (&testProgram{sweeps: 1, cells: 4}).start})
+
+			canon := newCanonJournal(t, meta)
+			_, err = Connect([]string{staleAddr}, canon, meta, fastOpts(t))
+			if err == nil {
+				t.Fatal("Connect succeeded against a worker holding another run's journal")
+			}
+			for _, want := range []string{stale, "belongs to another run", fmt.Sprintf("seed=%d", old.Seed), "seed=2", old.Tool, "remove the file"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("refusal %q does not mention %q", err, want)
+				}
+			}
+			if !isPermanent(err) {
+				t.Errorf("refusal %v is not permanent: the coordinator would redial", err)
+			}
+
+			// With a clean worker beside the stale one the run goes ahead —
+			// on the clean worker alone, with nothing foreign merged.
+			wp := &testProgram{sweeps: 1, cells: 4}
+			_, addr := startWorker(t, WorkerOptions{JournalPath: filepath.Join(t.TempDir(), "w.journal"), Start: wp.start})
+			coord, err := Connect([]string{staleAddr, addr}, canon, meta, fastOpts(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer coord.Close()
+			if n := canon.Replayable(); n != 0 {
+				t.Fatalf("%d foreign cells merged into the canonical journal", n)
+			}
+			prog := &testProgram{sweeps: 1, cells: 4}
+			out, err := prog.run(context.Background(), 2, coord.Slots(), &fleet.Run{Journal: canon, Dispatch: coord})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := (&testProgram{sweeps: 1, cells: 4}).run(context.Background(), 2, 1, nil)
+			for c := range want[0] {
+				if out[0][c] != want[0][c] {
+					t.Fatalf("cell %d = %+v, want %+v", c, out[0][c], want[0][c])
+				}
+			}
+			if n := wp.executions.Load(); n != 4 {
+				t.Fatalf("the clean worker executed %d of 4 cells", n)
+			}
+		})
+	}
+}
+
 // A worker cell failure crosses the wire as a failed outcome (class
 // intact), not as a worker death: the worker stays live and the
 // coordinator journals the failure.
@@ -656,6 +725,24 @@ func TestMergeWorkerJournalsFiltering(t *testing.T) {
 	}
 	if merged != 1 {
 		t.Fatalf("merged = %d, want 1 (bundle and garbage skipped)", merged)
+	}
+
+	// A worker journal of another run stops the merge: its cells must not
+	// resume into this one.
+	w2, err := fleet.CreateJournal(WorkerJournalPath(canonPath, 2), testMeta(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := appendTestCell(w2, 0, 5, "another run's cell"); err != nil {
+		t.Fatal(err)
+	}
+	w2.Close()
+	before := j.Replayable()
+	if _, err := MergeWorkerJournals(j, t.Logf); err == nil || !strings.Contains(err.Error(), "belongs to another run") {
+		t.Fatalf("MergeWorkerJournals over a foreign worker journal = %v, want the refusal", err)
+	}
+	if j.Replayable() != before {
+		t.Fatalf("replayable %d → %d: foreign cells were merged", before, j.Replayable())
 	}
 }
 

@@ -364,6 +364,11 @@ func TestConfigureReplyMergeDuplicatesAndStale(t *testing.T) {
 		}
 		return scan
 	}
+	// Between barriers merged records may still be in memory: the file is
+	// read once the journal is closed.
+	if err := canon.Close(); err != nil {
+		t.Fatal(err)
+	}
 	scan := scanCanon()
 	// Physical: 3 original + superseding c2 + new c3 failure = 5.
 	if len(scan.Records) != 5 {
@@ -379,13 +384,22 @@ func TestConfigureReplyMergeDuplicatesAndStale(t *testing.T) {
 		}
 	}
 
-	// A second coordinator incarnation re-uploads the same snapshot; the
-	// merge must be pure skips — zero new records.
-	coord2, err := Connect([]string{addr}, canon, meta, fastOpts(t))
+	// A second coordinator incarnation resumes the canonical journal and
+	// is uploaded the same snapshot; the merge must be pure skips — zero
+	// new records.
+	canon2, err := fleet.ResumeJournal(canon.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer canon2.Close()
+	coord2, err := Connect([]string{addr}, canon2, meta, fastOpts(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	coord2.Close()
+	if err := canon2.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if n := len(scanCanon().Records); n != 5 {
 		t.Fatalf("re-upload grew the journal to %d records — merge not idempotent", n)
 	}

@@ -191,6 +191,9 @@ func MergeWorkerJournals(j *fleet.Journal, logf func(string, ...any)) (int, erro
 			}
 			continue
 		}
+		if err := foreignJournal(path, scan.Meta, j.Meta()); err != nil {
+			return total, err
+		}
 		st, err := j.Merge(scan.Records)
 		if err != nil {
 			return total, fmt.Errorf("dist: merging %s: %w", path, err)

@@ -9,6 +9,7 @@ import (
 	"net/rpc"
 	"os"
 	"os/signal"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -26,8 +27,9 @@ type StartFunc func(ctx context.Context, meta fleet.JournalMeta, run *fleet.Run)
 // WorkerOptions configures a worker process.
 type WorkerOptions struct {
 	// JournalPath, when non-empty, is the worker's local write-ahead
-	// journal: resumed if present, created otherwise at the first
-	// Configure. It is the worker's contribution to coordinator-crash
+	// journal: created at the first Configure, or resumed if the file is
+	// there and belongs to the configured run (another run's file refuses
+	// the session). It is the worker's contribution to coordinator-crash
 	// recovery — its snapshot is uploaded on every Configure.
 	JournalPath string
 	// Start runs the configured program (required).
@@ -397,10 +399,13 @@ func (a *workerAPI) Configure(args *ConfigureArgs, reply *ConfigureReply) error 
 	var journal *fleet.Journal
 	if path := w.opts.JournalPath; path != "" {
 		var err error
-		if _, serr := os.Stat(path); serr == nil {
-			journal, err = fleet.ResumeJournal(path)
-		} else {
+		if _, serr := os.Stat(path); serr != nil {
 			journal, err = fleet.CreateJournal(path, args.Meta)
+		} else if journal, err = fleet.ResumeJournal(path); err == nil {
+			if err := foreignJournal(path, journal.Meta(), args.Meta); err != nil {
+				journal.Close()
+				return err
+			}
 		}
 		if err != nil {
 			return fmt.Errorf("dist: worker journal: %w", err)
@@ -421,6 +426,25 @@ func (a *workerAPI) Configure(args *ConfigureArgs, reply *ConfigureReply) error 
 	w.logf("dist worker: session gen=%d configured (%s seed=%d, %d journaled cells uploaded)",
 		args.Gen, meta.Tool, meta.Seed, len(reply.Records))
 	return nil
+}
+
+// foreignJournal is the error for a worker journal at path whose meta,
+// have, is not the run want describes — nil when it is. Cell addresses
+// mean nothing across runs: replaying or merging such a file would put
+// another run's results under this run's banner.
+func foreignJournal(path string, have, want fleet.JournalMeta) error {
+	if want.Version == 0 {
+		want.Version = 1 // what CreateJournal writes for an unset version
+	}
+	if have.Version == want.Version && have.Tool == want.Tool && have.Exhibit == want.Exhibit &&
+		have.Seed == want.Seed && slices.Equal(have.Args, want.Args) {
+		return nil
+	}
+	id := func(m fleet.JournalMeta) string {
+		return fmt.Sprintf("%s v%d exhibit=%q seed=%d args=%q", m.Tool, m.Version, m.Exhibit, m.Seed, m.Args)
+	}
+	return fmt.Errorf("dist: worker journal %s belongs to another run (it holds %s; this run is %s) — remove the file, or resume the run it belongs to",
+		path, id(have), id(want))
 }
 
 // liveSession returns the session owning gen, or an error the
@@ -593,7 +617,11 @@ func ServeWorker(cfg ServeConfig) int {
 		}()
 	}
 
-	if err := w.Serve(lis); err != nil {
+	err = w.Serve(lis)
+	// Serve returns as soon as Stop has begun; Stop returns to every caller
+	// only once the session is torn down and its journal flushed and closed.
+	w.Stop()
+	if err != nil {
 		if logf != nil {
 			logf("dist worker: %v", err)
 		}

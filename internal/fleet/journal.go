@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"encoding/json"
@@ -13,6 +14,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"time"
 )
 
 // The write-ahead cell journal (DESIGN.md §9 "Crash-safe runs and
@@ -35,16 +37,15 @@ import (
 // sweep, cell index, gob-encoded result) or a failed cell (kind 2:
 // sweep, cell index, label, failure class, message).
 //
-// Each record is a single write(2) to an O_APPEND descriptor, issued
-// under the journal mutex in arrival order, and the decoder tolerates a
-// torn tail — a record whose length field, payload or checksum is
-// incomplete or wrong ends the journal at the last fully valid record.
-// Appends do not wait for the disk: one background syncer per open
-// journal runs fsync whenever bytes have been written since the last
-// sync started, at most one in flight, the next starting as soon as the
-// previous returns. A barrier ("everything written so far is durable,
-// or here is the error") is awaited only where the run's state escapes
-// the process:
+// Durability is group commit. An append seals its record and queues it
+// on an in-memory batch under the journal mutex, in arrival order: no
+// syscall. One background flusher per open journal takes the batch and,
+// with the mutex released, issues one write(2) of all of it to the
+// O_APPEND descriptor and one fsync. It does so once flushEvery has
+// passed since the previous flush started, or at once when a barrier is
+// waiting or Close was called. A barrier ("every record queued so far is
+// covered by a completed flush, or here is the error") is awaited only
+// where the run's state escapes the process:
 //
 //   - at the end of every MapOpts, before the dispatcher is told the
 //     sweep has merged;
@@ -53,15 +54,19 @@ import (
 //   - in Close.
 //
 // The first write or sync error is sticky: a failed fsync may drop the
-// dirty pages and report success the next time, and a torn record hides
-// everything appended behind it from ScanJournal, so after an error
-// every append, barrier and Close returns it without touching the file.
+// dirty pages and report success the next time, and a short batch write
+// leaves a torn record hiding everything behind it from ScanJournal, so
+// from then on every append, barrier and Close returns the error without
+// buffering or touching the file. The decoder tolerates a torn tail: the
+// first record with a bad length, payload or checksum ends the journal.
 //
-// What can be lost: the death of the process (SIGKILL, OOM, panic)
-// loses nothing that was written — the page cache outlives it. A crash
-// of the machine leaves a valid prefix that misses at most the cells
-// appended during the last one or two fsync latencies; they re-execute
-// on resume from their own seeds to the same bytes.
+// What can be lost: between barriers a record reaches the disk no later
+// than flushEvery plus one write+fsync after its append returned. Death
+// of the process (SIGKILL, the second SIGINT's os.Exit, a runtime fatal)
+// and loss of power both lose the records appended since the last flush
+// began, and nothing that was reported (sweep done, bundle written, meta):
+// that passed a barrier. The lost cells re-execute on resume from their
+// own seeds to the same bytes.
 //
 // Replay is last-record-wins per (sweep, cell): a failure later
 // superseded by a success (a retry, or a resumed re-execution) replays
@@ -80,6 +85,10 @@ const (
 
 // recHeaderLen is the fixed per-record header: length + CRC.
 const recHeaderLen = 8
+
+// flushEvery is the least time between the starts of two flushes that no
+// barrier asked for; DESIGN.md §9 has the trade and the scan it came from.
+const flushEvery = 25 * time.Millisecond
 
 // crcTable is the Castagnoli polynomial, the usual choice for storage
 // checksums.
@@ -332,15 +341,20 @@ type Journal struct {
 	sweeps   []uint32 // sweep IDs in begin order
 	bundles  []string // repro bundle paths written this process
 
-	// Coalesced durability, all under mu. written counts records handed
-	// to write(2), synced how many of them a completed fsync covers; the
-	// syncer sleeps on wake while the two are equal and barriers sleep on
-	// it while synced trails the count they captured.
-	wake       *sync.Cond
-	written    uint64
-	synced     uint64
-	err        error // sticky: the first write or sync error
-	syncerDone chan struct{}
+	// Group commit, all under mu. batch holds the sealed records queued
+	// since the flusher last took it (they are never written to again),
+	// queued how many were ever queued, synced how many a completed flush
+	// covers, want the most a barrier waits for. Barriers sleep on wake,
+	// the flusher on kick (capacity 1: one pending wake-up is all it needs).
+	batch       [][]byte
+	queued      uint64
+	synced      uint64
+	want        uint64
+	wake        *sync.Cond
+	kick        chan struct{}
+	now         func() time.Time // the flusher's clock; tests substitute one
+	err         error            // sticky: the first write or sync error
+	flusherDone chan struct{}
 }
 
 // CreateJournal starts a fresh journal at path. It refuses to clobber
@@ -365,13 +379,18 @@ func CreateJournal(path string, meta JournalMeta) (*Journal, error) {
 		f.Close()
 		return nil, err
 	}
+	return startJournal(f, path, meta, body)
+}
+
+// startJournal makes the meta record (body) durable behind the magic: a
+// run whose identity is not on disk has nothing to resume.
+func startJournal(f journalFile, path string, meta JournalMeta, body []byte) (*Journal, error) {
 	j := newJournal(f, path, meta)
 	rec := make([]byte, recHeaderLen, recHeaderLen+1+len(body))
 	rec = append(append(rec, recMeta), body...)
 	j.mu.Lock()
-	err = j.appendRecord(rec)
+	err := j.appendRecord(rec)
 	if err == nil {
-		// A run whose identity is not on disk has nothing to resume.
 		err = j.barrierLocked()
 	}
 	j.mu.Unlock()
@@ -422,43 +441,57 @@ func ResumeJournal(path string) (*Journal, error) {
 	return j, nil
 }
 
-// newJournal wraps an open journal file and starts its syncer, which
+// newJournal wraps an open journal file and starts its flusher, which
 // Close stops and joins.
 func newJournal(f journalFile, path string, meta JournalMeta) *Journal {
 	j := &Journal{
 		f: f, path: path, meta: meta,
-		replay:     make(map[cellKey][]byte),
-		failed:     make(map[cellKey]failInfo),
-		progress:   make(map[uint32]*SweepProgress),
-		syncerDone: make(chan struct{}),
+		replay:      make(map[cellKey][]byte),
+		failed:      make(map[cellKey]failInfo),
+		progress:    make(map[uint32]*SweepProgress),
+		kick:        make(chan struct{}, 1),
+		now:         time.Now,
+		flusherDone: make(chan struct{}),
 	}
 	j.wake = sync.NewCond(&j.mu)
-	go j.syncLoop(f)
+	go j.flushLoop(f)
 	return j
 }
 
-// syncLoop is the journal's one background syncer: it runs fsync, one
-// at a time, whenever records have been written since the last sync
-// started, and exits on the first error or once Close has been called
-// (j.f is nil) and everything written is covered. Close closes f only
-// after the loop has exited.
-func (j *Journal) syncLoop(f journalFile) {
-	defer close(j.syncerDone)
+// flushLoop is the journal's one background flusher. It sleeps while the
+// batch is empty, and until flushEvery after the previous flush started
+// unless a barrier waits or Close was called (j.f is nil); then it takes
+// the batch and, with j.mu released, makes it durable with one Write and
+// one Sync. Only the records it took are covered, none if either call
+// fails. It exits on the first error, or once closed with nothing left to
+// flush; Close closes f only after that.
+func (j *Journal) flushLoop(f journalFile) {
+	defer close(j.flusherDone)
+	var last time.Time // when the previous flush started
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for j.err == nil {
-		if j.synced == j.written {
+		if len(j.batch) == 0 {
 			if j.f == nil {
 				return
 			}
-			j.wake.Wait()
+			j.sleep(nil)
 			continue
 		}
-		// Only records whose write returned before this sync starts are
-		// covered by it.
-		covers := j.written
+		if wait := flushEvery - j.now().Sub(last); wait > 0 && j.want <= j.synced && j.f != nil {
+			timer := time.NewTimer(wait)
+			j.sleep(timer.C)
+			timer.Stop()
+			continue
+		}
+		last = j.now()
+		recs, covers := j.batch, j.queued
+		j.batch = nil
 		j.mu.Unlock()
-		err := f.Sync()
+		_, err := f.Write(bytes.Join(recs, nil)) // a short write is an error too (io.Writer)
+		if err == nil {
+			err = f.Sync()
+		}
 		j.mu.Lock()
 		if err != nil {
 			j.fail(err)
@@ -466,6 +499,26 @@ func (j *Journal) syncLoop(f journalFile) {
 		}
 		j.synced = covers
 		j.wake.Broadcast()
+	}
+}
+
+// sleep releases j.mu until the flusher is kicked or pace (nil: never)
+// fires. Callers hold j.mu.
+func (j *Journal) sleep(pace <-chan time.Time) {
+	j.mu.Unlock()
+	select {
+	case <-j.kick:
+	case <-pace:
+	}
+	j.mu.Lock()
+}
+
+// wakeFlusher makes the flusher re-examine the journal's state. Callers
+// hold j.mu.
+func (j *Journal) wakeFlusher() {
+	select {
+	case j.kick <- struct{}{}:
+	default:
 	}
 }
 
@@ -478,11 +531,17 @@ func (j *Journal) fail(err error) {
 	j.wake.Broadcast()
 }
 
-// barrierLocked waits until every record written before the call is
-// covered by a completed fsync, or returns the sticky error. It sleeps
-// with j.mu released, so appenders keep going. Callers hold j.mu.
+// barrierLocked waits until a completed flush — necessarily one started
+// after the call's last record was queued — covers every record queued so
+// far, or returns the sticky error. Callers hold j.mu; it sleeps with it
+// released, so appenders keep going.
 func (j *Journal) barrierLocked() error {
-	for covers := j.written; j.synced < covers && j.err == nil; {
+	covers := j.queued
+	if j.synced < covers && j.want < covers {
+		j.want = covers
+		j.wakeFlusher()
+	}
+	for j.synced < covers && j.err == nil {
 		j.wake.Wait()
 	}
 	return j.err
@@ -530,17 +589,17 @@ func (j *Journal) Progress() []SweepProgress {
 	return out
 }
 
-// Close refuses further appends, waits for the syncer to make every
-// written record durable and exit, and closes the file. It returns the
+// Close refuses further appends, waits for the flusher to make every
+// queued record durable and exit, and closes the file. It returns the
 // journal's sticky error, if any; closing again is a no-op that returns
 // the same.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	f := j.f
 	j.f = nil
-	j.wake.Broadcast()
+	j.wakeFlusher()
 	j.mu.Unlock()
-	<-j.syncerDone
+	<-j.flusherDone
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if f != nil {
@@ -595,7 +654,7 @@ func startRecord(kind byte, sweep, cell uint32, body int) []byte {
 // uvarintLen is the number of bytes binary.AppendUvarint emits for x.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// appendCellLocked writes one success record and makes it the cell's
+// appendCellLocked queues one success record and makes it the cell's
 // replay state; the replay entry aliases the record's data bytes.
 // Callers hold j.mu.
 func (j *Journal) appendCellLocked(key cellKey, data []byte) error {
@@ -608,7 +667,7 @@ func (j *Journal) appendCellLocked(key cellKey, data []byte) error {
 	return nil
 }
 
-// appendFailLocked writes one failure record and makes it the cell's
+// appendFailLocked queues one failure record and makes it the cell's
 // state. Callers hold j.mu.
 func (j *Journal) appendFailLocked(key cellKey, fi failInfo) error {
 	fields := [...]string{fi.label, fi.class, fi.msg}
@@ -706,10 +765,11 @@ func (j *Journal) SnapshotRecords() []JournalRecord {
 }
 
 // appendRecord seals rec — a buffer whose first recHeaderLen bytes are
-// reserved for the header and whose remainder is the payload — and
-// appends it with one write(2). It does not wait for the disk; it wakes
-// the syncer. After the first write or sync error, and after Close, it
-// refuses without touching the file. Callers hold j.mu.
+// reserved for the header and whose remainder is the payload — and queues
+// it on the batch, which like the replay state only ever reads it. No
+// syscall, no copy, and the flusher is woken only if the batch was empty.
+// After the first write or sync error, and after Close, it refuses
+// without buffering. Callers hold j.mu.
 func (j *Journal) appendRecord(rec []byte) error {
 	if j.err != nil {
 		return j.err
@@ -720,12 +780,11 @@ func (j *Journal) appendRecord(rec []byte) error {
 	payload := rec[recHeaderLen:]
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(payload, crcTable))
-	if _, err := j.f.Write(rec); err != nil { // a short write is an error too (io.Writer)
-		j.fail(err)
-		return err
+	if len(j.batch) == 0 {
+		j.wakeFlusher()
 	}
-	j.written++
-	j.wake.Broadcast()
+	j.batch = append(j.batch, rec)
+	j.queued++
 	return nil
 }
 
