@@ -93,7 +93,7 @@ func (s *shape) Meta() fleet.JournalMeta {
 	}}
 }
 
-func (s *shape) Check(*cli.Exec) error {
+func (s *shape) Check() error {
 	// A zero rate or buffer would silently simulate DumbbellConfig's
 	// defaults under a title that says 0, and a zero flow has no
 	// segments to send.

@@ -6,7 +6,6 @@
 //	halfback-sim -fig all -scale 0.1    # everything, reduced
 //	halfback-sim -list                  # show available exhibits
 //	halfback-sim -fig 6 -csv            # CSV instead of aligned text
-//	halfback-sim -benchjson -scale 0.05 # per-exhibit perf JSON (BENCH_<date>.json)
 //
 // Those are this tool's own flags. How a run executes — -workers,
 // -journal/-resume/-repro, profiles, the distributed modes, signals and
@@ -32,16 +31,14 @@ import (
 )
 
 // shape is halfback-sim's own flags. fig, seed, scale and csv change
-// output bytes and round-trip through the journal meta; list, benchjson
-// and benchout select modes that never reach a journal.
+// output bytes and round-trip through the journal meta; list answers
+// the invocation itself and never reaches a journal.
 type shape struct {
-	fig       string
-	seed      uint64
-	scale     float64
-	csv       bool
-	list      bool
-	benchjson bool
-	benchout  string
+	fig   string
+	seed  uint64
+	scale float64
+	csv   bool
+	list  bool
 
 	entries []experiment.Entry // resolved from fig by Check
 }
@@ -52,8 +49,6 @@ func (s *shape) Bind(fs *flag.FlagSet) {
 	fs.Float64Var(&s.scale, "scale", 1.0, "scale factor in (0,1]: trial counts and horizons shrink proportionally")
 	fs.BoolVar(&s.csv, "csv", false, "emit CSV instead of aligned tables")
 	fs.BoolVar(&s.list, "list", false, "list available exhibits")
-	fs.BoolVar(&s.benchjson, "benchjson", false, "benchmark the selected exhibits (default: all) and write per-exhibit ns/op, allocs/op and events/sec as JSON")
-	fs.StringVar(&s.benchout, "benchout", "", "benchmark JSON output path (default BENCH_<date>.json)")
 }
 
 func (s *shape) Meta() fleet.JournalMeta {
@@ -68,8 +63,8 @@ func (s *shape) Meta() fleet.JournalMeta {
 	return fleet.JournalMeta{Exhibit: s.fig, Seed: s.seed, Args: args}
 }
 
-func (s *shape) Check(x *cli.Exec) error {
-	if s.list || (s.fig == "" && !s.benchjson) {
+func (s *shape) Check() error {
+	if s.list || s.fig == "" {
 		var b strings.Builder
 		b.WriteString("available exhibits:\n")
 		for _, e := range experiment.Registry() {
@@ -84,15 +79,7 @@ func (s *shape) Check(x *cli.Exec) error {
 	if s.scale <= 0 || s.scale > 1 {
 		return errors.New("-scale must be in (0,1]")
 	}
-	if s.benchjson {
-		switch {
-		case x.Journal != "":
-			return errors.New("-journal does not apply to -benchjson runs")
-		case x.IsDistributed():
-			return errors.New("distributed mode does not apply to -benchjson runs")
-		}
-	}
-	if s.fig == "all" || s.fig == "" {
+	if s.fig == "all" {
 		s.entries = experiment.Registry()
 		return nil
 	}
@@ -110,13 +97,6 @@ func (s *shape) Check(x *cli.Exec) error {
 // order they are made.
 func (s *shape) Run(env *cli.Env) (failed bool) {
 	sc := experiment.Scale{Trials: s.scale, Horizon: s.scale, Workers: env.Workers, Ctx: env.Ctx, Run: env.Run}
-	if s.benchjson {
-		code, err := runBench(env.Ctx, s.entries, s.seed, sc, s.scale, s.benchout)
-		if err != nil {
-			env.Logf("%v", err)
-		}
-		return code != 0
-	}
 	for _, e := range s.entries {
 		start := time.Now()
 		if env.Out != nil {

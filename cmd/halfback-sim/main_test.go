@@ -29,8 +29,6 @@ func TestModeFlagsAndUsageErrors(t *testing.T) {
 		{[]string{"-fig", "3", "-scale", "0"}, 2, "", "-scale must be in (0,1]"},
 		{[]string{"-fig", "3", "-scale", "1.5"}, 2, "", "-scale must be in (0,1]"},
 		{[]string{"-fig", "3", "-workers", "0"}, 2, "", "-workers must be"},
-		{[]string{"-benchjson", "-fig", "3", "-journal", "j"}, 2, "", "-journal does not apply to -benchjson"},
-		{[]string{"-benchjson", "-fig", "3", "-distributed", "2"}, 2, "", "distributed mode does not apply to -benchjson"},
 	} {
 		code, stdout, stderr := invoke(tc.args...)
 		if code != tc.code || !strings.HasPrefix(stdout, tc.stdout) || !strings.Contains(stderr, tc.stderr) {

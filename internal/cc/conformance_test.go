@@ -201,7 +201,7 @@ func windowRows() []struct {
 	}{
 		{scheme.TCP, tcp.New(tcp.Config{InitialWindow: 2}), pump},
 		{scheme.TCP10, tcp.New(tcp.Config{InitialWindow: 10}), pump},
-		{scheme.TCPCache, tcp.New(tcp.Config{InitialWindow: 2, Cache: tcp.NewPathCache(0)}), pump},
+		{scheme.TCPCache, tcp.New(tcp.Config{InitialWindow: 2, Cache: tcp.NewPathCache()}), pump},
 		{scheme.Reactive, scheme.MustNew(scheme.Reactive).Controller, pump},
 		{scheme.Proactive, scheme.MustNew(scheme.Proactive).Controller, pump},
 		{scheme.JumpStart, jumpstart.New(), paced},

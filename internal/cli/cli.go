@@ -21,7 +21,6 @@ import (
 	"runtime/pprof"
 	"strings"
 	"syscall"
-	"time"
 	"unicode"
 
 	"halfback/internal/fleet"
@@ -44,7 +43,7 @@ type Shape interface {
 	// 2, reported before any file is created) and resolves whatever Run
 	// needs from them. A Check that has answered the invocation itself
 	// returns *Exit.
-	Check(x *Exec) error
+	Check() error
 	// Run is the tool's program: it makes the tool's fleet sweeps, in a
 	// fixed order, with env's context, worker count and *fleet.Run, and
 	// renders to env.Out. It must not panic. It reports whether a cell
@@ -73,7 +72,6 @@ type Exec struct {
 	ServeWorker, WorkerJournal string
 	WorkersRemote              string
 	Distributed                int
-	Speculate                  time.Duration
 	ClusterKey                 string
 }
 
@@ -88,13 +86,12 @@ func (x *Exec) bind(fs *flag.FlagSet) {
 	fs.StringVar(&x.WorkerJournal, "worker-journal", "", "worker-local journal for -serve-worker; uploaded to the coordinator on (re)connect")
 	fs.StringVar(&x.WorkersRemote, "workers-remote", "", "comma-separated worker addresses: coordinate the run across them (requires -journal or -resume)")
 	fs.IntVar(&x.Distributed, "distributed", 0, "single-binary distributed mode: fork N local workers and coordinate across them (requires -journal or -resume)")
-	fs.DurationVar(&x.Speculate, "speculate", 0, "re-dispatch a cell to an idle worker after this long; first result wins; 0 disables")
 	fs.StringVar(&x.ClusterKey, "cluster-key", "", "shared secret authenticating coordinator and workers (defaults to $"+dist.KeyEnv+"); required for non-loopback workers")
 }
 
-// IsDistributed reports whether the command line asked for a
+// isDistributed reports whether the command line asked for a
 // coordinator.
-func (x *Exec) IsDistributed() bool { return x.Distributed != 0 || x.WorkersRemote != "" }
+func (x *Exec) isDistributed() bool { return x.Distributed != 0 || x.WorkersRemote != "" }
 
 // Env is what a program runs against.
 type Env struct {
@@ -209,7 +206,7 @@ func (h *harness) run(args []string) (code int) {
 		h.logf("resuming %s (%d journaled cells)", journal.Path(), journal.Replayable())
 	}
 
-	if err := shape.Check(x); err != nil {
+	if err := shape.Check(); err != nil {
 		var exit *Exit
 		if errors.As(err, &exit) {
 			fmt.Fprint(h.stdout, exit.Text)
@@ -224,7 +221,7 @@ func (h *harness) run(args []string) (code int) {
 		return h.fail(2, "-distributed and -workers-remote are mutually exclusive")
 	case x.Distributed < 0:
 		return h.fail(2, "-distributed must be ≥ 1")
-	case x.IsDistributed() && x.Journal == "" && journal == nil:
+	case x.isDistributed() && x.Journal == "" && journal == nil:
 		return h.fail(2, "-distributed/-workers-remote require -journal or -resume")
 	}
 
@@ -246,7 +243,7 @@ func (h *harness) run(args []string) (code int) {
 	run := &fleet.Run{Journal: journal}
 	workers := x.Workers
 	var coord *dist.Coordinator
-	if x.IsDistributed() {
+	if x.isDistributed() {
 		var stop func()
 		if coord, stop, err = h.launchCoordinator(x, journal); err != nil {
 			return h.fail(1, "%v", err)
@@ -366,7 +363,7 @@ func (h *harness) startProfiles(x *Exec) (stop func(), err error) {
 // a Coordinator for the journal's run. On error nothing is left
 // running; otherwise stop must be deferred.
 func (h *harness) launchCoordinator(x *Exec, journal *fleet.Journal) (coord *dist.Coordinator, stop func(), err error) {
-	opts := dist.Options{SpeculateAfter: x.Speculate, Key: dist.ResolveKey(x.ClusterKey), Logf: h.logf}
+	opts := dist.Options{Key: dist.ResolveKey(x.ClusterKey), Logf: h.logf}
 	var (
 		forked *dist.Forked
 		addrs  []string
@@ -433,7 +430,7 @@ func (h *harness) launchCoordinator(x *Exec, journal *fleet.Journal) (coord *dis
 // The worker's stdout carries the address line dist.ServeWorker prints
 // and nothing else.
 func (h *harness) serveWorker(x *Exec) int {
-	if x.Journal != "" || x.Resume != "" || x.IsDistributed() {
+	if x.Journal != "" || x.Resume != "" || x.isDistributed() {
 		return h.fail(2, "-serve-worker excludes -journal, -resume, -workers-remote and -distributed")
 	}
 	stopProfiles, err := h.startProfiles(x)
@@ -461,7 +458,7 @@ func (h *harness) workerStart(x *Exec) dist.StartFunc {
 		if err != nil {
 			return fmt.Errorf("journal %w", err)
 		}
-		if err := shape.Check(x); err != nil {
+		if err := shape.Check(); err != nil {
 			return err
 		}
 		shape.Run(&Env{Ctx: ctx, Workers: runtime.NumCPU(), Run: run, Exec: x, h: h})
@@ -479,7 +476,7 @@ func (h *harness) repro(x *Exec) int {
 	}
 	shape, err := h.shapeOf(b.Meta)
 	if err == nil {
-		err = shape.Check(x)
+		err = shape.Check()
 	}
 	if err != nil {
 		return h.fail(2, "bundle %s: %v", x.Repro, err)

@@ -77,7 +77,7 @@ func (s *fakeShape) Meta() fleet.JournalMeta {
 	}}
 }
 
-func (s *fakeShape) Check(*Exec) error {
+func (s *fakeShape) Check() error {
 	if s.list {
 		return &Exit{Code: 0, Text: "listing\n"}
 	}
@@ -292,8 +292,8 @@ func TestResumeShapeFromMetaExecFromCommandLine(t *testing.T) {
 			t.Errorf("flag -%s is declared in %d sets", name, n)
 		}
 	}
-	if len(classified) != 5+12 {
-		t.Errorf("%d flags, want the fake's 5 and the 12 execution flags", len(classified))
+	if len(classified) != 5+11 {
+		t.Errorf("%d flags, want the fake's 5 and the 11 execution flags", len(classified))
 	}
 
 	journal := filepath.Join(dir, "j")
@@ -308,7 +308,7 @@ func TestResumeShapeFromMetaExecFromCommandLine(t *testing.T) {
 	otherShape := map[string]string{"cells": "2", "sweeps": "1", "seed": "99", "fail": "0", "list": "true"}
 	ownExec := map[string]string{
 		"workers": "3", "cpuprofile": filepath.Join(dir, "cpu"), "memprofile": filepath.Join(dir, "mem"),
-		"worker-journal": "wj", "speculate": "7s", "cluster-key": "k", "resume": journal,
+		"worker-journal": "wj", "cluster-key": "k", "resume": journal,
 	}
 	otherMode := map[string]bool{"journal": true, "repro": true, "serve-worker": true, "workers-remote": true, "distributed": true}
 	var line []string
@@ -548,7 +548,7 @@ func TestDistributedMatchesSerial(t *testing.T) {
 	if tables(r.stdout) != tables(ref.stdout) {
 		t.Errorf("distributed output differs:\n%s\nwant:\n%s", r.stdout, ref.stdout)
 	}
-	if !strings.Contains(r.stderr, "fake: dist: redials=0 reassignments=0 speculative-duplicates=0 fenced-zombie-attempts=0") {
+	if !strings.Contains(r.stderr, "fake: dist: redials=0 reassignments=0 fenced-zombie-attempts=0") {
 		t.Errorf("no all-zero dist: line in\n%s", r.stderr)
 	}
 	if len(f.ran) != 120 { // the reference run's; the coordinator executes nothing

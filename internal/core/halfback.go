@@ -513,8 +513,3 @@ func (l *Logic) estimateRateWindow(env cc.Env) float64 {
 	}
 	return cwnd
 }
-
-// DebugState summarises the logic's phase flags for tests and tracing.
-func (l *Logic) DebugState() (pacingDone, roprDone bool, roprPtr int32, proCount int32, phase uint8) {
-	return l.st.PacingDone, l.st.RoprDone, l.st.RoprPtr, l.st.ProCount, l.st.Phase
-}

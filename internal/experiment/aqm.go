@@ -6,8 +6,6 @@ import (
 	"halfback/internal/metrics"
 	"halfback/internal/netem"
 	"halfback/internal/scheme"
-	"halfback/internal/sim"
-	"halfback/internal/workload"
 )
 
 // AQMResult is the §6 complementarity exhibit: the paper argues AQM
@@ -44,44 +42,17 @@ func AQM(seed uint64, sc Scale) *AQMResult {
 	rows := grid(sc, len(discs), len(schemes), func(di, si int) string {
 		return fmt.Sprintf("aqm %s %s", schemes[si], discs[di])
 	}, func(di, si int) AQMRow {
-		return runAQMCell(seed, schemes[si], discs[di], horizon)
+		disc := discs[di]
+		row := runBufferbloatCell(seed^hashString("aqm"+schemes[si])^uint64(disc),
+			netem.DumbbellConfig{Pairs: 4, BufferBytes: aqmBufferBytes},
+			func(s *DumbbellSim) {
+				s.D.Bottleneck.Discipline = disc
+				s.D.Reverse.Discipline = disc
+			}, schemes[si], horizon)
+		return AQMRow{Scheme: row.Scheme, Discipline: disc.String(),
+			MeanFCTms: row.MeanFCTms, MeanRetx: row.MeanRetx, Completed: row.Completed}
 	})
 	return &AQMResult{Rows: rows}
-}
-
-func runAQMCell(seed uint64, schemeName string, disc netem.QueueDiscipline, horizon sim.Duration) AQMRow {
-	s := NewDumbbellSim(seed^hashString("aqm"+schemeName)^uint64(disc),
-		netem.DumbbellConfig{Pairs: 4, BufferBytes: aqmBufferBytes})
-	s.D.Bottleneck.Discipline = disc
-	s.D.Reverse.Discipline = disc
-
-	// Queue-building background flow with an autotuned window (it is
-	// precisely the flow AQM exists to police).
-	bgOpts := s.Opts
-	bgOpts.FlowWindow = 4 << 20
-	s.StartFlowOnPairOpts(0, scheme.MustNew(scheme.TCP), 2_000_000_000, 0, bgOpts)
-
-	inst := scheme.MustNew(schemeName)
-	arrivals := workload.PoissonArrivalsCached(s.Rng.ForkNamed("arrivals"),
-		workload.Fixed{Bytes: PlanetLabFlowBytes}, bufferbloatInterval, horizon-5*sim.Second)
-	for _, a := range arrivals {
-		s.StartFlowAt(a.At.Add(5*sim.Second), inst, a.Bytes)
-	}
-	s.Run(horizon + 60*sim.Second)
-
-	row := AQMRow{Scheme: schemeName, Discipline: disc.String()}
-	var fcts, retx []float64
-	for _, st := range s.Finished {
-		if st.Scheme != schemeName {
-			continue
-		}
-		row.Completed++
-		fcts = append(fcts, st.FCT().Seconds()*1000)
-		retx = append(retx, float64(st.NormalRetx))
-	}
-	row.MeanFCTms = metrics.Summarize(fcts).Mean
-	row.MeanRetx = metrics.Summarize(retx).Mean
-	return row
 }
 
 // Cell returns a row for tests.

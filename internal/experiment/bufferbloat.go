@@ -56,36 +56,39 @@ func Fig10(seed uint64, sc Scale) *Fig10Result {
 	rows := grid(sc, len(bufs), len(schemes), func(bi, si int) string {
 		return fmt.Sprintf("fig10 %s buffer %dKB", schemes[si], bufs[bi]/1000)
 	}, func(bi, si int) Fig10Row {
-		return runBufferbloatCell(seed, schemes[si], bufs[bi], horizon)
+		return runBufferbloatCell(seed^uint64(bufs[bi])*2654435761,
+			netem.DumbbellConfig{Pairs: 4, BufferBytes: bufs[bi]}, nil, schemes[si], horizon)
 	})
 	return &Fig10Result{Rows: rows}
 }
 
-func runBufferbloatCell(seed uint64, schemeName string, buf int, horizon sim.Duration) Fig10Row {
-	s := NewDumbbellSim(seed^uint64(buf)*2654435761, netem.DumbbellConfig{
-		Pairs:       4,
-		BufferBytes: buf,
-	})
+// runBufferbloatCell runs the §4.2.3 scenario in one universe built from
+// the already-mixed seed and cfg: a long-running background TCP flow on
+// pair 0 plus Poisson 100 KB short flows of schemeName. queue, when
+// non-nil, installs the queue discipline before any traffic starts.
+func runBufferbloatCell(seed uint64, cfg netem.DumbbellConfig, queue func(*DumbbellSim), schemeName string, horizon sim.Duration) Fig10Row {
+	s := NewDumbbellSim(seed, cfg)
+	if queue != nil {
+		queue(s)
+	}
 	inst := scheme.MustNew(schemeName)
 	// Background long flow: plain TCP for the whole run (pair 0), with
 	// an autotuned-size receive window so it can actually occupy a
 	// bloated buffer (the short-flow schemes keep the paper's 141 KB).
-	bg := scheme.MustNew(scheme.TCP)
 	bgOpts := s.Opts
 	bgOpts.FlowWindow = 4 << 20
-	s.StartFlowOnPairOpts(0, bg, 2_000_000_000, 0, bgOpts)
+	s.StartFlowOnPairOpts(0, scheme.MustNew(scheme.TCP), 2_000_000_000, 0, bgOpts)
 
 	// Short flows every 10 s on average, exponential interarrivals,
 	// starting after the background flow has filled the pipe.
 	arrivals := workload.PoissonArrivalsCached(s.Rng.ForkNamed("arrivals"),
 		workload.Fixed{Bytes: PlanetLabFlowBytes}, bufferbloatInterval, horizon-5*sim.Second)
 	for _, a := range arrivals {
-		at := a.At.Add(5 * sim.Second)
-		s.StartFlowAt(at, inst, a.Bytes)
+		s.StartFlowAt(a.At.Add(5*sim.Second), inst, a.Bytes)
 	}
 	s.Run(horizon + 60*sim.Second)
 
-	row := Fig10Row{Scheme: schemeName, BufferBytes: buf, Launched: len(arrivals)}
+	row := Fig10Row{Scheme: schemeName, BufferBytes: cfg.BufferBytes, Launched: len(arrivals)}
 	var fcts, retx []float64
 	for _, st := range s.Finished {
 		if st.Scheme != schemeName {

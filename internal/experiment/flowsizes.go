@@ -108,17 +108,6 @@ func runFig11Cell(seed uint64, dist workload.SizeDist, schemeName string, horizo
 	return out
 }
 
-// MeanAt returns the mean FCT for a (distribution, scheme, bucket)
-// triple, for tests; ok is false when the cell is empty.
-func (r *Fig11Result) MeanAt(dist, schemeName string, sizeHi int) (float64, bool) {
-	for _, p := range r.Points {
-		if p.Distribution == dist && p.Scheme == schemeName && p.SizeHiBytes == sizeHi {
-			return p.MeanFCTms, true
-		}
-	}
-	return 0, false
-}
-
 // Tables renders the three panels.
 func (r *Fig11Result) Tables() []*metrics.Table {
 	t := metrics.NewTable("Fig.11 FCT vs flow size at 25% utilization",

@@ -2,9 +2,14 @@ package experiment
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"halfback/internal/fleet"
+	"halfback/internal/sim"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files under testdata/")
@@ -31,22 +36,47 @@ func TestGoldenTables(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := renderAll(e.Run(1, Quick))
-			path := filepath.Join("testdata", name+"_quick.golden")
-			if *update {
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden (run with -update to create): %v", err)
-			}
-			if got != string(want) {
-				n, w, g := firstDiff(string(want), got)
-				t.Fatalf("fig %s diverges from %s at line %d:\n  golden:  %q\n  current: %q", id, path, n, w, g)
-			}
+			checkGolden(t, name+"_quick.golden", renderAll(e.Run(1, Quick)))
 		})
 	}
+}
+
+// checkGolden compares got with testdata/<file>, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, file, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		n, w, g := firstDiff(string(want), got)
+		t.Fatalf("diverges from %s at line %d:\n  golden:  %q\n  current: %q", path, n, w, g)
+	}
+}
+
+// Every exhibit's executed-event count is bit-exact for a pinned seed
+// and scale, so a count that moves means the simulation did something
+// else — a behaviour change, not noise — even where no table shows it.
+// The golden holds one "<id> <events>" line per Registry() entry at seed
+// 1, scale 0.05, run serially. Like the table goldens it is regenerated
+// only on purpose (-update), by a change that says why the counts moved.
+func TestExecutedEventCounts(t *testing.T) {
+	if testing.Short() || fleet.RaceEnabled {
+		t.Skip("full-registry run (~15 s); skipped under -short and the race detector")
+	}
+	var got strings.Builder
+	for _, e := range Registry() {
+		before := sim.ProcessedTotal()
+		e.Run(1, Scale{Trials: 0.05, Horizon: 0.05, Workers: 1})
+		fmt.Fprintf(&got, "%s %d\n", e.ID, sim.ProcessedTotal()-before)
+	}
+	checkGolden(t, "events_s1_scale005.golden", got.String())
 }

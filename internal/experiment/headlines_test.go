@@ -10,6 +10,7 @@ import (
 
 	"halfback/internal/fleet"
 	"halfback/internal/metrics"
+	"halfback/internal/netem"
 	"halfback/internal/scheme"
 )
 
@@ -137,8 +138,10 @@ func TestHeadlineBufferbloat(t *testing.T) {
 	// One small-buffer cell, per Fig. 10(b): Halfback needs a fraction
 	// of JumpStart's normal retransmissions (paper: ~10×).
 	horizon := headlineScale.horizon(bufferbloatHorizon)
-	hb := runBufferbloatCell(19, scheme.Halfback, 25_000, horizon)
-	js := runBufferbloatCell(19, scheme.JumpStart, 25_000, horizon)
+	cell := func(name string) Fig10Row {
+		return runBufferbloatCell(19^25_000*2654435761, netem.DumbbellConfig{Pairs: 4, BufferBytes: 25_000}, nil, name, horizon)
+	}
+	hb, js := cell(scheme.Halfback), cell(scheme.JumpStart)
 	t.Logf("small buffer: HB retx=%.1f fct=%.0f | JS retx=%.1f fct=%.0f",
 		hb.MeanRetx, hb.MeanFCTms, js.MeanRetx, js.MeanFCTms)
 	if !(hb.MeanRetx < js.MeanRetx/2) {

@@ -223,12 +223,6 @@ func (s *DumbbellSim) Run(until sim.Duration) {
 	}
 }
 
-// RunToCompletion executes until no events remain (every flow finished
-// or gave up). Use only for workloads guaranteed to drain.
-func (s *DumbbellSim) RunToCompletion() {
-	s.Sched.Run()
-}
-
 // RunSupervised executes the simulation under the sim supervision
 // layer: an event budget, a virtual-time horizon, and a stall detector
 // keyed (by default) to end-to-end packet deliveries — a universe
@@ -347,16 +341,6 @@ func (p *PathSim) FetchOnce(inst *scheme.Instance, bytes int, deadline sim.Durat
 	p.Sched.RunUntil(p.Sched.Now().Add(deadline))
 	conn.Abort()
 	return conn.Stats
-}
-
-// schemeInstances builds a fresh instance of each named scheme (fresh
-// per simulation so cross-flow state never leaks between worlds).
-func schemeInstances(names []string) []*scheme.Instance {
-	out := make([]*scheme.Instance, len(names))
-	for i, n := range names {
-		out[i] = scheme.MustNew(n)
-	}
-	return out
 }
 
 // fctsMs extracts completed-flow FCTs in milliseconds for one scheme.

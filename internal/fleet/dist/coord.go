@@ -38,12 +38,6 @@ type Options struct {
 	// re-running a cell is safe because results are seed-determined and
 	// worker journals replay.
 	RunCellTimeout time.Duration
-	// SpeculateAfter, when positive, duplicates a lease older than this
-	// onto an idle slot of a second worker, carrying only the cells no
-	// result has resolved yet — RepFlow-style cheap redundancy against
-	// stragglers. First result wins per cell, which is deterministic
-	// because results are seed-determined. 0 disables.
-	SpeculateAfter time.Duration
 
 	// Key is the shared cluster secret. When set, every connection runs
 	// the HMAC challenge/response handshake before RPC; when empty,
@@ -160,16 +154,14 @@ type Metrics struct {
 	// Reassignments counts leases formed to re-run cells of a lease
 	// whose worker died (the reconnect budget ran out).
 	Reassignments uint64
-	// Speculated counts speculative duplicate leases.
-	Speculated uint64
 	// FencedZombieAttempts sums, across workers, the RPCs refused from
 	// stale generations.
 	FencedZombieAttempts uint64
 }
 
 func (m Metrics) String() string {
-	return fmt.Sprintf("redials=%d reassignments=%d speculative-duplicates=%d fenced-zombie-attempts=%d",
-		m.Redials, m.Reassignments, m.Speculated, m.FencedZombieAttempts)
+	return fmt.Sprintf("redials=%d reassignments=%d fenced-zombie-attempts=%d",
+		m.Redials, m.Reassignments, m.FencedZombieAttempts)
 }
 
 // Coordinator shards cells across a pool of workers; it implements
@@ -191,9 +183,8 @@ type Coordinator struct {
 	lastErr    error
 	leaseSizes [8]uint64
 
-	redials    atomic.Uint64
-	reassigns  atomic.Uint64
-	speculated atomic.Uint64
+	redials   atomic.Uint64
+	reassigns atomic.Uint64
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -485,7 +476,6 @@ func (c *Coordinator) Metrics() Metrics {
 	m := Metrics{
 		Redials:       c.redials.Load(),
 		Reassignments: c.reassigns.Load(),
-		Speculated:    c.speculated.Load(),
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -558,7 +548,7 @@ func (c *Coordinator) heartbeat(wc *workerConn) {
 // constants). leaseTarget is how long a lease should keep its slot busy:
 // long enough that the round trip (150–250 µs of wake-ups per lease on
 // loopback) is a few per cent of it, short enough that the tail of a
-// sweep, a draining worker and a speculation decision wait milliseconds.
+// sweep and a draining worker wait milliseconds.
 // leaseCap bounds a lease however cheap its cells look, which bounds
 // both the damage of one misjudged lease and the dispatch window.
 const (
@@ -610,18 +600,8 @@ type pendingCell struct {
 	err         error
 }
 
-// lease is a batch of cells of one sweep that travels as one RunCells
-// call — plus, under speculation, a duplicate call on a second worker.
-type lease struct {
-	sweep uint32
-	cells []*pendingCell
-	// attempts counts the calls in flight for this lease, guarded by the
-	// coordinator's mu. The lease is over when it drops to zero.
-	attempts int
-}
-
 // resolveLocked delivers a cell's outcome to its caller; a second result
-// for the same cell (a speculative duplicate) is dropped.
+// for the same cell is dropped.
 func (c *Coordinator) resolveLocked(p *pendingCell, res *fleet.CellOutcome, err error) {
 	if p.resolved {
 		return
@@ -630,12 +610,12 @@ func (c *Coordinator) resolveLocked(p *pendingCell, res *fleet.CellOutcome, err 
 	close(p.done)
 }
 
-// idleSlotLocked picks the least-loaded live worker with a free slot,
-// excluding not (for speculation); nil when every live slot is taken.
-func (c *Coordinator) idleSlotLocked(not *workerConn) *workerConn {
+// idleSlotLocked picks the least-loaded live worker with a free slot;
+// nil when every live slot is taken.
+func (c *Coordinator) idleSlotLocked() *workerConn {
 	var best *workerConn
 	for _, wc := range c.workers {
-		if wc.dead || wc == not || wc.inUse >= c.opts.SlotsPerWorker {
+		if wc.dead || wc.inUse >= c.opts.SlotsPerWorker {
 			continue
 		}
 		if best == nil || wc.inUse < best.inUse {
@@ -669,26 +649,31 @@ func (c *Coordinator) pumpLocked() {
 			c.queue = nil
 			return
 		}
-		wc := c.idleSlotLocked(nil)
+		wc := c.idleSlotLocked()
 		if wc == nil {
 			return
 		}
 		n := wc.sizer.size(len(c.queue), live*c.opts.SlotsPerWorker)
-		l := &lease{sweep: c.queue[0].sweep, attempts: 1}
+		// A lease is cells of one sweep: they travel as one RunCells call.
+		sweep := c.queue[0].sweep
+		var lease []*pendingCell
 		reassigned := false
-		for len(l.cells) < n && len(c.queue) > 0 && c.queue[0].sweep == l.sweep {
+		for len(lease) < n && len(c.queue) > 0 && c.queue[0].sweep == sweep {
 			p := c.queue[0]
 			c.queue = c.queue[1:]
-			l.cells = append(l.cells, p)
+			lease = append(lease, p)
 			reassigned = reassigned || p.requeued
 		}
 		if reassigned {
 			c.reassigns.Add(1)
 		}
-		c.leaseSizes[min(bits.Len(uint(len(l.cells))), len(c.leaseSizes)-1)]++
+		c.leaseSizes[min(bits.Len(uint(len(lease))), len(c.leaseSizes)-1)]++
 		wc.inUse++
 		c.wg.Add(1)
-		go c.runLease(wc, l)
+		go func() {
+			defer c.wg.Done()
+			c.attempt(wc, lease)
+		}()
 	}
 }
 
@@ -712,95 +697,39 @@ func (c *Coordinator) DispatchCell(sweep, cell uint32, label string) (*fleet.Cel
 	return p.res, p.err
 }
 
-// runLease pushes the lease to its primary worker, duplicating it onto
-// an idle one if it is still unresolved after the speculation delay.
-func (c *Coordinator) runLease(primary *workerConn, l *lease) {
-	defer c.wg.Done()
-	if c.opts.SpeculateAfter > 0 {
-		t := time.AfterFunc(c.opts.SpeculateAfter, func() { c.speculate(primary, l) })
-		defer t.Stop()
+// attempt sends the lease to wc as one RunCells call and delivers the
+// outcomes. An error means the worker (or its session) failed beyond the
+// reconnect budget, or refused: it is revoked and the lease's cells go
+// back to the head of the queue for the survivors.
+func (c *Coordinator) attempt(wc *workerConn, lease []*pendingCell) {
+	args := &RunCellsArgs{Gen: c.gen, Sweep: lease[0].sweep, Cells: make([]uint32, len(lease))}
+	for i, p := range lease {
+		args.Cells[i] = p.cell
 	}
-	c.attempt(primary, l)
-}
-
-// speculate duplicates a straggling lease onto capacity that is
-// otherwise idle, on a worker other than its primary.
-func (c *Coordinator) speculate(primary *workerConn, l *lease) {
-	c.mu.Lock()
-	var wc *workerConn
-	if l.attempts > 0 && !c.draining {
-		wc = c.idleSlotLocked(primary)
+	var reply RunCellsReply
+	start := time.Now()
+	err := c.callWorker(wc, "Worker.RunCells", args, &reply, c.opts.RunCellTimeout)
+	elapsed := time.Since(start)
+	if err == nil && len(reply.Outcomes) != len(lease) {
+		err = fmt.Errorf("dist: %s answered a lease of %d cells with %d outcomes", wc.addr, len(lease), len(reply.Outcomes))
 	}
-	if wc == nil {
-		c.mu.Unlock()
-		return
-	}
-	wc.inUse++
-	l.attempts++
-	c.wg.Add(1)
-	c.mu.Unlock()
-	defer c.wg.Done()
-	c.logf("dist: speculating a lease of sweep %d (first cell %d) onto %s", l.sweep, l.cells[0].cell, wc.addr)
-	c.speculated.Add(1)
-	c.attempt(wc, l)
-}
-
-// attempt sends the lease's still-unresolved cells to wc as one RunCells
-// call and delivers the outcomes, first result winning per cell. An
-// error means the worker (or its session) failed beyond the reconnect
-// budget, or refused: it is revoked, and once no other attempt at this
-// lease is in flight the cells nobody resolved go back to the head of
-// the queue for the survivors.
-func (c *Coordinator) attempt(wc *workerConn, l *lease) {
-	c.mu.Lock()
-	var open []*pendingCell
-	for _, p := range l.cells {
-		if !p.resolved {
-			open = append(open, p)
-		}
-	}
-	c.mu.Unlock()
-
-	var (
-		reply   RunCellsReply
-		err     error
-		elapsed time.Duration
-	)
-	if len(open) > 0 {
-		args := &RunCellsArgs{Gen: c.gen, Sweep: l.sweep, Cells: make([]uint32, len(open))}
-		for i, p := range open {
-			args.Cells[i] = p.cell
-		}
-		start := time.Now()
-		err = c.callWorker(wc, "Worker.RunCells", args, &reply, c.opts.RunCellTimeout)
-		elapsed = time.Since(start)
-		if err == nil && len(reply.Outcomes) != len(open) {
-			err = fmt.Errorf("dist: %s answered a lease of %d cells with %d outcomes", wc.addr, len(open), len(reply.Outcomes))
-		}
-		if err != nil {
-			c.markDead(wc, err)
-		}
+	if err != nil {
+		c.markDead(wc, err)
 	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	wc.inUse--
-	l.attempts--
-	switch {
-	case err == nil && len(open) > 0:
-		wc.sizer.observe(elapsed, len(open))
-		for i, p := range open {
+	if err != nil {
+		for _, p := range lease {
+			p.requeued = true
+		}
+		c.queue = append(lease, c.queue...)
+	} else {
+		wc.sizer.observe(elapsed, len(lease))
+		for i, p := range lease {
 			c.resolveLocked(p, &reply.Outcomes[i], nil)
 		}
-	case err != nil && l.attempts == 0:
-		var back []*pendingCell
-		for _, p := range l.cells {
-			if !p.resolved {
-				p.requeued = true
-				back = append(back, p)
-			}
-		}
-		c.queue = append(back, c.queue...)
 	}
 	c.pumpLocked()
 }

@@ -32,8 +32,7 @@ func testMeta(seed uint64) fleet.JournalMeta {
 // cell computing a value from (seed, sweep, cell) alone.
 type testProgram struct {
 	sweeps, cells int
-	// delay, when non-zero, slows every cell — for speculation and
-	// kill-timing tests.
+	// delay, when non-zero, slows every cell — for kill-timing tests.
 	delay time.Duration
 	// executions counts real (non-replayed) cell executions in this
 	// process.
@@ -273,76 +272,6 @@ func TestAllWorkersDeadFallsBackLocal(t *testing.T) {
 	for c := range want[0] {
 		if got[0][c] != want[0][c] {
 			t.Fatalf("fallback cell %d = %+v, want %+v", c, got[0][c], want[0][c])
-		}
-	}
-}
-
-// A straggling worker's cell is speculatively duplicated onto an idle
-// one after SpeculateAfter; the first result wins and the run does not
-// wait for the straggler.
-func TestSpeculationFirstResultWins(t *testing.T) {
-	const seed = 5
-	meta := testMeta(seed)
-
-	// The slow worker hangs its very first cell until released; the
-	// fast worker is idle and picks up the speculated duplicate.
-	release := make(chan struct{})
-	var slowStarted atomic.Int32
-	slowStart := func(ctx context.Context, m fleet.JournalMeta, run *fleet.Run) error {
-		_, err := fleet.MapOpts(fleet.Options{Ctx: ctx, Run: run}, 2,
-			func(i, attempt int) (cellValue, error) {
-				slowStarted.Add(1)
-				select {
-				case <-release:
-				case <-ctx.Done():
-				}
-				return cellValue{Name: fmt.Sprintf("s0c%d", i), Value: float64(i)}, nil
-			})
-		return err
-	}
-	fastProg := func(ctx context.Context, m fleet.JournalMeta, run *fleet.Run) error {
-		_, err := fleet.MapOpts(fleet.Options{Ctx: ctx, Run: run}, 2,
-			func(i, attempt int) (cellValue, error) {
-				return cellValue{Name: fmt.Sprintf("s0c%d", i), Value: float64(i)}, nil
-			})
-		return err
-	}
-	_, slowAddr := startWorker(t, WorkerOptions{Start: slowStart})
-	_, fastAddr := startWorker(t, WorkerOptions{Start: fastProg})
-
-	canon := newCanonJournal(t, meta)
-	opts := fastOpts(t)
-	opts.SlotsPerWorker = 1
-	opts.SpeculateAfter = 100 * time.Millisecond
-	coord, err := Connect([]string{slowAddr, fastAddr}, canon, meta, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	defer close(release) // unblock the straggler afterwards
-
-	done := make(chan error, 1)
-	var out []cellValue
-	go func() {
-		var err error
-		out, err = fleet.MapOpts(fleet.Options{Workers: 2, Run: &fleet.Run{Journal: canon, Dispatch: coord}}, 2,
-			func(i, attempt int) (cellValue, error) {
-				t.Error("coordinator executed a cell locally")
-				return cellValue{}, nil
-			})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("run did not complete despite speculation — straggler was waited on")
-	}
-	for i, v := range out {
-		if v.Name != fmt.Sprintf("s0c%d", i) {
-			t.Fatalf("out[%d] = %+v", i, v)
 		}
 	}
 }

@@ -534,7 +534,7 @@ func BenchmarkLeaseRoundTrip(b *testing.B) {
 				coord.mu.Lock()
 				wc.inUse++
 				coord.mu.Unlock()
-				coord.attempt(wc, &lease{cells: cells, attempts: 1})
+				coord.attempt(wc, cells)
 				for _, p := range cells {
 					if p.err != nil || p.res == nil || p.res.Failed {
 						b.Fatalf("cell %d: %+v, %v", p.cell, p.res, p.err)

@@ -35,14 +35,13 @@
 //   - Worker death is detected by the call failing (TCP reset) or by
 //     missed Ping heartbeats; either way the coordinator marks the worker
 //     dead, which fails its in-flight leases, and every cell of a dead
-//     lease that no duplicate has resolved goes back to the head of the
-//     queue for the surviving workers — or is executed locally when no
-//     worker is left. A draining worker finishes its in-flight leases
-//     (bounded by leaseTarget for cheap cells) and refuses the next. A
-//     lease older than SpeculateAfter is duplicated onto an idle worker,
-//     carrying only its still-unresolved cells. Duplicated execution is
-//     safe: results are seed-determined, so first-result-wins per cell
-//     is deterministic.
+//     lease goes back to the head of the queue for the surviving workers
+//     — or is executed locally when no worker is left. A draining worker
+//     finishes its in-flight leases (bounded by leaseTarget for cheap
+//     cells) and refuses the next. A reassigned cell may already have run
+//     on the worker that died; executing it twice is safe because
+//     results are seed-determined, so first-result-wins per cell is
+//     deterministic.
 package dist
 
 import "halfback/internal/fleet"

@@ -699,9 +699,8 @@ func (j *Journal) appendCell(sweep, cell uint32, v any) error {
 // AppendCellData journals one completed cell from its already-encoded
 // payload — the write-through path for cells a worker executed. A cell
 // that already has a journaled success is left untouched (nil error):
-// duplicate results from speculative re-dispatch or a reassigned worker
-// are byte-identical anyway, and first-result-wins keeps the journal
-// free of redundant records.
+// duplicate results from a reassigned worker are byte-identical anyway,
+// and first-result-wins keeps the journal free of redundant records.
 func (j *Journal) AppendCellData(sweep, cell uint32, data []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -26,8 +26,7 @@ import "fmt"
 // Both sides run the same deterministic program (same tool, args and
 // seed), so they agree on sweep numbering and cell counts without any
 // negotiation, and a cell's bytes are identical wherever it executes —
-// the property that makes reassignment and speculative re-dispatch
-// safe.
+// the property that makes reassignment safe.
 
 // CellOutcome is one cell's terminal result as it crosses the wire: the
 // gob payload of a success, or the failure triple a journal failure

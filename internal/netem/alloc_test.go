@@ -156,7 +156,6 @@ func TestPathResetReclaimsAndClears(t *testing.T) {
 	p.Net.Trace = func(TraceEvent) {}
 	p.Back.OnDrop = func(*Packet, sim.Time) {}
 	p.Back.Discipline = CoDel
-	p.Forward.ReorderProb = 0.5
 	p.Forward.SetAdversity(MustAdversityPreset("torture"))
 
 	distinct := map[*Packet]bool{}
@@ -200,7 +199,7 @@ func TestPathResetReclaimsAndClears(t *testing.T) {
 		if l.RateBps != f.RateBps || l.Delay != f.Delay || l.BufferCap != f.BufferCap || l.LossProb != f.LossProb {
 			t.Fatalf("%s: configuration %v, want %v", l.Name(), l, f)
 		}
-		if l.Stats != (LinkStats{}) || l.OnDrop != nil || l.Discipline != DropTail || l.ReorderProb != 0 ||
+		if l.Stats != (LinkStats{}) || l.OnDrop != nil || l.Discipline != DropTail ||
 			l.Adversity().Enabled() || l.advRng != nil || l.Down() || l.aqmReady ||
 			l.qLen != 0 || l.arrLen != 0 || l.txPkt != nil || l.busy || l.queuedByte != 0 {
 			t.Fatalf("%s: state of the previous use survived Reset: %+v", l.Name(), l)

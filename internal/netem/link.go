@@ -49,13 +49,6 @@ type Link struct {
 	CoDelConf  CoDelParams
 	REDConf    REDParams
 
-	// ReorderProb delays each packet's *propagation* by an extra
-	// ReorderDelay with this probability, letting later packets
-	// overtake it — the multipath/retry reordering real Internet paths
-	// exhibit and FIFO queues cannot produce. Zero disables it.
-	ReorderProb  float64
-	ReorderDelay sim.Duration
-
 	Stats LinkStats
 
 	// OnDrop, if set, is invoked for every packet lost on this link
@@ -87,14 +80,14 @@ type Link struct {
 	rng   *sim.Rand
 
 	// The arrival ring holds in-flight propagation completions for
-	// links whose delivery order is provably FIFO (no reordering knob,
-	// no adversity): arrivals on such a link complete in transmit order
-	// at strictly increasing (at, seq), so only the head needs a real
-	// scheduler event — the rest are claimed inline via
-	// Scheduler.TakeNext when the head fires, one heap operation for a
-	// whole convoy. Each arrival keeps the sequence number it reserved
-	// at schedule time, so execution order is bit-identical to the
-	// one-event-per-packet history.
+	// links whose delivery order is provably FIFO (no adversity):
+	// arrivals on such a link complete in transmit order at strictly
+	// increasing (at, seq), so only the head needs a real scheduler
+	// event — the rest are claimed inline via Scheduler.TakeNext when
+	// the head fires, one heap operation for a whole convoy. Each
+	// arrival keeps the sequence number it reserved at schedule time, so
+	// execution order is bit-identical to the one-event-per-packet
+	// history.
 	arrQ    []linkArrival
 	arrHead int
 	arrLen  int
@@ -118,7 +111,7 @@ type Link struct {
 func (l *Link) Name() string { return l.fromName + "->" + l.toName }
 
 // reset puts the link in the state AddLink builds for cfg: queue,
-// counters, hooks, discipline, reorder and adversity state and the TxTime
+// counters, hooks, discipline, adversity state and the TxTime
 // memo cleared, and the loss stream forked afresh from the network RNG
 // under the link's name. Packets still queued, being serialized or in the
 // arrival ring go back to the network's free list; the rings keep their
@@ -194,12 +187,6 @@ func (l *Link) TxTime(size int) sim.Duration {
 // QueuedBytes returns the bytes currently waiting in the link's queue
 // (not counting the packet being serialized).
 func (l *Link) QueuedBytes() int { return l.queuedByte }
-
-// QueueDelay estimates how long a newly arriving packet would wait before
-// its own serialization begins, from the current backlog. Transports do
-// not use this (they are end-to-end), but tests and the PCP cross-check
-// harness do.
-func (l *Link) QueueDelay() sim.Duration { return l.TxTime(l.queuedByte) }
 
 // qPush appends to the transmit ring, growing it in place (unwrapped)
 // when full.
@@ -330,20 +317,11 @@ func linkTxDone(t sim.Time, arg any) {
 }
 
 // propagate schedules a packet's arrival at the far end of the wire:
-// base propagation delay, plus the legacy reorder knob (drawn from the
-// link's loss RNG exactly as before, so adversity-free links are
-// byte-identical to history), plus — only when adversity is installed —
-// jitter, adversity reordering and checksum corruption drawn in a fixed
-// order from the dedicated adversity stream.
+// base propagation delay, plus — only when adversity is installed —
+// jitter, reordering and checksum corruption drawn in a fixed order from
+// the dedicated adversity stream.
 func (l *Link) propagate(pkt *Packet) {
 	prop := l.Delay
-	if l.ReorderProb > 0 && l.rng.Bool(l.ReorderProb) {
-		extra := l.ReorderDelay
-		if extra <= 0 {
-			extra = 2 * l.TxTime(SegmentSize)
-		}
-		prop += extra
-	}
 	if r := l.advRng; r != nil {
 		a := &l.adv
 		if a.JitterProb > 0 && r.Bool(a.JitterProb) {
@@ -369,7 +347,7 @@ func (l *Link) propagate(pkt *Packet) {
 		}
 	}
 	sched := l.net.sched
-	if l.ReorderProb == 0 && l.advRng == nil {
+	if l.advRng == nil {
 		// FIFO fast path: propagation delay is constant and transmit
 		// completions come in serialization order, so arrivals are
 		// strictly ordered — ring-buffer them, reserve each one's
@@ -441,7 +419,7 @@ func linkArriveHead(now sim.Time, arg any) {
 }
 
 // linkPropagated fires when a packet reaches the far end of its wire on
-// the slow (reordering/adversity) path.
+// the slow (adversity) path.
 func linkPropagated(arrival sim.Time, arg any) {
 	pkt := arg.(*Packet)
 	l := pkt.link

@@ -300,36 +300,3 @@ func TestLoopbackDelivery(t *testing.T) {
 		t.Fatal("loopback packet not delivered immediately")
 	}
 }
-
-func TestReorderingInjection(t *testing.T) {
-	sched := sim.NewScheduler()
-	net := NewNetwork(sched, sim.NewRand(3))
-	a := net.AddNode("a")
-	b := net.AddNode("b")
-	link := net.AddLink(a, b, LinkConfig{RateBps: 100 * Mbps, Delay: 5 * sim.Millisecond, BufferCap: 1 << 20})
-	link.ReorderProb = 0.2
-	link.ReorderDelay = 2 * sim.Millisecond
-	net.ComputeRoutes()
-	var seqs []int32
-	b.Deliver = func(pkt *Packet, now sim.Time) { seqs = append(seqs, pkt.Seq) }
-	for i := 0; i < 500; i++ {
-		seq := int32(i)
-		at := sim.Time(i) * sim.Time(200*sim.Microsecond)
-		sched.At(at, func(now sim.Time) {
-			net.Inject(&Packet{Kind: KindData, Src: a.ID, Dst: b.ID, Seq: seq, Size: 1500}, now)
-		})
-	}
-	sched.Run()
-	if len(seqs) != 500 {
-		t.Fatalf("delivered %d", len(seqs))
-	}
-	inversions := 0
-	for i := 1; i < len(seqs); i++ {
-		if seqs[i] < seqs[i-1] {
-			inversions++
-		}
-	}
-	if inversions == 0 {
-		t.Fatal("reordering injection produced perfectly ordered delivery")
-	}
-}

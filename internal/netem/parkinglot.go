@@ -63,13 +63,6 @@ func (c ParkingLotConfig) Defaulted() ParkingLotConfig {
 	return c
 }
 
-// PathRTT returns the full-chain round-trip propagation delay.
-func (c ParkingLotConfig) PathRTT() sim.Duration {
-	c.applyDefaults()
-	// Edges contribute ~nothing; each hop contributes HopDelay each way.
-	return 2 * sim.Duration(c.Hops) * c.HopDelay
-}
-
 // NewParkingLot builds the chain on a fresh network.
 func NewParkingLot(sched *sim.Scheduler, rng *sim.Rand, cfg ParkingLotConfig) *ParkingLot {
 	cfg.applyDefaults()

@@ -8,7 +8,6 @@ import (
 
 // Gbps and Mbps are convenience rate constants (bits per second).
 const (
-	Kbps int64 = 1_000
 	Mbps int64 = 1_000_000
 	Gbps int64 = 1_000_000_000
 )
@@ -144,7 +143,7 @@ func NewPath(sched *sim.Scheduler, rng *sim.Rand, cfg PathConfig) *Path {
 // use; on a zero Path it builds them first, so a fresh path and a
 // recycled one are initialised by the same code. Whatever the previous
 // use left behind — queued and in-flight packets, counters, Trace, OnDrop
-// and Deliver hooks, AQM, reorder and adversity settings — is gone, and
+// and Deliver hooks, AQM and adversity settings — is gone, and
 // both links draw loss from streams forked from rng exactly as on a new
 // path.
 func (p *Path) Reset(sched *sim.Scheduler, rng *sim.Rand, cfg PathConfig) {

@@ -4,14 +4,12 @@ import (
 	"sync"
 
 	"halfback/internal/netem"
-	"halfback/internal/sim"
 )
 
 // CacheEntry is the state TCP-Cache preserves across flows on one path.
 type CacheEntry struct {
 	Cwnd     float64
 	Ssthresh float64
-	StoredAt sim.Time
 }
 
 // PathCache implements TCP-Cache's cross-flow memory: the final
@@ -19,9 +17,10 @@ type CacheEntry struct {
 // One PathCache is shared by all TCP-Cache flows of a simulation,
 // mirroring a host-wide cache like TCP Fast Start's [28].
 //
-// The cache optionally ages entries: the paper notes caching schemes
-// "draw back to Slow-Start when the variables are aged" — flows that
-// find only a stale entry start cold.
+// Entries never age. The paper notes caching schemes "draw back to
+// Slow-Start when the variables are aged", and calls the unchanging
+// topology of its own evaluation, which keeps the cache permanently
+// fresh, "an unrealistic advantage"; that scenario is the one modelled.
 //
 // The cache is owned by one scheme.Instance and therefore by one
 // simulation universe, but the parallel sweep engine (internal/fleet)
@@ -29,11 +28,6 @@ type CacheEntry struct {
 // cross-universe sharing by accident stays a correctness bug, not a
 // data race.
 type PathCache struct {
-	// TTL expires entries; zero disables ageing (the paper's
-	// evaluation scenario, which it calls "an unrealistic advantage":
-	// an unchanging topology keeps the cache permanently fresh).
-	TTL sim.Duration
-
 	mu      sync.Mutex
 	entries map[pathKey]CacheEntry
 	hits    int64
@@ -44,10 +38,9 @@ type pathKey struct {
 	src, dst netem.NodeID
 }
 
-// NewPathCache returns an empty cache with the given TTL (zero = never
-// expires).
-func NewPathCache(ttl sim.Duration) *PathCache {
-	return &PathCache{TTL: ttl, entries: make(map[pathKey]CacheEntry)}
+// NewPathCache returns an empty cache.
+func NewPathCache() *PathCache {
+	return &PathCache{entries: make(map[pathKey]CacheEntry)}
 }
 
 // Lookup returns the cached state for a path if present and fresh.
@@ -56,21 +49,6 @@ func (pc *PathCache) Lookup(src, dst netem.NodeID) (CacheEntry, bool) {
 	defer pc.mu.Unlock()
 	e, ok := pc.entries[pathKey{src, dst}]
 	if !ok {
-		pc.misses++
-		return CacheEntry{}, false
-	}
-	pc.hits++
-	return e, true
-}
-
-// lookupAt is Lookup with TTL evaluation at a given time; exported use
-// goes through Reno which has no clock at lookup time, so TTL filtering
-// happens at Store-read via StoreTime comparison in tests. Kept internal.
-func (pc *PathCache) lookupAt(src, dst netem.NodeID, now sim.Time) (CacheEntry, bool) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	e, ok := pc.entries[pathKey{src, dst}]
-	if !ok || (pc.TTL > 0 && now.Sub(e.StoredAt) > pc.TTL) {
 		pc.misses++
 		return CacheEntry{}, false
 	}

@@ -14,7 +14,7 @@ import (
 // real check is the race detector proving every access path (Lookup,
 // Store, Stats, Len) holds the mutex.
 func TestPathCacheConcurrentAccess(t *testing.T) {
-	c := tcp.NewPathCache(0)
+	c := tcp.NewPathCache()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -23,7 +23,7 @@ func TestPathCacheConcurrentAccess(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				src := netem.NodeID(g % 4)
 				dst := netem.NodeID(10 + i%5)
-				c.Store(src, dst, tcp.CacheEntry{Cwnd: float64(i), StoredAt: sim.Time(i)})
+				c.Store(src, dst, tcp.CacheEntry{Cwnd: float64(i)})
 				if e, ok := c.Lookup(src, dst); ok && e.Cwnd < 0 {
 					t.Errorf("negative cwnd from cache: %+v", e)
 				}
@@ -49,7 +49,7 @@ type cacheOutcome struct {
 
 func cacheUniverse(t *testing.T, flowBytes int) cacheOutcome {
 	t.Helper()
-	cache := tcp.NewPathCache(0)
+	cache := tcp.NewPathCache()
 	w := ptest.NewWorld(netem.PathConfig{})
 	cold := w.TransferC(flowBytes, tcp.New(tcp.Config{InitialWindow: 2, Cache: cache}))
 	warm := w.TransferC(flowBytes, tcp.New(tcp.Config{InitialWindow: 2, Cache: cache}))

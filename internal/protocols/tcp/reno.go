@@ -171,9 +171,7 @@ func (r *Reno) State() any { return &r.RenoState }
 func (r *Reno) OnDone(env cc.Env, now sim.Time) {
 	if r.Conf.Cache != nil {
 		src, dst := env.Path()
-		r.Conf.Cache.Store(src, dst, CacheEntry{
-			Cwnd: r.Cwnd, Ssthresh: r.Ssthresh, StoredAt: now,
-		})
+		r.Conf.Cache.Store(src, dst, CacheEntry{Cwnd: r.Cwnd, Ssthresh: r.Ssthresh})
 	}
 }
 

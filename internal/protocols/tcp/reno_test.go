@@ -101,7 +101,7 @@ func TestCongestionWindowOverflowsSmallBuffer(t *testing.T) {
 }
 
 func TestPathCacheStoreAndLookup(t *testing.T) {
-	c := tcp.NewPathCache(0)
+	c := tcp.NewPathCache()
 	if _, ok := c.Lookup(1, 2); ok {
 		t.Fatal("empty cache hit")
 	}
@@ -123,7 +123,7 @@ func TestPathCacheStoreAndLookup(t *testing.T) {
 }
 
 func TestTCPCacheWarmStartIsFaster(t *testing.T) {
-	cache := tcp.NewPathCache(0)
+	cache := tcp.NewPathCache()
 	w := ptest.NewWorld(netem.PathConfig{})
 	cold := transfer(t, w, 100_000, tcp.Config{InitialWindow: 2, Cache: cache})
 	if cache.Len() != 1 {

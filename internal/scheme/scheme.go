@@ -90,7 +90,7 @@ func New(name string) (*Instance, error) {
 	case TCP10:
 		return instance(name, tcp.New(tcp.Config{InitialWindow: 10})), nil
 	case TCPCache:
-		cache := tcp.NewPathCache(0)
+		cache := tcp.NewPathCache()
 		inst := instance(name, tcp.New(tcp.Config{InitialWindow: 2, Cache: cache}))
 		inst.Cache = cache
 		return inst, nil

@@ -276,10 +276,10 @@ func TestHonestPathIdentity(t *testing.T) {
 
 // TestHonestValidatorZeroAllocs pins the validator's honest-path cost
 // at zero allocations per validated ACK — the guarantee that keeps the
-// hot path's alloc trajectory (bench/BASELINE.json) flat with
-// validation always on. Exercised over the three shapes that occur on
-// an honest path: cumulative progress, new SACK information, and a
-// pure duplicate.
+// hot path's allocations per event (the harness's
+// experiment.allocs_per_event) flat with validation always on.
+// Exercised over the three shapes that occur on an honest path:
+// cumulative progress, new SACK information, and a pure duplicate.
 func TestHonestValidatorZeroAllocs(t *testing.T) {
 	v, s := mkVal(64, 64)
 	setup := honestAck(v, 8, netem.SeqRange{Lo: 10, Hi: 12})

@@ -40,14 +40,3 @@ func PoissonArrivals(rng *sim.Rand, dist SizeDist, meanInterarrival sim.Duration
 	}
 	return out
 }
-
-// UniformArrivals generates flows at a fixed interval (used by the
-// bufferbloat experiment's "average interval between the short flows is
-// 10 s" workload).
-func UniformArrivals(dist SizeDist, rng *sim.Rand, interval sim.Duration, horizon sim.Duration) []Arrival {
-	var out []Arrival
-	for t := sim.Time(interval); t < sim.Time(horizon); t = t.Add(interval) {
-		out = append(out, Arrival{At: t, Bytes: dist.Sample(rng)})
-	}
-	return out
-}

@@ -147,16 +147,6 @@ func TestPoissonArrivalsRateAndOrder(t *testing.T) {
 	}
 }
 
-func TestUniformArrivals(t *testing.T) {
-	arr := UniformArrivals(Fixed{Bytes: 5}, sim.NewRand(1), sim.Second, 10*sim.Second)
-	if len(arr) != 9 {
-		t.Fatalf("count %d", len(arr))
-	}
-	if arr[0].At != sim.Time(sim.Second) {
-		t.Fatalf("first at %v", arr[0].At)
-	}
-}
-
 func TestPlanetLabPopulationRanges(t *testing.T) {
 	specs := PlanetLabPopulation(sim.NewRand(1), 2000)
 	if len(specs) != 2000 {
