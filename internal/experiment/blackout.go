@@ -131,12 +131,10 @@ func runBlackoutCell(seed uint64, cell BlackoutCell) (BlackoutCell, error) {
 		return BlackoutCell{}, err
 	}
 
-	net := s.D.Net
 	cell.Stats = conn.Stats
 	cell.AbortAfter = conn.Stats.AbortedAt.Sub(sim.Time(BlackoutAt))
 	cell.WastedPkts = s.D.Bottleneck.Stats.FlapDrops + s.D.Reverse.Stats.FlapDrops
-	cell.Drained = s.Sched.Pending() == 0
-	cell.ConservOK = net.InjectedTotal+net.DuplicatedTotal == net.DeliveredTotal+net.DroppedTotal
+	cell.Drained, cell.ConservOK = s.Drain()
 	return cell, nil
 }
 

@@ -77,7 +77,7 @@ func runBufferbloatCell(seed uint64, cfg netem.DumbbellConfig, queue func(*Dumbb
 	// bloated buffer (the short-flow schemes keep the paper's 141 KB).
 	bgOpts := s.Opts
 	bgOpts.FlowWindow = 4 << 20
-	s.StartFlowOnPairOpts(0, scheme.MustNew(scheme.TCP), 2_000_000_000, 0, bgOpts)
+	s.StartFlowOn(0, scheme.MustNew(scheme.TCP), 2_000_000_000, 0, bgOpts, nil)
 
 	// Short flows every 10 s on average, exponential interarrivals,
 	// starting after the background flow has filled the pipe.
@@ -88,19 +88,12 @@ func runBufferbloatCell(seed uint64, cfg netem.DumbbellConfig, queue func(*Dumbb
 	}
 	s.Run(horizon + 60*sim.Second)
 
-	row := Fig10Row{Scheme: schemeName, BufferBytes: cfg.BufferBytes, Launched: len(arrivals)}
-	var fcts, retx []float64
-	for _, st := range s.Finished {
-		if st.Scheme != schemeName {
-			continue
-		}
-		row.Completed++
-		fcts = append(fcts, st.FCT().Seconds()*1000)
-		retx = append(retx, float64(st.NormalRetx))
+	fct, meanRetx := summarizeFlows(s.Finished, schemeName)
+	return Fig10Row{
+		Scheme: schemeName, BufferBytes: cfg.BufferBytes,
+		MeanFCTms: fct.Mean, MeanRetx: meanRetx,
+		Completed: fct.N, Launched: len(arrivals),
 	}
-	row.MeanFCTms = metrics.Summarize(fcts).Mean
-	row.MeanRetx = metrics.Summarize(retx).Mean
-	return row
 }
 
 // Tables renders both panels.

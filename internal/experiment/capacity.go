@@ -84,17 +84,12 @@ func runCapacityCell(seed uint64, schemeName string, util float64, horizon sim.D
 	// still cannot complete are the collapse signal.
 	s.Run(horizon + 120*sim.Second)
 
-	var fcts, retx []float64
-	for _, st := range s.Finished {
-		fcts = append(fcts, st.FCT().Seconds()*1000)
-		retx = append(retx, float64(st.NormalRetx))
-	}
-	sum := metrics.Summarize(fcts)
+	fct, meanRetx := summarizeFlows(s.Finished, "")
 	return CapacityPoint{
 		Scheme: schemeName, Utilization: util,
-		MeanFCTms: sum.Mean, P99FCTms: sum.Percentile(99),
+		MeanFCTms: fct.Mean, P99FCTms: fct.Percentile(99),
 		CompletionRate: s.CompletionRate(),
-		MeanNormRetx:   metrics.Summarize(retx).Mean,
+		MeanNormRetx:   meanRetx,
 		Launched:       len(arrivals),
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"halfback/internal/netem"
 	"halfback/internal/scheme"
 	"halfback/internal/sim"
-	"halfback/internal/transport"
 	"halfback/internal/workload"
 )
 
@@ -91,16 +90,7 @@ func runFig13Cell(seed uint64, schemeName string, sched fig13Schedule, horizon s
 		c.Stats.Scheme = "long-TCP"
 	}
 	s.Run(horizon + 120*sim.Second)
-
-	var short, long []float64
-	for _, st := range s.Finished {
-		if st.Scheme == "long-TCP" {
-			long = append(long, st.FCT().Seconds()*1000)
-		} else {
-			short = append(short, st.FCT().Seconds()*1000)
-		}
-	}
-	return metrics.Summarize(short).Mean, metrics.Summarize(long).Mean
+	return meanFCTms(s.Finished, shortInst.Name), meanFCTms(s.Finished, "long-TCP")
 }
 
 // Fig13 runs the sweep. The TCP cell doubles as the normalization
@@ -307,10 +297,6 @@ func runFig14Mixed(seed uint64, schemeName string, arrivals []workload.Arrival, 
 	}
 	return meanFCTms(s.Finished, "mixed-TCP"), meanFCTms(s.Finished, inst.Name),
 		metrics.JainIndex(rates)
-}
-
-func meanFCTms(stats []*transport.FlowStats, schemeName string) float64 {
-	return metrics.Summarize(fctsMs(stats, schemeName)).Mean
 }
 
 // At returns the point for (scheme, util), for tests.

@@ -53,32 +53,15 @@ func Multihop(seed uint64, sc Scale) *MultihopResult {
 }
 
 func runMultihopCell(seed uint64, schemeName string, util float64, horizon sim.Duration) MultihopRow {
-	sched := sim.NewScheduler()
-	sched.MaxEvents = maxEventsBackstop
 	rng := sim.NewRand(seed ^ hashString("multihop"+schemeName) ^ uint64(util*1e4))
 	cfg := netem.ParkingLotConfig{Hops: 3}
-	pl := netem.NewParkingLot(sched, rng.ForkNamed("net"), cfg)
-
-	stacks := map[netem.NodeID]*transport.Stack{
-		pl.Src.ID: transport.NewStack(pl.Net, pl.Src),
-		pl.Dst.ID: transport.NewStack(pl.Net, pl.Dst),
-	}
-	for i := range pl.CrossSrc {
-		stacks[pl.CrossSrc[i].ID] = transport.NewStack(pl.Net, pl.CrossSrc[i])
-		stacks[pl.CrossDst[i].ID] = transport.NewStack(pl.Net, pl.CrossDst[i])
-	}
-
-	opts := transport.DefaultOptions()
-	var nextID netem.FlowID
-	var finished []*transport.FlowStats
-	var conns []*transport.Conn
-	launch := func(at sim.Time, inst *scheme.Instance, bytes int, src, dst netem.NodeID, label string) {
-		nextID++
-		conn := transport.NewConn(nextID, stacks[src], stacks[dst], bytes, opts, inst.Make,
-			func(c *transport.Conn) { finished = append(finished, c.Stats) })
+	pl := netem.NewParkingLot(sim.NewScheduler(), rng.ForkNamed("net"), cfg)
+	var w transport.World
+	w.Reset(pl.Net, 1)
+	launch := func(at sim.Time, inst *scheme.Instance, bytes int, src, dst *netem.Node, label string) {
+		conn := w.Dial(src, dst, bytes, w.Opts, inst.Make, nil)
 		conn.Stats.Scheme = label
-		conns = append(conns, conn)
-		sched.At(at, func(t sim.Time) { conn.Start(t) })
+		w.StartAt(at, conn)
 	}
 
 	// Per-hop TCP cross traffic at the target utilization.
@@ -87,7 +70,7 @@ func runMultihopCell(seed uint64, schemeName string, util float64, horizon sim.D
 	ia := workload.MeanInterarrivalFor(dist.Mean(), util, cfg.Defaulted().BottleneckBps)
 	for i := range pl.CrossSrc {
 		for _, a := range workload.PoissonArrivalsCached(rng.ForkNamed("cross"), dist, ia, horizon) {
-			launch(a.At, crossInst, a.Bytes, pl.CrossSrc[i].ID, pl.CrossDst[i].ID, "cross")
+			launch(a.At, crossInst, a.Bytes, pl.CrossSrc[i], pl.CrossDst[i], "cross")
 		}
 	}
 	// Full-chain short flows of the scheme under test, every ~500 ms.
@@ -95,30 +78,18 @@ func runMultihopCell(seed uint64, schemeName string, util float64, horizon sim.D
 	launched := 0
 	for _, a := range workload.PoissonArrivalsCached(rng.ForkNamed("chain"),
 		dist, 500*sim.Millisecond, horizon) {
-		launch(a.At, inst, a.Bytes, pl.Src.ID, pl.Dst.ID, schemeName)
+		launch(a.At, inst, a.Bytes, pl.Src, pl.Dst, schemeName)
 		launched++
 	}
 
-	sched.RunUntil(sim.Time(horizon + 60*sim.Second))
-	for _, c := range conns {
-		c.Abort()
-	}
+	w.Run(horizon + 60*sim.Second)
 
-	row := MultihopRow{Scheme: schemeName, Utilization: util, Launched: launched}
-	var fcts, retx []float64
-	for _, st := range finished {
-		if st.Scheme != schemeName {
-			continue
-		}
-		row.Completed++
-		fcts = append(fcts, st.FCT().Seconds()*1000)
-		retx = append(retx, float64(st.NormalRetx))
+	fct, meanRetx := summarizeFlows(w.Finished, schemeName)
+	return MultihopRow{
+		Scheme: schemeName, Utilization: util,
+		MeanFCTms: fct.Mean, P99FCTms: fct.Percentile(99), MeanRetx: meanRetx,
+		Completed: fct.N, Launched: launched,
 	}
-	sum := metrics.Summarize(fcts)
-	row.MeanFCTms = sum.Mean
-	row.P99FCTms = sum.Percentile(99)
-	row.MeanRetx = metrics.Summarize(retx).Mean
-	return row
 }
 
 // Cell returns a row for tests.

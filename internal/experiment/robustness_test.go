@@ -39,6 +39,30 @@ func TestEverySchemeSurvivesHostilePaths(t *testing.T) {
 	}
 }
 
+// TestHostilePathRegressions replays inputs on which the property above
+// once failed; every scheme must complete on each.
+func TestHostilePathRegressions(t *testing.T) {
+	for _, row := range []struct {
+		seed uint64
+		cfg  netem.PathConfig
+	}{
+		// Fixed-Window stalled here for the full 300 s: the retransmitted
+		// copy of the cumulative point was lost and its window gate never
+		// reopened (fixedwin.OnLoss now retransmits it on every timeout).
+		{0x9e4c2a9b5d188760, netem.PathConfig{
+			RateBps: 6 * netem.Mbps, UpRateBps: 5 * netem.Mbps, RTT: 190 * sim.Millisecond,
+			BufferBytes: 88 * 1024, LossProb: 0.09,
+		}},
+	} {
+		for _, name := range scheme.AllNames() {
+			st := NewPathSim(row.seed, row.cfg).FetchOnce(scheme.MustNew(name), 50_000, 300*sim.Second)
+			if !st.Completed {
+				t.Errorf("%s did not complete on seed %#x cfg %+v: %+v", name, row.seed, row.cfg, st)
+			}
+		}
+	}
+}
+
 // TestConcurrentSchemesShareDumbbell mixes every scheme in one world —
 // the kind of heterogeneous deployment §4.3.3 studies — and checks the
 // simulation stays sane (all flows complete at low utilization).

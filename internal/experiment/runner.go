@@ -125,48 +125,24 @@ type Result interface {
 	Tables() []*metrics.Table
 }
 
-// maxEventsBackstop aborts runaway simulations; generous enough for the
-// largest paper-scale run.
-const maxEventsBackstop = 1_000_000_000
-
-// DumbbellSim is one simulation universe on the Fig. 4 topology:
-// scheduler, network, per-host transport stacks, flow launching and
-// stats collection.
+// DumbbellSim is one simulation universe on the Fig. 4 topology: a
+// transport.World on a dumbbell, plus the seed's random stream for the
+// cell's workload.
 type DumbbellSim struct {
-	Sched *sim.Scheduler
-	Rng   *sim.Rand
-	D     *netem.Dumbbell
-	Opts  transport.Options
+	transport.World
+	Rng *sim.Rand
+	D   *netem.Dumbbell
 
-	stacks   map[netem.NodeID]*transport.Stack
-	nextFlow netem.FlowID
 	nextPair int
-
-	conns []*transport.Conn
-	// Finished collects stats of completed flows in completion order.
-	Finished []*transport.FlowStats
 }
 
 // NewDumbbellSim builds the world.
 func NewDumbbellSim(seed uint64, cfg netem.DumbbellConfig) *DumbbellSim {
-	sched := sim.NewScheduler()
-	sched.MaxEvents = maxEventsBackstop
 	rng := sim.NewRand(seed)
-	d := netem.NewDumbbell(sched, rng.ForkNamed("net"), cfg)
-	s := &DumbbellSim{
-		Sched: sched, Rng: rng, D: d,
-		Opts:   transport.DefaultOptions(),
-		stacks: make(map[netem.NodeID]*transport.Stack),
-	}
-	for i := range d.Senders {
-		s.stacks[d.Senders[i].ID] = transport.NewStack(d.Net, d.Senders[i])
-		s.stacks[d.Receivers[i].ID] = transport.NewStack(d.Net, d.Receivers[i])
-	}
+	s := &DumbbellSim{Rng: rng, D: netem.NewDumbbell(sim.NewScheduler(), rng.ForkNamed("net"), cfg)}
+	s.Reset(s.D.Net, 0)
 	return s
 }
-
-// Stack returns the transport stack attached to a node.
-func (s *DumbbellSim) Stack(id netem.NodeID) *transport.Stack { return s.stacks[id] }
 
 // StartFlowAt schedules a flow of the given scheme and size to begin at
 // the given virtual time, on the next host pair round-robin. It returns
@@ -174,103 +150,38 @@ func (s *DumbbellSim) Stack(id netem.NodeID) *transport.Stack { return s.stacks[
 func (s *DumbbellSim) StartFlowAt(at sim.Time, inst *scheme.Instance, bytes int) *transport.Conn {
 	pair := s.nextPair % len(s.D.Senders)
 	s.nextPair++
-	return s.StartFlowOnPair(at, inst, bytes, pair)
+	return s.StartFlowOn(at, inst, bytes, pair, s.Opts, nil)
 }
 
-// StartFlowOnPair is StartFlowAt with an explicit host pair, for
-// experiments that pin flows to hosts (Fig. 15's background flow).
-func (s *DumbbellSim) StartFlowOnPair(at sim.Time, inst *scheme.Instance, bytes, pair int) *transport.Conn {
-	return s.StartFlowOnPairOpts(at, inst, bytes, pair, s.Opts)
-}
-
-// StartFlowOnPairOpts additionally overrides the transport options for
-// this one flow. Long background flows use it to model modern autotuned
-// receive windows (far larger than the 141 KB the short-flow schemes are
-// evaluated with), which is what lets them actually bloat large buffers.
-func (s *DumbbellSim) StartFlowOnPairOpts(at sim.Time, inst *scheme.Instance, bytes, pair int, opts transport.Options) *transport.Conn {
-	return s.StartFlowFull(at, inst, bytes, pair, opts, nil)
-}
-
-// StartFlowFull is the fully general flow launcher: explicit pair,
-// options override, and an optional per-flow completion callback (the
+// StartFlowOn is the general launcher: an explicit host pair (Fig. 15
+// pins its background flow), the flow's own transport options (long
+// background flows model autotuned receive windows far above the 141 KB
+// the short-flow schemes are evaluated with, which is what lets them
+// bloat large buffers) and an optional completion callback (the
 // web-page experiment chains object fetches with it).
-func (s *DumbbellSim) StartFlowFull(at sim.Time, inst *scheme.Instance, bytes, pair int,
+func (s *DumbbellSim) StartFlowOn(at sim.Time, inst *scheme.Instance, bytes, pair int,
 	opts transport.Options, onDone func(*transport.FlowStats)) *transport.Conn {
-	id := s.nextFlow
-	s.nextFlow++
-	src := s.stacks[s.D.Senders[pair].ID]
-	dst := s.stacks[s.D.Receivers[pair].ID]
-	conn := transport.NewConn(id, src, dst, bytes, opts, inst.Make, func(c *transport.Conn) {
-		s.Finished = append(s.Finished, c.Stats)
-		if onDone != nil {
-			onDone(c.Stats)
-		}
-	})
+	conn := s.Dial(s.D.Senders[pair], s.D.Receivers[pair], bytes, opts, inst.Make, onDone)
 	// The label is set once here; callers may relabel (e.g. "long-TCP")
 	// before the flow completes and the label sticks.
 	conn.Stats.Scheme = inst.Name
-	s.conns = append(s.conns, conn)
-	s.Sched.At(at, func(t sim.Time) { conn.Start(t) })
+	s.StartAt(at, conn)
 	return conn
 }
 
-// Run executes the simulation until the given virtual time, then aborts
-// unfinished flows (their stats remain inspectable via Conns).
-func (s *DumbbellSim) Run(until sim.Duration) {
-	s.Sched.RunUntil(sim.Time(until))
-	for _, c := range s.conns {
-		c.Abort()
-	}
-}
-
-// RunSupervised executes the simulation under the sim supervision
-// layer: an event budget, a virtual-time horizon, and a stall detector
-// keyed (by default) to end-to-end packet deliveries — a universe
-// whose endpoints stop receiving anything for the stall window is
-// reported as sim.ErrStalled instead of looping until the MaxEvents
-// panic. Whatever the outcome, unfinished flows are aborted and the
-// remaining events drained before returning, so the universe ends in
-// an inspectable terminal state (conservation checks included) even
-// when it failed.
-func (s *DumbbellSim) RunSupervised(cfg sim.SuperviseConfig) error {
-	if cfg.Progress == nil {
-		net := s.D.Net
-		cfg.Progress = func() int64 { return net.DeliveredTotal }
-	}
-	err := s.Sched.RunSupervised(cfg)
-	for _, c := range s.conns {
-		c.Abort()
-	}
-	s.Sched.Run()
-	return err
-}
-
-// Conns returns every connection created, finished or not.
-func (s *DumbbellSim) Conns() []*transport.Conn { return s.conns }
-
-// CompletionRate returns the fraction of launched flows that finished.
-func (s *DumbbellSim) CompletionRate() float64 {
-	if len(s.conns) == 0 {
-		return 1
-	}
-	return float64(len(s.Finished)) / float64(len(s.conns))
-}
-
 // PathSim is a single wide-area pair world (PlanetLab and home-network
-// experiments): one client, one server, one bottleneck path.
+// experiments): a transport.World on one client, one server and one
+// bottleneck path.
 type PathSim struct {
-	Sched  *sim.Scheduler
+	transport.World
 	Path   *netem.Path
 	Client *transport.Stack
 	Server *transport.Stack
-	Opts   transport.Options
 
 	// OnConn, when non-nil, observes every connection immediately after
 	// creation and before Start — the hook point for attaching receiver
 	// replacements (ptest attackers) or per-flow instrumentation.
 	OnConn func(*transport.Conn)
-
-	nextFlow netem.FlowID
 }
 
 // NewPathSim builds a fresh path world.
@@ -282,27 +193,22 @@ func NewPathSim(seed uint64, cfg netem.PathConfig) *PathSim {
 
 // Reset puts the universe in the state NewPathSim(seed, cfg) builds,
 // reusing the storage of an earlier cell (scheduler pool, link rings,
-// packet free list, endpoint maps); on a zero PathSim it allocates them
-// first, so fresh and recycled universes are initialised by the same
-// code. Nothing of the earlier cell survives: pending events, packets in
-// flight, counters, options and every hook (OnConn, Net.Trace, link
-// OnDrop, wrapped Deliver handlers) are cleared by the layers' resets.
+// packet free list, stacks, endpoint maps, flow slices); on a zero
+// PathSim it allocates them first, so fresh and recycled universes are
+// initialised by the same code. Nothing of the earlier cell survives:
+// pending events, packets in flight, counters, options, flows and every
+// hook (OnConn, Net.Trace, link OnDrop, wrapped Deliver handlers) are
+// cleared by the layers' resets.
 func (p *PathSim) Reset(seed uint64, cfg netem.PathConfig) {
-	if p.Sched == nil {
+	if p.Path == nil {
 		p.Sched = sim.NewScheduler()
 		p.Path = new(netem.Path)
-		p.Client = new(transport.Stack)
-		p.Server = new(transport.Stack)
 	}
 	p.Sched.Reset()
-	p.Sched.MaxEvents = maxEventsBackstop
 	p.Path.Reset(p.Sched, sim.NewRand(seed).ForkNamed("net"), cfg)
-	p.Client.Reset(p.Path.Net, p.Path.Client)
-	p.Server.Reset(p.Path.Net, p.Path.Server)
-	*p = PathSim{
-		Sched: p.Sched, Path: p.Path, Client: p.Client, Server: p.Server,
-		Opts: transport.DefaultOptions(),
-	}
+	p.World.Reset(p.Path.Net, 0)
+	p.Client, p.Server = p.Stack(p.Path.Client), p.Stack(p.Path.Server)
+	p.OnConn = nil
 }
 
 // pathSims recycles path universes between the cells of the
@@ -328,30 +234,39 @@ func fetchCold(seed uint64, cfg netem.PathConfig, inst *scheme.Instance, bytes i
 // client (the server is the data sender) and returns its stats. The
 // simulation runs until the flow completes or the deadline passes.
 func (p *PathSim) FetchOnce(inst *scheme.Instance, bytes int, deadline sim.Duration) *transport.FlowStats {
-	id := p.nextFlow
-	p.nextFlow++
-	conn := transport.NewConn(id, p.Server, p.Client, bytes, p.Opts, inst.Make, func(c *transport.Conn) {
-		p.Sched.Stop()
-	})
+	conn := p.Dial(p.Path.Server, p.Path.Client, bytes, p.Opts, inst.Make,
+		func(*transport.FlowStats) { p.Sched.Stop() })
 	conn.Stats.Scheme = inst.Name
 	if p.OnConn != nil {
 		p.OnConn(conn)
 	}
-	p.Sched.At(p.Sched.Now(), func(t sim.Time) { conn.Start(t) })
-	p.Sched.RunUntil(p.Sched.Now().Add(deadline))
-	conn.Abort()
+	p.StartAt(p.Sched.Now(), conn)
+	p.Run(deadline)
 	return conn.Stats
 }
 
-// fctsMs extracts completed-flow FCTs in milliseconds for one scheme.
-func fctsMs(stats []*transport.FlowStats, schemeName string) []float64 {
-	var out []float64
+// summarizeFlows folds one cell's finished flows labelled schemeName
+// ("" for every flow) into what the tables print: the FCT summary in
+// milliseconds (its N is the completed count) and the mean number of
+// normal retransmissions per flow.
+func summarizeFlows(stats []*transport.FlowStats, schemeName string) (fct metrics.Summary, meanRetx float64) {
+	var fcts []float64
+	var retx int64
 	for _, st := range stats {
 		if st.Completed && (schemeName == "" || st.Scheme == schemeName) {
-			out = append(out, st.FCT().Seconds()*1000)
+			fcts = append(fcts, st.FCT().Seconds()*1000)
+			retx += st.NormalRetx
 		}
 	}
-	return out
+	if len(fcts) > 0 {
+		meanRetx = float64(retx) / float64(len(fcts))
+	}
+	return metrics.Summarize(fcts), meanRetx
+}
+
+func meanFCTms(stats []*transport.FlowStats, schemeName string) float64 {
+	fct, _ := summarizeFlows(stats, schemeName)
+	return fct.Mean
 }
 
 func fmtMs(d sim.Duration) string {

@@ -94,7 +94,7 @@ func fig15Run(seed uint64, name string, shorts []fig15Short) Fig15Panel {
 	// costs it packets knocks its window down and leaves it to AIMD
 	// back up over a couple of seconds.
 	bgTS, bgSeries := mkSeries("Background Flow")
-	bg := s.StartFlowOnPair(0, scheme.MustNew(scheme.TCP), 1_000_000_000, 0)
+	bg := s.StartFlowOn(0, scheme.MustNew(scheme.TCP), 1_000_000_000, 0, s.Opts, nil)
 	bg.OnDeliver = func(b int, now sim.Time) { bgTS.Add(now, float64(b)) }
 
 	shortTS := make([]*metrics.TimeSeries, len(shorts))
@@ -103,7 +103,7 @@ func fig15Run(seed uint64, name string, shorts []fig15Short) Fig15Panel {
 	for i, sh := range shorts {
 		ts, ser := mkSeries(sh.scheme + " short flow")
 		shortTS[i], shortSeries[i] = ts, ser
-		c := s.StartFlowOnPair(sim.Time(fig15ShortStart), scheme.MustNew(sh.scheme), sh.bytes, 1+i)
+		c := s.StartFlowOn(sim.Time(fig15ShortStart), scheme.MustNew(sh.scheme), sh.bytes, 1+i, s.Opts, nil)
 		idx := i
 		c.OnDeliver = func(b int, now sim.Time) { shortTS[idx].Add(now, float64(b)) }
 		_ = idx

@@ -103,7 +103,10 @@ type pageLoader struct {
 	onDone    func(finish sim.Time)
 }
 
-func (p *pageLoader) begin(now sim.Time) {
+// beginPage is the scheduler event that starts a page load; arg is the
+// *pageLoader.
+func beginPage(now sim.Time, arg any) {
+	p := arg.(*pageLoader)
 	p.remaining = len(p.page.ObjectBytes)
 	// Browsers fetch the base document first; embedded objects are
 	// only discovered from its contents, after which up to
@@ -117,7 +120,7 @@ func (p *pageLoader) dispatch(now sim.Time) {
 	obj := p.page.ObjectBytes[p.next]
 	p.next++
 	first := p.next == 1 // this dispatch carries the base document
-	p.sim.StartFlowFull(now, p.inst, obj, p.pair, p.sim.Opts, func(st *transport.FlowStats) {
+	p.sim.StartFlowOn(now, p.inst, obj, p.pair, p.sim.Opts, func(st *transport.FlowStats) {
 		p.remaining--
 		// The completion callback runs when the sender learns the
 		// object finished; follow-up fetches dispatch at that instant
@@ -153,7 +156,7 @@ func runFig16Cell(seed uint64, schemeName string, util float64, pages []workload
 		loader.onDone = func(finish sim.Time) {
 			responses = append(responses, finish.Sub(start).Seconds())
 		}
-		s.Sched.At(req.At, loader.begin)
+		s.Sched.AtFunc(req.At, beginPage, loader)
 	}
 	s.Run(horizon + 120*sim.Second)
 

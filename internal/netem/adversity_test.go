@@ -34,9 +34,9 @@ func TestZeroAdversityIsIdentity(t *testing.T) {
 		b.Deliver = func(pkt *Packet, now sim.Time) { delivered = append(delivered, pkt.Seq) }
 		for i := 0; i < 200; i++ {
 			seq := int32(i)
-			sched.At(sim.Time(i)*sim.Time(200*sim.Microsecond), func(now sim.Time) {
+			sched.AtFunc(sim.Time(i)*sim.Time(200*sim.Microsecond), func(now sim.Time, _ any) {
 				net.Inject(&Packet{Kind: KindData, Src: a.ID, Dst: b.ID, Seq: seq, Size: 1000}, now)
-			})
+			}, nil)
 		}
 		sched.Run()
 		return delivered, net.DroppedTotal
@@ -67,9 +67,9 @@ func TestAdversityDuplication(t *testing.T) {
 	const n = 500
 	for i := 0; i < n; i++ {
 		seq := int32(i)
-		sched.At(sim.Time(i)*sim.Time(100*sim.Microsecond), func(now sim.Time) {
+		sched.AtFunc(sim.Time(i)*sim.Time(100*sim.Microsecond), func(now sim.Time, _ any) {
 			net.Inject(&Packet{Kind: KindData, Src: a.ID, Dst: b.ID, Seq: seq, Size: 1000}, now)
-		})
+		}, nil)
 	}
 	sched.Run()
 	if net.DuplicatedTotal == 0 {
@@ -112,12 +112,12 @@ func TestAdversityCorruption(t *testing.T) {
 	const n = 400
 	for i := 0; i < n; i++ {
 		seq := int32(i)
-		sched.At(sim.Time(i)*sim.Time(150*sim.Microsecond), func(now sim.Time) {
+		sched.AtFunc(sim.Time(i)*sim.Time(150*sim.Microsecond), func(now sim.Time, _ any) {
 			pkt := net.NewPacket()
 			pkt.Kind, pkt.Src, pkt.Dst, pkt.Seq, pkt.Size = KindData, a.ID, b.ID, seq, 1000
 			pkt.PayloadSum = sum
 			net.Inject(pkt, now)
-		})
+		}, nil)
 	}
 	sched.Run()
 	if corrupted == 0 {
@@ -144,12 +144,12 @@ func TestAdversityFlap(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		seq := int32(i)
 		at := sim.Time(i) * sim.Time(sim.Millisecond)
-		sched.At(at, func(now sim.Time) {
+		sched.AtFunc(at, func(now sim.Time, _ any) {
 			if now >= down && now < up && !l.Down() {
 				t.Errorf("link up at %v inside flap window", now)
 			}
 			net.Inject(&Packet{Kind: KindData, Src: a.ID, Dst: b.ID, Seq: seq, Size: 500}, now)
-		})
+		}, nil)
 	}
 	sched.Run()
 	if l.Down() {
@@ -176,9 +176,9 @@ func TestAdversityBlackout(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		seq := int32(i)
 		at := sim.Time(i) * sim.Time(sim.Millisecond)
-		sched.At(at, func(now sim.Time) {
+		sched.AtFunc(at, func(now sim.Time, _ any) {
 			net.Inject(&Packet{Kind: KindData, Src: a.ID, Dst: b.ID, Seq: seq, Size: 500}, now)
-		})
+		}, nil)
 	}
 	sched.Run()
 	if !l.Down() {
@@ -255,9 +255,9 @@ func TestAdversityConservationProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			at := sim.Time(rng.Intn(40)) * sim.Time(sim.Millisecond)
 			seq := int32(i)
-			sched.At(at, func(now sim.Time) {
+			sched.AtFunc(at, func(now sim.Time, _ any) {
 				net.Inject(&Packet{Kind: KindData, Src: a.ID, Dst: b.ID, Seq: seq, Size: 1000}, now)
-			})
+			}, nil)
 		}
 		sched.Run()
 		return net.InjectedTotal+net.DuplicatedTotal == net.DeliveredTotal+net.DroppedTotal &&

@@ -20,16 +20,16 @@ func floodWorld(t *testing.T, disc QueueDiscipline, dur sim.Duration) (*Link, in
 	delivered := 0
 	b.Deliver = func(pkt *Packet, now sim.Time) { delivered++ }
 	// Offer 2 Mbps into a 1 Mbps link: 1500 B every 6 ms.
-	var offer func(now sim.Time)
+	var offer sim.EventFunc
 	i := int32(0)
-	offer = func(now sim.Time) {
+	offer = func(now sim.Time, _ any) {
 		net.Inject(&Packet{Kind: KindData, Src: a.ID, Dst: b.ID, Seq: i, Size: 1500}, now)
 		i++
 		if now < sim.Time(dur) {
-			sched.After(6*sim.Millisecond, offer)
+			sched.AfterFunc(6*sim.Millisecond, offer, nil)
 		}
 	}
-	sched.At(0, func(now sim.Time) { offer(now) })
+	sched.AtFunc(0, offer, nil)
 	sched.RunUntil(sim.Time(dur) + sim.Time(sim.Second))
 	return link, delivered
 }
@@ -70,9 +70,9 @@ func TestCoDelIdleBelowTarget(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		at := sim.Time(i) * sim.Time(5*sim.Millisecond) // 2.4 Mbps offered
 		seq := int32(i)
-		sched.At(at, func(now sim.Time) {
+		sched.AtFunc(at, func(now sim.Time, _ any) {
 			net.Inject(&Packet{Kind: KindData, Src: a.ID, Dst: b.ID, Seq: seq, Size: 1500}, now)
-		})
+		}, nil)
 	}
 	sched.Run()
 	if link.Stats.AQMDrops != 0 {

@@ -31,9 +31,9 @@ func TestPacketConservation(t *testing.T) {
 		for i := 0; i < n; i++ {
 			at := sim.Time(rng.Intn(50)) * sim.Time(sim.Millisecond)
 			seq := int32(i)
-			sched.At(at, func(now sim.Time) {
+			sched.AtFunc(at, func(now sim.Time, _ any) {
 				net.Inject(&Packet{Kind: KindData, Src: a.ID, Dst: b.ID, Seq: seq, Size: 1000}, now)
-			})
+			}, nil)
 		}
 		sched.Run()
 		lost := int(link.Stats.Dropped + link.Stats.RandomLosses)
@@ -66,9 +66,9 @@ func TestFIFOOrderProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			seq := int32(i)
 			at := sim.Time(i) * sim.Time(100*sim.Microsecond)
-			sched.At(at, func(now sim.Time) {
+			sched.AtFunc(at, func(now sim.Time, _ any) {
 				net.Inject(&Packet{Kind: KindData, Src: a.ID, Dst: b.ID, Seq: seq, Size: 500}, now)
-			})
+			}, nil)
 		}
 		sched.Run()
 		return ok

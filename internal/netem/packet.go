@@ -152,9 +152,9 @@ type Packet struct {
 	// checksum there.
 	Corrupted bool
 
-	// Nonce is the anti-spoofing receipt proof (wire v3). On DATA
-	// segments the sender stamps an unguessable per-segment nonce (a
-	// keyed pure function of flow and seq — see transport.AckValidator);
+	// Nonce is the anti-spoofing receipt proof. On DATA segments the
+	// sender stamps an unguessable per-segment nonce (a keyed pure
+	// function of flow and seq — see transport.AckValidator);
 	// on ACKs the receiver echoes the XOR fold of the nonces of every
 	// segment the ACK claims ([0,CumAck) plus all advertised SACK
 	// ranges). A receiver that acknowledges data it never received

@@ -2,9 +2,10 @@
 // the cost of adding a scheme after the congestion-controller extraction
 // (DESIGN.md §10's walkthrough): a constant sliding window of W
 // segments, no growth, no pacing, timeout recovery only through the
-// transport's RTO. It is the smallest possible Pumper controller — the
-// driver offers a send opportunity after every event, and the controller
-// fills the window, retransmissions first.
+// transport's RTO (on which it retransmits the cumulative point). It is
+// the smallest possible Pumper controller — the driver offers a send
+// opportunity after every event, and the controller fills the window,
+// retransmissions first.
 //
 // It exists as a living example and a conformance-suite subject, not as
 // a scheme the paper evaluates.
@@ -53,11 +54,19 @@ func (l *Logic) OnEstablished(env cc.Env, now sim.Time) {
 // The scoreboard advanced, so the driver's send offer refills the pipe.
 func (l *Logic) OnAck(env cc.Env, ev cc.AckEvent, now sim.Time) {}
 
-// OnLoss applies the timeout presumption and widens the per-segment
-// retransmission budget; the send offer retransmits.
+// OnLoss applies the timeout presumption, widens the per-segment
+// retransmission budget and retransmits the cumulative point itself,
+// as Reno does on a timeout. The send offer alone is not enough: Pipe
+// counts every retransmitted copy above the cumulative point until that
+// point advances, so once a retransmission is lost it can read Window
+// at every later timeout and OnSend's gate would never open again.
 func (l *Logic) OnLoss(env cc.Env, ev cc.LossEvent, now sim.Time) {
 	l.st.RetxBudget++
-	env.Sack().MarkOutstandingLost()
+	sc := env.Sack()
+	sc.MarkOutstandingLost()
+	if !env.Finished() {
+		env.SendSegment(sc.CumAck(), true, false, now)
+	}
 }
 
 // OnTimer is a no-op: the scheme owns no timers.

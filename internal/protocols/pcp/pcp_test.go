@@ -73,7 +73,7 @@ func TestBacksOffWhenDelayRises(t *testing.T) {
 	// wall clock, so each successive probe sees a longer queue.
 	for i := 0; i < 40; i++ {
 		at := sim.Time(100*sim.Millisecond) + sim.Time(i)*sim.Time(500*sim.Microsecond)
-		w.Sched.At(at, func(now sim.Time) {
+		w.Sched.AtFunc(at, func(now sim.Time, _ any) {
 			for j := 0; j < 2; j++ {
 				junk := &netem.Packet{
 					Kind: netem.KindData, Flow: 9999,
@@ -82,7 +82,7 @@ func TestBacksOffWhenDelayRises(t *testing.T) {
 				}
 				w.Path.Back.Send(junk, now)
 			}
-		})
+		}, nil)
 	}
 	// Flow 9999 is unknown to the client stack and silently dropped.
 	conn.Start(0)

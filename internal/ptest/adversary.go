@@ -338,19 +338,12 @@ func attackPath() netem.PathConfig {
 // whole flow fit in the first window.
 func RunAttack(seed uint64, schemeName, attack string, flowBytes int,
 	mode transport.AckValidationMode) *AttackResult {
-	sched := sim.NewScheduler()
-	sched.MaxEvents = 50_000_000
-	p := netem.NewPath(sched, sim.NewRand(seed), attackPath())
-	client := transport.NewStack(p.Net, p.Client)
-	server := transport.NewStack(p.Net, p.Server)
-
-	inst := scheme.MustNew(schemeName)
-	opts := transport.Options{AckValidation: mode}
-	conn := transport.NewConn(1, server, client, flowBytes, opts, inst.Make, nil)
+	w := newWorld(seed, attackPath())
+	conn := w.Dial(flowBytes, transport.Options{AckValidation: mode}, scheme.MustNew(schemeName).Make)
 	host := Attach(conn, attack)
 
 	conn.Start(0)
-	sched.RunUntil(sim.Time(attackHorizon))
+	w.Sched.RunUntil(sim.Time(attackHorizon))
 
 	res := &AttackResult{
 		Scheme: schemeName, Attack: attack, Mode: mode,
@@ -371,11 +364,7 @@ func RunAttack(seed uint64, schemeName, attack string, flowBytes int,
 		res.Elapsed = conn.Stats.AbortedAt
 	}
 
-	conn.Abort()
-	sched.Run()
-	res.Drained = sched.Pending() == 0
-	net := p.Net
-	res.ConservationOK = net.InjectedTotal+net.DuplicatedTotal == net.DeliveredTotal+net.DroppedTotal
+	res.Drained, res.ConservationOK = w.Drain()
 	return res
 }
 

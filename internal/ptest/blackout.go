@@ -93,32 +93,21 @@ const blackoutHorizon = 120 * sim.Second
 // own scheduler, network and scheme instance, so it is safe to fan
 // across fleet workers and to fuzz.
 func RunBlackout(u BlackoutUniverse, schemeName string, flowBytes int, opts transport.Options) *BlackoutResult {
-	sched := sim.NewScheduler()
-	sched.MaxEvents = 50_000_000
-	p := netem.NewPath(sched, sim.NewRand(u.Seed), u.Path)
+	w := newWorld(u.Seed, u.Path)
 	adv := u.Extra
 	adv.BlackoutAt = u.At
-	p.Forward.SetAdversity(adv)
-	p.Back.SetAdversity(adv)
-	client := transport.NewStack(p.Net, p.Client)
-	server := transport.NewStack(p.Net, p.Server)
+	w.Path.Forward.SetAdversity(adv)
+	w.Path.Back.SetAdversity(adv)
 
-	inst := scheme.MustNew(schemeName)
-	conn := transport.NewConn(1, server, client, flowBytes, opts, inst.Make, nil)
+	conn := w.Dial(flowBytes, opts, scheme.MustNew(schemeName).Make)
 	res := &BlackoutResult{Scheme: schemeName, Universe: u, Stats: conn.Stats}
 
 	conn.Start(0)
-	sched.RunUntil(sim.Time(blackoutHorizon))
+	w.Sched.RunUntil(sim.Time(blackoutHorizon))
 	res.Aborted = conn.Stats.Aborted
 	res.Reason = conn.Stats.AbortReason
 	res.AbortedAt = conn.Stats.AbortedAt
 
-	// Tear down (a no-op when the lifecycle already gave up) and drain.
-	conn.Abort()
-	sched.Run()
-	res.Drained = sched.Pending() == 0
-
-	net := p.Net
-	res.ConservationOK = net.InjectedTotal+net.DuplicatedTotal == net.DeliveredTotal+net.DroppedTotal
+	res.Drained, res.ConservationOK = w.Drain()
 	return res
 }

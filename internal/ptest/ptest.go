@@ -10,13 +10,29 @@ import (
 	"halfback/internal/transport"
 )
 
-// World is a two-host path with transport stacks attached.
+// World is a transport.World on a two-host path, both stacks attached.
+// Its flows are numbered from 1.
 type World struct {
-	Sched  *sim.Scheduler
+	transport.World
 	Path   *netem.Path
 	Client *transport.Stack // receiver side
 	Server *transport.Stack // sender side
-	nextID netem.FlowID
+}
+
+// maxEvents is the event backstop of every ptest world, far below the
+// paper-scale one transport.World arms: these worlds carry a handful of
+// flows on one path, so a run that gets anywhere near it is an event
+// storm, and the tighter budget fails it sooner.
+const maxEvents = 50_000_000
+
+// newWorld is the one builder of ptest worlds: the path cfg describes,
+// its loss streams seeded from seed.
+func newWorld(seed uint64, cfg netem.PathConfig) *World {
+	w := &World{Path: netem.NewPath(sim.NewScheduler(), sim.NewRand(seed), cfg)}
+	w.Reset(w.Path.Net, 1)
+	w.Sched.MaxEvents = maxEvents
+	w.Client, w.Server = w.Stack(w.Path.Client), w.Stack(w.Path.Server)
+	return w
 }
 
 // NewWorld builds a path world; zero-value fields of cfg get sane
@@ -31,21 +47,12 @@ func NewWorld(cfg netem.PathConfig) *World {
 	if cfg.BufferBytes == 0 {
 		cfg.BufferBytes = 1 << 20
 	}
-	sched := sim.NewScheduler()
-	sched.MaxEvents = 50_000_000
-	p := netem.NewPath(sched, sim.NewRand(1), cfg)
-	return &World{
-		Sched:  sched,
-		Path:   p,
-		Client: transport.NewStack(p.Net, p.Client),
-		Server: transport.NewStack(p.Net, p.Server),
-	}
+	return newWorld(1, cfg)
 }
 
 // Dial creates (but does not start) a server→client download.
 func (w *World) Dial(bytes int, opts transport.Options, mk func(*transport.Conn) transport.Logic) *transport.Conn {
-	w.nextID++
-	return transport.NewConn(w.nextID, w.Server, w.Client, bytes, opts, mk, nil)
+	return w.World.Dial(w.Path.Server, w.Path.Client, bytes, opts, mk, nil)
 }
 
 // DialC is Dial for a congestion controller: the controller is wired to

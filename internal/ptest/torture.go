@@ -133,33 +133,20 @@ const tortureHorizon = 600 * sim.Second
 // returns the verdicts. Every run builds its own scheduler, network and
 // scheme instance, so it is safe to fan across fleet workers.
 func RunTorture(u TortureUniverse, schemeName string, flowBytes int) *TortureResult {
-	sched := sim.NewScheduler()
-	sched.MaxEvents = 200_000_000
-	p := netem.NewPath(sched, sim.NewRand(u.Seed), u.Path)
-	p.Forward.SetAdversity(u.Adv)
-	p.Back.SetAdversity(u.Adv)
-	client := transport.NewStack(p.Net, p.Client)
-	server := transport.NewStack(p.Net, p.Server)
+	w := newWorld(u.Seed, u.Path)
+	w.Path.Forward.SetAdversity(u.Adv)
+	w.Path.Back.SetAdversity(u.Adv)
 
-	inst := scheme.MustNew(schemeName)
-	conn := transport.NewConn(1, server, client, flowBytes, transport.Options{}, inst.Make, nil)
+	conn := w.Dial(flowBytes, transport.Options{}, scheme.MustNew(schemeName).Make)
 	res := &TortureResult{Scheme: schemeName, Universe: u, NumSegs: conn.NumSegs, Stats: conn.Stats}
 	conn.OnDeliver = func(payloadBytes int, now sim.Time) { res.Deliveries++ }
 
 	conn.Start(0)
-	sched.RunUntil(sim.Time(tortureHorizon))
+	w.Sched.RunUntil(sim.Time(tortureHorizon))
 	res.Completed = conn.Stats.Completed
 	res.SenderDone = conn.Finished()
 	res.ChecksumOK = conn.Stats.PayloadSumRecv == conn.ExpectedPayloadSum()
 
-	// Tear down and drain: whatever is still scheduled (delayed ACKs,
-	// RTO timers, in-flight duplicates) must run out, or something is
-	// keeping the world alive forever.
-	conn.Abort()
-	sched.Run()
-	res.Drained = sched.Pending() == 0
-
-	net := p.Net
-	res.ConservationOK = net.InjectedTotal+net.DuplicatedTotal == net.DeliveredTotal+net.DroppedTotal
+	res.Drained, res.ConservationOK = w.Drain()
 	return res
 }

@@ -85,11 +85,11 @@ func TestTimerCancelZeroAlloc(t *testing.T) {
 // crucially, not cancel the successor event occupying the slot.
 func TestTimerHandleRecycledInert(t *testing.T) {
 	s := NewScheduler()
-	stale := s.At(10, func(Time) {})
+	stale := s.AtFunc(10, func(Time, any) {}, nil)
 	s.Run() // fires; slot returns to the free list
 
 	ran := false
-	fresh := s.At(20, func(Time) { ran = true }) // reuses the slot
+	fresh := s.AtFunc(20, func(Time, any) { ran = true }, nil) // reuses the slot
 	if fresh.slot != stale.slot {
 		t.Fatalf("test setup: expected slot reuse (stale=%d fresh=%d)", stale.slot, fresh.slot)
 	}
@@ -113,9 +113,9 @@ func TestTimerHandleRecycledInert(t *testing.T) {
 
 	// A handle stopped before firing goes stale once the heap sweeps
 	// the cancelled slot; it must be equally inert afterwards.
-	victim := s.At(30, func(Time) { t.Fatal("stopped event ran") })
+	victim := s.AtFunc(30, func(Time, any) { t.Fatal("stopped event ran") }, nil)
 	victim.Stop()
-	s.At(31, func(Time) {})
+	s.AtFunc(31, func(Time, any) {}, nil)
 	s.Run() // sweep recycles victim's slot
 	if victim.Stop() || victim.Pending() || victim.When() != 0 {
 		t.Fatal("swept cancelled handle is not inert")
@@ -137,7 +137,7 @@ func TestPendingCounterTracksCancelAndFire(t *testing.T) {
 	s := NewScheduler()
 	timers := make([]Timer, 10)
 	for i := range timers {
-		timers[i] = s.At(Time(i+1), func(Time) {})
+		timers[i] = s.AtFunc(Time(i+1), func(Time, any) {}, nil)
 	}
 	if got := s.Pending(); got != 10 {
 		t.Fatalf("Pending after scheduling 10: %d", got)

@@ -66,12 +66,12 @@ func runScript(t *testing.T, s *Scheduler, ops []scriptOp, drain bool, stale []T
 		switch op.kind {
 		case opSchedule, opScheduleStop:
 			seq, stop := s.seq, op.kind == opScheduleStop
-			timers[i] = s.After(op.d, func(now Time) {
+			timers[i] = s.AfterFunc(op.d, func(now Time, _ any) {
 				fired = append(fired, firing{now, seq})
 				if stop {
 					s.Stop()
 				}
-			})
+			}, nil)
 		case opCancel:
 			timers[op.idx].Stop()
 		case opRunUntil:
@@ -145,9 +145,9 @@ func TestResetFoldsCounters(t *testing.T) {
 	events, cancels := ProcessedTotal(), TimerCancelsTotal()
 	s := NewScheduler()
 	for i := 0; i < 5; i++ {
-		s.After(Duration(i), func(Time) {})
+		s.AfterFunc(Duration(i), func(Time, any) {}, nil)
 	}
-	s.After(100, func(Time) {}).Stop()
+	s.AfterFunc(100, func(Time, any) {}, nil).Stop()
 	for i := 0; i < 3; i++ {
 		s.Step()
 	}
@@ -177,9 +177,9 @@ func TestRunUntilStoppedKeepsClock(t *testing.T) {
 		}
 		last = now
 	}
-	s.After(1*Second, func(now Time) { observe(now); s.Stop() })
+	s.AfterFunc(1*Second, func(now Time, _ any) { observe(now); s.Stop() }, nil)
 	ran := false
-	s.After(2*Second, func(now Time) { observe(now); ran = true })
+	s.AfterFunc(2*Second, func(now Time, _ any) { observe(now); ran = true }, nil)
 
 	s.RunUntil(Time(10 * Second))
 	observe(s.Now())

@@ -6,14 +6,11 @@ import (
 	"sync/atomic"
 )
 
-// Event is a callback scheduled to run at a point in virtual time.
-type Event func(now Time)
-
-// EventFunc is the closure-free form of Event: a top-level (or otherwise
-// long-lived) function pointer plus an explicit argument. High-frequency
-// callers — link transmit/propagation completions, RTO timers, pacing
-// ticks — schedule with AtFunc/AfterFunc so the steady-state event loop
-// performs no heap allocation: the function value is shared and a
+// EventFunc is a callback scheduled to run at a point in virtual time:
+// a top-level (or otherwise long-lived) function plus an explicit
+// argument. Link transmit/propagation completions, RTO timers, pacing
+// ticks and flow starts all schedule this way, so the steady-state event
+// loop performs no heap allocation: the function value is shared and a
 // pointer-typed arg fits in an interface without boxing.
 type EventFunc func(now Time, arg any)
 
@@ -88,7 +85,7 @@ func (t Timer) When() Time {
 type eventItem struct {
 	at        Time
 	seq       uint64
-	efn       EventFunc // callback; closures (At/After) arrive via callEvent
+	efn       EventFunc
 	arg       any
 	next      int32
 	gen       uint32
@@ -297,29 +294,10 @@ func (s *Scheduler) release(slot int32) {
 	s.free = append(s.free, slot)
 }
 
-// callEvent adapts a closure-form Event (boxed as the arg) to the
-// single EventFunc dispatch path; func values are pointers, so the
-// boxing allocates nothing.
-func callEvent(now Time, arg any) { arg.(Event)(now) }
-
-// At schedules fn to run at absolute virtual time at. Scheduling in the
-// past is a bug in the caller and panics. Events at the same instant run
-// in scheduling order.
-func (s *Scheduler) At(at Time, fn Event) Timer {
-	if fn == nil {
-		panic("sim: scheduling nil event")
-	}
-	slot := s.alloc(at)
-	it := &s.items[slot]
-	it.efn = callEvent
-	it.arg = fn
-	s.enqueue(slot)
-	return Timer{s: s, slot: slot + 1, gen: it.gen}
-}
-
-// AtFunc schedules fn(at, arg) without requiring a closure: pass a
-// top-level function and the state it needs. A pointer-typed arg does
-// not allocate. This is the hot-path scheduling API.
+// AtFunc schedules fn(at, arg) to run at absolute virtual time at: pass
+// a top-level function and the state it needs (a pointer-typed arg does
+// not allocate). Scheduling in the past is a bug in the caller and
+// panics. Events at the same instant run in scheduling order.
 func (s *Scheduler) AtFunc(at Time, fn EventFunc, arg any) Timer {
 	if fn == nil {
 		panic("sim: scheduling nil event")
@@ -332,16 +310,8 @@ func (s *Scheduler) AtFunc(at Time, fn EventFunc, arg any) Timer {
 	return Timer{s: s, slot: slot + 1, gen: it.gen}
 }
 
-// After schedules fn to run d after the current time. Negative d is
-// clamped to zero.
-func (s *Scheduler) After(d Duration, fn Event) Timer {
-	if d < 0 {
-		d = 0
-	}
-	return s.At(s.now.Add(d), fn)
-}
-
-// AfterFunc is the closure-free form of After; see AtFunc.
+// AfterFunc schedules fn(now+d, arg); see AtFunc. Negative d is clamped
+// to zero.
 func (s *Scheduler) AfterFunc(d Duration, fn EventFunc, arg any) Timer {
 	if d < 0 {
 		d = 0

@@ -7,9 +7,9 @@ import (
 func TestSchedulerOrdering(t *testing.T) {
 	s := NewScheduler()
 	var order []int
-	s.At(30, func(Time) { order = append(order, 3) })
-	s.At(10, func(Time) { order = append(order, 1) })
-	s.At(20, func(Time) { order = append(order, 2) })
+	s.AtFunc(30, func(Time, any) { order = append(order, 3) }, nil)
+	s.AtFunc(10, func(Time, any) { order = append(order, 1) }, nil)
+	s.AtFunc(20, func(Time, any) { order = append(order, 2) }, nil)
 	s.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("wrong order: %v", order)
@@ -24,7 +24,7 @@ func TestSchedulerStableTieBreak(t *testing.T) {
 	var order []int
 	for i := 0; i < 100; i++ {
 		i := i
-		s.At(5, func(Time) { order = append(order, i) })
+		s.AtFunc(5, func(Time, any) { order = append(order, i) }, nil)
 	}
 	s.Run()
 	for i, v := range order {
@@ -37,10 +37,10 @@ func TestSchedulerStableTieBreak(t *testing.T) {
 func TestSchedulerAfterAndClock(t *testing.T) {
 	s := NewScheduler()
 	var fired Time
-	s.After(100*Millisecond, func(now Time) {
+	s.AfterFunc(100*Millisecond, func(now Time, _ any) {
 		fired = now
-		s.After(50*Millisecond, func(now Time) { fired = now })
-	})
+		s.AfterFunc(50*Millisecond, func(now Time, _ any) { fired = now }, nil)
+	}, nil)
 	s.Run()
 	want := Time(150 * Millisecond)
 	if fired != want {
@@ -50,14 +50,14 @@ func TestSchedulerAfterAndClock(t *testing.T) {
 
 func TestSchedulerPastSchedulingPanics(t *testing.T) {
 	s := NewScheduler()
-	s.At(10, func(Time) {})
+	s.AtFunc(10, func(Time, any) {}, nil)
 	s.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past must panic")
 		}
 	}()
-	s.At(5, func(Time) {})
+	s.AtFunc(5, func(Time, any) {}, nil)
 }
 
 func TestSchedulerNilEventPanics(t *testing.T) {
@@ -67,13 +67,13 @@ func TestSchedulerNilEventPanics(t *testing.T) {
 			t.Fatal("nil event must panic")
 		}
 	}()
-	s.At(5, nil)
+	s.AtFunc(5, nil, nil)
 }
 
 func TestTimerStop(t *testing.T) {
 	s := NewScheduler()
 	ran := false
-	timer := s.At(10, func(Time) { ran = true })
+	timer := s.AtFunc(10, func(Time, any) { ran = true }, nil)
 	if !timer.Pending() {
 		t.Fatal("timer should be pending")
 	}
@@ -94,7 +94,7 @@ func TestTimerStop(t *testing.T) {
 
 func TestTimerStopAfterFire(t *testing.T) {
 	s := NewScheduler()
-	timer := s.At(10, func(Time) {})
+	timer := s.AtFunc(10, func(Time, any) {}, nil)
 	s.Run()
 	if timer.Stop() {
 		t.Fatal("Stop after firing should report false")
@@ -109,7 +109,7 @@ func TestRunUntil(t *testing.T) {
 	var fired []Time
 	for _, at := range []Time{10, 20, 30, 40} {
 		at := at
-		s.At(at, func(now Time) { fired = append(fired, now) })
+		s.AtFunc(at, func(now Time, _ any) { fired = append(fired, now) }, nil)
 	}
 	s.RunUntil(25)
 	if len(fired) != 2 {
@@ -127,7 +127,7 @@ func TestRunUntil(t *testing.T) {
 func TestRunUntilBoundaryInclusive(t *testing.T) {
 	s := NewScheduler()
 	ran := false
-	s.At(25, func(Time) { ran = true })
+	s.AtFunc(25, func(Time, any) { ran = true }, nil)
 	s.RunUntil(25)
 	if !ran {
 		t.Fatal("event exactly at the deadline must run")
@@ -138,12 +138,12 @@ func TestStop(t *testing.T) {
 	s := NewScheduler()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		s.At(Time(i), func(Time) {
+		s.AtFunc(Time(i), func(Time, any) {
 			count++
 			if count == 3 {
 				s.Stop()
 			}
-		})
+		}, nil)
 	}
 	s.Run()
 	if count != 3 {
@@ -157,8 +157,8 @@ func TestStop(t *testing.T) {
 
 func TestPendingCount(t *testing.T) {
 	s := NewScheduler()
-	a := s.At(10, func(Time) {})
-	s.At(20, func(Time) {})
+	a := s.AtFunc(10, func(Time, any) {}, nil)
+	s.AtFunc(20, func(Time, any) {}, nil)
 	if s.Pending() != 2 {
 		t.Fatalf("want 2 pending, got %d", s.Pending())
 	}
@@ -171,9 +171,9 @@ func TestPendingCount(t *testing.T) {
 func TestMaxEventsBackstop(t *testing.T) {
 	s := NewScheduler()
 	s.MaxEvents = 10
-	var loop func(now Time)
-	loop = func(now Time) { s.After(1, loop) }
-	s.After(1, loop)
+	var loop EventFunc
+	loop = func(now Time, _ any) { s.AfterFunc(1, loop, nil) }
+	s.AfterFunc(1, loop, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("runaway loop must trip MaxEvents")
@@ -187,9 +187,9 @@ func TestEventsScheduledDuringEventRun(t *testing.T) {
 	// must still run (common for zero-delay sends).
 	s := NewScheduler()
 	ran := false
-	s.At(10, func(now Time) {
-		s.At(now, func(Time) { ran = true })
-	})
+	s.AtFunc(10, func(now Time, _ any) {
+		s.AtFunc(now, func(Time, any) { ran = true }, nil)
+	}, nil)
 	s.Run()
 	if !ran {
 		t.Fatal("same-instant event scheduled during execution did not run")

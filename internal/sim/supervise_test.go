@@ -9,9 +9,9 @@ import (
 // the stall detector instead of looping forever.
 func TestRunSupervisedDetectsStall(t *testing.T) {
 	s := NewScheduler()
-	var reschedule func(now Time)
-	reschedule = func(now Time) { s.After(Second, reschedule) }
-	s.After(Second, reschedule)
+	var reschedule EventFunc
+	reschedule = func(now Time, _ any) { s.AfterFunc(Second, reschedule, nil) }
+	s.AfterFunc(Second, reschedule, nil)
 
 	progress := int64(0)
 	err := s.RunSupervised(SuperviseConfig{
@@ -42,14 +42,14 @@ func TestRunSupervisedProgressSuppressesStall(t *testing.T) {
 	s := NewScheduler()
 	progress := int64(0)
 	remaining := 100
-	var step func(now Time)
-	step = func(now Time) {
+	var step EventFunc
+	step = func(now Time, _ any) {
 		progress++
 		if remaining--; remaining > 0 {
-			s.After(Second, step)
+			s.AfterFunc(Second, step, nil)
 		}
 	}
-	s.After(Second, step)
+	s.AfterFunc(Second, step, nil)
 	err := s.RunSupervised(SuperviseConfig{
 		Progress:    func() int64 { return progress },
 		StallWindow: 2 * Second, // far shorter than the 100 s of activity
@@ -66,9 +66,9 @@ func TestRunSupervisedProgressSuppressesStall(t *testing.T) {
 // the virtual-time stall detector — into a structured error.
 func TestRunSupervisedEventBudget(t *testing.T) {
 	s := NewScheduler()
-	var spin func(now Time)
-	spin = func(now Time) { s.At(now, spin) } // never advances time
-	s.At(0, spin)
+	var spin EventFunc
+	spin = func(now Time, _ any) { s.AtFunc(now, spin, nil) } // never advances time
+	s.AtFunc(0, spin, nil)
 	err := s.RunSupervised(SuperviseConfig{EventBudget: 1000})
 	if !errors.Is(err, ErrEventBudget) {
 		t.Fatalf("want ErrEventBudget, got %v", err)
@@ -90,8 +90,8 @@ func TestRunSupervisedEventBudget(t *testing.T) {
 func TestRunSupervisedHorizon(t *testing.T) {
 	s := NewScheduler()
 	ran := 0
-	s.After(Second, func(now Time) { ran++ })
-	s.After(10*Second, func(now Time) { ran++ })
+	s.AfterFunc(Second, func(now Time, _ any) { ran++ }, nil)
+	s.AfterFunc(10*Second, func(now Time, _ any) { ran++ }, nil)
 	err := s.RunSupervised(SuperviseConfig{Horizon: Time(5 * Second)})
 	if err != nil {
 		t.Fatalf("horizon stop reported %v", err)
@@ -110,7 +110,7 @@ func TestRunSupervisedHorizon(t *testing.T) {
 // A drained queue ends a supervised run with nil whatever the bounds.
 func TestRunSupervisedDrains(t *testing.T) {
 	s := NewScheduler()
-	s.After(Second, func(now Time) {})
+	s.AfterFunc(Second, func(now Time, _ any) {}, nil)
 	err := s.RunSupervised(SuperviseConfig{
 		Horizon:     Time(100 * Second),
 		EventBudget: 10,

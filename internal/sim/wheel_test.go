@@ -61,7 +61,7 @@ func runWheelOps(s *Scheduler, ops []wheelOp) []int {
 				at = s.Now() // rebase past deadlines when applied mid-run
 			}
 			i := i
-			timers[i] = s.At(at, func(Time) { fired = append(fired, i) })
+			timers[i] = s.AtFunc(at, func(Time, any) { fired = append(fired, i) }, nil)
 		}
 	}
 	// First third scheduled up front, then run halfway, apply the second
@@ -116,7 +116,7 @@ func TestWheelHeapOrderProperty(t *testing.T) {
 func TestWheelCancelReclaim(t *testing.T) {
 	s := NewScheduler()
 	fired := false
-	tm := s.At(Time(5)<<wheelGranBits, func(Time) { fired = true })
+	tm := s.AtFunc(Time(5)<<wheelGranBits, func(Time, any) { fired = true }, nil)
 	if !tm.Stop() {
 		t.Fatal("Stop on a pending wheel event should report true")
 	}
@@ -124,7 +124,7 @@ func TestWheelCancelReclaim(t *testing.T) {
 		t.Fatal("second Stop should report false")
 	}
 	var ran bool
-	s.At(Time(6)<<wheelGranBits, func(Time) { ran = true })
+	s.AtFunc(Time(6)<<wheelGranBits, func(Time, any) { ran = true }, nil)
 	s.Run()
 	if fired {
 		t.Fatal("cancelled wheel event fired")

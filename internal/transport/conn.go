@@ -116,7 +116,7 @@ func NewConn(id netem.FlowID, src, dst *Stack, flowBytes int, opts Options,
 		FlowBytes: flowBytes, NumSegs: n,
 		Stats: &FlowStats{ID: id, FlowBytes: flowBytes, NumSegs: n},
 		Score: NewScoreboard(n),
-		RTT:   NewRTTEstimator(opts.InitialRTO, opts.MinRTO, opts.MaxRTO),
+		RTT:   NewRTTEstimator(initialRTO, minRTO, opts.MaxRTO),
 
 		sentAt:     make([]sim.Time, n),
 		onComplete: onComplete,
@@ -298,7 +298,7 @@ func (c *Conn) SegmentSize(seq int32) int {
 		last := c.FlowBytes - int(c.NumSegs-1)*netem.SegmentPayload
 		return last + netem.DataHeaderBytes
 	}
-	return c.Opts.SegSize
+	return netem.SegmentSize
 }
 
 // SendSegment transmits one data segment. retransmit marks any copy after

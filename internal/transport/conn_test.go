@@ -47,7 +47,7 @@ func (l *testLogic) fill(now sim.Time) {
 	// Also plug SACK-confirmed holes once each.
 	sc := l.c.Score
 	for {
-		lost := sc.NextLost(sc.CumAck(), l.c.Opts.DupThresh, 1)
+		lost := sc.NextLost(sc.CumAck(), dupThresh, 1)
 		if lost < 0 {
 			return
 		}
@@ -155,9 +155,9 @@ func TestSYNLossRecovery(t *testing.T) {
 	w.path.Forward.LossProb = 1.0
 	conn, _ := dial(t, w, 10_000, Options{})
 	conn.Start(0)
-	w.sched.At(sim.Time(500*sim.Millisecond), func(sim.Time) {
+	w.sched.AtFunc(sim.Time(500*sim.Millisecond), func(sim.Time, any) {
 		w.path.Forward.LossProb = 0
-	})
+	}, nil)
 	w.sched.Run()
 	st := conn.Stats
 	if !st.Completed {
@@ -370,9 +370,9 @@ func (l *captureLogic) OnEstablished(now sim.Time) {
 	*l.times = append(*l.times, now)
 	for i := 1; i < 10; i++ {
 		i := i
-		l.c.Sched().After(sim.Duration(i)*10*sim.Millisecond, func(at sim.Time) {
+		l.c.Sched().AfterFunc(sim.Duration(i)*10*sim.Millisecond, func(at sim.Time, _ any) {
 			*l.times = append(*l.times, at)
-		})
+		}, nil)
 	}
 }
 

@@ -135,7 +135,7 @@ func (d *Driver) FcwSegs() int32 { return d.c.FcwSegs() }
 func (d *Driver) WindowLimit() int32 { return d.c.WindowLimit() }
 
 // DupThresh returns the SACK loss-inference threshold.
-func (d *Driver) DupThresh() int { return d.c.Opts.DupThresh }
+func (d *Driver) DupThresh() int { return dupThresh }
 
 // HandshakeRTT returns the SYN→SYNACK measurement.
 func (d *Driver) HandshakeRTT() sim.Duration { return d.c.Stats.HandshakeRTT }

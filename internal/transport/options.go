@@ -16,36 +16,16 @@ import (
 	"halfback/internal/sim"
 )
 
-// Options carries the transport constants shared by all schemes. The
-// defaults mirror §4.1 of the paper.
+// Options carries the transport parameters some caller varies per flow
+// or per universe. The defaults mirror §4.1 of the paper.
 type Options struct {
 	// FlowWindow is the receiver's advertised flow-control window in
 	// bytes. The paper fixes it to 141 KB, "the same as that of
 	// Windows XP".
 	FlowWindow int
 
-	// SegSize is the wire size of a full data segment including
-	// headers (paper: 1500 bytes).
-	SegSize int
-
-	// InitialRTO is the retransmission timeout before any RTT sample
-	// exists (handshake loss). RFC 6298 specifies 1 s.
-	InitialRTO sim.Duration
-
-	// MinRTO floors the computed retransmission timeout. The default
-	// is RFC 6298's conservative 1 s floor ("RTO SHOULD be rounded up
-	// to 1 second"), which matches the second-scale timeout penalties
-	// visible throughout the paper's measurements; Linux's more
-	// aggressive 200 ms floor is available by overriding this.
-	MinRTO sim.Duration
-
 	// MaxRTO caps exponential backoff.
 	MaxRTO sim.Duration
-
-	// DupThresh is the SACK-based loss-inference threshold: a segment
-	// is deemed lost once DupThresh segments above it have been
-	// selectively acknowledged (RFC 6675's rule with per-packet ACKs).
-	DupThresh int
 
 	// MaxTimeouts aborts the connection (AbortRetxBudgetExhausted)
 	// after this many consecutive retransmission timeouts without
@@ -93,16 +73,12 @@ type Options struct {
 	RTTHint sim.Duration
 
 	// DelayedAcks makes the receiver acknowledge every second data
-	// packet (or after DelayedAckTimeout for a lone packet) instead of
+	// packet (or after delayedAckTimeout for a lone packet) instead of
 	// every packet. The paper's UDT substrate acknowledges every
 	// packet; this option exists to study how sensitive the
 	// ACK-clocked schemes (Halfback's ROPR above all) are to a thinner
 	// ACK stream.
 	DelayedAcks bool
-
-	// DelayedAckTimeout bounds how long a delayed ACK may be withheld
-	// (default 40 ms, the classic value).
-	DelayedAckTimeout sim.Duration
 
 	// AckValidation selects the misbehaving-peer policy (see
 	// validate.go). The zero value — AckValidationClamp — validates
@@ -151,17 +127,32 @@ func (m AckValidationMode) String() string {
 	}
 }
 
+// The transport constants no caller varies; a full data segment is
+// netem.SegmentSize bytes on the wire (paper: 1500).
+const (
+	// initialRTO is the retransmission timeout before any RTT sample
+	// exists (handshake loss). RFC 6298 specifies 1 s.
+	initialRTO = 1 * sim.Second
+	// minRTO floors the computed retransmission timeout: RFC 6298's
+	// conservative 1 s ("RTO SHOULD be rounded up to 1 second"), which
+	// matches the second-scale timeout penalties visible throughout the
+	// paper's measurements.
+	minRTO = 1 * sim.Second
+	// dupThresh is the SACK-based loss-inference threshold: a segment
+	// is deemed lost once dupThresh segments above it have been
+	// selectively acknowledged (RFC 6675's rule with per-packet ACKs).
+	dupThresh = 3
+	// delayedAckTimeout bounds how long a delayed ACK may be withheld
+	// (the classic 40 ms).
+	delayedAckTimeout = 40 * sim.Millisecond
+)
+
 // DefaultOptions returns the paper's configuration.
 func DefaultOptions() Options {
 	return Options{
-		FlowWindow:        141 * 1000,
-		SegSize:           netem.SegmentSize,
-		InitialRTO:        1 * sim.Second,
-		MinRTO:            1 * sim.Second,
-		MaxRTO:            60 * sim.Second,
-		DupThresh:         3,
-		MaxTimeouts:       15,
-		DelayedAckTimeout: 40 * sim.Millisecond,
+		FlowWindow:  141 * 1000,
+		MaxRTO:      60 * sim.Second,
+		MaxTimeouts: 15,
 	}
 }
 
@@ -179,25 +170,10 @@ func (o *Options) applyDefaults() {
 	if o.FlowWindow == 0 {
 		o.FlowWindow = d.FlowWindow
 	}
-	if o.SegSize == 0 {
-		o.SegSize = d.SegSize
-	}
-	if o.InitialRTO == 0 {
-		o.InitialRTO = d.InitialRTO
-	}
-	if o.MinRTO == 0 {
-		o.MinRTO = d.MinRTO
-	}
 	if o.MaxRTO == 0 {
 		o.MaxRTO = d.MaxRTO
 	}
-	if o.DupThresh == 0 {
-		o.DupThresh = d.DupThresh
-	}
 	if o.MaxTimeouts == 0 {
 		o.MaxTimeouts = d.MaxTimeouts
-	}
-	if o.DelayedAckTimeout == 0 {
-		o.DelayedAckTimeout = 40 * sim.Millisecond
 	}
 }

@@ -105,7 +105,7 @@ func (r *receiver) handlePacket(pkt *netem.Packet, now sim.Time) {
 		}
 		if !r.ackTimer.Pending() {
 			r.ackTrigger = seq
-			r.ackTimer = c.sched.AfterFunc(c.Opts.DelayedAckTimeout, recvAckTimeout, r)
+			r.ackTimer = c.sched.AfterFunc(delayedAckTimeout, recvAckTimeout, r)
 		}
 
 	case netem.KindProbe:

@@ -1,29 +1,33 @@
 package transport
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"halfback/internal/netem"
 )
 
-// FuzzAckValidate feeds adversarial ACK frames — arbitrary byte
-// strings run through the wire decoder — into the validator in front
-// of a mid-flight scoreboard. The contract under test: the validator
-// never panics on any decodable frame, every rejection carries a
+// FuzzAckValidate feeds adversarial ACKs — every field the validator
+// and the scoreboard read, drawn freely; sack is up to MaxSACKBlocks
+// big-endian {lo, hi int32} pairs, a trailing partial pair ignored —
+// into the validator in front of a mid-flight scoreboard. The contract
+// under test: the validator never panics, every rejection carries a
 // defined PeerMisbehavior class, an accepted ACK never regresses the
 // cumulative-ACK point, and the verdict is deterministic (checking the
-// same frame twice against unchanged state agrees, modulo the dup-ACK
+// same ACK twice against unchanged state agrees, modulo the dup-ACK
 // budget drawing down).
 func FuzzAckValidate(f *testing.F) {
-	f.Add(netem.MarshalPacket(&netem.Packet{Kind: netem.KindAck, CumAck: 4, AckedSeq: -1, RecvTotal: 4}))
-	f.Add(netem.MarshalPacket(&netem.Packet{Kind: netem.KindAck, CumAck: 64, AckedSeq: -1, RecvTotal: 64}))
-	f.Add([]byte{0x48, 0x42, 3, 1})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		pkt, _, err := netem.UnmarshalPacket(data)
-		if err != nil {
-			return // malformed frames are the wire codec's problem (FuzzUnmarshalPacket)
+	f.Add(int32(4), int32(-1), int32(4), uint64(0), []byte(nil))
+	f.Add(int32(64), int32(-1), int32(64), uint64(0), []byte(nil))
+	f.Add(int32(4), int32(7), int32(7), uint64(0), []byte{0, 0, 0, 6, 0, 0, 0, 9, 0xff})
+	f.Fuzz(func(t *testing.T, cum, acked, recvTotal int32, nonce uint64, sack []byte) {
+		pkt := &netem.Packet{Kind: netem.KindAck, CumAck: cum, AckedSeq: acked, RecvTotal: recvTotal, Nonce: nonce}
+		for ; pkt.NumSACK < netem.MaxSACKBlocks && len(sack) >= 8; sack = sack[8:] {
+			pkt.SACK[pkt.NumSACK] = netem.SeqRange{
+				Lo: int32(binary.BigEndian.Uint32(sack)), Hi: int32(binary.BigEndian.Uint32(sack[4:])),
+			}
+			pkt.NumSACK++
 		}
-		pkt.Kind = netem.KindAck // the validator only ever sees ACKs
 
 		// A mid-flight flow: 24 segments, [0,16) transmitted, honest
 		// progress to cum=4 with {6,7} SACKed.
