@@ -3,6 +3,7 @@ package ptest
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"halfback/internal/netem"
@@ -135,5 +136,22 @@ func TestWorldTeardownInvariants(t *testing.T) {
 				t.Errorf("every flow outlived a permanent blackout")
 			}
 		})
+	}
+}
+
+// TestWorldRunForever: "run until nothing is left" is Run(forever). Once
+// the clock had left zero the deadline used to wrap negative and Run
+// aborted every flow without running an event.
+func TestWorldRunForever(t *testing.T) {
+	w := NewWorld(netem.PathConfig{})
+	w.Run(sim.Second)
+	c := w.Dial(50_000, transport.Options{}, scheme.MustNew(scheme.TCP).Make)
+	w.StartAt(w.Sched.Now(), c)
+	w.Run(math.MaxInt64)
+	if !c.Stats.Completed || c.Stats.Aborted {
+		t.Fatalf("flow completed=%v aborted=%v after Run(forever)", c.Stats.Completed, c.Stats.Aborted)
+	}
+	if drained, conserved := w.Drain(); !drained || !conserved {
+		t.Fatalf("drained=%v conserved=%v", drained, conserved)
 	}
 }

@@ -1,7 +1,8 @@
 // Microbenchmarks for the scheduler hot paths, in an external test
 // package so the link-drain benchmark can drive a real netem link
-// through the public API. Wheel-vs-heap wins show up here without a
-// whole-exhibit run:
+// through the public API. The two regimes the scheduler serves — a
+// handful of events pending (heap only) and hundreds (wheel in front) —
+// show up here without a whole-exhibit run:
 //
 //	go test ./internal/sim -bench . -benchmem
 package sim_test
@@ -42,11 +43,10 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkTimerResetCancel measures the RTO-reset pattern: an ack
-// arrives, the pending retransmit timer is cancelled and re-armed —
-// the churn the wheel absorbs as an O(1) slot mark instead of a heap
-// sweep. The ack event advances the clock so slot sweeps reclaim the
-// cancelled items, as in real runs.
+// BenchmarkTimerResetCancel measures the RTO-reset pattern alone: an
+// ack arrives, the pending retransmit timer is stopped (removed and its
+// slot released) and re-armed. Two events are ever pending, so both wait
+// in the heap.
 func BenchmarkTimerResetCancel(b *testing.B) {
 	s := sim.NewScheduler()
 	rto := 200 * sim.Millisecond
@@ -60,6 +60,34 @@ func BenchmarkTimerResetCancel(b *testing.B) {
 		}
 		tm.Stop()
 		tm = s.AfterFunc(rto, nopEvent, nil)
+	}
+}
+
+// BenchmarkSmallUniverse is the one-flow PlanetLab cell as the scheduler
+// sees it: at most six events pending, every deadline 25–100 ms out,
+// and one retransmit-timer restart (Stop + AfterFunc) per 4.6 fired
+// events — the cell's measured 1.24M cancels in 5.70M events.
+func BenchmarkSmallUniverse(b *testing.B) {
+	s := sim.NewScheduler()
+	delays := [...]sim.Duration{25, 40, 55, 70, 85, 100}
+	for _, d := range delays[:5] {
+		s.AfterFunc(d*sim.Millisecond, nopEvent, nil)
+	}
+	rto := s.AfterFunc(200*sim.Millisecond, nopEvent, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !s.Step() {
+			b.Fatal("queue unexpectedly empty")
+		}
+		s.AfterFunc(delays[i%len(delays)]*sim.Millisecond, nopEvent, nil)
+		if i*10%46 < 10 {
+			rto.Stop()
+			rto = s.AfterFunc(200*sim.Millisecond, nopEvent, nil)
+		}
+	}
+	if s.Pending() > 6 {
+		b.Fatalf("%d events pending, want at most 6", s.Pending())
 	}
 }
 

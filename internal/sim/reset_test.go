@@ -54,8 +54,7 @@ func genScript(rng *Rand, n int) []scriptOp {
 // runScript replays ops against s and returns every firing in execution
 // order plus the handles it took (zero for non-scheduling ops). When
 // drain is set the queue is run dry at the end; otherwise whatever the
-// script left — wheel and heap residents, cancelled entries, a pending
-// Stop — stays. After every op one handle of stale is poked: it must be
+// script left — wheel and heap residents, a pending Stop — stays. After every op one handle of stale is poked: it must be
 // inert, and poking it must not disturb the run (the caller compares the
 // firings against a scheduler that was never poked).
 func runScript(t *testing.T, s *Scheduler, ops []scriptOp, drain bool, stale []Timer) ([]firing, []Timer) {
@@ -98,12 +97,12 @@ func runScript(t *testing.T, s *Scheduler, ops []scriptOp, drain bool, stale []T
 
 // TestResetMatchesFreshProperty is the reset ≡ fresh property: whatever
 // a script left in the scheduler (events in every wheel level and the
-// heap, cancelled entries awaiting reclamation, a window ended by Stop),
-// Reset followed by a second script executes exactly the (at, seq)
-// sequence — and the same Processed count and final clock — that the
-// second script produces on a scheduler built by NewScheduler. Handles
-// taken before the Reset stay inert throughout, even as their slots are
-// reused.
+// heap, a window ended by Stop), Reset followed by a second script
+// executes exactly the (at, seq) sequence — and the same Processed count
+// and final clock — that the second script produces on a scheduler built
+// by NewScheduler. Handles taken before the Reset stay inert throughout,
+// even as their slots are reused. Odd trials send every event that fits
+// to the wheel, so the levels are populated however few are pending.
 func TestResetMatchesFreshProperty(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		rng := NewRand(uint64(trial) + 1)
@@ -111,7 +110,13 @@ func TestResetMatchesFreshProperty(t *testing.T) {
 
 		recycled := NewScheduler()
 		recycled.MaxEvents = 1 << 20
+		if trial%2 == 1 {
+			recycled.bypass = 0
+		}
 		_, stale := runScript(t, recycled, pre, false, nil)
+		if trial%2 == 1 && recycled.wheelLive == 0 {
+			t.Fatalf("trial %d: the first script left nothing in the wheel", trial)
+		}
 		recycled.Reset()
 		if recycled.Now() != 0 || recycled.Pending() != 0 || recycled.Processed != 0 ||
 			recycled.MaxEvents != 0 || recycled.Step() {
@@ -121,6 +126,7 @@ func TestResetMatchesFreshProperty(t *testing.T) {
 		got, _ := runScript(t, recycled, post, true, stale)
 
 		fresh := NewScheduler()
+		fresh.bypass = recycled.bypass
 		want, _ := runScript(t, fresh, post, true, nil)
 
 		if len(got) != len(want) {

@@ -14,17 +14,16 @@ import (
 // pointer-typed arg fits in an interface without boxing.
 type EventFunc func(now Time, arg any)
 
-// Timer is a handle to a scheduled event that can be cancelled or
+// Timer is a handle to a scheduled event that can be stopped or
 // inspected. Timers are plain values: the zero value is an inert handle
 // (Stop and Pending return false), and copying a Timer copies the
 // handle, not the event.
 //
 // Internally a Timer names a slot in the scheduler's event pool plus the
-// generation the slot had when the event was scheduled. Slots are
-// recycled after an event fires or a cancelled event is reclaimed (from
-// the heap at pop, or from a wheel slot at dump); the generation check
-// makes a stale handle inert rather than able to resurrect (or cancel)
-// whatever event reused the slot.
+// generation the slot had when the event was scheduled. A slot is
+// recycled the moment its event fires or is stopped; the generation
+// check makes a stale handle inert rather than able to resurrect (or
+// cancel) whatever event reused the slot.
 type Timer struct {
 	s    *Scheduler
 	slot int32 // pool index + 1; 0 marks the zero-value handle
@@ -46,30 +45,34 @@ func (t Timer) item() *eventItem {
 
 // Stop cancels the timer. It is safe to call on the zero value and on an
 // already-fired or already-stopped timer, and reports whether the call
-// prevented a pending firing. Cancellation is a mark, not a removal:
-// wheel-resident events are reclaimed when their slot is dumped (never
-// touching the heap), heap-resident events when they surface at the
-// root.
+// prevented a pending firing. Cancellation is removal: a wheel-resident
+// event is unlinked from its slot chain in O(1), a heap-resident one is
+// removed at its recorded index, and either way the pool slot is
+// released before Stop returns, so the handle is inert from then on and
+// the scheduler never holds an entry that will not fire.
 func (t Timer) Stop() bool {
 	it := t.item()
-	if it == nil || it.cancelled {
+	if it == nil {
 		return false
 	}
-	it.cancelled = true
-	t.s.live--
-	t.s.cancels++
+	s, slot := t.s, t.slot-1
+	if it.where >= 0 {
+		s.heapRemove(int(it.where))
+	} else {
+		s.wheelUnlink(slot)
+	}
+	s.release(slot)
+	s.live--
+	s.cancels++
 	return true
 }
 
 // Pending reports whether the timer is scheduled and has neither fired
 // nor been stopped.
-func (t Timer) Pending() bool {
-	it := t.item()
-	return it != nil && !it.cancelled
-}
+func (t Timer) Pending() bool { return t.item() != nil }
 
 // When returns the virtual time a pending timer is set to fire, or zero
-// once it has fired, been stopped and swept, or never existed.
+// once it has fired, been stopped, or never existed.
 func (t Timer) When() Time {
 	if it := t.item(); it != nil {
 		return it.at
@@ -80,16 +83,21 @@ func (t Timer) When() Time {
 // eventItem is one pooled event. Items live in Scheduler.items and are
 // referenced by index, never by pointer, so the pool can grow without
 // invalidating references; gen counts recycles so stale Timer handles
-// cannot touch a reused slot. next chains items within one wheel slot
-// (pool index + 1; 0 terminates).
+// cannot touch a reused slot. A scheduled item waits in exactly one
+// place and records it, which is what lets Stop remove it: where ≥ 0 is
+// its index in the heap (kept current by every sift), where < 0 is the
+// complement of the wheel slot (level<<wheelBits | position) whose
+// doubly linked chain holds it through next/prev (pool index + 1; 0
+// terminates; meaningful only while the item is in a chain).
 type eventItem struct {
-	at        Time
-	seq       uint64
-	efn       EventFunc
-	arg       any
-	next      int32
-	gen       uint32
-	cancelled bool
+	at    Time
+	seq   uint64
+	efn   EventFunc
+	arg   any
+	next  int32
+	prev  int32
+	gen   uint32
+	where int32
 }
 
 // The hierarchical timer wheel in front of the heap: three levels of 256
@@ -99,7 +107,8 @@ type eventItem struct {
 // Near-future events — serialization completions, RTOs, pacer ticks,
 // delayed ACKs — insert and cancel in O(1) here and only pass through
 // the heap (briefly, and in a heap kept small by the wheel) when their
-// slot is dumped.
+// slot is dumped. A universe with little pending skips it entirely (see
+// bypassLive).
 const (
 	wheelGranBits = 16 // log2 of the level-0 slot width in ns
 	wheelBits     = 8  // log2 slots per level
@@ -110,6 +119,15 @@ const (
 	// wheelSlack is how many level-0 slots past the horizon an event may
 	// target and still bypass the wheel for the heap (see enqueue).
 	wheelSlack = 8
+	// bypassLive is the population at or below which a new event goes
+	// straight to the heap whatever its deadline. The wheel pays for
+	// itself by keeping the heap shallow under hundreds of pending
+	// events; ordering a handful, its dump-and-rescan hops cost more
+	// than sifting a heap that small. Because Stop removes, the heap
+	// holds only events that will fire, so sending it everything is safe
+	// at any cancel rate. DESIGN.md §11 has the paired runs that chose
+	// the value.
+	bypassLive = 16
 )
 
 // Scheduler is the discrete-event loop. It is not safe for concurrent
@@ -121,21 +139,23 @@ const (
 // order. The heap is the single ordering authority: wheel slots are
 // dumped into it strictly before any event they could contain becomes
 // runnable, so the wheel changes where events wait, never the order in
-// which they execute. Fired and reclaimed items return to a free list,
-// making the steady-state loop allocation-free.
+// which they execute. Fired and stopped items return to a free list at
+// once, so the pool never exceeds the peak number of live events and the
+// steady-state loop is allocation-free.
 type Scheduler struct {
 	now Time
 	seq uint64
 	// heap is a 4-ary min-heap of (at, seq, slot) entries: the ordering
 	// key is carried inline so sift comparisons stay within the heap's
-	// own memory instead of chasing into the items pool.
+	// own memory; only an entry that moves writes its new index back to
+	// the items pool.
 	heap []heapEntry
 	// items is the index-stable event pool; free holds recycled slots.
 	items []eventItem
 	free  []int32
-	// live counts scheduled events that are neither cancelled nor fired,
-	// so Pending is O(1). peakLive tracks its high-water mark since the
-	// last flush (see PeakPending).
+	// live counts scheduled events: len(heap) + wheelLive, nothing else.
+	// peakLive tracks its high-water mark since the last flush (see
+	// TakePeakPending).
 	live     int
 	peakLive int
 	stopped  bool
@@ -144,19 +164,18 @@ type Scheduler struct {
 	// 0 = empty), wheelOcc the per-level occupancy bitmaps. wheelHor is
 	// the absolute start (in ns) of the most recently dumped slot — the
 	// wheel's notion of "the past"; it only moves forward. wheelLive
-	// counts chained entries (including cancelled ones awaiting
-	// reclamation); wheelNext caches the earliest occupied slot start
-	// and is valid whenever wheelLive > 0.
+	// counts chained entries; wheelNext caches the earliest occupied
+	// slot start and is valid whenever wheelLive > 0.
 	wheel        [wheelLevels][wheelSlots]int32
 	wheelOcc     [wheelLevels][wheelWords]uint64
 	wheelHor     uint64
 	wheelNext    uint64
 	wheelNextLvl int
 	wheelLive    int
-	// noWheel forces every insert to the heap; the ordering property
-	// tests use it to compare wheel+heap against the reference heap-only
-	// schedule.
-	noWheel bool
+	// bypass is bypassLive outside tests. The ordering property tests
+	// set 0 (every event that fits goes to the wheel) and maxInt (heap
+	// only, the reference schedule) beside it.
+	bypass int
 
 	// runBound, when non-zero, is the virtual-time bound of the
 	// innermost Run/RunUntil window and permits external event sources
@@ -169,7 +188,7 @@ type Scheduler struct {
 	// Processed counts events executed, for diagnostics and runaway
 	// detection in tests. cancels counts successful Timer.Stop calls
 	// (every reset of an RTO/pacer/delayed-ACK timer is a Stop plus a
-	// reschedule, so this is the churn the wheel absorbs).
+	// reschedule).
 	Processed uint64
 	cancels   uint64
 	// flushed/flushedCancels are the portions already folded into the
@@ -221,9 +240,10 @@ const schedulerPresize = 32
 // NewScheduler returns an empty scheduler positioned at time zero.
 func NewScheduler() *Scheduler {
 	return &Scheduler{
-		items: make([]eventItem, 0, schedulerPresize),
-		heap:  make([]heapEntry, 0, schedulerPresize),
-		free:  make([]int32, 0, schedulerPresize),
+		items:  make([]eventItem, 0, schedulerPresize),
+		heap:   make([]heapEntry, 0, schedulerPresize),
+		free:   make([]int32, 0, schedulerPresize),
+		bypass: bypassLive,
 	}
 }
 
@@ -242,45 +262,11 @@ func (s *Scheduler) Reset() {
 		items[i] = eventItem{gen: items[i].gen + 1}
 		free = append(free, int32(i))
 	}
-	*s = Scheduler{items: items, heap: heap, free: free}
+	*s = Scheduler{items: items, heap: heap, free: free, bypass: s.bypass}
 }
 
 // Now returns the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
-
-// alloc takes a slot from the free list (or grows the pool) and stamps
-// it with the scheduling time and the next tiebreak sequence.
-func (s *Scheduler) alloc(at Time) int32 {
-	slot := s.allocSeq(at, s.seq)
-	s.seq++
-	return slot
-}
-
-// allocSeq is alloc with an explicit tiebreak sequence — the reserved-seq
-// scheduling path (see ReserveSeq) re-materializes events that already
-// hold a sequence number.
-func (s *Scheduler) allocSeq(at Time, seq uint64) int32 {
-	if at < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, s.now))
-	}
-	var slot int32
-	if n := len(s.free); n > 0 {
-		slot = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		s.items = append(s.items, eventItem{})
-		slot = int32(len(s.items) - 1)
-	}
-	it := &s.items[slot]
-	it.at = at
-	it.seq = seq
-	it.cancelled = false
-	s.live++
-	if s.live > s.peakLive {
-		s.peakLive = s.live
-	}
-	return slot
-}
 
 // release recycles a slot: the generation bump makes outstanding Timer
 // handles inert, and clearing the callback fields drops any references
@@ -290,7 +276,6 @@ func (s *Scheduler) release(slot int32) {
 	it.gen++
 	it.efn = nil
 	it.arg = nil
-	it.next = 0
 	s.free = append(s.free, slot)
 }
 
@@ -299,24 +284,13 @@ func (s *Scheduler) release(slot int32) {
 // not allocate). Scheduling in the past is a bug in the caller and
 // panics. Events at the same instant run in scheduling order.
 func (s *Scheduler) AtFunc(at Time, fn EventFunc, arg any) Timer {
-	if fn == nil {
-		panic("sim: scheduling nil event")
-	}
-	slot := s.alloc(at)
-	it := &s.items[slot]
-	it.efn = fn
-	it.arg = arg
-	s.enqueue(slot)
-	return Timer{s: s, slot: slot + 1, gen: it.gen}
+	return s.AtFuncSeq(at, s.ReserveSeq(), fn, arg)
 }
 
 // AfterFunc schedules fn(now+d, arg); see AtFunc. Negative d is clamped
-// to zero.
+// to zero, and a deadline past the largest time saturates there.
 func (s *Scheduler) AfterFunc(d Duration, fn EventFunc, arg any) Timer {
-	if d < 0 {
-		d = 0
-	}
-	return s.AtFunc(s.now.Add(d), fn, arg)
+	return s.AtFuncSeq(s.now.Add(max(d, 0)), s.ReserveSeq(), fn, arg)
 }
 
 // ReserveSeq hands out the next tiebreak sequence without scheduling
@@ -332,17 +306,35 @@ func (s *Scheduler) ReserveSeq() uint64 {
 }
 
 // AtFuncSeq schedules fn(at, arg) under a sequence previously obtained
-// from ReserveSeq. The (at, seq) pair must be in the future of every
-// event executed so far (the caller's events are FIFO; the head is the
-// only one materialized).
+// from ReserveSeq; AtFunc and AfterFunc are this with the next sequence.
+// The (at, seq) pair must be in the future of every event executed so
+// far (an external source's events are FIFO; the head is the only one
+// materialized). The event takes a slot from the free list, or grows
+// the pool.
 func (s *Scheduler) AtFuncSeq(at Time, seq uint64, fn EventFunc, arg any) Timer {
 	if fn == nil {
 		panic("sim: scheduling nil event")
 	}
-	slot := s.allocSeq(at, seq)
+	if at < s.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, s.now))
+	}
+	var slot int32
+	if n := len(s.free); n > 0 {
+		slot = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		s.items = append(s.items, eventItem{})
+		slot = int32(len(s.items) - 1)
+	}
 	it := &s.items[slot]
+	it.at = at
+	it.seq = seq
 	it.efn = fn
 	it.arg = arg
+	s.live++
+	if s.live > s.peakLive {
+		s.peakLive = s.live
+	}
 	s.enqueue(slot)
 	return Timer{s: s, slot: slot + 1, gen: it.gen}
 }
@@ -358,8 +350,8 @@ func (s *Scheduler) TakeNext(at Time, seq uint64) bool {
 	if s.stopped || s.runBound == 0 || at > s.runBound {
 		return false
 	}
-	if e, ok := s.root(); ok {
-		if e.at < at || (e.at == at && e.seq < seq) {
+	if s.surfaced() || s.surface() {
+		if e := s.heap[0]; e.at < at || (e.at == at && e.seq < seq) {
 			return false
 		}
 	}
@@ -371,17 +363,18 @@ func (s *Scheduler) TakeNext(at Time, seq uint64) bool {
 	return true
 }
 
-// Pending returns the number of live (not cancelled, not fired) events
-// in the queue. It is O(1): a counter is maintained on schedule, cancel
-// and fire.
+// Pending returns the number of scheduled events that have neither
+// fired nor been stopped. It is O(1): a counter is maintained on
+// schedule, stop and fire.
 func (s *Scheduler) Pending() int { return s.live }
 
 // enqueue places a newly allocated slot into the wheel level whose span
-// covers its deadline, or into the heap when the deadline is inside the
-// current (already partially dumped) level-0 slot or beyond the top
-// level's span.
+// covers its deadline, or into the heap when little is pending (see
+// bypassLive), when the deadline is inside the current (already
+// partially dumped) level-0 slot or just past it, or when it lies beyond
+// the top level's span.
 func (s *Scheduler) enqueue(slot int32) {
-	if s.noWheel {
+	if s.live <= s.bypass {
 		s.push(slot)
 		return
 	}
@@ -407,12 +400,17 @@ func (s *Scheduler) enqueue(slot int32) {
 	s.push(slot)
 }
 
-// wheelLink chains slot into its wheel slot and maintains the occupancy
-// bitmap and the cached earliest slot start.
+// wheelLink chains slot at the head of its wheel slot and maintains the
+// occupancy bitmap and the cached earliest slot start.
 func (s *Scheduler) wheelLink(lvl int, shift uint, slot int32, at uint64) {
 	pos := int(at>>shift) & wheelMask
 	it := &s.items[slot]
-	it.next = s.wheel[lvl][pos]
+	head := s.wheel[lvl][pos]
+	it.next, it.prev = head, 0
+	it.where = ^int32(lvl<<wheelBits | pos)
+	if head != 0 {
+		s.items[head-1].prev = slot + 1
+	}
 	s.wheel[lvl][pos] = slot + 1
 	s.wheelOcc[lvl][pos>>6] |= 1 << (uint(pos) & 63)
 	if start := (at >> shift) << shift; s.wheelLive == 0 || start < s.wheelNext {
@@ -420,6 +418,33 @@ func (s *Scheduler) wheelLink(lvl int, shift uint, slot int32, at uint64) {
 		s.wheelNextLvl = lvl
 	}
 	s.wheelLive++
+}
+
+// wheelUnlink takes a stopped event out of its slot chain. Emptying a
+// slot clears its occupancy bit, and emptying the earliest slot moves
+// wheelNext on to the next occupied one, so the cache never names a slot
+// with nothing in it.
+func (s *Scheduler) wheelUnlink(slot int32) {
+	it := &s.items[slot]
+	loc := int(^it.where)
+	lvl, pos := loc>>wheelBits, loc&wheelMask
+	if it.prev != 0 {
+		s.items[it.prev-1].next = it.next
+	} else {
+		s.wheel[lvl][pos] = it.next
+	}
+	if it.next != 0 {
+		s.items[it.next-1].prev = it.prev
+	}
+	s.wheelLive--
+	if s.wheel[lvl][pos] != 0 {
+		return
+	}
+	s.wheelOcc[lvl][pos>>6] &^= 1 << (uint(pos) & 63)
+	if s.wheelLive > 0 && lvl == s.wheelNextLvl &&
+		pos == int(s.wheelNext>>uint(wheelGranBits+lvl*wheelBits))&wheelMask {
+		s.wheelNextLvl, s.wheelNext = s.wheelScan()
+	}
 }
 
 // wheelScan recomputes the earliest occupied slot across all levels,
@@ -466,16 +491,15 @@ func (s *Scheduler) wheelScanLevel(lvl, pos int) (int, bool) {
 	return 0, false
 }
 
-// wheelDump empties the earliest occupied slot: cancelled entries are
-// reclaimed without ever touching the heap, level-0 survivors go to the
-// heap, higher-level survivors redistribute to finer levels (each at
-// most once per level — redistribution strictly descends). Advancing
-// the horizon to the dumped slot's start is what retires the slot: the
-// invariant "every wheel entry's deadline ≥ horizon" holds because this
-// slot was the earliest.
+// wheelDump empties the earliest occupied slot: level-0 entries go to
+// the heap, higher-level entries redistribute to finer levels (each at
+// most once per level — redistribution strictly descends) or to the
+// heap. Advancing the horizon to the dumped slot's start is what retires
+// the slot: the invariant "every wheel entry's deadline ≥ horizon" holds
+// because this slot was the earliest.
 func (s *Scheduler) wheelDump() {
-	// wheelNext/wheelNextLvl are maintained by wheelLink and by the
-	// rescan below, so the earliest slot is already known.
+	// wheelNext/wheelNextLvl are maintained by wheelLink, wheelUnlink
+	// and the rescan below, so the earliest slot is already known.
 	lvl, start := s.wheelNextLvl, s.wheelNext
 	shift := uint(wheelGranBits + lvl*wheelBits)
 	pos := int(start>>shift) & wheelMask
@@ -489,12 +513,7 @@ func (s *Scheduler) wheelDump() {
 		slot := head - 1
 		it := &s.items[slot]
 		head = it.next
-		it.next = 0
 		s.wheelLive--
-		if it.cancelled {
-			s.release(slot)
-			continue
-		}
 		if lvl == 0 {
 			s.push(slot)
 		} else {
@@ -521,81 +540,72 @@ func (a heapEntry) less(b heapEntry) bool {
 	return a.seq < b.seq
 }
 
-// root returns the heap root when it is already the surfaced global
-// minimum — live, with no wheel slot that could precede it — and falls
-// back to the full nextSlot sweep otherwise. The fast path is small
-// enough to inline into the per-event loops.
-func (s *Scheduler) root() (heapEntry, bool) {
-	if len(s.heap) > 0 {
-		e := s.heap[0]
-		if !s.items[e.slot].cancelled && (s.wheelLive == 0 || Time(s.wheelNext) > e.at) {
-			return e, true
-		}
-	}
-	return s.nextSlot()
+// surfaced reports whether the heap root exists and is already the
+// global minimum of the (at, seq) order — no wheel slot could precede
+// it. It is small enough to inline into the per-event loops, which call
+// surface only when it fails.
+func (s *Scheduler) surfaced() bool {
+	return len(s.heap) > 0 && (s.wheelLive == 0 || Time(s.wheelNext) > s.heap[0].at)
 }
 
-// nextSlot surfaces the next live event at the heap root, reclaiming
-// cancelled heap entries and dumping every wheel slot that could precede
-// the root. After it returns true, s.heap[0] is the global minimum of
-// the (at, seq) order.
-func (s *Scheduler) nextSlot() (heapEntry, bool) {
-	for {
-		for len(s.heap) > 0 {
-			e := s.heap[0]
-			if !s.items[e.slot].cancelled {
-				break
-			}
-			s.pop()
-			s.release(e.slot)
-		}
-		if s.wheelLive > 0 && (len(s.heap) == 0 || Time(s.wheelNext) <= s.heap[0].at) {
-			s.wheelDump()
-			continue
-		}
-		if len(s.heap) == 0 {
-			return heapEntry{}, false
-		}
-		return s.heap[0], true
+// surface dumps every wheel slot that could precede the heap root. It
+// reports false when nothing is pending; after true, s.heap[0] is the
+// global minimum.
+func (s *Scheduler) surface() bool {
+	for s.wheelLive > 0 && (len(s.heap) == 0 || Time(s.wheelNext) <= s.heap[0].at) {
+		s.wheelDump()
 	}
+	return len(s.heap) > 0
 }
 
-// push adds a slot to the heap, sifting up with a hole (the entry is
-// written once at its final position).
+// push adds a slot to the heap.
 func (s *Scheduler) push(slot int32) {
 	it := &s.items[slot]
 	e := heapEntry{at: it.at, seq: it.seq, slot: slot}
 	s.heap = append(s.heap, e)
+	s.siftUp(len(s.heap)-1, e)
+}
+
+// heapRemove removes the entry at index i (0 pops the minimum): the last
+// entry fills the hole and sifts whichever way restores the heap.
+func (s *Scheduler) heapRemove(i int) {
 	h := s.heap
-	i := len(h) - 1
+	n := len(h) - 1
+	last := h[n]
+	s.heap = h[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && last.less(h[(i-1)>>2]) {
+		s.siftUp(i, last)
+	} else {
+		s.siftDown(i, last)
+	}
+}
+
+// siftUp places e into the hole at index i, moving it towards the root
+// (the entry is written once, at its final position). Every entry that
+// moves has its item's heap index updated.
+func (s *Scheduler) siftUp(i int, e heapEntry) {
+	h := s.heap
 	for i > 0 {
 		p := (i - 1) >> 2
 		if !e.less(h[p]) {
 			break
 		}
 		h[i] = h[p]
+		s.items[h[i].slot].where = int32(i)
 		i = p
 	}
 	h[i] = e
+	s.items[e.slot].where = int32(i)
 }
 
-// pop removes the minimum entry.
-func (s *Scheduler) pop() {
-	h := s.heap
-	n := len(h) - 1
-	last := h[n]
-	s.heap = h[:n]
-	if n > 0 {
-		s.siftDown(last)
-	}
-}
-
-// siftDown places e into the (otherwise valid) heap starting from the
-// root hole left by pop.
-func (s *Scheduler) siftDown(e heapEntry) {
+// siftDown places e into the hole at index i, moving it towards the
+// leaves.
+func (s *Scheduler) siftDown(i int, e heapEntry) {
 	h := s.heap
 	n := len(h)
-	i := 0
 	for {
 		c := i<<2 + 1
 		if c >= n {
@@ -615,16 +625,18 @@ func (s *Scheduler) siftDown(e heapEntry) {
 			break
 		}
 		h[i] = h[best]
+		s.items[h[i].slot].where = int32(i)
 		i = best
 	}
 	h[i] = e
+	s.items[e.slot].where = int32(i)
 }
 
 // Step executes the single next event, advancing the clock to it. It
-// reports false when the queue is empty (or only cancelled events
-// remain). The event's slot is recycled before its callback runs, so a
-// callback rescheduling at the same instant reuses the hot slot and the
-// event's own Timer handle is already inert inside the callback.
+// reports false when nothing is pending. The event's slot is recycled
+// before its callback runs, so a callback rescheduling at the same
+// instant reuses the hot slot and the event's own Timer handle is
+// already inert inside the callback.
 func (s *Scheduler) Step() bool { return s.stepBounded(maxTime) }
 
 // stepBounded is Step with a deadline: it executes the next event only
@@ -632,11 +644,14 @@ func (s *Scheduler) Step() bool { return s.stepBounded(maxTime) }
 // queued) otherwise. Run and RunUntil use it to pay one ordering pass
 // per event instead of a peek plus a step.
 func (s *Scheduler) stepBounded(bound Time) bool {
-	e, ok := s.root()
-	if !ok || e.at > bound {
+	if !s.surfaced() && !s.surface() {
 		return false
 	}
-	s.pop()
+	e := s.heap[0]
+	if e.at > bound {
+		return false
+	}
+	s.heapRemove(0)
 	it := &s.items[e.slot]
 	s.now = e.at
 	s.live--
@@ -681,14 +696,13 @@ func (s *Scheduler) RunUntil(deadline Time) {
 // Stop makes the innermost Run/RunUntil return after the current event.
 func (s *Scheduler) Stop() { s.stopped = true }
 
-// peek returns the time of the next live event, reclaiming cancelled
-// items and dumping due wheel slots as a side effect.
+// peek returns the time of the next event, dumping due wheel slots as a
+// side effect.
 func (s *Scheduler) peek() (Time, bool) {
-	e, ok := s.nextSlot()
-	if !ok {
+	if !s.surfaced() && !s.surface() {
 		return 0, false
 	}
-	return e.at, true
+	return s.heap[0].at, true
 }
 
 // flushProcessed folds this scheduler's event and cancel counts and its

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 )
 
@@ -215,5 +216,31 @@ func TestTimeArithmetic(t *testing.T) {
 	}
 	if str := Time(1234567 * Microsecond).String(); str != "1234.567ms" {
 		t.Fatalf("String: %q", str)
+	}
+}
+
+// TestForeverSaturates: "forever from now" used to wrap negative once
+// the clock had left zero, so AfterFunc panicked (scheduling before now)
+// and RunUntil returned at once having run nothing.
+func TestForeverSaturates(t *testing.T) {
+	const forever = Duration(math.MaxInt64)
+	if got := Time(1).Add(forever); got != maxTime {
+		t.Fatalf("Time(1).Add(forever) = %d, want the largest time", got)
+	}
+	if got := maxTime.Add(-1); got != maxTime-1 {
+		t.Fatalf("a negative duration must still subtract, got %d", got)
+	}
+
+	s := NewScheduler()
+	s.RunUntil(Time(Second))
+	last := s.AfterFunc(forever, nopEvent, nil)
+	if last.When() != maxTime {
+		t.Fatalf("AfterFunc(forever) is due at %d, want the largest time", last.When())
+	}
+	ran := false
+	s.AfterFunc(Second, func(Time, any) { ran = true }, nil)
+	s.RunUntil(s.Now().Add(forever))
+	if !ran || last.Pending() || s.Now() != maxTime || s.Processed != 2 {
+		t.Fatalf("RunUntil(forever): ran=%v, last pending=%v, now=%d, processed=%d", ran, last.Pending(), s.Now(), s.Processed)
 	}
 }

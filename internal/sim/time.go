@@ -2,9 +2,12 @@
 // that underlies every experiment in this repository.
 //
 // The engine is deliberately small: a virtual clock measured in integer
-// nanoseconds, a binary-heap event queue with stable tie-breaking, and a
-// seeded random-number facility. Nothing in the simulation path reads the
-// wall clock, so a run is a pure function of its configuration and seed.
+// nanoseconds, an event queue with stable tie-breaking — a 4-ary indexed
+// min-heap that is the single ordering authority, with a hierarchical
+// timer wheel in front of it once more than a handful of events are
+// pending — and a seeded random-number facility. Nothing in the
+// simulation path reads the wall clock, so a run is a pure function of
+// its configuration and seed.
 package sim
 
 import (
@@ -32,8 +35,15 @@ const (
 	Second      = time.Second
 )
 
-// Add returns the time d after t.
-func (t Time) Add(d Duration) Time { return t + Time(d) }
+// Add returns the time d after t, saturating at the largest
+// representable time instead of wrapping: "forever from now" is a legal
+// deadline for AfterFunc and RunUntil.
+func (t Time) Add(d Duration) Time {
+	if d > Duration(maxTime-t) {
+		return maxTime
+	}
+	return t + Time(d)
+}
 
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
