@@ -1,6 +1,6 @@
 // Command covcheck compares a freshly measured Go coverage profile
 // against the committed per-package baseline and fails when coverage of
-// a tracked package drops by more than the allowed number of points.
+// a tracked package drops by more than maxDrop points.
 //
 //	go test -coverpkg=halfback/internal/cc,halfback/internal/transport \
 //	    -coverprofile=cov.out ./internal/...
@@ -14,11 +14,14 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
 	"path"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -42,70 +45,69 @@ func (c pkgCount) percent() float64 {
 	return 100 * float64(c.covered) / float64(c.total)
 }
 
-func main() {
-	var (
-		basePath = flag.String("baseline", "bench/COVERAGE.json", "committed coverage baseline JSON")
-		profile  = flag.String("profile", "", "coverage profile from go test -coverprofile")
-		maxDrop  = flag.Float64("maxdrop", 2.0, "allowed coverage drop in percentage points before failing")
-		write    = flag.Bool("write", false, "rewrite the baseline from the profile instead of checking")
-	)
-	flag.Parse()
-	if *profile == "" {
-		fmt.Fprintln(os.Stderr, "covcheck: -profile is required")
-		os.Exit(2)
-	}
+// maxDrop is how many percentage points a tracked package may lose
+// against the baseline before the gate fails.
+const maxDrop = 2.0
 
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("covcheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	basePath := fs.String("baseline", "bench/COVERAGE.json", "committed coverage baseline JSON")
+	profile := fs.String("profile", "", "coverage profile from go test -coverprofile")
+	write := fs.Bool("write", false, "rewrite the baseline from the profile instead of checking")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	unusable := func(err error) int {
+		fmt.Fprintf(stderr, "covcheck: %v\n", err)
+		return 2
+	}
+	if *profile == "" {
+		return unusable(errors.New("-profile is required"))
+	}
 	counts, err := parseProfile(*profile)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "covcheck: %v\n", err)
-		os.Exit(2)
+		return unusable(err)
 	}
-
 	if *write {
 		if err := writeBaseline(*basePath, counts); err != nil {
-			fmt.Fprintf(os.Stderr, "covcheck: %v\n", err)
-			os.Exit(2)
+			return unusable(err)
 		}
-		fmt.Printf("covcheck: wrote %s (%d packages)\n", *basePath, len(counts))
-		return
+		fmt.Fprintf(stdout, "covcheck: wrote %s (%d packages)\n", *basePath, len(counts))
+		return 0
 	}
-
 	base, err := loadBaseline(*basePath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "covcheck: %v\n", err)
-		os.Exit(2)
+		return unusable(err)
 	}
-
-	pkgs := make([]string, 0, len(base.Packages))
-	for pkg := range base.Packages {
-		pkgs = append(pkgs, pkg)
-	}
-	sort.Strings(pkgs)
 
 	failed := false
-	for _, pkg := range pkgs {
+	for _, pkg := range slices.Sorted(maps.Keys(base.Packages)) {
 		want := base.Packages[pkg]
 		got, ok := counts[pkg]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "covcheck: FAIL %s: in baseline but absent from the profile — was it dropped from -coverpkg?\n", pkg)
+			fmt.Fprintf(stderr, "covcheck: FAIL %s: in baseline but absent from the profile — was it dropped from -coverpkg?\n", pkg)
 			failed = true
 			continue
 		}
 		pct := got.percent()
 		status := "ok  "
-		if pct < want-*maxDrop {
+		if pct < want-maxDrop {
 			status = "FAIL"
 			failed = true
 		}
-		fmt.Printf("%s %-40s %6.1f%% (baseline %5.1f%%, floor %5.1f%%)\n",
-			status, pkg, pct, want, want-*maxDrop)
+		fmt.Fprintf(stdout, "%s %-40s %6.1f%% (baseline %5.1f%%, floor %5.1f%%)\n",
+			status, pkg, pct, want, want-maxDrop)
 	}
 	if failed {
-		fmt.Fprintln(os.Stderr, "covcheck: coverage regression — add tests, or if the drop is intentional regenerate the baseline with -write and commit it")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "covcheck: coverage regression — add tests, or if the drop is intentional regenerate the baseline with -write and commit it")
+		return 1
 	}
-	fmt.Println("covcheck: all tracked packages within the coverage floor")
+	fmt.Fprintln(stdout, "covcheck: all tracked packages within the coverage floor")
+	return 0
 }
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // parseProfile folds a cover profile into per-package statement counts.
 // Profile lines look like

@@ -112,7 +112,7 @@ func (s *shape) Check() error {
 	s.utils = nil
 	for _, f := range strings.Split(s.utilsPct, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || v <= 0 || v > 100 {
+		if err != nil || !(v > 0 && v <= 100) { // positive form: NaN fails it
 			return fmt.Errorf("bad utilization %q", f)
 		}
 		s.utils = append(s.utils, v/100)

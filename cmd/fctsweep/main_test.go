@@ -31,6 +31,7 @@ func TestShapeValidation(t *testing.T) {
 		{"-horizon", "-1s", "-horizon must be positive"},
 		{"-utils", "10,x", `bad utilization "x"`},
 		{"-utils", "101", `bad utilization "101"`},
+		{"-utils", "NaN", `bad utilization "NaN"`},
 		{"-schemes", "Halfback,Nope", `unknown scheme "Nope"`},
 		{"-adversity", "nope", "nope"},
 		{"-misbehave", "bogus", `bad -misbehave "bogus"`},

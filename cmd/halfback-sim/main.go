@@ -76,7 +76,7 @@ func (s *shape) Check() error {
 		}
 		return exit
 	}
-	if s.scale <= 0 || s.scale > 1 {
+	if !(s.scale > 0 && s.scale <= 1) { // positive form: NaN fails it
 		return errors.New("-scale must be in (0,1]")
 	}
 	if s.fig == "all" {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -15,6 +17,7 @@ func invoke(args ...string) (code int, stdout, stderr string) {
 }
 
 func TestModeFlagsAndUsageErrors(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "j")
 	for _, tc := range []struct {
 		args   []string
 		code   int
@@ -28,6 +31,7 @@ func TestModeFlagsAndUsageErrors(t *testing.T) {
 		{[]string{"-fig", "nope"}, 2, "", `unknown exhibit "nope"`},
 		{[]string{"-fig", "3", "-scale", "0"}, 2, "", "-scale must be in (0,1]"},
 		{[]string{"-fig", "3", "-scale", "1.5"}, 2, "", "-scale must be in (0,1]"},
+		{[]string{"-fig", "3", "-scale", "NaN", "-journal", journal}, 2, "", "-scale must be in (0,1]"},
 		{[]string{"-fig", "3", "-workers", "0"}, 2, "", "-workers must be"},
 	} {
 		code, stdout, stderr := invoke(tc.args...)
@@ -35,6 +39,9 @@ func TestModeFlagsAndUsageErrors(t *testing.T) {
 			t.Errorf("%v: exit %d stdout %.40q stderr %q; want exit %d, stdout %q…, stderr …%q…",
 				tc.args, code, stdout, stderr, tc.code, tc.stdout, tc.stderr)
 		}
+	}
+	if _, err := os.Stat(journal); err == nil {
+		t.Error("a usage error left a journal behind")
 	}
 }
 

@@ -64,9 +64,9 @@ type Sack interface {
 	HighestUnacked() int32
 }
 
-// TimerKind names a controller-owned timer. The driver multiplexes all
-// of them onto pooled, closure-free scheduler timers; a controller arms
-// one with Env.ArmTimer and receives the expiry through OnTimer.
+// TimerKind names a controller-owned timer. The connection keeps one
+// closure-free scheduler timer per kind; a controller arms one with
+// Env.ArmTimer and receives the expiry through OnTimer.
 type TimerKind uint8
 
 const (
@@ -91,7 +91,7 @@ const (
 // may hold armed at once.
 const MaxAuxTimers = 8
 
-// NumTimerKinds is the size of the driver's timer table.
+// NumTimerKinds is the size of the connection's timer table.
 const NumTimerKinds = int(timerAux0) + MaxAuxTimers
 
 // TimerAux returns the TimerKind for auxiliary slot i ∈ [0,MaxAuxTimers).
@@ -182,8 +182,8 @@ type Decision struct {
 }
 
 // Env is everything a controller may observe about and do to its flow.
-// The transport's generic driver implements it on a live connection;
-// the conformance suite implements it on canned traces.
+// *transport.Conn implements it on a live connection; the conformance
+// suite implements it on canned traces.
 type Env interface {
 	// --- observation ---
 
@@ -264,15 +264,15 @@ type Controller interface {
 }
 
 // DoneHook is implemented by controllers that must run when the flow
-// reaches a terminal state (cache/history write-back). The driver has
-// already stopped the controller's pacer and timers when it runs.
+// reaches a terminal state (cache/history write-back). The connection
+// has already stopped the controller's pacer and timers when it runs.
 type DoneHook interface {
 	OnDone(env Env, now sim.Time)
 }
 
 // Pumper is implemented by controllers whose transmission policy is a
-// plain sliding window. After every delivered event the driver offers a
-// send opportunity with the flow-control budget (how many never-sent
+// plain sliding window. After every delivered event the connection offers
+// a send opportunity with the flow-control budget (how many never-sent
 // segments flow control currently admits); the controller performs its
 // sends through the Env. Schemes that pace or clock their own sends
 // simply don't implement it. This is the minimal surface for adding a

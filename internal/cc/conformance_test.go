@@ -154,7 +154,7 @@ func (e *traceEnv) finishPacing(t *testing.T, ctrl cc.Controller) {
 }
 
 // ack folds a cumulative+SACK acknowledgement into the scoreboard and
-// delivers the resulting event, exactly as the driver would.
+// delivers the resulting event, exactly as the transport would.
 func (e *traceEnv) ack(ctrl cc.Controller, cum int32, ranges ...netem.SeqRange) cc.AckEvent {
 	pkt := &netem.Packet{Kind: netem.KindAck, CumAck: cum, AckedSeq: -1}
 	for i, r := range ranges {
@@ -202,8 +202,8 @@ func windowRows() []struct {
 		{scheme.TCP, tcp.New(tcp.Config{InitialWindow: 2}), pump},
 		{scheme.TCP10, tcp.New(tcp.Config{InitialWindow: 10}), pump},
 		{scheme.TCPCache, tcp.New(tcp.Config{InitialWindow: 2, Cache: tcp.NewPathCache()}), pump},
-		{scheme.Reactive, scheme.MustNew(scheme.Reactive).Controller, pump},
-		{scheme.Proactive, scheme.MustNew(scheme.Proactive).Controller, pump},
+		{scheme.Reactive, scheme.MustNew(scheme.Reactive).Make, pump},
+		{scheme.Proactive, scheme.MustNew(scheme.Proactive).Make, pump},
 		{scheme.JumpStart, jumpstart.New(), paced},
 		{scheme.Halfback, core.New(core.Config{}), paced},
 		{scheme.FixedWindow, fixedwin.New(fixedwin.DefaultWindow), pump},
@@ -258,7 +258,7 @@ func TestConformanceTimeoutCollapsesWindow(t *testing.T) {
 		collapse bool
 	}{
 		{scheme.TCP, tcp.New(tcp.Config{InitialWindow: 10}), nil, true},
-		{scheme.Reactive, scheme.MustNew(scheme.Reactive).Controller, nil, true},
+		{scheme.Reactive, scheme.MustNew(scheme.Reactive).Make, nil, true},
 		{scheme.JumpStart, jumpstart.New(),
 			func(t *testing.T, e *traceEnv, ctrl cc.Controller) { e.finishPacing(t, ctrl) }, true},
 		{scheme.FixedWindow, fixedwin.New(fixedwin.DefaultWindow), nil, false},
@@ -565,8 +565,8 @@ func TestConformanceRTOBackoffResetOnAck(t *testing.T) {
 	w.TapClient(func(pkt *netem.Packet, now sim.Time) bool {
 		return !(blocked && pkt.Kind == netem.KindData)
 	})
-	conn := w.DialC(20_000, transport.Options{MaxTimeouts: -1},
-		tcp.New(tcp.Config{InitialWindow: 2})())
+	conn := w.Dial(20_000, transport.Options{MaxTimeouts: -1},
+		tcp.New(tcp.Config{InitialWindow: 2}))
 	conn.Start(0)
 	w.Sched.RunUntil(sim.Time(10 * sim.Second))
 	if conn.RTOBackoff() < 2 {
@@ -591,7 +591,7 @@ func TestConformanceEveryRegistrySchemeEstablishes(t *testing.T) {
 	for _, name := range scheme.AllNames() {
 		t.Run(name, func(t *testing.T) {
 			e := newTraceEnv(16)
-			ctrl := scheme.MustNew(name).Controller()
+			ctrl := scheme.MustNew(name).Make()
 			ctrl.OnEstablished(e, 0)
 			if p, ok := ctrl.(cc.Pumper); ok {
 				p.OnSend(e, e.WindowLimit()-(e.sc.HighSent()+1), e.now)

@@ -1,11 +1,11 @@
-// FuzzControllerTrace throws random but driver-shaped event sequences —
+// FuzzControllerTrace throws random but transport-shaped event sequences —
 // ACKs (in-order, duplicate, SACK-bearing), timeouts, armed-timer
 // fires, pace completions, probe feedback — at every controller in the
 // registry and requires the safety net to hold: no panic, no negative
 // or non-finite window/rate, no unbounded send work, and no Env
 // contract violation (out-of-range sends, bad pace ranges).
 //
-// The trace respects the driver's contract (timers fire only while
+// The trace respects the transport's contract (timers fire only while
 // armed, pace-done follows a Pace request), so a finding here is a real
 // controller bug, not an artifact of an impossible schedule.
 package cc_test
@@ -39,7 +39,7 @@ func FuzzControllerTrace(f *testing.F) {
 	f.Fuzz(func(t *testing.T, pick byte, ops []byte) {
 		names := scheme.AllNames()
 		name := names[int(pick)%len(names)]
-		ctrl := scheme.MustNew(name).Controller()
+		ctrl := scheme.MustNew(name).Make()
 		e := newTraceEnv(16)
 
 		offer := func() {

@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"testing"
 
+	"halfback/internal/cc"
 	"halfback/internal/netem"
 	"halfback/internal/ptest"
 	"halfback/internal/scheme"
@@ -78,7 +79,7 @@ func assertExported(t *testing.T, typ reflect.Type, path string) {
 func TestStateGobRoundTripLosesNoField(t *testing.T) {
 	for _, name := range scheme.AllNames() {
 		t.Run(name, func(t *testing.T) {
-			st := scheme.MustNew(name).Controller().State()
+			st := scheme.MustNew(name).Make().State()
 			v := reflect.ValueOf(st)
 			if v.Kind() != reflect.Ptr || v.Elem().Kind() != reflect.Struct {
 				t.Fatalf("State() = %T, want pointer to struct", st)
@@ -108,12 +109,12 @@ func TestStateGobRoundTripLosesNoField(t *testing.T) {
 func TestZeroValueStateIsValidStart(t *testing.T) {
 	for _, name := range scheme.AllNames() {
 		t.Run(name, func(t *testing.T) {
-			ctrl := scheme.MustNew(name).Controller()
+			ctrl := scheme.MustNew(name).Make()
 			v := reflect.ValueOf(ctrl.State()).Elem()
 			v.Set(reflect.Zero(v.Type()))
 
 			w := ptest.NewWorld(netem.PathConfig{})
-			conn := w.DialC(60_000, transport.Options{}, ctrl)
+			conn := w.Dial(60_000, transport.Options{}, func() cc.Controller { return ctrl })
 			conn.Start(0)
 			w.Sched.RunUntil(w.Sched.Now().Add(300 * sim.Second))
 			conn.Abort()
@@ -134,7 +135,7 @@ func TestStateTypesAreDistinctPerScheme(t *testing.T) {
 	}
 	seen := map[string]string{}
 	for _, name := range scheme.AllNames() {
-		typ := reflect.TypeOf(scheme.MustNew(name).Controller().State()).Elem()
+		typ := reflect.TypeOf(scheme.MustNew(name).Make().State()).Elem()
 		key := typ.String()
 		if prev, ok := seen[key]; ok && !shared[key] {
 			t.Errorf("%s and %s share state type %s but are not a declared family", prev, name, key)

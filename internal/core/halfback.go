@@ -339,7 +339,7 @@ func (l *Logic) Decision() cc.Decision {
 func (l *Logic) State() any { return &l.st }
 
 // OnDone records the achieved throughput for the adaptive-threshold
-// history (the driver has already stopped the pacer).
+// history (the connection has already stopped the pacer).
 func (l *Logic) OnDone(env cc.Env, now sim.Time) {
 	if l.conf.History != nil && env.Completed() {
 		elapsed := env.FinishedAt().Sub(env.EstablishedAt())

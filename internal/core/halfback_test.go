@@ -3,6 +3,7 @@ package core_test
 import (
 	"testing"
 
+	"halfback/internal/cc"
 	"halfback/internal/core"
 	"halfback/internal/netem"
 	"halfback/internal/ptest"
@@ -10,13 +11,9 @@ import (
 	"halfback/internal/transport"
 )
 
-func mk(conf core.Config) func(*transport.Conn) transport.Logic {
-	return transport.Drive(core.New(conf))
-}
-
 func dialHB(w *ptest.World, bytes int, conf core.Config) (*transport.Conn, *core.Logic) {
 	logic := core.New(conf)().(*core.Logic)
-	conn := w.DialC(bytes, transport.Options{}, logic)
+	conn := w.Dial(bytes, transport.Options{}, func() cc.Controller { return logic })
 	return conn, logic
 }
 
@@ -28,7 +25,7 @@ func run(w *ptest.World, conn *transport.Conn) {
 
 func TestPacingDeliversInTwoRTTs(t *testing.T) {
 	w := ptest.NewWorld(netem.PathConfig{RateBps: 100 * netem.Mbps})
-	st := w.Transfer(100_000, mk(core.Config{}))
+	st := w.Transfer(100_000, core.New(core.Config{}))
 	if !st.Completed {
 		t.Fatal("did not complete")
 	}
@@ -42,7 +39,7 @@ func TestPacingDeliversInTwoRTTs(t *testing.T) {
 
 func TestROPRRetransmitsHalfOnCleanPath(t *testing.T) {
 	w := ptest.NewWorld(netem.PathConfig{RateBps: 100 * netem.Mbps})
-	st := w.Transfer(100_000, mk(core.Config{}))
+	st := w.Transfer(100_000, core.New(core.Config{}))
 	// 69 segments → ~34 proactive copies (the eponymous half).
 	if st.ProactiveRetx < 30 || st.ProactiveRetx > 38 {
 		t.Fatalf("proactive copies %d, want ≈34", st.ProactiveRetx)
@@ -57,7 +54,7 @@ func TestROPRCoversTailLossWithoutTimeout(t *testing.T) {
 	// a 1 s timeout are absorbed by reverse-order proactive copies.
 	w := ptest.NewWorld(netem.PathConfig{})
 	w.DropDataSeqs(66, 67, 68)
-	st := w.Transfer(100_000, mk(core.Config{}))
+	st := w.Transfer(100_000, core.New(core.Config{}))
 	if !st.Completed {
 		t.Fatal("did not complete")
 	}
@@ -79,7 +76,7 @@ func TestReverseOrderOnWire(t *testing.T) {
 		}
 		return true
 	})
-	st := w.Transfer(100_000, mk(core.Config{}))
+	st := w.Transfer(100_000, core.New(core.Config{}))
 	if !st.Completed || len(proactive) < 10 {
 		t.Fatalf("completed=%v proactive=%d", st.Completed, len(proactive))
 	}
@@ -102,7 +99,7 @@ func TestForwardAblationAscends(t *testing.T) {
 		}
 		return true
 	})
-	st := w.Transfer(100_000, mk(core.Config{Order: core.Forward}))
+	st := w.Transfer(100_000, core.New(core.Config{Order: core.Forward}))
 	if !st.Completed || len(proactive) < 5 {
 		t.Fatalf("completed=%v proactive=%d", st.Completed, len(proactive))
 	}
@@ -126,7 +123,7 @@ func TestBurstAblationSendsAtOnce(t *testing.T) {
 		}
 		return true
 	})
-	st := w.Transfer(100_000, mk(core.Config{Order: core.Burst}))
+	st := w.Transfer(100_000, core.New(core.Config{Order: core.Burst}))
 	if !st.Completed || len(times) < 10 {
 		t.Fatalf("completed=%v proactive=%d", st.Completed, len(times))
 	}
@@ -141,7 +138,7 @@ func TestBurstAblationSendsAtOnce(t *testing.T) {
 
 func TestPacingOnlyAblationHasNoOverhead(t *testing.T) {
 	w := ptest.NewWorld(netem.PathConfig{RateBps: 100 * netem.Mbps})
-	st := w.Transfer(100_000, mk(core.Config{DisableROPR: true}))
+	st := w.Transfer(100_000, core.New(core.Config{DisableROPR: true}))
 	if st.ProactiveRetx != 0 {
 		t.Fatalf("pacing-only sent %d proactive copies", st.ProactiveRetx)
 	}
@@ -225,12 +222,12 @@ func TestHalfbackVsTCPUnderTailLoss(t *testing.T) {
 	// The paper's Fig. 3 walkthrough as an executable claim: with a
 	// dropped packet near the flow's end, Halfback beats TCP by
 	// roughly the timeout it avoids.
-	lossy := func(mkL func(*transport.Conn) transport.Logic) *transport.FlowStats {
+	lossy := func(mkL func() cc.Controller) *transport.FlowStats {
 		w := ptest.NewWorld(netem.PathConfig{})
 		w.DropDataSeqs(67, 68)
 		return w.Transfer(100_000, mkL)
 	}
-	hb := lossy(mk(core.Config{}))
+	hb := lossy(core.New(core.Config{}))
 	if !hb.Completed {
 		t.Fatal("halfback did not complete")
 	}
@@ -245,9 +242,9 @@ func TestInitialBurstRefinement(t *testing.T) {
 	// and never slower on a clean path.
 	small := 10 * 1460 // exactly ten segments
 	wPlain := ptest.NewWorld(netem.PathConfig{RateBps: 100 * netem.Mbps})
-	plain := wPlain.Transfer(small, mk(core.Config{}))
+	plain := wPlain.Transfer(small, core.New(core.Config{}))
 	wBurst := ptest.NewWorld(netem.PathConfig{RateBps: 100 * netem.Mbps})
-	burst := wBurst.Transfer(small, mk(core.Config{InitialBurst: 10}))
+	burst := wBurst.Transfer(small, core.New(core.Config{InitialBurst: 10}))
 	if !plain.Completed || !burst.Completed {
 		t.Fatal("transfers did not complete")
 	}
@@ -270,7 +267,7 @@ func TestInitialBurstStillPacesRemainder(t *testing.T) {
 		}
 		return true
 	})
-	st := w.Transfer(100_000, mk(core.Config{InitialBurst: 10}))
+	st := w.Transfer(100_000, core.New(core.Config{InitialBurst: 10}))
 	if !st.Completed {
 		t.Fatal("did not complete")
 	}
@@ -289,9 +286,9 @@ func TestProactiveRatioReducesOverhead(t *testing.T) {
 	// §5 open question: 2 retransmissions per 3 ACKs ≈ ⅓ of the flow
 	// instead of ½.
 	wFull := ptest.NewWorld(netem.PathConfig{RateBps: 100 * netem.Mbps})
-	full := wFull.Transfer(100_000, mk(core.Config{}))
+	full := wFull.Transfer(100_000, core.New(core.Config{}))
 	wTwoThirds := ptest.NewWorld(netem.PathConfig{RateBps: 100 * netem.Mbps})
-	reduced := wTwoThirds.Transfer(100_000, mk(core.Config{ProactiveRatio: 2.0 / 3.0}))
+	reduced := wTwoThirds.Transfer(100_000, core.New(core.Config{ProactiveRatio: 2.0 / 3.0}))
 	if !(reduced.ProactiveRetx < full.ProactiveRetx) {
 		t.Fatalf("ratio ⅔ sent %d proactive copies vs full's %d",
 			reduced.ProactiveRetx, full.ProactiveRetx)
@@ -321,14 +318,14 @@ func TestAdaptiveThresholdLearnsSlowPath(t *testing.T) {
 	w := ptest.NewWorld(netem.PathConfig{
 		RateBps: 2 * netem.Mbps, RTT: 100 * sim.Millisecond, BufferBytes: 20_000,
 	})
-	cold := w.Transfer(100_000, mk(conf))
+	cold := w.Transfer(100_000, core.New(conf))
 	if !cold.Completed {
 		t.Fatal("cold transfer did not complete")
 	}
 	if hist.Len() != 1 {
 		t.Fatal("history not recorded")
 	}
-	warm := w.Transfer(100_000, mk(conf))
+	warm := w.Transfer(100_000, core.New(conf))
 	if !warm.Completed {
 		t.Fatal("warm transfer did not complete")
 	}
@@ -364,7 +361,7 @@ func TestSingleSegmentFlow(t *testing.T) {
 	// Degenerate flow: one segment. Pacing sends it immediately; ROPR
 	// has nothing to do; the flow must complete in ~1.5 RTT+handshake.
 	w := ptest.NewWorld(netem.PathConfig{RateBps: 100 * netem.Mbps})
-	st := w.Transfer(500, mk(core.Config{}))
+	st := w.Transfer(500, core.New(core.Config{}))
 	if !st.Completed {
 		t.Fatal("did not complete")
 	}
@@ -382,7 +379,7 @@ func TestSingleSegmentFlowLost(t *testing.T) {
 	// scheme. Halfback must still complete.
 	w := ptest.NewWorld(netem.PathConfig{})
 	w.DropDataSeqs(0)
-	st := w.Transfer(500, mk(core.Config{}))
+	st := w.Transfer(500, core.New(core.Config{}))
 	if !st.Completed {
 		t.Fatal("did not complete")
 	}
@@ -396,7 +393,7 @@ func TestDelayedAcksSlowButSafeROPR(t *testing.T) {
 	// the proactive budget actually spent on a clean path — the
 	// ACK-clock sensitivity the DelayedAcks option exists to study.
 	w := ptest.NewWorld(netem.PathConfig{RateBps: 100 * netem.Mbps})
-	conn := w.Dial(100_000, transport.Options{DelayedAcks: true}, mk(core.Config{}))
+	conn := w.Dial(100_000, transport.Options{DelayedAcks: true}, core.New(core.Config{}))
 	run(w, conn)
 	st := conn.Stats
 	if !st.Completed {

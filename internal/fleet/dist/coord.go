@@ -677,10 +677,6 @@ func (c *Coordinator) pumpLocked() {
 	}
 }
 
-// BeginSweep implements fleet.Dispatcher. Workers learn sweeps from
-// their own program, so there is nothing to announce.
-func (c *Coordinator) BeginSweep(sweep uint32, n int) {}
-
 // DispatchCell implements fleet.Dispatcher: queue the cell for the next
 // lease and wait for its outcome. A cell whose lease died (the worker
 // stayed unreachable past the reconnect budget) is leased again to a

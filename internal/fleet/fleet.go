@@ -207,56 +207,36 @@ func MapOpts[T any](o Options, n int, fn func(i, attempt int) (T, error)) ([]T, 
 		w = n
 	}
 
-	if w == 1 {
-		// Serial reference path: same capture semantics, no goroutines.
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				errs[i] = &JobError{Index: i, Label: job.label(i), Err: err}
-				continue
+	// next hands out job indices; results go straight to their slot, so
+	// no ordering coordination is needed beyond the WaitGroup. Once the
+	// context is done no further index is claimed.
+	var next atomic.Int64
+	work := func() {
+		for ctx.Err() == nil {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
 			}
 			out[i], errs[i] = job.run(i)
 		}
-		return out, job.sweepDone(errs)
 	}
-
-	// next hands out job indices; results go straight to their slot, so
-	// no ordering coordination is needed beyond the WaitGroup. Once the
-	// context is done no further index is dispatched: the undispatched
-	// tail is labelled with ctx.Err() after the drain.
-	var (
-		mu   sync.Mutex
-		next int
-		wg   sync.WaitGroup
-	)
-	take := func() (int, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if next >= n || ctx.Err() != nil {
-			return 0, false
+	if w == 1 {
+		// The serial reference: the caller's goroutine, index order.
+		work()
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(w)
+		for k := 0; k < w; k++ {
+			go func() {
+				defer wg.Done()
+				work()
+			}()
 		}
-		i := next
-		next++
-		return i, true
+		wg.Wait()
 	}
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i, ok := take()
-				if !ok {
-					return
-				}
-				out[i], errs[i] = job.run(i)
-			}
-		}()
-	}
-	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		mu.Lock()
-		skippedFrom := next
-		mu.Unlock()
-		for i := skippedFrom; i < n; i++ {
+		// The unclaimed tail never ran.
+		for i := int(next.Load()); i < n; i++ {
 			errs[i] = &JobError{Index: i, Label: job.label(i), Err: err}
 		}
 	}
@@ -277,9 +257,6 @@ func newCellRunner[T any](o Options, n int, fn func(i, attempt int) (T, error)) 
 		c.sweep = o.Run.nextSweep()
 		if j := o.Run.Journal; j != nil {
 			j.beginSweep(c.sweep, n)
-		}
-		if d := o.Run.Dispatch; d != nil {
-			d.BeginSweep(c.sweep, n)
 		}
 	}
 	return c

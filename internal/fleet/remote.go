@@ -48,8 +48,6 @@ type CellOutcome struct {
 // concurrent use — MapOpts calls DispatchCell from every fleet
 // goroutine at once.
 type Dispatcher interface {
-	// BeginSweep announces a sweep before any of its cells dispatch.
-	BeginSweep(sweep uint32, n int)
 	// DispatchCell resolves one cell remotely. A non-nil error reports
 	// infrastructure failure (every worker dead, protocol breakdown) —
 	// the engine then falls back to executing the cell locally, which

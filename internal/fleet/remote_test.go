@@ -14,20 +14,10 @@ import (
 // call — the coordinator hook without any RPC underneath.
 type fakeDispatcher struct {
 	mu       sync.Mutex
-	began    map[uint32]int // sweep → n
 	done     []uint32
 	outcomes map[cellKey]*CellOutcome
 	infraErr error // returned for cells missing from outcomes
 	calls    int
-}
-
-func (d *fakeDispatcher) BeginSweep(sweep uint32, n int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.began == nil {
-		d.began = make(map[uint32]int)
-	}
-	d.began[sweep] = n
 }
 
 func (d *fakeDispatcher) DispatchCell(sweep, cell uint32, label string) (*CellOutcome, error) {
@@ -90,8 +80,8 @@ func TestDispatchResolvesCellsRemotely(t *testing.T) {
 			t.Fatalf("out[%d] = %+v, want Name %q", i, out[i], want)
 		}
 	}
-	if d.began[0] != 3 || len(d.done) != 1 || d.done[0] != 0 {
-		t.Fatalf("sweep lifecycle: began=%v done=%v, want sweep 0 n=3 begun and done once", d.began, d.done)
+	if len(d.done) != 1 || d.done[0] != 0 {
+		t.Fatalf("sweep lifecycle: done=%v, want sweep 0 done once", d.done)
 	}
 	j.Close()
 

@@ -1,11 +1,10 @@
 // Package fixedwin is the deliberately trivial scheme that demonstrates
-// the cost of adding a scheme after the congestion-controller extraction
-// (DESIGN.md §10's walkthrough): a constant sliding window of W
-// segments, no growth, no pacing, timeout recovery only through the
-// transport's RTO (on which it retransmits the cumulative point). It is
-// the smallest possible Pumper controller — the driver offers a send
-// opportunity after every event, and the controller fills the window,
-// retransmissions first.
+// what adding a scheme costs (DESIGN.md §10's walkthrough): a constant
+// sliding window of W segments, no growth, no pacing, timeout recovery
+// only through the transport's RTO (on which it retransmits the
+// cumulative point). It is the smallest possible Pumper controller — the
+// connection offers a send opportunity after every event, and the
+// controller fills the window, retransmissions first.
 //
 // It exists as a living example and a conformance-suite subject, not as
 // a scheme the paper evaluates.
@@ -40,7 +39,7 @@ func New(w int32) func() cc.Controller {
 }
 
 // OnEstablished normalises the state (the zero value is a valid start
-// state) ; the driver's post-event send offer does the rest.
+// state); the connection's post-event send offer does the rest.
 func (l *Logic) OnEstablished(env cc.Env, now sim.Time) {
 	if l.st.Window < 1 {
 		l.st.Window = DefaultWindow
@@ -51,7 +50,7 @@ func (l *Logic) OnEstablished(env cc.Env, now sim.Time) {
 }
 
 // OnAck is a no-op: a fixed window has nothing to learn from an ACK.
-// The scoreboard advanced, so the driver's send offer refills the pipe.
+// The scoreboard advanced, so the send offer refills the pipe.
 func (l *Logic) OnAck(env cc.Env, ev cc.AckEvent, now sim.Time) {}
 
 // OnLoss applies the timeout presumption, widens the per-segment

@@ -35,7 +35,7 @@ func TestWindowNeverExceeded(t *testing.T) {
 				inFlight--
 			}
 		}
-		st := w.TransferC(100_000, fixedwin.New(tc.window))
+		st := w.Transfer(100_000, fixedwin.New(tc.window))
 		if !st.Completed {
 			t.Fatalf("window %d loss %v: did not complete: %+v", tc.window, tc.loss, st)
 		}
@@ -53,7 +53,7 @@ func TestWindowNeverExceeded(t *testing.T) {
 func TestCompletesLossyTransfer(t *testing.T) {
 	for _, loss := range []float64{0.01, 0.05, 0.10} {
 		w := ptest.NewWorld(netem.PathConfig{LossProb: loss, BufferBytes: 64 << 10})
-		st := w.TransferC(50_000, fixedwin.New(fixedwin.DefaultWindow))
+		st := w.Transfer(50_000, fixedwin.New(fixedwin.DefaultWindow))
 		if !st.Completed {
 			t.Fatalf("loss %v: did not complete: %+v", loss, st)
 		}
@@ -85,7 +85,7 @@ func TestLostRetransmissionDoesNotStallRTO(t *testing.T) {
 		delete(firstCopy, pkt.Seq)
 		return !drop
 	})
-	st := w.TransferC(50_000, fixedwin.New(fixedwin.DefaultWindow))
+	st := w.Transfer(50_000, fixedwin.New(fixedwin.DefaultWindow))
 	if !st.Completed || st.Timeouts != 2 || st.FCT() > 10*sim.Second {
 		t.Fatalf("completed=%v after %d timeouts, FCT %v; want completion at the second timeout: %+v",
 			st.Completed, st.Timeouts, st.FCT(), st)

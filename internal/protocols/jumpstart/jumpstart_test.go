@@ -3,6 +3,7 @@ package jumpstart_test
 import (
 	"testing"
 
+	"halfback/internal/cc"
 	"halfback/internal/netem"
 	"halfback/internal/protocols/jumpstart"
 	"halfback/internal/protocols/tcp"
@@ -13,7 +14,7 @@ import (
 
 func TestCleanTransferPacedInOneRTT(t *testing.T) {
 	w := ptest.NewWorld(netem.PathConfig{RateBps: 100 * netem.Mbps})
-	st := w.TransferC(100_000, jumpstart.New())
+	st := w.Transfer(100_000, jumpstart.New())
 	if !st.Completed {
 		t.Fatal("did not complete")
 	}
@@ -31,9 +32,9 @@ func TestCleanTransferPacedInOneRTT(t *testing.T) {
 
 func TestBeatsTCPOnCleanPath(t *testing.T) {
 	wj := ptest.NewWorld(netem.PathConfig{})
-	js := wj.TransferC(100_000, jumpstart.New())
+	js := wj.Transfer(100_000, jumpstart.New())
 	wt := ptest.NewWorld(netem.PathConfig{})
-	tc := wt.TransferC(100_000, tcp.New(tcp.Config{InitialWindow: 2}))
+	tc := wt.Transfer(100_000, tcp.New(tcp.Config{InitialWindow: 2}))
 	if !(js.FCT() < tc.FCT()/2) {
 		t.Fatalf("JumpStart (%v) should be far faster than TCP (%v)", js.FCT(), tc.FCT())
 	}
@@ -49,7 +50,7 @@ func TestBurstRetransmissionOnLoss(t *testing.T) {
 		}
 		return true
 	})
-	st := w.TransferC(100_000, jumpstart.New())
+	st := w.Transfer(100_000, jumpstart.New())
 	if !st.Completed {
 		t.Fatal("did not complete")
 	}
@@ -72,7 +73,7 @@ func TestTimeoutGoBackN(t *testing.T) {
 	// path re-bursts every outstanding hole.
 	w := ptest.NewWorld(netem.PathConfig{})
 	w.DropDataSeqs(64, 65, 66, 67, 68)
-	st := w.TransferC(100_000, jumpstart.New())
+	st := w.Transfer(100_000, jumpstart.New())
 	if !st.Completed {
 		t.Fatal("did not complete")
 	}
@@ -90,7 +91,7 @@ func TestTimeoutGoBackN(t *testing.T) {
 
 func TestLongFlowContinuesAfterPacedWindow(t *testing.T) {
 	w := ptest.NewWorld(netem.PathConfig{})
-	st := w.TransferC(500_000, jumpstart.New())
+	st := w.Transfer(500_000, jumpstart.New())
 	if !st.Completed {
 		t.Fatal("long flow did not complete")
 	}
@@ -102,7 +103,7 @@ func TestLongFlowContinuesAfterPacedWindow(t *testing.T) {
 func TestPacingCompleteExposed(t *testing.T) {
 	w := ptest.NewWorld(netem.PathConfig{})
 	logic := jumpstart.New()().(*jumpstart.Logic)
-	conn := w.DialC(100_000, transport.Options{}, logic)
+	conn := w.Dial(100_000, transport.Options{}, func() cc.Controller { return logic })
 	conn.Start(0)
 	w.Sched.RunUntil(sim.Time(150 * sim.Millisecond)) // mid-pacing
 	if logic.PacingComplete() {

@@ -3,6 +3,7 @@ package pcp_test
 import (
 	"testing"
 
+	"halfback/internal/cc"
 	"halfback/internal/netem"
 	"halfback/internal/protocols/pcp"
 	"halfback/internal/protocols/tcp"
@@ -11,13 +12,9 @@ import (
 	"halfback/internal/transport"
 )
 
-func tcpNew() func(*transport.Conn) transport.Logic {
-	return transport.Drive(tcp.New(tcp.Config{InitialWindow: 2}))
-}
-
 func dialPCP(w *ptest.World, bytes int) (*transport.Conn, *pcp.Logic) {
 	logic := pcp.New()().(*pcp.Logic)
-	conn := w.DialC(bytes, transport.Options{}, logic)
+	conn := w.Dial(bytes, transport.Options{}, func() cc.Controller { return logic })
 	return conn, logic
 }
 
@@ -151,7 +148,7 @@ func TestPCPConservativeVsCompetingTCP(t *testing.T) {
 	// senders keep building up the queue" (§4.2.3) — so its probe sees
 	// rising delay and it defers.
 	w := ptest.NewWorld(netem.PathConfig{BufferBytes: 125_000})
-	bg := w.Dial(100_000_000, transport.Options{FlowWindow: 4 << 20}, tcpNew())
+	bg := w.Dial(100_000_000, transport.Options{FlowWindow: 4 << 20}, tcp.New(tcp.Config{InitialWindow: 2}))
 	bg.Start(0)
 	// Advance until the competitor has actually built a queue.
 	for i := 0; i < 200 && w.Path.Back.QueuedBytes() < 60_000; i++ {

@@ -13,7 +13,7 @@ import (
 func TestEveryPacketDoubled(t *testing.T) {
 	w := ptest.NewWorld(netem.PathConfig{})
 	first, retx, pro := w.CountData()
-	st := w.TransferC(100_000, proactive.New(2))
+	st := w.Transfer(100_000, proactive.New(2))
 	if !st.Completed {
 		t.Fatal("did not complete")
 	}
@@ -39,7 +39,7 @@ func TestRedundancyMasksSingleCopyLoss(t *testing.T) {
 	// the duplicates cover everything without a timeout.
 	w := ptest.NewWorld(netem.PathConfig{})
 	w.DropDataSeqs(5, 30, 68)
-	st := w.TransferC(100_000, proactive.New(2))
+	st := w.Transfer(100_000, proactive.New(2))
 	if !st.Completed {
 		t.Fatal("did not complete")
 	}
@@ -53,9 +53,9 @@ func TestSlowerThanTCPOnCleanPath(t *testing.T) {
 	// slower than vanilla TCP when nothing is lost — matching the
 	// paper's Fig. 6 ordering.
 	wp := ptest.NewWorld(netem.PathConfig{})
-	pr := wp.TransferC(100_000, proactive.New(2))
+	pr := wp.Transfer(100_000, proactive.New(2))
 	wt := ptest.NewWorld(netem.PathConfig{})
-	tc := wt.TransferC(100_000, tcp.New(tcp.Config{InitialWindow: 2}))
+	tc := wt.Transfer(100_000, tcp.New(tcp.Config{InitialWindow: 2}))
 	if !(pr.FCT() > tc.FCT()) {
 		t.Fatalf("Proactive (%v) should trail TCP (%v) on a clean path", pr.FCT(), tc.FCT())
 	}
@@ -66,7 +66,7 @@ func TestSlowerThanTCPOnCleanPath(t *testing.T) {
 
 func TestDuplicatesAreNotRetransmittedReactively(t *testing.T) {
 	w := ptest.NewWorld(netem.PathConfig{})
-	st := w.TransferC(50_000, proactive.New(2))
+	st := w.Transfer(50_000, proactive.New(2))
 	if st.NormalRetx != 0 {
 		t.Fatalf("normal retx on clean path: %d", st.NormalRetx)
 	}

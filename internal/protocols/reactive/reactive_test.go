@@ -3,6 +3,7 @@ package reactive_test
 import (
 	"testing"
 
+	"halfback/internal/cc"
 	"halfback/internal/netem"
 	"halfback/internal/protocols/reactive"
 	"halfback/internal/protocols/tcp"
@@ -14,7 +15,7 @@ import (
 func TestCleanTransferNoProbes(t *testing.T) {
 	w := ptest.NewWorld(netem.PathConfig{})
 	logic := reactive.New(2)().(*reactive.Logic)
-	conn := w.DialC(100_000, transport.Options{}, logic)
+	conn := w.Dial(100_000, transport.Options{}, func() cc.Controller { return logic })
 	conn.Start(0)
 	w.Sched.RunUntil(sim.Time(120 * sim.Second))
 	conn.Abort()
@@ -30,13 +31,13 @@ func TestCleanTransferNoProbes(t *testing.T) {
 func TestTailProbeBeatsTimeout(t *testing.T) {
 	// Drop the final segment: vanilla TCP pays the 1 s RTO; Reactive's
 	// probe (2·SRTT ≈ 200 ms) recovers much sooner.
-	runScheme := func(mk func(*transport.Conn) transport.Logic) *transport.FlowStats {
+	runScheme := func(mk func() cc.Controller) *transport.FlowStats {
 		w := ptest.NewWorld(netem.PathConfig{})
 		w.DropDataSeqs(68)
 		return w.Transfer(100_000, mk)
 	}
-	re := runScheme(transport.Drive(reactive.New(2)))
-	tc := runScheme(transport.Drive(tcp.New(tcp.Config{InitialWindow: 2})))
+	re := runScheme(reactive.New(2))
+	tc := runScheme(tcp.New(tcp.Config{InitialWindow: 2}))
 	if !re.Completed || !tc.Completed {
 		t.Fatal("transfers did not complete")
 	}
@@ -59,7 +60,7 @@ func TestProbeCountsAsNormalRetx(t *testing.T) {
 	w := ptest.NewWorld(netem.PathConfig{})
 	w.DropDataSeqs(68)
 	logic := reactive.New(2)().(*reactive.Logic)
-	conn := w.DialC(100_000, transport.Options{}, logic)
+	conn := w.Dial(100_000, transport.Options{}, func() cc.Controller { return logic })
 	conn.Start(0)
 	w.Sched.RunUntil(sim.Time(120 * sim.Second))
 	conn.Abort()
@@ -76,7 +77,7 @@ func TestProbeBudgetBounded(t *testing.T) {
 	// fire unboundedly (two per episode, then RTO handles it).
 	w := ptest.NewWorld(netem.PathConfig{})
 	logic := reactive.New(2)().(*reactive.Logic)
-	conn := w.DialC(50_000, transport.Options{}, logic)
+	conn := w.Dial(50_000, transport.Options{}, func() cc.Controller { return logic })
 	w.TapClient(func(pkt *netem.Packet, now sim.Time) bool {
 		return pkt.Kind != netem.KindData // swallow all data forever
 	})

@@ -51,8 +51,8 @@ func cacheUniverse(t *testing.T, flowBytes int) cacheOutcome {
 	t.Helper()
 	cache := tcp.NewPathCache()
 	w := ptest.NewWorld(netem.PathConfig{})
-	cold := w.TransferC(flowBytes, tcp.New(tcp.Config{InitialWindow: 2, Cache: cache}))
-	warm := w.TransferC(flowBytes, tcp.New(tcp.Config{InitialWindow: 2, Cache: cache}))
+	cold := w.Transfer(flowBytes, tcp.New(tcp.Config{InitialWindow: 2, Cache: cache}))
+	warm := w.Transfer(flowBytes, tcp.New(tcp.Config{InitialWindow: 2, Cache: cache}))
 	if !cold.Completed || !warm.Completed {
 		t.Fatalf("universe(%d bytes): flows did not complete", flowBytes)
 	}

@@ -5,7 +5,7 @@
 //
 // The implementation follows RFC 5681 (congestion control), RFC 6675
 // (SACK-based recovery and pipe estimation) and Karn's rule, expressed
-// as a cc.Controller driven by the transport's generic loop.
+// as a cc.Controller.
 package tcp
 
 import (

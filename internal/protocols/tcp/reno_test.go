@@ -13,7 +13,7 @@ import (
 
 func transfer(t *testing.T, w *ptest.World, bytes int, conf tcp.Config) *transport.FlowStats {
 	t.Helper()
-	return w.TransferC(bytes, tcp.New(conf))
+	return w.Transfer(bytes, tcp.New(conf))
 }
 
 func TestSlowStartCleanTransfer(t *testing.T) {
@@ -150,7 +150,7 @@ func TestOnSendHookFires(t *testing.T) {
 func TestRenoWindowHalvesOnLoss(t *testing.T) {
 	w := ptest.NewWorld(netem.PathConfig{})
 	reno := tcp.NewReno(tcp.Config{InitialWindow: 10})
-	conn := w.DialC(200_000, transport.Options{}, reno)
+	conn := w.Dial(200_000, transport.Options{}, func() cc.Controller { return reno })
 	w.DropDataSeqs(20)
 	conn.Start(0)
 	w.Sched.RunUntil(sim.Time(60 * sim.Second))

@@ -100,8 +100,8 @@ func Attach(conn *transport.Conn, attack string) *AttackHost {
 	}
 	h := &AttackHost{
 		conn: conn, attack: attack,
-		got:    make([]bool, conn.NumSegs),
-		nonces: make([]uint64, conn.NumSegs),
+		got:    make([]bool, conn.NumSegs()),
+		nonces: make([]uint64, conn.NumSegs()),
 		maxSeq: -1,
 	}
 	conn.SetReceiverLogic(h)
@@ -142,7 +142,7 @@ func (h *AttackHost) OnReceiverReap(c *transport.Conn) {}
 // attackers selectively distort.
 func (h *AttackHost) track(pkt *netem.Packet) {
 	seq := pkt.Seq
-	if seq < 0 || seq >= h.conn.NumSegs {
+	if seq < 0 || seq >= h.conn.NumSegs() {
 		return
 	}
 	h.Total++
@@ -155,7 +155,7 @@ func (h *AttackHost) track(pkt *netem.Packet) {
 	if seq > h.maxSeq {
 		h.maxSeq = seq
 	}
-	for h.cum < h.conn.NumSegs && h.got[h.cum] {
+	for h.cum < h.conn.NumSegs() && h.got[h.cum] {
 		h.cumFold ^= h.nonces[h.cum]
 		h.cum++
 	}
@@ -175,9 +175,9 @@ func (h *AttackHost) onData(pkt *netem.Packet, now sim.Time) {
 			}
 		}
 		h.emit(func(p *netem.Packet) {
-			p.CumAck = h.conn.NumSegs
+			p.CumAck = h.conn.NumSegs()
 			p.AckedSeq = pkt.Seq
-			p.RecvTotal = h.conn.NumSegs
+			p.RecvTotal = h.conn.NumSegs()
 			p.Nonce = guess
 		}, now)
 
@@ -299,20 +299,20 @@ func (r *AttackResult) Outcome() string {
 	}
 }
 
-// MaxAttackAmplification is the documented bounded-waste guarantee the
+// maxAttackAmplification is the documented bounded-waste guarantee the
 // torture suite enforces: against every attacker preset, under either
 // validation policy, a sender transmits at most this multiple of the
-// flow's segment count (plus AttackWasteSlack segments of fixed
+// flow's segment count (plus attackWasteSlack segments of fixed
 // overhead for handshake-adjacent retransmissions). The bound follows
 // from the flow-control window (a stalled cumulative point caps new
 // data at one window) plus the MaxTimeouts retransmission budget; the
 // suite asserts the constant so a regression in either mechanism
 // surfaces as a bounded-waste failure.
-const MaxAttackAmplification = 6
+const maxAttackAmplification = 6
 
-// AttackWasteSlack is the fixed per-flow overhead allowance on top of
-// MaxAttackAmplification × NumSegs.
-const AttackWasteSlack = 128
+// attackWasteSlack is the fixed per-flow overhead allowance on top of
+// maxAttackAmplification × NumSegs.
+const attackWasteSlack = 128
 
 // attackHorizon bounds one adversarial run: long enough for the full
 // MaxTimeouts backoff ladder (~660 s virtual with the paper's 1 s
@@ -347,7 +347,7 @@ func RunAttack(seed uint64, schemeName, attack string, flowBytes int,
 
 	res := &AttackResult{
 		Scheme: schemeName, Attack: attack, Mode: mode,
-		NumSegs:      conn.NumSegs,
+		NumSegs:      conn.NumSegs(),
 		DataPktsSent: conn.Stats.DataPktsSent,
 		Distinct:     host.Distinct,
 		Terminated:   conn.Finished(),
@@ -357,7 +357,7 @@ func RunAttack(seed uint64, schemeName, attack string, flowBytes int,
 		Flagged:      conn.Stats.MisbehaviorTotal(),
 		FirstClass:   conn.Stats.FirstMisbehavior,
 	}
-	res.FalseCompletion = res.SenderDone && host.Distinct != conn.NumSegs
+	res.FalseCompletion = res.SenderDone && host.Distinct != conn.NumSegs()
 	if res.SenderDone {
 		res.Elapsed = conn.Stats.SenderDone
 	} else {
@@ -405,7 +405,7 @@ func CheckAttack(r *AttackResult) error {
 	if !r.Terminated {
 		probs = append(probs, "flow did not terminate before the horizon")
 	}
-	if limit := int64(MaxAttackAmplification)*int64(r.NumSegs) + AttackWasteSlack; r.DataPktsSent > limit {
+	if limit := int64(maxAttackAmplification)*int64(r.NumSegs) + attackWasteSlack; r.DataPktsSent > limit {
 		probs = append(probs, fmt.Sprintf("waste bound violated: sent %d > %d (%d segs)",
 			r.DataPktsSent, limit, r.NumSegs))
 	}

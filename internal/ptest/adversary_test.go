@@ -27,7 +27,7 @@ func attackSchemes() []string {
 // TestBoundedWasteAllSchemesAllAttackers is the headline hardening
 // gate: every scheme, against every attacker preset, under both
 // validation policies, terminates before the horizon, transmits at
-// most MaxAttackAmplification× the flow plus slack, is never fooled
+// most maxAttackAmplification× the flow plus slack, is never fooled
 // into a false completion, and ends in a terminal state the contract
 // permits (see ExpectedAttackReasons).
 func TestBoundedWasteAllSchemesAllAttackers(t *testing.T) {

@@ -47,8 +47,8 @@ func TestPayloadIntegrityAllSchemes(t *testing.T) {
 		if got, want := conn.Stats.PayloadSumRecv, conn.ExpectedPayloadSum(); got != want {
 			return struct{}{}, fmt.Errorf("%s: payload checksum %#x, want %#x", name, got, want)
 		}
-		if deliveries != conn.NumSegs {
-			return struct{}{}, fmt.Errorf("%s: app saw %d deliveries for %d segments", name, deliveries, conn.NumSegs)
+		if deliveries != conn.NumSegs() {
+			return struct{}{}, fmt.Errorf("%s: app saw %d deliveries for %d segments", name, deliveries, conn.NumSegs())
 		}
 		conn.Abort()
 		return struct{}{}, nil

@@ -35,7 +35,7 @@ func TestMaxTimeoutsNegativeRetriesForever(t *testing.T) {
 	opts := transport.Options{MaxRTO: sim.Second}
 	opts.MaxTimeouts = -1
 	w := maxTimeoutsWorld(outageEnd)
-	conn := w.DialC(60_000, opts, scheme.MustNew("TCP").Controller())
+	conn := w.Dial(60_000, opts, scheme.MustNew("TCP").Make)
 	conn.Start(0)
 	w.Sched.RunUntil(sim.Time(300 * sim.Second))
 	conn.Abort()
@@ -60,7 +60,7 @@ func TestMaxTimeoutsDefaultAbortsInOutage(t *testing.T) {
 
 	opts := transport.Options{MaxRTO: sim.Second} // MaxTimeouts 0 → default 15
 	w := maxTimeoutsWorld(outageEnd)
-	conn := w.DialC(60_000, opts, scheme.MustNew("TCP").Controller())
+	conn := w.Dial(60_000, opts, scheme.MustNew("TCP").Make)
 	conn.Start(0)
 	w.Sched.RunUntil(sim.Time(300 * sim.Second))
 	conn.Abort()

@@ -1,6 +1,8 @@
-// Package ptest provides the miniature worlds protocol tests run in: a
-// single bottleneck path or a small dumbbell, with packet-tap hooks for
-// asserting on wire behaviour.
+// Package ptest provides the miniature world protocol tests run in — a
+// transport.World on a single bottleneck path, dialled with a controller
+// factory as every other world is, with packet-tap hooks for asserting
+// on wire behaviour — and the torture, blackout and adversary harnesses
+// built on it.
 package ptest
 
 import (
@@ -50,33 +52,20 @@ func NewWorld(cfg netem.PathConfig) *World {
 	return newWorld(1, cfg)
 }
 
-// Dial creates (but does not start) a server→client download.
-func (w *World) Dial(bytes int, opts transport.Options, mk func(*transport.Conn) transport.Logic) *transport.Conn {
+// Dial creates (but does not start) a server→client download run by the
+// controller mk builds.
+func (w *World) Dial(bytes int, opts transport.Options, mk func() cc.Controller) *transport.Conn {
 	return w.World.Dial(w.Path.Server, w.Path.Client, bytes, opts, mk, nil)
-}
-
-// DialC is Dial for a congestion controller: the controller is wired to
-// the connection through the transport's generic driver, exactly as the
-// scheme registry wires it.
-func (w *World) DialC(bytes int, opts transport.Options, ctrl cc.Controller) *transport.Conn {
-	return w.Dial(bytes, opts, func(c *transport.Conn) transport.Logic {
-		return transport.NewDriver(c, ctrl)
-	})
 }
 
 // Transfer runs one download to completion (or the 300 s deadline) and
 // returns its stats.
-func (w *World) Transfer(bytes int, mk func(*transport.Conn) transport.Logic) *transport.FlowStats {
+func (w *World) Transfer(bytes int, mk func() cc.Controller) *transport.FlowStats {
 	conn := w.Dial(bytes, transport.Options{}, mk)
 	conn.Start(w.Sched.Now())
 	w.Sched.RunUntil(w.Sched.Now().Add(300 * sim.Second))
 	conn.Abort()
 	return conn.Stats
-}
-
-// TransferC is Transfer for a controller factory.
-func (w *World) TransferC(bytes int, mk func() cc.Controller) *transport.FlowStats {
-	return w.Transfer(bytes, transport.Drive(mk))
 }
 
 // TapClient interposes on packets delivered to the client (data

@@ -14,7 +14,7 @@ func TestWorldDefaults(t *testing.T) {
 	if w.Path.Config().RateBps != 10*netem.Mbps {
 		t.Fatal("default rate")
 	}
-	st := w.TransferC(10_000, tcp.New(tcp.Config{}))
+	st := w.Transfer(10_000, tcp.New(tcp.Config{}))
 	if !st.Completed {
 		t.Fatal("default world cannot carry a flow")
 	}
@@ -30,7 +30,7 @@ func TestDropDataSeqsDropsFirstCopyOnly(t *testing.T) {
 		return true
 	})
 	w.DropDataSeqs(3)
-	st := w.TransferC(20_000, tcp.New(tcp.Config{InitialWindow: 10}))
+	st := w.Transfer(20_000, tcp.New(tcp.Config{InitialWindow: 10}))
 	if !st.Completed {
 		t.Fatal("did not complete")
 	}
@@ -48,7 +48,7 @@ func TestCountDataClassification(t *testing.T) {
 	w := NewWorld(netem.PathConfig{})
 	first, retx, pro := w.CountData()
 	w.DropDataSeqs(1)
-	st := w.TransferC(20_000, tcp.New(tcp.Config{InitialWindow: 10}))
+	st := w.Transfer(20_000, tcp.New(tcp.Config{InitialWindow: 10}))
 	if !st.Completed {
 		t.Fatal("did not complete")
 	}
@@ -70,7 +70,7 @@ func TestTapServerSeesAcks(t *testing.T) {
 		}
 		return true
 	})
-	st := w.TransferC(20_000, tcp.New(tcp.Config{}))
+	st := w.Transfer(20_000, tcp.New(tcp.Config{}))
 	if !st.Completed {
 		t.Fatal("did not complete")
 	}
@@ -81,8 +81,8 @@ func TestTapServerSeesAcks(t *testing.T) {
 
 func TestDialAssignsDistinctFlowIDs(t *testing.T) {
 	w := NewWorld(netem.PathConfig{})
-	a := w.Dial(1000, transport.Options{}, transport.Drive(tcp.New(tcp.Config{})))
-	b := w.Dial(1000, transport.Options{}, transport.Drive(tcp.New(tcp.Config{})))
+	a := w.Dial(1000, transport.Options{}, tcp.New(tcp.Config{}))
+	b := w.Dial(1000, transport.Options{}, tcp.New(tcp.Config{}))
 	if a.ID == b.ID {
 		t.Fatal("flow IDs must be unique")
 	}

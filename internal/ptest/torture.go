@@ -138,7 +138,7 @@ func RunTorture(u TortureUniverse, schemeName string, flowBytes int) *TortureRes
 	w.Path.Back.SetAdversity(u.Adv)
 
 	conn := w.Dial(flowBytes, transport.Options{}, scheme.MustNew(schemeName).Make)
-	res := &TortureResult{Scheme: schemeName, Universe: u, NumSegs: conn.NumSegs, Stats: conn.Stats}
+	res := &TortureResult{Scheme: schemeName, Universe: u, NumSegs: conn.NumSegs(), Stats: conn.Stats}
 	conn.OnDeliver = func(payloadBytes int, now sim.Time) { res.Deliveries++ }
 
 	conn.Start(0)

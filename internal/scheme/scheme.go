@@ -4,9 +4,9 @@
 // state (TCP-Cache's path cache) that must be shared within one
 // simulated world but never across worlds.
 //
-// Every scheme is a cc.Controller factory; the transport's generic
-// driver (transport.Drive) runs any of them on a connection, so an
-// Instance's Make field is always Drive(Controller).
+// Every scheme is a cc.Controller factory: Instance.Make is what
+// transport.NewConn and World.Dial take, and the connection runs the
+// controller it builds.
 package scheme
 
 import (
@@ -21,7 +21,6 @@ import (
 	"halfback/internal/protocols/proactive"
 	"halfback/internal/protocols/reactive"
 	"halfback/internal/protocols/tcp"
-	"halfback/internal/transport"
 )
 
 // Canonical scheme names, matching the paper's labels.
@@ -52,75 +51,65 @@ const (
 	// remembered path throughput × handshake RTT bounds the aggressive
 	// prefix on repeat visits.
 	HalfbackAdaptive = "Halfback-Adaptive"
-	// FixedWindow is the post-refactor demonstration scheme (DESIGN.md
-	// §10): a constant 4-segment window, added with only a controller
+	// FixedWindow is the demonstration scheme of DESIGN.md §10: a
+	// constant 4-segment window, added with only a controller
 	// implementation, this registry entry, and conformance rows.
 	FixedWindow = "Fixed-Window"
 )
 
-// Instance is one simulation's instantiation of a scheme: a Controller
-// factory plus whatever cross-flow state the scheme shares. Make wires
-// the controller to a connection through the transport's generic driver.
+// Instance is one simulation's instantiation of a scheme: a controller
+// factory plus whatever cross-flow state the scheme shares.
 type Instance struct {
 	Name string
 
-	// Controller constructs one flow's congestion controller.
-	Controller func() cc.Controller
-
-	// Make adapts Controller for transport.NewConn; it is always
-	// transport.Drive(Controller).
-	Make func(*transport.Conn) transport.Logic
+	// Make constructs one flow's congestion controller.
+	Make func() cc.Controller
 
 	// Cache is non-nil for TCP-Cache instances, exposed for tests and
 	// cache-effectiveness reporting.
 	Cache *tcp.PathCache
 }
 
-// instance wires a controller factory into an Instance.
-func instance(name string, ctrl func() cc.Controller) *Instance {
-	return &Instance{Name: name, Controller: ctrl, Make: transport.Drive(ctrl)}
-}
-
 // New instantiates a scheme by name. It returns an error for unknown
 // names so experiment configuration typos fail loudly.
 func New(name string) (*Instance, error) {
+	inst := &Instance{Name: name}
 	switch name {
 	case TCP:
-		return instance(name, tcp.New(tcp.Config{InitialWindow: 2})), nil
+		inst.Make = tcp.New(tcp.Config{InitialWindow: 2})
 	case TCP10:
-		return instance(name, tcp.New(tcp.Config{InitialWindow: 10})), nil
+		inst.Make = tcp.New(tcp.Config{InitialWindow: 10})
 	case TCPCache:
-		cache := tcp.NewPathCache()
-		inst := instance(name, tcp.New(tcp.Config{InitialWindow: 2, Cache: cache}))
-		inst.Cache = cache
-		return inst, nil
+		inst.Cache = tcp.NewPathCache()
+		inst.Make = tcp.New(tcp.Config{InitialWindow: 2, Cache: inst.Cache})
 	case Reactive:
-		return instance(name, reactive.New(2)), nil
+		inst.Make = reactive.New(2)
 	case Proactive:
-		return instance(name, proactive.New(2)), nil
+		inst.Make = proactive.New(2)
 	case JumpStart:
-		return instance(name, jumpstart.New()), nil
+		inst.Make = jumpstart.New()
 	case PCP:
-		return instance(name, pcp.New()), nil
+		inst.Make = pcp.New()
 	case Halfback:
-		return instance(name, core.New(core.Config{Order: core.Reverse})), nil
+		inst.Make = core.New(core.Config{Order: core.Reverse})
 	case HalfbackForward:
-		return instance(name, core.New(core.Config{Order: core.Forward})), nil
+		inst.Make = core.New(core.Config{Order: core.Forward})
 	case HalfbackBurst:
-		return instance(name, core.New(core.Config{Order: core.Burst})), nil
+		inst.Make = core.New(core.Config{Order: core.Burst})
 	case PacingOnly:
-		return instance(name, core.New(core.Config{DisableROPR: true})), nil
+		inst.Make = core.New(core.Config{DisableROPR: true})
 	case HalfbackIB10:
-		return instance(name, core.New(core.Config{InitialBurst: 10})), nil
+		inst.Make = core.New(core.Config{InitialBurst: 10})
 	case HalfbackTwoThirds:
-		return instance(name, core.New(core.Config{ProactiveRatio: 2.0 / 3.0})), nil
+		inst.Make = core.New(core.Config{ProactiveRatio: 2.0 / 3.0})
 	case HalfbackAdaptive:
-		return instance(name, core.New(core.Config{History: core.NewRateHistory()})), nil
+		inst.Make = core.New(core.Config{History: core.NewRateHistory()})
 	case FixedWindow:
-		return instance(name, fixedwin.New(fixedwin.DefaultWindow)), nil
+		inst.Make = fixedwin.New(fixedwin.DefaultWindow)
 	default:
 		return nil, fmt.Errorf("scheme: unknown scheme %q (known: %v)", name, AllNames())
 	}
+	return inst, nil
 }
 
 // MustNew is New for statically known names.

@@ -35,7 +35,7 @@ func PayloadSum(flow netem.FlowID, seq int32, size int) uint64 {
 // whole flow exactly once.
 func (c *Conn) ExpectedPayloadSum() uint64 {
 	var sum uint64
-	for seq := int32(0); seq < c.NumSegs; seq++ {
+	for seq := int32(0); seq < c.numSegs; seq++ {
 		sum ^= PayloadSum(c.ID, seq, c.SegmentSize(seq))
 	}
 	return sum

@@ -3,33 +3,10 @@ package transport
 import (
 	"fmt"
 
+	"halfback/internal/cc"
 	"halfback/internal/netem"
 	"halfback/internal/sim"
 )
-
-// Logic is the protocol brain of a connection's sender side. The Conn
-// owns everything protocol-independent (handshake, scoreboard, RTT/RTO,
-// completion detection) and calls into the Logic at the three decision
-// points every scheme differs on: what to do once established, on every
-// acknowledgement, and on a retransmission timeout.
-type Logic interface {
-	// OnEstablished runs when the handshake completes; the handshake
-	// RTT sample is already folded into the estimator.
-	OnEstablished(now sim.Time)
-	// OnAck runs for every acknowledgement that does not complete the
-	// flow, after the scoreboard has been updated.
-	OnAck(pkt *netem.Packet, up AckUpdate, now sim.Time)
-	// OnRTO runs when the retransmission timer fires. The Conn has
-	// already counted the timeout and applied backoff; the Logic
-	// decides what to retransmit and how its window reacts.
-	OnRTO(now sim.Time)
-}
-
-// DoneHook is implemented by Logics that hold their own timers and need
-// to release them when the flow completes.
-type DoneHook interface {
-	OnDone(now sim.Time)
-}
 
 type connState uint8
 
@@ -47,8 +24,13 @@ const (
 )
 
 // Conn is one simulated connection: a sender endpoint on the source
-// stack, a receiver endpoint on the destination stack, and the shared
-// flow bookkeeping. Create with NewConn, then Start.
+// stack, a receiver endpoint on the destination stack, the shared flow
+// bookkeeping, and the scheme's congestion controller. The Conn owns
+// everything scheme-independent (handshake, scoreboard, RTT/RTO,
+// completion detection, pacing, timers) and is the cc.Env its controller
+// observes and acts through: it calls the controller at the decision
+// points every scheme differs on and, after each, offers a Pumper its
+// send opportunity (DESIGN.md §10). Create with NewConn, then Start.
 type Conn struct {
 	ID   netem.FlowID
 	Opts Options
@@ -58,10 +40,12 @@ type Conn struct {
 	src   *Stack // sender host
 	dst   *Stack // receiver host
 
-	logic Logic
+	ctrl cc.Controller
+	pump cc.Pumper   // non-nil iff the controller wants send offers
+	done cc.DoneHook // non-nil iff the controller has terminal work
 
-	FlowBytes int
-	NumSegs   int32
+	flowBytes int
+	numSegs   int32
 
 	Stats *FlowStats
 	Score *Scoreboard
@@ -76,6 +60,14 @@ type Conn struct {
 	synBackoff    int
 	deadlineTimer sim.Timer
 
+	// timers holds the controller's timers by kind, pacer its one paced
+	// schedule (Pace). Both are armed closure-free — the kind rides in
+	// the callback (timerFire), the Conn in the argument — so a timer
+	// re-armed on every ACK (PTO) or every packet (PCP's tick) and a
+	// paced run allocate nothing.
+	timers [cc.NumTimerKinds]sim.Timer
+	pacer  pacer
+
 	onComplete func(*Conn)
 	recv       *receiver
 	recvLogic  ReceiverLogic
@@ -88,6 +80,8 @@ type Conn struct {
 	OnDeliver func(payloadBytes int, now sim.Time)
 }
 
+var _ cc.Env = (*Conn)(nil)
+
 // sender wraps the Conn for stack registration so the sender- and
 // receiver-side handlers can be registered under the same flow ID on
 // different stacks.
@@ -95,17 +89,20 @@ type sender struct{ c *Conn }
 
 func (s sender) handlePacket(pkt *netem.Packet, now sim.Time) { s.c.handleSenderPacket(pkt, now) }
 
-// NewConn wires a connection from src to dst carrying flowBytes. The
-// logic factory receives the constructed Conn so protocol state can
-// reference it. onComplete (optional) fires when the sender learns the
-// whole flow is acknowledged.
+// NewConn wires a connection from src to dst carrying flowBytes, run by
+// the controller mk builds. onComplete (optional) fires when the sender
+// learns the whole flow is acknowledged.
 func NewConn(id netem.FlowID, src, dst *Stack, flowBytes int, opts Options,
-	makeLogic func(*Conn) Logic, onComplete func(*Conn)) *Conn {
+	mk func() cc.Controller, onComplete func(*Conn)) *Conn {
 	if flowBytes <= 0 {
 		panic("transport: flow must carry at least one byte")
 	}
 	if src.Net != dst.Net {
 		panic("transport: endpoints on different networks")
+	}
+	ctrl := mk()
+	if ctrl == nil {
+		panic("transport: controller factory returned nil")
 	}
 	opts.applyDefaults()
 	n := int32(netem.SegmentsFor(flowBytes))
@@ -113,7 +110,8 @@ func NewConn(id netem.FlowID, src, dst *Stack, flowBytes int, opts Options,
 		ID: id, Opts: opts,
 		net: src.Net, sched: src.Net.Scheduler(),
 		src: src, dst: dst,
-		FlowBytes: flowBytes, NumSegs: n,
+		ctrl:      ctrl,
+		flowBytes: flowBytes, numSegs: n,
 		Stats: &FlowStats{ID: id, FlowBytes: flowBytes, NumSegs: n},
 		Score: NewScoreboard(n),
 		RTT:   NewRTTEstimator(initialRTO, minRTO, opts.MaxRTO),
@@ -121,12 +119,10 @@ func NewConn(id netem.FlowID, src, dst *Stack, flowBytes int, opts Options,
 		sentAt:     make([]sim.Time, n),
 		onComplete: onComplete,
 	}
+	c.pump, _ = ctrl.(cc.Pumper)
+	c.done, _ = ctrl.(cc.DoneHook)
 	c.val.Init(id)
 	c.recv = newReceiver(c)
-	c.logic = makeLogic(c)
-	if c.logic == nil {
-		panic("transport: logic factory returned nil")
-	}
 	return c
 }
 
@@ -157,7 +153,8 @@ func (c *Conn) Start(now sim.Time) {
 		c.Stats.HandshakeRTT = hint
 		c.RTT.Sample(hint)
 		c.fcwSegs = c.Opts.WindowSegments()
-		c.logic.OnEstablished(now)
+		c.ctrl.OnEstablished(c, now)
+		c.offer(now)
 		return
 	}
 	c.state = stateSynSent
@@ -229,7 +226,8 @@ func (c *Conn) handleSenderPacket(pkt *netem.Packet, now sim.Time) {
 		} else {
 			c.fcwSegs = c.Opts.WindowSegments()
 		}
-		c.logic.OnEstablished(now)
+		c.ctrl.OnEstablished(c, now)
+		c.offer(now)
 
 	case netem.KindAck:
 		if c.state != stateEstablished {
@@ -243,7 +241,8 @@ func (c *Conn) handleSenderPacket(pkt *netem.Packet, now sim.Time) {
 		}
 		// Probe feedback is protocol-specific (PCP); surface it as an
 		// ACK with no scoreboard change.
-		c.logic.OnAck(pkt, AckUpdate{Duplicate: true}, now)
+		c.ctrl.OnAck(c, cc.AckEvent{Duplicate: true, Probe: true, Seq: pkt.Seq, OWD: pkt.OWD}, now)
+		c.offer(now)
 	}
 }
 
@@ -261,7 +260,7 @@ func (c *Conn) processAck(pkt *netem.Packet, now sim.Time) {
 	}
 
 	// Karn's rule: sample RTT only from segments never retransmitted.
-	if seq := pkt.AckedSeq; seq >= 0 && seq < c.NumSegs &&
+	if seq := pkt.AckedSeq; seq >= 0 && seq < c.numSegs &&
 		c.Score.RetxCount(seq) == 0 && c.sentAt[seq] > 0 {
 		c.RTT.Sample(now.Sub(c.sentAt[seq]))
 	}
@@ -274,7 +273,8 @@ func (c *Conn) processAck(pkt *netem.Packet, now sim.Time) {
 		}
 		c.restartRTO(now)
 	}
-	c.logic.OnAck(pkt, up, now)
+	c.ctrl.OnAck(c, cc.AckEvent{NewCumAcked: up.NewCumAcked, NewSacked: up.NewSacked, Duplicate: up.Duplicate}, now)
+	c.offer(now)
 }
 
 // noteMisbehavior records a flagged ACK and applies the configured
@@ -294,8 +294,8 @@ func (c *Conn) noteMisbehavior(class PeerMisbehavior, now sim.Time) {
 // SegmentSize returns the wire size of segment seq (the final segment of
 // a flow may be short).
 func (c *Conn) SegmentSize(seq int32) int {
-	if seq == c.NumSegs-1 {
-		last := c.FlowBytes - int(c.NumSegs-1)*netem.SegmentPayload
+	if seq == c.numSegs-1 {
+		last := c.flowBytes - int(c.numSegs-1)*netem.SegmentPayload
 		return last + netem.DataHeaderBytes
 	}
 	return netem.SegmentSize
@@ -309,8 +309,8 @@ func (c *Conn) SendSegment(seq int32, retransmit, proactive bool, now sim.Time) 
 	if c.state != stateEstablished {
 		return
 	}
-	if seq < 0 || seq >= c.NumSegs {
-		panic(fmt.Sprintf("transport: segment %d out of range [0,%d)", seq, c.NumSegs))
+	if seq < 0 || seq >= c.numSegs {
+		panic(fmt.Sprintf("transport: segment %d out of range [0,%d)", seq, c.numSegs))
 	}
 	pkt := c.net.NewPacket()
 	pkt.Kind, pkt.Flow = netem.KindData, c.ID
@@ -343,31 +343,20 @@ func (c *Conn) SendSegment(seq int32, retransmit, proactive bool, now sim.Time) 
 	// Budget check last, after the scoreboard and stats recorded the
 	// send: a protocol loop that drives several retransmissions from one
 	// event keeps observing NoteSend-advanced state for the copies that
-	// did go out, and the abort lands between sends, where every driver
-	// checks Finished.
+	// did go out, and the abort lands between sends, where every
+	// controller checks Finished.
 	if retransmit && c.Opts.MaxRetx > 0 &&
 		c.Stats.NormalRetx+c.Stats.ProactiveRetx > int64(c.Opts.MaxRetx) {
 		c.abortWith(AbortRetxBudgetExhausted, now)
 	}
 }
 
-// SendNew transmits the next never-sent segment if one exists within the
-// flow-control window, returning its sequence or -1.
-func (c *Conn) SendNew(now sim.Time) int32 {
-	seq := c.Score.HighSent() + 1
-	if seq >= c.NumSegs || seq >= c.WindowLimit() {
-		return -1
-	}
-	c.SendSegment(seq, false, false, now)
-	return seq
-}
-
 // WindowLimit returns the exclusive upper bound on sendable sequence
 // numbers imposed by the receiver's advertised flow-control window.
 func (c *Conn) WindowLimit() int32 {
 	lim := c.Score.CumAck() + c.fcwSegs
-	if lim > c.NumSegs {
-		lim = c.NumSegs
+	if lim > c.numSegs {
+		lim = c.numSegs
 	}
 	return lim
 }
@@ -412,7 +401,8 @@ func (c *Conn) fireRTO(now sim.Time) {
 		return
 	}
 	c.restartRTO(now)
-	c.logic.OnRTO(now)
+	c.ctrl.OnLoss(c, cc.LossEvent{Kind: cc.LossTimeout}, now)
+	c.offer(now)
 }
 
 func (c *Conn) finish(now sim.Time) {
@@ -421,25 +411,19 @@ func (c *Conn) finish(now sim.Time) {
 	}
 	c.state = stateDone
 	c.Stats.SenderDone = now
-	c.rtoTimer.Stop()
-	c.synTimer.Stop()
-	c.deadlineTimer.Stop()
 	c.src.unregister(c.ID)
 	c.dst.unregister(c.ID)
-	if hook, ok := c.logic.(DoneHook); ok {
-		hook.OnDone(now)
-	}
+	c.release(now)
 	if c.onComplete != nil {
 		c.onComplete(c)
 	}
 }
 
 // abortWith moves the connection to the terminal Aborted state and
-// releases everything it holds: lifecycle timers are cancelled, the
-// receiver's delayed-ACK state is reaped, both endpoint registrations
-// are dropped, and the protocol's DoneHook runs so scheme-private
-// timers die too. After abortWith returns, the flow contributes no
-// further events and the scheduler can drain.
+// releases everything it holds: the receiver's delayed-ACK state is
+// reaped, both endpoint registrations are dropped, and release cancels
+// every timer. After abortWith returns, the flow contributes no further
+// events and the scheduler can drain.
 func (c *Conn) abortWith(reason AbortReason, now sim.Time) {
 	if c.state == stateDone || c.state == stateAborted {
 		return
@@ -449,16 +433,28 @@ func (c *Conn) abortWith(reason AbortReason, now sim.Time) {
 	c.Stats.Aborted = true
 	c.Stats.AbortReason = reason
 	c.Stats.AbortedAt = now
-	c.rtoTimer.Stop()
-	c.synTimer.Stop()
-	c.deadlineTimer.Stop()
 	c.recv.reap()
 	if prev == stateSynSent || prev == stateEstablished {
 		c.src.unregister(c.ID)
 		c.dst.unregister(c.ID)
 	}
-	if hook, ok := c.logic.(DoneHook); ok {
-		hook.OnDone(now)
+	c.release(now)
+}
+
+// release runs once, on entry to a terminal state: it cancels everything
+// the flow has scheduled — the lifecycle timers, the paced schedule and
+// every controller timer — and only then runs the controller's terminal
+// hook, so controllers never manage timer lifetime at teardown.
+func (c *Conn) release(now sim.Time) {
+	c.rtoTimer.Stop()
+	c.synTimer.Stop()
+	c.deadlineTimer.Stop()
+	c.pacer.tick.Stop()
+	for i := range c.timers {
+		c.timers[i].Stop()
+	}
+	if c.done != nil {
+		c.done.OnDone(c, now)
 	}
 }
 
@@ -479,20 +475,6 @@ func (c *Conn) Aborted() bool { return c.state == stateAborted }
 
 // Established reports whether the handshake has completed.
 func (c *Conn) Established() bool { return c.state == stateEstablished }
-
-// Logic returns the protocol logic driving the sender, for tests and
-// tracing.
-func (c *Conn) Logic() Logic { return c.logic }
-
-// Sched exposes the scheduler for protocol-private timers.
-func (c *Conn) Sched() *sim.Scheduler { return c.sched }
-
-// Net exposes the network, e.g. for PCP probe injection.
-func (c *Conn) Net() *netem.Network { return c.net }
-
-// SrcNode and DstNode return the endpoints' node IDs.
-func (c *Conn) SrcNode() netem.NodeID { return c.src.Node.ID }
-func (c *Conn) DstNode() netem.NodeID { return c.dst.Node.ID }
 
 // Receiver replacement -------------------------------------------------
 
@@ -534,63 +516,130 @@ func (c *Conn) EmitFromReceiver(mutate func(*netem.Packet), now sim.Time) {
 	c.net.Inject(pkt, now)
 }
 
-// Pacing support ------------------------------------------------------
+// The controller's Env ---------------------------------------------------
+//
+// Beside SendSegment, WindowLimit, FcwSegs, StopRTO, Finished and
+// Established above.
 
-// Pacer schedules a run of equally spaced segment transmissions. It is a
-// cooperative helper: protocols construct one, and each tick sends via
-// the provided send function, so the same machinery paces first
-// transmissions (JumpStart, Halfback) and proactive retransmissions
-// (Halfback-Forward ablation).
-type Pacer struct {
-	conn     *Conn
-	timer    sim.Timer
-	stopped  bool
-	next, hi int32
-	interval sim.Duration
-	done     func(now sim.Time)
-}
-
-// PaceRange paces first transmissions of segments [lo,hi) evenly across
-// total, starting with the first segment immediately. done (optional)
-// runs after the last segment is sent. It returns a Pacer whose Stop
-// cancels the remaining schedule. Ticks are scheduled closure-free: the
-// Pacer itself carries the cursor, so a paced run costs one allocation
-// (the Pacer), not one per segment.
-func (c *Conn) PaceRange(lo, hi int32, total sim.Duration, done func(now sim.Time)) *Pacer {
-	p := &Pacer{conn: c, next: lo, hi: hi, done: done}
-	n := hi - lo
-	if n <= 0 {
-		if done != nil {
-			done(c.sched.Now())
-		}
-		return p
-	}
-	if n > 1 {
-		p.interval = total / sim.Duration(n)
-	}
-	pacerTick(c.sched.Now(), p)
-	return p
-}
-
-// pacerTick sends the cursor segment and schedules the next tick.
-func pacerTick(now sim.Time, arg any) {
-	p := arg.(*Pacer)
-	c := p.conn
-	if p.stopped || c.Finished() {
+// offer gives a Pumper controller its send opportunity, after every
+// event delivered to the controller, with the flow-control budget for
+// never-sent segments.
+func (c *Conn) offer(now sim.Time) {
+	if c.pump == nil || c.state != stateEstablished {
 		return
 	}
+	budget := c.WindowLimit() - (c.Score.HighSent() + 1)
+	c.pump.OnSend(c, max(budget, 0), now)
+}
+
+// Sack returns the connection's scoreboard.
+func (c *Conn) Sack() cc.Sack { return c.Score }
+
+// NumSegs returns the flow length in segments.
+func (c *Conn) NumSegs() int32 { return c.numSegs }
+
+// FlowBytes returns the flow length in bytes.
+func (c *Conn) FlowBytes() int { return c.flowBytes }
+
+// DupThresh returns the SACK loss-inference threshold.
+func (c *Conn) DupThresh() int { return dupThresh }
+
+// HandshakeRTT returns the SYN→SYNACK measurement.
+func (c *Conn) HandshakeRTT() sim.Duration { return c.Stats.HandshakeRTT }
+
+// SRTT returns the smoothed RTT estimate.
+func (c *Conn) SRTT() sim.Duration { return c.RTT.SRTT() }
+
+// Completed reports whether the receiver held every byte.
+func (c *Conn) Completed() bool { return c.Stats.Completed }
+
+// EstablishedAt returns when the handshake completed.
+func (c *Conn) EstablishedAt() sim.Time { return c.Stats.Established }
+
+// FinishedAt returns when the sender learned of completion.
+func (c *Conn) FinishedAt() sim.Time { return c.Stats.SenderDone }
+
+// Path identifies the flow's endpoints.
+func (c *Conn) Path() (src, dst netem.NodeID) { return c.src.Node.ID, c.dst.Node.ID }
+
+// SendProbe emits one bandwidth-probe packet (PCP's probe trains).
+func (c *Conn) SendProbe(seq int32, size int, now sim.Time) {
+	if c.state != stateEstablished {
+		return
+	}
+	pkt := c.net.NewPacket()
+	pkt.Kind, pkt.Flow = netem.KindProbe, c.ID
+	pkt.Src, pkt.Dst = c.src.Node.ID, c.dst.Node.ID
+	pkt.Seq, pkt.Size = seq, size
+	pkt.Echo, pkt.AckedSeq = now, -1
+	c.net.Inject(pkt, now)
+}
+
+// timerFire[k] is the scheduler callback of controller timer k.
+var timerFire = func() (fire [cc.NumTimerKinds]sim.EventFunc) {
+	for k := range fire {
+		fire[k] = func(now sim.Time, arg any) { arg.(*Conn).fireTimer(cc.TimerKind(k), now) }
+	}
+	return fire
+}()
+
+// fireTimer delivers a controller timer expiry, unless the flow reached
+// a terminal state first.
+func (c *Conn) fireTimer(kind cc.TimerKind, now sim.Time) {
+	if c.Finished() {
+		return
+	}
+	c.ctrl.OnTimer(c, kind, now)
+	c.offer(now)
+}
+
+// ArmTimer (re)arms a controller timer.
+func (c *Conn) ArmTimer(kind cc.TimerKind, d sim.Duration) {
+	c.timers[kind].Stop()
+	c.timers[kind] = c.sched.AfterFunc(d, timerFire[kind], c)
+}
+
+// StopTimer cancels a controller timer.
+func (c *Conn) StopTimer(kind cc.TimerKind) { c.timers[kind].Stop() }
+
+// pacer is a run of equally spaced first transmissions: the cursor, the
+// end of the range, the gap and the pending tick.
+type pacer struct {
+	next, hi int32
+	interval sim.Duration
+	tick     sim.Timer
+}
+
+// Pace paces first transmissions of segments [lo,hi) evenly across
+// total, the first one now, replacing any schedule still running;
+// TimerPaceDone follows the last send, at once if the range is empty.
+func (c *Conn) Pace(lo, hi int32, total sim.Duration) {
+	c.pacer.tick.Stop()
+	c.pacer = pacer{next: lo, hi: hi}
+	n := hi - lo
+	if n <= 0 {
+		c.fireTimer(cc.TimerPaceDone, c.sched.Now())
+		return
+	}
+	if n > 1 {
+		c.pacer.interval = total / sim.Duration(n)
+	}
+	paceTick(c.sched.Now(), c)
+}
+
+// paceTick sends the cursor segment and schedules the next tick.
+func paceTick(now sim.Time, arg any) {
+	c := arg.(*Conn)
+	if c.Finished() {
+		return
+	}
+	p := &c.pacer
 	seq := p.next
 	p.next++
 	c.SendSegment(seq, false, false, now)
 	if p.next < p.hi {
-		p.timer = c.sched.AfterFunc(p.interval, pacerTick, p)
-	} else if p.done != nil {
-		p.done(now)
+		p.tick = c.sched.AfterFunc(p.interval, paceTick, c)
+	} else {
+		c.fireTimer(cc.TimerPaceDone, now)
 	}
-}
-
-// Stop cancels any remaining paced transmissions.
-func (p *Pacer) Stop() {
-	p.stopped = true
-	p.timer.Stop()
 }

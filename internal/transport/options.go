@@ -3,10 +3,11 @@
 // plays in the paper (§4.1): connection setup (SYN/SYNACK, counted in
 // flow completion time), 1500-byte segments, per-packet selective
 // acknowledgements, a SACK scoreboard, RFC 6298-style RTT/RTO estimation,
-// and a pacing helper.
+// pacing and timers.
 //
-// A protocol ("scheme") implements the Logic interface and drives the
-// Conn's send helpers; the Conn owns everything protocol-independent.
+// A protocol ("scheme") is a cc.Controller. The Conn owns everything
+// protocol-independent, runs the controller it was built with, and is
+// the cc.Env the controller observes and acts through (DESIGN.md §10).
 package transport
 
 import (

@@ -34,7 +34,7 @@ type receiver struct {
 }
 
 func newReceiver(c *Conn) *receiver {
-	return &receiver{conn: c, got: make([]bool, c.NumSegs)}
+	return &receiver{conn: c, got: make([]bool, c.numSegs)}
 }
 
 func (r *receiver) handlePacket(pkt *netem.Packet, now sim.Time) {
@@ -53,7 +53,7 @@ func (r *receiver) handlePacket(pkt *netem.Packet, now sim.Time) {
 
 	case netem.KindData:
 		seq := pkt.Seq
-		if seq < 0 || seq >= c.NumSegs {
+		if seq < 0 || seq >= c.numSegs {
 			return
 		}
 		// End-to-end integrity: a segment whose payload checksum does
@@ -73,7 +73,7 @@ func (r *receiver) handlePacket(pkt *netem.Packet, now sim.Time) {
 				r.maxSeq = seq
 			}
 			r.distinct++
-			for r.cumAck < c.NumSegs && r.got[r.cumAck] {
+			for r.cumAck < c.numSegs && r.got[r.cumAck] {
 				r.cumFold ^= c.val.SegNonce(r.cumAck)
 				r.cumAck++
 			}
@@ -81,7 +81,7 @@ func (r *receiver) handlePacket(pkt *netem.Packet, now sim.Time) {
 				r.holeSeen = true
 				c.Stats.LossSeen = true
 			}
-			if r.distinct == c.NumSegs && !c.Stats.Completed {
+			if r.distinct == c.numSegs && !c.Stats.Completed {
 				c.Stats.Completed = true
 				c.Stats.ReceiverDone = now
 			}
@@ -99,7 +99,7 @@ func (r *receiver) handlePacket(pkt *netem.Packet, now sim.Time) {
 		// the 40 ms timer, whichever first.
 		r.unacked++
 		outOfOrder := seq != r.cumAck-1 || r.holeSeen && r.cumAck <= r.maxSeq
-		if r.unacked >= 2 || outOfOrder || r.distinct == c.NumSegs {
+		if r.unacked >= 2 || outOfOrder || r.distinct == c.numSegs {
 			r.flushAck(seq, now)
 			break
 		}
@@ -174,7 +174,7 @@ func (r *receiver) sendAck(seq int32, now sim.Time) {
 // segment goes first (most useful for loss inference), then blocks are
 // reported bottom-up from the cumulative ACK point.
 func (r *receiver) fillSACK(ack *netem.Packet, trigger int32) {
-	if r.cumAck >= r.conn.NumSegs {
+	if r.cumAck >= r.conn.numSegs {
 		return
 	}
 	add := func(lo, hi int32) bool {
@@ -195,7 +195,7 @@ func (r *receiver) fillSACK(ack *netem.Packet, trigger int32) {
 		for lo > r.cumAck && r.got[lo-1] {
 			lo--
 		}
-		for hi < r.conn.NumSegs && r.got[hi] {
+		for hi < r.conn.numSegs && r.got[hi] {
 			hi++
 		}
 		add(lo, hi)
@@ -205,8 +205,8 @@ func (r *receiver) fillSACK(ack *netem.Packet, trigger int32) {
 	// be in a run), which keeps ACK generation O(holes) for healthy
 	// flows regardless of window size.
 	limit := r.maxSeq + 1
-	if limit > r.conn.NumSegs {
-		limit = r.conn.NumSegs
+	if limit > r.conn.numSegs {
+		limit = r.conn.numSegs
 	}
 	for s := r.cumAck; s < limit && ack.NumSACK < netem.MaxSACKBlocks; {
 		if !r.got[s] {

@@ -10,7 +10,7 @@ import (
 
 // TestFlowSurvivesRandomLoss is the transport substrate's liveness
 // property: whatever independent random loss the path applies (up to
-// 30% each way), a flow driven by the simple test logic either completes
+// 30% each way), a flow run by the test controller either completes
 // or gives up cleanly via the R2 limit — it never wedges with pending
 // events, and completion implies every byte reached the receiver.
 func TestFlowSurvivesRandomLoss(t *testing.T) {
@@ -25,12 +25,7 @@ func TestFlowSurvivesRandomLoss(t *testing.T) {
 		})
 		client := NewStack(p.Net, p.Client)
 		server := NewStack(p.Net, p.Server)
-		var logic *testLogic
-		conn := NewConn(1, server, client, bytes, Options{},
-			func(c *Conn) Logic {
-				logic = &testLogic{c: c}
-				return logic
-			}, nil)
+		conn := NewConn(1, server, client, bytes, Options{}, new(recCtrl).make, nil)
 		conn.Start(0)
 		sched.RunUntil(sim.Time(1800 * sim.Second))
 		// Either completed, or aborted by the give-up rule.
@@ -57,8 +52,7 @@ func TestNoEventsAfterTeardown(t *testing.T) {
 	})
 	client := NewStack(p.Net, p.Client)
 	server := NewStack(p.Net, p.Server)
-	conn := NewConn(1, server, client, 50_000, Options{},
-		func(c *Conn) Logic { return &testLogic{c: c} }, nil)
+	conn := NewConn(1, server, client, 50_000, Options{}, new(recCtrl).make, nil)
 	conn.Start(0)
 	sched.Run() // must terminate on its own
 	if !conn.Stats.Completed {

@@ -373,9 +373,9 @@ func (optimistTestLogic) OnReceiverPacket(c *Conn, pkt *netem.Packet, now sim.Ti
 	case netem.KindData:
 		c.EmitFromReceiver(func(p *netem.Packet) {
 			p.Kind = netem.KindAck
-			p.CumAck = c.NumSegs
+			p.CumAck = c.NumSegs()
 			p.AckedSeq = pkt.Seq
-			p.RecvTotal = c.NumSegs
+			p.RecvTotal = c.NumSegs()
 			p.Nonce = pkt.Nonce // best guess: the one nonce it has seen
 		}, now)
 	}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"halfback/internal/cc"
 	"halfback/internal/netem"
 	"halfback/internal/sim"
 )
@@ -73,11 +74,11 @@ func (w *World) Stack(node *netem.Node) *Stack {
 }
 
 // Dial creates (but does not start) the world's next flow: bytes from
-// src to dst under opts, driven by the logic mk builds. When the sender
-// learns of completion the flow's stats join Finished and onDone, if
-// non-nil, runs.
+// src to dst under opts, run by the controller mk builds. When the
+// sender learns of completion the flow's stats join Finished and onDone,
+// if non-nil, runs.
 func (w *World) Dial(src, dst *netem.Node, bytes int, opts Options,
-	mk func(*Conn) Logic, onDone func(*FlowStats)) *Conn {
+	mk func() cc.Controller, onDone func(*FlowStats)) *Conn {
 	id := w.nextFlow
 	w.nextFlow++
 	c := NewConn(id, w.Stack(src), w.Stack(dst), bytes, opts, mk, func(c *Conn) {
