@@ -66,13 +66,13 @@ func (e *Exit) Error() string { return fmt.Sprintf("exit %d", e.Code) }
 // takes them from its own command line while the shape comes from the
 // journal.
 type Exec struct {
-	Workers                    int
-	CPUProfile, MemProfile     string
-	Journal, Resume, Repro     string
-	ServeWorker, WorkerJournal string
-	WorkersRemote              string
-	Distributed                int
-	ClusterKey                 string
+	Workers                int
+	CPUProfile, MemProfile string
+	Journal, Resume, Repro string
+	ServeWorker            string
+	WorkersRemote          string
+	Distributed            int
+	ClusterKey             string
 }
 
 func (x *Exec) bind(fs *flag.FlagSet) {
@@ -83,7 +83,6 @@ func (x *Exec) bind(fs *flag.FlagSet) {
 	fs.StringVar(&x.Resume, "resume", "", "resume a journaled run: replay its completed cells, execute the rest")
 	fs.StringVar(&x.Repro, "repro", "", "replay one failed cell from its repro bundle (written next to the journal)")
 	fs.StringVar(&x.ServeWorker, "serve-worker", "", "run as a distributed-sweep worker listening on this address (:0 picks a port, announced on stdout)")
-	fs.StringVar(&x.WorkerJournal, "worker-journal", "", "worker-local journal for -serve-worker; uploaded to the coordinator on (re)connect")
 	fs.StringVar(&x.WorkersRemote, "workers-remote", "", "comma-separated worker addresses: coordinate the run across them (requires -journal or -resume)")
 	fs.IntVar(&x.Distributed, "distributed", 0, "single-binary distributed mode: fork N local workers and coordinate across them (requires -journal or -resume)")
 	fs.StringVar(&x.ClusterKey, "cluster-key", "", "shared secret authenticating coordinator and workers (defaults to $"+dist.KeyEnv+"); required for non-loopback workers")
@@ -369,13 +368,6 @@ func (h *harness) launchCoordinator(x *Exec, journal *fleet.Journal) (coord *dis
 		addrs  []string
 	)
 	if x.Distributed > 0 {
-		if x.Resume != "" {
-			// Workers that never come back still contribute everything
-			// they made durable before the crash.
-			if _, err := dist.MergeWorkerJournals(journal, h.logf); err != nil {
-				return nil, nil, err
-			}
-		}
 		exe, err := os.Executable()
 		if err != nil {
 			return nil, nil, fmt.Errorf("locate own binary: %w", err)
@@ -388,7 +380,7 @@ func (h *harness) launchCoordinator(x *Exec, journal *fleet.Journal) (coord *dis
 			env = append(env, dist.KeyEnv+"="+string(opts.Key))
 		}
 		forked, err = dist.Fork(exe, x.Distributed, func(i int) []string {
-			args := []string{"-serve-worker", "127.0.0.1:0", "-worker-journal", dist.WorkerJournalPath(journal.Path(), i)}
+			args := []string{"-serve-worker", "127.0.0.1:0"}
 			if x.CPUProfile != "" {
 				// The workers do most of a distributed run's computing;
 				// each profiles itself next to the coordinator's file.
@@ -439,11 +431,10 @@ func (h *harness) serveWorker(x *Exec) int {
 	}
 	defer stopProfiles()
 	return dist.ServeWorker(dist.ServeConfig{
-		Addr:        x.ServeWorker,
-		JournalPath: x.WorkerJournal,
-		Key:         dist.ResolveKey(x.ClusterKey),
-		Start:       h.workerStart(x),
-		Logf:        h.logf,
+		Addr:  x.ServeWorker,
+		Key:   dist.ResolveKey(x.ClusterKey),
+		Start: h.workerStart(x),
+		Logf:  h.logf,
 	})
 }
 

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -43,29 +42,6 @@ func chaosDir(t *testing.T, name string) string {
 		return dir
 	}
 	return t.TempDir()
-}
-
-// startChaosWorkers is startLocalWorkers plus a cluster key, so keyed
-// schedules push the HMAC handshake through the faulty connections too.
-func startChaosWorkers(t *testing.T, dir string, n int, key []byte) []string {
-	t.Helper()
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		w := dist.NewWorker(dist.WorkerOptions{
-			JournalPath: filepath.Join(dir, fmt.Sprintf("w%d.journal", i)),
-			Start:       distEntryStart,
-			Key:         key,
-			Logf:        t.Logf,
-		})
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go w.Serve(lis)
-		t.Cleanup(w.Stop)
-		addrs[i] = lis.Addr().String()
-	}
-	return addrs
 }
 
 // chaosReference runs the exhibit serially with a journal attached and
@@ -125,7 +101,7 @@ func TestChaosSchedules(t *testing.T) {
 					if seed%2 == 0 {
 						key = []byte("chaos-suite-key")
 					}
-					addrs := startChaosWorkers(t, dir, 2, key)
+					addrs := startLocalWorkers(t, 2, key)
 					jpath := filepath.Join(dir, "run.journal")
 					j, err := fleet.CreateJournal(jpath, distMeta(id, runSeed, sc))
 					if err != nil {

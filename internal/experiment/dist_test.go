@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -104,13 +105,10 @@ func argVal(args []string, prefix string) string {
 }
 
 func distWorkerMain(args []string) int {
-	addr := argVal(args, "-hbdist.addr=")
-	journal := argVal(args, "-hbdist.journal=")
 	return dist.ServeWorker(dist.ServeConfig{
-		Addr:        addr,
-		JournalPath: journal,
-		Key:         dist.ResolveKey(""),
-		Start:       distEntryStart,
+		Addr:  argVal(args, "-hbdist.addr="),
+		Key:   dist.ResolveKey(""),
+		Start: distEntryStart,
 		Logf: func(format string, a ...any) {
 			fmt.Fprintf(os.Stderr, "dist-test worker: "+format+"\n", a...)
 		},
@@ -178,19 +176,31 @@ func (k *killAfterFirst) DispatchCell(sweep, cell uint32, label string) (*fleet.
 	return out, err
 }
 
-// startLocalWorkers runs n in-process dist workers on loopback and
-// returns their addresses and a function that stops them all (closing
-// their journals) ahead of the test's end.
-func startLocalWorkers(t *testing.T, dir string, n int) (addrs []string, stop func()) {
+// remoteCount counts the cells a wrapped dispatcher resolved remotely —
+// every DispatchCell that did not hand its cell back for local
+// execution — so a silent local fallback shows up as a shortfall.
+type remoteCount struct {
+	fleet.Dispatcher
+	n atomic.Int64
+}
+
+func (r *remoteCount) DispatchCell(sweep, cell uint32, label string) (*fleet.CellOutcome, error) {
+	out, err := r.Dispatcher.DispatchCell(sweep, cell, label)
+	if err == nil {
+		r.n.Add(1)
+	}
+	return out, err
+}
+
+// startLocalWorkers runs n in-process dist workers on loopback, keyed
+// with key when it is non-empty (so keyed chaos schedules push the HMAC
+// handshake through the faulty connections too), and returns their
+// addresses. They stop at the end of the test.
+func startLocalWorkers(t *testing.T, n int, key []byte) []string {
 	t.Helper()
-	addrs = make([]string, n)
-	var workers []*dist.Worker
+	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
-		w := dist.NewWorker(dist.WorkerOptions{
-			JournalPath: filepath.Join(dir, fmt.Sprintf("w%d.journal", i)),
-			Start:       distEntryStart,
-			Logf:        t.Logf,
-		})
+		w := dist.NewWorker(dist.WorkerOptions{Start: distEntryStart, Key: key, Logf: t.Logf})
 		lis, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -198,13 +208,8 @@ func startLocalWorkers(t *testing.T, dir string, n int) (addrs []string, stop fu
 		go w.Serve(lis)
 		t.Cleanup(w.Stop)
 		addrs[i] = lis.Addr().String()
-		workers = append(workers, w)
 	}
-	return addrs, func() {
-		for _, w := range workers {
-			w.Stop()
-		}
-	}
+	return addrs
 }
 
 // TestDistributedMatchesSerial shards each contract exhibit across
@@ -239,9 +244,8 @@ func TestDistributedMatchesSerial(t *testing.T) {
 				}
 			}
 
-			dir := t.TempDir()
-			addrs, stopWorkers := startLocalWorkers(t, dir, 3)
-			j, err := fleet.CreateJournal(filepath.Join(dir, "run.journal"), distMeta(id, seed, sc))
+			addrs := startLocalWorkers(t, 3, nil)
+			j, err := fleet.CreateJournal(filepath.Join(t.TempDir(), "run.journal"), distMeta(id, seed, sc))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -251,8 +255,9 @@ func TestDistributedMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer coord.Close()
+			remote := &remoteCount{Dispatcher: coord}
 			dsc := sc
-			dsc.Run = &fleet.Run{Journal: j, Dispatch: coord}
+			dsc.Run = &fleet.Run{Journal: j, Dispatch: remote}
 			dsc.Workers = coord.Slots()
 			got := renderAll(e.Run(seed, dsc))
 			if got != want {
@@ -262,26 +267,11 @@ func TestDistributedMatchesSerial(t *testing.T) {
 			if live := coord.Live(); live != 3 {
 				t.Fatalf("Live() = %d after a healthy run, want 3", live)
 			}
-			// Every cell must have executed on a worker — each journals
-			// what it runs, so a silent local fallback shows up as a
-			// shortfall here. The files are read once the workers have
-			// closed them: a worker's last records may still be in memory.
-			stopWorkers()
-			remote := 0
-			for i := 0; i < 3; i++ {
-				data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("w%d.journal", i)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				scan, err := fleet.ScanJournal(data)
-				if err != nil {
-					t.Fatal(err)
-				}
-				remote += len(scan.Records)
-			}
+			// Every cell must have executed on a worker: a silent local
+			// fallback shows up as a shortfall here.
 			done := journalDone(j)
-			if remote != done {
-				t.Fatalf("worker journals hold %d cells, canonical run completed %d", remote, done)
+			if n := int(remote.n.Load()); n != done {
+				t.Fatalf("%d cells resolved remotely, canonical run completed %d", n, done)
 			}
 			// fig 2 is a static table with no sweep; every other exhibit
 			// must actually have sharded work.
@@ -292,7 +282,13 @@ func TestDistributedMatchesSerial(t *testing.T) {
 	}
 }
 
-// journalDone sums completed cells across sweeps — the kill trigger.
+// forkedWorkerArgs is the command line of a forked worker process: this
+// test binary in its worker role (see TestMain).
+func forkedWorkerArgs(int) []string {
+	return []string{"-hbdist.worker", "-hbdist.addr=127.0.0.1:0"}
+}
+
+// journalDone sums completed cells across sweeps.
 func journalDone(j *fleet.Journal) int {
 	done := 0
 	for _, p := range j.Progress() {
@@ -315,20 +311,13 @@ func TestChaosWorkerSIGKILL(t *testing.T) {
 	sc := distTestScale()
 	want := renderAll(e.Run(seed, sc))
 
-	dir := t.TempDir()
-	forked, err := dist.Fork(os.Args[0], 3, func(i int) []string {
-		return []string{
-			"-hbdist.worker",
-			"-hbdist.addr=127.0.0.1:0",
-			"-hbdist.journal=" + filepath.Join(dir, fmt.Sprintf("w%d.journal", i)),
-		}
-	})
+	forked, err := dist.Fork(os.Args[0], 3, forkedWorkerArgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer forked.Stop()
 
-	j, err := fleet.CreateJournal(filepath.Join(dir, "run.journal"), distMeta("15", seed, sc))
+	j, err := fleet.CreateJournal(filepath.Join(t.TempDir(), "run.journal"), distMeta("15", seed, sc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,9 +360,8 @@ func TestChaosWorkerSIGKILL(t *testing.T) {
 // coordinator *process* and SIGKILLs it once results are mid-merge into
 // the canonical journal, then resumes in-process against the same still
 // -running workers. The resumed rendering must match an uninterrupted
-// serial run byte for byte; the workers' Configure uploads and the
-// resumed journal's replay provide every cell the dead coordinator
-// already had.
+// serial run byte for byte: the resumed journal replays every cell the
+// dead coordinator made durable, and the workers re-execute the rest.
 func TestChaosCoordinatorSIGKILL(t *testing.T) {
 	e, err := Lookup("adversity")
 	if err != nil {
@@ -383,20 +371,13 @@ func TestChaosCoordinatorSIGKILL(t *testing.T) {
 	sc := distTestScale()
 	want := renderAll(e.Run(seed, sc))
 
-	dir := t.TempDir()
-	forked, err := dist.Fork(os.Args[0], 2, func(i int) []string {
-		return []string{
-			"-hbdist.worker",
-			"-hbdist.addr=127.0.0.1:0",
-			"-hbdist.journal=" + filepath.Join(dir, fmt.Sprintf("w%d.journal", i)),
-		}
-	})
+	forked, err := dist.Fork(os.Args[0], 2, forkedWorkerArgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer forked.Stop()
 
-	canonical := filepath.Join(dir, "run.journal")
+	canonical := filepath.Join(t.TempDir(), "run.journal")
 	coordCmd := exec.Command(os.Args[0],
 		"-hbdist.coord",
 		"-hbdist.journal="+canonical,
@@ -432,8 +413,8 @@ func TestChaosCoordinatorSIGKILL(t *testing.T) {
 	}
 	coordCmd.Wait() // expected to report the kill; the journal is what matters
 
-	// Resume: possibly-torn canonical journal plus whatever the workers
-	// hold. A fresh generation tears down their half-run programs.
+	// Resume from the possibly-torn canonical journal. A fresh
+	// generation tears down the workers' half-run programs.
 	j, err := fleet.ResumeJournal(canonical)
 	if err != nil {
 		t.Fatal(err)

@@ -76,7 +76,7 @@ func (s Scale) horizon(d sim.Duration) sim.Duration {
 // still run, then sweep panics with the aggregate so a broken cell
 // cannot silently produce a truncated exhibit.
 func sweep[T any](sc Scale, n int, label func(int) string, fn func(int) T) []T {
-	out, err := fleet.MapOpts(sc.fleetOptions(label, fleet.Retry{}), n, func(i, attempt int) (T, error) {
+	out, err := fleet.MapOpts(sc.fleetOptions(label), n, func(i, _ int) (T, error) {
 		return fn(i), nil
 	})
 	if err != nil {
@@ -88,8 +88,8 @@ func sweep[T any](sc Scale, n int, label func(int) string, fn func(int) T) []T {
 // fleetOptions assembles the fleet engine options every sweep of this
 // Scale shares: worker bound, cancellation context, and the run's
 // crash-safety state.
-func (s Scale) fleetOptions(label func(int) string, r fleet.Retry) fleet.Options {
-	return fleet.Options{Ctx: s.Ctx, Workers: s.Workers, Label: label, Retry: r, Run: s.Run}
+func (s Scale) fleetOptions(label func(int) string) fleet.Options {
+	return fleet.Options{Ctx: s.Ctx, Workers: s.Workers, Label: label, Run: s.Run}
 }
 
 // sweepPartial is sweep for degraded-mode exhibits: universes may fail
@@ -97,11 +97,9 @@ func (s Scale) fleetOptions(label func(int) string, r fleet.Retry) fleet.Options
 // back as their zero value plus a non-nil entry in the returned error
 // slice (index-aligned, nil for successes), so the exhibit can render
 // them as explicit FAILED(class) rows instead of panicking like sweep.
-// Jobs run with a two-attempt fleet.Retry, so a failure marked
-// fleet.Retryable gets one re-run before being recorded.
 func sweepPartial[T any](sc Scale, n int, label func(int) string, fn func(int) (T, error)) ([]T, []error) {
-	out, err := fleet.MapOpts(sc.fleetOptions(label, fleet.Retry{Attempts: 2}), n,
-		func(i, attempt int) (T, error) { return fn(i) })
+	out, err := fleet.MapOpts(sc.fleetOptions(label), n,
+		func(i, _ int) (T, error) { return fn(i) })
 	errs := make([]error, n)
 	for _, je := range fleet.JobErrors(err) {
 		errs[je.Index] = je

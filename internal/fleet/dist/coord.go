@@ -3,6 +3,7 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"net"
 	"net/rpc"
@@ -35,8 +36,7 @@ type Options struct {
 	// the deadline exists so a *trickling connection* cannot wedge
 	// dispatch forever, not to police cell runtime). On expiry the
 	// connection is torn down and the reconnect path takes over;
-	// re-running a cell is safe because results are seed-determined and
-	// worker journals replay.
+	// re-running a cell is safe because results are seed-determined.
 	RunCellTimeout time.Duration
 
 	// Key is the shared cluster secret. When set, every connection runs
@@ -88,11 +88,21 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// redialPolicy is the backoff schedule between reconnect attempts —
-// fleet.Retry's pure doubling schedule, capped well below the
-// heartbeat death budget so redials never outlive their usefulness.
-func (o Options) redialPolicy() fleet.Retry {
-	return fleet.Retry{Backoff: o.RedialBackoff, MaxBackoff: 16 * o.RedialBackoff}
+// redialBackoff is the sleep before redial attempt number attempt
+// (1-based): base, doubling per attempt and saturating at 16×base, well
+// below the heartbeat death budget so redials never outlive their
+// usefulness. It is zero before the first redial or for a non-positive
+// base, monotone in attempt, and overflow-safe: a product past
+// math.MaxInt64 saturates there.
+func redialBackoff(base time.Duration, attempt int) time.Duration {
+	if attempt < 1 || base <= 0 {
+		return 0
+	}
+	shift := min(attempt-1, 4) // 16× is four doublings
+	if base > math.MaxInt64>>shift {
+		return math.MaxInt64
+	}
+	return base << shift
 }
 
 // ErrNoWorkers reports that every worker is dead. fleet treats any
@@ -167,10 +177,9 @@ func (m Metrics) String() string {
 // Coordinator shards cells across a pool of workers; it implements
 // fleet.Dispatcher. One Coordinator serves one run (one generation).
 type Coordinator struct {
-	journal *fleet.Journal
-	meta    fleet.JournalMeta
-	opts    Options
-	gen     uint64
+	meta fleet.JournalMeta
+	opts Options
+	gen  uint64
 
 	mu       sync.Mutex
 	workers  []*workerConn
@@ -190,14 +199,18 @@ type Coordinator struct {
 	wg   sync.WaitGroup
 }
 
-// Connect dials the workers, runs the session handshake, configures
-// each with the run's meta, and merges every uploaded worker-journal
-// snapshot into journal — the step that makes a resumed coordinator
-// whole again after a crash. At least one worker must come up;
+// Connect dials the workers, runs the session handshake and configures
+// each with the run's meta. At least one worker must come up;
 // unreachable ones are logged and skipped (after the redial budget).
 // Without a cluster key, non-loopback worker addresses are refused
 // outright: the fabric never runs unauthenticated across a real
 // network.
+//
+// journal is ignored. The run's journal rides on the fleet.Run the
+// Coordinator dispatches for, and it is the one durable record of every
+// cell: a worker keeps none, so a resumed coordinator re-executes
+// whatever its journal lacks. The parameter stays for callers built
+// against the older signature.
 func Connect(addrs []string, journal *fleet.Journal, meta fleet.JournalMeta, opts Options) (*Coordinator, error) {
 	opts = opts.withDefaults()
 	if len(opts.Key) == 0 {
@@ -208,9 +221,8 @@ func Connect(addrs []string, journal *fleet.Journal, meta fleet.JournalMeta, opt
 		}
 	}
 	c := &Coordinator{
-		journal: journal,
-		meta:    meta,
-		opts:    opts,
+		meta: meta,
+		opts: opts,
 		// A fresh generation per coordinator incarnation: workers
 		// replace any session an earlier (crashed) coordinator left.
 		// Monotone in wall time, so generations order incarnations and
@@ -243,13 +255,10 @@ func Connect(addrs []string, journal *fleet.Journal, meta fleet.JournalMeta, opt
 // first few attempts. Permanent failures (bad key, protocol mismatch)
 // abort immediately.
 func (c *Coordinator) establish(addr string) (*workerConn, error) {
-	policy := c.opts.redialPolicy()
 	var lastErr error
 	for attempt := 0; attempt <= c.opts.RedialAttempts; attempt++ {
-		if attempt > 0 {
-			if !c.sleep(policy.BackoffAt(attempt)) {
-				return nil, errCoordClosed
-			}
+		if !c.sleep(redialBackoff(c.opts.RedialBackoff, attempt)) {
+			return nil, errCoordClosed
 		}
 		client, fenced, err := c.dialAndConfigure(addr)
 		if err != nil {
@@ -283,10 +292,10 @@ func (c *Coordinator) sleep(d time.Duration) bool {
 }
 
 // dialAndConfigure runs the full session-establishment ladder against
-// one worker: dial, handshake (version + mutual auth), Configure under
-// this coordinator's generation, and merge the journal upload. Any
-// rung failing tears the connection down and reports why; permanent
-// errors mark failures redialing cannot fix.
+// one worker: dial, handshake (version + mutual auth), and Configure
+// under this coordinator's generation. Any rung failing tears the
+// connection down and reports why; permanent errors mark failures
+// redialing cannot fix.
 func (c *Coordinator) dialAndConfigure(addr string) (*rpc.Client, uint64, error) {
 	conn, err := c.dial(addr)
 	if err != nil {
@@ -304,16 +313,12 @@ func (c *Coordinator) dialAndConfigure(addr string) (*rpc.Client, uint64, error)
 	if err := c.timedCall(addr, client, "Worker.Configure", args, &reply, c.opts.ConfigureTimeout); err != nil {
 		client.Close()
 		if isServerError(err) {
-			// The worker itself refused (draining, fenced, journal
-			// trouble): asking again over a fresh connection cannot
+			// The worker itself refused (draining, fenced, version
+			// mismatch): asking again over a fresh connection cannot
 			// change its mind.
 			return nil, 0, permanent(err)
 		}
 		return nil, 0, err
-	}
-	if err := c.mergeUpload(addr, reply.Records); err != nil {
-		client.Close()
-		return nil, 0, permanent(err)
 	}
 	return client, reply.Fenced, nil
 }
@@ -323,24 +328,6 @@ func (c *Coordinator) dial(addr string) (net.Conn, error) {
 		return c.opts.Dial(addr)
 	}
 	return net.DialTimeout("tcp", addr, c.opts.DialTimeout)
-}
-
-// mergeUpload folds a worker's journal snapshot into the canonical
-// journal. Safe to repeat — Merge is idempotent — which is what makes
-// re-Configure on reconnect harmless.
-func (c *Coordinator) mergeUpload(addr string, recs []fleet.JournalRecord) error {
-	if c.journal == nil || len(recs) == 0 {
-		return nil
-	}
-	st, err := c.journal.Merge(recs)
-	if err != nil {
-		return fmt.Errorf("dist: merging %s's journal upload: %w", addr, err)
-	}
-	if st.Applied+st.Superseded > 0 {
-		c.logf("dist: merged %d cells from %s (%d recovered failures, %d already known)",
-			st.Applied+st.Superseded, addr, st.Superseded, st.Skipped)
-	}
-	return nil
 }
 
 // timedCall issues one RPC with a hard deadline. On expiry the client
@@ -400,7 +387,7 @@ func (c *Coordinator) callWorker(wc *workerConn, method string, args, reply any,
 // callers that saw the same failed connGen ride one redial), bounded
 // backoff between attempts, and an idempotent same-Gen Configure so
 // the worker session survives untouched — its in-flight cells keep
-// running and its journal snapshot re-merges harmlessly.
+// running.
 func (c *Coordinator) reconnect(wc *workerConn, failedGen int) error {
 	wc.connMu.Lock()
 	defer wc.connMu.Unlock()
@@ -410,12 +397,11 @@ func (c *Coordinator) reconnect(wc *workerConn, failedGen int) error {
 	if wc.client != nil {
 		wc.client.Close()
 	}
-	policy := c.opts.redialPolicy()
 	var lastErr error
 	for attempt := 1; attempt <= c.opts.RedialAttempts; attempt++ {
 		// Back off before each try: the common cause is a partition or
 		// stall that needs wall time to heal.
-		if !c.sleep(policy.BackoffAt(attempt)) {
+		if !c.sleep(redialBackoff(c.opts.RedialBackoff, attempt)) {
 			return errCoordClosed
 		}
 		client, fenced, err := c.dialAndConfigure(wc.addr)

@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -141,10 +142,7 @@ func TestDistributedRunMatchesSerial(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		wp := &testProgram{sweeps: 3, cells: 8}
 		workers = append(workers, wp)
-		_, addr := startWorker(t, WorkerOptions{
-			JournalPath: filepath.Join(t.TempDir(), fmt.Sprintf("w%d.journal", i)),
-			Start:       wp.start,
-		})
+		_, addr := startWorker(t, WorkerOptions{Start: wp.start})
 		addrs = append(addrs, addr)
 	}
 
@@ -277,18 +275,15 @@ func TestAllWorkersDeadFallsBackLocal(t *testing.T) {
 }
 
 // Configure with the same generation is an idempotent reconnect: the
-// program keeps running and the snapshot is re-uploaded; a new
-// generation replaces the session.
+// program keeps running; a new generation replaces the session.
 func TestConfigureGenerations(t *testing.T) {
-	dir := t.TempDir()
-	jpath := filepath.Join(dir, "w.journal")
 	var starts atomic.Int32
 	start := func(ctx context.Context, m fleet.JournalMeta, run *fleet.Run) error {
 		starts.Add(1)
 		<-ctx.Done()
 		return ctx.Err()
 	}
-	w, _ := startWorker(t, WorkerOptions{JournalPath: jpath, Start: start})
+	w, _ := startWorker(t, WorkerOptions{Start: start})
 
 	waitStarts := func(want int32, context string) {
 		t.Helper()
@@ -326,128 +321,6 @@ func TestConfigureGenerations(t *testing.T) {
 	if err := api.Configure(&ConfigureArgs{Gen: 12, Proto: ProtoVersion + 1, Meta: meta}, &ConfigureReply{}); err == nil ||
 		!strings.Contains(err.Error(), "protocol version") {
 		t.Fatalf("proto mismatch err = %v", err)
-	}
-}
-
-// A worker's journal upload at Configure carries everything it
-// completed — the coordinator-crash recovery path: a fresh coordinator
-// starts whole.
-func TestConfigureUploadsWorkerJournal(t *testing.T) {
-	meta := testMeta(2)
-	jpath := filepath.Join(t.TempDir(), "w.journal")
-
-	// First incarnation: worker completes its 4 cells (driven by a
-	// coordinator we then "crash" by just closing it).
-	wp := &testProgram{sweeps: 1, cells: 4}
-	_, addr := startWorker(t, WorkerOptions{JournalPath: jpath, Start: wp.start})
-	canon1 := newCanonJournal(t, meta)
-	coord1, err := Connect([]string{addr}, canon1, meta, fastOpts(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog1 := &testProgram{sweeps: 1, cells: 4}
-	if _, err := prog1.run(context.Background(), 2, coord1.Slots(),
-		&fleet.Run{Journal: canon1, Dispatch: coord1}); err != nil {
-		t.Fatal(err)
-	}
-	coord1.Close() // coordinator "crashes": its canonical journal is lost with it
-
-	// Second incarnation with an EMPTY canonical journal: Connect must
-	// recover all 4 cells from the worker's upload, so the re-run
-	// replays everything and executes nothing anywhere.
-	canon2 := newCanonJournal(t, meta)
-	coord2, err := Connect([]string{addr}, canon2, meta, fastOpts(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord2.Close()
-	if got := canon2.Replayable(); got != 4 {
-		t.Fatalf("Replayable after upload merge = %d, want 4", got)
-	}
-	prog2 := &testProgram{sweeps: 1, cells: 4}
-	out, err := prog2.run(context.Background(), 2, coord2.Slots(),
-		&fleet.Run{Journal: canon2, Dispatch: coord2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := prog2.executions.Load(); n != 0 {
-		t.Fatalf("%d coordinator-side executions after recovery, want 0", n)
-	}
-	serial := &testProgram{sweeps: 1, cells: 4}
-	want, _ := serial.run(context.Background(), 2, 1, nil)
-	for c := range want[0] {
-		if out[0][c] != want[0][c] {
-			t.Fatalf("recovered cell %d = %+v, want %+v", c, out[0][c], want[0][c])
-		}
-	}
-}
-
-// A worker journal left behind by a different run — another seed, other
-// args, another tool — is never replayed into this one: the worker
-// refuses the session, naming the file and both runs, the coordinator
-// does not redial, and no foreign cell reaches the canonical journal. A
-// fleet with one stale worker runs on the others.
-func TestConfigureRefusesForeignWorkerJournal(t *testing.T) {
-	foreign := map[string]fleet.JournalMeta{
-		"seed": testMeta(1),
-		"args": {Tool: "dist-test", Seed: 2, Args: []string{"-seed", "2", "-scale", "0.5"}},
-		"tool": {Tool: "other-tool", Seed: 2, Args: []string{"-seed", "2"}},
-	}
-	meta := testMeta(2)
-	for name, old := range foreign {
-		t.Run(name, func(t *testing.T) {
-			stale := filepath.Join(t.TempDir(), "w.journal")
-			wj, err := fleet.CreateJournal(stale, old)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := appendTestCell(wj, 0, 3, "another run's cell"); err != nil {
-				t.Fatal(err)
-			}
-			wj.Close()
-			_, staleAddr := startWorker(t, WorkerOptions{JournalPath: stale, Start: (&testProgram{sweeps: 1, cells: 4}).start})
-
-			canon := newCanonJournal(t, meta)
-			_, err = Connect([]string{staleAddr}, canon, meta, fastOpts(t))
-			if err == nil {
-				t.Fatal("Connect succeeded against a worker holding another run's journal")
-			}
-			for _, want := range []string{stale, "belongs to another run", fmt.Sprintf("seed=%d", old.Seed), "seed=2", old.Tool, "remove the file"} {
-				if !strings.Contains(err.Error(), want) {
-					t.Errorf("refusal %q does not mention %q", err, want)
-				}
-			}
-			if !isPermanent(err) {
-				t.Errorf("refusal %v is not permanent: the coordinator would redial", err)
-			}
-
-			// With a clean worker beside the stale one the run goes ahead —
-			// on the clean worker alone, with nothing foreign merged.
-			wp := &testProgram{sweeps: 1, cells: 4}
-			_, addr := startWorker(t, WorkerOptions{JournalPath: filepath.Join(t.TempDir(), "w.journal"), Start: wp.start})
-			coord, err := Connect([]string{staleAddr, addr}, canon, meta, fastOpts(t))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer coord.Close()
-			if n := canon.Replayable(); n != 0 {
-				t.Fatalf("%d foreign cells merged into the canonical journal", n)
-			}
-			prog := &testProgram{sweeps: 1, cells: 4}
-			out, err := prog.run(context.Background(), 2, coord.Slots(), &fleet.Run{Journal: canon, Dispatch: coord})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, _ := (&testProgram{sweeps: 1, cells: 4}).run(context.Background(), 2, 1, nil)
-			for c := range want[0] {
-				if out[0][c] != want[0][c] {
-					t.Fatalf("cell %d = %+v, want %+v", c, out[0][c], want[0][c])
-				}
-			}
-			if n := wp.executions.Load(); n != 4 {
-				t.Fatalf("the clean worker executed %d of 4 cells", n)
-			}
-		})
 	}
 }
 
@@ -561,16 +434,13 @@ func TestHeartbeatDeclaresUnresponsiveWorkerDead(t *testing.T) {
 
 // Fork launches real worker processes (this test binary re-exec'd via
 // the TestMain hook), runs a distributed sweep across them, and Stop
-// reaps them; their `.w<i>` journals merge back afterwards.
+// reaps them.
 func TestForkLaunchesAndReapsWorkers(t *testing.T) {
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	f, err := Fork(exe, 2, func(i int) []string {
-		return []string{"-dist.worker", "-dist.journal", WorkerJournalPath(filepath.Join(dir, "c.journal"), i)}
-	})
+	f, err := Fork(exe, 2, func(i int) []string { return []string{"-dist.worker"} })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -601,84 +471,12 @@ func TestForkLaunchesAndReapsWorkers(t *testing.T) {
 			}
 		}
 	}
+	if n := canon.Replayable(); n != 2*5 {
+		t.Fatalf("canonical journal holds %d cells, want all 10", n)
+	}
 	coord.ShutdownWorkers()
 	coord.Close()
 	f.Stop()
-
-	// The forked workers' journals are mergeable `<canon>.w<i>` files.
-	fresh, err := fleet.CreateJournal(filepath.Join(dir, "c.journal"), meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresh.Close()
-	merged, err := MergeWorkerJournals(fresh, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged != 2*5 {
-		t.Fatalf("merged %d cells from worker journals, want 10", merged)
-	}
-}
-
-// MergeWorkerJournals ignores repro bundles and other near-miss names
-// and tolerates unusable files.
-func TestMergeWorkerJournalsFiltering(t *testing.T) {
-	dir := t.TempDir()
-	canonPath := filepath.Join(dir, "run.journal")
-	j, err := fleet.CreateJournal(canonPath, testMeta(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-
-	// A real worker journal with one cell.
-	w0, err := fleet.CreateJournal(WorkerJournalPath(canonPath, 0), testMeta(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := appendTestCell(w0, 0, 0, "w0"); err != nil {
-		t.Fatal(err)
-	}
-	w0.Close()
-	// Distractors sharing the prefix: a repro bundle and a garbage .w file.
-	if err := os.WriteFile(canonPath+".w0.s0c1.repro.json", []byte("{}"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(canonPath+".w1", []byte("not a journal"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	merged, err := MergeWorkerJournals(j, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged != 1 {
-		t.Fatalf("merged = %d, want 1 (bundle and garbage skipped)", merged)
-	}
-
-	// A worker journal of another run stops the merge: its cells must not
-	// resume into this one.
-	w2, err := fleet.CreateJournal(WorkerJournalPath(canonPath, 2), testMeta(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := appendTestCell(w2, 0, 5, "another run's cell"); err != nil {
-		t.Fatal(err)
-	}
-	w2.Close()
-	before := j.Replayable()
-	if _, err := MergeWorkerJournals(j, t.Logf); err == nil || !strings.Contains(err.Error(), "belongs to another run") {
-		t.Fatalf("MergeWorkerJournals over a foreign worker journal = %v, want the refusal", err)
-	}
-	if j.Replayable() != before {
-		t.Fatalf("replayable %d → %d: foreign cells were merged", before, j.Replayable())
-	}
-}
-
-func appendTestCell(j *fleet.Journal, sweep, cell uint32, name string) error {
-	_, err := fleet.MapOpts(fleet.Options{Run: &fleet.Run{Journal: j}}, int(cell)+1,
-		func(i, attempt int) (cellValue, error) { return cellValue{Name: name}, nil })
-	return err
 }
 
 // TestMain doubles as the forked worker binary: with -dist.worker the
@@ -690,19 +488,12 @@ func appendTestCell(j *fleet.Journal, sweep, cell uint32, name string) error {
 func TestMain(m *testing.M) {
 	for i, arg := range os.Args {
 		if arg == "-dist.worker" {
-			jpath := ""
 			prog := &testProgram{sweeps: 2, cells: 5}
-			for k := i + 1; k < len(os.Args); k++ {
-				if os.Args[k] == "-dist.journal" && k+1 < len(os.Args) {
-					jpath = os.Args[k+1]
-				}
-				if os.Args[k] == "-dist.slow" {
-					prog.delay = 200 * time.Millisecond
-				}
+			if slices.Contains(os.Args[i+1:], "-dist.slow") {
+				prog.delay = 200 * time.Millisecond
 			}
 			os.Exit(ServeWorker(ServeConfig{
 				Addr:        "127.0.0.1:0",
-				JournalPath: jpath,
 				Key:         ResolveKey(""),
 				Start:       prog.start,
 				DrainLinger: 50 * time.Millisecond,

@@ -3,9 +3,9 @@ package dist
 import (
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,9 +17,10 @@ import (
 	"halfback/internal/fleet/dist/chaos"
 )
 
-// Fabric-level fault tests: the reconnect-before-reassign, fencing and
-// graceful-drain contracts, driven through real sockets (with the chaos
-// injector where a schedule is needed).
+// Fabric-level fault tests: the redial backoff, and the
+// reconnect-before-reassign, fencing and graceful-drain contracts driven
+// through real sockets (with the chaos injector where a schedule is
+// needed).
 
 // A worker behind a healing one-way partition is redialed and kept —
 // zero reassignments, zero local fallback, identical bytes. This is the
@@ -89,6 +90,48 @@ func TestPartitionedWorkerRedialedNotReassigned(t *testing.T) {
 	t.Logf("metrics: %s", m)
 }
 
+// Property sweep over the redial backoff: for a grid of bases and
+// attempt numbers it must be monotone non-decreasing, bounded by 16× the
+// base (saturating at math.MaxInt64), zero only where documented, and
+// overflow-safe.
+func TestBackoffAtProperties(t *testing.T) {
+	bases := []time.Duration{
+		0, -time.Second, time.Nanosecond, time.Millisecond, 200 * time.Millisecond, time.Second,
+		math.MaxInt64 / 16, math.MaxInt64/16 + 1, math.MaxInt64 / 2, math.MaxInt64, // overflow bait
+	}
+	for _, base := range bases {
+		limit := time.Duration(math.MaxInt64)
+		if base <= math.MaxInt64/16 {
+			limit = 16 * base
+		}
+		prev := time.Duration(0)
+		for attempt := -1; attempt <= 70; attempt++ { // past 63 doublings
+			d := redialBackoff(base, attempt)
+			switch {
+			case d < 0:
+				t.Fatalf("base %v attempt %d: negative backoff %v", base, attempt, d)
+			case (attempt < 1 || base <= 0) && d != 0:
+				t.Fatalf("base %v attempt %d: sleeps %v where no sleep is due", base, attempt, d)
+			case base > 0 && attempt >= 1 && (d < base || d > limit):
+				t.Fatalf("base %v attempt %d: %v outside [base, %v]", base, attempt, d, limit)
+			case d < prev:
+				t.Fatalf("base %v: not monotone: attempt %d %v < %v", base, attempt, d, prev)
+			}
+			prev = d
+		}
+	}
+}
+
+func TestBackoffAtSchedule(t *testing.T) {
+	const ms = time.Millisecond
+	want := []time.Duration{0, 10 * ms, 20 * ms, 40 * ms, 80 * ms, 160 * ms, 160 * ms}
+	for attempt, w := range want {
+		if got := redialBackoff(10*ms, attempt); got != w {
+			t.Fatalf("redialBackoff(10ms, %d) = %v, want %v", attempt, got, w)
+		}
+	}
+}
+
 // recordingDialer dials plainly but keeps every connection so the test
 // can sever a specific one mid-run.
 type recordingDialer struct {
@@ -113,96 +156,68 @@ func (d *recordingDialer) severFirst() {
 	d.conns[0].Close()
 }
 
-// Partition-during-merge regression: a connection that dies right after
-// Connect (snapshot already merged) forces a redial whose idempotent
-// same-Gen re-Configure re-uploads the snapshot — and the second merge
-// must change nothing: no duplicate records, no restarted program, no
-// reassignments.
-func TestPartitionDuringMergeIsIdempotent(t *testing.T) {
-	const seed = 33
+// A connection that dies right after Connect, before any cell ran,
+// forces a redial whose same-Gen re-Configure changes nothing: the
+// program is not restarted, nothing is reassigned, and every cell runs
+// and is journaled exactly once.
+func TestSeveredConnectionRedialsIdempotently(t *testing.T) {
+	const seed, cells = 33, 8
 	meta := testMeta(seed)
-	jpath := filepath.Join(t.TempDir(), "w.journal")
-
-	// First incarnation: the worker completes 4 of the 8 cells, then its
-	// coordinator "crashes".
-	wp1 := &testProgram{sweeps: 1, cells: 4}
-	w1, addr1 := startWorker(t, WorkerOptions{JournalPath: jpath, Start: wp1.start})
-	canon1 := newCanonJournal(t, meta)
-	coord1, err := Connect([]string{addr1}, canon1, meta, fastOpts(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := (&testProgram{sweeps: 1, cells: 4}).run(context.Background(), seed, coord1.Slots(),
-		&fleet.Run{Journal: canon1, Dispatch: coord1}); err != nil {
-		t.Fatal(err)
-	}
-	coord1.Close()
-	w1.Stop()
-
-	// Second incarnation against a worker resuming that journal. Its
-	// first connection is severed immediately after Connect — after the
-	// 4-cell snapshot merged, before any cell ran.
-	wp2 := &testProgram{sweeps: 1, cells: 8}
-	_, addr2 := startWorker(t, WorkerOptions{JournalPath: jpath, Start: wp2.start})
+	wp := &testProgram{sweeps: 1, cells: cells}
+	var starts atomic.Int32
+	_, addr := startWorker(t, WorkerOptions{Start: func(ctx context.Context, m fleet.JournalMeta, run *fleet.Run) error {
+		starts.Add(1)
+		return wp.start(ctx, m, run)
+	}})
 	dialer := &recordingDialer{}
-	canon2 := newCanonJournal(t, meta)
+	canon := newCanonJournal(t, meta)
 	opts := fastOpts(t)
 	opts.Dial = dialer.dial
 	opts.RedialAttempts = 4
-	coord2, err := Connect([]string{addr2}, canon2, meta, opts)
+	coord, err := Connect([]string{addr}, canon, meta, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord2.Close()
-	if got := canon2.Replayable(); got != 4 {
-		t.Fatalf("Replayable after upload merge = %d, want 4", got)
-	}
+	defer coord.Close()
 	dialer.severFirst()
 
-	prog := &testProgram{sweeps: 1, cells: 8}
-	got, err := prog.run(context.Background(), seed, coord2.Slots(),
-		&fleet.Run{Journal: canon2, Dispatch: coord2})
+	prog := &testProgram{sweeps: 1, cells: cells}
+	got, err := prog.run(context.Background(), seed, coord.Slots(),
+		&fleet.Run{Journal: canon, Dispatch: coord})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := &testProgram{sweeps: 1, cells: 8}
-	want, _ := serial.run(context.Background(), seed, 1, nil)
+	want, _ := (&testProgram{sweeps: 1, cells: cells}).run(context.Background(), seed, 1, nil)
 	for c := range want[0] {
 		if got[0][c] != want[0][c] {
 			t.Fatalf("cell %d = %+v, want %+v", c, got[0][c], want[0][c])
 		}
 	}
-	m := coord2.Metrics()
+	m := coord.Metrics()
 	if m.Redials == 0 {
 		t.Fatal("severed connection never triggered a redial")
 	}
 	if m.Reassignments != 0 {
 		t.Fatalf("Reassignments = %d, want 0", m.Reassignments)
 	}
-	// The canonical journal must hold each of the 8 cells exactly once:
-	// the re-merge on reconnect was all skips, not duplicate appends.
-	data, err := os.ReadFile(canon2.Path())
-	if err != nil {
-		t.Fatal(err)
+	if n := starts.Load(); n != 1 {
+		t.Fatalf("the worker program started %d times, want once: a same-Gen Configure restarted it", n)
 	}
-	scan, err := fleet.ScanJournal(data)
-	if err != nil {
-		t.Fatal(err)
+	if n := wp.executions.Load(); n != cells {
+		t.Fatalf("worker executed %d cells, want each of the %d once", n, cells)
 	}
-	if len(scan.Records) != 8 {
-		t.Fatalf("canonical journal holds %d records, want exactly 8 (no duplicates from the re-merge)", len(scan.Records))
-	}
-	if wp2.executions.Load() != 4 {
-		t.Fatalf("worker executed %d cells, want only the 4 missing ones", wp2.executions.Load())
+	for key, n := range journalCells(t, canon) {
+		if n != 1 {
+			t.Fatalf("cell %v journaled %d times, want once", key, n)
+		}
 	}
 }
 
 // Zombie fencing, end to end on one worker: once a newer generation
 // configures, the old generation can neither land results (its
-// in-flight cell's outcome is withheld and its journal is closed) nor
-// make any further call — and every refusal is counted.
+// in-flight cell's outcome is withheld) nor make any further call — and
+// every refusal is counted.
 func TestZombieGenerationIsFenced(t *testing.T) {
-	jpath := filepath.Join(t.TempDir(), "w.journal")
 	release := make(chan struct{})
 	var started atomic.Int32
 	start := func(ctx context.Context, m fleet.JournalMeta, run *fleet.Run) error {
@@ -218,7 +233,7 @@ func TestZombieGenerationIsFenced(t *testing.T) {
 			})
 		return err
 	}
-	w, _ := startWorker(t, WorkerOptions{JournalPath: jpath, Start: start})
+	w, _ := startWorker(t, WorkerOptions{Start: start})
 	api := &workerAPI{w}
 	meta := testMeta(1)
 
@@ -238,8 +253,8 @@ func TestZombieGenerationIsFenced(t *testing.T) {
 		t.Fatal("gen-100 cell never started")
 	}
 
-	// The successor arrives. The old session tears down (its journal
-	// closes); the zombie's cell is still running.
+	// The successor arrives. The old session tears down; the zombie's
+	// cell is still running.
 	if err := api.Configure(&ConfigureArgs{Gen: 200, Proto: ProtoVersion, Meta: meta}, &ConfigureReply{}); err != nil {
 		t.Fatal(err)
 	}
@@ -277,20 +292,6 @@ func TestZombieGenerationIsFenced(t *testing.T) {
 		t.Fatal("zombie cell never returned")
 	}
 
-	// And it journaled nothing: the old session's journal was closed at
-	// replacement, so the record had nowhere durable to land.
-	w.Stop()
-	data, err := os.ReadFile(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scan, err := fleet.ScanJournal(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scan.Records) != 0 {
-		t.Fatalf("worker journal holds %d records — a fenced zombie contributed durable state", len(scan.Records))
-	}
 	// The live reply channel reports the accumulated fence count.
 	var ping PingReply
 	api2 := &workerAPI{w}
@@ -299,117 +300,10 @@ func TestZombieGenerationIsFenced(t *testing.T) {
 	}
 }
 
-// The ConfigureReply merge policy, through the real RPC path: a worker
-// journal carrying duplicate successes, stale failures and superseding
-// successes folds into the canonical journal exactly once, and a second
-// Configure upload appends nothing new.
-func TestConfigureReplyMergeDuplicatesAndStale(t *testing.T) {
-	const seed = 35
-	meta := testMeta(seed)
-	dir := t.TempDir()
-
-	// Canonical journal: success c0, success c1, failure c2, nothing c3.
-	canon := newCanonJournal(t, meta)
-	fleet.MapOpts(fleet.Options{Run: &fleet.Run{Journal: canon}, //nolint:errcheck // c2's failure is the point
-		Label: func(i int) string { return fmt.Sprintf("s0c%d", i) }}, 3,
-		func(i, attempt int) (cellValue, error) {
-			if i == 2 {
-				return cellValue{}, fmt.Errorf("canon-side failure")
-			}
-			return cellValue{Name: fmt.Sprintf("s0c%d", i)}, nil
-		})
-
-	// Worker journal from an older run: duplicate success c0, stale
-	// failure c1 (canon has a success), success c2 (supersedes canon's
-	// failure), new failure c3.
-	wjPath := filepath.Join(dir, "w.journal")
-	wj, err := fleet.CreateJournal(wjPath, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fleet.MapOpts(fleet.Options{Run: &fleet.Run{Journal: wj}, //nolint:errcheck // failures are the fixture
-		Label: func(i int) string { return fmt.Sprintf("s0c%d", i) }}, 4,
-		func(i, attempt int) (cellValue, error) {
-			if i == 1 || i == 3 {
-				return cellValue{}, fmt.Errorf("worker-side failure")
-			}
-			return cellValue{Name: fmt.Sprintf("s0c%d", i)}, nil
-		})
-	wj.Close()
-
-	// Connect: the worker resumes that journal and uploads its snapshot
-	// in ConfigureReply; Connect merges it.
-	_, addr := startWorker(t, WorkerOptions{JournalPath: wjPath,
-		Start: (&testProgram{sweeps: 1, cells: 4}).start})
-	coord, err := Connect([]string{addr}, canon, meta, fastOpts(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord.Close()
-
-	// Post-merge canon: c0 succ (dup skipped), c1 succ (stale failure
-	// skipped), c2 succ (failure superseded), c3 fail (applied).
-	if got := canon.Replayable(); got != 3 {
-		t.Fatalf("Replayable = %d, want 3 successes", got)
-	}
-	scanCanon := func() *fleet.JournalScan {
-		t.Helper()
-		data, err := os.ReadFile(canon.Path())
-		if err != nil {
-			t.Fatal(err)
-		}
-		scan, err := fleet.ScanJournal(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return scan
-	}
-	// Between barriers merged records may still be in memory: the file is
-	// read once the journal is closed.
-	if err := canon.Close(); err != nil {
-		t.Fatal(err)
-	}
-	scan := scanCanon()
-	// Physical: 3 original + superseding c2 + new c3 failure = 5.
-	if len(scan.Records) != 5 {
-		t.Fatalf("%d physical records after merge, want 5", len(scan.Records))
-	}
-	can := scan.Canonical()
-	if len(can) != 4 {
-		t.Fatalf("Canonical = %d cells, want 4", len(can))
-	}
-	for i, wantFail := range []bool{false, false, false, true} {
-		if gotFail := can[i].Error != ""; gotFail != wantFail {
-			t.Fatalf("cell %d: failure=%v, want %v (record %+v)", i, gotFail, wantFail, can[i])
-		}
-	}
-
-	// A second coordinator incarnation resumes the canonical journal and
-	// is uploaded the same snapshot; the merge must be pure skips — zero
-	// new records.
-	canon2, err := fleet.ResumeJournal(canon.Path())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer canon2.Close()
-	coord2, err := Connect([]string{addr}, canon2, meta, fastOpts(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord2.Close()
-	if err := canon2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(scanCanon().Records); n != 5 {
-		t.Fatalf("re-upload grew the journal to %d records — merge not idempotent", n)
-	}
-}
-
-// In-process drain: in-flight cells finish and journal, new work and
+// In-process drain: in-flight cells finish and reply, new work and
 // sessions are refused, Ping flips Running=false, and the worker exits
 // on its own.
 func TestDrainFinishesInFlightAndRefusesNewWork(t *testing.T) {
-	jpath := filepath.Join(t.TempDir(), "w.journal")
 	release := make(chan struct{})
 	var started atomic.Int32
 	start := func(ctx context.Context, m fleet.JournalMeta, run *fleet.Run) error {
@@ -425,8 +319,7 @@ func TestDrainFinishesInFlightAndRefusesNewWork(t *testing.T) {
 			})
 		return err
 	}
-	w, _ := startWorker(t, WorkerOptions{JournalPath: jpath, Start: start,
-		DrainLinger: 2 * time.Second})
+	w, _ := startWorker(t, WorkerOptions{Start: start, DrainLinger: 2 * time.Second})
 	api := &workerAPI{w}
 	meta := testMeta(1)
 	if err := api.Configure(&ConfigureArgs{Gen: 1, Proto: ProtoVersion, Meta: meta}, &ConfigureReply{}); err != nil {
@@ -470,43 +363,31 @@ func TestDrainFinishesInFlightAndRefusesNewWork(t *testing.T) {
 		t.Fatalf("Configure during drain err = %v, want draining refusal", err)
 	}
 
-	// The in-flight cell finishes, returns a real outcome, and lands in
-	// the worker journal before the process exits.
+	// The in-flight cell finishes and returns a real outcome before the
+	// worker exits.
 	close(release)
 	if err := <-cellDone; err != nil {
 		t.Fatalf("in-flight cell failed during drain: %v", err)
+	}
+	if len(reply.Outcomes) != 1 || reply.Outcomes[0].Failed || len(reply.Outcomes[0].Data) == 0 {
+		t.Fatalf("drained lease replied %+v, want the in-flight cell's result", reply.Outcomes)
 	}
 	select {
 	case <-w.Done():
 	case <-time.After(10 * time.Second):
 		t.Fatal("drained worker never stopped")
 	}
-	data, err := os.ReadFile(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scan, err := fleet.ScanJournal(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scan.Records) != 1 {
-		t.Fatalf("worker journal holds %d records, want the drained in-flight cell", len(scan.Records))
-	}
 }
 
 // Process-level drain: SIGTERM to a forked worker finishes in-flight
-// cells (journaled durably), exits 130, and the run still completes
-// with serial bytes.
+// cells and delivers them, exits 130, and the run still completes with
+// serial bytes.
 func TestForkedWorkerSIGTERMDrainsAndExits130(t *testing.T) {
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	jpath := filepath.Join(dir, "c.journal.w0")
-	f, err := Fork(exe, 1, func(i int) []string {
-		return []string{"-dist.worker", "-dist.slow", "-dist.journal", jpath}
-	})
+	f, err := Fork(exe, 1, func(i int) []string { return []string{"-dist.worker", "-dist.slow"} })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,17 +436,11 @@ func TestForkedWorkerSIGTERMDrainsAndExits130(t *testing.T) {
 	if code := f.Wait(0); code != 130 {
 		t.Fatalf("drained worker exit code = %d, want 130", code)
 	}
-	// Whatever was in flight at the signal finished and journaled.
-	data, err := os.ReadFile(jpath)
-	if err != nil {
-		t.Fatal(err)
+	// Whatever was in flight at the signal finished on the worker and
+	// came back; only the rest fell back to the coordinator.
+	local := prog.executions.Load()
+	if local >= 2*5 {
+		t.Fatal("the coordinator ran every cell itself — the drained worker's in-flight cells were dropped")
 	}
-	scan, err := fleet.ScanJournal(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scan.Records) == 0 {
-		t.Fatal("drained worker journaled nothing — in-flight cells were dropped")
-	}
-	t.Logf("drained worker journaled %d cells before exit", len(scan.Records))
+	t.Logf("drained worker delivered %d cells before exit", 2*5-local)
 }

@@ -7,13 +7,8 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"path/filepath"
-	"regexp"
-	"sort"
 	"strings"
 	"time"
-
-	"halfback/internal/fleet"
 )
 
 // Forked is a set of worker processes a coordinator launched on the
@@ -149,59 +144,4 @@ func (f *Forked) Stop() {
 			<-done
 		}
 	}
-}
-
-// WorkerJournalPath names worker i's local journal for a run whose
-// canonical journal lives at journalPath — `<journal>.w<i>`.
-func WorkerJournalPath(journalPath string, i int) string {
-	return fmt.Sprintf("%s.w%d", journalPath, i)
-}
-
-// workerJournalPattern matches the `.w<i>` suffix WorkerJournalPath
-// appends (and nothing else — repro bundles etc. share the prefix).
-var workerJournalPattern = regexp.MustCompile(`\.w\d+$`)
-
-// MergeWorkerJournals folds every `<journal>.w<i>` file next to the
-// canonical journal into it — the belt-and-braces recovery path for a
-// `-distributed` coordinator resuming after a crash: even workers that
-// never come back contribute everything they made durable. Torn tails
-// (workers killed mid-append) merge their valid prefix. Returns how
-// many cells were applied or recovered.
-func MergeWorkerJournals(j *fleet.Journal, logf func(string, ...any)) (int, error) {
-	matches, err := filepath.Glob(j.Path() + ".w*")
-	if err != nil {
-		return 0, err
-	}
-	sort.Strings(matches)
-	total := 0
-	for _, path := range matches {
-		if !workerJournalPattern.MatchString(path) {
-			continue
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return total, err
-		}
-		scan, err := fleet.ScanJournal(data)
-		if err != nil {
-			// An unusable worker journal (e.g. killed before the meta
-			// record landed) has nothing to contribute; skip it.
-			if logf != nil {
-				logf("dist: skipping unusable worker journal %s: %v", path, err)
-			}
-			continue
-		}
-		if err := foreignJournal(path, scan.Meta, j.Meta()); err != nil {
-			return total, err
-		}
-		st, err := j.Merge(scan.Records)
-		if err != nil {
-			return total, fmt.Errorf("dist: merging %s: %w", path, err)
-		}
-		if logf != nil && st.Applied+st.Superseded > 0 {
-			logf("dist: merged %d cells from %s", st.Applied+st.Superseded, path)
-		}
-		total += st.Applied + st.Superseded
-	}
-	return total, nil
 }

@@ -195,23 +195,35 @@ func TestWorkerDeathMidLeaseRequeuesItsCells(t *testing.T) {
 	// The victim runs its first `warm` cells instantly — long enough for
 	// its leases to grow — then every further cell hangs until the
 	// session dies, so it is stopped while holding multi-cell leases.
+	// The survivor's cells wait for that hang: were it free to run, it
+	// could take the whole sweep before the victim ever got past `warm`,
+	// and nothing would die.
 	var victimRan atomic.Int32
 	hung := make(chan struct{})
 	var hungOnce sync.Once
-	survivorProg := &testProgram{sweeps: 1, cells: cells}
-	victimStart := func(ctx context.Context, m fleet.JournalMeta, run *fleet.Run) error {
-		_, err := fleet.MapOpts(fleet.Options{Ctx: ctx, Run: run}, cells,
-			func(i, attempt int) (cellValue, error) {
-				if victimRan.Add(1) > warm {
-					hungOnce.Do(func() { close(hung) })
-					<-ctx.Done()
-				}
-				return survivorProg.value(m.Seed, 0, i), nil
-			})
-		return err
+	prog := &testProgram{sweeps: 1, cells: cells}
+	startAfter := func(gate func(ctx context.Context)) StartFunc {
+		return func(ctx context.Context, m fleet.JournalMeta, run *fleet.Run) error {
+			_, err := fleet.MapOpts(fleet.Options{Ctx: ctx, Run: run}, cells,
+				func(i, attempt int) (cellValue, error) {
+					gate(ctx)
+					return prog.value(m.Seed, 0, i), nil
+				})
+			return err
+		}
 	}
-	victim, victimAddr := startWorker(t, WorkerOptions{Start: victimStart})
-	_, survivorAddr := startWorker(t, WorkerOptions{Start: survivorProg.start})
+	victim, victimAddr := startWorker(t, WorkerOptions{Start: startAfter(func(ctx context.Context) {
+		if victimRan.Add(1) > warm {
+			hungOnce.Do(func() { close(hung) })
+			<-ctx.Done()
+		}
+	})})
+	_, survivorAddr := startWorker(t, WorkerOptions{Start: startAfter(func(ctx context.Context) {
+		select {
+		case <-hung:
+		case <-ctx.Done():
+		}
+	})})
 
 	canon := newCanonJournal(t, meta)
 	coord, err := Connect([]string{victimAddr, survivorAddr}, canon, meta, fastOpts(t))
@@ -386,28 +398,29 @@ func TestDrainFailsQueuedCellsAndFinishesInFlightLease(t *testing.T) {
 	}
 }
 
-// A v2 build meets a v3 build, either way round: the session is refused
-// with both versions named.
-func TestV2PeerMeetsV3Peer(t *testing.T) {
-	if ProtoVersion != 3 {
-		t.Fatalf("ProtoVersion = %d; this test pins the v2→v3 boundary", ProtoVersion)
+// A v3 build (workers upload a journal at Configure) meets a v4 build
+// (they keep none), either way round: the session is refused with both
+// versions named.
+func TestV3PeerMeetsV4Peer(t *testing.T) {
+	if ProtoVersion != 4 {
+		t.Fatalf("ProtoVersion = %d; this test pins the v3→v4 boundary", ProtoVersion)
 	}
-	// A v2 worker's hello reaches this coordinator.
+	// A v3 worker's hello reaches this coordinator.
 	client, server := net.Pipe()
 	defer client.Close()
 	go func() {
 		defer server.Close()
-		writeFrame(server, frameHello, []byte{0, 2, 0})
+		writeFrame(server, frameHello, []byte{0, 3, 0})
 	}()
 	err := clientHandshake(client, nil)
-	if err == nil || !strings.Contains(err.Error(), "v2") || !strings.Contains(err.Error(), "v3") {
-		t.Fatalf("v2 worker hello: err = %v, want a refusal naming v2 and v3", err)
+	if err == nil || !strings.Contains(err.Error(), "v3") || !strings.Contains(err.Error(), "v4") {
+		t.Fatalf("v3 worker hello: err = %v, want a refusal naming v3 and v4", err)
 	}
-	// A v2 coordinator's Configure reaches this worker.
+	// A v3 coordinator's Configure reaches this worker.
 	w, _ := startWorker(t, WorkerOptions{Start: (&testProgram{sweeps: 1, cells: 1}).start})
-	err = (&workerAPI{w}).Configure(&ConfigureArgs{Gen: 1, Proto: 2, Meta: testMeta(1)}, &ConfigureReply{})
-	if err == nil || !strings.Contains(err.Error(), "v2") || !strings.Contains(err.Error(), "v3") {
-		t.Fatalf("v2 Configure: err = %v, want a refusal naming v2 and v3", err)
+	err = (&workerAPI{w}).Configure(&ConfigureArgs{Gen: 1, Proto: 3, Meta: testMeta(1)}, &ConfigureReply{})
+	if err == nil || !strings.Contains(err.Error(), "v3") || !strings.Contains(err.Error(), "v4") {
+		t.Fatalf("v3 Configure: err = %v, want a refusal naming v3 and v4", err)
 	}
 }
 

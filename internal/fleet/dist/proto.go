@@ -1,8 +1,10 @@
 // Package dist is the distributed sweep fabric (DESIGN.md §12): a
 // coordinator that shards sweep cells across worker processes over
-// stdlib net/rpc, merging their results into the canonical write-ahead
-// journal so a distributed run is byte-identical to a serial one and
-// resumable across coordinator and worker crashes.
+// stdlib net/rpc, writing their results through to the canonical
+// write-ahead journal so a distributed run is byte-identical to a serial
+// one and resumable across coordinator and worker crashes. That journal
+// is the one durable record of a cell: workers keep none, and a cell a
+// crash caught in flight re-executes to the same bytes.
 //
 // The model is push-based and leans entirely on determinism:
 //
@@ -15,9 +17,7 @@
 //
 //   - Workers are net/rpc servers. The coordinator dials them, sends one
 //     Configure carrying the run's journal meta (the worker re-derives
-//     the whole run from it), then pushes RunCells calls. A worker's
-//     Configure reply uploads everything its local journal already holds
-//     — the recovery path for a coordinator that crashed and resumed.
+//     the whole run from it), then pushes RunCells calls.
 //
 //   - The unit of a round trip is a lease: one outstanding RunCells call
 //     carrying N ≥ 1 cells of one sweep, which the worker runs in order
@@ -53,12 +53,13 @@ import "halfback/internal/fleet"
 // depth for a peer that somehow skipped the handshake).
 //
 // v2: authenticated session handshake before net/rpc, Fenced counters
-// in replies. v3: RunCells (a lease of N cells) replaces RunCell.
-const ProtoVersion = 3
+// in replies. v3: RunCells (a lease of N cells) replaces RunCell. v4:
+// Configure uploads nothing (workers keep no journal).
+const ProtoVersion = 4
 
 // ConfigureArgs establishes (or re-establishes) a worker session: the
-// worker tears down any previous session, starts the run Meta describes
-// with a SweepServer attached, and replies with its journal snapshot.
+// worker tears down any previous session and starts the run Meta
+// describes with a SweepServer attached.
 type ConfigureArgs struct {
 	// Gen identifies one coordinator incarnation. A Configure with the
 	// generation the worker already runs is an idempotent reconnect; a
@@ -68,11 +69,8 @@ type ConfigureArgs struct {
 	Meta  fleet.JournalMeta
 }
 
-// ConfigureReply uploads the worker's durable state: the latest record
-// of every (sweep, cell) its local journal holds, for Merge into the
-// canonical journal.
+// ConfigureReply acknowledges a session.
 type ConfigureReply struct {
-	Records []fleet.JournalRecord
 	// Fenced counts RPCs this worker has refused from stale
 	// generations — zombie coordinators (or this coordinator's own
 	// earlier incarnation) fenced off by Gen. Diagnostics for the

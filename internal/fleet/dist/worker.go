@@ -9,7 +9,6 @@ import (
 	"net/rpc"
 	"os"
 	"os/signal"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -19,19 +18,13 @@ import (
 )
 
 // StartFunc runs one tool's full sweep program on a worker: it re-parses
-// meta.Args exactly like `-resume` does, attaches run (journal + Serve
-// hook) to every sweep, and returns when the program completes or ctx is
+// meta.Args exactly like `-resume` does, attaches run (the Serve hook)
+// to every sweep, and returns when the program completes or ctx is
 // canceled. It must not print to stdout — the coordinator owns output.
 type StartFunc func(ctx context.Context, meta fleet.JournalMeta, run *fleet.Run) error
 
 // WorkerOptions configures a worker process.
 type WorkerOptions struct {
-	// JournalPath, when non-empty, is the worker's local write-ahead
-	// journal: created at the first Configure, or resumed if the file is
-	// there and belongs to the configured run (another run's file refuses
-	// the session). It is the worker's contribution to coordinator-crash
-	// recovery — its snapshot is uploaded on every Configure.
-	JournalPath string
 	// Start runs the configured program (required).
 	Start StartFunc
 	// RegisterWait bounds how long a RunCells call waits for the program
@@ -88,8 +81,8 @@ type Worker struct {
 	// are concurrent with Drain by design.)
 	drainMu   sync.Mutex
 	drainCond *sync.Cond
-	// draining is set by Drain: in-flight leases finish (and journal),
-	// new ones are refused, Ping answers Running=false.
+	// draining is set by Drain: in-flight leases finish, new ones are
+	// refused, Ping answers Running=false.
 	draining bool
 	inflight int
 
@@ -151,13 +144,13 @@ func (w *Worker) Stop() {
 		sess := w.sess
 		w.mu.Unlock()
 		if sess != nil {
-			sess.teardown(w.logf)
+			sess.teardown()
 		}
 	})
 }
 
 // Drain is the graceful stop: refuse new leases, let in-flight ones
-// finish and journal, linger briefly so the coordinator's next Ping
+// finish and reply, linger briefly so the coordinator's next Ping
 // observes Running=false, then Stop. Idempotent; returns when the
 // worker is down.
 func (w *Worker) Drain() {
@@ -217,13 +210,12 @@ func (w *Worker) Serve(lis net.Listener) error {
 }
 
 // session is one configured run on a worker: the generation that owns
-// it, the program goroutine, its journal, and the sweeps the program has
-// offered so far.
+// it, the program goroutine, and the sweeps the program has offered so
+// far.
 type session struct {
-	gen     uint64
-	ctx     context.Context
-	cancel  context.CancelFunc
-	journal *fleet.Journal
+	gen    uint64
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -245,10 +237,10 @@ type sweepState struct {
 	ended      chan struct{}
 }
 
-func newSession(gen uint64, journal *fleet.Journal) *session {
+func newSession(gen uint64) *session {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &session{
-		gen: gen, ctx: ctx, cancel: cancel, journal: journal,
+		gen: gen, ctx: ctx, cancel: cancel,
 		sweeps: make(map[uint32]*sweepState),
 		exited: make(chan struct{}),
 	}
@@ -326,20 +318,13 @@ func (s *session) finish(err error) {
 	close(s.exited)
 }
 
-// teardown cancels the session and waits for its program to exit. The
-// journal closes FIRST: from that instant nothing this session does —
-// including in-flight cells that the cancellation itself unblocks —
-// can become durable, which is the fencing guarantee a replacement
-// Configure relies on. (Journal appends after Close fail and are
-// swallowed by the serve path's belt-and-braces append.) Close is also
-// the worker journal's last barrier, so its error — a record this
-// worker wrote may not be on disk for the next upload — is logged.
-func (s *session) teardown(logf func(string, ...any)) {
-	if s.journal != nil {
-		if err := s.journal.Close(); err != nil {
-			logf("dist worker: journal %s: %v", s.journal.Path(), err)
-		}
-	}
+// teardown cancels the session and waits for its program to exit. A
+// replacement Configure has made the session stale before calling it, so
+// an in-flight lease the cancellation unblocks has its results withheld
+// by RunCells' closing liveSession check: nothing the old session
+// computes reaches a coordinator any more, which is the fencing
+// guarantee the replacement relies on.
+func (s *session) teardown() {
 	s.cancel()
 	s.mu.Lock()
 	s.cond.Broadcast()
@@ -354,8 +339,7 @@ type workerAPI struct{ w *Worker }
 // Configure establishes the session for args.Gen: idempotent for the
 // live generation, a full replace for a newer one — and a fencing
 // refusal for an older one, so a zombie coordinator incarnation can
-// never steal the worker back from its successor. The reply uploads
-// the worker journal's snapshot either way.
+// never steal the worker back from its successor.
 func (a *workerAPI) Configure(args *ConfigureArgs, reply *ConfigureReply) error {
 	w := a.w
 	reply.Fenced = w.fenced.Load()
@@ -374,17 +358,14 @@ func (a *workerAPI) Configure(args *ConfigureArgs, reply *ConfigureReply) error 
 	}
 	if s := w.sess; s != nil && s.gen == args.Gen {
 		// Reconnect from the same coordinator incarnation: the program is
-		// already running; just re-upload the snapshot.
-		if s.journal != nil {
-			reply.Records = s.journal.SnapshotRecords()
-		}
+		// already running.
 		return nil
 	}
 	if s := w.sess; s != nil && args.Gen < s.gen {
 		// Generations are minted from wall time, so a lower Gen is an
 		// older coordinator incarnation — a zombie. Fence it off: it
 		// may not replace the live session, and (via liveSession) none
-		// of its leases or journal uploads land either.
+		// of its leases land either.
 		reply.Fenced = w.fenced.Add(1)
 		return fmt.Errorf("dist: fenced: coordinator generation %d superseded by %d", args.Gen, s.gen)
 	}
@@ -392,59 +373,22 @@ func (a *workerAPI) Configure(args *ConfigureArgs, reply *ConfigureReply) error 
 		w.logf("dist worker: replacing session gen=%d with gen=%d", s.gen, args.Gen)
 		w.sess = nil
 		w.mu.Unlock()
-		s.teardown(w.logf)
+		s.teardown()
 		w.mu.Lock()
 	}
 
-	var journal *fleet.Journal
-	if path := w.opts.JournalPath; path != "" {
-		var err error
-		if _, serr := os.Stat(path); serr != nil {
-			journal, err = fleet.CreateJournal(path, args.Meta)
-		} else if journal, err = fleet.ResumeJournal(path); err == nil {
-			if err := foreignJournal(path, journal.Meta(), args.Meta); err != nil {
-				journal.Close()
-				return err
-			}
-		}
-		if err != nil {
-			return fmt.Errorf("dist: worker journal: %w", err)
-		}
-		reply.Records = journal.SnapshotRecords()
-	}
-
-	sess := newSession(args.Gen, journal)
+	sess := newSession(args.Gen)
 	w.sess = sess
 	meta := args.Meta
 	go func() {
-		err := w.opts.Start(sess.ctx, meta, &fleet.Run{Journal: journal, Serve: sess})
+		err := w.opts.Start(sess.ctx, meta, &fleet.Run{Serve: sess})
 		if err != nil && sess.ctx.Err() == nil {
 			w.logf("dist worker: program exited: %v", err)
 		}
 		sess.finish(err)
 	}()
-	w.logf("dist worker: session gen=%d configured (%s seed=%d, %d journaled cells uploaded)",
-		args.Gen, meta.Tool, meta.Seed, len(reply.Records))
+	w.logf("dist worker: session gen=%d configured (%s seed=%d)", args.Gen, meta.Tool, meta.Seed)
 	return nil
-}
-
-// foreignJournal is the error for a worker journal at path whose meta,
-// have, is not the run want describes — nil when it is. Cell addresses
-// mean nothing across runs: replaying or merging such a file would put
-// another run's results under this run's banner.
-func foreignJournal(path string, have, want fleet.JournalMeta) error {
-	if want.Version == 0 {
-		want.Version = 1 // what CreateJournal writes for an unset version
-	}
-	if have.Version == want.Version && have.Tool == want.Tool && have.Exhibit == want.Exhibit &&
-		have.Seed == want.Seed && slices.Equal(have.Args, want.Args) {
-		return nil
-	}
-	id := func(m fleet.JournalMeta) string {
-		return fmt.Sprintf("%s v%d exhibit=%q seed=%d args=%q", m.Tool, m.Version, m.Exhibit, m.Seed, m.Args)
-	}
-	return fmt.Errorf("dist: worker journal %s belongs to another run (it holds %s; this run is %s) — remove the file, or resume the run it belongs to",
-		path, id(have), id(want))
 }
 
 // liveSession returns the session owning gen, or an error the
@@ -462,14 +406,12 @@ func (w *Worker) liveSession(gen uint64) (*session, error) {
 }
 
 // RunCells executes one lease: its cells run in order, on this call's
-// goroutine, through the sweep's registered runner with the full local
-// semantics (replay, retries, panic capture, worker-side journaling),
-// and the reply carries their wire outcomes in the same order. Refused
-// while draining; abandoned between cells once the session is torn
-// down; and if the session was replaced while the lease ran (a zombie
-// coordinator losing a race with its successor), the results are
-// withheld — the old session's journal is already closed, so the
-// records cannot land anywhere.
+// goroutine, through the sweep's registered runner (panic capture
+// included), and the reply carries their wire outcomes in the same
+// order. Refused while draining; abandoned between cells once the
+// session is torn down; and if the session was replaced while the lease
+// ran (a zombie coordinator losing a race with its successor), the
+// results are withheld, so they land in no journal.
 func (a *workerAPI) RunCells(args *RunCellsArgs, reply *RunCellsReply) error {
 	w := a.w
 	if !w.beginLease() {
@@ -554,8 +496,6 @@ type ServeConfig struct {
 	// Addr is the listen address; host:0 picks a port. Non-loopback
 	// binds require Key.
 	Addr string
-	// JournalPath is the worker's local journal (optional).
-	JournalPath string
 	// Key is the cluster secret (see WorkerOptions.Key). Required for
 	// non-loopback binds.
 	Key []byte
@@ -570,7 +510,7 @@ type ServeConfig struct {
 // ServeWorker binds cfg.Addr, announces the bound address on stdout,
 // and serves coordinator sessions until a Shutdown RPC, a signal, or —
 // for forked workers — stdin EOF. The first SIGINT/SIGTERM drains
-// gracefully (in-flight cells finish and journal, Ping turns
+// gracefully (in-flight cells finish and reply, Ping turns
 // Running=false, then exit 130); a second signal force-quits. Returns
 // the process exit code: 0 clean, 130 interrupted, 2 usage/bind error.
 func ServeWorker(cfg ServeConfig) int {
@@ -590,7 +530,6 @@ func ServeWorker(cfg ServeConfig) int {
 	}
 	fmt.Printf("%s%s\n", listenLinePrefix, lis.Addr())
 	w := NewWorker(WorkerOptions{
-		JournalPath: cfg.JournalPath,
 		Start:       cfg.Start,
 		Key:         cfg.Key,
 		DrainLinger: cfg.DrainLinger,
@@ -619,7 +558,7 @@ func ServeWorker(cfg ServeConfig) int {
 
 	err = w.Serve(lis)
 	// Serve returns as soon as Stop has begun; Stop returns to every caller
-	// only once the session is torn down and its journal flushed and closed.
+	// only once the session is torn down and its program has exited.
 	w.Stop()
 	if err != nil {
 		if logf != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 )
 
 // Failure classes: the taxonomy sweep supervisors report and degraded
@@ -83,106 +82,6 @@ func (e *PanicError) Error() string {
 
 // FailureClass marks captured panics for Classify.
 func (e *PanicError) FailureClass() string { return ClassPanicked }
-
-// retryable wraps an error a caller has judged transient — worth
-// re-running the job for. Deterministic simulation failures (a stall,
-// an abort, a panic) are never transient: the same seed reproduces
-// them, so a Retry policy does not retry them unless explicitly
-// wrapped.
-type retryable struct{ err error }
-
-func (e *retryable) Error() string { return e.err.Error() }
-func (e *retryable) Unwrap() error { return e.err }
-
-// Retryable marks err as transient for a Retry policy. Nil stays nil.
-func Retryable(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &retryable{err: err}
-}
-
-// IsRetryable reports whether err carries the Retryable marker
-// anywhere in its chain.
-func IsRetryable(err error) bool {
-	var r *retryable
-	return errors.As(err, &r)
-}
-
-// DefaultMaxBackoff caps the exponential retry backoff when Retry does
-// not set its own ceiling.
-const DefaultMaxBackoff = 30 * time.Second
-
-// Retry configures the per-job retry policy of MapOpts: a job whose
-// error IsRetryable is re-run (with capped exponential backoff, see
-// BackoffAt) up to Attempts times before its failure is recorded.
-// Determinism of the merged output is unaffected because retries happen
-// inside the job's index slot. Non-retryable failures — including
-// captured panics — fail immediately: re-running a deterministic
-// universe cannot change its outcome.
-type Retry struct {
-	// Attempts is the total number of tries per job, including the
-	// first; values below 1 mean 1 (no retry).
-	Attempts int
-	// Backoff is the sleep before the second attempt; it doubles for
-	// each further attempt up to MaxBackoff. Zero disables sleeping
-	// (retry immediately), which is right for CPU-bound simulation
-	// jobs and keeps tests fast.
-	Backoff time.Duration
-	// MaxBackoff caps the exponential schedule; zero means
-	// DefaultMaxBackoff.
-	MaxBackoff time.Duration
-	// Sleep, when non-nil, replaces time.Sleep — tests inject a
-	// recorder here and assert the schedule without wall-clock waits.
-	Sleep func(time.Duration)
-}
-
-func (r Retry) attempts() int {
-	if r.Attempts < 1 {
-		return 1
-	}
-	return r.Attempts
-}
-
-func (r Retry) cap() time.Duration {
-	if r.MaxBackoff <= 0 {
-		return DefaultMaxBackoff
-	}
-	return r.MaxBackoff
-}
-
-// BackoffAt returns the sleep scheduled before attempt number attempt
-// (1-based count of retries: attempt 1 is the first re-run). The
-// schedule is pure and overflow-safe: Backoff doubles per retry and
-// saturates at the cap, so it is monotone non-decreasing and bounded
-// for every attempt number.
-func (r Retry) BackoffAt(attempt int) time.Duration {
-	if attempt < 1 || r.Backoff <= 0 {
-		return 0
-	}
-	d, max := r.Backoff, r.cap()
-	if d > max {
-		return max
-	}
-	for k := 1; k < attempt; k++ {
-		d *= 2
-		if d >= max || d < 0 { // saturate, guard overflow
-			return max
-		}
-	}
-	return d
-}
-
-func (r Retry) sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if r.Sleep != nil {
-		r.Sleep(d)
-		return
-	}
-	time.Sleep(d)
-}
 
 // JobErrors unpacks the joined error returned by MapOpts into its
 // individual *JobError entries, in job-index order. It returns nil for

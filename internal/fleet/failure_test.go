@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -95,74 +96,33 @@ func TestJobErrorsNilAndWrapped(t *testing.T) {
 	}
 }
 
-func TestRetryableMarker(t *testing.T) {
-	base := errors.New("transient IO")
-	if IsRetryable(base) {
-		t.Fatal("unmarked error classed retryable")
-	}
-	r := Retryable(base)
-	if !IsRetryable(r) {
-		t.Fatal("marked error not retryable")
-	}
-	if !IsRetryable(fmt.Errorf("wrapped: %w", r)) {
-		t.Fatal("marker lost through wrapping")
-	}
-	if !errors.Is(r, base) {
-		t.Fatal("Retryable hides the cause from errors.Is")
-	}
-	if Retryable(nil) != nil {
-		t.Fatal("Retryable(nil) != nil")
-	}
-}
-
-// A Retry policy re-runs only retryable failures, and only up to the attempt
-// budget; deterministic failures and panics fail on the spot.
-func TestMapRetry(t *testing.T) {
-	attemptsSeen := make([][]int, 4)
-	out, err := MapOpts(Options{Workers: 1, Retry: Retry{Attempts: 3}}, 4, func(i, attempt int) (int, error) {
-		attemptsSeen[i] = append(attemptsSeen[i], attempt)
-		switch i {
-		case 0: // succeeds immediately
-			return 10, nil
-		case 1: // transient: fails twice, then succeeds
-			if attempt < 2 {
-				return 0, Retryable(errors.New("flaky"))
+// Every job runs exactly once, as attempt 0, however it ends: re-running
+// a deterministic cell cannot change its outcome, so a failure or a
+// panic is recorded on the spot.
+func TestMapRunsEachCellOnce(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		var mu sync.Mutex
+		seen := make([][]int, 3)
+		_, err := MapOpts(Options{Workers: workers}, 3, func(i, attempt int) (int, error) {
+			mu.Lock()
+			seen[i] = append(seen[i], attempt)
+			mu.Unlock()
+			switch i {
+			case 0:
+				return 0, errors.New("deterministic")
+			case 1:
+				panic("deterministic crash")
 			}
-			return 11, nil
-		case 2: // deterministic: never retried
-			return 0, errors.New("hard failure")
-		default: // retryable but never recovers: exhausts the budget
-			return 0, Retryable(errors.New("always down"))
+			return i, nil
+		})
+		for i, attempts := range seen {
+			if !equalInts(attempts, []int{0}) {
+				t.Fatalf("workers=%d: job %d ran as attempts %v, want exactly [0]", workers, i, attempts)
+			}
 		}
-	})
-	if want := []int{10, 11, 0, 0}; !equalInts(out, want) {
-		t.Fatalf("out = %v, want %v", out, want)
-	}
-	if len(attemptsSeen[0]) != 1 || len(attemptsSeen[1]) != 3 ||
-		len(attemptsSeen[2]) != 1 || len(attemptsSeen[3]) != 3 {
-		t.Fatalf("attempt counts %v, want [1 3 1 3] pattern",
-			[]int{len(attemptsSeen[0]), len(attemptsSeen[1]), len(attemptsSeen[2]), len(attemptsSeen[3])})
-	}
-	jes := JobErrors(err)
-	if len(jes) != 2 {
-		t.Fatalf("%d JobErrors, want 2 (jobs 2 and 3): %v", len(jes), err)
-	}
-	if jes[0].Index != 2 || jes[1].Index != 3 {
-		t.Fatalf("failed indices %d,%d want 2,3", jes[0].Index, jes[1].Index)
-	}
-}
-
-// A panic on a retry attempt is captured like any other panic.
-func TestMapRetryPanicOnRetry(t *testing.T) {
-	_, err := MapOpts(Options{Workers: 1, Retry: Retry{Attempts: 2}}, 1, func(i, attempt int) (int, error) {
-		if attempt == 0 {
-			return 0, Retryable(errors.New("transient"))
+		if jes := JobErrors(err); len(jes) != 2 || jes[1].Class() != ClassPanicked {
+			t.Fatalf("workers=%d: want jobs 0 and 1 failed (1 panicked), got %v", workers, err)
 		}
-		panic("second attempt crashed")
-	})
-	jes := JobErrors(err)
-	if len(jes) != 1 || jes[0].Class() != ClassPanicked {
-		t.Fatalf("want one panicked JobError, got %v", err)
 	}
 }
 

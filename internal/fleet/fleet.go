@@ -148,8 +148,6 @@ type Options struct {
 	// Label, when non-nil, names job i for error reports, journal
 	// failure records and repro bundles.
 	Label func(int) string
-	// Retry is the per-job retry policy (zero value: single attempt).
-	Retry Retry
 	// Run, when non-nil, attaches the crash-safety layer: journal
 	// write-through/replay and the single-cell repro target.
 	Run *Run
@@ -158,10 +156,11 @@ type Options struct {
 // MapOpts runs fn for every index in [0,n) across Workers(o.Workers)
 // goroutines and returns the results in index order: out[i] is fn(i)'s
 // value no matter which worker ran it or when it finished. On top of
-// the bounded fan-out and ordered merge it does panic capture, bounded
-// retry, cooperative cancellation and journal write-through/replay. fn
-// receives the job index and the attempt number (0-based; always 0
-// unless o.Retry enables retries).
+// the bounded fan-out and ordered merge it does panic capture,
+// cooperative cancellation and journal write-through/replay. fn receives
+// the job index and an attempt number that is always 0: a job runs once
+// per process, because running a deterministic cell again cannot change
+// its outcome.
 //
 // Partial-result semantics: a failed sweep is still a valid, labelled
 // result, never a truncated one. A job that returns an error or panics
@@ -244,7 +243,7 @@ func MapOpts[T any](o Options, n int, fn func(i, attempt int) (T, error)) ([]T, 
 }
 
 // cellRunner executes one cell end to end: repro filtering, journal
-// replay, the retry loop, panic capture, and journal write-through.
+// replay, dispatch, panic capture, and journal write-through.
 type cellRunner[T any] struct {
 	o     Options
 	fn    func(i, attempt int) (T, error)
@@ -290,16 +289,16 @@ func (c *cellRunner[T]) label(i int) string {
 
 // run executes job i and wraps any failure in a labelled *JobError.
 func (c *cellRunner[T]) run(i int) (T, error) {
-	out, err := c.attempt(i)
+	out, err := c.resolve(i)
 	if err != nil {
 		err = &JobError{Index: i, Label: c.label(i), Err: err}
 	}
 	return out, err
 }
 
-// attempt handles replay/filter, then the retry loop with journal
-// write-through of the final outcome.
-func (c *cellRunner[T]) attempt(i int) (out T, err error) {
+// resolve handles replay/filter and dispatch, then executes the cell
+// with journal write-through of its outcome.
+func (c *cellRunner[T]) resolve(i int) (out T, err error) {
 	var (
 		j      *Journal
 		target *CellTarget
@@ -360,7 +359,7 @@ func (c *cellRunner[T]) attempt(i int) (out T, err error) {
 		}
 	}
 
-	out, err = c.retryLoop(i)
+	out, err = c.exec(i)
 	if target != nil {
 		target.record(err)
 	}
@@ -377,27 +376,12 @@ func (c *cellRunner[T]) attempt(i int) (out T, err error) {
 	return out, err
 }
 
-// retryLoop runs the cell's bounded retry loop (a single attempt when
-// the Options carry no Retry policy).
-func (c *cellRunner[T]) retryLoop(i int) (out T, err error) {
-	attempts := c.o.Retry.attempts()
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			c.o.Retry.sleep(c.o.Retry.BackoffAt(a))
-		}
-		out, err = c.runAttempt(i, a)
-		if err == nil || !IsRetryable(err) {
-			break
-		}
-	}
-	return out, err
-}
-
 // serveCell executes one cell on behalf of a coordinator (the worker
-// side of a distributed run): journal replay, the full local retry and
-// panic-capture semantics, write-through to the worker's own journal,
-// and the outcome in wire form. It never panics — a broken cell becomes
-// a failure outcome like any other.
+// side of a distributed run) and returns its outcome in wire form. The
+// coordinator's journal is the cell's one durable record, so nothing is
+// replayed or journaled here: a cell lost in flight re-executes, to the
+// same bytes. It never panics — a broken cell becomes a failure outcome
+// like any other.
 func (c *cellRunner[T]) serveCell(cell uint32) (res *CellOutcome) {
 	i := int(cell)
 	defer func() {
@@ -405,31 +389,13 @@ func (c *cellRunner[T]) serveCell(cell uint32) (res *CellOutcome) {
 			res = failureOutcome(c.label(i), capturePanic(r))
 		}
 	}()
-	var j *Journal
-	if c.o.Run != nil {
-		j = c.o.Run.Journal
-	}
-	if j != nil {
-		if data, ok := j.lookupCell(c.sweep, cell); ok {
-			return &CellOutcome{Data: data}
-		}
-	}
-	out, err := c.retryLoop(i)
+	out, err := c.exec(i)
 	if err != nil {
-		if j != nil {
-			j.appendFailure(c.sweep, cell, c.label(i), Classify(err), err.Error())
-		}
 		return failureOutcome(c.label(i), err)
 	}
-	data, eerr := encodeCellData(&out)
-	if eerr != nil {
-		return failureOutcome(c.label(i), fmt.Errorf("encode cell result: %w", eerr))
-	}
-	// Worker-side journaling is belt and braces for coordinator crashes;
-	// the reply itself lands in the canonical journal, so a local append
-	// failure must not fail the cell.
-	if j != nil {
-		_ = j.AppendCellData(c.sweep, cell, data)
+	data, err := encodeCellData(&out)
+	if err != nil {
+		return failureOutcome(c.label(i), fmt.Errorf("encode cell result: %w", err))
 	}
 	return &CellOutcome{Data: data}
 }
@@ -442,10 +408,9 @@ func dispatcherOf(r *Run) Dispatcher {
 	return r.Dispatch
 }
 
-// runAttempt runs one attempt with its own panic capture, so a
-// retryable first attempt followed by a panicking second still reports
-// the panic, and a captured panic can be journaled like any failure.
-func (c *cellRunner[T]) runAttempt(i, attempt int) (out T, err error) {
+// exec runs the job function once with panic capture, so a captured
+// panic can be journaled and reported like any failure.
+func (c *cellRunner[T]) exec(i int) (out T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			var zero T
@@ -453,7 +418,7 @@ func (c *cellRunner[T]) runAttempt(i, attempt int) (out T, err error) {
 			err = capturePanic(r)
 		}
 	}()
-	return c.fn(i, attempt)
+	return c.fn(i, 0)
 }
 
 // capturePanic freezes a recovered panic as a structured *PanicError

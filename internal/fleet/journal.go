@@ -69,9 +69,9 @@ import (
 // own seeds to the same bytes.
 //
 // Replay is last-record-wins per (sweep, cell): a failure later
-// superseded by a success (a retry, or a resumed re-execution) replays
-// as the success, and vice versa. Only successes replay; failed and
-// missing cells re-execute on resume.
+// superseded by a success (a resumed re-execution) replays as the
+// success, and vice versa. Only successes replay; failed and missing
+// cells re-execute on resume.
 
 // journalMagic identifies a journal file and its format version.
 const journalMagic = "HBJRNL01"
@@ -302,11 +302,6 @@ func decodeString(b []byte) (string, []byte, error) {
 // cellKey addresses one cell across a run's sweeps.
 type cellKey struct{ sweep, cell uint32 }
 
-// failInfo is the in-memory state of a cell whose latest record is a
-// failure — everything needed to re-emit the record (worker journal
-// uploads, merges).
-type failInfo struct{ label, class, msg string }
-
 // SweepProgress is one sweep's completion state, for the partial table
 // an interrupted run renders.
 type SweepProgress struct {
@@ -335,8 +330,7 @@ type Journal struct {
 	f        journalFile // nil once closed
 	path     string
 	meta     JournalMeta
-	replay   map[cellKey][]byte   // cells whose latest record is a success (gob payload)
-	failed   map[cellKey]failInfo // cells whose latest record is a failure
+	replay   map[cellKey][]byte // cells whose latest record is a success (gob payload)
 	progress map[uint32]*SweepProgress
 	sweeps   []uint32 // sweep IDs in begin order
 	bundles  []string // repro bundle paths written this process
@@ -432,9 +426,7 @@ func ResumeJournal(path string) (*Journal, error) {
 		switch rec.Kind {
 		case recCell:
 			j.replay[key] = rec.Data
-			delete(j.failed, key)
 		case recFail:
-			j.failed[key] = failInfo{rec.Label, rec.Class, rec.Error}
 			delete(j.replay, key)
 		}
 	}
@@ -447,7 +439,6 @@ func newJournal(f journalFile, path string, meta JournalMeta) *Journal {
 	j := &Journal{
 		f: f, path: path, meta: meta,
 		replay:      make(map[cellKey][]byte),
-		failed:      make(map[cellKey]failInfo),
 		progress:    make(map[uint32]*SweepProgress),
 		kick:        make(chan struct{}, 1),
 		now:         time.Now,
@@ -654,39 +645,6 @@ func startRecord(kind byte, sweep, cell uint32, body int) []byte {
 // uvarintLen is the number of bytes binary.AppendUvarint emits for x.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// appendCellLocked queues one success record and makes it the cell's
-// replay state; the replay entry aliases the record's data bytes.
-// Callers hold j.mu.
-func (j *Journal) appendCellLocked(key cellKey, data []byte) error {
-	rec := append(startRecord(recCell, key.sweep, key.cell, len(data)), data...)
-	if err := j.appendRecord(rec); err != nil {
-		return err
-	}
-	j.replay[key] = rec[len(rec)-len(data):]
-	delete(j.failed, key)
-	return nil
-}
-
-// appendFailLocked queues one failure record and makes it the cell's
-// state. Callers hold j.mu.
-func (j *Journal) appendFailLocked(key cellKey, fi failInfo) error {
-	fields := [...]string{fi.label, fi.class, fi.msg}
-	body := 0
-	for _, s := range fields {
-		body += uvarintLen(uint64(len(s))) + len(s)
-	}
-	rec := startRecord(recFail, key.sweep, key.cell, body)
-	for _, s := range fields {
-		rec = append(binary.AppendUvarint(rec, uint64(len(s))), s...)
-	}
-	if err := j.appendRecord(rec); err != nil {
-		return err
-	}
-	j.failed[key] = fi
-	delete(j.replay, key)
-	return nil
-}
-
 // appendCell journals one completed cell: gob-encode, then append.
 func (j *Journal) appendCell(sweep, cell uint32, v any) error {
 	data, err := encodeCellData(v)
@@ -701,6 +659,8 @@ func (j *Journal) appendCell(sweep, cell uint32, v any) error {
 // that already has a journaled success is left untouched (nil error):
 // duplicate results from a reassigned worker are byte-identical anyway,
 // and first-result-wins keeps the journal free of redundant records.
+// The replay entry aliases the record's copy of data, never the
+// caller's.
 func (j *Journal) AppendCellData(sweep, cell uint32, data []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -708,9 +668,11 @@ func (j *Journal) AppendCellData(sweep, cell uint32, data []byte) error {
 	if _, ok := j.replay[key]; ok {
 		return nil
 	}
-	if err := j.appendCellLocked(key, data); err != nil {
+	rec := append(startRecord(recCell, sweep, cell, len(data)), data...)
+	if err := j.appendRecord(rec); err != nil {
 		return err
 	}
+	j.replay[key] = rec[len(rec)-len(data):]
 	j.progressLocked(sweep).Done++
 	return nil
 }
@@ -725,42 +687,25 @@ func (j *Journal) AppendCellData(sweep, cell uint32, data []byte) error {
 // supersedes it (and vice versa), the same order ScanJournal-based
 // replay reconstructs.
 func (j *Journal) appendFailure(sweep, cell uint32, label, class, msg string) {
+	fields := [...]string{label, class, msg}
+	body := 0
+	for _, s := range fields {
+		body += uvarintLen(uint64(len(s))) + len(s)
+	}
+	rec := startRecord(recFail, sweep, cell, body)
+	for _, s := range fields {
+		rec = append(binary.AppendUvarint(rec, uint64(len(s))), s...)
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.appendFailLocked(cellKey{sweep, cell}, failInfo{label, class, msg}) != nil {
+	if j.appendRecord(rec) != nil {
 		return
 	}
+	delete(j.replay, cellKey{sweep, cell})
 	j.progressLocked(sweep).Failed++
 	if j.barrierLocked() == nil {
 		j.writeBundleLocked(sweep, cell, label, class, msg)
 	}
-}
-
-// SnapshotRecords returns the journal's current per-cell state — the
-// latest record of every (sweep, cell), successes and failures alike —
-// sorted by key for determinism. This is what a worker uploads when a
-// resumed coordinator reconnects: everything it completed before or
-// after the coordinator crashed, ready for Merge into the canonical
-// journal.
-func (j *Journal) SnapshotRecords() []JournalRecord {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]JournalRecord, 0, len(j.replay)+len(j.failed))
-	for key, data := range j.replay {
-		out = append(out, JournalRecord{Kind: recCell, Sweep: key.sweep, Cell: key.cell,
-			Data: append([]byte(nil), data...)})
-	}
-	for key, fi := range j.failed {
-		out = append(out, JournalRecord{Kind: recFail, Sweep: key.sweep, Cell: key.cell,
-			Label: fi.label, Class: fi.class, Error: fi.msg})
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Sweep != out[b].Sweep {
-			return out[a].Sweep < out[b].Sweep
-		}
-		return out[a].Cell < out[b].Cell
-	})
-	return out
 }
 
 // appendRecord seals rec — a buffer whose first recHeaderLen bytes are

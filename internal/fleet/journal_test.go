@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -50,6 +51,20 @@ func buildJournal(t *testing.T, outcomes []error) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// scanPath scans a journal file, failing the test on hard errors.
+func scanPath(t *testing.T, path string) *JournalScan {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan, err := ScanJournal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scan
 }
 
 func TestJournalCreateResumeRoundTrip(t *testing.T) {
@@ -104,8 +119,8 @@ func TestJournalLastRecordWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cell 0: failure then success (a retry or resumed re-execution
-	// recovered it) — must replay as the success.
+	// Cell 0: failure then success (a resumed re-execution recovered
+	// it) — must replay as the success.
 	j.appendFailure(0, 0, "cell-0", ClassStalled, "first attempt stalled")
 	if err := j.appendCell(0, 0, &cellResult{Name: "recovered", Value: 7}); err != nil {
 		t.Fatal(err)
@@ -136,6 +151,52 @@ func TestJournalLastRecordWins(t *testing.T) {
 	}
 	if _, ok := r.lookupCell(0, 1); ok {
 		t.Fatal("cell 1's stale success must not replay past the later failure")
+	}
+}
+
+// Canonical is the journal-identity relation the chaos suite asserts:
+// two journals holding the same last record per cell, appended in
+// different physical orders, reduce to the same address-sorted records,
+// file offsets cleared.
+func TestJournalCanonical(t *testing.T) {
+	type op struct {
+		sweep, cell uint32
+		fail        string // failure message; "" appends a success
+	}
+	canonical := func(ops []op) []JournalRecord {
+		path := filepath.Join(t.TempDir(), "run.journal")
+		j, err := CreateJournal(path, testMeta())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range ops {
+			if o.fail != "" {
+				j.appendFailure(o.sweep, o.cell, "label", ClassError, o.fail)
+			} else if err := j.appendCell(o.sweep, o.cell, &cellResult{Name: fmt.Sprint(o.sweep, o.cell)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return scanPath(t, path).Canonical()
+	}
+	a := canonical([]op{{1, 0, ""}, {0, 2, "stalled"}, {0, 1, ""}, {0, 2, ""}, {0, 3, ""}, {0, 3, "late failure"}})
+	b := canonical([]op{{0, 3, "late failure"}, {0, 2, ""}, {0, 1, ""}, {1, 0, ""}})
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same cells in another order: canonical forms differ:\n%+v\n%+v", a, b)
+	}
+	want := []struct {
+		sweep, cell uint32
+		kind        byte
+	}{{0, 1, recCell}, {0, 2, recCell}, {0, 3, recFail}, {1, 0, recCell}}
+	if len(a) != len(want) {
+		t.Fatalf("canonical = %+v, want %d records", a, len(want))
+	}
+	for i, w := range want {
+		if r := a[i]; r.Sweep != w.sweep || r.Cell != w.cell || r.Kind != w.kind || r.Offset != 0 || r.Len != 0 {
+			t.Fatalf("canonical[%d] = %+v, want s%dc%d kind %d with no offsets", i, r, w.sweep, w.cell, w.kind)
+		}
 	}
 }
 

@@ -17,11 +17,11 @@ import "fmt"
 //     indistinguishable from a locally executed one.
 //
 //   - Serve (worker side): MapOpts registers the sweep — its size and a
-//     closure that runs one cell with the full local semantics (retry
-//     loop, panic capture, write-ahead journaling) — with the
-//     SweepServer and blocks until the coordinator declares the sweep
-//     complete. The worker's own result slice stays at zero values;
-//     only the coordinator renders output.
+//     closure that runs one cell with panic capture and encodes its
+//     outcome — with the SweepServer and blocks until the coordinator
+//     declares the sweep complete. The worker journals nothing and its
+//     own result slice stays at zero values; only the coordinator
+//     journals and renders.
 //
 // Both sides run the same deterministic program (same tool, args and
 // seed), so they agree on sweep numbering and cell counts without any
@@ -59,8 +59,8 @@ type Dispatcher interface {
 }
 
 // SweepServer is the worker-side hook: ServeSweep offers a sweep's
-// cells for remote execution. run executes one cell end to end (replay,
-// retries, panic capture, local journaling) and never panics; it is
+// cells for remote execution. run executes one cell with panic capture
+// and returns its wire outcome; it never panics and is
 // safe to call concurrently for distinct cells. ServeSweep blocks until
 // the coordinator ends the sweep (or the session dies) and returns nil
 // on a clean end — the worker's Map call then returns zero values.

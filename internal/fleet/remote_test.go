@@ -234,21 +234,16 @@ func (s *fakeServer) ServeSweep(sweep uint32, n int, run func(cell uint32) *Cell
 	return s.err
 }
 
-// The serve hook executes exactly the requested cells with full local
-// semantics (retry, panic capture, journaling) and returns zero values
-// from the Map — the worker renders nothing.
+// The serve hook executes exactly the requested cells with panic capture
+// and returns zero values from the Map — the worker renders nothing.
 func TestServeRunsRequestedCells(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "worker.journal")
-	j, err := CreateJournal(path, testMeta())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
+	var ran atomic.Int32
 	srv := &fakeServer{cells: []uint32{1, 3}}
 	out, err := MapOpts(Options{
-		Run:   &Run{Journal: j, Serve: srv},
+		Run:   &Run{Serve: srv},
 		Label: func(i int) string { return fmt.Sprintf("cell-%d", i) },
 	}, 4, func(i, attempt int) (cellResult, error) {
+		ran.Add(1)
 		if i == 3 {
 			panic("cell 3 explodes")
 		}
@@ -256,6 +251,9 @@ func TestServeRunsRequestedCells(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := ran.Load(); n != 2 {
+		t.Fatalf("%d cells executed, want the 2 requested", n)
 	}
 	if srv.sweepLen != 4 || len(srv.sweeps) != 1 || srv.sweeps[0] != 0 {
 		t.Fatalf("sweep registration: n=%d sweeps=%v", srv.sweepLen, srv.sweeps)
@@ -281,43 +279,6 @@ func TestServeRunsRequestedCells(t *testing.T) {
 	}
 	if !strings.Contains(bad.Error, "cell 3 explodes") {
 		t.Fatalf("panic text lost: %q", bad.Error)
-	}
-
-	// Both outcomes are in the worker's own journal: the success as a
-	// replayable cell, the panic as a failure record.
-	if _, ok := j.lookupCell(0, 1); !ok {
-		t.Fatal("served success not journaled worker-side")
-	}
-	if _, ok := j.lookupCell(0, 3); ok {
-		t.Fatal("panicked cell replays")
-	}
-}
-
-// A served cell whose result is already in the worker's journal replays
-// from it — byte-identically — instead of re-executing.
-func TestServeReplaysFromWorkerJournal(t *testing.T) {
-	path := buildJournal(t, []error{nil}) // cell 0 journaled with Name "cell-0"
-	r, err := ResumeJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	want, ok := r.lookupCell(0, 0)
-	if !ok {
-		t.Fatal("setup: cell 0 not replayable")
-	}
-	srv := &fakeServer{cells: []uint32{0}}
-	_, err = MapOpts(Options{Run: &Run{Journal: r, Serve: srv}}, 1,
-		func(i, attempt int) (cellResult, error) {
-			t.Fatal("journaled cell re-executed")
-			return cellResult{}, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := srv.got[0]
-	if res == nil || res.Failed || string(res.Data) != string(want) {
-		t.Fatalf("served replay = %+v, want the journaled bytes", res)
 	}
 }
 
