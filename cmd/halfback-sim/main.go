@@ -30,6 +30,10 @@ import (
 	"halfback/internal/metrics"
 )
 
+// default.pgo, here and in cmd/fctsweep, is the profile go build applies
+// to both CLIs; regenerate it after a change that moves hot code.
+//go:generate sh genpgo.sh
+
 // shape is halfback-sim's own flags. fig, seed, scale and csv change
 // output bytes and round-trip through the journal meta; list answers
 // the invocation itself and never reaches a journal.

@@ -380,11 +380,15 @@ func (h *harness) launchCoordinator(x *Exec, journal *fleet.Journal) (coord *dis
 			env = append(env, dist.KeyEnv+"="+string(opts.Key))
 		}
 		forked, err = dist.Fork(exe, x.Distributed, func(i int) []string {
+			// The workers do most of a distributed run's computing and
+			// allocating; each profiles itself next to the coordinator's
+			// files.
 			args := []string{"-serve-worker", "127.0.0.1:0"}
 			if x.CPUProfile != "" {
-				// The workers do most of a distributed run's computing;
-				// each profiles itself next to the coordinator's file.
 				args = append(args, "-cpuprofile", fmt.Sprintf("%s.w%d", x.CPUProfile, i))
+			}
+			if x.MemProfile != "" {
+				args = append(args, "-memprofile", fmt.Sprintf("%s.w%d", x.MemProfile, i))
 			}
 			return args
 		}, env...)

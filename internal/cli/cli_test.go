@@ -244,6 +244,7 @@ func TestExitCodes(t *testing.T) {
 		{name: "worker with distributed", args: []string{"-serve-worker", "127.0.0.1:0", "-distributed", "2"}, code: 2, stderr: "-serve-worker excludes"},
 		{name: "worker profile unwritable", args: []string{"-serve-worker", "127.0.0.1:0", "-cpuprofile", fresh("no/such/dir/p")}, code: 1, stderr: "-cpuprofile"},
 		{name: "profile unwritable", args: []string{"-cpuprofile", fresh("no/such/dir/p")}, code: 1, stderr: "-cpuprofile"},
+		{name: "mem profile unwritable", args: []string{"-memprofile", fresh("no/such/dir/m")}, code: 0, stderr: "-memprofile"},
 		{name: "repro missing", args: []string{"-repro", fresh("missing.json")}, code: 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -541,8 +542,8 @@ func TestDistributedMatchesSerial(t *testing.T) {
 	args := []string{"-cells", "40", "-sweeps", "3", "-seed", "5"}
 	ref := f.invoke(nil, append(args, "-workers", "1")...)
 
-	journal, profile := filepath.Join(dir, "j"), filepath.Join(dir, "p")
-	r := f.invoke(nil, append(args, "-journal", journal, "-distributed", "2", "-cpuprofile", profile)...)
+	journal, profile, memProfile := filepath.Join(dir, "j"), filepath.Join(dir, "p"), filepath.Join(dir, "m")
+	r := f.invoke(nil, append(args, "-journal", journal, "-distributed", "2", "-cpuprofile", profile, "-memprofile", memProfile)...)
 	if r.code != 0 {
 		t.Fatalf("exit %d: %s", r.code, r.stderr)
 	}
@@ -555,7 +556,7 @@ func TestDistributedMatchesSerial(t *testing.T) {
 	if len(f.ran) != 120 { // the reference run's; the coordinator executes nothing
 		t.Errorf("the coordinator executed %d cells itself", len(f.ran)-120)
 	}
-	for _, p := range []string{profile, profile + ".w0", profile + ".w1"} {
+	for _, p := range []string{profile, profile + ".w0", profile + ".w1", memProfile, memProfile + ".w0", memProfile + ".w1"} {
 		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
 			t.Errorf("%s: %v", p, err)
 		}
