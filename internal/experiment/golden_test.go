@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -65,9 +66,11 @@ func checkGolden(t *testing.T, file, got string) {
 // Every exhibit's executed-event count is bit-exact for a pinned seed
 // and scale, so a count that moves means the simulation did something
 // else — a behaviour change, not noise — even where no table shows it.
-// The golden holds one "<id> <events>" line per Registry() entry at seed
-// 1, scale 0.05, run serially. Like the table goldens it is regenerated
-// only on purpose (-update), by a change that says why the counts moved.
+// The golden holds one "<id> <events> <sha256>" line per Registry()
+// entry at seed 1, scale 0.05, run serially; the digest is that of the
+// rendered tables, so exhibits without a table golden of their own are
+// pinned byte for byte too. Like the table goldens it is regenerated
+// only on purpose (-update), by a change that says why the lines moved.
 func TestExecutedEventCounts(t *testing.T) {
 	if testing.Short() || fleet.RaceEnabled {
 		t.Skip("full-registry run (~15 s); skipped under -short and the race detector")
@@ -75,8 +78,8 @@ func TestExecutedEventCounts(t *testing.T) {
 	var got strings.Builder
 	for _, e := range Registry() {
 		before := sim.ProcessedTotal()
-		e.Run(1, Scale{Trials: 0.05, Horizon: 0.05, Workers: 1})
-		fmt.Fprintf(&got, "%s %d\n", e.ID, sim.ProcessedTotal()-before)
+		res := e.Run(1, Scale{Trials: 0.05, Horizon: 0.05, Workers: 1})
+		fmt.Fprintf(&got, "%s %d %x\n", e.ID, sim.ProcessedTotal()-before, sha256.Sum256([]byte(renderAll(res))))
 	}
 	checkGolden(t, "events_s1_scale005.golden", got.String())
 }
