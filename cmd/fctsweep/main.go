@@ -146,7 +146,7 @@ func (s *shape) Run(env *cli.Env) (failed bool) {
 			name, util := s.cell(i)
 			return fmt.Sprintf("%s @%.0f%%", name, util*100)
 		},
-	}, n, func(i, attempt int) ([]any, error) {
+	}, n, func(i, attempt int) (fleet.Row, error) {
 		return s.runCell(s.cell(i)), nil
 	})
 	if env.Out == nil {
@@ -175,7 +175,13 @@ func (s *shape) Run(env *cli.Env) (failed bool) {
 	for i, row := range rows {
 		switch {
 		case cellErr[i] == nil:
-			table.AddRow(row...)
+			name, util := s.cell(i)
+			cells := []any{name, util * 100, int(row[colFlows]), row[colMeanFCT], row[colP50], row[colP99],
+				row[colMeanRetx], row[colCompletion], int(row[colAborted])}
+			if s.misbehave != "none" {
+				cells = append(cells, fmt.Sprintf("%d aborts/%d flagged", int64(row[colPeerAborts]), int64(row[colFlagged])))
+			}
+			table.AddRow(cells...)
 		case fleet.Classify(cellErr[i]) == fleet.ClassCanceled:
 			done-- // skipped by the drain
 		default:
@@ -204,7 +210,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func (sh *shape) runCell(name string, util float64) []any {
+// Columns of a cell's row.
+const (
+	colFlows = iota
+	colMeanFCT
+	colP50
+	colP99
+	colMeanRetx
+	colCompletion
+	colAborted
+	colPeerAborts // -misbehave only: flows aborted for peer misbehavior
+	colFlagged    // -misbehave only: ACKs the validators flagged
+)
+
+func (sh *shape) runCell(name string, util float64) fleet.Row {
 	cfg := netem.DumbbellConfig{
 		Pairs: 16, BottleneckBps: sh.rateMbps * netem.Mbps, RTT: sh.rtt, BufferBytes: sh.bufBytes,
 	}.Defaulted()
@@ -244,9 +263,9 @@ func (sh *shape) runCell(name string, util float64) []any {
 		}
 	}
 	sum := metrics.Summarize(fcts)
-	row := []any{
-		name, util * 100, len(arrivals), sum.Mean, sum.Median(), sum.Percentile(99),
-		metrics.Summarize(retx).Mean, s.CompletionRate(), aborted,
+	row := fleet.Row{
+		float64(len(arrivals)), sum.Mean, sum.Median(), sum.Percentile(99),
+		metrics.Summarize(retx).Mean, s.CompletionRate(), float64(aborted),
 	}
 	if sh.misbehave != "none" {
 		var peerAborts, flagged int64
@@ -256,7 +275,7 @@ func (sh *shape) runCell(name string, util float64) []any {
 			}
 			flagged += c.Stats.MisbehaviorTotal()
 		}
-		row = append(row, fmt.Sprintf("%d aborts/%d flagged", peerAborts, flagged))
+		row = append(row, float64(peerAborts), float64(flagged))
 	}
 	return row
 }

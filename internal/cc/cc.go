@@ -256,11 +256,6 @@ type Controller interface {
 	OnTimer(env Env, kind TimerKind, now sim.Time)
 	// Decision reports the current control law.
 	Decision() Decision
-	// State returns a pointer to the controller's complete serializable
-	// decision state: a struct with only exported fields, so gob-based
-	// checkpointing (the crash-safe resume path) can never silently
-	// drop scheme state.
-	State() any
 }
 
 // DoneHook is implemented by controllers that must run when the flow

@@ -614,9 +614,6 @@ func TestConformanceEveryRegistrySchemeEstablishes(t *testing.T) {
 					t.Fatalf("decision %+v has a non-finite or negative field", d)
 				}
 			}
-			if ctrl.State() == nil {
-				t.Fatal("controller reports no serializable state")
-			}
 			e.checkViolations(t)
 		})
 	}

@@ -111,9 +111,8 @@ const (
 	PhaseFallback
 )
 
-// HalfbackState is the sender's complete serializable decision state.
-// The fallback Reno engine, once started, keeps its own RenoState,
-// reachable through its own State().
+// HalfbackState is the sender's decision state. The fallback Reno
+// engine, once started, keeps its own RenoState.
 type HalfbackState struct {
 	Phase      uint8
 	PacedHi    int32 // exclusive upper bound of the paced prefix
@@ -334,9 +333,6 @@ func (l *Logic) Decision() cc.Decision {
 	}
 	return cc.Decision{CwndSegs: float64(l.st.PacedHi)}
 }
-
-// State returns the serializable decision state.
-func (l *Logic) State() any { return &l.st }
 
 // OnDone records the achieved throughput for the adaptive-threshold
 // history (the connection has already stopped the pacer).

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"halfback/internal/fleet"
 	"halfback/internal/metrics"
 	"halfback/internal/netem"
 	"halfback/internal/ptest"
@@ -31,18 +32,27 @@ const AdversityFlowBytes = 100_000
 // runs at full scale.
 const AdversityTrials = 20
 
-// AdversityTrial is one (preset, scheme, seed) torture run.
-type AdversityTrial struct {
-	Preset string
-	Scheme string
-	Result *ptest.TortureResult
-}
+// Columns of an adversity trial row: one per safety invariant (1 when
+// violated), then what surviving cost.
+const (
+	advIncomplete      = iota // flow or sender never completed
+	advChecksumBad            // end-to-end payload checksum mismatch
+	advDupToApp               // app deliveries differ from segments
+	advUndrained              // scheduler did not drain
+	advConservationBad        // packet conservation violated
+	advFCT                    // ms
+	advRetx                   // normal retransmissions
+	advDups                   // duplicate data segments at the receiver
+	advChecksumDrops          // corrupted segments the receiver dropped
+	advCols
+)
 
-// AdversityResult is the exhibit's dataset.
+// AdversityResult is the exhibit's dataset: one trial row per (preset,
+// scheme, trial), preset-major, each cell's trials contiguous.
 type AdversityResult struct {
 	Presets []string
 	Schemes []string
-	Trials  []AdversityTrial
+	Rows    []fleet.Row
 }
 
 // Adversity runs the exhibit: presets × schemes × seeded trials, fanned
@@ -53,63 +63,48 @@ func Adversity(seed uint64, sc Scale) *AdversityResult {
 	trials := sc.trials(AdversityTrials)
 	res := &AdversityResult{Presets: presets, Schemes: schemes}
 	cells := len(presets) * len(schemes)
-	res.Trials = sweep(sc, cells*trials, func(i int) string {
+	res.Rows = sweep(sc, cells*trials, func(i int) string {
 		c := i / trials
 		return fmt.Sprintf("adversity %s scheme %s trial %d",
 			presets[c/len(schemes)], schemes[c%len(schemes)], i%trials)
-	}, func(i int) AdversityTrial {
+	}, func(i int) fleet.Row {
 		c := i / trials
-		preset, name := presets[c/len(schemes)], schemes[c%len(schemes)]
-		u := ptest.PresetUniverse(sim.ChildSeed(seed^0xadefac7, uint64(i)), preset)
-		return AdversityTrial{
-			Preset: preset, Scheme: name,
-			Result: ptest.RunTorture(u, name, AdversityFlowBytes),
-		}
+		u := ptest.PresetUniverse(sim.ChildSeed(seed^0xadefac7, uint64(i)), presets[c/len(schemes)])
+		return tortureRow(ptest.RunTorture(u, schemes[c%len(schemes)], AdversityFlowBytes))
 	})
 	return res
 }
 
-// Tables renders the exhibit.
+// tortureRow keeps what the tables read of one torture run.
+func tortureRow(r *ptest.TortureResult) fleet.Row {
+	return fleet.Row{
+		bit(!r.Completed || !r.SenderDone), bit(!r.ChecksumOK), bit(r.Deliveries != r.NumSegs),
+		bit(!r.Drained), bit(!r.ConservationOK), r.Stats.FCT().Seconds() * 1000,
+		float64(r.Stats.NormalRetx), float64(r.Stats.DupDataAtReceiver), float64(r.Stats.ChecksumDrops),
+	}
+}
+
+// Tables renders the exhibit: per (preset, scheme) cell, violation
+// counts and the mean cost over its trials.
 func (r *AdversityResult) Tables() []*metrics.Table {
 	safety := metrics.NewTable("Adversity: safety invariants (violations/trials)",
 		"preset", "scheme", "trials", "incomplete", "checksum_bad", "dup_to_app", "undrained", "conservation_bad")
 	cost := metrics.NewTable("Adversity: cost of surviving",
 		"preset", "scheme", "mean_fct_ms", "retx_per_flow", "dups_seen", "checksum_drops")
-	for _, preset := range r.Presets {
-		for _, name := range r.Schemes {
-			var n, incomplete, badSum, dupApp, undrained, badCons int
-			var fct, retx, dups, sumDrops float64
-			for _, tr := range r.Trials {
-				if tr.Preset != preset || tr.Scheme != name {
-					continue
-				}
-				n++
-				res := tr.Result
-				if !res.Completed || !res.SenderDone {
-					incomplete++
-				}
-				if !res.ChecksumOK {
-					badSum++
-				}
-				if res.Deliveries != res.NumSegs {
-					dupApp++
-				}
-				if !res.Drained {
-					undrained++
-				}
-				if !res.ConservationOK {
-					badCons++
-				}
-				fct += res.Stats.FCT().Seconds() * 1000
-				retx += float64(res.Stats.NormalRetx)
-				dups += float64(res.Stats.DupDataAtReceiver)
-				sumDrops += float64(res.Stats.ChecksumDrops)
-			}
-			safety.AddRow(preset, name, n, incomplete, badSum, dupApp, undrained, badCons)
-			if n > 0 {
-				cost.AddRow(preset, name, fct/float64(n), retx/float64(n), dups/float64(n), sumDrops/float64(n))
+	cells := len(r.Presets) * len(r.Schemes)
+	trials := len(r.Rows) / cells
+	for c := 0; c < cells; c++ {
+		var sum [advCols]float64
+		for _, row := range r.Rows[c*trials : (c+1)*trials] {
+			for k, v := range row {
+				sum[k] += v
 			}
 		}
+		preset, name := r.Presets[c/len(r.Schemes)], r.Schemes[c%len(r.Schemes)]
+		safety.AddRow(preset, name, trials, int(sum[advIncomplete]), int(sum[advChecksumBad]),
+			int(sum[advDupToApp]), int(sum[advUndrained]), int(sum[advConservationBad]))
+		n := float64(trials)
+		cost.AddRow(preset, name, sum[advFCT]/n, sum[advRetx]/n, sum[advDups]/n, sum[advChecksumDrops]/n)
 	}
 	return []*metrics.Table{safety, cost}
 }

@@ -51,34 +51,38 @@ const (
 	blackoutEvents   = 5_000_000        // event budget (generous; never binds here)
 )
 
-// BlackoutCell is one scheme's post-mortem.
-type BlackoutCell struct {
-	Label  string
-	Scheme string
-	GiveUp bool // lifecycle give-up enabled (the ninth cell disables it)
-
-	Stats      *transport.FlowStats
-	AbortAfter sim.Duration // AbortedAt − BlackoutAt
-	WastedPkts int64        // packets the dark bottleneck swallowed (both directions)
-	Drained    bool
-	ConservOK  bool
+// blackoutCell configures one cell.
+type blackoutCell struct {
+	label  string
+	scheme string
+	giveUp bool // lifecycle give-up enabled (the ninth cell disables it)
 }
 
+// Columns of a blackout row: the post-mortem of the cell's flow.
+const (
+	boAbortReason = iota // transport.AbortReason
+	boAbortAfter         // AbortedAt − BlackoutAt, ns
+	boTimeouts
+	boRetx      // normal + proactive retransmissions
+	boWasted    // packets the dark bottleneck swallowed (both directions)
+	boDrained   // 1 if the scheduler drained
+	boConservOK // 1 if packets were conserved
+)
+
 // BlackoutResult is the exhibit's dataset. Cells and Errs are
-// index-aligned: a cell whose universe failed supervision holds its
-// zero value and a non-nil classified error.
+// index-aligned: a cell whose universe failed supervision holds a nil
+// row and a non-nil classified error.
 type BlackoutResult struct {
-	Cells []BlackoutCell
+	Cells []fleet.Row
 	Errs  []error
 }
 
-func blackoutCells() []BlackoutCell {
-	var cells []BlackoutCell
+func blackoutCells() []blackoutCell {
+	var cells []blackoutCell
 	for _, name := range scheme.Evaluated() {
-		cells = append(cells, BlackoutCell{Label: name, Scheme: name, GiveUp: true})
+		cells = append(cells, blackoutCell{label: name, scheme: name, giveUp: true})
 	}
-	cells = append(cells, BlackoutCell{Label: "TCP(no-give-up)", Scheme: scheme.TCP, GiveUp: false})
-	return cells
+	return append(cells, blackoutCell{label: "TCP(no-give-up)", scheme: scheme.TCP})
 }
 
 // Blackout runs the exhibit. Universes that fail supervision (by
@@ -88,8 +92,8 @@ func Blackout(seed uint64, sc Scale) *BlackoutResult {
 	spec := blackoutCells()
 	res := &BlackoutResult{}
 	res.Cells, res.Errs = sweepPartial(sc, len(spec), func(i int) string {
-		return fmt.Sprintf("blackout %s", spec[i].Label)
-	}, func(i int) (BlackoutCell, error) {
+		return fmt.Sprintf("blackout %s", spec[i].label)
+	}, func(i int) (fleet.Row, error) {
 		return runBlackoutCell(sim.ChildSeed(seed^0xb1ac007, uint64(i)), spec[i])
 	})
 	return res
@@ -98,7 +102,7 @@ func Blackout(seed uint64, sc Scale) *BlackoutResult {
 // runBlackoutCell builds one doomed universe and runs it under
 // supervision. It returns an error only when supervision trips — a
 // clean lifecycle abort is this exhibit's success case.
-func runBlackoutCell(seed uint64, cell BlackoutCell) (BlackoutCell, error) {
+func runBlackoutCell(seed uint64, cell blackoutCell) (fleet.Row, error) {
 	cfg := netem.DumbbellConfig{
 		Pairs:         1,
 		BottleneckBps: blackoutRateBps,
@@ -113,7 +117,7 @@ func runBlackoutCell(seed uint64, cell BlackoutCell) (BlackoutCell, error) {
 
 	s.Opts.MaxRTO = blackoutMaxRTO
 	s.Opts.MaxSynRetx = 6
-	if cell.GiveUp {
+	if cell.giveUp {
 		s.Opts.MaxTimeouts = blackoutTimeouts
 		s.Opts.MaxRetx = blackoutMaxRetx
 		s.Opts.FlowDeadline = blackoutDeadline
@@ -121,21 +125,22 @@ func runBlackoutCell(seed uint64, cell BlackoutCell) (BlackoutCell, error) {
 		s.Opts.MaxTimeouts = -1 // retry forever
 	}
 
-	conn := s.StartFlowAt(0, scheme.MustNew(cell.Scheme), BlackoutFlowBytes)
+	conn := s.StartFlowAt(0, scheme.MustNew(cell.scheme), BlackoutFlowBytes)
 	err := s.RunSupervised(sim.SuperviseConfig{
 		Horizon:     sim.Time(blackoutHorizon),
 		EventBudget: blackoutEvents,
 		StallWindow: blackoutStall,
 	})
 	if err != nil {
-		return BlackoutCell{}, err
+		return nil, err
 	}
 
-	cell.Stats = conn.Stats
-	cell.AbortAfter = conn.Stats.AbortedAt.Sub(sim.Time(BlackoutAt))
-	cell.WastedPkts = s.D.Bottleneck.Stats.FlapDrops + s.D.Reverse.Stats.FlapDrops
-	cell.Drained, cell.ConservOK = s.Drain()
-	return cell, nil
+	st := conn.Stats
+	abortAfter := st.AbortedAt.Sub(sim.Time(BlackoutAt))
+	wasted := s.D.Bottleneck.Stats.FlapDrops + s.D.Reverse.Stats.FlapDrops
+	drained, conservOK := s.Drain()
+	return fleet.Row{float64(st.AbortReason), float64(abortAfter), float64(st.Timeouts),
+		float64(st.NormalRetx + st.ProactiveRetx), float64(wasted), bit(drained), bit(conservOK)}, nil
 }
 
 // Tables renders the exhibit: one lifecycle table (failed cells as
@@ -145,21 +150,21 @@ func (r *BlackoutResult) Tables() []*metrics.Table {
 		"cell", "outcome", "abort_after_ms", "timeouts", "retx", "wasted_pkts", "drained", "conservation_ok")
 	ok := 0
 	classes := map[string]int{}
+	spec := blackoutCells()
 	for i, c := range r.Cells {
 		if err := r.Errs[i]; err != nil {
 			class := fleet.Classify(err)
 			classes[class]++
 			// The universe never reached a terminal flow state; render
 			// the failure itself, not fabricated measurements.
-			life.AddRow(blackoutCells()[i].Label, metrics.FailedCell(class),
+			life.AddRow(spec[i].label, metrics.FailedCell(class),
 				"-", "-", "-", "-", "-", "-")
 			continue
 		}
 		ok++
-		st := c.Stats
-		life.AddRow(c.Label, "abort:"+st.AbortReason.String(),
-			fmtMs(c.AbortAfter), st.Timeouts, st.NormalRetx+st.ProactiveRetx,
-			c.WastedPkts, c.Drained, c.ConservOK)
+		life.AddRow(spec[i].label, "abort:"+transport.AbortReason(c[boAbortReason]).String(),
+			fmtMs(sim.Duration(c[boAbortAfter])), int64(c[boTimeouts]), int64(c[boRetx]),
+			int64(c[boWasted]), c[boDrained] != 0, c[boConservOK] != 0)
 	}
 	health := metrics.NewTable("Blackout: sweep health (degraded mode)",
 		"cells_ok", "failure_classes")

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"halfback/internal/fleet"
 	"halfback/internal/metrics"
 	"halfback/internal/netem"
 	"halfback/internal/scheme"
@@ -32,20 +33,11 @@ func bufferbloatSchemes() []string {
 	}
 }
 
-// Fig10Row is one (scheme, buffer) cell of Fig. 10's two panels.
-type Fig10Row struct {
-	Scheme      string
-	BufferBytes int
-	MeanFCTms   float64
-	MeanRetx    float64 // normal retransmissions per flow (panel b)
-	Completed   int
-	Launched    int
-}
-
 // Fig10Result reproduces Fig. 10(a) (mean short-flow FCT vs router
-// buffer size) and Fig. 10(b) (normal retransmissions vs buffer size).
+// buffer size) and Fig. 10(b) (normal retransmissions vs buffer size):
+// one summary row per (buffer, scheme), buffer-major.
 type Fig10Result struct {
-	Rows []Fig10Row
+	Rows []fleet.Row
 }
 
 // Fig10 runs the sweep, one universe per (buffer, scheme) cell.
@@ -55,7 +47,7 @@ func Fig10(seed uint64, sc Scale) *Fig10Result {
 	schemes := bufferbloatSchemes()
 	rows := grid(sc, len(bufs), len(schemes), func(bi, si int) string {
 		return fmt.Sprintf("fig10 %s buffer %dKB", schemes[si], bufs[bi]/1000)
-	}, func(bi, si int) Fig10Row {
+	}, func(bi, si int) fleet.Row {
 		return runBufferbloatCell(seed^uint64(bufs[bi])*2654435761,
 			netem.DumbbellConfig{Pairs: 4, BufferBytes: bufs[bi]}, nil, schemes[si], horizon)
 	})
@@ -66,7 +58,7 @@ func Fig10(seed uint64, sc Scale) *Fig10Result {
 // the already-mixed seed and cfg: a long-running background TCP flow on
 // pair 0 plus Poisson 100 KB short flows of schemeName. queue, when
 // non-nil, installs the queue discipline before any traffic starts.
-func runBufferbloatCell(seed uint64, cfg netem.DumbbellConfig, queue func(*DumbbellSim), schemeName string, horizon sim.Duration) Fig10Row {
+func runBufferbloatCell(seed uint64, cfg netem.DumbbellConfig, queue func(*DumbbellSim), schemeName string, horizon sim.Duration) fleet.Row {
 	s := NewDumbbellSim(seed, cfg)
 	if queue != nil {
 		queue(s)
@@ -88,12 +80,7 @@ func runBufferbloatCell(seed uint64, cfg netem.DumbbellConfig, queue func(*Dumbb
 	}
 	s.Run(horizon + 60*sim.Second)
 
-	fct, meanRetx := summarizeFlows(s.Finished, schemeName)
-	return Fig10Row{
-		Scheme: schemeName, BufferBytes: cfg.BufferBytes,
-		MeanFCTms: fct.Mean, MeanRetx: meanRetx,
-		Completed: fct.N, Launched: len(arrivals),
-	}
+	return summaryRow(&s.World, schemeName, len(arrivals))
 }
 
 // Tables renders both panels.
@@ -102,19 +89,11 @@ func (r *Fig10Result) Tables() []*metrics.Table {
 		"scheme", "buffer_KB", "mean_fct_ms", "completed", "launched")
 	b := metrics.NewTable("Fig.10b Normal retransmissions vs router buffer",
 		"scheme", "buffer_KB", "mean_normal_retx")
-	for _, row := range r.Rows {
-		a.AddRow(row.Scheme, row.BufferBytes/1000, row.MeanFCTms, row.Completed, row.Launched)
-		b.AddRow(row.Scheme, row.BufferBytes/1000, row.MeanRetx)
+	bufs, schemes := bufferbloatBuffers(), bufferbloatSchemes()
+	for i, row := range r.Rows {
+		name, kb := schemes[i%len(schemes)], bufs[i/len(schemes)]/1000
+		a.AddRow(name, kb, row[colMeanFCT], int(row[colCompleted]), int(row[colLaunched]))
+		b.AddRow(name, kb, row[colMeanRetx])
 	}
 	return []*metrics.Table{a, b}
-}
-
-// Cell returns the row for a (scheme, buffer) pair, for tests.
-func (r *Fig10Result) Cell(schemeName string, buf int) (Fig10Row, bool) {
-	for _, row := range r.Rows {
-		if row.Scheme == schemeName && row.BufferBytes == buf {
-			return row, true
-		}
-	}
-	return Fig10Row{}, false
 }

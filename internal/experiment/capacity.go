@@ -2,7 +2,9 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 
+	"halfback/internal/fleet"
 	"halfback/internal/metrics"
 	"halfback/internal/netem"
 	"halfback/internal/scheme"
@@ -40,21 +42,13 @@ func capacityUtils() []float64 {
 	return out
 }
 
-// CapacityPoint is one (scheme, utilization) measurement.
-type CapacityPoint struct {
-	Scheme         string
-	Utilization    float64
-	MeanFCTms      float64
-	P99FCTms       float64
-	CompletionRate float64
-	MeanNormRetx   float64
-	Launched       int
-}
-
 // CapacitySweep holds a full FCT-vs-utilization sweep for a set of
-// schemes; Figs. 12, 17 and the Fig. 1 tradeoff all derive from it.
+// schemes: one summary row per (scheme, utilization), scheme-major.
+// Figs. 12, 17 and the Fig. 1 tradeoff all derive from it.
 type CapacitySweep struct {
-	Points []CapacityPoint
+	Schemes []string
+	Utils   []float64
+	Rows    []fleet.Row
 }
 
 // RunCapacitySweep measures every (scheme, utilization) cell; the cells
@@ -62,15 +56,15 @@ type CapacitySweep struct {
 func RunCapacitySweep(seed uint64, sc Scale, schemes []string) *CapacitySweep {
 	horizon := sc.horizon(capacityHorizon)
 	utils := capacityUtils()
-	points := grid(sc, len(schemes), len(utils), func(si, ui int) string {
+	rows := grid(sc, len(schemes), len(utils), func(si, ui int) string {
 		return fmt.Sprintf("capacity %s @%.0f%%", schemes[si], utils[ui]*100)
-	}, func(si, ui int) CapacityPoint {
+	}, func(si, ui int) fleet.Row {
 		return runCapacityCell(seed, schemes[si], utils[ui], horizon)
 	})
-	return &CapacitySweep{Points: points}
+	return &CapacitySweep{Schemes: schemes, Utils: utils, Rows: rows}
 }
 
-func runCapacityCell(seed uint64, schemeName string, util float64, horizon sim.Duration) CapacityPoint {
+func runCapacityCell(seed uint64, schemeName string, util float64, horizon sim.Duration) fleet.Row {
 	cfg := netem.DumbbellConfig{Pairs: 16}.Defaulted()
 	s := NewDumbbellSim(seed^hashString(schemeName)^uint64(util*1000), cfg)
 	inst := scheme.MustNew(schemeName)
@@ -83,15 +77,17 @@ func runCapacityCell(seed uint64, schemeName string, util float64, horizon sim.D
 	// Generous drain so slow-but-alive flows can finish; flows that
 	// still cannot complete are the collapse signal.
 	s.Run(horizon + 120*sim.Second)
+	return summaryRow(&s.World, "", len(arrivals))
+}
 
-	fct, meanRetx := summarizeFlows(s.Finished, "")
-	return CapacityPoint{
-		Scheme: schemeName, Utilization: util,
-		MeanFCTms: fct.Mean, P99FCTms: fct.Percentile(99),
-		CompletionRate: s.CompletionRate(),
-		MeanNormRetx:   meanRetx,
-		Launched:       len(arrivals),
+// curve returns a scheme's rows in utilization order; nil for a scheme
+// the sweep did not run.
+func (cs *CapacitySweep) curve(schemeName string) []fleet.Row {
+	si := slices.Index(cs.Schemes, schemeName)
+	if si < 0 {
+		return nil
 	}
+	return cs.Rows[si*len(cs.Utils) : (si+1)*len(cs.Utils)]
 }
 
 // FeasibleCapacity extracts a scheme's feasible network utilization: the
@@ -101,12 +97,9 @@ func runCapacityCell(seed uint64, schemeName string, util float64, horizon sim.D
 func (cs *CapacitySweep) FeasibleCapacity(schemeName string) float64 {
 	var base float64
 	feasible := 0.0
-	for _, p := range cs.Points {
-		if p.Scheme != schemeName {
-			continue
-		}
+	for ui, p := range cs.curve(schemeName) {
 		if base == 0 {
-			base = p.MeanFCTms
+			base = p[colMeanFCT]
 			if base == 0 {
 				return 0
 			}
@@ -115,10 +108,10 @@ func (cs *CapacitySweep) FeasibleCapacity(schemeName string) float64 {
 		if threshold < collapseFloor {
 			threshold = collapseFloor
 		}
-		if p.CompletionRate < collapseCompletion || p.MeanFCTms > threshold {
+		if p[colCompletion] < collapseCompletion || p[colMeanFCT] > threshold {
 			break
 		}
-		feasible = p.Utilization
+		feasible = cs.Utils[ui]
 	}
 	return feasible
 }
@@ -126,19 +119,17 @@ func (cs *CapacitySweep) FeasibleCapacity(schemeName string) float64 {
 // LowLoadFCT returns the scheme's mean FCT at the lowest swept
 // utilization — the "common case latency" axis of Fig. 1.
 func (cs *CapacitySweep) LowLoadFCT(schemeName string) float64 {
-	for _, p := range cs.Points {
-		if p.Scheme == schemeName {
-			return p.MeanFCTms
-		}
+	if c := cs.curve(schemeName); len(c) > 0 {
+		return c[0][colMeanFCT]
 	}
 	return 0
 }
 
 // MeanFCTAt returns the mean FCT at the given utilization, for tests.
 func (cs *CapacitySweep) MeanFCTAt(schemeName string, util float64) (float64, bool) {
-	for _, p := range cs.Points {
-		if p.Scheme == schemeName && abs(p.Utilization-util) < 1e-9 {
-			return p.MeanFCTms, true
+	for ui, p := range cs.curve(schemeName) {
+		if abs(cs.Utils[ui]-util) < 1e-9 {
+			return p[colMeanFCT], true
 		}
 	}
 	return 0, false
@@ -154,8 +145,9 @@ func abs(x float64) float64 {
 func (cs *CapacitySweep) sweepTable(title string) *metrics.Table {
 	t := metrics.NewTable(title,
 		"scheme", "utilization_%", "mean_fct_ms", "p99_fct_ms", "completion", "mean_norm_retx")
-	for _, p := range cs.Points {
-		t.AddRow(p.Scheme, p.Utilization*100, p.MeanFCTms, p.P99FCTms, p.CompletionRate, p.MeanNormRetx)
+	for i, p := range cs.Rows {
+		t.AddRow(cs.Schemes[i/len(cs.Utils)], cs.Utils[i%len(cs.Utils)]*100,
+			p[colMeanFCT], p[colP99FCT], p[colCompletion], p[colMeanRetx])
 	}
 	return t
 }

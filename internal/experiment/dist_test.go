@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -277,6 +278,25 @@ func TestDistributedMatchesSerial(t *testing.T) {
 			// must actually have sharded work.
 			if done == 0 && id != "2" {
 				t.Fatal("no cells executed remotely")
+			}
+			// A row's payload does not depend on the process that coded
+			// it, so a Row exhibit's distributed journal is its serial one.
+			if id == "adversity" {
+				_, serial := chaosReference(t, e, id, seed, sc)
+				if err := j.Close(); err != nil {
+					t.Fatal(err)
+				}
+				data, err := os.ReadFile(j.Path())
+				if err != nil {
+					t.Fatal(err)
+				}
+				scan, err := fleet.ScanJournal(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := scan.Canonical(); !reflect.DeepEqual(got, serial) {
+					t.Fatalf("distributed journal is not the serial one: %d canonical records vs %d", len(got), len(serial))
+				}
 			}
 		})
 	}

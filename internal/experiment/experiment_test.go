@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"halfback/internal/fleet"
 	"halfback/internal/netem"
 	"halfback/internal/scheme"
 	"halfback/internal/sim"
@@ -185,13 +186,16 @@ func TestFig15Shapes(t *testing.T) {
 	}
 }
 
+// summary is a capacity row holding only what FeasibleCapacity reads.
+func summary(meanFCT, completion float64) fleet.Row {
+	r := make(fleet.Row, colCompletion+1)
+	r[colMeanFCT], r[colCompletion] = meanFCT, completion
+	return r
+}
+
 func TestCapacitySweepExtraction(t *testing.T) {
-	cs := &CapacitySweep{Points: []CapacityPoint{
-		{Scheme: "X", Utilization: 0.05, MeanFCTms: 100, CompletionRate: 1},
-		{Scheme: "X", Utilization: 0.10, MeanFCTms: 150, CompletionRate: 1},
-		{Scheme: "X", Utilization: 0.15, MeanFCTms: 2000, CompletionRate: 1},
-		{Scheme: "X", Utilization: 0.20, MeanFCTms: 120, CompletionRate: 1},
-	}}
+	cs := &CapacitySweep{Schemes: []string{"X"}, Utils: []float64{0.05, 0.10, 0.15, 0.20},
+		Rows: []fleet.Row{summary(100, 1), summary(150, 1), summary(2000, 1), summary(120, 1)}}
 	// Collapse at 0.15 (2000 > max(3×100, 1000)); feasible = 0.10 even
 	// though 0.20 recovered (collapse is terminal).
 	if got := cs.FeasibleCapacity("X"); got != 0.10 {
@@ -209,10 +213,8 @@ func TestCapacitySweepExtraction(t *testing.T) {
 }
 
 func TestCapacityCompletionCollapse(t *testing.T) {
-	cs := &CapacitySweep{Points: []CapacityPoint{
-		{Scheme: "Y", Utilization: 0.05, MeanFCTms: 100, CompletionRate: 1},
-		{Scheme: "Y", Utilization: 0.10, MeanFCTms: 110, CompletionRate: 0.5},
-	}}
+	cs := &CapacitySweep{Schemes: []string{"Y"}, Utils: []float64{0.05, 0.10},
+		Rows: []fleet.Row{summary(100, 1), summary(110, 0.5)}}
 	if got := cs.FeasibleCapacity("Y"); got != 0.05 {
 		t.Fatalf("completion collapse: feasible %v", got)
 	}
@@ -258,12 +260,12 @@ func TestMultihopStructure(t *testing.T) {
 		t.Fatalf("rows %d", len(res.Rows))
 	}
 	hb, ok := res.Cell(scheme.Halfback, 0.30)
-	if !ok || hb.Completed == 0 {
-		t.Fatalf("halfback cell broken: %+v", hb)
+	if !ok || hb[colCompleted] == 0 {
+		t.Fatalf("halfback cell broken: %v", hb)
 	}
 	tcp, _ := res.Cell(scheme.TCP, 0.30)
-	if !(hb.MeanFCTms < tcp.MeanFCTms) {
-		t.Errorf("Halfback (%v) should beat TCP (%v) across the chain", hb.MeanFCTms, tcp.MeanFCTms)
+	if !(hb[colMeanFCT] < tcp[colMeanFCT]) {
+		t.Errorf("Halfback (%v) should beat TCP (%v) across the chain", hb[colMeanFCT], tcp[colMeanFCT])
 	}
 }
 

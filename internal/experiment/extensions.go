@@ -2,7 +2,9 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 
+	"halfback/internal/fleet"
 	"halfback/internal/metrics"
 	"halfback/internal/scheme"
 	"halfback/internal/workload"
@@ -13,9 +15,9 @@ import (
 // evaluated against Halfback proper on the two axes they trade off —
 // small-flow latency and feasible capacity.
 type ExtResult struct {
-	// SmallFlowFCT[scheme][sizeIdx] is the mean FCT (ms) for small
-	// flows at 25% utilization.
-	SmallFlows []Fig11Point
+	// SmallFlows holds each scheme's FCT-by-size row (runFig11Cell) at
+	// 25% utilization on the Internet mix.
+	SmallFlows []fleet.Row
 	Sweep      *CapacitySweep
 	Schemes    []string
 }
@@ -33,14 +35,11 @@ func Extensions(seed uint64, sc Scale) *ExtResult {
 	res := &ExtResult{Schemes: extSchemes()}
 	horizon := sc.horizon(fig11Horizon)
 	dist := workload.InternetSizes()
-	cells := sweep(sc, len(res.Schemes), func(i int) string {
+	res.SmallFlows = sweep(sc, len(res.Schemes), func(i int) string {
 		return fmt.Sprintf("ext sizes %s", res.Schemes[i])
-	}, func(i int) []Fig11Point {
+	}, func(i int) fleet.Row {
 		return runFig11Cell(seed, dist, res.Schemes[i], horizon)
 	})
-	for _, pts := range cells {
-		res.SmallFlows = append(res.SmallFlows, pts...)
-	}
 	res.Sweep = RunCapacitySweep(seed, sc, res.Schemes)
 	return res
 }
@@ -49,8 +48,8 @@ func Extensions(seed uint64, sc Scale) *ExtResult {
 func (r *ExtResult) Tables() []*metrics.Table {
 	a := metrics.NewTable("Extensions: FCT vs flow size at 25% utilization (Internet mix)",
 		"scheme", "size_KB", "mean_fct_ms", "n")
-	for _, p := range r.SmallFlows {
-		a.AddRow(p.Scheme, p.SizeHiBytes/1024, p.MeanFCTms, p.N)
+	for i, row := range r.SmallFlows {
+		addSizeRows(a, row, r.Schemes[i])
 	}
 	b := r.Sweep.feasibleTable("Extensions: feasible capacity", r.Schemes)
 	c := r.Sweep.sweepTable("Extensions: FCT vs utilization")
@@ -59,10 +58,9 @@ func (r *ExtResult) Tables() []*metrics.Table {
 
 // MeanAtSize returns the mean FCT for (scheme, bucket), for tests.
 func (r *ExtResult) MeanAtSize(schemeName string, sizeHi int) (float64, bool) {
-	for _, p := range r.SmallFlows {
-		if p.Scheme == schemeName && p.SizeHiBytes == sizeHi {
-			return p.MeanFCTms, true
-		}
+	i, b := slices.Index(r.Schemes, schemeName), slices.Index(fig11SizeBuckets(), sizeHi)
+	if i < 0 || b < 0 || r.SmallFlows[i][2*b+1] == 0 {
+		return 0, false
 	}
-	return 0, false
+	return r.SmallFlows[i][2*b], true
 }

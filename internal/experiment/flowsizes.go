@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"halfback/internal/fleet"
 	"halfback/internal/metrics"
 	"halfback/internal/netem"
 	"halfback/internal/scheme"
@@ -28,18 +29,10 @@ func fig11SizeBuckets() []int {
 	}
 }
 
-// Fig11Point is one (distribution, scheme, size-bucket) mean.
-type Fig11Point struct {
-	Distribution string
-	Scheme       string
-	SizeHiBytes  int // bucket upper edge
-	MeanFCTms    float64
-	N            int
-}
-
-// Fig11Result reproduces Fig. 11(a,b,c).
+// Fig11Result reproduces Fig. 11(a,b,c): one FCT-by-size row per
+// (distribution, scheme), distribution-major.
 type Fig11Result struct {
-	Points []Fig11Point
+	Rows []fleet.Row
 }
 
 // fig11Schemes mirrors the paper's eight curves.
@@ -53,22 +46,20 @@ func fig11Schemes() []string {
 // Fig11 runs the experiment for all three distributions, one universe
 // per (distribution, scheme) cell.
 func Fig11(seed uint64, sc Scale) *Fig11Result {
-	res := &Fig11Result{}
 	horizon := sc.horizon(fig11Horizon)
 	dists := workload.EvaluatedDistributions()
 	schemes := fig11Schemes()
-	cells := grid(sc, len(dists), len(schemes), func(di, si int) string {
+	return &Fig11Result{Rows: grid(sc, len(dists), len(schemes), func(di, si int) string {
 		return fmt.Sprintf("fig11 %s %s", dists[di].Name(), schemes[si])
-	}, func(di, si int) []Fig11Point {
+	}, func(di, si int) fleet.Row {
 		return runFig11Cell(seed, dists[di], schemes[si], horizon)
-	})
-	for _, pts := range cells {
-		res.Points = append(res.Points, pts...)
-	}
-	return res
+	})}
 }
 
-func runFig11Cell(seed uint64, dist workload.SizeDist, schemeName string, horizon sim.Duration) []Fig11Point {
+// runFig11Cell returns the cell's FCT-by-size row: for size bucket i,
+// the mean FCT (ms) and the number of completed flows in columns 2i and
+// 2i+1.
+func runFig11Cell(seed uint64, dist workload.SizeDist, schemeName string, horizon sim.Duration) fleet.Row {
 	cfg := netem.DumbbellConfig{Pairs: 8}.Defaulted()
 	s := NewDumbbellSim(seed^hashString(dist.Name()+schemeName), cfg)
 	inst := scheme.MustNew(schemeName)
@@ -94,26 +85,32 @@ func runFig11Cell(seed uint64, dist workload.SizeDist, schemeName string, horizo
 		}
 		byBucket[idx] = append(byBucket[idx], st.FCT().Seconds()*1000)
 	}
-	var out []Fig11Point
+	row := make(fleet.Row, 2*len(buckets))
 	for i, xs := range byBucket {
-		if len(xs) == 0 {
-			continue
+		if len(xs) > 0 {
+			row[2*i], row[2*i+1] = metrics.Summarize(xs).Mean, float64(len(xs))
 		}
-		out = append(out, Fig11Point{
-			Distribution: dist.Name(), Scheme: schemeName,
-			SizeHiBytes: buckets[i],
-			MeanFCTms:   metrics.Summarize(xs).Mean, N: len(xs),
-		})
 	}
-	return out
+	return row
+}
+
+// addSizeRows renders one FCT-by-size row: a table row per non-empty
+// size bucket, after the given leading columns.
+func addSizeRows(t *metrics.Table, row fleet.Row, lead ...any) {
+	for i, hi := range fig11SizeBuckets() {
+		if n := int(row[2*i+1]); n > 0 {
+			t.AddRow(append(lead, hi/1024, row[2*i], n)...)
+		}
+	}
 }
 
 // Tables renders the three panels.
 func (r *Fig11Result) Tables() []*metrics.Table {
 	t := metrics.NewTable("Fig.11 FCT vs flow size at 25% utilization",
 		"distribution", "scheme", "size_KB", "mean_fct_ms", "n")
-	for _, p := range r.Points {
-		t.AddRow(p.Distribution, p.Scheme, p.SizeHiBytes/1024, p.MeanFCTms, p.N)
+	dists, schemes := workload.EvaluatedDistributions(), fig11Schemes()
+	for i, row := range r.Rows {
+		addSizeRows(t, row, dists[i/len(schemes)].Name(), schemes[i%len(schemes)])
 	}
 	return []*metrics.Table{t}
 }

@@ -138,19 +138,19 @@ func TestHeadlineBufferbloat(t *testing.T) {
 	// One small-buffer cell, per Fig. 10(b): Halfback needs a fraction
 	// of JumpStart's normal retransmissions (paper: ~10×).
 	horizon := headlineScale.horizon(bufferbloatHorizon)
-	cell := func(name string) Fig10Row {
+	cell := func(name string) fleet.Row {
 		return runBufferbloatCell(19^25_000*2654435761, netem.DumbbellConfig{Pairs: 4, BufferBytes: 25_000}, nil, name, horizon)
 	}
 	hb, js := cell(scheme.Halfback), cell(scheme.JumpStart)
 	t.Logf("small buffer: HB retx=%.1f fct=%.0f | JS retx=%.1f fct=%.0f",
-		hb.MeanRetx, hb.MeanFCTms, js.MeanRetx, js.MeanFCTms)
-	if !(hb.MeanRetx < js.MeanRetx/2) {
+		hb[colMeanRetx], hb[colMeanFCT], js[colMeanRetx], js[colMeanFCT])
+	if !(hb[colMeanRetx] < js[colMeanRetx]/2) {
 		t.Errorf("Halfback retx (%v) should be well below JumpStart's (%v) at small buffers",
-			hb.MeanRetx, js.MeanRetx)
+			hb[colMeanRetx], js[colMeanRetx])
 	}
-	if !(hb.MeanFCTms < js.MeanFCTms) {
+	if !(hb[colMeanFCT] < js[colMeanFCT]) {
 		t.Errorf("Halfback FCT (%v) should beat JumpStart (%v) at small buffers",
-			hb.MeanFCTms, js.MeanFCTms)
+			hb[colMeanFCT], js[colMeanFCT])
 	}
 }
 
@@ -202,53 +202,56 @@ func TestHeadlineWebResponse(t *testing.T) {
 	res := Fig16(31, Scale{Trials: 1, Horizon: 0.4})
 	// §4.4 at low utilization: Halfback at or near the front; TCP
 	// clearly behind it.
-	hb, _ := res.At(scheme.Halfback, 0.20)
-	tcp, _ := res.At(scheme.TCP, 0.20)
-	js, _ := res.At(scheme.JumpStart, 0.20)
-	t.Logf("20%% util: HB=%.2fs JS=%.2fs TCP=%.2fs", hb.MeanResponseS, js.MeanResponseS, tcp.MeanResponseS)
-	if !(hb.MeanResponseS < tcp.MeanResponseS) {
-		t.Errorf("Halfback (%v) should beat TCP (%v) at low load", hb.MeanResponseS, tcp.MeanResponseS)
+	response := func(name string, util float64) float64 {
+		row, ok := res.At(name, util)
+		if !ok {
+			t.Fatalf("missing cell %s@%v", name, util)
+		}
+		return row[colMeanResponse]
+	}
+	hb, tcp, js := response(scheme.Halfback, 0.20), response(scheme.TCP, 0.20), response(scheme.JumpStart, 0.20)
+	t.Logf("20%% util: HB=%.2fs JS=%.2fs TCP=%.2fs", hb, js, tcp)
+	if !(hb < tcp) {
+		t.Errorf("Halfback (%v) should beat TCP (%v) at low load", hb, tcp)
 	}
 	// §4.4's surprise: by 50–60% utilization JumpStart is clearly worse
 	// than TCP at the application level.
-	js60, _ := res.At(scheme.JumpStart, 0.60)
-	tcp60, _ := res.At(scheme.TCP, 0.60)
-	t.Logf("60%% util: JS=%.2fs TCP=%.2fs", js60.MeanResponseS, tcp60.MeanResponseS)
-	if !(js60.MeanResponseS > tcp60.MeanResponseS) {
-		t.Errorf("JumpStart (%v) should collapse below TCP (%v) at 60%%",
-			js60.MeanResponseS, tcp60.MeanResponseS)
+	js60, tcp60 := response(scheme.JumpStart, 0.60), response(scheme.TCP, 0.60)
+	t.Logf("60%% util: JS=%.2fs TCP=%.2fs", js60, tcp60)
+	if !(js60 > tcp60) {
+		t.Errorf("JumpStart (%v) should collapse below TCP (%v) at 60%%", js60, tcp60)
 	}
 }
 
 func TestHeadlineAQMComplementarity(t *testing.T) {
 	skipHeadline(t)
 	res := AQM(3, Scale{Trials: 1, Horizon: 0.3})
-	get := func(s, d string) AQMRow {
+	get := func(s, d string) float64 {
 		row, ok := res.Cell(s, d)
 		if !ok {
 			t.Fatalf("missing cell %s/%s", s, d)
 		}
-		return row
+		return row[colMeanFCT]
 	}
 	tcpDT := get(scheme.TCP, "droptail")
 	tcpCD := get(scheme.TCP, "codel")
 	hbDT := get(scheme.Halfback, "droptail")
 	hbCD := get(scheme.Halfback, "codel")
 	t.Logf("TCP: droptail=%.0f codel=%.0f | Halfback: droptail=%.0f codel=%.0f",
-		tcpDT.MeanFCTms, tcpCD.MeanFCTms, hbDT.MeanFCTms, hbCD.MeanFCTms)
+		tcpDT, tcpCD, hbDT, hbCD)
 	// §6: AQM removes the queueing-delay component of every RTT, so it
 	// helps the many-RTT scheme (TCP) dramatically...
-	if !(tcpCD.MeanFCTms < tcpDT.MeanFCTms/2) {
+	if !(tcpCD < tcpDT/2) {
 		t.Errorf("CoDel should at least halve TCP's bloated FCT (%.0f → %.0f)",
-			tcpDT.MeanFCTms, tcpCD.MeanFCTms)
+			tcpDT, tcpCD)
 	}
 	// ...and the improvements multiply: fewer RTTs × cheaper RTTs is
 	// the best cell in the grid.
-	if !(hbCD.MeanFCTms < hbDT.MeanFCTms) {
-		t.Errorf("CoDel should help Halfback too (%.0f → %.0f)", hbDT.MeanFCTms, hbCD.MeanFCTms)
+	if !(hbCD < hbDT) {
+		t.Errorf("CoDel should help Halfback too (%.0f → %.0f)", hbDT, hbCD)
 	}
-	if !(hbCD.MeanFCTms < tcpCD.MeanFCTms) {
+	if !(hbCD < tcpCD) {
 		t.Errorf("Halfback×CoDel (%.0f) should beat TCP×CoDel (%.0f)",
-			hbCD.MeanFCTms, tcpCD.MeanFCTms)
+			hbCD, tcpCD)
 	}
 }

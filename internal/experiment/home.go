@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"halfback/internal/fleet"
 	"halfback/internal/metrics"
 	"halfback/internal/scheme"
 	"halfback/internal/sim"
@@ -16,10 +17,14 @@ const HomeServers = 170
 // Fig9Result reproduces Fig. 9: FCT CDFs of 100 KB downloads into four
 // residential access networks, Halfback vs TCP.
 type Fig9Result struct {
-	// FCTms[profile][scheme] holds completed-flow FCTs in ms.
-	FCTms map[string]map[string][]float64
-	order []string
+	// Rows holds one cold-download row per (profile, server, scheme),
+	// profile-major.
+	Rows     []fleet.Row
+	profiles []string
+	servers  int
 }
+
+func fig9Schemes() []string { return []string{scheme.Halfback, scheme.TCP} }
 
 // Fig9 runs the experiment: for each access profile and each of the 170
 // server RTT draws, one cold download per scheme. The populations are
@@ -27,74 +32,53 @@ type Fig9Result struct {
 // every (profile, server, scheme) download is an independent universe.
 func Fig9(seed uint64, sc Scale) *Fig9Result {
 	rng := sim.NewRand(seed)
-	res := &Fig9Result{FCTms: make(map[string]map[string][]float64)}
-	schemes := []string{scheme.Halfback, scheme.TCP}
+	schemes := fig9Schemes()
 	servers := sc.trials(HomeServers)
 	profiles := workload.HomeProfiles()
+	res := &Fig9Result{servers: servers}
 	specs := make([][]workload.PathSpec, len(profiles))
 	for i, profile := range profiles {
-		res.order = append(res.order, profile.Name)
+		res.profiles = append(res.profiles, profile.Name)
 		specs[i] = workload.HomePopulationCached(rng.ForkNamed(profile.Name), profile, servers)
 	}
-
-	// Exported fields: fetch cells ride the gob-encoded result journal
-	// when the run is crash-safe (DESIGN.md §9).
-	type fetch struct {
-		Completed bool
-		FctMs     float64
-	}
-	fetches := grid(sc, len(profiles)*servers, len(schemes), func(r, si int) string {
+	res.Rows = grid(sc, len(profiles)*servers, len(schemes), func(r, si int) string {
 		return fmt.Sprintf("fig9 %s server %d scheme %s", profiles[r/servers].Name, r%servers, schemes[si])
-	}, func(r, si int) fetch {
+	}, func(r, si int) fleet.Row {
 		pi := r % servers
-		st := fetchCold(seed^uint64(pi*977+si+13), specs[r/servers][pi].ToConfig(),
-			scheme.MustNew(schemes[si]), PlanetLabFlowBytes, 120*sim.Second)
-		return fetch{Completed: st.Completed, FctMs: st.FCT().Seconds() * 1000}
+		return fetchRow(seed^uint64(pi*977+si+13), specs[r/servers][pi], schemes[si])
 	})
-
-	for i, profile := range profiles {
-		per := make(map[string][]float64)
-		for pi := 0; pi < servers; pi++ {
-			for si, name := range schemes {
-				f := fetches[(i*servers+pi)*len(schemes)+si]
-				if f.Completed {
-					per[name] = append(per[name], f.FctMs)
-				}
-			}
-		}
-		res.FCTms[profile.Name] = per
-	}
 	return res
 }
 
-// MedianReduction returns Halfback's median-FCT reduction vs TCP for one
-// profile, as a fraction (the paper reports 50 %, 68 %, 50 % and 18 %).
-func (r *Fig9Result) MedianReduction(profile string) float64 {
-	per := r.FCTms[profile]
-	hb := metrics.Summarize(per[scheme.Halfback]).Median()
-	tcp := metrics.Summarize(per[scheme.TCP]).Median()
-	if tcp <= 0 {
-		return 0
-	}
-	return 1 - hb/tcp
-}
-
-// Tables renders the CDFs and the median-reduction headline.
+// Tables renders the CDFs and the headline: Halfback's median-FCT
+// reduction vs TCP per profile (the paper reports 50 %, 68 %, 50 % and
+// 18 %).
 func (r *Fig9Result) Tables() []*metrics.Table {
 	cdf := metrics.NewTable("Fig.9 Home-network FCT (CDF)", "network", "scheme", "fct_ms", "percentile")
 	head := metrics.NewTable("Fig.9 headline: Halfback median FCT reduction vs TCP",
 		"network", "tcp_p50_ms", "halfback_p50_ms", "reduction_%")
-	for _, profile := range r.order {
-		per := r.FCTms[profile]
-		for _, name := range []string{scheme.Halfback, scheme.TCP} {
-			for _, pt := range metrics.SampleCDF(metrics.CDF(per[name]), 15) {
+	schemes := fig9Schemes()
+	per := r.servers * len(schemes)
+	for p, profile := range r.profiles {
+		fcts := make(map[string][]float64)
+		for i, row := range r.Rows[p*per : (p+1)*per] {
+			if row[colDone] != 0 {
+				name := schemes[i%len(schemes)]
+				fcts[name] = append(fcts[name], row[colFCT])
+			}
+		}
+		for _, name := range schemes {
+			for _, pt := range metrics.SampleCDF(metrics.CDF(fcts[name]), 15) {
 				cdf.AddRow(profile, name, pt.X, pt.P*100)
 			}
 		}
-		head.AddRow(profile,
-			metrics.Summarize(per[scheme.TCP]).Median(),
-			metrics.Summarize(per[scheme.Halfback]).Median(),
-			r.MedianReduction(profile)*100)
+		tcp := metrics.Summarize(fcts[scheme.TCP]).Median()
+		hb := metrics.Summarize(fcts[scheme.Halfback]).Median()
+		reduction := 0.0
+		if tcp > 0 {
+			reduction = 1 - hb/tcp
+		}
+		head.AddRow(profile, tcp, hb, reduction*100)
 	}
 	return []*metrics.Table{head, cdf}
 }

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"halfback/internal/fleet"
 	"halfback/internal/metrics"
 	"halfback/internal/ptest"
 	"halfback/internal/scheme"
@@ -29,19 +30,34 @@ import (
 // sender genuinely stalls (see ptest.RunAttack).
 const MisbehaviorFlowBytes = 200_000
 
-// MisbehaviorCell is one (attack, scheme, policy) run.
-type MisbehaviorCell struct {
-	Attack string
-	Scheme string
-	Mode   transport.AckValidationMode
-	Result *ptest.AttackResult
-}
+// Columns of a misbehavior row: the ptest.AttackResult fields the
+// tables, Outcome and Amplification read.
+const (
+	mbNumSegs = iota
+	mbDataPktsSent
+	mbDistinct
+	mbSenderDone
+	mbFooled // false completion
+	mbAborted
+	mbAbortReason
+	mbFlagged
+	mbFirstClass
+)
 
-// MisbehaviorResult is the exhibit's dataset.
+// MisbehaviorResult is the exhibit's dataset: one row per (attack,
+// scheme, policy), attack-major.
 type MisbehaviorResult struct {
 	Attacks []string
 	Schemes []string
-	Cells   []MisbehaviorCell
+	Cells   []fleet.Row
+}
+
+func misbehaviorModes() []transport.AckValidationMode {
+	return []transport.AckValidationMode{
+		transport.AckValidationClamp,
+		transport.AckValidationAbort,
+		transport.AckValidationOff,
+	}
 }
 
 // Misbehavior runs the exhibit: attacks × schemes × policies, fanned
@@ -50,27 +66,36 @@ type MisbehaviorResult struct {
 func Misbehavior(seed uint64, sc Scale) *MisbehaviorResult {
 	attacks := ptest.AttackerNames()
 	schemes := scheme.Evaluated()
-	modes := []transport.AckValidationMode{
-		transport.AckValidationClamp,
-		transport.AckValidationAbort,
-		transport.AckValidationOff,
-	}
+	modes := misbehaviorModes()
 	res := &MisbehaviorResult{Attacks: attacks, Schemes: schemes}
 	nm := len(modes)
 	res.Cells = sweep(sc, len(attacks)*len(schemes)*nm, func(i int) string {
 		c := i / nm
 		return fmt.Sprintf("misbehavior %s scheme %s mode %v",
 			attacks[c/len(schemes)], schemes[c%len(schemes)], modes[i%nm])
-	}, func(i int) MisbehaviorCell {
+	}, func(i int) fleet.Row {
 		c := i / nm
-		attack, name, mode := attacks[c/len(schemes)], schemes[c%len(schemes)], modes[i%nm]
-		return MisbehaviorCell{
-			Attack: attack, Scheme: name, Mode: mode,
-			Result: ptest.RunAttack(sim.ChildSeed(seed^0xbadacce5, uint64(i)),
-				name, attack, MisbehaviorFlowBytes, mode),
-		}
+		return attackRow(ptest.RunAttack(sim.ChildSeed(seed^0xbadacce5, uint64(i)),
+			schemes[c%len(schemes)], attacks[c/len(schemes)], MisbehaviorFlowBytes, modes[i%nm]))
 	})
 	return res
+}
+
+// attackRow keeps what the tables read of one attack run.
+func attackRow(r *ptest.AttackResult) fleet.Row {
+	return fleet.Row{float64(r.NumSegs), float64(r.DataPktsSent), float64(r.Distinct),
+		bit(r.SenderDone), bit(r.FalseCompletion), bit(r.Aborted), float64(r.AbortReason),
+		float64(r.Flagged), float64(r.FirstClass)}
+}
+
+// rowAttack rebuilds those fields of the attack run.
+func rowAttack(c fleet.Row) *ptest.AttackResult {
+	return &ptest.AttackResult{
+		NumSegs: int32(c[mbNumSegs]), DataPktsSent: int64(c[mbDataPktsSent]), Distinct: int32(c[mbDistinct]),
+		SenderDone: c[mbSenderDone] != 0, FalseCompletion: c[mbFooled] != 0, Aborted: c[mbAborted] != 0,
+		AbortReason: transport.AbortReason(c[mbAbortReason]), Flagged: int64(c[mbFlagged]),
+		FirstClass: transport.PeerMisbehavior(c[mbFirstClass]),
+	}
 }
 
 // Tables renders the exhibit.
@@ -79,23 +104,19 @@ func (r *MisbehaviorResult) Tables() []*metrics.Table {
 		"attack", "scheme", "policy", "outcome", "amplification", "pkts_sent", "flagged", "first_class")
 	trusting := metrics.NewTable("Misbehaving endpoints: trusting sender (validation off)",
 		"attack", "scheme", "outcome", "amplification", "delivered_segs", "total_segs")
-	for _, attack := range r.Attacks {
-		for _, name := range r.Schemes {
-			for _, c := range r.Cells {
-				if c.Attack != attack || c.Scheme != name {
-					continue
-				}
-				res := c.Result
-				if c.Mode == transport.AckValidationOff {
-					trusting.AddRow(attack, name, res.Outcome(),
-						fmt.Sprintf("%.2f", res.Amplification()),
-						res.Distinct, res.NumSegs)
-				} else {
-					hardened.AddRow(attack, name, c.Mode.String(), res.Outcome(),
-						fmt.Sprintf("%.2f", res.Amplification()),
-						res.DataPktsSent, res.Flagged, res.FirstClass.String())
-				}
-			}
+	modes := misbehaviorModes()
+	nm := len(modes)
+	for i, c := range r.Cells {
+		attack, name, mode := r.Attacks[i/nm/len(r.Schemes)], r.Schemes[i/nm%len(r.Schemes)], modes[i%nm]
+		res := rowAttack(c)
+		if mode == transport.AckValidationOff {
+			trusting.AddRow(attack, name, res.Outcome(),
+				fmt.Sprintf("%.2f", res.Amplification()),
+				res.Distinct, res.NumSegs)
+		} else {
+			hardened.AddRow(attack, name, mode.String(), res.Outcome(),
+				fmt.Sprintf("%.2f", res.Amplification()),
+				res.DataPktsSent, res.Flagged, res.FirstClass.String())
 		}
 	}
 	return []*metrics.Table{hardened, trusting}

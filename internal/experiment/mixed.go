@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"halfback/internal/fleet"
 	"halfback/internal/metrics"
 	"halfback/internal/netem"
 	"halfback/internal/scheme"
@@ -52,9 +53,11 @@ type Fig13Point struct {
 	LongMeanMs      float64
 }
 
-// Fig13Result reproduces Fig. 13(a) and (b).
+// Fig13Result reproduces Fig. 13(a) and (b). Cells holds, per
+// utilization, the all-TCP baseline cell and then one cell per scheme,
+// each a (short, long) row of mean FCTs in ms.
 type Fig13Result struct {
-	Points []Fig13Point
+	Cells []fleet.Row
 }
 
 // fig13Schedule is the shared arrival schedule for one utilization.
@@ -77,8 +80,9 @@ func makeFig13Schedule(seed uint64, util float64, horizon sim.Duration, longByte
 }
 
 // runFig13Cell runs one schedule with the given short-flow scheme and
-// returns (mean short FCT ms, mean long FCT ms) over completed flows.
-func runFig13Cell(seed uint64, schemeName string, sched fig13Schedule, horizon sim.Duration) (float64, float64) {
+// returns the row (mean short FCT ms, mean long FCT ms) over completed
+// flows.
+func runFig13Cell(seed uint64, schemeName string, sched fig13Schedule, horizon sim.Duration) fleet.Row {
 	s := NewDumbbellSim(seed^hashString("fig13"+schemeName), netem.DumbbellConfig{Pairs: 16})
 	shortInst := scheme.MustNew(schemeName)
 	longInst := scheme.MustNew(scheme.TCP)
@@ -90,15 +94,14 @@ func runFig13Cell(seed uint64, schemeName string, sched fig13Schedule, horizon s
 		c.Stats.Scheme = "long-TCP"
 	}
 	s.Run(horizon + 120*sim.Second)
-	return meanFCTms(s.Finished, shortInst.Name), meanFCTms(s.Finished, "long-TCP")
+	return fleet.Row{meanFCTms(s.Finished, shortInst.Name), meanFCTms(s.Finished, "long-TCP")}
 }
 
 // Fig13 runs the sweep. The TCP cell doubles as the normalization
 // baseline for each utilization; it is just another independent
 // universe, so baselines and scheme cells all fan out together and the
-// normalization happens in the ordered merge.
+// normalization happens when the points are read.
 func Fig13(seed uint64, sc Scale) *Fig13Result {
-	res := &Fig13Result{}
 	horizon := sc.horizon(fig13Horizon)
 	longBytes := int(float64(fig13LongBytes) * sc.Horizon)
 	if longBytes < 2_000_000 {
@@ -112,46 +115,44 @@ func Fig13(seed uint64, sc Scale) *Fig13Result {
 	}
 
 	// Column 0 is the all-TCP baseline; column 1+i is schemes[i].
-	// Exported fields: cells ride the gob-encoded result journal when
-	// the run is crash-safe (DESIGN.md §9).
-	type cell struct{ ShortMs, LongMs float64 }
 	cellScheme := func(ci int) string {
 		if ci == 0 {
 			return scheme.TCP
 		}
 		return schemes[ci-1]
 	}
-	cells := grid(sc, len(utils), 1+len(schemes), func(ui, ci int) string {
+	return &Fig13Result{Cells: grid(sc, len(utils), 1+len(schemes), func(ui, ci int) string {
 		return fmt.Sprintf("fig13 %s @%.0f%%", cellScheme(ci), utils[ui]*100)
-	}, func(ui, ci int) cell {
-		s, l := runFig13Cell(seed, cellScheme(ci), schedules[ui], horizon)
-		return cell{ShortMs: s, LongMs: l}
-	})
+	}, func(ui, ci int) fleet.Row {
+		return runFig13Cell(seed, cellScheme(ci), schedules[ui], horizon)
+	})}
+}
 
+// points normalizes every scheme cell by its utilization's baseline.
+func (r *Fig13Result) points() []Fig13Point {
+	schemes := fig13Schemes()
 	cols := 1 + len(schemes)
-	for ui, util := range utils {
-		base := cells[ui*cols]
+	var out []Fig13Point
+	for ui, util := range fig13Utils() {
+		base := r.Cells[ui*cols]
 		for i, name := range schemes {
-			c := cells[ui*cols+1+i]
-			pt := Fig13Point{
-				Scheme: name, Utilization: util,
-				ShortMeanMs: c.ShortMs, LongMeanMs: c.LongMs,
+			c := r.Cells[ui*cols+1+i]
+			pt := Fig13Point{Scheme: name, Utilization: util, ShortMeanMs: c[0], LongMeanMs: c[1]}
+			if base[0] > 0 {
+				pt.ShortNormalized = c[0] / base[0]
 			}
-			if base.ShortMs > 0 {
-				pt.ShortNormalized = c.ShortMs / base.ShortMs
+			if base[1] > 0 {
+				pt.LongNormalized = c[1] / base[1]
 			}
-			if base.LongMs > 0 {
-				pt.LongNormalized = c.LongMs / base.LongMs
-			}
-			res.Points = append(res.Points, pt)
+			out = append(out, pt)
 		}
 	}
-	return res
+	return out
 }
 
 // At returns the point for (scheme, util), for tests.
 func (r *Fig13Result) At(schemeName string, util float64) (Fig13Point, bool) {
-	for _, p := range r.Points {
+	for _, p := range r.points() {
 		if p.Scheme == schemeName && abs(p.Utilization-util) < 1e-9 {
 			return p, true
 		}
@@ -165,7 +166,7 @@ func (r *Fig13Result) Tables() []*metrics.Table {
 		"scheme", "utilization_%", "normalized_fct", "mean_fct_ms")
 	b := metrics.NewTable("Fig.13b Long-flow FCT normalized to all-TCP baseline",
 		"scheme", "utilization_%", "normalized_fct", "mean_fct_ms")
-	for _, p := range r.Points {
+	for _, p := range r.points() {
 		a.AddRow(p.Scheme, p.Utilization*100, p.ShortNormalized, p.ShortMeanMs)
 		b.AddRow(p.Scheme, p.Utilization*100, p.LongNormalized, p.LongMeanMs)
 	}
@@ -198,9 +199,12 @@ type Fig14Point struct {
 	Jain float64
 }
 
-// Fig14Result reproduces the friendliness scatter.
+// Fig14Result reproduces the friendliness scatter. Cells holds, per
+// utilization, the homogeneous TCP reference and then a (homogeneous,
+// mixed) pair per scheme: a homogeneous cell's row is its mean FCT (ms),
+// a mixed one's is runFig14Mixed's.
 type Fig14Result struct {
-	Points []Fig14Point
+	Cells []fleet.Row
 }
 
 const fig14Horizon = 120 * sim.Second
@@ -210,7 +214,6 @@ const fig14Horizon = 120 * sim.Second
 // so the whole matrix fans out at once: column 0 is the homogeneous TCP
 // reference, then (homogeneous, mixed) pairs per scheme.
 func Fig14(seed uint64, sc Scale) *Fig14Result {
-	res := &Fig14Result{}
 	horizon := sc.horizon(fig14Horizon)
 	utils := fig14Utils()
 	schemes := fig14Schemes()
@@ -223,8 +226,7 @@ func Fig14(seed uint64, sc Scale) *Fig14Result {
 			horizon)
 	}
 
-	type cell struct{ Homog, MixTCP, MixScheme, Jain float64 }
-	cells := grid(sc, len(utils), 1+2*len(schemes), func(ui, ci int) string {
+	return &Fig14Result{Cells: grid(sc, len(utils), 1+2*len(schemes), func(ui, ci int) string {
 		switch {
 		case ci == 0:
 			return fmt.Sprintf("fig14 all-TCP @%.0f%%", utils[ui]*100)
@@ -233,35 +235,39 @@ func Fig14(seed uint64, sc Scale) *Fig14Result {
 		default:
 			return fmt.Sprintf("fig14 mixed-%s @%.0f%%", schemes[ci/2-1], utils[ui]*100)
 		}
-	}, func(ui, ci int) cell {
+	}, func(ui, ci int) fleet.Row {
 		switch {
 		case ci == 0:
-			return cell{Homog: runFig14Homogeneous(seed, scheme.TCP, arrivals[ui], horizon)}
+			return fleet.Row{runFig14Homogeneous(seed, scheme.TCP, arrivals[ui], horizon)}
 		case ci%2 == 1:
-			return cell{Homog: runFig14Homogeneous(seed, schemes[ci/2], arrivals[ui], horizon)}
+			return fleet.Row{runFig14Homogeneous(seed, schemes[ci/2], arrivals[ui], horizon)}
 		default:
-			mt, ms, j := runFig14Mixed(seed, schemes[ci/2-1], arrivals[ui], horizon)
-			return cell{MixTCP: mt, MixScheme: ms, Jain: j}
+			return runFig14Mixed(seed, schemes[ci/2-1], arrivals[ui], horizon)
 		}
-	})
+	})}
+}
 
+// points compares every mixed cell with its homogeneous references.
+func (r *Fig14Result) points() []Fig14Point {
+	schemes := fig14Schemes()
 	cols := 1 + 2*len(schemes)
-	for ui, util := range utils {
-		allTCP := cells[ui*cols].Homog
+	var out []Fig14Point
+	for ui, util := range fig14Utils() {
+		allTCP := r.Cells[ui*cols][0]
 		for i, name := range schemes {
-			allScheme := cells[ui*cols+1+2*i].Homog
-			mixed := cells[ui*cols+2+2*i]
-			pt := Fig14Point{Scheme: name, Utilization: util, Jain: mixed.Jain}
+			allScheme := r.Cells[ui*cols+1+2*i][0]
+			mixed := r.Cells[ui*cols+2+2*i]
+			pt := Fig14Point{Scheme: name, Utilization: util, Jain: mixed[2]}
 			if allTCP > 0 {
-				pt.TCPRatio = mixed.MixTCP / allTCP
+				pt.TCPRatio = mixed[0] / allTCP
 			}
 			if allScheme > 0 {
-				pt.SchemeRatio = mixed.MixScheme / allScheme
+				pt.SchemeRatio = mixed[1] / allScheme
 			}
-			res.Points = append(res.Points, pt)
+			out = append(out, pt)
 		}
 	}
-	return res
+	return out
 }
 
 func runFig14Homogeneous(seed uint64, schemeName string, arrivals []workload.Arrival, horizon sim.Duration) float64 {
@@ -275,8 +281,9 @@ func runFig14Homogeneous(seed uint64, schemeName string, arrivals []workload.Arr
 }
 
 // runFig14Mixed alternates flows between TCP and the scheme and returns
-// (mean TCP FCT, mean scheme FCT, Jain index over all flows' 1/FCT).
-func runFig14Mixed(seed uint64, schemeName string, arrivals []workload.Arrival, horizon sim.Duration) (float64, float64, float64) {
+// the row (mean TCP FCT, mean scheme FCT, Jain index over all flows'
+// 1/FCT).
+func runFig14Mixed(seed uint64, schemeName string, arrivals []workload.Arrival, horizon sim.Duration) fleet.Row {
 	s := NewDumbbellSim(seed^hashString("fig14m"+schemeName), netem.DumbbellConfig{Pairs: 16})
 	tcpInst := scheme.MustNew(scheme.TCP)
 	inst := scheme.MustNew(schemeName)
@@ -295,13 +302,13 @@ func runFig14Mixed(seed uint64, schemeName string, arrivals []workload.Arrival, 
 			rates = append(rates, 1/st.FCT().Seconds())
 		}
 	}
-	return meanFCTms(s.Finished, "mixed-TCP"), meanFCTms(s.Finished, inst.Name),
-		metrics.JainIndex(rates)
+	return fleet.Row{meanFCTms(s.Finished, "mixed-TCP"), meanFCTms(s.Finished, inst.Name),
+		metrics.JainIndex(rates)}
 }
 
 // At returns the point for (scheme, util), for tests.
 func (r *Fig14Result) At(schemeName string, util float64) (Fig14Point, bool) {
-	for _, p := range r.Points {
+	for _, p := range r.points() {
 		if p.Scheme == schemeName && abs(p.Utilization-util) < 1e-9 {
 			return p, true
 		}
@@ -313,7 +320,7 @@ func (r *Fig14Result) At(schemeName string, util float64) (Fig14Point, bool) {
 func (r *Fig14Result) Tables() []*metrics.Table {
 	t := metrics.NewTable("Fig.14 TCP-friendliness scatter",
 		"scheme", "utilization_%", "tcp_fct_ratio_x", "scheme_fct_ratio_y", "jain_index")
-	for _, p := range r.Points {
+	for _, p := range r.points() {
 		t.AddRow(p.Scheme, p.Utilization*100, p.TCPRatio, p.SchemeRatio, p.Jain)
 	}
 	return []*metrics.Table{t}

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"halfback/internal/fleet"
 	"halfback/internal/metrics"
 	"halfback/internal/netem"
 	"halfback/internal/scheme"
@@ -18,19 +19,11 @@ import (
 // chain multiplies both the loss exposure (three queues can overflow)
 // and the cost of conservatism (three hops of queueing per RTT), so it
 // stresses exactly the latency/safety trade-off the paper studies.
+//
+// Rows holds one summary row per (per-hop utilization, scheme),
+// utilization-major.
 type MultihopResult struct {
-	Rows []MultihopRow
-}
-
-// MultihopRow is one (scheme, per-hop utilization) cell.
-type MultihopRow struct {
-	Scheme      string
-	Utilization float64
-	MeanFCTms   float64
-	P99FCTms    float64
-	MeanRetx    float64
-	Completed   int
-	Launched    int
+	Rows []fleet.Row
 }
 
 const multihopHorizon = 120 * sim.Second
@@ -39,20 +32,22 @@ func multihopSchemes() []string {
 	return []string{scheme.TCP, scheme.TCP10, scheme.JumpStart, scheme.Halfback}
 }
 
+func multihopUtils() []float64 { return []float64{0.10, 0.30, 0.50} }
+
 // Multihop runs the grid, one universe per (utilization, scheme) cell.
 func Multihop(seed uint64, sc Scale) *MultihopResult {
 	horizon := sc.horizon(multihopHorizon)
-	utils := []float64{0.10, 0.30, 0.50}
+	utils := multihopUtils()
 	schemes := multihopSchemes()
 	rows := grid(sc, len(utils), len(schemes), func(ui, si int) string {
 		return fmt.Sprintf("multihop %s @%.0f%%", schemes[si], utils[ui]*100)
-	}, func(ui, si int) MultihopRow {
+	}, func(ui, si int) fleet.Row {
 		return runMultihopCell(seed, schemes[si], utils[ui], horizon)
 	})
 	return &MultihopResult{Rows: rows}
 }
 
-func runMultihopCell(seed uint64, schemeName string, util float64, horizon sim.Duration) MultihopRow {
+func runMultihopCell(seed uint64, schemeName string, util float64, horizon sim.Duration) fleet.Row {
 	rng := sim.NewRand(seed ^ hashString("multihop"+schemeName) ^ uint64(util*1e4))
 	cfg := netem.ParkingLotConfig{Hops: 3}
 	pl := netem.NewParkingLot(sim.NewScheduler(), rng.ForkNamed("net"), cfg)
@@ -84,31 +79,28 @@ func runMultihopCell(seed uint64, schemeName string, util float64, horizon sim.D
 
 	w.Run(horizon + 60*sim.Second)
 
-	fct, meanRetx := summarizeFlows(w.Finished, schemeName)
-	return MultihopRow{
-		Scheme: schemeName, Utilization: util,
-		MeanFCTms: fct.Mean, P99FCTms: fct.Percentile(99), MeanRetx: meanRetx,
-		Completed: fct.N, Launched: launched,
-	}
+	return summaryRow(&w, schemeName, launched)
 }
 
-// Cell returns a row for tests.
-func (r *MultihopResult) Cell(schemeName string, util float64) (MultihopRow, bool) {
-	for _, row := range r.Rows {
-		if row.Scheme == schemeName && abs(row.Utilization-util) < 1e-9 {
+// Cell returns the (scheme, utilization) row, for tests.
+func (r *MultihopResult) Cell(schemeName string, util float64) (fleet.Row, bool) {
+	utils, schemes := multihopUtils(), multihopSchemes()
+	for i, row := range r.Rows {
+		if schemes[i%len(schemes)] == schemeName && abs(utils[i/len(schemes)]-util) < 1e-9 {
 			return row, true
 		}
 	}
-	return MultihopRow{}, false
+	return nil, false
 }
 
 // Tables renders the grid.
 func (r *MultihopResult) Tables() []*metrics.Table {
 	t := metrics.NewTable("Multihop parking lot (3 bottlenecks): chain-flow FCT",
 		"scheme", "per_hop_utilization_%", "mean_fct_ms", "p99_fct_ms", "mean_retx", "completed", "launched")
-	for _, row := range r.Rows {
-		t.AddRow(row.Scheme, row.Utilization*100, row.MeanFCTms, row.P99FCTms,
-			row.MeanRetx, row.Completed, row.Launched)
+	utils, schemes := multihopUtils(), multihopSchemes()
+	for i, row := range r.Rows {
+		t.AddRow(schemes[i%len(schemes)], utils[i/len(schemes)]*100, row[colMeanFCT], row[colP99FCT],
+			row[colMeanRetx], int(row[colCompleted]), int(row[colLaunched]))
 	}
 	return []*metrics.Table{t}
 }

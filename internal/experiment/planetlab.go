@@ -3,10 +3,10 @@ package experiment
 import (
 	"fmt"
 
+	"halfback/internal/fleet"
 	"halfback/internal/metrics"
 	"halfback/internal/scheme"
 	"halfback/internal/sim"
-	"halfback/internal/transport"
 	"halfback/internal/workload"
 )
 
@@ -25,23 +25,16 @@ func planetLabSchemes() []string {
 	}
 }
 
-// PlanetLabTrial is one (path, scheme) download.
-type PlanetLabTrial struct {
-	Pair   int
-	Scheme string
-	Path   workload.PathSpec
-	Stats  *transport.FlowStats
-}
-
-// PlanetLabData is the shared dataset behind Figs. 5, 6, 7 and 8.
+// PlanetLabData is the shared dataset behind Figs. 5, 6, 7 and 8: one
+// cold-download row per (pair, scheme), pair-major.
 type PlanetLabData struct {
-	Pairs  int
-	Trials []PlanetLabTrial
+	Pairs int
+	Rows  []fleet.Row
 }
 
 // RunPlanetLab executes the §4.2.1 campaign: for every generated path
 // and every scheme, one cold 100 KB download on a network in its
-// just-built state (a pooled universe, reset; see fetchCold). The
+// just-built state (a pooled universe, reset; see fetchRow). The
 // path population is drawn serially (its generator is shared), then the
 // path×scheme universes fan out across sc.Workers goroutines.
 func RunPlanetLab(seed uint64, sc Scale) *PlanetLabData {
@@ -49,69 +42,49 @@ func RunPlanetLab(seed uint64, sc Scale) *PlanetLabData {
 	n := sc.trials(PlanetLabPairs)
 	specs := workload.PlanetLabPopulationCached(rng.ForkNamed("paths"), n)
 	schemes := planetLabSchemes()
-	data := &PlanetLabData{Pairs: n}
-	data.Trials = grid(sc, n, len(schemes), func(pi, si int) string {
+	return &PlanetLabData{Pairs: n, Rows: grid(sc, n, len(schemes), func(pi, si int) string {
 		return fmt.Sprintf("planetlab pair %d scheme %s", pi, schemes[si])
-	}, func(pi, si int) PlanetLabTrial {
-		spec := specs[pi]
-		name := schemes[si]
-		st := fetchCold(seed^uint64(pi*131+si+7), spec.ToConfig(),
-			scheme.MustNew(name), PlanetLabFlowBytes, 120*sim.Second)
-		return PlanetLabTrial{Pair: pi, Scheme: name, Path: spec, Stats: st}
-	})
-	return data
+	}, func(pi, si int) fleet.Row {
+		return fetchRow(seed^uint64(pi*131+si+7), specs[pi], schemes[si])
+	})}
 }
 
 // metric extraction ----------------------------------------------------
 
-func (d *PlanetLabData) perScheme(extract func(PlanetLabTrial) (float64, bool)) map[string][]float64 {
+// perScheme collects column col of the completed trials that also have
+// column only set, per scheme.
+func (d *PlanetLabData) perScheme(col, only int) map[string][]float64 {
+	schemes := planetLabSchemes()
 	out := make(map[string][]float64)
-	for _, tr := range d.Trials {
-		if v, ok := extract(tr); ok {
-			out[tr.Scheme] = append(out[tr.Scheme], v)
+	for i, r := range d.Rows {
+		if r[colDone] != 0 && r[only] != 0 {
+			name := schemes[i%len(schemes)]
+			out[name] = append(out[name], r[col])
 		}
 	}
 	return out
 }
 
 // FCTms returns completed-flow FCTs in ms per scheme.
-func (d *PlanetLabData) FCTms() map[string][]float64 {
-	return d.perScheme(func(tr PlanetLabTrial) (float64, bool) {
-		return tr.Stats.FCT().Seconds() * 1000, tr.Stats.Completed
-	})
-}
+func (d *PlanetLabData) FCTms() map[string][]float64 { return d.perScheme(colFCT, colDone) }
 
 // LossyFCTms returns FCTs (ms) of trials that experienced loss (Fig. 8).
-func (d *PlanetLabData) LossyFCTms() map[string][]float64 {
-	return d.perScheme(func(tr PlanetLabTrial) (float64, bool) {
-		return tr.Stats.FCT().Seconds() * 1000, tr.Stats.Completed && tr.Stats.LossSeen
-	})
-}
+func (d *PlanetLabData) LossyFCTms() map[string][]float64 { return d.perScheme(colFCT, colLossSeen) }
 
 // RTTCounts returns FCT normalized by path RTT per scheme (Fig. 7).
-func (d *PlanetLabData) RTTCounts() map[string][]float64 {
-	return d.perScheme(func(tr PlanetLabTrial) (float64, bool) {
-		return tr.Stats.RTTCount(tr.Path.RTT), tr.Stats.Completed
-	})
-}
+func (d *PlanetLabData) RTTCounts() map[string][]float64 { return d.perScheme(colRTTs, colDone) }
 
 // NormalRetx returns per-flow reactive retransmission counts (Fig. 5).
-func (d *PlanetLabData) NormalRetx() map[string][]float64 {
-	return d.perScheme(func(tr PlanetLabTrial) (float64, bool) {
-		return float64(tr.Stats.NormalRetx), tr.Stats.Completed
-	})
-}
+func (d *PlanetLabData) NormalRetx() map[string][]float64 { return d.perScheme(colNormalRetx, colDone) }
 
 // LossFraction returns the fraction of a scheme's trials that saw loss.
 func (d *PlanetLabData) LossFraction(schemeName string) float64 {
+	schemes := planetLabSchemes()
 	var n, lossy int
-	for _, tr := range d.Trials {
-		if tr.Scheme != schemeName {
-			continue
-		}
-		n++
-		if tr.Stats.LossSeen {
-			lossy++
+	for i, r := range d.Rows {
+		if schemes[i%len(schemes)] == schemeName {
+			n++
+			lossy += int(r[colLossSeen])
 		}
 	}
 	if n == 0 {
@@ -215,5 +188,5 @@ func Fig8(seed uint64, sc Scale) *Fig8Result { return &Fig8Result{Data: RunPlane
 
 // String summarises the dataset for logs.
 func (d *PlanetLabData) String() string {
-	return fmt.Sprintf("planetlab: %d pairs, %d trials", d.Pairs, len(d.Trials))
+	return fmt.Sprintf("planetlab: %d pairs, %d trials", d.Pairs, len(d.Rows))
 }

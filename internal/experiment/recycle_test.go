@@ -9,6 +9,7 @@ import (
 	"halfback/internal/scheme"
 	"halfback/internal/sim"
 	"halfback/internal/transport"
+	"halfback/internal/workload"
 )
 
 // recycleCell is one download of the reset ≡ fresh property test. tamper
@@ -169,22 +170,25 @@ func TestRecycledPathSimMatchesFresh(t *testing.T) {
 }
 
 // TestPooledCampaignMatchesFreshUniverses ties the pool to the exhibits
-// that use it: every trial of a pooled PlanetLab campaign — run after
+// that use it: every row of a pooled PlanetLab campaign — run after
 // Fig 9 has left differently shaped universes in the pool — equals the
-// same cell run on its own NewPathSim, at one worker and at eight.
+// row of the same cell run on its own NewPathSim, at one worker and at
+// eight.
 func TestPooledCampaignMatchesFreshUniverses(t *testing.T) {
 	sc := tiny
 	Fig9(1, sc)
+	schemes := planetLabSchemes()
 	for _, workers := range []int{1, 8} {
 		sc.Workers = workers
 		data := RunPlanetLab(1, sc)
-		for i, tr := range data.Trials {
-			si := i % len(planetLabSchemes())
-			ps := NewPathSim(1^uint64(tr.Pair*131+si+7), tr.Path.ToConfig())
-			want := ps.FetchOnce(scheme.MustNew(tr.Scheme), PlanetLabFlowBytes, 120*sim.Second)
-			if !reflect.DeepEqual(tr.Stats, want) {
-				t.Fatalf("workers=%d trial %d (pair %d, %s): pooled %+v, fresh %+v",
-					workers, i, tr.Pair, tr.Scheme, tr.Stats, want)
+		specs := workload.PlanetLabPopulationCached(sim.NewRand(1).ForkNamed("paths"), data.Pairs)
+		for i, row := range data.Rows {
+			pi, si := i/len(schemes), i%len(schemes)
+			ps := NewPathSim(1^uint64(pi*131+si+7), specs[pi].ToConfig())
+			want := coldRow(ps.FetchOnce(scheme.MustNew(schemes[si]), PlanetLabFlowBytes, 120*sim.Second), specs[pi].RTT)
+			if !reflect.DeepEqual(row, want) {
+				t.Fatalf("workers=%d trial %d (pair %d, %s): pooled %v, fresh %v",
+					workers, i, pi, schemes[si], row, want)
 			}
 		}
 	}

@@ -16,6 +16,7 @@ import (
 	"halfback/internal/scheme"
 	"halfback/internal/sim"
 	"halfback/internal/transport"
+	"halfback/internal/workload"
 )
 
 // Scale shrinks experiments proportionally: Trials scales the number of
@@ -74,7 +75,9 @@ func (s Scale) horizon(d sim.Duration) sim.Duration {
 // every sweep renders identically whatever the worker count. A universe
 // that panics becomes a labelled job error; the remaining universes
 // still run, then sweep panics with the aggregate so a broken cell
-// cannot silently produce a truncated exhibit.
+// cannot silently produce a truncated exhibit. A worker or a repro run
+// gets zero values back (nil rows), so an exhibit reads its cells only
+// when it renders, never in the function that made the sweep.
 func sweep[T any](sc Scale, n int, label func(int) string, fn func(int) T) []T {
 	out, err := fleet.MapOpts(sc.fleetOptions(label), n, func(i, _ int) (T, error) {
 		return fn(i), nil
@@ -217,15 +220,38 @@ func (p *PathSim) Reset(seed uint64, cfg netem.PathConfig) {
 // state of a fresh one (TestRecycledPathSimMatchesFresh).
 var pathSims = sync.Pool{New: func() any { return new(PathSim) }}
 
-// fetchCold runs one cold download on a pooled universe reset to (seed,
-// cfg). The universe goes back to the pool on normal return only: a cell
-// that panics drops it.
-func fetchCold(seed uint64, cfg netem.PathConfig, inst *scheme.Instance, bytes int, deadline sim.Duration) *transport.FlowStats {
+// Columns of the cold-download row (PlanetLab Figs. 5–8, home Fig. 9).
+const (
+	colFCT        = iota // flow completion time, ms
+	colDone              // 1 if the flow completed
+	colLossSeen          // 1 if the flow saw loss
+	colRTTs              // FCT in units of the path's base RTT
+	colNormalRetx        // reactive retransmissions
+)
+
+// fetchRow runs one cold 100 KB download on spec in a pooled universe
+// reset to (seed, spec). The universe goes back to the pool on normal
+// return only: a cell that panics drops it.
+func fetchRow(seed uint64, spec workload.PathSpec, name string) fleet.Row {
 	ps := pathSims.Get().(*PathSim)
-	ps.Reset(seed, cfg)
-	st := ps.FetchOnce(inst, bytes, deadline)
+	ps.Reset(seed, spec.ToConfig())
+	row := coldRow(ps.FetchOnce(scheme.MustNew(name), PlanetLabFlowBytes, 120*sim.Second), spec.RTT)
 	pathSims.Put(ps)
-	return st
+	return row
+}
+
+// coldRow is the cold-download row of one flow on a path of base RTT rtt.
+func coldRow(st *transport.FlowStats, rtt sim.Duration) fleet.Row {
+	return fleet.Row{st.FCT().Seconds() * 1000, bit(st.Completed), bit(st.LossSeen),
+		st.RTTCount(rtt), float64(st.NormalRetx)}
+}
+
+// bit stores a boolean column.
+func bit(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // FetchOnce runs a single download of the given size from server to
@@ -260,6 +286,24 @@ func summarizeFlows(stats []*transport.FlowStats, schemeName string) (fct metric
 		meanRetx = float64(retx) / float64(len(fcts))
 	}
 	return metrics.Summarize(fcts), meanRetx
+}
+
+// Columns of the summary row of a dumbbell sweep cell of short flows
+// (capacity, Fig. 10, aqm, multihop).
+const (
+	colMeanFCT    = iota // mean FCT of the completed flows, ms
+	colP99FCT            // their p99 FCT, ms
+	colMeanRetx          // their mean normal retransmissions
+	colCompleted         // how many completed
+	colLaunched          // how many the workload started
+	colCompletion        // completed share of every flow in the world
+)
+
+// summaryRow folds the finished flows labelled schemeName ("" for every
+// flow) of one cell's world into its summary row.
+func summaryRow(w *transport.World, schemeName string, launched int) fleet.Row {
+	fct, meanRetx := summarizeFlows(w.Finished, schemeName)
+	return fleet.Row{fct.Mean, fct.Percentile(99), meanRetx, float64(fct.N), float64(launched), w.CompletionRate()}
 }
 
 func meanFCTms(stats []*transport.FlowStats, schemeName string) float64 {

@@ -104,9 +104,7 @@ func fig15Run(seed uint64, name string, shorts []fig15Short) Fig15Panel {
 		ts, ser := mkSeries(sh.scheme + " short flow")
 		shortTS[i], shortSeries[i] = ts, ser
 		c := s.StartFlowOn(sim.Time(fig15ShortStart), scheme.MustNew(sh.scheme), sh.bytes, 1+i, s.Opts, nil)
-		idx := i
-		c.OnDeliver = func(b int, now sim.Time) { shortTS[idx].Add(now, float64(b)) }
-		_ = idx
+		c.OnDeliver = func(b int, now sim.Time) { shortTS[i].Add(now, float64(b)) }
 	}
 	s.Run(fig15Horizon)
 

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"halfback/internal/fleet"
 	"halfback/internal/metrics"
 	"halfback/internal/netem"
 	"halfback/internal/scheme"
@@ -29,19 +30,18 @@ func fig16Schemes() []string {
 	return []string{scheme.JumpStart, scheme.Halfback, scheme.TCP, scheme.TCP10}
 }
 
-// Fig16Point is one (scheme, utilization) mean response time.
-type Fig16Point struct {
-	Scheme         string
-	Utilization    float64
-	MeanResponseS  float64
-	P90ResponseS   float64
-	PagesCompleted int
-	PagesRequested int
-}
+// Columns of a Fig. 16 row: one (utilization, scheme) cell.
+const (
+	colMeanResponse = iota // s
+	colP90Response         // s
+	colPagesDone
+	colPagesRequested
+)
 
-// Fig16Result reproduces the web response-time curves.
+// Fig16Result reproduces the web response-time curves: one row per
+// (utilization, scheme), utilization-major.
 type Fig16Result struct {
-	Points []Fig16Point
+	Rows []fleet.Row
 }
 
 // webRequest is one scheduled page load, shared across schemes so every
@@ -80,12 +80,11 @@ func Fig16(seed uint64, sc Scale) *Fig16Result {
 	for i, util := range utils {
 		schedules[i] = makeWebSchedule(seed, util, pages, horizon, cfg.BottleneckBps, cfg.Pairs)
 	}
-	points := grid(sc, len(utils), len(schemes), func(ui, si int) string {
+	return &Fig16Result{Rows: grid(sc, len(utils), len(schemes), func(ui, si int) string {
 		return fmt.Sprintf("fig16 %s @%.0f%%", schemes[si], utils[ui]*100)
-	}, func(ui, si int) Fig16Point {
+	}, func(ui, si int) fleet.Row {
 		return runFig16Cell(seed, schemes[si], utils[ui], pages, schedules[ui], horizon)
-	})
-	return &Fig16Result{Points: points}
+	})}
 }
 
 // pageLoader drives one page request: dispatches object fetches in
@@ -141,7 +140,7 @@ func (p *pageLoader) dispatch(now sim.Time) {
 }
 
 func runFig16Cell(seed uint64, schemeName string, util float64, pages []workload.Page,
-	schedule []webRequest, horizon sim.Duration) Fig16Point {
+	schedule []webRequest, horizon sim.Duration) fleet.Row {
 	cfg := netem.DumbbellConfig{Pairs: 16}.Defaulted()
 	s := NewDumbbellSim(seed^hashString("fig16"+schemeName)^uint64(util*1e4), cfg)
 	inst := scheme.MustNew(schemeName)
@@ -161,30 +160,28 @@ func runFig16Cell(seed uint64, schemeName string, util float64, pages []workload
 	s.Run(horizon + 120*sim.Second)
 
 	sum := metrics.Summarize(responses)
-	return Fig16Point{
-		Scheme: schemeName, Utilization: util,
-		MeanResponseS: sum.Mean, P90ResponseS: sum.Percentile(90),
-		PagesCompleted: len(responses), PagesRequested: len(schedule),
-	}
+	return fleet.Row{sum.Mean, sum.Percentile(90), float64(len(responses)), float64(len(schedule))}
 }
 
-// At returns the point for (scheme, util), for tests.
-func (r *Fig16Result) At(schemeName string, util float64) (Fig16Point, bool) {
-	for _, p := range r.Points {
-		if p.Scheme == schemeName && abs(p.Utilization-util) < 1e-9 {
-			return p, true
+// At returns the (scheme, util) row, for tests.
+func (r *Fig16Result) At(schemeName string, util float64) (fleet.Row, bool) {
+	utils, schemes := fig16Utils(), fig16Schemes()
+	for i, row := range r.Rows {
+		if schemes[i%len(schemes)] == schemeName && abs(utils[i/len(schemes)]-util) < 1e-9 {
+			return row, true
 		}
 	}
-	return Fig16Point{}, false
+	return nil, false
 }
 
 // Tables renders the curves.
 func (r *Fig16Result) Tables() []*metrics.Table {
 	t := metrics.NewTable("Fig.16 Web page response time vs utilization",
 		"scheme", "utilization_%", "mean_response_s", "p90_response_s", "completed", "requested")
-	for _, p := range r.Points {
-		t.AddRow(p.Scheme, p.Utilization*100, p.MeanResponseS, p.P90ResponseS,
-			p.PagesCompleted, p.PagesRequested)
+	utils, schemes := fig16Utils(), fig16Schemes()
+	for i, row := range r.Rows {
+		t.AddRow(schemes[i%len(schemes)], utils[i/len(schemes)]*100, row[colMeanResponse], row[colP90Response],
+			int(row[colPagesDone]), int(row[colPagesRequested]))
 	}
 	return []*metrics.Table{t}
 }

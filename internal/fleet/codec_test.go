@@ -4,15 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
-	"io"
 	"math"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"halfback/internal/sim"
@@ -20,8 +16,8 @@ import (
 	"halfback/internal/workload"
 )
 
-// planetCell has the shape of the cell the PlanetLab exhibits (Figs 5–8)
-// journal: the benchmark's dist_loopback and fleet_journal payload.
+// planetCell has the shape of the cell the PlanetLab exhibits journaled
+// before cells were rows: a struct only gob can code.
 type planetCell struct {
 	Pair   int
 	Scheme string
@@ -47,7 +43,7 @@ func newPlanetCell(i int) planetCell {
 	}
 }
 
-// Shapes the property test covers beyond the PlanetLab cell.
+// Shapes the gob path covers beyond the PlanetLab cell.
 type codecInner struct {
 	A int
 	B []float64
@@ -63,17 +59,7 @@ type codecShapes struct {
 	F        float64
 }
 
-type codecDynamic struct {
-	Name string
-	V    any // holds a registered struct: its definition travels inside the value message
-}
-
-type codecBehind struct{ X, Y int }
-
-func init() { gob.Register(codecBehind{}) }
-
-// codecCases returns one pointer per cell shape: the values every path
-// through encodeCellData has to get byte-right.
+// codecCases returns one pointer per cell shape that is not a Row.
 func codecCases() []any {
 	long := make([]float64, 5000)
 	for i := range long {
@@ -88,63 +74,12 @@ func codecCases() []any {
 	}
 	var nilRow []any
 	f, n, s := 3.25, 42, "singleton"
-	dyn := codecDynamic{Name: "dyn", V: codecBehind{1, 2}}
-	dynNil := codecDynamic{Name: "no dynamic type this time"}
 	return []any{&pc, &empty, &row, &nilRow, &shapes, &codecShapes{}, &f, &n, &s,
-		&cellResult{Name: "a", Value: 1.25}, &dyn, &dynNil, &dyn}
+		&cellResult{Name: "a", Value: 1.25}}
 }
 
-// encodeCellData's bytes are those of a fresh gob.Encoder on an empty
-// buffer — for every shape, on the first call and the thousandth, and
-// from concurrent goroutines sharing the pools.
-func TestEncodeCellDataMatchesFreshEncoder(t *testing.T) {
-	cases := codecCases()
-	want := make([][]byte, len(cases))
-	for i, v := range cases {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-			t.Fatalf("case %d (%T): reference encode: %v", i, v, err)
-		}
-		want[i] = buf.Bytes()
-	}
-	check := func(round int) error {
-		for i, v := range cases {
-			got, err := encodeCellData(v)
-			if err != nil {
-				return fmt.Errorf("round %d case %d (%T): %v", round, i, v, err)
-			}
-			if !bytes.Equal(got, want[i]) {
-				return fmt.Errorf("round %d case %d (%T): %d bytes differ from the fresh encoder's %d", round, i, v, len(got), len(want[i]))
-			}
-		}
-		return nil
-	}
-	if err := check(0); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for round := 1; round <= 1000; round++ {
-				if err := check(round); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-}
-
-// Errors are the fresh encoder's too: a value gob cannot encode fails
-// the same way through the pooled path, and does not poison the pool.
+// Errors are gob's: a value gob cannot encode fails as it does for a
+// fresh encoder, and a good value after it encodes as usual.
 func TestEncodeCellDataErrorsLikeFresh(t *testing.T) {
 	type unencodable struct {
 		Name string
@@ -168,246 +103,114 @@ func TestEncodeCellDataErrorsLikeFresh(t *testing.T) {
 	}
 }
 
-// decodeCell equals a fresh decoder on every shape, first call and
-// repeated calls, concurrently.
+// decodeCell is a fresh gob decoder for every cell type but Row.
 func TestDecodeCellMatchesFreshDecoder(t *testing.T) {
-	cases := codecCases()
-	payloads := make([][]byte, len(cases))
-	for i, v := range cases {
-		data, err := encodeFresh(v)
+	for i, v := range codecCases() {
+		data, err := encodeCellData(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		payloads[i] = data
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for round := 0; round < 200; round++ {
-				for i, v := range cases {
-					rt := reflect.TypeOf(v).Elem()
-					want, got := reflect.New(rt), reflect.New(rt)
-					if err := gob.NewDecoder(bytes.NewReader(payloads[i])).Decode(want.Interface()); err != nil {
-						t.Errorf("case %d: reference decode: %v", i, err)
-						return
-					}
-					if err := decodeCell(payloads[i], got.Interface()); err != nil {
-						t.Errorf("round %d case %d (%v): %v", round, i, rt, err)
-						return
-					}
-					if !reflect.DeepEqual(got.Elem().Interface(), want.Elem().Interface()) {
-						t.Errorf("round %d case %d (%v): decodeCell = %+v, fresh decoder = %+v", round, i, rt, got.Elem(), want.Elem())
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// splitDefinitions follows gob's framing on real payloads and refuses
-// what it does not understand.
-func TestSplitDefinitions(t *testing.T) {
-	pc := newPlanetCell(1)
-	data, err := encodeFresh(&pc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, ok := splitDefinitions(data)
-	if !ok || n == 0 || n >= len(data) {
-		t.Fatalf("struct payload: split = %d, %v (len %d), want a definition prefix and a value", n, ok, len(data))
-	}
-	// The remainder is one value message that a decoder primed with the
-	// prefix accepts; the prefix alone is definitions only.
-	if m, ok := splitDefinitions(data[n:]); !ok || m != 0 {
-		t.Fatalf("value message alone: split = %d, %v, want 0, true", m, ok)
-	}
-	if _, ok := splitDefinitions(data[:n]); ok {
-		t.Fatal("a payload of definitions only has no value message, want ok = false")
-	}
-	f := 1.5
-	single, _ := encodeFresh(&f)
-	if n, ok := splitDefinitions(single); !ok || n != 0 {
-		t.Fatalf("basic-type payload: split = %d, %v, want 0, true (no definitions)", n, ok)
-	}
-	for _, bad := range [][]byte{nil, {}, {0x05}, {0x03, 0xff}, {0xf7}, {0x80}, data[:n+1], {0xfe, 0xff, 0xff, 1}} {
-		if n, ok := splitDefinitions(bad); ok && n != 0 {
-			t.Fatalf("splitDefinitions(%x) = %d, true", bad, n)
+		rt := reflect.TypeOf(v).Elem()
+		want, got := reflect.New(rt), reflect.New(rt)
+		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(want.Interface()); err != nil {
+			t.Fatalf("case %d: reference decode: %v", i, err)
+		}
+		if err := decodeCell(data, got.Interface()); err != nil {
+			t.Fatalf("case %d (%v): %v", i, rt, err)
+		}
+		if !reflect.DeepEqual(got.Elem().Interface(), want.Elem().Interface()) {
+			t.Fatalf("case %d (%v): decodeCell = %+v, fresh decoder = %+v", i, rt, got.Elem(), want.Elem())
 		}
 	}
 }
 
-// foreignHelperEnv switches the test binary into the helper process that
-// produces payloads under foreign type ids.
-const foreignHelperEnv = "FLEET_CODEC_FOREIGN_HELPER"
-
-// Decoy types the helper touches before its first cell, the way a worker
-// registers its RPC types first: they take the type ids this process
-// hands to the cell's types.
-type decoyA struct{ P, Q string }
-type decoyB struct {
-	R []decoyA
-	S map[string]float64
+// rowCases are rows the payload must carry bit for bit.
+func rowCases() []Row {
+	long := make(Row, 10_000)
+	for i := range long {
+		long[i] = math.Float64frombits(uint64(i) * 0x9e3779b97f4a7c15) // every exponent, NaNs included
+	}
+	return []Row{
+		nil, {}, {0}, {math.Copysign(0, -1)}, {math.Inf(1), math.Inf(-1)},
+		{math.NaN(), math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff8000000000bad)},
+		{412.5, 1, 0, 4.75, 3}, {math.MaxFloat64, math.SmallestNonzeroFloat64, -1e-300},
+		long,
+	}
 }
-type decoyC struct{ T *decoyB }
 
-// TestCodecForeignHelper is not a test: under foreignHelperEnv it writes
-// N length-prefixed planetCell payloads to stdout and exits.
-func TestCodecForeignHelper(t *testing.T) {
-	if os.Getenv(foreignHelperEnv) == "" {
-		t.Skip("helper process for TestDecodePrimedOnForeignTypeIDs")
-	}
-	for _, decoy := range []any{decoyA{}, decoyB{}, decoyC{}, &decoyC{T: &decoyB{}}} {
-		if err := gob.NewEncoder(io.Discard).Encode(decoy); err != nil {
-			fmt.Fprintln(os.Stderr, "helper: decoy:", err)
-			os.Exit(3)
-		}
-	}
-	out := os.NewFile(3, "payloads")
-	for i := 0; i < foreignPayloads; i++ {
-		pc := newPlanetCell(i)
-		data, err := encodeCellData(&pc)
-		if err == nil {
-			var hdr [4]byte
-			binary.LittleEndian.PutUint32(hdr[:], uint32(len(data)))
-			_, err = out.Write(append(hdr[:], data...))
-		}
+// A Row travels as uvarint n · n × 8 bytes and comes back bit for bit:
+// NaN payloads, infinities and −0 included; nil and empty both come back
+// empty.
+func TestRowPayloadRoundTrip(t *testing.T) {
+	for i, r := range rowCases() {
+		data, err := encodeCellData(&r)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "helper:", err)
-			os.Exit(3)
+			t.Fatal(err)
 		}
-	}
-	os.Exit(0)
-}
-
-const foreignPayloads = 50
-
-// foreignPayloadsFromHelper re-executes the test binary as the helper and
-// returns the payloads it produced.
-func foreignPayloadsFromHelper(t *testing.T) [][]byte {
-	t.Helper()
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command(exe, "-test.run", "^TestCodecForeignHelper$")
-	cmd.Env = append(os.Environ(), foreignHelperEnv+"=1")
-	cmd.ExtraFiles = []*os.File{w}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	raw, rerr := io.ReadAll(r)
-	if err := cmd.Wait(); err != nil || rerr != nil {
-		t.Fatalf("helper process: %v / %v", err, rerr)
-	}
-	var payloads [][]byte
-	for len(raw) >= 4 {
-		n := int(binary.LittleEndian.Uint32(raw))
-		payloads = append(payloads, raw[4:4+n])
-		raw = raw[4+n:]
-	}
-	if len(payloads) != foreignPayloads {
-		t.Fatalf("helper produced %d payloads, want %d", len(payloads), foreignPayloads)
-	}
-	return payloads
-}
-
-// checkPrimedDecodes decodes payloads — all carrying one definition
-// prefix this process has not seen — and asserts that each equals a
-// fresh decoder's result and that every payload after the first went
-// through the primed path, not the fallback.
-func checkPrimedDecodes(t *testing.T, payloads [][]byte) {
-	t.Helper()
-	primed0, fresh0 := primedDecodes.Load(), freshDecodes.Load()
-	for i, data := range payloads {
-		var want, got planetCell
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&want); err != nil {
-			t.Fatalf("payload %d: reference decode: %v", i, err)
+		if want := uvarintLen(uint64(len(r))) + 8*len(r); len(data) != want {
+			t.Fatalf("case %d: %d payload bytes, want %d", i, len(data), want)
 		}
+		var got Row
 		if err := decodeCell(data, &got); err != nil {
-			t.Fatalf("payload %d: %v", i, err)
+			t.Fatalf("case %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("payload %d: decodeCell = %+v, fresh decoder = %+v", i, got, want)
+		if len(got) != len(r) || cap(got) > len(data)/8 {
+			t.Fatalf("case %d: %d values (cap %d) from %d bytes, want %d", i, len(got), cap(got), len(data), len(r))
 		}
-	}
-	// The first payload primes a decoder (unless an earlier test already
-	// decoded this prefix); none after it may fall back.
-	primed, fresh := primedDecodes.Load()-primed0, freshDecodes.Load()-fresh0
-	if fresh > 1 || primed+fresh != uint64(len(payloads)) {
-		t.Fatalf("%d payloads: %d decoded fresh and %d primed, want at most 1 fresh — the primed path is not the one taken",
-			len(payloads), fresh, primed)
+		for k := range r {
+			if math.Float64bits(got[k]) != math.Float64bits(r[k]) {
+				t.Fatalf("case %d value %d: %#x, want %#x", i, k, math.Float64bits(got[k]), math.Float64bits(r[k]))
+			}
+		}
 	}
 }
 
-// A worker's payloads do not start with the bytes this process's encoder
-// writes — gob type ids are process-wide and order-dependent — and
-// decodeCell still takes the primed path for them, because it learns
-// the prefix from the payload.
-func TestDecodePrimedOnForeignTypeIDs(t *testing.T) {
-	payloads := foreignPayloadsFromHelper(t)
-	pc := newPlanetCell(0)
-	local, err := encodeCellData(&pc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(local, payloads[0]) {
-		t.Fatal("the helper's payload equals this process's: the decoys did not shift its type ids, so the test proves nothing")
-	}
-	n, _ := splitDefinitions(local)
-	m, ok := splitDefinitions(payloads[0])
-	if !ok || bytes.Equal(local[:n], payloads[0][:m]) {
-		t.Fatalf("foreign prefix (ok=%v) equals the local one", ok)
-	}
-	checkPrimedDecodes(t, payloads)
-}
-
-// The same on a payload committed under testdata/: bytes another
-// process — possibly another build — produced.
-func TestDecodeCommittedForeignPayload(t *testing.T) {
-	path := filepath.Join("testdata", "foreign_planet_cell.gob")
-	if os.Getenv("HALFBACK_GEN_CORPUS") != "" {
-		if err := os.WriteFile(path, foreignPayloadsFromHelper(t)[7], 0o644); err != nil {
-			t.Fatal(err)
+// A Row payload is exactly what encodeCellData writes or an error that
+// leaves the target alone, and a count the payload cannot hold allocates
+// nothing.
+func TestRowPayloadRejectsMalformed(t *testing.T) {
+	valid, _ := encodeCellData(&Row{1, 2, 3})
+	oversized := binary.AppendUvarint(nil, 1<<60)
+	for name, tc := range map[string]struct {
+		data []byte
+		want error
+	}{
+		"empty":              {nil, errRowCount},
+		"unterminated count": {[]byte{0x80}, errRowCount},
+		"non-minimal count":  {append([]byte{0x83, 0x00}, valid[1:]...), errRowCount},
+		"truncated":          {valid[:len(valid)-1], errRowShort},
+		"oversized count":    {append(bytes.Clone(oversized), valid[1:]...), errRowShort},
+		"trailing bytes":     {append(bytes.Clone(valid), 0), errRowTrailing},
+	} {
+		got := Row{7}
+		if err := decodeCell(tc.data, &got); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", name, err, tc.want)
+		}
+		if len(got) != 1 || got[0] != 7 {
+			t.Errorf("%s: a refused payload changed the row to %v", name, got)
 		}
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (regenerate with HALFBACK_GEN_CORPUS=1)", err)
+	var r Row
+	if n := testing.AllocsPerRun(100, func() { _ = decodeCell(oversized, &r) }); n != 0 {
+		t.Fatalf("decoding an oversized count allocated %v times", n)
 	}
-	// Flip a value byte per copy so every payload is distinct but shares
-	// the committed definition prefix.
-	n, ok := splitDefinitions(data)
-	if !ok || n == 0 {
-		t.Fatalf("committed payload does not split: %d, %v", n, ok)
-	}
-	var want planetCell
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&want); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, newPlanetCell(7)) {
-		t.Fatalf("committed payload decodes to %+v", want)
-	}
-	checkPrimedDecodes(t, [][]byte{data, data, data, data})
 }
 
-// FuzzCellCodec holds decodeCell to the fresh decoder on arbitrary
-// bytes: it errs exactly when a fresh decoder errs, yields the same
-// value otherwise, and a payload that errs does not poison the decode
-// of the next valid one. Seeded from the journal decoder's corpus (cell
-// payloads live inside those images) plus real payloads.
-func FuzzCellCodec(f *testing.F) {
+// FuzzRowCodec: decoding arbitrary bytes as a Row never panics, and every
+// payload it accepts re-encodes to the same bytes from at most len/8
+// floats. Seeded with real rows, their torn and padded variants, and the
+// cell payloads of the journal decoder's seed images.
+func FuzzRowCodec(f *testing.F) {
+	for _, r := range rowCases() {
+		if len(r) > 100 {
+			continue
+		}
+		data, _ := encodeCellData(&r)
+		f.Add(data)
+		f.Add(data[:len(data)-1])
+		f.Add(append(bytes.Clone(data), 0))
+	}
 	for _, s := range fuzzSeedJournals(f) {
-		f.Add(s)
 		if scan, err := ScanJournal(s); err == nil {
 			for _, rec := range scan.Records {
 				if rec.Kind == recCell {
@@ -416,86 +219,38 @@ func FuzzCellCodec(f *testing.F) {
 			}
 		}
 	}
-	pc := newPlanetCell(3)
-	valid, err := encodeFresh(&pc)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	split, _ := splitDefinitions(valid)
-	f.Add(valid[:split])
-	f.Add(valid[split:])
-	f.Add(append(bytes.Clone(valid), valid...))
-	small, _ := encodeFresh(&cellResult{Name: "a", Value: 1.25})
-	f.Add(small)
-
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, target := range []func() any{
-			func() any { return new(planetCell) },
-			func() any { return new(cellResult) },
-		} {
-			want, got := target(), target()
-			wantErr := gob.NewDecoder(bytes.NewReader(data)).Decode(want)
-			gotErr := decodeCell(data, got)
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("%T: decodeCell err = %v, fresh decoder err = %v", got, gotErr, wantErr)
-			}
-			if wantErr == nil && !reflect.DeepEqual(got, want) {
-				t.Fatalf("%T: decodeCell = %+v, fresh decoder = %+v", got, got, want)
-			}
-			// Decode twice: the second call may find the decoder the first
-			// one pooled, and must agree with it.
-			again := target()
-			if err := decodeCell(data, again); (err == nil) != (wantErr == nil) || (err == nil && !reflect.DeepEqual(again, want)) {
-				t.Fatalf("%T: second decodeCell = %+v, %v; fresh decoder = %+v, %v", got, again, err, want, wantErr)
-			}
+		var r Row
+		if decodeCell(data, &r) != nil {
+			return
 		}
-		var after planetCell
-		if err := decodeCell(valid, &after); err != nil || !reflect.DeepEqual(after, pc) {
-			t.Fatalf("a valid payload after the fuzzed one: %+v, %v", after, err)
+		if cap(r) > len(data)/8 {
+			t.Fatalf("%d payload bytes decoded into %d floats", len(data), cap(r))
+		}
+		if again, _ := encodeCellData(&r); !bytes.Equal(again, data) {
+			t.Fatalf("payload %x re-encodes to %x", data, again)
 		}
 	})
 }
 
 // BenchmarkCellCodec is the payload layer's microbenchmark: one
-// PlanetLab cell encoded and decoded, through the pooled engines and
-// through the fresh-coder reference (what every cell paid before).
+// PlanetLab row encoded and decoded.
 func BenchmarkCellCodec(b *testing.B) {
-	pc := newPlanetCell(5)
-	payload, err := encodeFresh(&pc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("encode/primed", func(b *testing.B) {
+	row := Row{412.5, 1, 0, 4.75, 3}
+	payload, _ := encodeCellData(&row)
+	b.Run("encode", func(b *testing.B) {
 		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := encodeCellData(&pc); err != nil {
+		for b.Loop() {
+			if _, err := encodeCellData(&row); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("encode/fresh", func(b *testing.B) {
+	b.Run("decode", func(b *testing.B) {
 		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := encodeFresh(&pc); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decode/primed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var out planetCell
+		for b.Loop() {
+			var out Row
 			if err := decodeCell(payload, &out); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decode/fresh", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var out planetCell
-			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&out); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -398,29 +398,28 @@ func TestDrainFailsQueuedCellsAndFinishesInFlightLease(t *testing.T) {
 	}
 }
 
-// A v3 build (workers upload a journal at Configure) meets a v4 build
-// (they keep none), either way round: the session is refused with both
-// versions named.
-func TestV3PeerMeetsV4Peer(t *testing.T) {
-	if ProtoVersion != 4 {
-		t.Fatalf("ProtoVersion = %d; this test pins the v3→v4 boundary", ProtoVersion)
+// A v4 build (gob cell payloads) meets a v5 build (fixed-layout rows),
+// either way round: the session is refused with both versions named.
+func TestV4PeerMeetsV5Peer(t *testing.T) {
+	if ProtoVersion != 5 {
+		t.Fatalf("ProtoVersion = %d; this test pins the v4→v5 boundary", ProtoVersion)
 	}
-	// A v3 worker's hello reaches this coordinator.
+	// A v4 worker's hello reaches this coordinator.
 	client, server := net.Pipe()
 	defer client.Close()
 	go func() {
 		defer server.Close()
-		writeFrame(server, frameHello, []byte{0, 3, 0})
+		writeFrame(server, frameHello, []byte{0, 4, 0})
 	}()
 	err := clientHandshake(client, nil)
-	if err == nil || !strings.Contains(err.Error(), "v3") || !strings.Contains(err.Error(), "v4") {
-		t.Fatalf("v3 worker hello: err = %v, want a refusal naming v3 and v4", err)
+	if err == nil || !strings.Contains(err.Error(), "v4") || !strings.Contains(err.Error(), "v5") {
+		t.Fatalf("v4 worker hello: err = %v, want a refusal naming v4 and v5", err)
 	}
-	// A v3 coordinator's Configure reaches this worker.
+	// A v4 coordinator's Configure reaches this worker.
 	w, _ := startWorker(t, WorkerOptions{Start: (&testProgram{sweeps: 1, cells: 1}).start})
-	err = (&workerAPI{w}).Configure(&ConfigureArgs{Gen: 1, Proto: 3, Meta: testMeta(1)}, &ConfigureReply{})
-	if err == nil || !strings.Contains(err.Error(), "v3") || !strings.Contains(err.Error(), "v4") {
-		t.Fatalf("v3 Configure: err = %v, want a refusal naming v3 and v4", err)
+	err = (&workerAPI{w}).Configure(&ConfigureArgs{Gen: 1, Proto: 4, Meta: testMeta(1)}, &ConfigureReply{})
+	if err == nil || !strings.Contains(err.Error(), "v4") || !strings.Contains(err.Error(), "v5") {
+		t.Fatalf("v4 Configure: err = %v, want a refusal naming v4 and v5", err)
 	}
 }
 

@@ -54,8 +54,9 @@ import "halfback/internal/fleet"
 //
 // v2: authenticated session handshake before net/rpc, Fenced counters
 // in replies. v3: RunCells (a lease of N cells) replaces RunCell. v4:
-// Configure uploads nothing (workers keep no journal).
-const ProtoVersion = 4
+// Configure uploads nothing (workers keep no journal). v5: a cell's
+// payload is a fixed-layout fleet.Row (journal format HBJRNL02).
+const ProtoVersion = 5
 
 // ConfigureArgs establishes (or re-establishes) a worker session: the
 // worker tears down any previous session and starts the run Meta
@@ -89,7 +90,7 @@ type RunCellsArgs struct {
 }
 
 // RunCellsReply carries one terminal outcome per leased cell, in lease
-// order — the gob payload of a success or the recorded failure.
+// order — the payload of a success or the recorded failure.
 // RPC-level errors, by contrast, mean the worker could not serve the
 // lease at all (stale session, dead program, draining) and the
 // coordinator puts its cells back in the queue.

@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -22,7 +21,7 @@ import (
 //
 // A journal file is:
 //
-//	8-byte magic "HBJRNL01"
+//	8-byte magic "HBJRNL02"
 //	record*
 //
 // and every record is:
@@ -34,7 +33,7 @@ import (
 // The first record's payload is the meta record (kind 0, JSON-encoded
 // JournalMeta — enough to reconstruct the command line that produced
 // the run). Every later record is either a completed cell (kind 1:
-// sweep, cell index, gob-encoded result) or a failed cell (kind 2:
+// sweep, cell index, the result's payload, codec.go) or a failed cell (kind 2:
 // sweep, cell index, label, failure class, message).
 //
 // Durability is group commit. An append seals its record and queues it
@@ -73,8 +72,9 @@ import (
 // success, and vice versa. Only successes replay; failed and missing
 // cells re-execute on resume.
 
-// journalMagic identifies a journal file and its format version.
-const journalMagic = "HBJRNL01"
+// journalMagic identifies a journal file and its format version. Format
+// 01 carried gob cell payloads; ScanJournal refuses it by name.
+const journalMagic = "HBJRNL02"
 
 // Record kinds.
 const (
@@ -113,7 +113,7 @@ type JournalRecord struct {
 	Kind  byte
 	Sweep uint32
 	Cell  uint32
-	Data  []byte // recCell: gob-encoded result
+	Data  []byte // recCell: the result's payload (codec.go)
 	Label string // recFail
 	Class string // recFail
 	Error string // recFail
@@ -177,6 +177,9 @@ var ErrJournalCorrupt = errors.New("fleet: journal corrupt")
 // fully valid record decoded.
 func ScanJournal(data []byte) (*JournalScan, error) {
 	if len(data) < len(journalMagic) || string(data[:len(journalMagic)]) != journalMagic {
+		if len(data) >= len(journalMagic) && string(data[:6]) == journalMagic[:6] {
+			return nil, fmt.Errorf("journal format %q is not this build's %q: resume it with the build that wrote it, or rerun the sweep", data[:len(journalMagic)], journalMagic)
+		}
 		return nil, fmt.Errorf("%w: bad magic", ErrJournalCorrupt)
 	}
 	s := &JournalScan{Valid: int64(len(journalMagic))}
@@ -330,7 +333,7 @@ type Journal struct {
 	f        journalFile // nil once closed
 	path     string
 	meta     JournalMeta
-	replay   map[cellKey][]byte // cells whose latest record is a success (gob payload)
+	replay   map[cellKey][]byte // cells whose latest record is a success (payload)
 	progress map[uint32]*SweepProgress
 	sweeps   []uint32 // sweep IDs in begin order
 	bundles  []string // repro bundle paths written this process
@@ -645,7 +648,7 @@ func startRecord(kind byte, sweep, cell uint32, body int) []byte {
 // uvarintLen is the number of bytes binary.AppendUvarint emits for x.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// appendCell journals one completed cell: gob-encode, then append.
+// appendCell journals one completed cell: encode, then append.
 func (j *Journal) appendCell(sweep, cell uint32, v any) error {
 	data, err := encodeCellData(v)
 	if err != nil {
@@ -770,16 +773,4 @@ func (j *Journal) writeBundleLocked(sweep, cell uint32, label, class, msg string
 	if os.WriteFile(path, append(data, '\n'), 0o644) == nil {
 		j.bundles = append(j.bundles, path)
 	}
-}
-
-func init() {
-	// Sweep cell types may be []any rows (the ad-hoc CLI sweeps); gob
-	// needs the concrete scalar types inside interface values
-	// registered before it can encode them.
-	gob.Register(int(0))
-	gob.Register(int64(0))
-	gob.Register(uint64(0))
-	gob.Register(float64(0))
-	gob.Register(string(""))
-	gob.Register(bool(false))
 }

@@ -24,11 +24,11 @@ func fuzzSeedJournals(tb testing.TB) [][]byte {
 		tb.Fatal(err)
 	}
 	j.beginSweep(0, 3)
-	if err := j.appendCell(0, 0, &cellResult{Name: "a", Value: 1.25}); err != nil {
+	if err := j.appendCell(0, 0, &Row{1.25}); err != nil {
 		tb.Fatal(err)
 	}
 	j.appendFailure(0, 1, "cell-1", ClassPanicked, "boom\ngoroutine 1 [running]")
-	if err := j.appendCell(1, 2, &cellResult{Name: "b", Value: -3}); err != nil {
+	if err := j.appendCell(1, 2, &Row{-3, 0.5}); err != nil {
 		tb.Fatal(err)
 	}
 	j.Close()

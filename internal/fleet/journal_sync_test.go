@@ -825,7 +825,7 @@ func TestRecordFramingBytes(t *testing.T) {
 }
 
 // BenchmarkJournalAppend is the journal layer on its own: 700-byte
-// records (a gob'd PlanetLab cell) appended by 1, 2 and 8 goroutines to
+// records (a PlanetLab cell's size under gob) appended by 1, 2 and 8 goroutines to
 // a real file, in sweeps of 3,900 cells (the fleet_journal workload's)
 // that each end in the barrier. ns/op is per record, barrier included.
 func BenchmarkJournalAppend(b *testing.B) {

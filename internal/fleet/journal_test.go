@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -319,6 +320,38 @@ func TestScanJournalRejectsCorruption(t *testing.T) {
 	if scan.TailErr == nil || len(scan.Records) != 0 {
 		t.Fatalf("flipped cell byte: records=%d TailErr=%v, want 0 records + tail error",
 			len(scan.Records), scan.TailErr)
+	}
+}
+
+// A journal an older build wrote (format HBJRNL01, gob cell payloads) is
+// refused with both formats named, before anything writes to it:
+// resuming it leaves the file byte-identical.
+func TestScanJournalRefusesOlderFormat(t *testing.T) {
+	path := buildJournal(t, []error{nil, errors.New("boom")})
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := append([]byte("HBJRNL01"), full[len(journalMagic):len(full)-3]...) // torn, too
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, err := range map[string]error{
+		"ScanJournal": func() error { _, err := ScanJournal(old); return err }(),
+		"ResumeJournal": func() error {
+			j, err := ResumeJournal(path)
+			if err == nil {
+				j.Close()
+			}
+			return err
+		}(),
+	} {
+		if err == nil || !strings.Contains(err.Error(), `"HBJRNL01"`) || !strings.Contains(err.Error(), `"HBJRNL02"`) {
+			t.Errorf("%s: err = %v, want a refusal naming HBJRNL01 and HBJRNL02", name, err)
+		}
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, old) {
+		t.Fatalf("the refused journal changed on disk (err %v)", err)
 	}
 }
 

@@ -11,7 +11,7 @@ import "fmt"
 //   - Dispatch (coordinator side): MapOpts still owns ordering, journal
 //     replay and the merged result slice, but instead of calling the
 //     cell function it asks the Dispatcher for the cell's outcome — the
-//     gob payload a worker produced, or its recorded failure. The
+//     payload a worker produced, or its recorded failure. The
 //     payload is decoded exactly like a journal replay, and written
 //     through to the canonical journal, so a dispatched cell is
 //     indistinguishable from a locally executed one.
@@ -29,10 +29,10 @@ import "fmt"
 // the property that makes reassignment safe.
 
 // CellOutcome is one cell's terminal result as it crosses the wire: the
-// gob payload of a success, or the failure triple a journal failure
-// record carries.
+// payload of a success, or the failure triple a journal failure record
+// carries.
 type CellOutcome struct {
-	// Data is the gob-encoded cell value; nil for a failure.
+	// Data is the cell value's payload (codec.go); nil for a failure.
 	Data []byte
 	// Failed marks a cell whose final attempt errored.
 	Failed bool

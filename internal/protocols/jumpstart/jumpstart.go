@@ -12,7 +12,7 @@ import (
 	"halfback/internal/sim"
 )
 
-// JumpStartState is the sender's complete serializable decision state.
+// JumpStartState is the sender's decision state.
 type JumpStartState struct {
 	PacingDone  bool
 	AckedDuring int32 // segments acknowledged while pacing (seeds cwnd)
@@ -153,9 +153,6 @@ func (l *Logic) Decision() cc.Decision {
 	}
 	return cc.Decision{CwndSegs: l.st.Cwnd}
 }
-
-// State returns the serializable decision state.
-func (l *Logic) State() any { return &l.st }
 
 func (l *Logic) burstRetransmit(env cc.Env, now sim.Time) {
 	sc := env.Sack()

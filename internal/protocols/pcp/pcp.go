@@ -36,7 +36,7 @@ const (
 	MaxProbeRounds = 6
 )
 
-// PCPState is the sender's complete serializable decision state.
+// PCPState is the sender's decision state.
 type PCPState struct {
 	Rate      float64 // current verified-or-target rate, bytes/sec
 	FloorRate float64
@@ -322,9 +322,6 @@ func (l *Logic) OnLoss(env cc.Env, ev cc.LossEvent, now sim.Time) {
 func (l *Logic) Decision() cc.Decision {
 	return cc.Decision{RateBps: l.st.Rate, Pacing: true}
 }
-
-// State returns the serializable decision state.
-func (l *Logic) State() any { return &l.st }
 
 func maxf(a, b float64) float64 {
 	if a > b {

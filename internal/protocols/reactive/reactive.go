@@ -14,9 +14,8 @@ import (
 // MinPTO is the probe-timeout floor (the TLP draft's 10 ms).
 const MinPTO = 10 * sim.Millisecond
 
-// ReactiveState is the probe layer's serializable decision state. The
-// embedded Reno engine keeps its own RenoState, reachable through its
-// own State().
+// ReactiveState is the probe layer's decision state. The embedded Reno
+// engine keeps its own RenoState.
 type ReactiveState struct {
 	ProbesSent int64
 	PTOAttempt int // consecutive probes without forward progress
@@ -74,9 +73,6 @@ func (l *Logic) OnTimer(env cc.Env, kind cc.TimerKind, now sim.Time) {
 
 // Decision reports the Reno engine's window.
 func (l *Logic) Decision() cc.Decision { return l.reno.Decision() }
-
-// State returns the probe layer's serializable state.
-func (l *Logic) State() any { return &l.st }
 
 // Reno exposes the wrapped engine, for tests.
 func (l *Logic) Reno() *tcp.Reno { return l.reno }

@@ -29,7 +29,7 @@ type Config struct {
 	OnSend func(env cc.Env, seq int32, retransmit bool, now sim.Time)
 }
 
-// RenoState is Reno's complete serializable decision state.
+// RenoState is Reno's decision state.
 type RenoState struct {
 	Cwnd     float64 // congestion window, segments
 	Ssthresh float64
@@ -163,9 +163,6 @@ func (r *Reno) OnTimer(env cc.Env, kind cc.TimerKind, now sim.Time) {}
 
 // Decision reports the current window.
 func (r *Reno) Decision() cc.Decision { return cc.Decision{CwndSegs: r.Cwnd} }
-
-// State returns the serializable decision state.
-func (r *Reno) State() any { return &r.RenoState }
 
 // OnDone writes the final window back to the path cache.
 func (r *Reno) OnDone(env cc.Env, now sim.Time) {

@@ -108,7 +108,6 @@ func (c *recCtrl) OnSend(env cc.Env, budget int32, now sim.Time) {
 }
 
 func (c *recCtrl) Decision() cc.Decision { return cc.Decision{} }
-func (c *recCtrl) State() any            { return &struct{}{} }
 
 // testWorld wires two stacks over a single netem path.
 type testWorld struct {
