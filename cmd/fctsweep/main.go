@@ -131,24 +131,20 @@ func (s *shape) Check() error {
 	return ptest.CheckAttacker(s.misbehave)
 }
 
-func (s *shape) cell(i int) (string, float64) {
-	return s.names[i/len(s.utils)], s.utils[i%len(s.utils)]
-}
-
-// Run is the sweep program: one fleet sweep over the scheme ×
+// Run is the sweep program: one degraded sweep over the scheme ×
 // utilization grid — env.Run's Journal, Dispatch, Serve or Target hooks
 // decide where each cell actually executes — and one table.
 func (s *shape) Run(env *cli.Env) (failed bool) {
-	n := len(s.names) * len(s.utils)
-	rows, err := fleet.MapOpts(fleet.Options{
-		Ctx: env.Ctx, Workers: env.Workers, Run: env.Run,
-		Label: func(i int) string {
-			name, util := s.cell(i)
-			return fmt.Sprintf("%s @%.0f%%", name, util*100)
-		},
-	}, n, func(i, attempt int) (fleet.Row, error) {
-		return s.runCell(s.cell(i)), nil
-	})
+	pcts := make([]string, len(s.utils))
+	for i, u := range s.utils {
+		pcts[i] = fmt.Sprintf("%.0f%%", u*100)
+	}
+	sweep := &experiment.Spec{ID: "fctsweep", Degraded: true,
+		Plan: func(uint64, experiment.Scale) ([]experiment.Axis, func([]int) (fleet.Row, error)) {
+			return []experiment.Axis{{Name: "scheme", Labels: s.names}, {Name: "util", Labels: pcts}},
+				func(at []int) (fleet.Row, error) { return s.runCell(s.names[at[0]], s.utils[at[1]]), nil }
+		}}
+	g := sweep.Run(s.seed, experiment.Scale{Workers: env.Workers, Ctx: env.Ctx, Run: env.Run})
 	if env.Out == nil {
 		return false // a worker or a repro: the sweep was made, nothing renders
 	}
@@ -167,29 +163,25 @@ func (s *shape) Run(env *cli.Env) (failed bool) {
 	// Render every cell honestly: real rows for completed cells,
 	// FAILED(class) rows for crashed ones, nothing for cells a drain
 	// skipped (they are still pending, not failed).
-	cellErr := make([]error, n)
-	for _, je := range fleet.JobErrors(err) {
-		cellErr[je.Index] = je
-	}
-	done := n
-	for i, row := range rows {
-		switch {
-		case cellErr[i] == nil:
-			name, util := s.cell(i)
+	done, interrupted := len(g.Rows), false
+	for i, row := range g.Rows {
+		name, util := s.names[i/len(s.utils)], s.utils[i%len(s.utils)]
+		switch err := g.Errs[i]; {
+		case err == nil:
 			cells := []any{name, util * 100, int(row[colFlows]), row[colMeanFCT], row[colP50], row[colP99],
 				row[colMeanRetx], row[colCompletion], int(row[colAborted])}
 			if s.misbehave != "none" {
 				cells = append(cells, fmt.Sprintf("%d aborts/%d flagged", int64(row[colPeerAborts]), int64(row[colFlagged])))
 			}
 			table.AddRow(cells...)
-		case fleet.Classify(cellErr[i]) == fleet.ClassCanceled:
+		case fleet.Classify(err) == fleet.ClassCanceled:
 			done-- // skipped by the drain
+			interrupted = true
 		default:
 			done--
 			failed = true
-			env.Logf("%v", cellErr[i])
-			name, util := s.cell(i)
-			row := []any{name, util * 100, "-", metrics.FailedCell(fleet.Classify(cellErr[i])),
+			env.Logf("%v", err)
+			row := []any{name, util * 100, "-", metrics.FailedCell(fleet.Classify(err)),
 				"-", "-", "-", "-", "-"}
 			for len(row) < len(cols) {
 				row = append(row, "-")
@@ -197,8 +189,8 @@ func (s *shape) Run(env *cli.Env) (failed bool) {
 			table.AddRow(row...)
 		}
 	}
-	if fleet.Interrupted(err) || env.Ctx.Err() != nil {
-		table.Footer = fmt.Sprintf("INTERRUPTED: %d/%d cells complete — %s", done, n, env.ResumeHint())
+	if interrupted || env.Ctx.Err() != nil {
+		table.Footer = fmt.Sprintf("INTERRUPTED: %d/%d cells complete — %s", done, len(g.Rows), env.ResumeHint())
 	}
 	table.WriteTo(env.Out)
 	return failed

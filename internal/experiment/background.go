@@ -7,32 +7,19 @@ import (
 	"halfback/internal/workload"
 )
 
-// Fig2Result reproduces Fig. 2: the fraction of traffic (bytes, not
-// flows) carried by flows up to each size, for the three measured
-// distributions — the motivation for treating sub-141 KB flows
-// aggressively.
-type Fig2Result struct {
-	Rows []Fig2Row
-}
-
-// Fig2Row is one (distribution, size) point.
-type Fig2Row struct {
-	Distribution  string
-	SizeBytes     float64
-	TrafficCDF    float64 // fraction of bytes in flows ≤ SizeBytes
-	FlowCountCDF  float64 // fraction of flows ≤ SizeBytes
-	Below141KBPct float64 // repeated per row for the headline check
-}
-
-// Fig2 evaluates both CDFs by sampling each distribution.
-func Fig2(seed uint64, sc Scale) *Fig2Result {
+// fig2 reproduces Fig. 2: the fraction of traffic (bytes, not flows)
+// carried by flows up to each size, for the three measured distributions
+// — the motivation for treating sub-141 KB flows aggressively. Both CDFs
+// are evaluated by sampling each distribution; there is no sweep.
+func fig2(seed uint64, sc Scale) Result {
 	rng := sim.NewRand(seed)
-	res := &Fig2Result{}
 	sizes := []float64{
 		500, 1 << 10, 5 << 10, 20 << 10, 60 << 10, 141 << 10,
 		300 << 10, 600 << 10, 1 << 20,
 	}
 	samples := sc.trials(200000)
+	t := metrics.NewTable("Fig.2 Fraction of traffic by flow size",
+		"distribution", "size_bytes", "traffic_cdf", "flow_cdf")
 	for _, dist := range workload.EvaluatedDistributions() {
 		r := rng.ForkNamed(dist.Name())
 		xs := make([]float64, samples)
@@ -40,7 +27,10 @@ func Fig2(seed uint64, sc Scale) *Fig2Result {
 			xs[i] = float64(dist.Sample(r))
 		}
 		flowCDF := metrics.CDF(xs)
-		below141 := workload.FractionOfBytesBelow(dist, 141<<10, rng.ForkNamed(dist.Name()+"b"), samples)
+		// The stream still forks once more per distribution, where a
+		// never-rendered below-141 KB estimate used to draw, so the
+		// samples of the distributions after it stay put.
+		rng.ForkNamed(dist.Name() + "b")
 		for _, size := range sizes {
 			var total, below float64
 			for _, x := range xs {
@@ -49,47 +39,16 @@ func Fig2(seed uint64, sc Scale) *Fig2Result {
 					below += x
 				}
 			}
-			res.Rows = append(res.Rows, Fig2Row{
-				Distribution: dist.Name(), SizeBytes: size,
-				TrafficCDF:    below / total,
-				FlowCountCDF:  metrics.CDFAt(flowCDF, size),
-				Below141KBPct: below141 * 100,
-			})
+			t.AddRow(dist.Name(), size, below/total, metrics.CDFAt(flowCDF, size))
 		}
 	}
-	return res
+	return render(func() []*metrics.Table { return []*metrics.Table{t} })
 }
 
-// TrafficBelow returns the byte-share below size for a distribution.
-func (r *Fig2Result) TrafficBelow(dist string, size float64) (float64, bool) {
-	for _, row := range r.Rows {
-		if row.Distribution == dist && row.SizeBytes == size {
-			return row.TrafficCDF, true
-		}
-	}
-	return 0, false
-}
-
-// Tables renders the figure.
-func (r *Fig2Result) Tables() []*metrics.Table {
-	t := metrics.NewTable("Fig.2 Fraction of traffic by flow size",
-		"distribution", "size_bytes", "traffic_cdf", "flow_cdf")
-	for _, row := range r.Rows {
-		t.AddRow(row.Distribution, row.SizeBytes, row.TrafficCDF, row.FlowCountCDF)
-	}
-	return []*metrics.Table{t}
-}
-
-// Table1Result renders the paper's Table 1: the design space of startup
-// phases and loss-recovery mechanisms, annotated with which evaluated
-// scheme occupies each point.
-type Table1Result struct{}
-
-// Table1 returns the static taxonomy.
-func Table1(uint64, Scale) *Table1Result { return &Table1Result{} }
-
-// Tables renders the taxonomy.
-func (r *Table1Result) Tables() []*metrics.Table {
+// table1 renders the paper's Table 1: the design space of startup phases
+// and loss-recovery mechanisms, annotated with which evaluated scheme
+// occupies each point.
+func table1() []*metrics.Table {
 	t := metrics.NewTable("Table 1: startup / recovery design space",
 		"scheme", "startup_phase", "proactive_bandwidth", "retx_direction", "retx_rate")
 	t.AddRow(scheme.TCP, "slow start (ICW=2)", "0%", "original order", "cwnd burst")

@@ -11,32 +11,17 @@ import (
 	"halfback/internal/transport"
 )
 
-// Blackout is the graceful-failure exhibit: the bottleneck (both
-// directions) dies permanently mid-flow and never comes back. There is
-// no FCT to report — every flow is doomed — so the exhibit measures how
-// each scheme *fails*: how long after the outage the flow lifecycle
-// gives up, under which budget (retransmission budget vs the deadline
-// backstop), and how many packets it wasted feeding the dark link
-// before giving up. A well-behaved scheme aborts promptly, leaves the
-// scheduler drained, and conserves every packet it injected.
-//
-// A ninth cell runs plain TCP with the lifecycle give-up disabled
-// (MaxTimeouts < 0, no deadline): the flow retransmits into the void
-// forever. The sim supervision layer's stall detector catches it and
-// the sweep reports the cell as FAILED(stalled) instead of hanging —
-// the degraded-mode rendering the rest of the harness relies on.
-
-// BlackoutFlowBytes is the doomed transfer's size. At the 2 Mbps
+// blackoutFlowBytes is the doomed transfer's size. At the 2 Mbps
 // bottleneck it needs ~1.3 s of wire time, so the 600 ms outage always
 // interrupts it mid-flight.
-const BlackoutFlowBytes = 300_000
+const blackoutFlowBytes = 300_000
 
 // blackoutRateBps deliberately shrinks the paper's 15 Mbps bottleneck
 // so the flow is still in flight when the links die.
 const blackoutRateBps = 2 * netem.Mbps
 
-// BlackoutAt is when both bottleneck directions go permanently dark.
-const BlackoutAt = 600 * sim.Millisecond
+// blackoutAt is when both bottleneck directions go permanently dark.
+const blackoutAt = 600 * sim.Millisecond
 
 // Blackout supervision/lifecycle parameters. They are part of the
 // exhibit's semantics (abort latency is measured against them), so they
@@ -61,7 +46,7 @@ type blackoutCell struct {
 // Columns of a blackout row: the post-mortem of the cell's flow.
 const (
 	boAbortReason = iota // transport.AbortReason
-	boAbortAfter         // AbortedAt − BlackoutAt, ns
+	boAbortAfter         // AbortedAt − blackoutAt, ns
 	boTimeouts
 	boRetx      // normal + proactive retransmissions
 	boWasted    // packets the dark bottleneck swallowed (both directions)
@@ -69,12 +54,58 @@ const (
 	boConservOK // 1 if packets were conserved
 )
 
-// BlackoutResult is the exhibit's dataset. Cells and Errs are
-// index-aligned: a cell whose universe failed supervision holds a nil
-// row and a non-nil classified error.
-type BlackoutResult struct {
-	Cells []fleet.Row
-	Errs  []error
+// blackout is the graceful-failure exhibit: the bottleneck (both
+// directions) dies permanently mid-flow and never comes back. There is
+// no FCT to report — every flow is doomed — so the exhibit measures how
+// each scheme *fails*: how long after the outage the flow lifecycle
+// gives up, under which budget (retransmission budget vs the deadline
+// backstop), and how many packets it wasted feeding the dark link
+// before giving up. A well-behaved scheme aborts promptly, leaves the
+// scheduler drained, and conserves every packet it injected.
+//
+// A ninth cell runs plain TCP with the lifecycle give-up disabled
+// (MaxTimeouts < 0, no deadline): the flow retransmits into the void
+// forever. The sim supervision layer's stall detector catches it and
+// the sweep reports the cell as FAILED(stalled) instead of hanging —
+// the degraded-mode rendering the rest of the harness relies on.
+//
+// Universes that fail supervision (by design, the no-give-up cell) are
+// carried as labelled errors, not panics: the degraded sweep path.
+var blackout = &Spec{ID: "blackout", Title: "Graceful failure under a permanent mid-flow outage", Degraded: true,
+	Plan: func(seed uint64, _ Scale) ([]Axis, func([]int) (fleet.Row, error)) {
+		cells := blackoutCells()
+		return []Axis{{"cell", labels(cells, func(c blackoutCell) string { return c.label })}},
+			func(at []int) (fleet.Row, error) {
+				return runBlackoutCell(sim.ChildSeed(seed^0xb1ac007, uint64(at[0])), cells[at[0]])
+			}
+	},
+	// One lifecycle table (failed cells as explicit FAILED(class) rows)
+	// and one sweep-health summary.
+	Tables: func(g *Grid) []*metrics.Table {
+		life := metrics.NewTable("Blackout: permanent mid-flow outage, per-scheme give-up",
+			"cell", "outcome", "abort_after_ms", "timeouts", "retx", "wasted_pkts", "drained", "conservation_ok")
+		ok := 0
+		classes := map[string]int{}
+		for i, c := range g.Rows {
+			label := g.Axes[0].Labels[i]
+			if err := g.Errs[i]; err != nil {
+				class := fleet.Classify(err)
+				classes[class]++
+				// The universe never reached a terminal flow state; render
+				// the failure itself, not fabricated measurements.
+				life.AddRow(label, metrics.FailedCell(class), "-", "-", "-", "-", "-", "-")
+				continue
+			}
+			ok++
+			life.AddRow(label, "abort:"+transport.AbortReason(c[boAbortReason]).String(),
+				fmtMs(sim.Duration(c[boAbortAfter])), int64(c[boTimeouts]), int64(c[boRetx]),
+				int64(c[boWasted]), c[boDrained] != 0, c[boConservOK] != 0)
+		}
+		health := metrics.NewTable("Blackout: sweep health (degraded mode)",
+			"cells_ok", "failure_classes")
+		health.AddRow(metrics.Censored(ok, len(g.Rows)), formatClasses(classes))
+		return []*metrics.Table{life, health}
+	},
 }
 
 func blackoutCells() []blackoutCell {
@@ -83,20 +114,6 @@ func blackoutCells() []blackoutCell {
 		cells = append(cells, blackoutCell{label: name, scheme: name, giveUp: true})
 	}
 	return append(cells, blackoutCell{label: "TCP(no-give-up)", scheme: scheme.TCP})
-}
-
-// Blackout runs the exhibit. Universes that fail supervision (by
-// design, the no-give-up cell) are carried as labelled errors, not
-// panics — the degraded sweep path.
-func Blackout(seed uint64, sc Scale) *BlackoutResult {
-	spec := blackoutCells()
-	res := &BlackoutResult{}
-	res.Cells, res.Errs = sweepPartial(sc, len(spec), func(i int) string {
-		return fmt.Sprintf("blackout %s", spec[i].label)
-	}, func(i int) (fleet.Row, error) {
-		return runBlackoutCell(sim.ChildSeed(seed^0xb1ac007, uint64(i)), spec[i])
-	})
-	return res
 }
 
 // runBlackoutCell builds one doomed universe and runs it under
@@ -111,7 +128,7 @@ func runBlackoutCell(seed uint64, cell blackoutCell) (fleet.Row, error) {
 		BufferBytes: 500_000,
 	}
 	s := NewDumbbellSim(seed, cfg)
-	adv := netem.Adversity{BlackoutAt: sim.Time(BlackoutAt)}
+	adv := netem.Adversity{BlackoutAt: sim.Time(blackoutAt)}
 	s.D.Bottleneck.SetAdversity(adv)
 	s.D.Reverse.SetAdversity(adv)
 
@@ -125,7 +142,7 @@ func runBlackoutCell(seed uint64, cell blackoutCell) (fleet.Row, error) {
 		s.Opts.MaxTimeouts = -1 // retry forever
 	}
 
-	conn := s.StartFlowAt(0, scheme.MustNew(cell.scheme), BlackoutFlowBytes)
+	conn := s.StartFlowAt(0, scheme.MustNew(cell.scheme), blackoutFlowBytes)
 	err := s.RunSupervised(sim.SuperviseConfig{
 		Horizon:     sim.Time(blackoutHorizon),
 		EventBudget: blackoutEvents,
@@ -136,40 +153,11 @@ func runBlackoutCell(seed uint64, cell blackoutCell) (fleet.Row, error) {
 	}
 
 	st := conn.Stats
-	abortAfter := st.AbortedAt.Sub(sim.Time(BlackoutAt))
+	abortAfter := st.AbortedAt.Sub(sim.Time(blackoutAt))
 	wasted := s.D.Bottleneck.Stats.FlapDrops + s.D.Reverse.Stats.FlapDrops
 	drained, conservOK := s.Drain()
 	return fleet.Row{float64(st.AbortReason), float64(abortAfter), float64(st.Timeouts),
 		float64(st.NormalRetx + st.ProactiveRetx), float64(wasted), bit(drained), bit(conservOK)}, nil
-}
-
-// Tables renders the exhibit: one lifecycle table (failed cells as
-// explicit FAILED(class) rows) and one sweep-health summary.
-func (r *BlackoutResult) Tables() []*metrics.Table {
-	life := metrics.NewTable("Blackout: permanent mid-flow outage, per-scheme give-up",
-		"cell", "outcome", "abort_after_ms", "timeouts", "retx", "wasted_pkts", "drained", "conservation_ok")
-	ok := 0
-	classes := map[string]int{}
-	spec := blackoutCells()
-	for i, c := range r.Cells {
-		if err := r.Errs[i]; err != nil {
-			class := fleet.Classify(err)
-			classes[class]++
-			// The universe never reached a terminal flow state; render
-			// the failure itself, not fabricated measurements.
-			life.AddRow(spec[i].label, metrics.FailedCell(class),
-				"-", "-", "-", "-", "-", "-")
-			continue
-		}
-		ok++
-		life.AddRow(spec[i].label, "abort:"+transport.AbortReason(c[boAbortReason]).String(),
-			fmtMs(sim.Duration(c[boAbortAfter])), int64(c[boTimeouts]), int64(c[boRetx]),
-			int64(c[boWasted]), c[boDrained] != 0, c[boConservOK] != 0)
-	}
-	health := metrics.NewTable("Blackout: sweep health (degraded mode)",
-		"cells_ok", "failure_classes")
-	health.AddRow(metrics.Censored(ok, len(r.Cells)), formatClasses(classes))
-	return []*metrics.Table{life, health}
 }
 
 // formatClasses renders a class histogram deterministically.

@@ -33,25 +33,33 @@ func bufferbloatSchemes() []string {
 	}
 }
 
-// Fig10Result reproduces Fig. 10(a) (mean short-flow FCT vs router
-// buffer size) and Fig. 10(b) (normal retransmissions vs buffer size):
-// one summary row per (buffer, scheme), buffer-major.
-type Fig10Result struct {
-	Rows []fleet.Row
-}
-
-// Fig10 runs the sweep, one universe per (buffer, scheme) cell.
-func Fig10(seed uint64, sc Scale) *Fig10Result {
-	horizon := sc.horizon(bufferbloatHorizon)
-	bufs := bufferbloatBuffers()
-	schemes := bufferbloatSchemes()
-	rows := grid(sc, len(bufs), len(schemes), func(bi, si int) string {
-		return fmt.Sprintf("fig10 %s buffer %dKB", schemes[si], bufs[bi]/1000)
-	}, func(bi, si int) fleet.Row {
-		return runBufferbloatCell(seed^uint64(bufs[bi])*2654435761,
-			netem.DumbbellConfig{Pairs: 4, BufferBytes: bufs[bi]}, nil, schemes[si], horizon)
-	})
-	return &Fig10Result{Rows: rows}
+// fig10 reproduces Fig. 10(a) (mean short-flow FCT vs router buffer
+// size) and Fig. 10(b) (normal retransmissions vs buffer size): one
+// universe per (buffer, scheme) cell.
+var fig10 = &Spec{ID: "10", Title: "Bufferbloat: FCT & retransmissions vs buffer",
+	Plan: func(seed uint64, sc Scale) ([]Axis, func([]int) (fleet.Row, error)) {
+		horizon := sc.horizon(bufferbloatHorizon)
+		bufs, schemes := bufferbloatBuffers(), bufferbloatSchemes()
+		kb := func(b int) string { return fmt.Sprintf("%dKB", b/1000) }
+		return []Axis{{"buffer", labels(bufs, kb)}, {"scheme", schemes}}, func(at []int) (fleet.Row, error) {
+			buf := bufs[at[0]]
+			return runBufferbloatCell(seed^uint64(buf)*2654435761,
+				netem.DumbbellConfig{Pairs: 4, BufferBytes: buf}, nil, schemes[at[1]], horizon), nil
+		}
+	},
+	Tables: func(g *Grid) []*metrics.Table {
+		a := metrics.NewTable("Fig.10a Mean short-flow FCT vs router buffer",
+			"scheme", "buffer_KB", "mean_fct_ms", "completed", "launched")
+		b := metrics.NewTable("Fig.10b Normal retransmissions vs router buffer",
+			"scheme", "buffer_KB", "mean_normal_retx")
+		bufs := bufferbloatBuffers()
+		g.Each(func(at []int, row fleet.Row) {
+			name, kb := g.Axes[1].Labels[at[1]], bufs[at[0]]/1000
+			a.AddRow(name, kb, row[colMeanFCT], int(row[colCompleted]), int(row[colLaunched]))
+			b.AddRow(name, kb, row[colMeanRetx])
+		})
+		return []*metrics.Table{a, b}
+	},
 }
 
 // runBufferbloatCell runs the §4.2.3 scenario in one universe built from
@@ -81,19 +89,4 @@ func runBufferbloatCell(seed uint64, cfg netem.DumbbellConfig, queue func(*Dumbb
 	s.Run(horizon + 60*sim.Second)
 
 	return summaryRow(&s.World, schemeName, len(arrivals))
-}
-
-// Tables renders both panels.
-func (r *Fig10Result) Tables() []*metrics.Table {
-	a := metrics.NewTable("Fig.10a Mean short-flow FCT vs router buffer",
-		"scheme", "buffer_KB", "mean_fct_ms", "completed", "launched")
-	b := metrics.NewTable("Fig.10b Normal retransmissions vs router buffer",
-		"scheme", "buffer_KB", "mean_normal_retx")
-	bufs, schemes := bufferbloatBuffers(), bufferbloatSchemes()
-	for i, row := range r.Rows {
-		name, kb := schemes[i%len(schemes)], bufs[i/len(schemes)]/1000
-		a.AddRow(name, kb, row[colMeanFCT], int(row[colCompleted]), int(row[colLaunched]))
-		b.AddRow(name, kb, row[colMeanRetx])
-	}
-	return []*metrics.Table{a, b}
 }

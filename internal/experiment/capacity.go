@@ -1,9 +1,6 @@
 package experiment
 
 import (
-	"fmt"
-	"slices"
-
 	"halfback/internal/fleet"
 	"halfback/internal/metrics"
 	"halfback/internal/netem"
@@ -42,26 +39,17 @@ func capacityUtils() []float64 {
 	return out
 }
 
-// CapacitySweep holds a full FCT-vs-utilization sweep for a set of
-// schemes: one summary row per (scheme, utilization), scheme-major.
-// Figs. 12, 17 and the Fig. 1 tradeoff all derive from it.
-type CapacitySweep struct {
-	Schemes []string
-	Utils   []float64
-	Rows    []fleet.Row
-}
-
-// RunCapacitySweep measures every (scheme, utilization) cell; the cells
-// are independent universes and fan out across sc.Workers goroutines.
-func RunCapacitySweep(seed uint64, sc Scale, schemes []string) *CapacitySweep {
-	horizon := sc.horizon(capacityHorizon)
-	utils := capacityUtils()
-	rows := grid(sc, len(schemes), len(utils), func(si, ui int) string {
-		return fmt.Sprintf("capacity %s @%.0f%%", schemes[si], utils[ui]*100)
-	}, func(si, ui int) fleet.Row {
-		return runCapacityCell(seed, schemes[si], utils[ui], horizon)
-	})
-	return &CapacitySweep{Schemes: schemes, Utils: utils, Rows: rows}
+// capacityPlan is the FCT-vs-utilization sweep Figs. 1, 12 and 17 and the
+// extensions' capacity half are read from: one summary row per (scheme,
+// utilization), scheme-major.
+func capacityPlan(schemes []string) func(uint64, Scale) ([]Axis, func([]int) (fleet.Row, error)) {
+	return func(seed uint64, sc Scale) ([]Axis, func([]int) (fleet.Row, error)) {
+		horizon := sc.horizon(capacityHorizon)
+		utils := capacityUtils()
+		return []Axis{{"scheme", schemes}, {"util", labels(utils, pct)}}, func(at []int) (fleet.Row, error) {
+			return runCapacityCell(seed, schemes[at[0]], utils[at[1]], horizon), nil
+		}
+	}
 }
 
 func runCapacityCell(seed uint64, schemeName string, util float64, horizon sim.Duration) fleet.Row {
@@ -80,156 +68,94 @@ func runCapacityCell(seed uint64, schemeName string, util float64, horizon sim.D
 	return summaryRow(&s.World, "", len(arrivals))
 }
 
-// curve returns a scheme's rows in utilization order; nil for a scheme
-// the sweep did not run.
-func (cs *CapacitySweep) curve(schemeName string) []fleet.Row {
-	si := slices.Index(cs.Schemes, schemeName)
-	if si < 0 {
-		return nil
-	}
-	return cs.Rows[si*len(cs.Utils) : (si+1)*len(cs.Utils)]
-}
-
-// FeasibleCapacity extracts a scheme's feasible network utilization: the
-// highest swept utilization that the scheme reaches without collapsing
-// at it or any lower point (mean FCT within collapseFactor of its own
-// low-load value and ≥95 % of flows completing).
-func (cs *CapacitySweep) FeasibleCapacity(schemeName string) float64 {
-	var base float64
-	feasible := 0.0
-	for ui, p := range cs.curve(schemeName) {
-		if base == 0 {
-			base = p[colMeanFCT]
-			if base == 0 {
-				return 0
-			}
-		}
-		threshold := collapseFactor * base
-		if threshold < collapseFloor {
-			threshold = collapseFloor
-		}
-		if p[colCompletion] < collapseCompletion || p[colMeanFCT] > threshold {
-			break
-		}
-		feasible = cs.Utils[ui]
-	}
-	return feasible
-}
-
-// LowLoadFCT returns the scheme's mean FCT at the lowest swept
-// utilization — the "common case latency" axis of Fig. 1.
-func (cs *CapacitySweep) LowLoadFCT(schemeName string) float64 {
-	if c := cs.curve(schemeName); len(c) > 0 {
-		return c[0][colMeanFCT]
-	}
-	return 0
-}
-
-// MeanFCTAt returns the mean FCT at the given utilization, for tests.
-func (cs *CapacitySweep) MeanFCTAt(schemeName string, util float64) (float64, bool) {
-	for ui, p := range cs.curve(schemeName) {
-		if abs(cs.Utils[ui]-util) < 1e-9 {
-			return p[colMeanFCT], true
+// feasiblePoints counts the leading points of a scheme's FCT-vs-
+// utilization curve that do not collapse: mean FCT within
+// max(collapseFactor × the curve's low-load value, collapseFloor) and at
+// least collapseCompletion of the flows completing. Collapse is terminal:
+// a later point that recovers does not count.
+func feasiblePoints(curve []fleet.Row) int {
+	base := curve[0][colMeanFCT]
+	for i, p := range curve {
+		if base == 0 || p[colCompletion] < collapseCompletion || p[colMeanFCT] > max(collapseFactor*base, collapseFloor) {
+			return i
 		}
 	}
-	return 0, false
+	return len(curve)
 }
 
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
+// capacityCurves splits a scheme × utilization grid into one curve per
+// scheme, in utilization order.
+func capacityCurves(g *Grid) [][]fleet.Row {
+	out := make([][]fleet.Row, len(g.Axes[0].Labels))
+	g.Each(func(at []int, row fleet.Row) { out[at[0]] = append(out[at[0]], row) })
+	return out
 }
 
-func (cs *CapacitySweep) sweepTable(title string) *metrics.Table {
-	t := metrics.NewTable(title,
-		"scheme", "utilization_%", "mean_fct_ms", "p99_fct_ms", "completion", "mean_norm_retx")
-	for i, p := range cs.Rows {
-		t.AddRow(cs.Schemes[i/len(cs.Utils)], cs.Utils[i%len(cs.Utils)]*100,
-			p[colMeanFCT], p[colP99FCT], p[colCompletion], p[colMeanRetx])
+// feasibleTable renders each scheme's feasible capacity (the highest
+// swept utilization of its feasible points) and its FCT at the lowest
+// swept utilization — the two axes of Fig. 1.
+func feasibleTable(g *Grid, title, fctColumn string) *metrics.Table {
+	t := metrics.NewTable(title, "scheme", "feasible_capacity_%", fctColumn)
+	utils := capacityUtils()
+	for si, curve := range capacityCurves(g) {
+		feasible := 0.0
+		if n := feasiblePoints(curve); n > 0 {
+			feasible = utils[n-1]
+		}
+		t.AddRow(g.Axes[0].Labels[si], feasible*100, curve[0][colMeanFCT])
 	}
 	return t
 }
 
-func (cs *CapacitySweep) feasibleTable(title string, schemes []string) *metrics.Table {
-	t := metrics.NewTable(title, "scheme", "feasible_capacity_%", "low_load_fct_ms")
-	for _, name := range schemes {
-		t.AddRow(name, cs.FeasibleCapacity(name)*100, cs.LowLoadFCT(name))
+// capacityTables renders a capacity sweep: feasible capacities, then the
+// curves.
+func capacityTables(feasibleTitle, sweepTitle string) func(*Grid) []*metrics.Table {
+	return func(g *Grid) []*metrics.Table {
+		t := metrics.NewTable(sweepTitle,
+			"scheme", "utilization_%", "mean_fct_ms", "p99_fct_ms", "completion", "mean_norm_retx")
+		utils := capacityUtils()
+		g.Each(func(at []int, p fleet.Row) {
+			t.AddRow(g.Axes[0].Labels[at[0]], utils[at[1]]*100,
+				p[colMeanFCT], p[colP99FCT], p[colCompletion], p[colMeanRetx])
+		})
+		return []*metrics.Table{feasibleTable(g, feasibleTitle, "low_load_fct_ms"), t}
 	}
-	return t
 }
 
-// Fig12Result reproduces Fig. 12: all-short-flow FCT vs utilization,
-// with feasible capacity per scheme.
-type Fig12Result struct {
-	Sweep   *CapacitySweep
-	Schemes []string
-}
-
-// Fig12 runs the eight-scheme sweep.
-func Fig12(seed uint64, sc Scale) *Fig12Result {
-	schemes := []string{
+// paperSchemes are the eight curves of Figs. 11 and 12, and so the points
+// of Fig. 1.
+func paperSchemes() []string {
+	return []string{
 		scheme.PCP, scheme.Proactive, scheme.TCP, scheme.Reactive,
 		scheme.TCP10, scheme.TCPCache, scheme.JumpStart, scheme.Halfback,
 	}
-	return &Fig12Result{Sweep: RunCapacitySweep(seed, sc, schemes), Schemes: schemes}
 }
 
-// Tables renders the sweep and the extracted feasible capacities.
-func (r *Fig12Result) Tables() []*metrics.Table {
-	return []*metrics.Table{
-		r.Sweep.feasibleTable("Fig.12 feasible capacity (all-short-flow workload)", r.Schemes),
-		r.Sweep.sweepTable("Fig.12 FCT vs utilization (short flows only)"),
-	}
+// fig1 reproduces Fig. 1: the latency-vs-feasible-capacity tradeoff
+// scatter that frames the whole paper. Each scheme is one point: x =
+// feasible capacity from the Fig. 12 sweep, y = its common-case
+// (low-load) FCT.
+var fig1 = &Spec{ID: "1", Title: "Latency vs feasible-capacity tradeoff",
+	Plan: capacityPlan(paperSchemes()),
+	Tables: func(g *Grid) []*metrics.Table {
+		return []*metrics.Table{feasibleTable(g, "Fig.1 Latency vs feasible-capacity tradeoff", "common_case_fct_ms")}
+	},
 }
 
-// Fig17Result reproduces Fig. 17: the §5 ablation sweep isolating
-// ROPR's design decisions (direction, rate, bandwidth budget).
-type Fig17Result struct {
-	Sweep   *CapacitySweep
-	Schemes []string
+// fig12 reproduces Fig. 12: all-short-flow FCT vs utilization, with
+// feasible capacity per scheme.
+var fig12 = &Spec{ID: "12", Title: "Feasible capacity, all-short workload",
+	Plan:   capacityPlan(paperSchemes()),
+	Tables: capacityTables("Fig.12 feasible capacity (all-short-flow workload)", "Fig.12 FCT vs utilization (short flows only)"),
 }
 
-// Fig17 runs the ablation sweep.
-func Fig17(seed uint64, sc Scale) *Fig17Result {
-	schemes := []string{
+// fig17 reproduces Fig. 17: the §5 ablation sweep isolating ROPR's
+// design decisions (direction, rate, bandwidth budget).
+var fig17 = &Spec{ID: "17", Title: "ROPR design ablations",
+	Plan: capacityPlan([]string{
 		scheme.Proactive, scheme.TCP, scheme.TCP10,
 		scheme.HalfbackBurst, scheme.HalfbackForward,
 		scheme.JumpStart, scheme.Halfback,
-	}
-	return &Fig17Result{Sweep: RunCapacitySweep(seed, sc, schemes), Schemes: schemes}
-}
-
-// Tables renders the ablations.
-func (r *Fig17Result) Tables() []*metrics.Table {
-	return []*metrics.Table{
-		r.Sweep.feasibleTable("Fig.17 feasible capacity (ablations)", r.Schemes),
-		r.Sweep.sweepTable("Fig.17 FCT vs utilization (startup/recovery ablations)"),
-	}
-}
-
-// Fig1Result reproduces Fig. 1: the latency-vs-feasible-capacity
-// tradeoff scatter that frames the whole paper. Each scheme is one
-// point: x = feasible capacity from the Fig. 12 sweep, y = its
-// common-case (low-load) FCT.
-type Fig1Result struct {
-	Sweep   *CapacitySweep
-	Schemes []string
-}
-
-// Fig1 runs the underlying sweep.
-func Fig1(seed uint64, sc Scale) *Fig1Result {
-	f := Fig12(seed, sc)
-	return &Fig1Result{Sweep: f.Sweep, Schemes: f.Schemes}
-}
-
-// Tables renders the scatter.
-func (r *Fig1Result) Tables() []*metrics.Table {
-	t := metrics.NewTable("Fig.1 Latency vs feasible-capacity tradeoff",
-		"scheme", "feasible_capacity_%", "common_case_fct_ms")
-	for _, name := range r.Schemes {
-		t.AddRow(name, r.Sweep.FeasibleCapacity(name)*100, r.Sweep.LowLoadFCT(name))
-	}
-	return []*metrics.Table{t}
+	}),
+	Tables: capacityTables("Fig.17 feasible capacity (ablations)", "Fig.17 FCT vs utilization (startup/recovery ablations)"),
 }

@@ -1,10 +1,13 @@
 package experiment
 
 import (
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"halfback/internal/fleet"
+	"halfback/internal/metrics"
 	"halfback/internal/netem"
 	"halfback/internal/scheme"
 	"halfback/internal/sim"
@@ -116,37 +119,59 @@ func TestPathSimSequentialFetches(t *testing.T) {
 	}
 }
 
+// runExhibit runs the registry's exhibit id.
+func runExhibit(t *testing.T, id string, seed uint64, sc Scale) Result {
+	t.Helper()
+	e, err := Lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.Run(seed, sc)
+}
+
+// value reads column col of the first row of tab whose leading cells are
+// keys.
+func value(t *testing.T, tab *metrics.Table, col string, keys ...string) float64 {
+	t.Helper()
+	c := slices.Index(tab.Columns, col)
+	for i := 0; i < tab.NumRows(); i++ {
+		if row := tab.Row(i); slices.Equal(row[:len(keys)], keys) {
+			v, err := strconv.ParseFloat(row[c], 64)
+			if err != nil {
+				t.Fatalf("%s: row %v column %s: %v", tab.Title, keys, col, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("%s: no row %v", tab.Title, keys)
+	return 0
+}
+
 func TestFig2Structure(t *testing.T) {
-	res := Fig2(1, Scale{Trials: 0.05, Horizon: 1})
-	if len(res.Rows) != 27 { // 3 distributions × 9 sizes
-		t.Fatalf("rows %d", len(res.Rows))
+	tabs := runExhibit(t, "2", 1, Scale{Trials: 0.05, Horizon: 1}).Tables()
+	if len(tabs) != 1 || tabs[0].NumRows() != 27 { // 3 distributions × 9 sizes
+		t.Fatalf("fig2 shape: %d tables", len(tabs))
 	}
-	v, ok := res.TrafficBelow("Internet", 141<<10)
-	if !ok {
-		t.Fatal("missing Internet/141KB cell")
-	}
-	if v < 0.2 || v > 0.5 {
+	if v := value(t, tabs[0], "traffic_cdf", "Internet", strconv.Itoa(141<<10)); v < 0.2 || v > 0.5 {
 		t.Fatalf("Internet traffic below 141KB = %v", v)
 	}
 	// Monotonicity in size per distribution.
 	last := -1.0
-	for _, row := range res.Rows {
-		if row.Distribution != "Internet" {
+	for i := 0; i < tabs[0].NumRows(); i++ {
+		row := tabs[0].Row(i)
+		if row[0] != "Internet" {
 			continue
 		}
-		if row.TrafficCDF < last {
-			t.Fatal("traffic CDF must be monotone")
+		v, err := strconv.ParseFloat(row[2], 64)
+		if err != nil || v < last {
+			t.Fatalf("traffic CDF must be monotone: %v after %v (%v)", row[2], last, err)
 		}
-		last = row.TrafficCDF
-	}
-	if len(res.Tables()) == 0 || res.Tables()[0].NumRows() != 27 {
-		t.Fatal("table rendering")
+		last = v
 	}
 }
 
 func TestTable1Static(t *testing.T) {
-	res := Table1(1, Full)
-	tabs := res.Tables()
+	tabs := runExhibit(t, "table1", 1, Full).Tables()
 	if len(tabs) != 1 || tabs[0].NumRows() != 10 {
 		t.Fatalf("table1 shape: %d tables", len(tabs))
 	}
@@ -157,23 +182,19 @@ func TestFig15Shapes(t *testing.T) {
 	if len(res.Panels) != 4 {
 		t.Fatalf("panels %d", len(res.Panels))
 	}
-	opt, ok := res.Panel("Optimal")
-	if !ok {
-		t.Fatal("optimal panel missing")
+	tabs := res.Tables()
+	if len(tabs) != 2 {
+		t.Fatal("fig15 tables")
 	}
-	if opt.BackgroundDipMbps != 7.5 {
-		t.Fatalf("optimal dip %v", opt.BackgroundDipMbps)
+	if dip := value(t, tabs[0], "bg_dip_mbps", "Optimal"); dip != 7.5 {
+		t.Fatalf("optimal dip %v", dip)
 	}
-	hb, ok := res.Panel("Halfback")
-	if !ok {
-		t.Fatal("halfback panel missing")
-	}
-	if hb.ShortFCTms <= 0 {
+	hb, tcp1 := value(t, tabs[0], "short_fct_ms", "Halfback"), value(t, tabs[0], "short_fct_ms", "One TCP short flow")
+	if hb <= 0 {
 		t.Fatal("halfback short flow never finished")
 	}
-	tcp1, _ := res.Panel("One TCP short flow")
-	if !(hb.ShortFCTms < tcp1.ShortFCTms) {
-		t.Fatalf("Halfback short (%vms) should beat TCP short (%vms)", hb.ShortFCTms, tcp1.ShortFCTms)
+	if !(hb < tcp1) {
+		t.Fatalf("Halfback short (%vms) should beat TCP short (%vms)", hb, tcp1)
 	}
 	// The background must keep delivering in every panel.
 	for _, p := range res.Panels {
@@ -181,12 +202,9 @@ func TestFig15Shapes(t *testing.T) {
 			t.Fatalf("panel %s series", p.Name)
 		}
 	}
-	if len(res.Tables()) != 2 {
-		t.Fatal("fig15 tables")
-	}
 }
 
-// summary is a capacity row holding only what FeasibleCapacity reads.
+// summary is a capacity row holding only what feasiblePoints reads.
 func summary(meanFCT, completion float64) fleet.Row {
 	r := make(fleet.Row, colCompletion+1)
 	r[colMeanFCT], r[colCompletion] = meanFCT, completion
@@ -194,38 +212,21 @@ func summary(meanFCT, completion float64) fleet.Row {
 }
 
 func TestCapacitySweepExtraction(t *testing.T) {
-	cs := &CapacitySweep{Schemes: []string{"X"}, Utils: []float64{0.05, 0.10, 0.15, 0.20},
-		Rows: []fleet.Row{summary(100, 1), summary(150, 1), summary(2000, 1), summary(120, 1)}}
-	// Collapse at 0.15 (2000 > max(3×100, 1000)); feasible = 0.10 even
-	// though 0.20 recovered (collapse is terminal).
-	if got := cs.FeasibleCapacity("X"); got != 0.10 {
-		t.Fatalf("feasible %v", got)
+	g := &Grid{
+		Axes: []Axis{{"scheme", []string{"X"}}, {"util", []string{"5%", "10%", "15%", "20%"}}},
+		Rows: []fleet.Row{summary(100, 1), summary(150, 1), summary(2000, 1), summary(120, 1)},
 	}
-	if cs.LowLoadFCT("X") != 100 {
-		t.Fatal("low-load FCT")
-	}
-	if v, ok := cs.MeanFCTAt("X", 0.15); !ok || v != 2000 {
-		t.Fatal("MeanFCTAt")
-	}
-	if _, ok := cs.MeanFCTAt("X", 0.33); ok {
-		t.Fatal("missing point must report !ok")
+	// Collapse at 15% (2000 > max(3×100, 1000)); feasible = 10% even
+	// though 20% recovered (collapse is terminal). The low-load FCT is
+	// the 5% point's.
+	if got := feasibleTable(g, "", "low_load_fct_ms").Row(0); !slices.Equal(got, []string{"X", "10.0", "100.0"}) {
+		t.Fatalf("feasible capacity row %v", got)
 	}
 }
 
 func TestCapacityCompletionCollapse(t *testing.T) {
-	cs := &CapacitySweep{Schemes: []string{"Y"}, Utils: []float64{0.05, 0.10},
-		Rows: []fleet.Row{summary(100, 1), summary(110, 0.5)}}
-	if got := cs.FeasibleCapacity("Y"); got != 0.05 {
-		t.Fatalf("completion collapse: feasible %v", got)
-	}
-}
-
-func TestHashStringStable(t *testing.T) {
-	if hashString("abc") != hashString("abc") {
-		t.Fatal("hash must be stable")
-	}
-	if hashString("abc") == hashString("abd") {
-		t.Fatal("hash should distinguish close strings")
+	if got := feasiblePoints([]fleet.Row{summary(100, 1), summary(110, 0.5)}); got != 1 {
+		t.Fatalf("completion collapse: %d feasible points", got)
 	}
 }
 
@@ -255,29 +256,23 @@ func TestFig3Walkthrough(t *testing.T) {
 }
 
 func TestMultihopStructure(t *testing.T) {
-	res := Multihop(5, Scale{Trials: 1, Horizon: 0.15})
-	if len(res.Rows) != 12 {
-		t.Fatalf("rows %d", len(res.Rows))
+	g := runExhibit(t, "multihop", 5, Scale{Trials: 1, Horizon: 0.15}).(*Grid)
+	if len(g.Rows) != 12 {
+		t.Fatalf("rows %d", len(g.Rows))
 	}
-	hb, ok := res.Cell(scheme.Halfback, 0.30)
-	if !ok || hb[colCompleted] == 0 {
+	hb := g.At("30%", scheme.Halfback)
+	if hb == nil || hb[colCompleted] == 0 {
 		t.Fatalf("halfback cell broken: %v", hb)
 	}
-	tcp, _ := res.Cell(scheme.TCP, 0.30)
-	if !(hb[colMeanFCT] < tcp[colMeanFCT]) {
+	if tcp := g.At("30%", scheme.TCP); !(hb[colMeanFCT] < tcp[colMeanFCT]) {
 		t.Errorf("Halfback (%v) should beat TCP (%v) across the chain", hb[colMeanFCT], tcp[colMeanFCT])
 	}
 }
 
 func TestExtensionsStructure(t *testing.T) {
-	res := Extensions(9, Scale{Trials: 1, Horizon: 0.05})
-	if len(res.Schemes) != 5 {
-		t.Fatal("extension scheme set")
+	tabs := runExhibit(t, "ext", 9, Scale{Trials: 1, Horizon: 0.05}).Tables()
+	if len(tabs) != 3 || tabs[1].NumRows() != 5 {
+		t.Fatalf("tables: %d", len(tabs))
 	}
-	if _, ok := res.MeanAtSize(scheme.HalfbackIB10, 25<<10); !ok {
-		t.Fatal("missing IB10 small-size cell")
-	}
-	if len(res.Tables()) != 3 {
-		t.Fatal("tables")
-	}
+	value(t, tabs[0], "mean_fct_ms", scheme.HalfbackIB10, "25") // the IB10 small-size cell exists
 }

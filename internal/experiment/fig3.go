@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"strings"
+
 	"halfback/internal/metrics"
 	"halfback/internal/netem"
 	"halfback/internal/scheme"
@@ -65,16 +67,14 @@ func Fig3(seed uint64, sc Scale) *Fig3Result {
 	}
 
 	names := []string{scheme.Halfback, scheme.TCP}
-	cells := sweep(sc, len(names), func(i int) string {
-		return "fig3 scheme " + names[i]
-	}, func(i int) fig3Cell {
-		st, rec := runOne(names[i], i == 0)
+	cells, _ := runSweep(sc, "3", []Axis{{"scheme", names}}, false, func(at []int) (fig3Cell, error) {
+		st, rec := runOne(names[at[0]], at[0] == 0)
 		c := fig3Cell{Stats: st}
 		if rec != nil {
 			c.Seq = rec.Sequence()
 			c.Summary = rec.Summarize()
 		}
-		return c
+		return c, nil
 	})
 	return &Fig3Result{
 		HalfbackSeq:     cells[0].Seq,
@@ -103,23 +103,8 @@ func (r *Fig3Result) Tables() []*metrics.Table {
 // table writer can print it.
 func sequenceAsTable(s string) *metrics.Table {
 	t := metrics.NewTable("", "line")
-	for _, line := range splitLines(s) {
+	for _, line := range strings.Split(strings.TrimSuffix(s, "\n"), "\n") {
 		t.AddRow(line)
 	}
 	return t
-}
-
-func splitLines(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	if start < len(s) {
-		out = append(out, s[start:])
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"fmt"
 	"sort"
 
 	"halfback/internal/fleet"
@@ -29,31 +28,26 @@ func fig11SizeBuckets() []int {
 	}
 }
 
-// Fig11Result reproduces Fig. 11(a,b,c): one FCT-by-size row per
-// (distribution, scheme), distribution-major.
-type Fig11Result struct {
-	Rows []fleet.Row
-}
-
-// fig11Schemes mirrors the paper's eight curves.
-func fig11Schemes() []string {
-	return []string{
-		scheme.PCP, scheme.Proactive, scheme.TCP, scheme.Reactive,
-		scheme.TCP10, scheme.TCPCache, scheme.JumpStart, scheme.Halfback,
-	}
-}
-
-// Fig11 runs the experiment for all three distributions, one universe
-// per (distribution, scheme) cell.
-func Fig11(seed uint64, sc Scale) *Fig11Result {
-	horizon := sc.horizon(fig11Horizon)
-	dists := workload.EvaluatedDistributions()
-	schemes := fig11Schemes()
-	return &Fig11Result{Rows: grid(sc, len(dists), len(schemes), func(di, si int) string {
-		return fmt.Sprintf("fig11 %s %s", dists[di].Name(), schemes[si])
-	}, func(di, si int) fleet.Row {
-		return runFig11Cell(seed, dists[di], schemes[si], horizon)
-	})}
+// fig11 reproduces Fig. 11(a,b,c): one FCT-by-size row per
+// (distribution, scheme) universe.
+var fig11 = &Spec{ID: "11", Title: "FCT vs flow size (3 distributions)",
+	Plan: func(seed uint64, sc Scale) ([]Axis, func([]int) (fleet.Row, error)) {
+		horizon := sc.horizon(fig11Horizon)
+		dists := workload.EvaluatedDistributions()
+		schemes := paperSchemes()
+		return []Axis{{"distribution", labels(dists, (*workload.Empirical).Name)}, {"scheme", schemes}},
+			func(at []int) (fleet.Row, error) {
+				return runFig11Cell(seed, dists[at[0]], schemes[at[1]], horizon), nil
+			}
+	},
+	Tables: func(g *Grid) []*metrics.Table {
+		t := metrics.NewTable("Fig.11 FCT vs flow size at 25% utilization",
+			"distribution", "scheme", "size_KB", "mean_fct_ms", "n")
+		g.Each(func(at []int, row fleet.Row) {
+			addSizeRows(t, row, g.Axes[0].Labels[at[0]], g.Axes[1].Labels[at[1]])
+		})
+		return []*metrics.Table{t}
+	},
 }
 
 // runFig11Cell returns the cell's FCT-by-size row: for size bucket i,
@@ -102,25 +96,4 @@ func addSizeRows(t *metrics.Table, row fleet.Row, lead ...any) {
 			t.AddRow(append(lead, hi/1024, row[2*i], n)...)
 		}
 	}
-}
-
-// Tables renders the three panels.
-func (r *Fig11Result) Tables() []*metrics.Table {
-	t := metrics.NewTable("Fig.11 FCT vs flow size at 25% utilization",
-		"distribution", "scheme", "size_KB", "mean_fct_ms", "n")
-	dists, schemes := workload.EvaluatedDistributions(), fig11Schemes()
-	for i, row := range r.Rows {
-		addSizeRows(t, row, dists[i/len(schemes)].Name(), schemes[i%len(schemes)])
-	}
-	return []*metrics.Table{t}
-}
-
-// hashString gives stable per-cell seed salt.
-func hashString(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"halfback/internal/fleet"
-	"halfback/internal/metrics"
 	"halfback/internal/netem"
 	"halfback/internal/scheme"
 )
@@ -35,9 +34,8 @@ func skipHeadline(t *testing.T) {
 
 func TestHeadlinePlanetLabOrdering(t *testing.T) {
 	skipHeadline(t)
-	d := RunPlanetLab(11, headlineScale)
-	fcts := d.FCTms()
-	mean := func(name string) float64 { return metrics.Summarize(fcts[name]).Mean }
+	head := runExhibit(t, "6", 11, headlineScale).Tables()[3]
+	mean := func(name string) float64 { return value(t, head, "mean_fct_ms", name) }
 
 	hb, js := mean(scheme.Halfback), mean(scheme.JumpStart)
 	t10, tcp := mean(scheme.TCP10), mean(scheme.TCP)
@@ -63,16 +61,15 @@ func TestHeadlinePlanetLabOrdering(t *testing.T) {
 	}
 
 	// ~25% of trials see loss (paper: 25%); accept a broad band.
-	loss := d.LossFraction(scheme.Halfback)
+	loss := value(t, runExhibit(t, "8", 11, headlineScale).Tables()[3], "fraction_trials_with_loss", scheme.Halfback)
 	if loss < 0.10 || loss > 0.45 {
 		t.Errorf("loss exposure %v, want ≈0.25", loss)
 	}
 
 	// Fig. 7: the paced schemes deliver most flows in a few RTTs while
 	// TCP needs several.
-	rtts := d.RTTCounts()
-	hbMed := metrics.Summarize(rtts[scheme.Halfback]).Median()
-	tcpMed := metrics.Summarize(rtts[scheme.TCP]).Median()
+	rtts := runExhibit(t, "7", 11, headlineScale).Tables()[0]
+	hbMed, tcpMed := value(t, rtts, "p50", scheme.Halfback), value(t, rtts, "p50", scheme.TCP)
 	// Low-bandwidth paths pay serialization time worth several RTTs on
 	// a 100 KB transfer, so the population median sits above the
 	// 2.5-RTT fast-path floor.
@@ -86,10 +83,8 @@ func TestHeadlinePlanetLabOrdering(t *testing.T) {
 
 func TestHeadlineLossySubsetAdvantage(t *testing.T) {
 	skipHeadline(t)
-	d := RunPlanetLab(13, headlineScale)
-	lossy := d.LossyFCTms()
-	hb := metrics.Summarize(lossy[scheme.Halfback]).Median()
-	js := metrics.Summarize(lossy[scheme.JumpStart]).Median()
+	med := runExhibit(t, "8", 13, headlineScale).Tables()[4]
+	hb, js := value(t, med, "p50_fct_ms", scheme.Halfback), value(t, med, "p50_fct_ms", scheme.JumpStart)
 	t.Logf("lossy medians: HB=%.0f JS=%.0f", hb, js)
 	// Fig. 8: Halfback's lossy-case median is clearly below JumpStart's
 	// (paper: 21% lower).
@@ -100,10 +95,11 @@ func TestHeadlineLossySubsetAdvantage(t *testing.T) {
 
 func TestHeadlineFeasibleCapacityOrdering(t *testing.T) {
 	skipHeadline(t)
-	sweep := RunCapacitySweep(17, Scale{Trials: 1, Horizon: 0.35}, []string{
+	sweep := &Spec{ID: "capacity", Plan: capacityPlan([]string{
 		scheme.TCP, scheme.JumpStart, scheme.Halfback, scheme.Proactive, scheme.HalfbackForward,
-	})
-	fc := func(name string) float64 { return sweep.FeasibleCapacity(name) }
+	})}
+	feasible := feasibleTable(sweep.Run(17, Scale{Trials: 1, Horizon: 0.35}), "", "low_load_fct_ms")
+	fc := func(name string) float64 { return value(t, feasible, "feasible_capacity_%", name) / 100 }
 	tcp, js, hb := fc(scheme.TCP), fc(scheme.JumpStart), fc(scheme.Halfback)
 	pro, fwd := fc(scheme.Proactive), fc(scheme.HalfbackForward)
 	t.Logf("feasible: TCP=%.0f%% JS=%.0f%% HB=%.0f%% PRO=%.0f%% FWD=%.0f%%",
@@ -156,17 +152,13 @@ func TestHeadlineBufferbloat(t *testing.T) {
 
 func TestHeadlineFriendliness(t *testing.T) {
 	skipHeadline(t)
-	res := Fig14(23, Scale{Trials: 1, Horizon: 0.5})
+	scatter := runExhibit(t, "14", 23, Scale{Trials: 1, Horizon: 0.5}).Tables()[0]
 	// §4.3.3: Halfback, TCP-10 and Reactive sit near (1,1); their
 	// presence does not slow co-existing TCP flows much.
 	for _, name := range []string{scheme.Halfback, scheme.TCP10, scheme.Reactive} {
-		for _, util := range []float64{0.10, 0.20, 0.30} {
-			pt, ok := res.At(name, util)
-			if !ok {
-				t.Fatalf("missing point %s@%v", name, util)
-			}
-			if pt.TCPRatio > 1.35 {
-				t.Errorf("%s@%.0f%%: TCP slowed by %vx — not friendly", name, util*100, pt.TCPRatio)
+		for _, util := range []string{"10.0", "20.0", "30.0"} {
+			if x := value(t, scatter, "tcp_fct_ratio_x", name, util); x > 1.35 {
+				t.Errorf("%s@%s%%: TCP slowed by %vx — not friendly", name, util, x)
 			}
 		}
 	}
@@ -174,49 +166,45 @@ func TestHeadlineFriendliness(t *testing.T) {
 
 func TestHeadlineShortVsLong(t *testing.T) {
 	skipHeadline(t)
-	res := Fig13(29, Scale{Trials: 1, Horizon: 0.4})
+	tabs := runExhibit(t, "13", 29, Scale{Trials: 1, Horizon: 0.4}).Tables()
+	normalized := func(panel int, name string) float64 { return value(t, tabs[panel], "normalized_fct", name, "50.0") }
 	// §4.3.2 at 50% utilization: Halfback cuts short-flow FCT roughly
 	// in half vs the all-TCP baseline while barely touching the long
 	// flows (paper: −56% short, +3% long).
-	pt, ok := res.At(scheme.Halfback, 0.50)
-	if !ok {
-		t.Fatal("missing Halfback@50%")
+	short, long := normalized(0, scheme.Halfback), normalized(1, scheme.Halfback)
+	t.Logf("Halfback@50%%: short=%.2fx long=%.2fx", short, long)
+	if short > 0.75 {
+		t.Errorf("short-flow speedup too small: %vx", short)
 	}
-	t.Logf("Halfback@50%%: short=%.2fx long=%.2fx", pt.ShortNormalized, pt.LongNormalized)
-	if pt.ShortNormalized > 0.75 {
-		t.Errorf("short-flow speedup too small: %vx", pt.ShortNormalized)
-	}
-	if pt.LongNormalized > 1.30 {
-		t.Errorf("long flows slowed by %vx — should be mild", pt.LongNormalized)
+	if long > 1.30 {
+		t.Errorf("long flows slowed by %vx — should be mild", long)
 	}
 	// Proactive must hurt long flows more than Halfback does.
-	pro, ok := res.At(scheme.Proactive, 0.50)
-	if ok && pro.LongNormalized < pt.LongNormalized-0.25 {
-		t.Errorf("Proactive long impact (%v) implausibly below Halfback's (%v)",
-			pro.LongNormalized, pt.LongNormalized)
+	if pro := normalized(1, scheme.Proactive); pro < long-0.25 {
+		t.Errorf("Proactive long impact (%v) implausibly below Halfback's (%v)", pro, long)
 	}
 }
 
 func TestHeadlineWebResponse(t *testing.T) {
 	skipHeadline(t)
-	res := Fig16(31, Scale{Trials: 1, Horizon: 0.4})
+	g := runExhibit(t, "16", 31, Scale{Trials: 1, Horizon: 0.4}).(*Grid)
 	// §4.4 at low utilization: Halfback at or near the front; TCP
 	// clearly behind it.
-	response := func(name string, util float64) float64 {
-		row, ok := res.At(name, util)
-		if !ok {
+	response := func(name, util string) float64 {
+		row := g.At(util, name)
+		if row == nil {
 			t.Fatalf("missing cell %s@%v", name, util)
 		}
 		return row[colMeanResponse]
 	}
-	hb, tcp, js := response(scheme.Halfback, 0.20), response(scheme.TCP, 0.20), response(scheme.JumpStart, 0.20)
+	hb, tcp, js := response(scheme.Halfback, "20%"), response(scheme.TCP, "20%"), response(scheme.JumpStart, "20%")
 	t.Logf("20%% util: HB=%.2fs JS=%.2fs TCP=%.2fs", hb, js, tcp)
 	if !(hb < tcp) {
 		t.Errorf("Halfback (%v) should beat TCP (%v) at low load", hb, tcp)
 	}
 	// §4.4's surprise: by 50–60% utilization JumpStart is clearly worse
 	// than TCP at the application level.
-	js60, tcp60 := response(scheme.JumpStart, 0.60), response(scheme.TCP, 0.60)
+	js60, tcp60 := response(scheme.JumpStart, "60%"), response(scheme.TCP, "60%")
 	t.Logf("60%% util: JS=%.2fs TCP=%.2fs", js60, tcp60)
 	if !(js60 > tcp60) {
 		t.Errorf("JumpStart (%v) should collapse below TCP (%v) at 60%%", js60, tcp60)
@@ -225,10 +213,10 @@ func TestHeadlineWebResponse(t *testing.T) {
 
 func TestHeadlineAQMComplementarity(t *testing.T) {
 	skipHeadline(t)
-	res := AQM(3, Scale{Trials: 1, Horizon: 0.3})
+	g := runExhibit(t, "aqm", 3, Scale{Trials: 1, Horizon: 0.3}).(*Grid)
 	get := func(s, d string) float64 {
-		row, ok := res.Cell(s, d)
-		if !ok {
+		row := g.At(d, s)
+		if row == nil {
 			t.Fatalf("missing cell %s/%s", s, d)
 		}
 		return row[colMeanFCT]

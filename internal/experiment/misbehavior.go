@@ -11,24 +11,9 @@ import (
 	"halfback/internal/transport"
 )
 
-// Misbehavior is the Byzantine-receiver exhibit: every paper scheme
-// faces every attacker preset from the adversarial suite, once under
-// each ACK-validation policy. The hardened tables show the bounded-
-// waste guarantee in action — flows terminate, waste stays within the
-// documented amplification bound, and lying peers are flagged and
-// named — while the trusting (validation-off) table shows what the
-// validator exists to prevent: optimistic ACKing fooling a sender into
-// declaring a flow complete that the receiver never held.
-//
-// This extends the paper's "quickly and safely" claim from hostile
-// networks (the adversity exhibit) to hostile endpoints: aggressive
-// short-flow schemes are only admissible if a peer that lies about
-// receipt cannot turn their aggression into unbounded waste or false
-// completion.
-
-// MisbehaviorFlowBytes exceeds one flow-control window so a starved
+// misbehaviorFlowBytes exceeds one flow-control window so a starved
 // sender genuinely stalls (see ptest.RunAttack).
-const MisbehaviorFlowBytes = 200_000
+const misbehaviorFlowBytes = 200_000
 
 // Columns of a misbehavior row: the ptest.AttackResult fields the
 // tables, Outcome and Amplification read.
@@ -44,14 +29,6 @@ const (
 	mbFirstClass
 )
 
-// MisbehaviorResult is the exhibit's dataset: one row per (attack,
-// scheme, policy), attack-major.
-type MisbehaviorResult struct {
-	Attacks []string
-	Schemes []string
-	Cells   []fleet.Row
-}
-
 func misbehaviorModes() []transport.AckValidationMode {
 	return []transport.AckValidationMode{
 		transport.AckValidationClamp,
@@ -60,25 +37,56 @@ func misbehaviorModes() []transport.AckValidationMode {
 	}
 }
 
-// Misbehavior runs the exhibit: attacks × schemes × policies, fanned
-// across workers like every other sweep. Each cell is a single
-// deterministic universe, so the exhibit needs no trial scaling.
-func Misbehavior(seed uint64, sc Scale) *MisbehaviorResult {
-	attacks := ptest.AttackerNames()
-	schemes := scheme.Evaluated()
-	modes := misbehaviorModes()
-	res := &MisbehaviorResult{Attacks: attacks, Schemes: schemes}
-	nm := len(modes)
-	res.Cells = sweep(sc, len(attacks)*len(schemes)*nm, func(i int) string {
-		c := i / nm
-		return fmt.Sprintf("misbehavior %s scheme %s mode %v",
-			attacks[c/len(schemes)], schemes[c%len(schemes)], modes[i%nm])
-	}, func(i int) fleet.Row {
-		c := i / nm
-		return attackRow(ptest.RunAttack(sim.ChildSeed(seed^0xbadacce5, uint64(i)),
-			schemes[c%len(schemes)], attacks[c/len(schemes)], MisbehaviorFlowBytes, modes[i%nm]))
-	})
-	return res
+// misbehavior is the Byzantine-receiver exhibit: every paper scheme
+// faces every attacker preset from the adversarial suite, once under
+// each ACK-validation policy. The hardened tables show the bounded-
+// waste guarantee in action — flows terminate, waste stays within the
+// documented amplification bound, and lying peers are flagged and
+// named — while the trusting (validation-off) table shows what the
+// validator exists to prevent: optimistic ACKing fooling a sender into
+// declaring a flow complete that the receiver never held.
+//
+// This extends the paper's "quickly and safely" claim from hostile
+// networks (the adversity exhibit) to hostile endpoints: aggressive
+// short-flow schemes are only admissible if a peer that lies about
+// receipt cannot turn their aggression into unbounded waste or false
+// completion.
+//
+// Each (attack, scheme, policy) cell is a single deterministic universe,
+// so the exhibit needs no trial scaling.
+var misbehavior = &Spec{ID: "misbehavior", Title: "Safety under misbehaving endpoints (Byzantine receivers)",
+	Plan: func(seed uint64, _ Scale) ([]Axis, func([]int) (fleet.Row, error)) {
+		attacks := ptest.AttackerNames()
+		schemes := scheme.Evaluated()
+		modes := misbehaviorModes()
+		return []Axis{{"attack", attacks}, {"scheme", schemes}, {"policy", labels(modes, transport.AckValidationMode.String)}},
+			func(at []int) (fleet.Row, error) {
+				i := (at[0]*len(schemes)+at[1])*len(modes) + at[2] // the cell's row-major index
+				return attackRow(ptest.RunAttack(sim.ChildSeed(seed^0xbadacce5, uint64(i)),
+					schemes[at[1]], attacks[at[0]], misbehaviorFlowBytes, modes[at[2]])), nil
+			}
+	},
+	Tables: func(g *Grid) []*metrics.Table {
+		hardened := metrics.NewTable("Misbehaving endpoints: hardened sender (ACK validation on)",
+			"attack", "scheme", "policy", "outcome", "amplification", "pkts_sent", "flagged", "first_class")
+		trusting := metrics.NewTable("Misbehaving endpoints: trusting sender (validation off)",
+			"attack", "scheme", "outcome", "amplification", "delivered_segs", "total_segs")
+		modes := misbehaviorModes()
+		g.Each(func(at []int, c fleet.Row) {
+			attack, name, mode := g.Axes[0].Labels[at[0]], g.Axes[1].Labels[at[1]], modes[at[2]]
+			res := rowAttack(c)
+			if mode == transport.AckValidationOff {
+				trusting.AddRow(attack, name, res.Outcome(),
+					fmt.Sprintf("%.2f", res.Amplification()),
+					res.Distinct, res.NumSegs)
+			} else {
+				hardened.AddRow(attack, name, mode.String(), res.Outcome(),
+					fmt.Sprintf("%.2f", res.Amplification()),
+					res.DataPktsSent, res.Flagged, res.FirstClass.String())
+			}
+		})
+		return []*metrics.Table{hardened, trusting}
+	},
 }
 
 // attackRow keeps what the tables read of one attack run.
@@ -96,28 +104,4 @@ func rowAttack(c fleet.Row) *ptest.AttackResult {
 		AbortReason: transport.AbortReason(c[mbAbortReason]), Flagged: int64(c[mbFlagged]),
 		FirstClass: transport.PeerMisbehavior(c[mbFirstClass]),
 	}
-}
-
-// Tables renders the exhibit.
-func (r *MisbehaviorResult) Tables() []*metrics.Table {
-	hardened := metrics.NewTable("Misbehaving endpoints: hardened sender (ACK validation on)",
-		"attack", "scheme", "policy", "outcome", "amplification", "pkts_sent", "flagged", "first_class")
-	trusting := metrics.NewTable("Misbehaving endpoints: trusting sender (validation off)",
-		"attack", "scheme", "outcome", "amplification", "delivered_segs", "total_segs")
-	modes := misbehaviorModes()
-	nm := len(modes)
-	for i, c := range r.Cells {
-		attack, name, mode := r.Attacks[i/nm/len(r.Schemes)], r.Schemes[i/nm%len(r.Schemes)], modes[i%nm]
-		res := rowAttack(c)
-		if mode == transport.AckValidationOff {
-			trusting.AddRow(attack, name, res.Outcome(),
-				fmt.Sprintf("%.2f", res.Amplification()),
-				res.Distinct, res.NumSegs)
-		} else {
-			hardened.AddRow(attack, name, mode.String(), res.Outcome(),
-				fmt.Sprintf("%.2f", res.Amplification()),
-				res.DataPktsSent, res.Flagged, res.FirstClass.String())
-		}
-	}
-	return []*metrics.Table{hardened, trusting}
 }

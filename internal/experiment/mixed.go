@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"fmt"
-
 	"halfback/internal/fleet"
 	"halfback/internal/metrics"
 	"halfback/internal/netem"
@@ -43,23 +41,6 @@ func fig13Schemes() []string {
 	}
 }
 
-// Fig13Point is one (scheme, utilization) pair of normalized FCTs.
-type Fig13Point struct {
-	Scheme          string
-	Utilization     float64
-	ShortNormalized float64 // mean short FCT / baseline mean short FCT
-	LongNormalized  float64 // mean long FCT / baseline mean long FCT
-	ShortMeanMs     float64
-	LongMeanMs      float64
-}
-
-// Fig13Result reproduces Fig. 13(a) and (b). Cells holds, per
-// utilization, the all-TCP baseline cell and then one cell per scheme,
-// each a (short, long) row of mean FCTs in ms.
-type Fig13Result struct {
-	Cells []fleet.Row
-}
-
 // fig13Schedule is the shared arrival schedule for one utilization.
 type fig13Schedule struct {
 	shorts []workload.Arrival
@@ -97,80 +78,55 @@ func runFig13Cell(seed uint64, schemeName string, sched fig13Schedule, horizon s
 	return fleet.Row{meanFCTms(s.Finished, shortInst.Name), meanFCTms(s.Finished, "long-TCP")}
 }
 
-// Fig13 runs the sweep. The TCP cell doubles as the normalization
-// baseline for each utilization; it is just another independent
-// universe, so baselines and scheme cells all fan out together and the
-// normalization happens when the points are read.
-func Fig13(seed uint64, sc Scale) *Fig13Result {
-	horizon := sc.horizon(fig13Horizon)
-	longBytes := int(float64(fig13LongBytes) * sc.Horizon)
-	if longBytes < 2_000_000 {
-		longBytes = 2_000_000
-	}
-	utils := fig13Utils()
-	schemes := fig13Schemes()
-	schedules := make([]fig13Schedule, len(utils))
-	for i, util := range utils {
-		schedules[i] = makeFig13Schedule(seed^uint64(util*10007), util, horizon, longBytes)
-	}
-
-	// Column 0 is the all-TCP baseline; column 1+i is schemes[i].
-	cellScheme := func(ci int) string {
-		if ci == 0 {
-			return scheme.TCP
+// fig13 reproduces Fig. 13(a) and (b). Per utilization, the all-TCP
+// baseline cell comes first, then one cell per scheme, each a (short,
+// long) row of mean FCTs in ms. The baseline is just another independent
+// universe on the shared arrival schedule, so baselines and scheme cells
+// all fan out together and the normalization happens when the tables
+// render.
+var fig13 = &Spec{ID: "13", Title: "Short aggressive vs long TCP",
+	Plan: func(seed uint64, sc Scale) ([]Axis, func([]int) (fleet.Row, error)) {
+		horizon := sc.horizon(fig13Horizon)
+		longBytes := int(float64(fig13LongBytes) * sc.Horizon)
+		if longBytes < 2_000_000 {
+			longBytes = 2_000_000
 		}
-		return schemes[ci-1]
-	}
-	return &Fig13Result{Cells: grid(sc, len(utils), 1+len(schemes), func(ui, ci int) string {
-		return fmt.Sprintf("fig13 %s @%.0f%%", cellScheme(ci), utils[ui]*100)
-	}, func(ui, ci int) fleet.Row {
-		return runFig13Cell(seed, cellScheme(ci), schedules[ui], horizon)
-	})}
-}
-
-// points normalizes every scheme cell by its utilization's baseline.
-func (r *Fig13Result) points() []Fig13Point {
-	schemes := fig13Schemes()
-	cols := 1 + len(schemes)
-	var out []Fig13Point
-	for ui, util := range fig13Utils() {
-		base := r.Cells[ui*cols]
-		for i, name := range schemes {
-			c := r.Cells[ui*cols+1+i]
-			pt := Fig13Point{Scheme: name, Utilization: util, ShortMeanMs: c[0], LongMeanMs: c[1]}
-			if base[0] > 0 {
-				pt.ShortNormalized = c[0] / base[0]
+		utils := fig13Utils()
+		schedules := make([]fig13Schedule, len(utils))
+		for i, util := range utils {
+			schedules[i] = makeFig13Schedule(seed^uint64(util*10007), util, horizon, longBytes)
+		}
+		shorts := append([]string{scheme.TCP}, fig13Schemes()...)
+		return []Axis{{"util", labels(utils, pct)}, {"short", shorts}}, func(at []int) (fleet.Row, error) {
+			return runFig13Cell(seed, shorts[at[1]], schedules[at[0]], horizon), nil
+		}
+	},
+	Tables: func(g *Grid) []*metrics.Table {
+		a := metrics.NewTable("Fig.13a Short-flow FCT normalized to all-TCP baseline",
+			"scheme", "utilization_%", "normalized_fct", "mean_fct_ms")
+		b := metrics.NewTable("Fig.13b Long-flow FCT normalized to all-TCP baseline",
+			"scheme", "utilization_%", "normalized_fct", "mean_fct_ms")
+		utils := fig13Utils()
+		var base fleet.Row
+		g.Each(func(at []int, c fleet.Row) {
+			if at[1] == 0 {
+				base = c // the utilization's baseline precedes its scheme cells
+				return
 			}
-			if base[1] > 0 {
-				pt.LongNormalized = c[1] / base[1]
-			}
-			out = append(out, pt)
-		}
-	}
-	return out
+			name, util := g.Axes[1].Labels[at[1]], utils[at[0]]*100
+			a.AddRow(name, util, ratio(c[0], base[0]), c[0])
+			b.AddRow(name, util, ratio(c[1], base[1]), c[1])
+		})
+		return []*metrics.Table{a, b}
+	},
 }
 
-// At returns the point for (scheme, util), for tests.
-func (r *Fig13Result) At(schemeName string, util float64) (Fig13Point, bool) {
-	for _, p := range r.points() {
-		if p.Scheme == schemeName && abs(p.Utilization-util) < 1e-9 {
-			return p, true
-		}
+// ratio is x over a reference value, or 0 without one.
+func ratio(x, ref float64) float64 {
+	if ref > 0 {
+		return x / ref
 	}
-	return Fig13Point{}, false
-}
-
-// Tables renders both panels.
-func (r *Fig13Result) Tables() []*metrics.Table {
-	a := metrics.NewTable("Fig.13a Short-flow FCT normalized to all-TCP baseline",
-		"scheme", "utilization_%", "normalized_fct", "mean_fct_ms")
-	b := metrics.NewTable("Fig.13b Long-flow FCT normalized to all-TCP baseline",
-		"scheme", "utilization_%", "normalized_fct", "mean_fct_ms")
-	for _, p := range r.points() {
-		a.AddRow(p.Scheme, p.Utilization*100, p.ShortNormalized, p.ShortMeanMs)
-		b.AddRow(p.Scheme, p.Utilization*100, p.LongNormalized, p.LongMeanMs)
-	}
-	return []*metrics.Table{a, b}
+	return 0
 }
 
 // Fig. 14 (§4.3.3): TCP-friendliness. Half the flows run the non-TCP
@@ -185,89 +141,60 @@ func fig14Schemes() []string {
 	}
 }
 
-// Fig14Point is one scatter point.
-type Fig14Point struct {
-	Scheme      string
-	Utilization float64
-	// TCPRatio is mixed-TCP FCT over all-TCP FCT (x axis).
-	TCPRatio float64
-	// SchemeRatio is mixed-scheme FCT over all-scheme FCT (y axis).
-	SchemeRatio float64
-	// Jain is Jain's fairness index over every mixed-run flow's
-	// 1/FCT (a rate proxy): 1 means the two populations' flows fared
-	// identically.
-	Jain float64
-}
-
-// Fig14Result reproduces the friendliness scatter. Cells holds, per
-// utilization, the homogeneous TCP reference and then a (homogeneous,
-// mixed) pair per scheme: a homogeneous cell's row is its mean FCT (ms),
-// a mixed one's is runFig14Mixed's.
-type Fig14Result struct {
-	Cells []fleet.Row
-}
-
 const fig14Horizon = 120 * sim.Second
 
-// Fig14 runs the experiment. Every reference and mixed deployment is an
-// independent universe over a shared per-utilization arrival schedule,
-// so the whole matrix fans out at once: column 0 is the homogeneous TCP
-// reference, then (homogeneous, mixed) pairs per scheme.
-func Fig14(seed uint64, sc Scale) *Fig14Result {
-	horizon := sc.horizon(fig14Horizon)
-	utils := fig14Utils()
-	schemes := fig14Schemes()
-	arrivals := make([][]workload.Arrival, len(utils))
-	for i, util := range utils {
-		arrivals[i] = workload.PoissonArrivalsCached(
-			sim.NewRand(seed^uint64(util*1e4)).ForkNamed("fig14"),
-			workload.Fixed{Bytes: PlanetLabFlowBytes},
-			workload.MeanInterarrivalFor(float64(PlanetLabFlowBytes), util, 15*netem.Mbps),
-			horizon)
-	}
-
-	return &Fig14Result{Cells: grid(sc, len(utils), 1+2*len(schemes), func(ui, ci int) string {
-		switch {
-		case ci == 0:
-			return fmt.Sprintf("fig14 all-TCP @%.0f%%", utils[ui]*100)
-		case ci%2 == 1:
-			return fmt.Sprintf("fig14 all-%s @%.0f%%", schemes[ci/2], utils[ui]*100)
-		default:
-			return fmt.Sprintf("fig14 mixed-%s @%.0f%%", schemes[ci/2-1], utils[ui]*100)
+// fig14 reproduces the friendliness scatter. Every reference and mixed
+// deployment is an independent universe over a shared per-utilization
+// arrival schedule, so the whole matrix fans out at once: per
+// utilization, the homogeneous TCP reference, then a (homogeneous,
+// mixed) pair per scheme. A homogeneous cell's row is its mean FCT (ms),
+// a mixed one's is runFig14Mixed's.
+var fig14 = &Spec{ID: "14", Title: "TCP-friendliness scatter",
+	Plan: func(seed uint64, sc Scale) ([]Axis, func([]int) (fleet.Row, error)) {
+		horizon := sc.horizon(fig14Horizon)
+		utils := fig14Utils()
+		arrivals := make([][]workload.Arrival, len(utils))
+		for i, util := range utils {
+			arrivals[i] = workload.PoissonArrivalsCached(
+				sim.NewRand(seed^uint64(util*1e4)).ForkNamed("fig14"),
+				workload.Fixed{Bytes: PlanetLabFlowBytes},
+				workload.MeanInterarrivalFor(float64(PlanetLabFlowBytes), util, 15*netem.Mbps),
+				horizon)
 		}
-	}, func(ui, ci int) fleet.Row {
-		switch {
-		case ci == 0:
-			return fleet.Row{runFig14Homogeneous(seed, scheme.TCP, arrivals[ui], horizon)}
-		case ci%2 == 1:
-			return fleet.Row{runFig14Homogeneous(seed, schemes[ci/2], arrivals[ui], horizon)}
-		default:
-			return runFig14Mixed(seed, schemes[ci/2-1], arrivals[ui], horizon)
+		names, deployments := []string{scheme.TCP}, []string{"all-TCP"}
+		for _, name := range fig14Schemes() {
+			names = append(names, name, name)
+			deployments = append(deployments, "all-"+name, "mixed-"+name)
 		}
-	})}
-}
-
-// points compares every mixed cell with its homogeneous references.
-func (r *Fig14Result) points() []Fig14Point {
-	schemes := fig14Schemes()
-	cols := 1 + 2*len(schemes)
-	var out []Fig14Point
-	for ui, util := range fig14Utils() {
-		allTCP := r.Cells[ui*cols][0]
-		for i, name := range schemes {
-			allScheme := r.Cells[ui*cols+1+2*i][0]
-			mixed := r.Cells[ui*cols+2+2*i]
-			pt := Fig14Point{Scheme: name, Utilization: util, Jain: mixed[2]}
-			if allTCP > 0 {
-				pt.TCPRatio = mixed[0] / allTCP
+		return []Axis{{"util", labels(utils, pct)}, {"deployment", deployments}}, func(at []int) (fleet.Row, error) {
+			if at[1]%2 == 0 && at[1] > 0 {
+				return runFig14Mixed(seed, names[at[1]], arrivals[at[0]], horizon), nil
 			}
-			if allScheme > 0 {
-				pt.SchemeRatio = mixed[1] / allScheme
-			}
-			out = append(out, pt)
+			return fleet.Row{runFig14Homogeneous(seed, names[at[1]], arrivals[at[0]], horizon)}, nil
 		}
-	}
-	return out
+	},
+	// Each point compares a mixed cell with its homogeneous references:
+	// x = mixed-TCP FCT over all-TCP FCT, y = mixed-scheme FCT over
+	// all-scheme FCT, and Jain's fairness index over every mixed-run
+	// flow's 1/FCT (a rate proxy: 1 means the two populations' flows
+	// fared identically).
+	Tables: func(g *Grid) []*metrics.Table {
+		t := metrics.NewTable("Fig.14 TCP-friendliness scatter",
+			"scheme", "utilization_%", "tcp_fct_ratio_x", "scheme_fct_ratio_y", "jain_index")
+		utils, schemes := fig14Utils(), fig14Schemes()
+		var allTCP, allScheme float64
+		g.Each(func(at []int, c fleet.Row) {
+			switch ci := at[1]; {
+			case ci == 0:
+				allTCP = c[0]
+			case ci%2 == 1:
+				allScheme = c[0]
+			default:
+				t.AddRow(schemes[ci/2-1], utils[at[0]]*100, ratio(c[0], allTCP), ratio(c[1], allScheme), c[2])
+			}
+		})
+		return []*metrics.Table{t}
+	},
 }
 
 func runFig14Homogeneous(seed uint64, schemeName string, arrivals []workload.Arrival, horizon sim.Duration) float64 {
@@ -304,24 +231,4 @@ func runFig14Mixed(seed uint64, schemeName string, arrivals []workload.Arrival, 
 	}
 	return fleet.Row{meanFCTms(s.Finished, "mixed-TCP"), meanFCTms(s.Finished, inst.Name),
 		metrics.JainIndex(rates)}
-}
-
-// At returns the point for (scheme, util), for tests.
-func (r *Fig14Result) At(schemeName string, util float64) (Fig14Point, bool) {
-	for _, p := range r.points() {
-		if p.Scheme == schemeName && abs(p.Utilization-util) < 1e-9 {
-			return p, true
-		}
-	}
-	return Fig14Point{}, false
-}
-
-// Tables renders the scatter.
-func (r *Fig14Result) Tables() []*metrics.Table {
-	t := metrics.NewTable("Fig.14 TCP-friendliness scatter",
-		"scheme", "utilization_%", "tcp_fct_ratio_x", "scheme_fct_ratio_y", "jain_index")
-	for _, p := range r.points() {
-		t.AddRow(p.Scheme, p.Utilization*100, p.TCPRatio, p.SchemeRatio, p.Jain)
-	}
-	return []*metrics.Table{t}
 }

@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"fmt"
-
 	"halfback/internal/fleet"
 	"halfback/internal/metrics"
 	"halfback/internal/netem"
@@ -12,40 +10,38 @@ import (
 	"halfback/internal/workload"
 )
 
-// MultihopResult addresses the paper's explicit future-work item
-// "emulation with more complex topologies": short flows traverse a
-// parking-lot chain of three 15 Mbps bottlenecks while independent
-// per-hop TCP cross traffic holds each hop at a target utilization. A
-// chain multiplies both the loss exposure (three queues can overflow)
-// and the cost of conservatism (three hops of queueing per RTT), so it
-// stresses exactly the latency/safety trade-off the paper studies.
-//
-// Rows holds one summary row per (per-hop utilization, scheme),
-// utilization-major.
-type MultihopResult struct {
-	Rows []fleet.Row
-}
-
 const multihopHorizon = 120 * sim.Second
 
-func multihopSchemes() []string {
-	return []string{scheme.TCP, scheme.TCP10, scheme.JumpStart, scheme.Halfback}
+// multihop addresses the paper's explicit future-work item "emulation
+// with more complex topologies": short flows traverse a parking-lot chain
+// of three 15 Mbps bottlenecks while independent per-hop TCP cross
+// traffic holds each hop at a target utilization. A chain multiplies
+// both the loss exposure (three queues can overflow) and the cost of
+// conservatism (three hops of queueing per RTT), so it stresses exactly
+// the latency/safety trade-off the paper studies. One universe per
+// (per-hop utilization, scheme) cell.
+var multihop = &Spec{ID: "multihop", Title: "Parking-lot chain of bottlenecks",
+	Plan: func(seed uint64, sc Scale) ([]Axis, func([]int) (fleet.Row, error)) {
+		horizon := sc.horizon(multihopHorizon)
+		utils := multihopUtils()
+		schemes := []string{scheme.TCP, scheme.TCP10, scheme.JumpStart, scheme.Halfback}
+		return []Axis{{"util", labels(utils, pct)}, {"scheme", schemes}}, func(at []int) (fleet.Row, error) {
+			return runMultihopCell(seed, schemes[at[1]], utils[at[0]], horizon), nil
+		}
+	},
+	Tables: func(g *Grid) []*metrics.Table {
+		t := metrics.NewTable("Multihop parking lot (3 bottlenecks): chain-flow FCT",
+			"scheme", "per_hop_utilization_%", "mean_fct_ms", "p99_fct_ms", "mean_retx", "completed", "launched")
+		utils := multihopUtils()
+		g.Each(func(at []int, row fleet.Row) {
+			t.AddRow(g.Axes[1].Labels[at[1]], utils[at[0]]*100, row[colMeanFCT], row[colP99FCT],
+				row[colMeanRetx], int(row[colCompleted]), int(row[colLaunched]))
+		})
+		return []*metrics.Table{t}
+	},
 }
 
 func multihopUtils() []float64 { return []float64{0.10, 0.30, 0.50} }
-
-// Multihop runs the grid, one universe per (utilization, scheme) cell.
-func Multihop(seed uint64, sc Scale) *MultihopResult {
-	horizon := sc.horizon(multihopHorizon)
-	utils := multihopUtils()
-	schemes := multihopSchemes()
-	rows := grid(sc, len(utils), len(schemes), func(ui, si int) string {
-		return fmt.Sprintf("multihop %s @%.0f%%", schemes[si], utils[ui]*100)
-	}, func(ui, si int) fleet.Row {
-		return runMultihopCell(seed, schemes[si], utils[ui], horizon)
-	})
-	return &MultihopResult{Rows: rows}
-}
 
 func runMultihopCell(seed uint64, schemeName string, util float64, horizon sim.Duration) fleet.Row {
 	rng := sim.NewRand(seed ^ hashString("multihop"+schemeName) ^ uint64(util*1e4))
@@ -80,27 +76,4 @@ func runMultihopCell(seed uint64, schemeName string, util float64, horizon sim.D
 	w.Run(horizon + 60*sim.Second)
 
 	return summaryRow(&w, schemeName, launched)
-}
-
-// Cell returns the (scheme, utilization) row, for tests.
-func (r *MultihopResult) Cell(schemeName string, util float64) (fleet.Row, bool) {
-	utils, schemes := multihopUtils(), multihopSchemes()
-	for i, row := range r.Rows {
-		if schemes[i%len(schemes)] == schemeName && abs(utils[i/len(schemes)]-util) < 1e-9 {
-			return row, true
-		}
-	}
-	return nil, false
-}
-
-// Tables renders the grid.
-func (r *MultihopResult) Tables() []*metrics.Table {
-	t := metrics.NewTable("Multihop parking lot (3 bottlenecks): chain-flow FCT",
-		"scheme", "per_hop_utilization_%", "mean_fct_ms", "p99_fct_ms", "mean_retx", "completed", "launched")
-	utils, schemes := multihopUtils(), multihopSchemes()
-	for i, row := range r.Rows {
-		t.AddRow(schemes[i%len(schemes)], utils[i/len(schemes)]*100, row[colMeanFCT], row[colP99FCT],
-			row[colMeanRetx], int(row[colCompleted]), int(row[colLaunched]))
-	}
-	return []*metrics.Table{t}
 }

@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"fmt"
-
 	"halfback/internal/fleet"
 	"halfback/internal/metrics"
 	"halfback/internal/scheme"
@@ -25,82 +23,44 @@ func planetLabSchemes() []string {
 	}
 }
 
-// PlanetLabData is the shared dataset behind Figs. 5, 6, 7 and 8: one
-// cold-download row per (pair, scheme), pair-major.
-type PlanetLabData struct {
-	Pairs int
-	Rows  []fleet.Row
-}
-
-// RunPlanetLab executes the §4.2.1 campaign: for every generated path
-// and every scheme, one cold 100 KB download on a network in its
-// just-built state (a pooled universe, reset; see fetchRow). The
-// path population is drawn serially (its generator is shared), then the
-// path×scheme universes fan out across sc.Workers goroutines.
-func RunPlanetLab(seed uint64, sc Scale) *PlanetLabData {
+// planetLabPlan is the §4.2.1 campaign behind Figs. 5, 6, 7 and 8: for
+// every generated path and every scheme, one cold 100 KB download on a
+// network in its just-built state (a pooled universe, reset; see
+// fetchRow). The path population is drawn serially (its generator is
+// shared), then the pair × scheme universes fan out across sc.Workers
+// goroutines.
+func planetLabPlan(seed uint64, sc Scale) ([]Axis, func([]int) (fleet.Row, error)) {
 	rng := sim.NewRand(seed)
 	n := sc.trials(PlanetLabPairs)
 	specs := workload.PlanetLabPopulationCached(rng.ForkNamed("paths"), n)
 	schemes := planetLabSchemes()
-	return &PlanetLabData{Pairs: n, Rows: grid(sc, n, len(schemes), func(pi, si int) string {
-		return fmt.Sprintf("planetlab pair %d scheme %s", pi, schemes[si])
-	}, func(pi, si int) fleet.Row {
-		return fetchRow(seed^uint64(pi*131+si+7), specs[pi], schemes[si])
-	})}
+	return []Axis{{"pair", indexLabels(n)}, {"scheme", schemes}}, func(at []int) (fleet.Row, error) {
+		return fetchRow(seed^uint64(at[0]*131+at[1]+7), specs[at[0]], schemes[at[1]]), nil
+	}
 }
 
-// metric extraction ----------------------------------------------------
+// RunPlanetLab runs the campaign: the grid Figs. 5–8 render.
+func RunPlanetLab(seed uint64, sc Scale) *Grid { return fig6.Run(seed, sc) }
 
-// perScheme collects column col of the completed trials that also have
-// column only set, per scheme.
-func (d *PlanetLabData) perScheme(col, only int) map[string][]float64 {
-	schemes := planetLabSchemes()
+// perScheme collects column col of the completed downloads that also
+// have column only set, per scheme.
+func perScheme(g *Grid, col, only int) map[string][]float64 {
 	out := make(map[string][]float64)
-	for i, r := range d.Rows {
+	g.Each(func(at []int, r fleet.Row) {
 		if r[colDone] != 0 && r[only] != 0 {
-			name := schemes[i%len(schemes)]
+			name := g.Axes[1].Labels[at[1]]
 			out[name] = append(out[name], r[col])
 		}
-	}
+	})
 	return out
 }
 
-// FCTms returns completed-flow FCTs in ms per scheme.
-func (d *PlanetLabData) FCTms() map[string][]float64 { return d.perScheme(colFCT, colDone) }
-
-// LossyFCTms returns FCTs (ms) of trials that experienced loss (Fig. 8).
-func (d *PlanetLabData) LossyFCTms() map[string][]float64 { return d.perScheme(colFCT, colLossSeen) }
-
-// RTTCounts returns FCT normalized by path RTT per scheme (Fig. 7).
-func (d *PlanetLabData) RTTCounts() map[string][]float64 { return d.perScheme(colRTTs, colDone) }
-
-// NormalRetx returns per-flow reactive retransmission counts (Fig. 5).
-func (d *PlanetLabData) NormalRetx() map[string][]float64 { return d.perScheme(colNormalRetx, colDone) }
-
-// LossFraction returns the fraction of a scheme's trials that saw loss.
-func (d *PlanetLabData) LossFraction(schemeName string) float64 {
-	schemes := planetLabSchemes()
-	var n, lossy int
-	for i, r := range d.Rows {
-		if schemes[i%len(schemes)] == schemeName {
-			n++
-			lossy += int(r[colLossSeen])
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(lossy) / float64(n)
-}
-
-// figure wrappers -------------------------------------------------------
-
 // cdfTables renders per-scheme CDF + CCDF tables for one metric.
-func cdfTables(title, xlabel string, series map[string][]float64, order []string) []*metrics.Table {
+func cdfTables(title, xlabel string, series map[string][]float64) []*metrics.Table {
 	cdf := metrics.NewTable(title+" (CDF)", "scheme", xlabel, "percentile")
 	ccdf := metrics.NewTable(title+" (CCDF)", "scheme", xlabel, "ccdf")
 	summary := metrics.NewTable(title+" (summary)", "scheme", "n", "mean", "p50", "p90", "p99")
-	for _, name := range order {
+	for _, name := range planetLabSchemes() {
 		xs := series[name]
 		for _, pt := range metrics.SampleCDF(metrics.CDF(xs), 21) {
 			cdf.AddRow(name, pt.X, pt.P*100)
@@ -114,79 +74,59 @@ func cdfTables(title, xlabel string, series map[string][]float64, order []string
 	return []*metrics.Table{summary, cdf, ccdf}
 }
 
-// Fig5Result reproduces Fig. 5: the distribution of normal (reactive)
+// fig5 reproduces Fig. 5: the distribution of normal (reactive)
 // retransmissions per 100 KB flow across the wide-area population.
-type Fig5Result struct{ Data *PlanetLabData }
-
-// Tables renders the figure.
-func (r *Fig5Result) Tables() []*metrics.Table {
-	return cdfTables("Fig.5 Normal retransmissions per flow (PlanetLab)",
-		"retransmissions", r.Data.NormalRetx(), planetLabSchemes())
+var fig5 = &Spec{ID: "5", Title: "Normal retransmissions (PlanetLab)", Plan: planetLabPlan,
+	Tables: func(g *Grid) []*metrics.Table {
+		return cdfTables("Fig.5 Normal retransmissions per flow (PlanetLab)",
+			"retransmissions", perScheme(g, colNormalRetx, colDone))
+	},
 }
 
-// Fig5 runs the experiment.
-func Fig5(seed uint64, sc Scale) *Fig5Result { return &Fig5Result{Data: RunPlanetLab(seed, sc)} }
-
-// Fig6Result reproduces Fig. 6: FCT CDF/CCDF across the population.
-type Fig6Result struct{ Data *PlanetLabData }
-
-// Tables renders the figure, plus the paper's headline mean comparison.
-func (r *Fig6Result) Tables() []*metrics.Table {
-	tabs := cdfTables("Fig.6 Flow completion time (PlanetLab)",
-		"fct_ms", r.Data.FCTms(), planetLabSchemes())
-	head := metrics.NewTable("Fig.6 headline: Halfback mean-FCT reduction",
-		"scheme", "mean_fct_ms", "halfback_reduction_%")
-	fcts := r.Data.FCTms()
-	hb := metrics.Summarize(fcts[scheme.Halfback]).Mean
-	for _, name := range planetLabSchemes() {
-		m := metrics.Summarize(fcts[name]).Mean
-		red := 0.0
-		if m > 0 {
-			red = (1 - hb/m) * 100
+// fig6 reproduces Fig. 6: FCT CDF/CCDF across the population, plus the
+// paper's headline mean comparison.
+var fig6 = &Spec{ID: "6", Title: "Flow completion time (PlanetLab)", Plan: planetLabPlan,
+	Tables: func(g *Grid) []*metrics.Table {
+		fcts := perScheme(g, colFCT, colDone)
+		tabs := cdfTables("Fig.6 Flow completion time (PlanetLab)", "fct_ms", fcts)
+		head := metrics.NewTable("Fig.6 headline: Halfback mean-FCT reduction",
+			"scheme", "mean_fct_ms", "halfback_reduction_%")
+		hb := metrics.Summarize(fcts[scheme.Halfback]).Mean
+		for _, name := range planetLabSchemes() {
+			m := metrics.Summarize(fcts[name]).Mean
+			red := 0.0
+			if m > 0 {
+				red = (1 - hb/m) * 100
+			}
+			head.AddRow(name, m, red)
 		}
-		head.AddRow(name, m, red)
-	}
-	return append(tabs, head)
+		return append(tabs, head)
+	},
 }
 
-// Fig6 runs the experiment.
-func Fig6(seed uint64, sc Scale) *Fig6Result { return &Fig6Result{Data: RunPlanetLab(seed, sc)} }
-
-// Fig7Result reproduces Fig. 7: transfer duration in units of path RTT.
-type Fig7Result struct{ Data *PlanetLabData }
-
-// Tables renders the figure.
-func (r *Fig7Result) Tables() []*metrics.Table {
-	return cdfTables("Fig.7 RTTs used per transfer (PlanetLab)",
-		"rtts", r.Data.RTTCounts(), planetLabSchemes())
+// fig7 reproduces Fig. 7: transfer duration in units of path RTT.
+var fig7 = &Spec{ID: "7", Title: "RTTs per transfer (PlanetLab)", Plan: planetLabPlan,
+	Tables: func(g *Grid) []*metrics.Table {
+		return cdfTables("Fig.7 RTTs used per transfer (PlanetLab)", "rtts", perScheme(g, colRTTs, colDone))
+	},
 }
 
-// Fig7 runs the experiment.
-func Fig7(seed uint64, sc Scale) *Fig7Result { return &Fig7Result{Data: RunPlanetLab(seed, sc)} }
-
-// Fig8Result reproduces Fig. 8: FCT CDF restricted to lossy trials.
-type Fig8Result struct{ Data *PlanetLabData }
-
-// Tables renders the figure plus the loss-exposure fractions.
-func (r *Fig8Result) Tables() []*metrics.Table {
-	tabs := cdfTables("Fig.8 FCT under packet loss (PlanetLab)",
-		"fct_ms", r.Data.LossyFCTms(), planetLabSchemes())
-	frac := metrics.NewTable("Fig.8 loss exposure", "scheme", "fraction_trials_with_loss")
-	for _, name := range planetLabSchemes() {
-		frac.AddRow(name, r.Data.LossFraction(name))
-	}
-	lossy := r.Data.LossyFCTms()
-	med := metrics.NewTable("Fig.8 headline: median lossy FCT", "scheme", "p50_fct_ms")
-	for _, name := range planetLabSchemes() {
-		med.AddRow(name, metrics.Summarize(lossy[name]).Median())
-	}
-	return append(tabs, frac, med)
-}
-
-// Fig8 runs the experiment.
-func Fig8(seed uint64, sc Scale) *Fig8Result { return &Fig8Result{Data: RunPlanetLab(seed, sc)} }
-
-// String summarises the dataset for logs.
-func (d *PlanetLabData) String() string {
-	return fmt.Sprintf("planetlab: %d pairs, %d trials", d.Pairs, len(d.Rows))
+// fig8 reproduces Fig. 8: FCT CDF restricted to lossy trials, plus the
+// loss-exposure fractions.
+var fig8 = &Spec{ID: "8", Title: "FCT under loss (PlanetLab)", Plan: planetLabPlan,
+	Tables: func(g *Grid) []*metrics.Table {
+		lossy := perScheme(g, colFCT, colLossSeen)
+		tabs := cdfTables("Fig.8 FCT under packet loss (PlanetLab)", "fct_ms", lossy)
+		lossSeen := make([]int, len(g.Axes[1].Labels))
+		g.Each(func(at []int, r fleet.Row) { lossSeen[at[1]] += int(r[colLossSeen]) })
+		frac := metrics.NewTable("Fig.8 loss exposure", "scheme", "fraction_trials_with_loss")
+		for si, name := range g.Axes[1].Labels {
+			frac.AddRow(name, float64(lossSeen[si])/float64(len(g.Axes[0].Labels)))
+		}
+		med := metrics.NewTable("Fig.8 headline: median lossy FCT", "scheme", "p50_fct_ms")
+		for _, name := range planetLabSchemes() {
+			med.AddRow(name, metrics.Summarize(lossy[name]).Median())
+		}
+		return append(tabs, frac, med)
+	},
 }

@@ -176,13 +176,13 @@ func TestRecycledPathSimMatchesFresh(t *testing.T) {
 // eight.
 func TestPooledCampaignMatchesFreshUniverses(t *testing.T) {
 	sc := tiny
-	Fig9(1, sc)
+	fig9.Run(1, sc)
 	schemes := planetLabSchemes()
 	for _, workers := range []int{1, 8} {
 		sc.Workers = workers
-		data := RunPlanetLab(1, sc)
-		specs := workload.PlanetLabPopulationCached(sim.NewRand(1).ForkNamed("paths"), data.Pairs)
-		for i, row := range data.Rows {
+		g := RunPlanetLab(1, sc)
+		specs := workload.PlanetLabPopulationCached(sim.NewRand(1).ForkNamed("paths"), len(g.Axes[0].Labels))
+		for i, row := range g.Rows {
 			pi, si := i/len(schemes), i%len(schemes)
 			ps := NewPathSim(1^uint64(pi*131+si+7), specs[pi].ToConfig())
 			want := coldRow(ps.FetchOnce(scheme.MustNew(schemes[si]), PlanetLabFlowBytes, 120*sim.Second), specs[pi].RTT)

@@ -12,32 +12,35 @@ type Entry struct {
 	Run   func(seed uint64, sc Scale) Result
 }
 
-// Registry maps exhibit IDs ("1", "2", "5"–"17", "table1") to runners.
+// Registry lists the exhibits ("1", "2", "5"–"17", "table1", …) in the
+// order -fig all runs them. Every swept exhibit is a spec; Fig. 3's
+// walkthrough and Fig. 15's timelines have cells of their own shape, and
+// Fig. 2 and Table 1 make no sweep.
 func Registry() []Entry {
 	return []Entry{
-		{"1", "Latency vs feasible-capacity tradeoff", func(s uint64, sc Scale) Result { return Fig1(s, sc) }},
-		{"2", "Traffic share by flow size", func(s uint64, sc Scale) Result { return Fig2(s, sc) }},
+		fig1.entry(),
+		{"2", "Traffic share by flow size", fig2},
 		{"3", "Fig. 3 walkthrough: ROPR recovers a lost packet", func(s uint64, sc Scale) Result { return Fig3(s, sc) }},
-		{"5", "Normal retransmissions (PlanetLab)", func(s uint64, sc Scale) Result { return Fig5(s, sc) }},
-		{"6", "Flow completion time (PlanetLab)", func(s uint64, sc Scale) Result { return Fig6(s, sc) }},
-		{"7", "RTTs per transfer (PlanetLab)", func(s uint64, sc Scale) Result { return Fig7(s, sc) }},
-		{"8", "FCT under loss (PlanetLab)", func(s uint64, sc Scale) Result { return Fig8(s, sc) }},
-		{"9", "Home access networks", func(s uint64, sc Scale) Result { return Fig9(s, sc) }},
-		{"10", "Bufferbloat: FCT & retransmissions vs buffer", func(s uint64, sc Scale) Result { return Fig10(s, sc) }},
-		{"11", "FCT vs flow size (3 distributions)", func(s uint64, sc Scale) Result { return Fig11(s, sc) }},
-		{"12", "Feasible capacity, all-short workload", func(s uint64, sc Scale) Result { return Fig12(s, sc) }},
-		{"13", "Short aggressive vs long TCP", func(s uint64, sc Scale) Result { return Fig13(s, sc) }},
-		{"14", "TCP-friendliness scatter", func(s uint64, sc Scale) Result { return Fig14(s, sc) }},
+		fig5.entry(),
+		fig6.entry(),
+		fig7.entry(),
+		fig8.entry(),
+		fig9.entry(),
+		fig10.entry(),
+		fig11.entry(),
+		fig12.entry(),
+		fig13.entry(),
+		fig14.entry(),
 		{"15", "Ongoing-flow throughput timelines", func(s uint64, sc Scale) Result { return Fig15(s, sc) }},
-		{"16", "Web page response time", func(s uint64, sc Scale) Result { return Fig16(s, sc) }},
-		{"17", "ROPR design ablations", func(s uint64, sc Scale) Result { return Fig17(s, sc) }},
-		{"table1", "Startup/recovery design space", func(s uint64, sc Scale) Result { return Table1(s, sc) }},
-		{"ext", "Extensions: initial burst & reduced proactive budget", func(s uint64, sc Scale) Result { return Extensions(s, sc) }},
-		{"aqm", "AQM complementarity (CoDel/RED vs drop-tail)", func(s uint64, sc Scale) Result { return AQM(s, sc) }},
-		{"multihop", "Parking-lot chain of bottlenecks", func(s uint64, sc Scale) Result { return Multihop(s, sc) }},
-		{"adversity", "Safety under network adversity (reorder/dup/corrupt/flap)", func(s uint64, sc Scale) Result { return Adversity(s, sc) }},
-		{"blackout", "Graceful failure under a permanent mid-flow outage", func(s uint64, sc Scale) Result { return Blackout(s, sc) }},
-		{"misbehavior", "Safety under misbehaving endpoints (Byzantine receivers)", func(s uint64, sc Scale) Result { return Misbehavior(s, sc) }},
+		fig16.entry(),
+		fig17.entry(),
+		{"table1", "Startup/recovery design space", func(uint64, Scale) Result { return render(table1) }},
+		{"ext", "Extensions: initial burst & reduced proactive budget", extensions},
+		aqm.entry(),
+		multihop.entry(),
+		adversity.entry(),
+		blackout.entry(),
+		misbehavior.entry(),
 	}
 }
 

@@ -1,13 +1,15 @@
 // Package experiment wires workloads, topologies, schemes and metrics
-// into one runner per table/figure of the paper's evaluation (§4–§5).
-// Every runner takes a seed and a Scale, so the benchmark harness can
-// regenerate reduced-but-same-shape versions of each exhibit quickly
-// while the CLI reproduces them at paper scale.
+// into the tables and figures of the paper's evaluation (§4–§5). A swept
+// exhibit is a Spec, run by one runner; every exhibit takes a seed and a
+// Scale, so the benchmark harness can regenerate reduced-but-same-shape
+// versions of each exhibit quickly while the CLI reproduces them at paper
+// scale.
 package experiment
 
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"sync"
 
 	"halfback/internal/fleet"
@@ -68,56 +70,6 @@ func (s Scale) horizon(d sim.Duration) sim.Duration {
 		v = sim.Second
 	}
 	return v
-}
-
-// sweep fans n independent universes out across sc.Workers goroutines
-// via the fleet engine and returns their results in index order, so
-// every sweep renders identically whatever the worker count. A universe
-// that panics becomes a labelled job error; the remaining universes
-// still run, then sweep panics with the aggregate so a broken cell
-// cannot silently produce a truncated exhibit. A worker or a repro run
-// gets zero values back (nil rows), so an exhibit reads its cells only
-// when it renders, never in the function that made the sweep.
-func sweep[T any](sc Scale, n int, label func(int) string, fn func(int) T) []T {
-	out, err := fleet.MapOpts(sc.fleetOptions(label), n, func(i, _ int) (T, error) {
-		return fn(i), nil
-	})
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// fleetOptions assembles the fleet engine options every sweep of this
-// Scale shares: worker bound, cancellation context, and the run's
-// crash-safety state.
-func (s Scale) fleetOptions(label func(int) string) fleet.Options {
-	return fleet.Options{Ctx: s.Ctx, Workers: s.Workers, Label: label, Run: s.Run}
-}
-
-// sweepPartial is sweep for degraded-mode exhibits: universes may fail
-// (abort, stall, panic) without sinking the sweep. Failed cells come
-// back as their zero value plus a non-nil entry in the returned error
-// slice (index-aligned, nil for successes), so the exhibit can render
-// them as explicit FAILED(class) rows instead of panicking like sweep.
-func sweepPartial[T any](sc Scale, n int, label func(int) string, fn func(int) (T, error)) ([]T, []error) {
-	out, err := fleet.MapOpts(sc.fleetOptions(label), n,
-		func(i, _ int) (T, error) { return fn(i) })
-	errs := make([]error, n)
-	for _, je := range fleet.JobErrors(err) {
-		errs[je.Index] = je
-	}
-	return out, errs
-}
-
-// grid is sweep over a rows×cols cell grid in row-major order — the
-// shape of almost every exhibit (schemes × operating points).
-func grid[T any](sc Scale, rows, cols int, label func(r, c int) string, fn func(r, c int) T) []T {
-	return sweep(sc, rows*cols, func(i int) string {
-		return label(i/cols, i%cols)
-	}, func(i int) T {
-		return fn(i/cols, i%cols)
-	})
 }
 
 // Result is what every experiment produces: one or more renderable
@@ -309,6 +261,13 @@ func summaryRow(w *transport.World, schemeName string, launched int) fleet.Row {
 func meanFCTms(stats []*transport.FlowStats, schemeName string) float64 {
 	fct, _ := summarizeFlows(stats, schemeName)
 	return fct.Mean
+}
+
+// hashString is the FNV-1a hash of s: stable per-cell seed salt.
+func hashString(s string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(s))
+	return h.Sum64()
 }
 
 func fmtMs(d sim.Duration) string {

@@ -53,25 +53,26 @@ type Fig15Result struct {
 // is already small) but carries the worker count: the three simulated
 // panels are independent universes.
 func Fig15(seed uint64, sc Scale) *Fig15Result {
-	scenarios := []struct {
-		name   string
-		shorts []fig15Short
-	}{
+	scenarios := []fig15Scenario{
 		{"Halfback", []fig15Short{{scheme.Halfback, fig15ShortBytes}}},
 		{"One TCP short flow", []fig15Short{{scheme.TCP, fig15ShortBytes}}},
 		{"Two TCP half-size flows", []fig15Short{
 			{scheme.TCP, fig15ShortBytes / 2}, {scheme.TCP, fig15ShortBytes / 2},
 		}},
 	}
-	panels := sweep(sc, len(scenarios), func(i int) string {
-		return "fig15 " + scenarios[i].name
-	}, func(i int) Fig15Panel {
-		return fig15Run(seed, scenarios[i].name, scenarios[i].shorts)
+	names := labels(scenarios, func(s fig15Scenario) string { return s.name })
+	panels, _ := runSweep(sc, "15", []Axis{{"panel", names}}, false, func(at []int) (Fig15Panel, error) {
+		return fig15Run(seed, scenarios[at[0]].name, scenarios[at[0]].shorts), nil
 	})
 	res := &Fig15Result{}
 	res.Panels = append(res.Panels, fig15Optimal())
 	res.Panels = append(res.Panels, panels...)
 	return res
+}
+
+type fig15Scenario struct {
+	name   string
+	shorts []fig15Short
 }
 
 type fig15Short struct {
@@ -187,16 +188,6 @@ func fig15Optimal() Fig15Panel {
 		BackgroundDipMbps:    rate / 2,
 		ShortFCTms:           transfer.Seconds() * 1000,
 	}
-}
-
-// Panel returns the named panel, for tests.
-func (r *Fig15Result) Panel(name string) (Fig15Panel, bool) {
-	for _, p := range r.Panels {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return Fig15Panel{}, false
 }
 
 // Tables renders all four panels plus the recovery summary.

@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"fmt"
-
 	"halfback/internal/fleet"
 	"halfback/internal/metrics"
 	"halfback/internal/netem"
@@ -26,10 +24,6 @@ func fig16Utils() []float64 {
 	return []float64{0.10, 0.20, 0.30, 0.40, 0.50, 0.60}
 }
 
-func fig16Schemes() []string {
-	return []string{scheme.JumpStart, scheme.Halfback, scheme.TCP, scheme.TCP10}
-}
-
 // Columns of a Fig. 16 row: one (utilization, scheme) cell.
 const (
 	colMeanResponse = iota // s
@@ -37,12 +31,6 @@ const (
 	colPagesDone
 	colPagesRequested
 )
-
-// Fig16Result reproduces the web response-time curves: one row per
-// (utilization, scheme), utilization-major.
-type Fig16Result struct {
-	Rows []fleet.Row
-}
 
 // webRequest is one scheduled page load, shared across schemes so every
 // scheme faces the identical request sequence (the same low-variance
@@ -66,36 +54,46 @@ func makeWebSchedule(seed uint64, util float64, pages []workload.Page, horizon s
 	return out
 }
 
-// Fig16 runs the application-level benchmark. The corpus and the
-// per-utilization request schedules are built once up front (read-only
-// from then on), and every (utilization, scheme) page-load universe
-// fans out across sc.Workers goroutines.
-func Fig16(seed uint64, sc Scale) *Fig16Result {
-	pages := workload.BuildCorpus(seed^0xeb1, webCorpusSize)
-	horizon := sc.horizon(fig16Horizon)
-	cfg := netem.DumbbellConfig{Pairs: 16}.Defaulted()
-	utils := fig16Utils()
-	schemes := fig16Schemes()
-	schedules := make([][]webRequest, len(utils))
-	for i, util := range utils {
-		schedules[i] = makeWebSchedule(seed, util, pages, horizon, cfg.BottleneckBps, cfg.Pairs)
-	}
-	return &Fig16Result{Rows: grid(sc, len(utils), len(schemes), func(ui, si int) string {
-		return fmt.Sprintf("fig16 %s @%.0f%%", schemes[si], utils[ui]*100)
-	}, func(ui, si int) fleet.Row {
-		return runFig16Cell(seed, schemes[si], utils[ui], pages, schedules[ui], horizon)
-	})}
+// fig16 reproduces the web response-time curves: one row per
+// (utilization, scheme). The corpus and the per-utilization request
+// schedules are built once up front (read-only from then on), and every
+// (utilization, scheme) page-load universe fans out across sc.Workers
+// goroutines.
+var fig16 = &Spec{ID: "16", Title: "Web page response time",
+	Plan: func(seed uint64, sc Scale) ([]Axis, func([]int) (fleet.Row, error)) {
+		pages := workload.BuildCorpus(seed^0xeb1, webCorpusSize)
+		horizon := sc.horizon(fig16Horizon)
+		cfg := netem.DumbbellConfig{Pairs: 16}.Defaulted()
+		utils := fig16Utils()
+		schemes := []string{scheme.JumpStart, scheme.Halfback, scheme.TCP, scheme.TCP10}
+		schedules := make([][]webRequest, len(utils))
+		for i, util := range utils {
+			schedules[i] = makeWebSchedule(seed, util, pages, horizon, cfg.BottleneckBps, cfg.Pairs)
+		}
+		return []Axis{{"util", labels(utils, pct)}, {"scheme", schemes}}, func(at []int) (fleet.Row, error) {
+			return runFig16Cell(seed, schemes[at[1]], utils[at[0]], pages, schedules[at[0]], horizon), nil
+		}
+	},
+	Tables: func(g *Grid) []*metrics.Table {
+		t := metrics.NewTable("Fig.16 Web page response time vs utilization",
+			"scheme", "utilization_%", "mean_response_s", "p90_response_s", "completed", "requested")
+		utils := fig16Utils()
+		g.Each(func(at []int, row fleet.Row) {
+			t.AddRow(g.Axes[1].Labels[at[1]], utils[at[0]]*100, row[colMeanResponse], row[colP90Response],
+				int(row[colPagesDone]), int(row[colPagesRequested]))
+		})
+		return []*metrics.Table{t}
+	},
 }
 
 // pageLoader drives one page request: dispatches object fetches in
 // order, at most MaxConcurrentConns outstanding, and records when the
 // last object lands.
 type pageLoader struct {
-	sim   *DumbbellSim
-	inst  *scheme.Instance
-	page  workload.Page
-	pair  int
-	start sim.Time
+	sim  *DumbbellSim
+	inst *scheme.Instance
+	page workload.Page
+	pair int
 
 	next      int
 	remaining int
@@ -147,10 +145,7 @@ func runFig16Cell(seed uint64, schemeName string, util float64, pages []workload
 
 	var responses []float64
 	for _, req := range schedule {
-		loader := &pageLoader{
-			sim: s, inst: inst, page: pages[req.Page],
-			pair: req.Pair, start: req.At,
-		}
+		loader := &pageLoader{sim: s, inst: inst, page: pages[req.Page], pair: req.Pair}
 		start := req.At
 		loader.onDone = func(finish sim.Time) {
 			responses = append(responses, finish.Sub(start).Seconds())
@@ -161,27 +156,4 @@ func runFig16Cell(seed uint64, schemeName string, util float64, pages []workload
 
 	sum := metrics.Summarize(responses)
 	return fleet.Row{sum.Mean, sum.Percentile(90), float64(len(responses)), float64(len(schedule))}
-}
-
-// At returns the (scheme, util) row, for tests.
-func (r *Fig16Result) At(schemeName string, util float64) (fleet.Row, bool) {
-	utils, schemes := fig16Utils(), fig16Schemes()
-	for i, row := range r.Rows {
-		if schemes[i%len(schemes)] == schemeName && abs(utils[i/len(schemes)]-util) < 1e-9 {
-			return row, true
-		}
-	}
-	return nil, false
-}
-
-// Tables renders the curves.
-func (r *Fig16Result) Tables() []*metrics.Table {
-	t := metrics.NewTable("Fig.16 Web page response time vs utilization",
-		"scheme", "utilization_%", "mean_response_s", "p90_response_s", "completed", "requested")
-	utils, schemes := fig16Utils(), fig16Schemes()
-	for i, row := range r.Rows {
-		t.AddRow(schemes[i%len(schemes)], utils[i/len(schemes)]*100, row[colMeanResponse], row[colP90Response],
-			int(row[colPagesDone]), int(row[colPagesRequested]))
-	}
-	return []*metrics.Table{t}
 }

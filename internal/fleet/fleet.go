@@ -53,7 +53,7 @@ type JobError struct {
 	Err   error
 }
 
-// Error renders "job 17 (planetlab pair 2 scheme TCP): <cause>".
+// Error renders "job 16 (6 pair=2 scheme=TCP): <cause>".
 func (e *JobError) Error() string {
 	if e.Label != "" {
 		return fmt.Sprintf("fleet: job %d (%s): %v", e.Index, e.Label, e.Err)
