@@ -48,7 +48,11 @@ type shape struct {
 }
 
 func (s *shape) Bind(fs *flag.FlagSet) {
-	fs.StringVar(&s.fig, "fig", "", "exhibit to regenerate: 1,2,5..17,table1 or 'all'")
+	var ids []string
+	for _, e := range experiment.Registry() {
+		ids = append(ids, e.ID)
+	}
+	fs.StringVar(&s.fig, "fig", "", "exhibit to regenerate: "+strings.Join(ids, ",")+" or 'all'")
 	fs.Uint64Var(&s.seed, "seed", 1, "simulation seed")
 	fs.Float64Var(&s.scale, "scale", 1.0, "scale factor in (0,1]: trial counts and horizons shrink proportionally")
 	fs.BoolVar(&s.csv, "csv", false, "emit CSV instead of aligned tables")

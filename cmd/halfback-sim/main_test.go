@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -42,6 +43,22 @@ func TestModeFlagsAndUsageErrors(t *testing.T) {
 	}
 	if _, err := os.Stat(journal); err == nil {
 		t.Error("a usage error left a journal behind")
+	}
+}
+
+// The -fig help names every exhibit the registry holds.
+func TestFigHelpNamesEveryExhibit(t *testing.T) {
+	code, _, stderr := invoke("-h")
+	_, help, _ := strings.Cut(stderr, "exhibit to regenerate: ")
+	help, _, _ = strings.Cut(help, " or 'all'\n")
+	if code != 2 || help == "" {
+		t.Fatalf("-h: exit %d, no -fig help in %q", code, stderr)
+	}
+	ids := strings.Split(help, ",")
+	for _, e := range experiment.Registry() {
+		if !slices.Contains(ids, e.ID) {
+			t.Errorf("-fig help %q does not name exhibit %q", help, e.ID)
+		}
 	}
 }
 

@@ -166,10 +166,11 @@ func run(schemeName string, flowBytes int, cfg PathConfig, withTrace bool) (*Flo
 	}, nil
 }
 
-// Exhibit regenerates one of the paper's tables/figures ("1", "2",
-// "5"–"17", "table1") at the given scale in (0,1], returning rendered
-// tables. Scale 1 is paper scale; smaller values shrink trial counts
-// and horizons proportionally.
+// Exhibit regenerates one exhibit of the registry — a table or figure
+// of the paper, or an extension; ExhibitIDs lists the IDs — at the
+// given scale in (0,1], returning rendered tables. Scale 1 is paper
+// scale; smaller values shrink trial counts and horizons
+// proportionally.
 func Exhibit(id string, seed uint64, scale float64) ([]*metrics.Table, error) {
 	e, err := experiment.Lookup(id)
 	if err != nil {

@@ -12,15 +12,14 @@
 //
 //   - OnEstablished: the handshake finished; start transmitting.
 //   - OnAck: acknowledgement state advanced (or a probe reported back).
-//   - OnLoss: the transport detected a loss event (today: RTO expiry;
-//     SACK-inferred losses are read from the Sack view, which is where
-//     the per-scheme inference policies differ).
+//   - OnLoss: the retransmission timer expired (SACK-inferred losses
+//     are read from the Sack view, which is where the per-scheme
+//     inference policies differ).
 //   - OnTimer: a controller-owned timer fired (pacing complete, tail
 //     probe, rate tick, probe-train deadline, ...).
 //
-// Controllers expose their control law via Decision (window or rate)
-// and their complete serializable decision state via State, so harness
-// checkpoints never silently drop scheme state.
+// A controller sends only from these callbacks, through the Env, and
+// exposes its control law via Decision (window or rate).
 package cc
 
 import (
@@ -32,14 +31,10 @@ import (
 // It is satisfied by *transport.Scoreboard; the conformance suite feeds
 // controllers a scoreboard it scripts directly.
 type Sack interface {
-	// N returns the number of segments in the flow.
-	N() int32
 	// CumAck returns the lowest segment not cumulatively acknowledged.
 	CumAck() int32
 	// HighSent returns the highest segment ever sent, or -1.
 	HighSent() int32
-	// AllAcked reports whether the whole flow is acknowledged.
-	AllAcked() bool
 	// IsAcked reports whether the receiver is known to hold seq.
 	IsAcked(seq int32) bool
 	// SentOnce reports whether seq was ever transmitted.
@@ -151,22 +146,6 @@ type AckEvent struct {
 	OWD sim.Duration
 }
 
-// LossKind classifies a transport-detected loss event.
-type LossKind uint8
-
-const (
-	// LossTimeout is a retransmission-timer expiry. The transport has
-	// already counted the timeout and applied RTO backoff; the
-	// controller decides what to retransmit and how its window or rate
-	// reacts.
-	LossTimeout LossKind = iota
-)
-
-// LossEvent is one transport-detected loss event.
-type LossEvent struct {
-	Kind LossKind
-}
-
 // Decision is the controller's current control law, for tracing and the
 // conformance suite: window-based schemes report CwndSegs, rate-based
 // schemes report RateBps, and Pacing marks a scheme currently spreading
@@ -234,9 +213,6 @@ type Env interface {
 	ArmTimer(kind TimerKind, d sim.Duration)
 	// StopTimer cancels a controller timer.
 	StopTimer(kind TimerKind)
-	// StopRTO cancels the transport's retransmission timer; protocols
-	// that know nothing is outstanding may use it.
-	StopRTO()
 }
 
 // Controller is one scheme's congestion-control decision logic. A
@@ -249,8 +225,11 @@ type Controller interface {
 	// OnAck runs for every acknowledgement that does not complete the
 	// flow, after the scoreboard has been updated.
 	OnAck(env Env, ev AckEvent, now sim.Time)
-	// OnLoss runs for every transport-detected loss event.
-	OnLoss(env Env, ev LossEvent, now sim.Time)
+	// OnLoss runs when the retransmission timer expires. The transport
+	// has already counted the timeout and applied RTO backoff; the
+	// controller decides what to retransmit and how its window or rate
+	// reacts.
+	OnLoss(env Env, now sim.Time)
 	// OnTimer runs when a controller timer armed via Env.ArmTimer (or
 	// the pace-completion sentinel) fires.
 	OnTimer(env Env, kind TimerKind, now sim.Time)
@@ -263,15 +242,4 @@ type Controller interface {
 // has already stopped the controller's pacer and timers when it runs.
 type DoneHook interface {
 	OnDone(env Env, now sim.Time)
-}
-
-// Pumper is implemented by controllers whose transmission policy is a
-// plain sliding window. After every delivered event the connection offers
-// a send opportunity with the flow-control budget (how many never-sent
-// segments flow control currently admits); the controller performs its
-// sends through the Env. Schemes that pace or clock their own sends
-// simply don't implement it. This is the minimal surface for adding a
-// new window-based scheme: OnSend plus window updates in OnAck/OnLoss.
-type Pumper interface {
-	OnSend(env Env, budget int32, now sim.Time)
 }

@@ -64,7 +64,6 @@ type traceEnv struct {
 	paces      []paceRec
 	armed      map[cc.TimerKind]sim.Duration
 	stops      int
-	rtoStops   int
 	violations []string
 }
 
@@ -133,7 +132,6 @@ func (e *traceEnv) Pace(lo, hi int32, total sim.Duration) {
 
 func (e *traceEnv) ArmTimer(kind cc.TimerKind, d sim.Duration) { e.armed[kind] = d }
 func (e *traceEnv) StopTimer(kind cc.TimerKind)                { delete(e.armed, kind); e.stops++ }
-func (e *traceEnv) StopRTO()                                   { e.rtoStops++ }
 
 // finishPacing simulates the transport pacer completing the most recent
 // Pace request: every segment of the range goes out as a first copy,
@@ -173,7 +171,7 @@ func (e *traceEnv) probeAck(ctrl cc.Controller, seq int32, owd sim.Duration) {
 }
 
 func (e *traceEnv) timeout(ctrl cc.Controller) {
-	ctrl.OnLoss(e, cc.LossEvent{Kind: cc.LossTimeout}, e.now)
+	ctrl.OnLoss(e, e.now)
 }
 
 func (e *traceEnv) advance(d sim.Duration) { e.now = e.now.Add(d) }
@@ -192,21 +190,21 @@ func windowRows() []struct {
 	mk   func() cc.Controller
 	prep func(t *testing.T, e *traceEnv, ctrl cc.Controller)
 } {
-	pump := func(t *testing.T, e *traceEnv, ctrl cc.Controller) {}
+	none := func(t *testing.T, e *traceEnv, ctrl cc.Controller) {}
 	paced := func(t *testing.T, e *traceEnv, ctrl cc.Controller) { e.finishPacing(t, ctrl) }
 	return []struct {
 		name string
 		mk   func() cc.Controller
 		prep func(t *testing.T, e *traceEnv, ctrl cc.Controller)
 	}{
-		{scheme.TCP, tcp.New(tcp.Config{InitialWindow: 2}), pump},
-		{scheme.TCP10, tcp.New(tcp.Config{InitialWindow: 10}), pump},
-		{scheme.TCPCache, tcp.New(tcp.Config{InitialWindow: 2, Cache: tcp.NewPathCache()}), pump},
-		{scheme.Reactive, scheme.MustNew(scheme.Reactive).Make, pump},
-		{scheme.Proactive, scheme.MustNew(scheme.Proactive).Make, pump},
+		{scheme.TCP, tcp.New(tcp.Config{InitialWindow: 2}), none},
+		{scheme.TCP10, tcp.New(tcp.Config{InitialWindow: 10}), none},
+		{scheme.TCPCache, tcp.New(tcp.Config{InitialWindow: 2, Cache: tcp.NewPathCache()}), none},
+		{scheme.Reactive, scheme.MustNew(scheme.Reactive).Make, none},
+		{scheme.Proactive, scheme.MustNew(scheme.Proactive).Make, none},
 		{scheme.JumpStart, jumpstart.New(), paced},
 		{scheme.Halfback, core.New(core.Config{}), paced},
-		{scheme.FixedWindow, fixedwin.New(fixedwin.DefaultWindow), pump},
+		{scheme.FixedWindow, fixedwin.New(fixedwin.DefaultWindow), none},
 	}
 }
 
@@ -222,17 +220,11 @@ func TestConformanceWindowMonotoneUnderInOrderAcks(t *testing.T) {
 			ctrl := row.mk()
 			ctrl.OnEstablished(e, 0)
 			row.prep(t, e, ctrl)
-			if p, ok := ctrl.(cc.Pumper); ok {
-				p.OnSend(e, e.WindowLimit()-(e.sc.HighSent()+1), e.now)
-			}
 
 			prev := ctrl.Decision().CwndSegs
 			for cum := int32(1); cum < n && cum <= e.sc.HighSent()+1; cum++ {
 				e.advance(10 * sim.Millisecond)
 				e.ack(ctrl, cum)
-				if p, ok := ctrl.(cc.Pumper); ok {
-					p.OnSend(e, e.WindowLimit()-(e.sc.HighSent()+1), e.now)
-				}
 				d := ctrl.Decision()
 				if math.IsNaN(d.CwndSegs) || math.IsInf(d.CwndSegs, 0) || d.CwndSegs < 0 {
 					t.Fatalf("cum=%d: window %v is not a finite non-negative number", cum, d.CwndSegs)
@@ -271,9 +263,6 @@ func TestConformanceTimeoutCollapsesWindow(t *testing.T) {
 			if row.prep != nil {
 				row.prep(t, e, ctrl)
 			}
-			if p, ok := ctrl.(cc.Pumper); ok {
-				p.OnSend(e, e.WindowLimit()-(e.sc.HighSent()+1), e.now)
-			}
 			if e.sc.HighSent() < 0 {
 				t.Fatal("controller sent nothing at establishment")
 			}
@@ -282,9 +271,6 @@ func TestConformanceTimeoutCollapsesWindow(t *testing.T) {
 
 			e.advance(sim.Second)
 			e.timeout(ctrl)
-			if p, ok := ctrl.(cc.Pumper); ok {
-				p.OnSend(e, e.WindowLimit()-(e.sc.HighSent()+1), e.now)
-			}
 
 			after := ctrl.Decision().CwndSegs
 			if row.collapse {
@@ -593,9 +579,6 @@ func TestConformanceEveryRegistrySchemeEstablishes(t *testing.T) {
 			e := newTraceEnv(16)
 			ctrl := scheme.MustNew(name).Make()
 			ctrl.OnEstablished(e, 0)
-			if p, ok := ctrl.(cc.Pumper); ok {
-				p.OnSend(e, e.WindowLimit()-(e.sc.HighSent()+1), e.now)
-			}
 			if len(e.paces) == 0 && e.sc.HighSent() < 0 && len(e.armed) == 0 {
 				t.Fatal("controller neither sent, paced, nor armed a timer at establishment")
 			}

@@ -42,17 +42,6 @@ func FuzzControllerTrace(f *testing.F) {
 		ctrl := scheme.MustNew(name).Make()
 		e := newTraceEnv(16)
 
-		offer := func() {
-			p, ok := ctrl.(cc.Pumper)
-			if !ok || e.finished {
-				return
-			}
-			budget := e.WindowLimit() - (e.sc.HighSent() + 1)
-			if budget < 0 {
-				budget = 0
-			}
-			p.OnSend(e, budget, e.now)
-		}
 		check := func(i int) {
 			d := ctrl.Decision()
 			for _, v := range []float64{d.CwndSegs, d.RateBps} {
@@ -66,7 +55,6 @@ func FuzzControllerTrace(f *testing.F) {
 		}
 
 		ctrl.OnEstablished(e, 0)
-		offer()
 		check(-1)
 
 		pacesDone := 0
@@ -123,7 +111,6 @@ func FuzzControllerTrace(f *testing.F) {
 			case 6: // let time pass
 				e.advance(sim.Duration(op) * sim.Millisecond)
 			}
-			offer()
 			check(i)
 		}
 

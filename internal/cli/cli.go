@@ -434,8 +434,7 @@ func (h *harness) serveWorker(x *Exec) int {
 		return h.fail(1, "%v", err)
 	}
 	defer stopProfiles()
-	return dist.ServeWorker(dist.ServeConfig{
-		Addr:  x.ServeWorker,
+	return dist.ServeWorker(x.ServeWorker, dist.WorkerOptions{
 		Key:   dist.ResolveKey(x.ClusterKey),
 		Start: h.workerStart(x),
 		Logf:  h.logf,

@@ -104,17 +104,10 @@ type Config struct {
 	ProactiveRatio float64
 }
 
-// Phase constants for HalfbackState.Phase.
-const (
-	PhasePacing uint8 = iota
-	PhaseROPR
-	PhaseFallback
-)
-
-// HalfbackState is the sender's decision state. The fallback Reno
-// engine, once started, keeps its own RenoState.
-type HalfbackState struct {
-	Phase      uint8
+// halfbackState is the sender's decision state. The phase is implicit:
+// pacing until PacingDone, then ROPR until the fallback Reno engine
+// starts, which keeps its own state.
+type halfbackState struct {
 	PacedHi    int32 // exclusive upper bound of the paced prefix
 	PacingDone bool
 
@@ -154,7 +147,7 @@ type HalfbackState struct {
 // Logic is the Halfback sender state machine.
 type Logic struct {
 	conf Config
-	st   HalfbackState
+	st   halfbackState
 
 	// reno drives the TCP fallback for flows longer than the paced
 	// prefix; nil until the prefix is delivered.
@@ -170,7 +163,7 @@ func New(conf Config) func() cc.Controller {
 		conf.ProactiveRatio = 1
 	}
 	return func() cc.Controller {
-		return &Logic{conf: conf, st: HalfbackState{RetxBudget: 1}}
+		return &Logic{conf: conf, st: halfbackState{RetxBudget: 1}}
 	}
 }
 
@@ -181,7 +174,7 @@ func (l *Logic) PacedSegments() int32 { return l.st.PacedHi }
 func (l *Logic) ROPRDone() bool { return l.st.RoprDone }
 
 // InFallback reports whether the TCP fallback engine is active.
-func (l *Logic) InFallback() bool { return l.st.Phase == PhaseFallback }
+func (l *Logic) InFallback() bool { return l.reno != nil }
 
 // FallbackCwnd returns the fallback engine's congestion window (0 if the
 // engine has not started), for tests and traces.
@@ -194,9 +187,6 @@ func (l *Logic) FallbackCwnd() float64 {
 
 // OnEstablished starts the Pacing phase.
 func (l *Logic) OnEstablished(env cc.Env, now sim.Time) {
-	if l.st.RetxBudget < 1 {
-		l.st.RetxBudget = 1 // zero-value state is a valid start state
-	}
 	hi := env.NumSegs()
 	if w := env.FcwSegs(); hi > w {
 		hi = w
@@ -247,9 +237,6 @@ func (l *Logic) OnTimer(env cc.Env, kind cc.TimerKind, now sim.Time) {
 		return
 	}
 	l.st.PacingDone = true
-	if l.st.Phase == PhasePacing {
-		l.st.Phase = PhaseROPR
-	}
 }
 
 // OnAck is the per-ACK heart of Halfback: measure the ACK rate, run the
@@ -309,10 +296,10 @@ func (l *Logic) OnAck(env cc.Env, ev cc.AckEvent, now sim.Time) {
 
 // OnLoss retransmits the first hole, like TCP; the window consequence is
 // the fallback engine's business if it is running.
-func (l *Logic) OnLoss(env cc.Env, ev cc.LossEvent, now sim.Time) {
+func (l *Logic) OnLoss(env cc.Env, now sim.Time) {
 	l.st.RetxBudget++
 	if l.reno != nil {
-		l.reno.OnLoss(env, ev, now)
+		l.reno.OnLoss(env, now)
 		return
 	}
 	sc := env.Sack()
@@ -482,7 +469,6 @@ func (l *Logic) startFallback(env cc.Env, now sim.Time) {
 	if l.reno != nil {
 		return
 	}
-	l.st.Phase = PhaseFallback
 	cwnd := l.estimateRateWindow(env)
 	l.reno = tcp.NewReno(tcp.Config{InitialWindow: 2})
 	l.reno.Cwnd = cwnd

@@ -106,8 +106,7 @@ func argVal(args []string, prefix string) string {
 }
 
 func distWorkerMain(args []string) int {
-	return dist.ServeWorker(dist.ServeConfig{
-		Addr:  argVal(args, "-hbdist.addr="),
+	return dist.ServeWorker(argVal(args, "-hbdist.addr="), dist.WorkerOptions{
 		Key:   dist.ResolveKey(""),
 		Start: distEntryStart,
 		Logf: func(format string, a ...any) {

@@ -111,8 +111,7 @@ func TestAuthNonLoopbackRefusedWithoutKey(t *testing.T) {
 // A worker refuses a non-loopback bind without a key (exit code 2).
 func TestServeWorkerRefusesNonLoopbackBindWithoutKey(t *testing.T) {
 	var msgs []string
-	code := ServeWorker(ServeConfig{
-		Addr:  "0.0.0.0:0",
+	code := ServeWorker("0.0.0.0:0", WorkerOptions{
 		Start: (&testProgram{sweeps: 1, cells: 1}).start,
 		Logf:  func(f string, a ...any) { msgs = append(msgs, f) },
 	})

@@ -492,8 +492,7 @@ func TestMain(m *testing.M) {
 			if slices.Contains(os.Args[i+1:], "-dist.slow") {
 				prog.delay = 200 * time.Millisecond
 			}
-			os.Exit(ServeWorker(ServeConfig{
-				Addr:        "127.0.0.1:0",
+			os.Exit(ServeWorker("127.0.0.1:0", WorkerOptions{
 				Key:         ResolveKey(""),
 				Start:       prog.start,
 				DrainLinger: 50 * time.Millisecond,

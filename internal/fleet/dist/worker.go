@@ -490,51 +490,31 @@ const listenLinePrefix = "DIST WORKER "
 // leak children past their coordinator.
 const stdinExitEnv = "HALFBACK_DIST_STDIN_EXIT"
 
-// ServeConfig parameterizes ServeWorker — the `-serve-worker` entry
-// point shared by the CLIs.
-type ServeConfig struct {
-	// Addr is the listen address; host:0 picks a port. Non-loopback
-	// binds require Key.
-	Addr string
-	// Key is the cluster secret (see WorkerOptions.Key). Required for
-	// non-loopback binds.
-	Key []byte
-	// Start runs the configured program (required).
-	Start StartFunc
-	// DrainLinger overrides the post-drain linger (tests).
-	DrainLinger time.Duration
-	// Logf receives worker diagnostics.
-	Logf func(format string, args ...any)
-}
-
-// ServeWorker binds cfg.Addr, announces the bound address on stdout,
-// and serves coordinator sessions until a Shutdown RPC, a signal, or —
-// for forked workers — stdin EOF. The first SIGINT/SIGTERM drains
-// gracefully (in-flight cells finish and reply, Ping turns
+// ServeWorker is the `-serve-worker` entry point shared by the CLIs. It
+// binds addr (host:0 picks a port; a non-loopback bind requires
+// opts.Key), announces the bound address on stdout, runs a worker built
+// from opts, and serves coordinator sessions until a Shutdown RPC, a
+// signal, or — for forked workers — stdin EOF. The first SIGINT/SIGTERM
+// drains gracefully (in-flight cells finish and reply, Ping turns
 // Running=false, then exit 130); a second signal force-quits. Returns
 // the process exit code: 0 clean, 130 interrupted, 2 usage/bind error.
-func ServeWorker(cfg ServeConfig) int {
-	logf := cfg.Logf
-	if len(cfg.Key) == 0 && !LoopbackAddr(cfg.Addr) {
+func ServeWorker(addr string, opts WorkerOptions) int {
+	logf := opts.Logf
+	if len(opts.Key) == 0 && !LoopbackAddr(addr) {
 		if logf != nil {
-			logf("dist worker: refusing to bind %s without a cluster key — a non-loopback worker must authenticate its coordinator; set -cluster-key or %s (or bind 127.0.0.1)", cfg.Addr, KeyEnv)
+			logf("dist worker: refusing to bind %s without a cluster key — a non-loopback worker must authenticate its coordinator; set -cluster-key or %s (or bind 127.0.0.1)", addr, KeyEnv)
 		}
 		return 2
 	}
-	lis, err := net.Listen("tcp", cfg.Addr)
+	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		if logf != nil {
-			logf("dist worker: listen %s: %v", cfg.Addr, err)
+			logf("dist worker: listen %s: %v", addr, err)
 		}
 		return 2
 	}
 	fmt.Printf("%s%s\n", listenLinePrefix, lis.Addr())
-	w := NewWorker(WorkerOptions{
-		Start:       cfg.Start,
-		Key:         cfg.Key,
-		DrainLinger: cfg.DrainLinger,
-		Logf:        logf,
-	})
+	w := NewWorker(opts)
 
 	var interrupted atomic.Bool
 	ch := make(chan os.Signal, 2)

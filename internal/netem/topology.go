@@ -125,9 +125,10 @@ type PathConfig struct {
 	RTT         sim.Duration // two-way propagation
 	BufferBytes int          // bottleneck queue (both directions)
 	LossProb    float64      // random loss each direction
-	// AsymmetryUp scales the reverse (client->server... i.e. "upload")
-	// direction's rate; 0 means symmetric. Home access links are
-	// asymmetric (e.g. DSL), which matters for ACK-clocked schemes.
+	// UpRateBps is the client->server ("upload") direction's rate,
+	// which carries a download's ACKs; 0 means RateBps (symmetric).
+	// Home access links are asymmetric (e.g. DSL), which matters for
+	// ACK-clocked schemes.
 	UpRateBps int64
 }
 

@@ -2,9 +2,9 @@
 // what adding a scheme costs (DESIGN.md §10's walkthrough): a constant
 // sliding window of W segments, no growth, no pacing, timeout recovery
 // only through the transport's RTO (on which it retransmits the
-// cumulative point). It is the smallest possible Pumper controller — the
-// connection offers a send opportunity after every event, and the
-// controller fills the window, retransmissions first.
+// cumulative point). It is the smallest possible window controller: at
+// the end of OnEstablished, OnAck and OnLoss it fills the window,
+// retransmissions first.
 //
 // It exists as a living example and a conformance-suite subject, not as
 // a scheme the paper evaluates.
@@ -19,59 +19,63 @@ import (
 // segments, between TCP's initial 2 and TCP-10's 10.
 const DefaultWindow = 4
 
-// FixedWinState is the controller's state.
-type FixedWinState struct {
+// fixedWinState is the controller's state.
+type fixedWinState struct {
 	Window     int32
 	RetxBudget int
 }
 
 // Logic is the fixed-window controller.
 type Logic struct {
-	st FixedWinState
+	st fixedWinState
 }
 
 // New returns the Controller factory for a constant window of w segments
 // (w <= 0 selects DefaultWindow).
 func New(w int32) func() cc.Controller {
 	return func() cc.Controller {
-		return &Logic{st: FixedWinState{Window: w, RetxBudget: 1}}
+		return &Logic{st: fixedWinState{Window: w, RetxBudget: 1}}
 	}
 }
 
-// OnEstablished resolves a window of w <= 0 to DefaultWindow; the
-// connection's post-event send offer does the rest.
+// OnEstablished resolves a window of w <= 0 to DefaultWindow and sends
+// the first window.
 func (l *Logic) OnEstablished(env cc.Env, now sim.Time) {
 	if l.st.Window < 1 {
 		l.st.Window = DefaultWindow
 	}
+	l.fill(env, now)
 }
 
-// OnAck is a no-op: a fixed window has nothing to learn from an ACK.
-// The scoreboard advanced, so the send offer refills the pipe.
-func (l *Logic) OnAck(env cc.Env, ev cc.AckEvent, now sim.Time) {}
+// OnAck refills the window: a fixed window has nothing to learn from an
+// ACK, but the scoreboard advanced.
+func (l *Logic) OnAck(env cc.Env, ev cc.AckEvent, now sim.Time) { l.fill(env, now) }
 
 // OnLoss applies the timeout presumption, widens the per-segment
 // retransmission budget and retransmits the cumulative point itself,
-// as Reno does on a timeout. The send offer alone is not enough: Pipe
-// counts every retransmitted copy above the cumulative point until that
-// point advances, so once a retransmission is lost it can read Window
-// at every later timeout and OnSend's gate would never open again.
-func (l *Logic) OnLoss(env cc.Env, ev cc.LossEvent, now sim.Time) {
+// as Reno does on a timeout, then refills the window. Refilling alone
+// is not enough: Pipe counts every retransmitted copy above the
+// cumulative point until that point advances, so once a retransmission
+// is lost it can read Window at every later timeout and fill's gate
+// would never open again.
+func (l *Logic) OnLoss(env cc.Env, now sim.Time) {
 	l.st.RetxBudget++
 	sc := env.Sack()
 	sc.MarkOutstandingLost()
 	if !env.Finished() {
 		env.SendSegment(sc.CumAck(), true, false, now)
 	}
+	l.fill(env, now)
 }
 
-// OnTimer is a no-op: the scheme owns no timers.
+// OnTimer is a no-op: the scheme arms no timers and never paces, so the
+// connection never calls it.
 func (l *Logic) OnTimer(env cc.Env, kind cc.TimerKind, now sim.Time) {}
 
-// OnSend fills the constant window: inferred losses first (so the flow
-// can finish on lossy paths), then new data under the flow-control
-// limit.
-func (l *Logic) OnSend(env cc.Env, budget int32, now sim.Time) {
+// fill sends while the constant window has room: inferred losses first
+// (so the flow can finish on lossy paths), then new data under the
+// flow-control limit.
+func (l *Logic) fill(env cc.Env, now sim.Time) {
 	sc := env.Sack()
 	guard := 0
 	for {

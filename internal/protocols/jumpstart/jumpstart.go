@@ -12,8 +12,8 @@ import (
 	"halfback/internal/sim"
 )
 
-// JumpStartState is the sender's decision state.
-type JumpStartState struct {
+// jumpStartState is the sender's decision state.
+type jumpStartState struct {
 	PacingDone  bool
 	AckedDuring int32 // segments acknowledged while pacing (seeds cwnd)
 
@@ -30,13 +30,13 @@ type JumpStartState struct {
 
 // Logic is the JumpStart controller.
 type Logic struct {
-	st JumpStartState
+	st jumpStartState
 }
 
 // New returns the Controller factory.
 func New() func() cc.Controller {
 	return func() cc.Controller {
-		return &Logic{st: JumpStartState{RetxBudget: 1}}
+		return &Logic{st: jumpStartState{RetxBudget: 1}}
 	}
 }
 
@@ -44,9 +44,6 @@ func New() func() cc.Controller {
 func (l *Logic) PacingComplete() bool { return l.st.PacingDone }
 
 func (l *Logic) OnEstablished(env cc.Env, now sim.Time) {
-	if l.st.RetxBudget < 1 {
-		l.st.RetxBudget = 1 // zero-value state is a valid start state
-	}
 	// Pace min(flow, fcw) across the handshake RTT.
 	hi := env.NumSegs()
 	if w := env.FcwSegs(); hi > w {
@@ -134,7 +131,7 @@ func (l *Logic) slowStartRecovery(env cc.Env, now sim.Time) {
 // a timeout does to JumpStart is therefore the *latency* of the 1 s RTO
 // itself plus the slow rebuild — which its loss-prone line-rate bursts
 // make it pay far more often than the paced schemes.
-func (l *Logic) OnLoss(env cc.Env, ev cc.LossEvent, now sim.Time) {
+func (l *Logic) OnLoss(env cc.Env, now sim.Time) {
 	l.st.RetxBudget++
 	l.st.RTORecovery = true
 	l.st.Cwnd = 1

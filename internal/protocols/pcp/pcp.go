@@ -36,8 +36,8 @@ const (
 	MaxProbeRounds = 6
 )
 
-// PCPState is the sender's decision state.
-type PCPState struct {
+// pcpState is the sender's decision state.
+type pcpState struct {
 	Rate      float64 // current verified-or-target rate, bytes/sec
 	FloorRate float64
 	Probing   bool
@@ -67,13 +67,13 @@ type PCPState struct {
 
 // Logic is the PCP controller.
 type Logic struct {
-	st PCPState
+	st pcpState
 }
 
 // New returns the Controller factory.
 func New() func() cc.Controller {
 	return func() cc.Controller {
-		return &Logic{st: PCPState{RetxBudget: 1, LossEventEnd: -1}}
+		return &Logic{st: pcpState{RetxBudget: 1, LossEventEnd: -1}}
 	}
 }
 
@@ -87,12 +87,6 @@ func (l *Logic) ProbeRounds() int64 { return l.st.Rounds }
 func (l *Logic) ProbeFailures() int64 { return l.st.Failures }
 
 func (l *Logic) OnEstablished(env cc.Env, now sim.Time) {
-	if l.st.RetxBudget < 1 {
-		// Zero-value state is a valid start state: restore the
-		// constructor's sentinels.
-		l.st.RetxBudget = 1
-		l.st.LossEventEnd = -1
-	}
 	rtt := env.HandshakeRTT()
 	if rtt <= 0 {
 		rtt = 100 * sim.Millisecond
@@ -305,7 +299,7 @@ func (l *Logic) OnTimer(env cc.Env, kind cc.TimerKind, now sim.Time) {
 	}
 }
 
-func (l *Logic) OnLoss(env cc.Env, ev cc.LossEvent, now sim.Time) {
+func (l *Logic) OnLoss(env cc.Env, now sim.Time) {
 	l.st.RetxBudget++
 	l.st.Rate = maxf(l.st.Rate/2, l.st.FloorRate)
 	sc := env.Sack()

@@ -14,17 +14,20 @@ import (
 // MinPTO is the probe-timeout floor (the TLP draft's 10 ms).
 const MinPTO = 10 * sim.Millisecond
 
-// ReactiveState is the probe layer's decision state. The embedded Reno
-// engine keeps its own RenoState.
-type ReactiveState struct {
+// maxProbe is how many probes one tail episode may send before
+// yielding to the RTO.
+const maxProbe = 2
+
+// reactiveState is the probe layer's decision state. The wrapped Reno
+// engine keeps its own.
+type reactiveState struct {
 	ProbesSent int64
 	PTOAttempt int // consecutive probes without forward progress
-	MaxProbe   int // probes per tail episode before yielding to the RTO
 }
 
 // Logic is Reactive TCP: a wrapped Reno engine plus the tail probe.
 type Logic struct {
-	st   ReactiveState
+	st   reactiveState
 	reno *tcp.Reno
 }
 
@@ -32,10 +35,7 @@ type Logic struct {
 // window (Reactive TCP keeps the paper's default of 2).
 func New(icw int32) func() cc.Controller {
 	return func() cc.Controller {
-		return &Logic{
-			st:   ReactiveState{MaxProbe: 2}, // at most two probes per tail episode, then RTO
-			reno: tcp.NewReno(tcp.Config{InitialWindow: icw}),
-		}
+		return &Logic{reno: tcp.NewReno(tcp.Config{InitialWindow: icw})}
 	}
 }
 
@@ -43,9 +43,6 @@ func New(icw int32) func() cc.Controller {
 func (l *Logic) Probes() int64 { return l.st.ProbesSent }
 
 func (l *Logic) OnEstablished(env cc.Env, now sim.Time) {
-	if l.st.MaxProbe < 1 {
-		l.st.MaxProbe = 2 // zero-value state is a valid start state
-	}
 	l.reno.OnEstablished(env, now)
 	l.armPTO(env, now, 0)
 }
@@ -57,9 +54,9 @@ func (l *Logic) OnAck(env cc.Env, ev cc.AckEvent, now sim.Time) {
 	}
 }
 
-func (l *Logic) OnLoss(env cc.Env, ev cc.LossEvent, now sim.Time) {
+func (l *Logic) OnLoss(env cc.Env, now sim.Time) {
 	env.StopTimer(cc.TimerPTO)
-	l.reno.OnLoss(env, ev, now)
+	l.reno.OnLoss(env, now)
 	l.armPTO(env, now, 0)
 }
 
@@ -74,14 +71,11 @@ func (l *Logic) OnTimer(env cc.Env, kind cc.TimerKind, now sim.Time) {
 // Decision reports the Reno engine's window.
 func (l *Logic) Decision() cc.Decision { return l.reno.Decision() }
 
-// Reno exposes the wrapped engine, for tests.
-func (l *Logic) Reno() *tcp.Reno { return l.reno }
-
 // armPTO schedules the tail probe: PTO = max(2·SRTT, MinPTO). attempt
 // tracks consecutive probes without forward progress.
 func (l *Logic) armPTO(env cc.Env, now sim.Time, attempt int) {
 	env.StopTimer(cc.TimerPTO)
-	if env.Finished() || attempt >= l.st.MaxProbe {
+	if env.Finished() || attempt >= maxProbe {
 		return
 	}
 	srtt := env.SRTT()

@@ -29,8 +29,11 @@ type Config struct {
 	OnSend func(env cc.Env, seq int32, retransmit bool, now sim.Time)
 }
 
-// RenoState is Reno's decision state.
-type RenoState struct {
+// Reno is the controller. It is exported so the Reactive and Proactive
+// packages can wrap it and Halfback's fallback phase can drive it.
+type Reno struct {
+	Conf Config
+
 	Cwnd     float64 // congestion window, segments
 	Ssthresh float64
 
@@ -40,13 +43,6 @@ type RenoState struct {
 	// SACK-recovery path may issue; it grows with timeouts so a flow
 	// can always eventually make progress.
 	RetxBudget int
-}
-
-// Reno is the controller. It is exported so the Reactive and Proactive
-// packages can wrap it and Halfback's fallback phase can drive it.
-type Reno struct {
-	Conf Config
-	RenoState
 }
 
 // New returns a Controller factory for the given configuration.
@@ -60,39 +56,16 @@ func NewReno(conf Config) *Reno {
 		conf.InitialWindow = 2
 	}
 	return &Reno{
-		Conf: conf,
-		RenoState: RenoState{
-			Cwnd:       float64(conf.InitialWindow),
-			Ssthresh:   1 << 20, // "infinite": slow start until first loss
-			RetxBudget: 1,
-		},
-	}
-}
-
-// ensureDefaults makes the zero value of RenoState a valid start state:
-// a restored-from-scratch controller slow-starts from the configured
-// initial window. Constructor-seeded (or cache-warmed) values pass
-// through untouched.
-func (r *Reno) ensureDefaults() {
-	if r.Cwnd < 1 {
-		icw := r.Conf.InitialWindow
-		if icw <= 0 {
-			icw = 2
-		}
-		r.Cwnd = float64(icw)
-	}
-	if r.Ssthresh < 2 {
-		r.Ssthresh = 1 << 20
-	}
-	if r.RetxBudget < 1 {
-		r.RetxBudget = 1
+		Conf:       conf,
+		Cwnd:       float64(conf.InitialWindow),
+		Ssthresh:   1 << 20, // "infinite": slow start until first loss
+		RetxBudget: 1,
 	}
 }
 
 // OnEstablished seeds the window (from the cache if warm) and sends the
 // initial burst.
 func (r *Reno) OnEstablished(env cc.Env, now sim.Time) {
-	r.ensureDefaults()
 	if r.Conf.Cache != nil {
 		src, dst := env.Path()
 		if e, ok := r.Conf.Cache.Lookup(src, dst); ok {
@@ -147,7 +120,7 @@ func (r *Reno) enterRecovery(env cc.Env, now sim.Time) {
 // OnLoss handles the retransmission timeout: collapse the window,
 // presume all outstanding data lost (RFC 5681), and retransmit the
 // first hole; subsequent holes follow in slow start as ACKs return.
-func (r *Reno) OnLoss(env cc.Env, ev cc.LossEvent, now sim.Time) {
+func (r *Reno) OnLoss(env cc.Env, now sim.Time) {
 	sc := env.Sack()
 	pipe := float64(sc.Pipe(env.DupThresh()))
 	r.Ssthresh = maxf(pipe/2, 2)

@@ -29,8 +29,8 @@ const (
 // everything scheme-independent (handshake, scoreboard, RTT/RTO,
 // completion detection, pacing, timers) and is the cc.Env its controller
 // observes and acts through: it calls the controller at the decision
-// points every scheme differs on and, after each, offers a Pumper its
-// send opportunity (DESIGN.md §10). Create with NewConn, then Start.
+// points every scheme differs on, and the controller sends from those
+// callbacks (DESIGN.md §10). Create with NewConn, then Start.
 type Conn struct {
 	ID   netem.FlowID
 	Opts Options
@@ -41,7 +41,6 @@ type Conn struct {
 	dst   *Stack // receiver host
 
 	ctrl cc.Controller
-	pump cc.Pumper   // non-nil iff the controller wants send offers
 	done cc.DoneHook // non-nil iff the controller has terminal work
 
 	flowBytes int
@@ -119,7 +118,6 @@ func NewConn(id netem.FlowID, src, dst *Stack, flowBytes int, opts Options,
 		sentAt:     make([]sim.Time, n),
 		onComplete: onComplete,
 	}
-	c.pump, _ = ctrl.(cc.Pumper)
 	c.done, _ = ctrl.(cc.DoneHook)
 	c.val.Init(id)
 	c.recv = newReceiver(c)
@@ -154,7 +152,6 @@ func (c *Conn) Start(now sim.Time) {
 		c.RTT.Sample(hint)
 		c.fcwSegs = c.Opts.WindowSegments()
 		c.ctrl.OnEstablished(c, now)
-		c.offer(now)
 		return
 	}
 	c.state = stateSynSent
@@ -227,7 +224,6 @@ func (c *Conn) handleSenderPacket(pkt *netem.Packet, now sim.Time) {
 			c.fcwSegs = c.Opts.WindowSegments()
 		}
 		c.ctrl.OnEstablished(c, now)
-		c.offer(now)
 
 	case netem.KindAck:
 		if c.state != stateEstablished {
@@ -242,7 +238,6 @@ func (c *Conn) handleSenderPacket(pkt *netem.Packet, now sim.Time) {
 		// Probe feedback is protocol-specific (PCP); surface it as an
 		// ACK with no scoreboard change.
 		c.ctrl.OnAck(c, cc.AckEvent{Duplicate: true, Probe: true, Seq: pkt.Seq, OWD: pkt.OWD}, now)
-		c.offer(now)
 	}
 }
 
@@ -274,7 +269,6 @@ func (c *Conn) processAck(pkt *netem.Packet, now sim.Time) {
 		c.restartRTO(now)
 	}
 	c.ctrl.OnAck(c, cc.AckEvent{NewCumAcked: up.NewCumAcked, NewSacked: up.NewSacked, Duplicate: up.Duplicate}, now)
-	c.offer(now)
 }
 
 // noteMisbehavior records a flagged ACK and applies the configured
@@ -379,12 +373,6 @@ func (c *Conn) restartRTO(now sim.Time) {
 	c.rtoTimer = c.sched.AfterFunc(rto, connFireRTO, c)
 }
 
-// StopRTO cancels the retransmission timer; protocols that know nothing
-// is outstanding (e.g. PCP between probe rounds) may use it.
-func (c *Conn) StopRTO() {
-	c.rtoTimer.Stop()
-}
-
 func connFireRTO(now sim.Time, arg any) { arg.(*Conn).fireRTO(now) }
 
 func (c *Conn) fireRTO(now sim.Time) {
@@ -401,8 +389,7 @@ func (c *Conn) fireRTO(now sim.Time) {
 		return
 	}
 	c.restartRTO(now)
-	c.ctrl.OnLoss(c, cc.LossEvent{Kind: cc.LossTimeout}, now)
-	c.offer(now)
+	c.ctrl.OnLoss(c, now)
 }
 
 func (c *Conn) finish(now sim.Time) {
@@ -518,19 +505,8 @@ func (c *Conn) EmitFromReceiver(mutate func(*netem.Packet), now sim.Time) {
 
 // The controller's Env ---------------------------------------------------
 //
-// Beside SendSegment, WindowLimit, FcwSegs, StopRTO, Finished and
-// Established above.
-
-// offer gives a Pumper controller its send opportunity, after every
-// event delivered to the controller, with the flow-control budget for
-// never-sent segments.
-func (c *Conn) offer(now sim.Time) {
-	if c.pump == nil || c.state != stateEstablished {
-		return
-	}
-	budget := c.WindowLimit() - (c.Score.HighSent() + 1)
-	c.pump.OnSend(c, max(budget, 0), now)
-}
+// Beside SendSegment, WindowLimit, FcwSegs, Finished and Established
+// above.
 
 // Sack returns the connection's scoreboard.
 func (c *Conn) Sack() cc.Sack { return c.Score }
@@ -590,7 +566,6 @@ func (c *Conn) fireTimer(kind cc.TimerKind, now sim.Time) {
 		return
 	}
 	c.ctrl.OnTimer(c, kind, now)
-	c.offer(now)
 }
 
 // ArmTimer (re)arms a controller timer.

@@ -10,7 +10,7 @@ import (
 	"halfback/internal/sim"
 )
 
-// callback names one callback of cc.Controller, cc.Pumper or cc.DoneHook.
+// callback names one callback of cc.Controller or cc.DoneHook.
 type callback uint8
 
 const (
@@ -18,26 +18,24 @@ const (
 	cbAck
 	cbLoss
 	cbTimer
-	cbSend
 	cbDone
 )
 
 // rec is one callback a recCtrl received.
 type rec struct {
-	cb     callback
-	now    sim.Time
-	ack    cc.AckEvent  // cbAck
-	timer  cc.TimerKind // cbTimer
-	budget int32        // cbSend
+	cb    callback
+	now   sim.Time
+	ack   cc.AckEvent  // cbAck
+	timer cc.TimerKind // cbTimer
 }
 
 // recCtrl is the one controller the transport's own tests run. It
 // records every callback and, unless manual is set, is a minimal
-// go-back-nothing sender: every send offer fills the flow-control window
-// and plugs SACK-confirmed holes once each, a timeout retransmits the
-// cumulative point. It exercises the Conn plumbing without congestion
-// control. hook, if set, runs inside each callback once it is recorded
-// and before the default sends.
+// go-back-nothing sender: a timeout retransmits the cumulative point,
+// and every callback but OnDone ends by filling the flow-control window
+// and plugging SACK-confirmed holes once each. It exercises the Conn
+// plumbing without congestion control. hook, if set, runs inside each
+// callback once it is recorded and before the default sends.
 type recCtrl struct {
 	log    []rec
 	manual bool
@@ -64,13 +62,15 @@ func (c *recCtrl) count(cb callback) (n int) {
 
 func (c *recCtrl) OnEstablished(env cc.Env, now sim.Time) {
 	c.note(env, rec{cb: cbEstablished, now: now})
+	c.fill(env, now)
 }
 
 func (c *recCtrl) OnAck(env cc.Env, ev cc.AckEvent, now sim.Time) {
 	c.note(env, rec{cb: cbAck, now: now, ack: ev})
+	c.fill(env, now)
 }
 
-func (c *recCtrl) OnLoss(env cc.Env, ev cc.LossEvent, now sim.Time) {
+func (c *recCtrl) OnLoss(env cc.Env, now sim.Time) {
 	c.note(env, rec{cb: cbLoss, now: now})
 	if c.manual {
 		return
@@ -80,23 +80,25 @@ func (c *recCtrl) OnLoss(env cc.Env, ev cc.LossEvent, now sim.Time) {
 	if seq := sc.CumAck(); seq < env.NumSegs() && sc.SentOnce(seq) && !sc.IsAcked(seq) {
 		env.SendSegment(seq, true, false, now)
 	}
+	c.fill(env, now)
 }
 
 func (c *recCtrl) OnTimer(env cc.Env, kind cc.TimerKind, now sim.Time) {
 	c.note(env, rec{cb: cbTimer, now: now, timer: kind})
+	c.fill(env, now)
 }
 
 func (c *recCtrl) OnDone(env cc.Env, now sim.Time) { c.note(env, rec{cb: cbDone, now: now}) }
 
-func (c *recCtrl) OnSend(env cc.Env, budget int32, now sim.Time) {
-	c.note(env, rec{cb: cbSend, now: now, budget: budget})
-	if c.manual {
+// fill sends every never-sent segment flow control admits, then every
+// SACK-confirmed hole not yet retransmitted.
+func (c *recCtrl) fill(env cc.Env, now sim.Time) {
+	if c.manual || env.Finished() {
 		return
 	}
 	sc := env.Sack()
-	for seq := sc.HighSent() + 1; budget > 0; budget-- {
+	for seq := sc.HighSent() + 1; seq < env.WindowLimit(); seq++ {
 		env.SendSegment(seq, false, false, now)
-		seq++
 	}
 	for !env.Finished() { // a retransmission can exhaust Options.MaxRetx
 		lost := sc.NextLost(sc.CumAck(), env.DupThresh(), 1)
@@ -616,7 +618,7 @@ func TestConnEnvContract(t *testing.T) {
 		w := newWorld(t, cleanPath())
 		conn, ctrl := dial(t, w, 50_000, Options{})
 		ctrl.hook = func(env cc.Env, r rec) {
-			if r.cb == cbAck && env.Sack().AllAcked() {
+			if r.cb == cbAck && conn.Score.AllAcked() {
 				t.Error("OnAck saw a fully acknowledged flow")
 			}
 		}
@@ -650,54 +652,6 @@ func TestConnEnvContract(t *testing.T) {
 		w.sched.Run()
 		if ctrl.count(cbLoss) != 4 {
 			t.Fatalf("%d loss events, want 4 before the give-up", ctrl.count(cbLoss))
-		}
-	})
-
-	// A Pumper is offered the flow-control budget after every event, and
-	// never once the flow is terminal.
-	t.Run("send-offers", func(t *testing.T) {
-		// 343 segments through a 96-segment window, with a SACK-visible
-		// hole and a tail only a timeout recovers.
-		w := newWorld(t, cleanPath())
-		inner := w.path.Client.Deliver
-		w.path.Client.Deliver = func(pkt *netem.Packet, now sim.Time) {
-			if pkt.Kind != netem.KindData || pkt.Retransmit || pkt.Seq != 50 && pkt.Seq < 340 {
-				inner(pkt, now)
-			}
-		}
-		conn, ctrl := dial(t, w, 500_000, Options{})
-		ctrl.hook = func(env cc.Env, r rec) {
-			if r.cb == cbEstablished {
-				env.ArmTimer(cc.TimerTick, 250*sim.Millisecond)
-			}
-			if r.cb != cbSend {
-				return
-			}
-			want := min(conn.Score.CumAck()+conn.FcwSegs(), conn.NumSegs()) - (conn.Score.HighSent() + 1)
-			if r.budget != want || r.budget < 0 || !env.Established() {
-				t.Errorf("offer at %v: budget %d, want %d (established=%v)", r.now, r.budget, want, env.Established())
-			}
-		}
-		conn.Start(0)
-		w.sched.Run()
-		if !conn.Stats.Completed {
-			t.Fatal("flow did not complete")
-		}
-		for _, cb := range []callback{cbAck, cbLoss, cbTimer} {
-			if ctrl.count(cb) == 0 {
-				t.Fatalf("scenario produced no callback %v", cb)
-			}
-		}
-		last := len(ctrl.log) - 1
-		for i, r := range ctrl.log[:last] {
-			next := ctrl.log[i+1]
-			if event := r.cb != cbSend; event != (next.cb == cbSend && next.now == r.now) {
-				t.Fatalf("callback %d (%v at %v) followed by %v at %v: want event, offer, event, offer, ...",
-					i, r.cb, r.now, next.cb, next.now)
-			}
-		}
-		if ctrl.log[last].cb != cbDone {
-			t.Fatalf("last callback %v, want OnDone with no offer after it", ctrl.log[last].cb)
 		}
 	})
 
@@ -746,7 +700,7 @@ func TestConnEnvContract(t *testing.T) {
 			env.Pace(5, 5, 90*sim.Millisecond)
 			got := fmt.Sprint(ctrl.log)
 			want := fmt.Sprint([]rec{{cb: cbEstablished, now: r.now},
-				{cb: cbTimer, now: r.now, timer: cc.TimerPaceDone}, {cb: cbSend, now: r.now, budget: conn.WindowLimit()}})
+				{cb: cbTimer, now: r.now, timer: cc.TimerPaceDone}})
 			if got != want {
 				t.Errorf("callbacks when Pace returned: %s, want %s", got, want)
 			}

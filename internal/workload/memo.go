@@ -9,13 +9,18 @@ import (
 
 // Population memoization.
 //
-// Sweep grids regenerate identical flow populations per cell: every
-// scheme in a capacity sweep shares one arrival schedule per
-// utilization, Fig. 1 re-runs the whole Fig. 12 grid, and the
-// PlanetLab/home exhibits rebuild the same path populations for each
-// scheme column. Generation is deterministic — a generator's output is
-// fully determined by the consumed Rand's starting state plus the
-// generation parameters — so (state, parameters) is a sound cache key.
+// Some cells regenerate a population another cell of the same process
+// already drew. Fig. 10 and fctsweep seed a cell's arrivals without the
+// scheme, so every scheme column after the first reuses the schedule.
+// Figs. 1, 12 and 17 share capacity-sweep cells, whose arrivals are
+// seeded by (scheme, utilization), so in one process (-fig all) Fig. 12
+// reuses Fig. 1's schedules and Fig. 17 those of the schemes it shares
+// with them. Figs. 5–8 draw the same PlanetLab population, once per
+// exhibit's plan. The test suites repeat exhibits and cells within one
+// process. A sweep whose arrivals are seeded per cell, run alone, only
+// misses. Generation is deterministic — a generator's output is fully
+// determined by the consumed Rand's starting state plus the generation
+// parameters — so (state, parameters) is a sound cache key.
 //
 // The contract for every *Cached variant: the rng argument must be a
 // throwaway fork dedicated to this one generation (the established call
