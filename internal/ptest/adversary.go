@@ -274,6 +274,8 @@ type AttackResult struct {
 
 	Drained        bool
 	ConservationOK bool
+
+	Stats *transport.FlowStats
 }
 
 // Amplification returns DataPktsSent relative to the flow's segment
@@ -356,6 +358,7 @@ func RunAttack(seed uint64, schemeName, attack string, flowBytes int,
 		AbortReason:  conn.Stats.AbortReason,
 		Flagged:      conn.Stats.MisbehaviorTotal(),
 		FirstClass:   conn.Stats.FirstMisbehavior,
+		Stats:        conn.Stats,
 	}
 	res.FalseCompletion = res.SenderDone && host.Distinct != conn.NumSegs()
 	if res.SenderDone {
