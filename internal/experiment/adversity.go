@@ -7,6 +7,7 @@ import (
 	"halfback/internal/ptest"
 	"halfback/internal/scheme"
 	"halfback/internal/sim"
+	"halfback/internal/transport"
 )
 
 // adversityFlowBytes matches the wide-area transfer size (§4.2.1).
@@ -53,7 +54,7 @@ var adversity = &Spec{ID: "adversity", Title: "Safety under network adversity (r
 			func(at []int) (fleet.Row, error) {
 				i := (at[0]*len(schemes)+at[1])*trials + at[2] // the cell's row-major index
 				u := ptest.PresetUniverse(sim.ChildSeed(seed^0xadefac7, uint64(i)), presets[at[0]])
-				return tortureRow(ptest.RunTorture(u, schemes[at[1]], adversityFlowBytes)), nil
+				return tortureRow(ptest.Run(u, schemes[at[1]], adversityFlowBytes, transport.Options{}, "")), nil
 			}
 	},
 	// Per (preset, scheme), the violation counts and the mean cost over
@@ -84,10 +85,10 @@ var adversity = &Spec{ID: "adversity", Title: "Safety under network adversity (r
 }
 
 // tortureRow keeps what the tables read of one torture run.
-func tortureRow(r *ptest.TortureResult) fleet.Row {
+func tortureRow(r *ptest.Result) fleet.Row {
 	return fleet.Row{
-		bit(!r.Completed || !r.SenderDone), bit(!r.ChecksumOK), bit(r.Deliveries != r.NumSegs),
-		bit(!r.Drained), bit(!r.ConservationOK), r.Stats.FCT().Seconds() * 1000,
+		bit(!r.Completed || !r.Finished), bit(!r.ChecksumOK), bit(r.Delivered != r.NumSegs),
+		bit(!r.Drained), bit(!r.Conserved), r.Stats.FCT().Seconds() * 1000,
 		float64(r.Stats.NormalRetx), float64(r.Stats.DupDataAtReceiver), float64(r.Stats.ChecksumDrops),
 	}
 }

@@ -12,11 +12,11 @@ import (
 )
 
 // misbehaviorFlowBytes exceeds one flow-control window so a starved
-// sender genuinely stalls (see ptest.RunAttack).
+// sender genuinely stalls (see ptest.Result.AttackErr).
 const misbehaviorFlowBytes = 200_000
 
-// Columns of a misbehavior row: the ptest.AttackResult fields the
-// tables, Outcome and Amplification read.
+// Columns of a misbehavior row: what the tables read of one attack
+// run.
 const (
 	mbNumSegs = iota
 	mbDataPktsSent
@@ -62,8 +62,9 @@ var misbehavior = &Spec{ID: "misbehavior", Title: "Safety under misbehaving endp
 		return []Axis{{"attack", attacks}, {"scheme", schemes}, {"policy", labels(modes, transport.AckValidationMode.String)}},
 			func(at []int) (fleet.Row, error) {
 				i := (at[0]*len(schemes)+at[1])*len(modes) + at[2] // the cell's row-major index
-				return attackRow(ptest.RunAttack(sim.ChildSeed(seed^0xbadacce5, uint64(i)),
-					schemes[at[1]], attacks[at[0]], misbehaviorFlowBytes, modes[at[2]])), nil
+				u := ptest.AttackUniverse(sim.ChildSeed(seed^0xbadacce5, uint64(i)))
+				return attackRow(ptest.Run(u, schemes[at[1]], misbehaviorFlowBytes,
+					transport.Options{AckValidation: modes[at[2]]}, attacks[at[0]])), nil
 			}
 	},
 	Tables: func(g *Grid) []*metrics.Table {
@@ -74,15 +75,16 @@ var misbehavior = &Spec{ID: "misbehavior", Title: "Safety under misbehaving endp
 		modes := misbehaviorModes()
 		g.Each(func(at []int, c fleet.Row) {
 			attack, name, mode := g.Axes[0].Labels[at[0]], g.Axes[1].Labels[at[1]], modes[at[2]]
-			res := rowAttack(c)
+			amp := 0.0
+			if c[mbNumSegs] != 0 {
+				amp = c[mbDataPktsSent] / c[mbNumSegs]
+			}
 			if mode == transport.AckValidationOff {
-				trusting.AddRow(attack, name, res.Outcome(),
-					fmt.Sprintf("%.2f", res.Amplification()),
-					res.Distinct, res.NumSegs)
+				trusting.AddRow(attack, name, attackOutcome(c), fmt.Sprintf("%.2f", amp),
+					int32(c[mbDistinct]), int32(c[mbNumSegs]))
 			} else {
-				hardened.AddRow(attack, name, mode.String(), res.Outcome(),
-					fmt.Sprintf("%.2f", res.Amplification()),
-					res.DataPktsSent, res.Flagged, res.FirstClass.String())
+				hardened.AddRow(attack, name, mode.String(), attackOutcome(c), fmt.Sprintf("%.2f", amp),
+					int64(c[mbDataPktsSent]), int64(c[mbFlagged]), transport.PeerMisbehavior(c[mbFirstClass]).String())
 			}
 		})
 		return []*metrics.Table{hardened, trusting}
@@ -90,18 +92,23 @@ var misbehavior = &Spec{ID: "misbehavior", Title: "Safety under misbehaving endp
 }
 
 // attackRow keeps what the tables read of one attack run.
-func attackRow(r *ptest.AttackResult) fleet.Row {
-	return fleet.Row{float64(r.NumSegs), float64(r.DataPktsSent), float64(r.Distinct),
-		bit(r.SenderDone), bit(r.FalseCompletion), bit(r.Aborted), float64(r.AbortReason),
-		float64(r.Flagged), float64(r.FirstClass)}
+func attackRow(r *ptest.Result) fleet.Row {
+	st := r.Stats
+	return fleet.Row{float64(r.NumSegs), float64(st.DataPktsSent), float64(r.Delivered),
+		bit(r.SenderDone()), bit(r.FalseCompletion()), bit(r.Aborted), float64(r.AbortReason),
+		float64(st.MisbehaviorTotal()), float64(st.FirstMisbehavior)}
 }
 
-// rowAttack rebuilds those fields of the attack run.
-func rowAttack(c fleet.Row) *ptest.AttackResult {
-	return &ptest.AttackResult{
-		NumSegs: int32(c[mbNumSegs]), DataPktsSent: int64(c[mbDataPktsSent]), Distinct: int32(c[mbDistinct]),
-		SenderDone: c[mbSenderDone] != 0, FalseCompletion: c[mbFooled] != 0, Aborted: c[mbAborted] != 0,
-		AbortReason: transport.AbortReason(c[mbAbortReason]), Flagged: int64(c[mbFlagged]),
-		FirstClass: transport.PeerMisbehavior(c[mbFirstClass]),
+// attackOutcome renders an attack run's terminal state.
+func attackOutcome(c fleet.Row) string {
+	switch {
+	case c[mbFooled] != 0:
+		return "FOOLED"
+	case c[mbSenderDone] != 0:
+		return "completed"
+	case c[mbAborted] != 0:
+		return "abort:" + transport.AbortReason(c[mbAbortReason]).String()
+	default:
+		return "hung"
 	}
 }

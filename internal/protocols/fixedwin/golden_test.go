@@ -37,12 +37,12 @@ func TestRunsGolden(t *testing.T) {
 	}
 	for _, preset := range netem.AdversityPresetNames() {
 		for seed := uint64(1); seed <= 5; seed++ {
-			r := ptest.RunTorture(ptest.PresetUniverse(seed, preset), scheme.FixedWindow, goldenFlowBytes)
+			r := ptest.Run(ptest.PresetUniverse(seed, preset), scheme.FixedWindow, goldenFlowBytes, transport.Options{}, "")
 			line(fmt.Sprintf("preset=%s seed=%d", preset, seed), r.Stats)
 		}
 	}
 	for seed := uint64(1); seed <= 20; seed++ {
-		r := ptest.RunTorture(ptest.RandomUniverse(seed), scheme.FixedWindow, goldenFlowBytes)
+		r := ptest.Run(ptest.RandomUniverse(seed), scheme.FixedWindow, goldenFlowBytes, transport.Options{}, "")
 		line(fmt.Sprintf("random seed=%d", seed), r.Stats)
 	}
 	for _, loss := range []float64{0, 0.01, 0.05, 0.10} {

@@ -3,11 +3,9 @@ package ptest
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"halfback/internal/netem"
-	"halfback/internal/scheme"
 	"halfback/internal/sim"
 	"halfback/internal/transport"
 )
@@ -17,11 +15,11 @@ import (
 // transport.ReceiverLogic, replacing the honest receiver endpoint of a
 // Conn while completing the handshake and echoing PCP probes honestly
 // (a peer that never handshakes is just a dead host — the interesting
-// adversary wants the flow up so it can lie about it). RunAttack pits
-// one scheme against one attacker in a deterministic universe and
-// reports the bounded-waste verdicts: how much the sender transmitted,
-// whether it terminated, how, and whether it was ever fooled into
-// believing a false completion.
+// adversary wants the flow up so it can lie about it). Run with an
+// attacker pits one scheme against it, and Result.AttackErr checks the
+// bounded-waste verdicts: how much the sender transmitted, whether it
+// terminated, how, and whether it was ever fooled into believing a
+// false completion.
 
 // Attacker presets.
 const (
@@ -252,126 +250,7 @@ func (h *AttackHost) emitHonest(trigger int32, mutate func(*netem.Packet), now s
 	}, now)
 }
 
-// AttackResult records one scheme-vs-attacker run.
-type AttackResult struct {
-	Scheme string
-	Attack string
-	Mode   transport.AckValidationMode
-
-	NumSegs      int32
-	DataPktsSent int64
-	Distinct     int32 // segments the attacker genuinely received
-	Elapsed      sim.Time
-
-	SenderDone      bool // sender believes the flow completed
-	FalseCompletion bool // ...but the receiver does not hold the data
-	Terminated      bool // flow reached a terminal state before the horizon
-	Aborted         bool
-	AbortReason     transport.AbortReason
-
-	Flagged    int64 // ACKs the validator rejected
-	FirstClass transport.PeerMisbehavior
-
-	Drained        bool
-	ConservationOK bool
-
-	Stats *transport.FlowStats
-}
-
-// Amplification returns DataPktsSent relative to the flow's segment
-// count — the bounded-waste metric.
-func (r *AttackResult) Amplification() float64 {
-	if r.NumSegs == 0 {
-		return 0
-	}
-	return float64(r.DataPktsSent) / float64(r.NumSegs)
-}
-
-// Outcome renders the run's terminal state for tables.
-func (r *AttackResult) Outcome() string {
-	switch {
-	case r.FalseCompletion:
-		return "FOOLED"
-	case r.SenderDone:
-		return "completed"
-	case r.Aborted:
-		return "abort:" + r.AbortReason.String()
-	default:
-		return "hung"
-	}
-}
-
-// maxAttackAmplification is the documented bounded-waste guarantee the
-// torture suite enforces: against every attacker preset, under either
-// validation policy, a sender transmits at most this multiple of the
-// flow's segment count (plus attackWasteSlack segments of fixed
-// overhead for handshake-adjacent retransmissions). The bound follows
-// from the flow-control window (a stalled cumulative point caps new
-// data at one window) plus the MaxTimeouts retransmission budget; the
-// suite asserts the constant so a regression in either mechanism
-// surfaces as a bounded-waste failure.
-const maxAttackAmplification = 6
-
-// attackWasteSlack is the fixed per-flow overhead allowance on top of
-// maxAttackAmplification × NumSegs.
-const attackWasteSlack = 128
-
-// attackHorizon bounds one adversarial run: long enough for the full
-// MaxTimeouts backoff ladder (~660 s virtual with the paper's 1 s
-// MinRTO and 60 s cap) plus generous margin; hitting it is a
-// termination failure, not an undersized budget.
-const attackHorizon = 3600 * sim.Second
-
-// attackPath is the deterministic universe the adversarial suite runs
-// in: the paper's default wide-area path with mild random loss, so
-// loss-recovery machinery is in play but the dominant adversary is the
-// endpoint itself.
-func attackPath() netem.PathConfig {
-	return netem.PathConfig{
-		RateBps: 15 * netem.Mbps, RTT: 60 * sim.Millisecond,
-		BufferBytes: 115_000, LossProb: 0.02,
-	}
-}
-
-// RunAttack runs one flow of schemeName against the named attacker
-// under the given validation mode and returns the verdicts. flowBytes
-// should exceed one flow-control window (141 KB) so a starved
-// cumulative point genuinely stalls the sender rather than letting the
-// whole flow fit in the first window.
-func RunAttack(seed uint64, schemeName, attack string, flowBytes int,
-	mode transport.AckValidationMode) *AttackResult {
-	w := newWorld(seed, attackPath())
-	conn := w.Dial(flowBytes, transport.Options{AckValidation: mode}, scheme.MustNew(schemeName).Make)
-	host := Attach(conn, attack)
-
-	conn.Start(0)
-	w.Sched.RunUntil(sim.Time(attackHorizon))
-
-	res := &AttackResult{
-		Scheme: schemeName, Attack: attack, Mode: mode,
-		NumSegs:      conn.NumSegs(),
-		DataPktsSent: conn.Stats.DataPktsSent,
-		Distinct:     host.Distinct,
-		Terminated:   conn.Finished(),
-		SenderDone:   conn.Finished() && !conn.Aborted(),
-		Aborted:      conn.Aborted(),
-		AbortReason:  conn.Stats.AbortReason,
-		Flagged:      conn.Stats.MisbehaviorTotal(),
-		FirstClass:   conn.Stats.FirstMisbehavior,
-		Stats:        conn.Stats,
-	}
-	res.FalseCompletion = res.SenderDone && host.Distinct != conn.NumSegs()
-	if res.SenderDone {
-		res.Elapsed = conn.Stats.SenderDone
-	} else {
-		res.Elapsed = conn.Stats.AbortedAt
-	}
-
-	res.Drained, res.ConservationOK = w.Drain()
-	return res
-}
-
-// ExpectedAttackReasons returns the abort reasons the bounded-waste
+// expectedAttackReasons returns the abort reasons the bounded-waste
 // contract permits for one attacker under one validation mode; an
 // empty reason (AbortNone) in the set means honest completion is an
 // accepted terminal state. The table is the behavioural spec:
@@ -384,7 +263,7 @@ func RunAttack(seed uint64, schemeName, attack string, flowBytes int,
 //     whose every ACK is a lie starve the sender into the
 //     retransmission budget, while the dup-ACK flooder's honest ACKs
 //     still drive the flow to completion.
-func ExpectedAttackReasons(attack string, mode transport.AckValidationMode) []transport.AbortReason {
+func expectedAttackReasons(attack string, mode transport.AckValidationMode) []transport.AbortReason {
 	if mode == transport.AckValidationAbort {
 		switch attack {
 		case AttackWithholder:
@@ -399,50 +278,4 @@ func ExpectedAttackReasons(attack string, mode transport.AckValidationMode) []tr
 	default:
 		return []transport.AbortReason{transport.AbortRetxBudgetExhausted}
 	}
-}
-
-// CheckAttack verifies the bounded-waste contract on one result,
-// returning nil or an error naming every violation.
-func CheckAttack(r *AttackResult) error {
-	var probs []string
-	if !r.Terminated {
-		probs = append(probs, "flow did not terminate before the horizon")
-	}
-	if limit := int64(maxAttackAmplification)*int64(r.NumSegs) + attackWasteSlack; r.DataPktsSent > limit {
-		probs = append(probs, fmt.Sprintf("waste bound violated: sent %d > %d (%d segs)",
-			r.DataPktsSent, limit, r.NumSegs))
-	}
-	if r.Mode != transport.AckValidationOff && r.FalseCompletion {
-		probs = append(probs, fmt.Sprintf("false completion: sender done with %d/%d segments delivered",
-			r.Distinct, r.NumSegs))
-	}
-	if r.SenderDone && !r.Aborted {
-		if rs := ExpectedAttackReasons(r.Attack, r.Mode); !containsReason(rs, transport.AbortNone) {
-			probs = append(probs, "completed where an abort was required")
-		}
-	} else if r.Aborted {
-		if rs := ExpectedAttackReasons(r.Attack, r.Mode); !containsReason(rs, r.AbortReason) {
-			probs = append(probs, fmt.Sprintf("aborted with %v, want one of %v", r.AbortReason, rs))
-		}
-	}
-	if !r.Drained {
-		probs = append(probs, "scheduler did not drain after teardown")
-	}
-	if !r.ConservationOK {
-		probs = append(probs, "packet conservation violated")
-	}
-	if len(probs) == 0 {
-		return nil
-	}
-	sort.Strings(probs)
-	return fmt.Errorf("%s vs %s (%v): %s", r.Scheme, r.Attack, r.Mode, strings.Join(probs, "; "))
-}
-
-func containsReason(rs []transport.AbortReason, r transport.AbortReason) bool {
-	for _, x := range rs {
-		if x == r {
-			return true
-		}
-	}
-	return false
 }

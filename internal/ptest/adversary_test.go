@@ -29,7 +29,7 @@ func attackSchemes() []string {
 // validation policies, terminates before the horizon, transmits at
 // most maxAttackAmplification× the flow plus slack, is never fooled
 // into a false completion, and ends in a terminal state the contract
-// permits (see ExpectedAttackReasons).
+// permits (see expectedAttackReasons).
 func TestBoundedWasteAllSchemesAllAttackers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("adversarial sweep is not short")
@@ -54,10 +54,11 @@ func TestBoundedWasteAllSchemesAllAttackers(t *testing.T) {
 
 	results, err := fleet.MapOpts(fleet.Options{Label: func(i int) string {
 		return cells[i].scheme + "/" + cells[i].attack
-	}}, len(cells), func(i, _ int) (*AttackResult, error) {
+	}}, len(cells), func(i, _ int) (*Result, error) {
 		c := cells[i]
-		r := RunAttack(sim.ChildSeed(0x5afe, uint64(i)), c.scheme, c.attack, attackFlowBytes, c.mode)
-		return r, CheckAttack(r)
+		r := Run(AttackUniverse(sim.ChildSeed(0x5afe, uint64(i))), c.scheme, attackFlowBytes,
+			transport.Options{AckValidation: c.mode}, c.attack)
+		return r, r.AttackErr()
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,8 +70,8 @@ func TestBoundedWasteAllSchemesAllAttackers(t *testing.T) {
 	flaggedBy := map[string]int64{}
 	abortedBy := map[string]int{}
 	for _, r := range results {
-		flaggedBy[r.Attack] += r.Flagged
-		if r.Mode == transport.AckValidationAbort && r.AbortReason == transport.AbortPeerMisbehavior {
+		flaggedBy[r.Attack] += r.Stats.MisbehaviorTotal()
+		if r.Opts.AckValidation == transport.AckValidationAbort && r.AbortReason == transport.AbortPeerMisbehavior {
 			abortedBy[r.Attack]++
 		}
 	}
@@ -97,15 +98,15 @@ func TestBoundedWasteAllSchemesAllAttackers(t *testing.T) {
 // the flow done while the receiver holds only a fraction of it.
 func TestOptimistFoolsTrustingSender(t *testing.T) {
 	for _, name := range scheme.Evaluated() {
-		r := RunAttack(11, name, AttackOptimist, attackFlowBytes, transport.AckValidationOff)
-		if !r.FalseCompletion {
+		r := Run(AttackUniverse(11), name, attackFlowBytes, transport.Options{AckValidation: transport.AckValidationOff}, AttackOptimist)
+		if !r.FalseCompletion() {
 			t.Errorf("%s: trusting sender was not fooled (done=%v distinct=%d/%d)",
-				name, r.SenderDone, r.Distinct, r.NumSegs)
+				name, r.SenderDone(), r.Delivered, r.NumSegs)
 		}
-		if r.Flagged != 0 {
-			t.Errorf("%s: validator flagged %d ACKs while switched off", name, r.Flagged)
+		if n := r.Stats.MisbehaviorTotal(); n != 0 {
+			t.Errorf("%s: validator flagged %d ACKs while switched off", name, n)
 		}
-		if r.Distinct >= r.NumSegs {
+		if r.Delivered >= r.NumSegs {
 			t.Errorf("%s: attacker legitimately held the whole flow; demo is vacuous", name)
 		}
 	}
@@ -116,15 +117,15 @@ func TestOptimistFoolsTrustingSender(t *testing.T) {
 // carry the flow: the flood is dropped, the flow completes, and the
 // receiver genuinely holds every segment.
 func TestDupFloodCompletesUnderClamp(t *testing.T) {
-	r := RunAttack(7, "Halfback", AttackDupFlood, attackFlowBytes, transport.AckValidationClamp)
-	if err := CheckAttack(r); err != nil {
+	r := Run(AttackUniverse(7), "Halfback", attackFlowBytes, transport.Options{AckValidation: transport.AckValidationClamp}, AttackDupFlood)
+	if err := r.AttackErr(); err != nil {
 		t.Fatal(err)
 	}
-	if !r.SenderDone || r.Distinct != r.NumSegs {
+	if !r.SenderDone() || r.Delivered != r.NumSegs {
 		t.Fatalf("flow did not complete honestly: done=%v distinct=%d/%d",
-			r.SenderDone, r.Distinct, r.NumSegs)
+			r.SenderDone(), r.Delivered, r.NumSegs)
 	}
-	if r.Flagged == 0 {
+	if r.Stats.MisbehaviorTotal() == 0 {
 		t.Fatal("flood was never flagged")
 	}
 }
@@ -138,5 +139,5 @@ func TestAttachRejectsUnknownAttacker(t *testing.T) {
 	}()
 	sched := sim.NewScheduler()
 	_ = sched
-	RunAttack(1, "Halfback", "no-such-attack", 10_000, transport.AckValidationClamp)
+	Run(AttackUniverse(1), "Halfback", 10_000, transport.Options{AckValidation: transport.AckValidationClamp}, "no-such-attack")
 }

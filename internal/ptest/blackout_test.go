@@ -3,7 +3,6 @@ package ptest
 import (
 	"testing"
 
-	"halfback/internal/netem"
 	"halfback/internal/scheme"
 	"halfback/internal/sim"
 	"halfback/internal/transport"
@@ -32,14 +31,14 @@ const blackoutFlowBytes = 1_000_000
 // scheduler and conserved packets.
 func TestBlackoutAbortsEveryScheme(t *testing.T) {
 	for _, name := range scheme.Evaluated() {
-		u := DefaultBlackoutUniverse(7, sim.Time(200*sim.Millisecond))
-		res := RunBlackout(u, name, blackoutFlowBytes, budgetOpts())
-		if err := res.Err(); err != nil {
+		u := OutageUniverse(7, sim.Time(200*sim.Millisecond))
+		res := Run(u, name, blackoutFlowBytes, budgetOpts(), "")
+		if err := res.BlackoutErr(); err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		if res.Reason != transport.AbortRetxBudgetExhausted {
-			t.Errorf("%s: abort reason %v, want retx-budget", name, res.Reason)
+		if res.AbortReason != transport.AbortRetxBudgetExhausted {
+			t.Errorf("%s: abort reason %v, want retx-budget", name, res.AbortReason)
 		}
 		if res.AbortedAt > sim.Time(60*sim.Second) {
 			t.Errorf("%s: gave up at %v, want within the ~31 s budget", name, res.AbortedAt)
@@ -55,16 +54,16 @@ func TestBlackoutAbortsEveryScheme(t *testing.T) {
 // reason (and without data-plane budgets ever being consulted).
 func TestBlackoutHandshakeTimeout(t *testing.T) {
 	for _, name := range scheme.Evaluated() {
-		u := DefaultBlackoutUniverse(7, 1) // dark from t=1 ns
+		u := OutageUniverse(7, 1) // dark from t=1 ns
 		o := transport.Options{}
 		o.MaxSynRetx = 3
-		res := RunBlackout(u, name, 50_000, o)
-		if err := res.Err(); err != nil {
+		res := Run(u, name, 50_000, o, "")
+		if err := res.BlackoutErr(); err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		if res.Reason != transport.AbortHandshakeTimeout {
-			t.Errorf("%s: abort reason %v, want handshake-timeout", name, res.Reason)
+		if res.AbortReason != transport.AbortHandshakeTimeout {
+			t.Errorf("%s: abort reason %v, want handshake-timeout", name, res.AbortReason)
 		}
 		// 3 SYN retransmissions under doubling from the 1 s InitialRTO
 		// give up on the next firing: ≤ 1+2+4+8 = 15 s, plus slack.
@@ -79,17 +78,17 @@ func TestBlackoutHandshakeTimeout(t *testing.T) {
 func TestBlackoutDeadline(t *testing.T) {
 	const deadline = 10 * sim.Second
 	for _, name := range scheme.Evaluated() {
-		u := DefaultBlackoutUniverse(7, sim.Time(200*sim.Millisecond))
+		u := OutageUniverse(7, sim.Time(200*sim.Millisecond))
 		o := transport.Options{}
 		o.MaxTimeouts = -1 // retry forever
 		o.FlowDeadline = deadline
-		res := RunBlackout(u, name, blackoutFlowBytes, o)
-		if err := res.Err(); err != nil {
+		res := Run(u, name, blackoutFlowBytes, o, "")
+		if err := res.BlackoutErr(); err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		if res.Reason != transport.AbortDeadlineExceeded {
-			t.Errorf("%s: abort reason %v, want deadline", name, res.Reason)
+		if res.AbortReason != transport.AbortDeadlineExceeded {
+			t.Errorf("%s: abort reason %v, want deadline", name, res.AbortReason)
 		}
 		if res.AbortedAt != sim.Time(deadline) {
 			t.Errorf("%s: deadline fired at %v, want exactly %v", name, res.AbortedAt, deadline)
@@ -102,17 +101,17 @@ func TestBlackoutDeadline(t *testing.T) {
 // instant. Budgets only ever bite below actual usage.
 func TestAbortBudgetSufficiencyIsExact(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
-		tu := RandomUniverse(seed)
-		u := BlackoutUniverse{Seed: seed, Path: tu.Path, Extra: tu.Adv} // hostile, recoverable
+		u := RandomUniverse(seed) // hostile, recoverable
+		u.Horizon = blackoutHorizon
 		for _, name := range scheme.Evaluated() {
-			base := RunBlackout(u, name, 60_000, transport.Options{})
+			base := Run(u, name, 60_000, transport.Options{}, "")
 			if !base.Stats.Completed {
 				t.Fatalf("%s seed=%d: control run did not complete", name, seed)
 			}
 			o := transport.Options{}
 			o.MaxRetx = int(base.Stats.NormalRetx + base.Stats.ProactiveRetx)
 			o.FlowDeadline = base.Stats.SenderDone.Sub(0) + sim.Duration(1)
-			got := RunBlackout(u, name, 60_000, o)
+			got := Run(u, name, 60_000, o, "")
 			if !got.Stats.Completed || got.Stats.Aborted {
 				t.Errorf("%s seed=%d: exact budget turned completion into %+v",
 					name, seed, got.Stats.AbortReason)
@@ -138,11 +137,11 @@ func TestAbortTightBudgetsNeverHang(t *testing.T) {
 		{MaxTimeouts: 1, MaxRetx: 2, FlowDeadline: 2 * sim.Second, MaxSynRetx: 1},
 	}
 	for seed := uint64(1); seed <= 6; seed++ {
-		tu := RandomUniverse(seed)
-		u := BlackoutUniverse{Seed: seed, Path: tu.Path, Extra: tu.Adv}
+		u := RandomUniverse(seed)
+		u.Horizon = blackoutHorizon
 		for _, name := range scheme.Evaluated() {
 			for i, o := range tight {
-				res := RunBlackout(u, name, 60_000, o)
+				res := Run(u, name, 60_000, o, "")
 				if !res.Stats.Completed && !res.Stats.Aborted {
 					t.Errorf("%s seed=%d opts#%d: flow reached neither terminal state",
 						name, seed, i)
@@ -150,7 +149,7 @@ func TestAbortTightBudgetsNeverHang(t *testing.T) {
 				if !res.Drained {
 					t.Errorf("%s seed=%d opts#%d: scheduler did not drain", name, seed, i)
 				}
-				if !res.ConservationOK {
+				if !res.Conserved {
 					t.Errorf("%s seed=%d opts#%d: packet conservation violated", name, seed, i)
 				}
 			}
@@ -165,20 +164,20 @@ func TestAbortReasonStableUnderReordering(t *testing.T) {
 	for _, name := range scheme.Evaluated() {
 		var want transport.AbortReason
 		for i, p := range []float64{0, 0.15, 0.30} {
-			u := DefaultBlackoutUniverse(uint64(11+i), sim.Time(200*sim.Millisecond))
-			u.Extra = netem.Adversity{ReorderProb: p, ReorderDelay: 2 * sim.Millisecond}
-			res := RunBlackout(u, name, blackoutFlowBytes, budgetOpts())
-			if err := res.Err(); err != nil {
+			u := OutageUniverse(uint64(11+i), sim.Time(200*sim.Millisecond))
+			u.Adv.ReorderProb, u.Adv.ReorderDelay = p, 2*sim.Millisecond
+			res := Run(u, name, blackoutFlowBytes, budgetOpts(), "")
+			if err := res.BlackoutErr(); err != nil {
 				t.Errorf("%s reorder=%.2f: %v", name, p, err)
 				continue
 			}
 			if i == 0 {
-				want = res.Reason
+				want = res.AbortReason
 				continue
 			}
-			if res.Reason != want {
+			if res.AbortReason != want {
 				t.Errorf("%s: reorder=%.2f changed abort reason %v → %v",
-					name, p, want, res.Reason)
+					name, p, want, res.AbortReason)
 			}
 		}
 	}

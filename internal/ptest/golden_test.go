@@ -38,10 +38,10 @@ func TestRunsGolden(t *testing.T) {
 			label, st.FCT(), st.DataPktsSent, st.NormalRetx, st.ProactiveRetx, st.Timeouts,
 			st.Completed, st.Aborted, st.AbortReason, st.AbortedAt, verdict, e)
 	}
-	torture := func(label string, u ptest.TortureUniverse, name string) {
-		r := ptest.RunTorture(u, name, 100_000)
+	torture := func(label string, u ptest.Universe, name string) {
+		r := ptest.Run(u, name, 100_000, transport.Options{}, "")
 		line(label+" "+name, r.Stats, fmt.Sprintf("completed=%v senderDone=%v checksum=%v deliveries=%d/%d drained=%v conserved=%v",
-			r.Completed, r.SenderDone, r.ChecksumOK, r.Deliveries, r.NumSegs, r.Drained, r.ConservationOK), r.Err())
+			r.Completed, r.Finished, r.ChecksumOK, r.Delivered, r.NumSegs, r.Drained, r.Conserved), r.TortureErr())
 	}
 	for _, preset := range netem.AdversityPresetNames() {
 		for seed := uint64(1); seed <= 2; seed++ {
@@ -57,9 +57,8 @@ func TestRunsGolden(t *testing.T) {
 	}
 	// A 200 s outage: flows finish only after minutes of backoff, so the
 	// torture horizon shows in these lines.
-	outage := ptest.TortureUniverse{Seed: 5, Path: ptest.PresetUniverse(5, "none").Path, Adv: netem.Adversity{
-		Flaps: []netem.Flap{{DownAt: sim.Time(100 * sim.Millisecond), UpAt: sim.Time(200 * sim.Second)}},
-	}}
+	outage := ptest.PresetUniverse(5, "none")
+	outage.Adv.Flaps = []netem.Flap{{DownAt: sim.Time(100 * sim.Millisecond), UpAt: sim.Time(200 * sim.Second)}}
 	for _, name := range scheme.Evaluated() {
 		torture("torture long-outage", outage, name)
 	}
@@ -67,29 +66,29 @@ func TestRunsGolden(t *testing.T) {
 	budget := transport.Options{MaxRTO: 4 * sim.Second, MaxTimeouts: 8, MaxRetx: 600, MaxSynRetx: 6}
 	type blackout struct {
 		label string
-		u     ptest.BlackoutUniverse
+		u     ptest.Universe
 		bytes int
 		opts  transport.Options
 	}
 	blackouts := []blackout{
-		{"mid-flow", ptest.DefaultBlackoutUniverse(7, sim.Time(200*sim.Millisecond)), 1_000_000, budget},
-		{"dark-from-birth", ptest.DefaultBlackoutUniverse(7, 1), 50_000, transport.Options{MaxSynRetx: 3}},
-		{"deadline", ptest.DefaultBlackoutUniverse(7, sim.Time(200*sim.Millisecond)), 1_000_000,
+		{"mid-flow", ptest.OutageUniverse(7, sim.Time(200*sim.Millisecond)), 1_000_000, budget},
+		{"dark-from-birth", ptest.OutageUniverse(7, 1), 50_000, transport.Options{MaxSynRetx: 3}},
+		{"deadline", ptest.OutageUniverse(7, sim.Time(200*sim.Millisecond)), 1_000_000,
 			transport.Options{MaxTimeouts: -1, FlowDeadline: 10 * sim.Second}},
 		// Never gives up: the run reaches the horizon still retrying.
-		{"retry-forever", ptest.DefaultBlackoutUniverse(7, sim.Time(200*sim.Millisecond)), 1_000_000,
+		{"retry-forever", ptest.OutageUniverse(7, sim.Time(200*sim.Millisecond)), 1_000_000,
 			transport.Options{MaxTimeouts: -1}},
 	}
 	for seed := uint64(1); seed <= 2; seed++ {
-		tu := ptest.RandomUniverse(seed)
-		blackouts = append(blackouts, blackout{fmt.Sprintf("healthy random seed=%d", seed),
-			ptest.BlackoutUniverse{Seed: seed, Path: tu.Path, Extra: tu.Adv}, 60_000, transport.Options{}})
+		u := ptest.RandomUniverse(seed)
+		u.Horizon = 120 * sim.Second
+		blackouts = append(blackouts, blackout{fmt.Sprintf("healthy random seed=%d", seed), u, 60_000, transport.Options{}})
 	}
 	for _, c := range blackouts {
 		for _, name := range scheme.Evaluated() {
-			r := ptest.RunBlackout(c.u, name, c.bytes, c.opts)
+			r := ptest.Run(c.u, name, c.bytes, c.opts, "")
 			line("blackout "+c.label+" "+name, r.Stats, fmt.Sprintf("aborted=%v reason=%v at=%v drained=%v conserved=%v",
-				r.Aborted, r.Reason, r.AbortedAt, r.Drained, r.ConservationOK), r.Err())
+				r.Aborted, r.AbortReason, r.AbortedAt, r.Drained, r.Conserved), r.BlackoutErr())
 		}
 	}
 
@@ -98,11 +97,11 @@ func TestRunsGolden(t *testing.T) {
 			for _, mode := range []transport.AckValidationMode{
 				transport.AckValidationClamp, transport.AckValidationAbort, transport.AckValidationOff,
 			} {
-				r := ptest.RunAttack(1, name, attack, 200_000, mode)
+				r := ptest.Run(ptest.AttackUniverse(1), name, 200_000, transport.Options{AckValidation: mode}, attack)
 				line(fmt.Sprintf("attack %s %s %v", attack, name, mode), r.Stats,
 					fmt.Sprintf("sent=%d terminated=%v senderDone=%v aborted=%v reason=%v distinct=%d/%d false=%v flagged=%d first=%v drained=%v conserved=%v",
-						r.DataPktsSent, r.Terminated, r.SenderDone, r.Aborted, r.AbortReason, r.Distinct, r.NumSegs,
-						r.FalseCompletion, r.Flagged, r.FirstClass, r.Drained, r.ConservationOK), ptest.CheckAttack(r))
+						r.Stats.DataPktsSent, r.Finished, r.SenderDone(), r.Aborted, r.AbortReason, r.Delivered, r.NumSegs,
+						r.FalseCompletion(), r.Stats.MisbehaviorTotal(), r.Stats.FirstMisbehavior, r.Drained, r.Conserved), r.AttackErr())
 			}
 		}
 	}

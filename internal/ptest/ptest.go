@@ -1,8 +1,8 @@
 // Package ptest provides the miniature world protocol tests run in — a
 // transport.World on a single bottleneck path, dialled with a controller
 // factory as every other world is, with packet-tap hooks for asserting
-// on wire behaviour — and the torture, blackout and adversary harnesses
-// built on it.
+// on wire behaviour — and the hostile-path harness built on it, whose
+// one Run serves the torture, blackout and attack suites.
 package ptest
 
 import (

@@ -7,6 +7,7 @@ import (
 	"halfback/internal/netem"
 	"halfback/internal/scheme"
 	"halfback/internal/sim"
+	"halfback/internal/transport"
 )
 
 // tortureUniverses is the per-scheme universe count: 64 seeded worlds
@@ -33,10 +34,10 @@ func TestTortureAllSchemes(t *testing.T) {
 
 	results, err := fleet.MapOpts(fleet.Options{Label: func(i int) string {
 		return schemes[i/nu]
-	}}, n, func(i, _ int) (*TortureResult, error) {
+	}}, n, func(i, _ int) (*Result, error) {
 		u := RandomUniverse(sim.ChildSeed(0xbad, uint64(i%nu)))
-		r := RunTorture(u, schemes[i/nu], flowBytes)
-		return r, r.Err()
+		r := Run(u, schemes[i/nu], flowBytes, transport.Options{}, "")
+		return r, r.TortureErr()
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,8 +61,8 @@ func TestTortureAllSchemes(t *testing.T) {
 // deterministic smoke independent of the randomized sweep.
 func TestTorturePresetAllSchemes(t *testing.T) {
 	for _, name := range scheme.Evaluated() {
-		r := RunTorture(PresetUniverse(7, "torture"), name, 200_000)
-		if err := r.Err(); err != nil {
+		r := Run(PresetUniverse(7, "torture"), name, 200_000, transport.Options{}, "")
+		if err := r.TortureErr(); err != nil {
 			t.Errorf("preset torture: %v", err)
 		}
 	}
@@ -71,8 +72,8 @@ func TestTorturePresetAllSchemes(t *testing.T) {
 // trajectory regardless of which fleet worker runs them.
 func TestTortureDeterminism(t *testing.T) {
 	u := RandomUniverse(99)
-	a := RunTorture(u, scheme.Halfback, 300_000)
-	b := RunTorture(u, scheme.Halfback, 300_000)
+	a := Run(u, scheme.Halfback, 300_000, transport.Options{}, "")
+	b := Run(u, scheme.Halfback, 300_000, transport.Options{}, "")
 	if *a.Stats != *b.Stats {
 		t.Fatalf("torture run not deterministic:\n%+v\n%+v", a.Stats, b.Stats)
 	}
@@ -81,16 +82,17 @@ func TestTortureDeterminism(t *testing.T) {
 // TestTortureFlapOnly isolates RTO behaviour across outages: no random
 // loss, no corruption — just the link going away for 300 ms mid-flow.
 func TestTortureFlapOnly(t *testing.T) {
-	u := TortureUniverse{
+	u := Universe{
 		Seed: 5,
 		Path: netem.PathConfig{RateBps: 10 * netem.Mbps, RTT: 40 * sim.Millisecond, BufferBytes: 100_000},
 		Adv: netem.Adversity{Flaps: []netem.Flap{
 			{DownAt: sim.Time(100 * sim.Millisecond), UpAt: sim.Time(400 * sim.Millisecond)},
 		}},
+		Horizon: tortureHorizon,
 	}
 	for _, name := range scheme.Evaluated() {
-		r := RunTorture(u, name, 500_000)
-		if err := r.Err(); err != nil {
+		r := Run(u, name, 500_000, transport.Options{}, "")
+		if err := r.TortureErr(); err != nil {
 			t.Errorf("flap-only: %v", err)
 		}
 		if r.Stats.FCT() < 300*sim.Millisecond {
