@@ -228,7 +228,7 @@ func (sh *shape) runCell(name string, util float64) fleet.Row {
 	inst := scheme.MustNew(name)
 	sizes := workload.Fixed{Bytes: sh.flowBytes}
 	ia := workload.MeanInterarrivalFor(sizes.Mean(), util, cfg.BottleneckBps)
-	arrivals := workload.PoissonArrivalsCached(s.Rng.ForkNamed("arrivals"), sizes, ia, sh.horizon)
+	arrivals := workload.PoissonArrivals(s.Rng.ForkNamed("arrivals"), sizes, ia, sh.horizon)
 	for _, a := range arrivals {
 		conn := s.StartFlowAt(a.At, inst, a.Bytes)
 		if sh.misbehave != "none" {

@@ -81,7 +81,7 @@ func runBufferbloatCell(seed uint64, cfg netem.DumbbellConfig, queue func(*Dumbb
 
 	// Short flows every 10 s on average, exponential interarrivals,
 	// starting after the background flow has filled the pipe.
-	arrivals := workload.PoissonArrivalsCached(s.Rng.ForkNamed("arrivals"),
+	arrivals := workload.PoissonArrivals(s.Rng.ForkNamed("arrivals"),
 		workload.Fixed{Bytes: PlanetLabFlowBytes}, bufferbloatInterval, horizon-5*sim.Second)
 	for _, a := range arrivals {
 		s.StartFlowAt(a.At.Add(5*sim.Second), inst, a.Bytes)

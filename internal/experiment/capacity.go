@@ -58,7 +58,7 @@ func runCapacityCell(seed uint64, schemeName string, util float64, horizon sim.D
 	inst := scheme.MustNew(schemeName)
 	dist := workload.Fixed{Bytes: PlanetLabFlowBytes}
 	interarrival := workload.MeanInterarrivalFor(dist.Mean(), util, cfg.BottleneckBps)
-	arrivals := workload.PoissonArrivalsCached(s.Rng.ForkNamed("arrivals"), dist, interarrival, horizon)
+	arrivals := workload.PoissonArrivals(s.Rng.ForkNamed("arrivals"), dist, interarrival, horizon)
 	for _, a := range arrivals {
 		s.StartFlowAt(a.At, inst, a.Bytes)
 	}

@@ -61,7 +61,7 @@ func runFig11Cell(seed uint64, dist workload.SizeDist, schemeName string, horizo
 	if interarrival == 0 {
 		interarrival = sim.Millisecond
 	}
-	arrivals := workload.PoissonArrivalsCached(s.Rng.ForkNamed("arrivals"), dist, interarrival, horizon)
+	arrivals := workload.PoissonArrivals(s.Rng.ForkNamed("arrivals"), dist, interarrival, horizon)
 	for _, a := range arrivals {
 		s.StartFlowAt(a.At, inst, a.Bytes)
 	}

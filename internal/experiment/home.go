@@ -26,7 +26,7 @@ var fig9 = &Spec{ID: "9", Title: "Home access networks",
 		profiles := workload.HomeProfiles()
 		specs := make([][]workload.PathSpec, len(profiles))
 		for i, profile := range profiles {
-			specs[i] = workload.HomePopulationCached(rng.ForkNamed(profile.Name), profile, servers)
+			specs[i] = workload.HomePopulation(rng.ForkNamed(profile.Name), profile, servers)
 		}
 		networks := labels(profiles, func(p workload.HomeProfile) string { return p.Name })
 		return []Axis{{"network", networks}, {"server", indexLabels(servers)}, {"scheme", schemes}},

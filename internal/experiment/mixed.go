@@ -53,9 +53,9 @@ func makeFig13Schedule(seed uint64, util float64, horizon sim.Duration, longByte
 	shortIA := workload.MeanInterarrivalFor(float64(PlanetLabFlowBytes), util*fig13ShortShare, rate)
 	longIA := workload.MeanInterarrivalFor(float64(longBytes), util*(1-fig13ShortShare), rate)
 	return fig13Schedule{
-		shorts: workload.PoissonArrivalsCached(rng.ForkNamed("short"),
+		shorts: workload.PoissonArrivals(rng.ForkNamed("short"),
 			workload.Fixed{Bytes: PlanetLabFlowBytes}, shortIA, horizon),
-		longs: workload.PoissonArrivalsCached(rng.ForkNamed("long"),
+		longs: workload.PoissonArrivals(rng.ForkNamed("long"),
 			workload.Fixed{Bytes: longBytes}, longIA, horizon),
 	}
 }
@@ -155,7 +155,7 @@ var fig14 = &Spec{ID: "14", Title: "TCP-friendliness scatter",
 		utils := fig14Utils()
 		arrivals := make([][]workload.Arrival, len(utils))
 		for i, util := range utils {
-			arrivals[i] = workload.PoissonArrivalsCached(
+			arrivals[i] = workload.PoissonArrivals(
 				sim.NewRand(seed^uint64(util*1e4)).ForkNamed("fig14"),
 				workload.Fixed{Bytes: PlanetLabFlowBytes},
 				workload.MeanInterarrivalFor(float64(PlanetLabFlowBytes), util, 15*netem.Mbps),

@@ -60,14 +60,14 @@ func runMultihopCell(seed uint64, schemeName string, util float64, horizon sim.D
 	dist := workload.Fixed{Bytes: PlanetLabFlowBytes}
 	ia := workload.MeanInterarrivalFor(dist.Mean(), util, cfg.Defaulted().BottleneckBps)
 	for i := range pl.CrossSrc {
-		for _, a := range workload.PoissonArrivalsCached(rng.ForkNamed("cross"), dist, ia, horizon) {
+		for _, a := range workload.PoissonArrivals(rng.ForkNamed("cross"), dist, ia, horizon) {
 			launch(a.At, crossInst, a.Bytes, pl.CrossSrc[i], pl.CrossDst[i], "cross")
 		}
 	}
 	// Full-chain short flows of the scheme under test, every ~500 ms.
 	inst := scheme.MustNew(schemeName)
 	launched := 0
-	for _, a := range workload.PoissonArrivalsCached(rng.ForkNamed("chain"),
+	for _, a := range workload.PoissonArrivals(rng.ForkNamed("chain"),
 		dist, 500*sim.Millisecond, horizon) {
 		launch(a.At, inst, a.Bytes, pl.Src, pl.Dst, schemeName)
 		launched++

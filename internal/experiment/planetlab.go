@@ -32,7 +32,7 @@ func planetLabSchemes() []string {
 func planetLabPlan(seed uint64, sc Scale) ([]Axis, func([]int) (fleet.Row, error)) {
 	rng := sim.NewRand(seed)
 	n := sc.trials(PlanetLabPairs)
-	specs := workload.PlanetLabPopulationCached(rng.ForkNamed("paths"), n)
+	specs := workload.PlanetLabPopulation(rng.ForkNamed("paths"), n)
 	schemes := planetLabSchemes()
 	return []Axis{{"pair", indexLabels(n)}, {"scheme", schemes}}, func(at []int) (fleet.Row, error) {
 		return fetchRow(seed^uint64(at[0]*131+at[1]+7), specs[at[0]], schemes[at[1]]), nil

@@ -181,7 +181,7 @@ func TestPooledCampaignMatchesFreshUniverses(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		sc.Workers = workers
 		g := RunPlanetLab(1, sc)
-		specs := workload.PlanetLabPopulationCached(sim.NewRand(1).ForkNamed("paths"), len(g.Axes[0].Labels))
+		specs := workload.PlanetLabPopulation(sim.NewRand(1).ForkNamed("paths"), len(g.Axes[0].Labels))
 		for i, row := range g.Rows {
 			pi, si := i/len(schemes), i%len(schemes)
 			ps := NewPathSim(1^uint64(pi*131+si+7), specs[pi].ToConfig())

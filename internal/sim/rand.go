@@ -20,12 +20,6 @@ func NewRand(seed uint64) *Rand {
 	return &Rand{state: seed}
 }
 
-// State exposes the generator's current internal state without
-// advancing it. Two generators with equal state produce identical
-// streams forever, so the state is a complete identity for the sequence
-// a deterministic consumer will draw — workload memoization keys on it.
-func (r *Rand) State() uint64 { return r.state }
-
 // splitmix64 advances the state and returns a well-mixed 64-bit value.
 func (r *Rand) next() uint64 {
 	r.state += 0x9e3779b97f4a7c15

@@ -40,3 +40,8 @@ func PoissonArrivals(rng *sim.Rand, dist SizeDist, meanInterarrival sim.Duration
 	}
 	return out
 }
+
+// Deprecated: PoissonArrivalsCached is PoissonArrivals.
+func PoissonArrivalsCached(rng *sim.Rand, dist SizeDist, meanInterarrival, horizon sim.Duration) []Arrival {
+	return PoissonArrivals(rng, dist, meanInterarrival, horizon)
+}

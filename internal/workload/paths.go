@@ -131,3 +131,6 @@ func HomePopulation(rng *sim.Rand, profile HomeProfile, servers int) []PathSpec 
 	}
 	return specs
 }
+
+// Deprecated: PlanetLabPopulationCached is PlanetLabPopulation.
+func PlanetLabPopulationCached(rng *sim.Rand, n int) []PathSpec { return PlanetLabPopulation(rng, n) }
