@@ -2,8 +2,11 @@
 // aggressive but safe short-flow transmission scheme with three phases.
 //
 //  1. Pacing (§3.1): after the handshake the sender paces
-//     min(flow, flow-control window, pacing threshold) evenly across the
-//     handshake RTT — fast delivery with bounded burstiness.
+//     min(flow, pacing threshold) evenly across the handshake RTT — fast
+//     delivery with bounded burstiness. The threshold is the
+//     flow-control window, the paper's evaluation setting (§4.1:
+//     "Halfback sets the Pacing Threshold to the flow control window
+//     size"), or less under Config.History.
 //  2. ROPR (§3.2): once all paced packets are out and the first ACK of
 //     the phase arrives, each further ACK clocks one proactive
 //     retransmission of the highest-sequence unacknowledged segment,
@@ -66,12 +69,6 @@ func (o RetxOrder) String() string {
 
 // Config parameterises a Halfback sender.
 type Config struct {
-	// PacingThresholdBytes bounds the aggressively transmitted prefix
-	// (§3.1). Zero means "equal to the flow-control window", the
-	// paper's evaluation setting (§4.1: "Halfback sets the Pacing
-	// Threshold to the flow control window size").
-	PacingThresholdBytes int
-
 	// Order selects Reverse (Halfback), Forward or Burst (§5
 	// ablations).
 	Order RetxOrder
@@ -91,8 +88,8 @@ type Config struct {
 	// History, when non-nil, enables §3.1's adaptive Pacing Threshold:
 	// the aggressive prefix is bounded by the path's remembered
 	// throughput × the handshake RTT, so a repeat visit to a slow path
-	// does not over-pace it. Cold paths fall back to the static
-	// threshold/window bound.
+	// does not over-pace it. Cold paths fall back to the flow-control
+	// window.
 	History *RateHistory
 
 	// ProactiveRatio tunes ROPR's budget as retransmissions per ACK
@@ -190,12 +187,6 @@ func (l *Logic) OnEstablished(env cc.Env, now sim.Time) {
 	hi := env.NumSegs()
 	if w := env.FcwSegs(); hi > w {
 		hi = w
-	}
-	if l.conf.PacingThresholdBytes > 0 {
-		t := int32(netem.SegmentsFor(l.conf.PacingThresholdBytes))
-		if hi > t {
-			hi = t
-		}
 	}
 	if l.conf.History != nil {
 		src, dst := env.Path()

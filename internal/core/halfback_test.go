@@ -146,13 +146,13 @@ func TestPacingOnlyAblationHasNoOverhead(t *testing.T) {
 
 func TestPacingThresholdBoundsAggression(t *testing.T) {
 	w := ptest.NewWorld(netem.PathConfig{RateBps: 100 * netem.Mbps})
-	conn, logic := dialHB(w, 300_000, core.Config{PacingThresholdBytes: 50_000})
+	conn, logic := dialHB(w, 300_000, core.Config{})
 	run(w, conn)
 	if !conn.Stats.Completed {
 		t.Fatal("did not complete")
 	}
-	wantPaced := int32(netem.SegmentsFor(50_000))
-	if logic.PacedSegments() != wantPaced {
+	// The threshold is the 141 KB flow-control window.
+	if wantPaced := conn.FcwSegs(); logic.PacedSegments() != wantPaced {
 		t.Fatalf("paced %d segments, threshold allows %d", logic.PacedSegments(), wantPaced)
 	}
 	if !logic.InFallback() {

@@ -35,8 +35,7 @@ const (
 	// simulation horizon passed with the flow still in progress).
 	AbortExternal
 	// AbortPeerMisbehavior: ACK validation flagged the peer as
-	// misbehaving (see PeerMisbehavior) more than
-	// Options.MisbehaviorTolerance times under AckValidationAbort.
+	// misbehaving (see PeerMisbehavior) under AckValidationAbort.
 	AbortPeerMisbehavior
 )
 

@@ -98,13 +98,10 @@ func TestAbortErrorNilForHealthyFlow(t *testing.T) {
 
 // TestMisbehaviorAbortRecordsStats pins the FlowStats contract for a
 // misbehavior abort: reason, timestamp, per-class counters and
-// FirstMisbehavior all recorded, tolerance respected.
+// FirstMisbehavior all recorded, and the first flagged ACK aborts.
 func TestMisbehaviorAbortRecordsStats(t *testing.T) {
 	w := newWorld(t, cleanPath())
-	conn, _ := dial(t, w, 50_000, Options{
-		AckValidation:        AckValidationAbort,
-		MisbehaviorTolerance: 2,
-	})
+	conn, _ := dial(t, w, 50_000, Options{AckValidation: AckValidationAbort})
 	conn.SetReceiverLogic(optimistTestLogic{})
 	conn.Start(0)
 	w.sched.Run()
@@ -115,9 +112,9 @@ func TestMisbehaviorAbortRecordsStats(t *testing.T) {
 	if st.AbortedAt <= st.Established {
 		t.Fatalf("abort time %v not after establishment %v", st.AbortedAt, st.Established)
 	}
-	// Tolerance 2 means the third flagged ACK aborts: exactly 3 counted.
-	if got := st.MisbehaviorTotal(); got != 3 {
-		t.Fatalf("flagged %d ACKs, want tolerance+1 = 3", got)
+	// The first flagged ACK aborts: exactly 1 counted.
+	if got := st.MisbehaviorTotal(); got != 1 {
+		t.Fatalf("flagged %d ACKs, want 1", got)
 	}
 	if st.FirstMisbehavior != MisbehaviorOptimisticAck &&
 		st.FirstMisbehavior != MisbehaviorNonceMismatch {

@@ -273,14 +273,13 @@ func (c *Conn) processAck(pkt *netem.Packet, now sim.Time) {
 
 // noteMisbehavior records a flagged ACK and applies the configured
 // policy: Clamp drops the ACK and carries on, Abort tears the flow
-// down once the tolerance is exceeded.
+// down.
 func (c *Conn) noteMisbehavior(class PeerMisbehavior, now sim.Time) {
 	c.Stats.Misbehavior[class]++
 	if c.Stats.FirstMisbehavior == MisbehaviorNone {
 		c.Stats.FirstMisbehavior = class
 	}
-	if c.Opts.AckValidation == AckValidationAbort &&
-		c.Stats.MisbehaviorTotal() > int64(c.Opts.MisbehaviorTolerance) {
+	if c.Opts.AckValidation == AckValidationAbort {
 		c.abortWith(AbortPeerMisbehavior, now)
 	}
 }

@@ -86,16 +86,11 @@ type Options struct {
 	// every ACK and silently discards flagged ones, which leaves honest
 	// flows bit-identical and bounds dishonest ones by the existing
 	// retransmission budgets. AckValidationAbort additionally tears the
-	// flow down with AbortPeerMisbehavior once MisbehaviorTolerance
-	// flagged ACKs have been seen. AckValidationOff trusts the wire
+	// flow down with AbortPeerMisbehavior on the first flagged ACK.
+	// AckValidationOff trusts the wire
 	// completely (the pre-hardening behaviour, kept for the identity
 	// tests and for measuring what attacks cost an unprotected stack).
 	AckValidation AckValidationMode
-
-	// MisbehaviorTolerance is how many flagged ACKs an
-	// AckValidationAbort connection absorbs before aborting; the
-	// default 0 aborts on the first. Clamp mode ignores it.
-	MisbehaviorTolerance int
 }
 
 // AckValidationMode selects how a connection treats ACKs that fail
@@ -107,8 +102,7 @@ const (
 	// never abort on them.
 	AckValidationClamp AckValidationMode = iota
 	// AckValidationAbort: validate, discard, and abort the flow with
-	// AbortPeerMisbehavior once more than MisbehaviorTolerance ACKs
-	// have been flagged.
+	// AbortPeerMisbehavior on the first flagged ACK.
 	AckValidationAbort
 	// AckValidationOff: trust every ACK (no validation).
 	AckValidationOff

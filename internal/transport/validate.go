@@ -41,8 +41,8 @@ import (
 // (Options.AckValidation): Clamp — the default — discards the
 // offending ACK and carries on, so an honest peer's flow is untouched
 // and a dishonest one degrades into the existing retransmission-budget
-// bounds; Abort tears the flow down with AbortPeerMisbehavior once
-// Options.MisbehaviorTolerance flagged ACKs have been seen.
+// bounds; Abort tears the flow down with AbortPeerMisbehavior on the
+// first flagged ACK.
 //
 // Honest-path identity: validation is synchronous (no timers, no
 // events), allocation-free (the validator is a value field of Conn and
