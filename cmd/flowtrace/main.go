@@ -63,8 +63,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if _, err := scheme.New(*schemeName); err != nil {
 		return fail("%v", err)
 	}
-	if *bytes < 1 {
+	switch {
+	case *bytes < 1:
 		return fail("-bytes must be at least 1")
+	case *rateMbps <= 0:
+		return fail("-rate must be positive")
+	case *rtt <= 0:
+		return fail("-rtt must be positive")
+	case *buf <= 0:
+		return fail("-buffer must be positive")
+	case !(*loss >= 0 && *loss <= 1): // positive form: NaN fails it
+		return fail("-loss must be in [0, 1]")
 	}
 	adv, err := netem.AdversityPreset(*advName)
 	if err != nil {
@@ -72,6 +81,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if err := ptest.CheckAttacker(*misbehave); err != nil {
 		return fail("%v", err)
+	}
+	var drops []int32 // segments whose first copy is dropped
+	if *dropsArg != "" {
+		for _, f := range strings.Split(*dropsArg, ",") {
+			v, err := strconv.Atoi(strings.TrimSpace(f))
+			if err != nil {
+				return fail("bad -drop entry %q", f)
+			}
+			drops = append(drops, int32(v))
+		}
 	}
 
 	ps := experiment.NewPathSim(*seed, netem.PathConfig{
@@ -99,25 +118,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rec := trace.NewRecorder()
 	rec.Attach(ps.Path.Net)
 
-	// Targeted first-copy drops.
-	if *dropsArg != "" {
-		pending := map[int32]bool{}
-		for _, f := range strings.Split(*dropsArg, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil {
-				return fail("bad -drop entry %q", f)
-			}
-			pending[int32(v)] = true
-		}
-		inner := ps.Path.Client.Deliver
-		ps.Path.Client.Deliver = func(pkt *netem.Packet, now sim.Time) {
-			if pkt.Kind == netem.KindData && !pkt.Retransmit && pending[pkt.Seq] {
-				delete(pending, pkt.Seq)
-				return
-			}
-			inner(pkt, now)
-		}
-	}
+	ps.DropFirstCopies(drops...)
 
 	st := ps.FetchOnce(scheme.MustNew(*schemeName), *bytes, 300*sim.Second)
 

@@ -47,6 +47,12 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-ackvalidation", "maybe"}, "bad -ackvalidation"},
 		{[]string{"-drop", "x"}, `bad -drop entry "x"`},
 		{[]string{"-adversity", "nope"}, "flowtrace: "},
+		{[]string{"-rate", "0"}, "flowtrace: -rate must be positive\n"},
+		{[]string{"-rtt", "-1ms"}, "flowtrace: -rtt must be positive\n"},
+		{[]string{"-buffer", "-1"}, "flowtrace: -buffer must be positive\n"},
+		{[]string{"-loss", "1.5"}, "flowtrace: -loss must be in [0, 1]\n"},
+		{[]string{"-loss", "-0.1"}, "flowtrace: -loss must be in [0, 1]\n"},
+		{[]string{"-loss", "NaN"}, "flowtrace: -loss must be in [0, 1]\n"},
 	} {
 		code, stdout, stderr := invoke(tc.args...)
 		if code != 2 || stdout != "" || !strings.Contains(stderr, tc.stderr) || strings.Count(stderr, "\n") != 1 {

@@ -18,6 +18,7 @@
 package halfback
 
 import (
+	"fmt"
 	"time"
 
 	"halfback/internal/experiment"
@@ -75,6 +76,21 @@ type PathConfig struct {
 	DropSeqs []int32
 }
 
+// check rejects what no path can be; zero values mean "default".
+func (c *PathConfig) check() error {
+	switch {
+	case c.RateBps < 0:
+		return fmt.Errorf("halfback: negative RateBps %d", c.RateBps)
+	case c.RTT < 0:
+		return fmt.Errorf("halfback: negative RTT %v", c.RTT)
+	case c.BufferBytes < 0:
+		return fmt.Errorf("halfback: negative BufferBytes %d", c.BufferBytes)
+	case !(c.LossProb >= 0 && c.LossProb <= 1): // positive form: NaN fails it
+		return fmt.Errorf("halfback: LossProb %v outside [0, 1]", c.LossProb)
+	}
+	return nil
+}
+
 func (c *PathConfig) applyDefaults() {
 	if c.RateBps == 0 {
 		c.RateBps = 15 * netem.Mbps
@@ -123,6 +139,9 @@ func run(schemeName string, flowBytes int, cfg PathConfig, withTrace bool) (*Flo
 	if err != nil {
 		return nil, nil, err
 	}
+	if err := cfg.check(); err != nil {
+		return nil, nil, err
+	}
 	cfg.applyDefaults()
 	ps := experiment.NewPathSim(cfg.Seed, netem.PathConfig{
 		RateBps: cfg.RateBps, RTT: sim.Duration(cfg.RTT),
@@ -137,20 +156,7 @@ func run(schemeName string, flowBytes int, cfg PathConfig, withTrace bool) (*Flo
 		rec = trace.NewRecorder()
 		rec.Attach(ps.Path.Net)
 	}
-	if len(cfg.DropSeqs) > 0 {
-		pending := make(map[int32]bool, len(cfg.DropSeqs))
-		for _, s := range cfg.DropSeqs {
-			pending[s] = true
-		}
-		inner := ps.Path.Client.Deliver
-		ps.Path.Client.Deliver = func(pkt *netem.Packet, now sim.Time) {
-			if pkt.Kind == netem.KindData && !pkt.Retransmit && pending[pkt.Seq] {
-				delete(pending, pkt.Seq)
-				return
-			}
-			inner(pkt, now)
-		}
-	}
+	ps.DropFirstCopies(cfg.DropSeqs...)
 	st := ps.FetchOnce(inst, flowBytes, 120*sim.Second)
 	if rec == nil {
 		return st, nil, nil

@@ -1,6 +1,7 @@
 package halfback
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -23,6 +24,23 @@ func TestFetchEveryScheme(t *testing.T) {
 func TestFetchUnknownScheme(t *testing.T) {
 	if _, err := Fetch("nope", 1000, PathConfig{}); err == nil {
 		t.Fatal("unknown scheme must error")
+	}
+}
+
+func TestFetchRejectsBadPath(t *testing.T) {
+	for _, cfg := range []PathConfig{
+		{RateBps: -1}, {RTT: -time.Millisecond}, {BufferBytes: -1},
+		{LossProb: 1.5}, {LossProb: -0.1}, {LossProb: math.NaN()},
+	} {
+		if _, err := Fetch(Halfback, 1000, cfg); err == nil {
+			t.Errorf("Fetch accepted %+v", cfg)
+		}
+		if _, _, err := FetchTrace(Halfback, 1000, cfg); err == nil {
+			t.Errorf("FetchTrace accepted %+v", cfg)
+		}
+	}
+	if _, err := Fetch(Halfback, 1000, PathConfig{LossProb: 1}); err != nil {
+		t.Errorf("LossProb 1 is a path: %v", err)
 	}
 }
 

@@ -53,15 +53,7 @@ func Fig3(seed uint64, sc Scale) *Fig3Result {
 		}
 		// Swallow the first copy of segment 8 (the paper's "packet 9"
 		// in 1-based numbering) at the client.
-		dropped := false
-		inner := ps.Path.Client.Deliver
-		ps.Path.Client.Deliver = func(pkt *netem.Packet, now sim.Time) {
-			if pkt.Kind == netem.KindData && pkt.Seq == 8 && !pkt.Retransmit && !dropped {
-				dropped = true
-				return
-			}
-			inner(pkt, now)
-		}
+		ps.DropFirstCopies(8)
 		st := ps.FetchOnce(scheme.MustNew(name), fig3Bytes, 60*sim.Second)
 		return st, rec
 	}

@@ -164,6 +164,29 @@ func (p *PathSim) Reset(seed uint64, cfg netem.PathConfig) {
 	p.OnConn = nil
 }
 
+// DropFirstCopies swallows, at the client, the first original copy of
+// each listed data segment: targeted loss for walkthroughs like the
+// paper's Fig. 3. Retransmissions always pass, unlike
+// ptest.World.DropDataSeqs, which swallows the first arrival of any
+// kind.
+func (p *PathSim) DropFirstCopies(seqs ...int32) {
+	if len(seqs) == 0 {
+		return
+	}
+	pending := make(map[int32]bool, len(seqs))
+	for _, s := range seqs {
+		pending[s] = true
+	}
+	inner := p.Path.Client.Deliver
+	p.Path.Client.Deliver = func(pkt *netem.Packet, now sim.Time) {
+		if pkt.Kind == netem.KindData && !pkt.Retransmit && pending[pkt.Seq] {
+			delete(pending, pkt.Seq)
+			return
+		}
+		inner(pkt, now)
+	}
+}
+
 // pathSims recycles path universes between the cells of the
 // one-flow-per-universe exhibits (Figs 5–9): building a world for each
 // of 15,600 cells of ~366 events was a third of such a run's wall time
