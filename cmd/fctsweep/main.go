@@ -108,6 +108,10 @@ func (s *shape) Check() error {
 		return errors.New("-rtt must be positive")
 	case s.horizon <= 0:
 		return errors.New("-horizon must be positive")
+	case s.deadline < 0:
+		return errors.New("-flowdeadline must not be negative")
+	case s.maxRetx < 0:
+		return errors.New("-maxretx must not be negative")
 	}
 	s.utils = nil
 	for _, f := range strings.Split(s.utilsPct, ",") {

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"halfback/internal/fleet"
 )
 
 func invoke(args ...string) (code int, stdout, stderr string) {
@@ -35,6 +37,8 @@ func TestShapeValidation(t *testing.T) {
 		{"-schemes", "Halfback,Nope", `unknown scheme "Nope"`},
 		{"-adversity", "nope", "nope"},
 		{"-misbehave", "bogus", `bad -misbehave "bogus"`},
+		{"-flowdeadline", "-1s", "-flowdeadline must not be negative"},
+		{"-maxretx", "-5", "-maxretx must not be negative"},
 	} {
 		journal := filepath.Join(t.TempDir(), "j")
 		code, stdout, stderr := invoke(tc.flag, tc.value, "-journal", journal)
@@ -69,19 +73,33 @@ func TestSweepIsWorkerCountIndependentAndResumable(t *testing.T) {
 	}
 }
 
-// fctsweep journals write bundles naming fctsweep, so fctsweep replays
-// them.
+// A journal fctsweep wrote, holding one failed cell, replays under
+// fctsweep: exactly that cell re-runs, and it now completes.
 func TestReproReplaysOneCell(t *testing.T) {
-	bundle := filepath.Join(t.TempDir(), "b.repro.json")
-	err := os.WriteFile(bundle, []byte(`{"meta":{"version":1,"tool":"fctsweep","seed":1,"args":["-schemes","Halfback,TCP","-utils","30","-horizon","2s"]},
-		"sweep":0,"cell":1,"label":"TCP @30%","class":"panicked","error":"panic: recorded\nstack"}`), 0o644)
+	journal := filepath.Join(t.TempDir(), "j")
+	j, err := fleet.CreateJournal(journal, fleet.JournalMeta{Tool: "fctsweep", Seed: 1,
+		Args: []string{"-schemes", "Halfback,TCP", "-utils", "30", "-horizon", "2s"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, stdout, stderr := invoke("-repro", bundle)
+	labels := []string{"Halfback @30%", "TCP @30%"}
+	_, err = fleet.MapOpts(fleet.Options{Workers: 1, Run: &fleet.Run{Journal: j}, Label: func(i int) string { return labels[i] }},
+		len(labels), func(i, _ int) (fleet.Row, error) {
+			if i == 1 {
+				panic("recorded")
+			}
+			return fleet.Row{}, nil
+		})
+	if err == nil {
+		t.Fatal("the failing cell did not fail")
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := invoke("-repro", journal)
 	if code != 0 || !strings.Contains(stdout, "sweep 0 cell 1 (TCP @30%)") ||
 		!strings.Contains(stdout, "=== recorded failure: panicked: panic: recorded ...\n") ||
-		!strings.Contains(stdout, "did not reproduce") {
+		!strings.Contains(stdout, "did not reproduce") || strings.Count(stdout, "=== repro: ") != 1 {
 		t.Errorf("exit %d\n%s%s", code, stdout, stderr)
 	}
 }

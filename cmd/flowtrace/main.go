@@ -74,6 +74,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("-buffer must be positive")
 	case !(*loss >= 0 && *loss <= 1): // positive form: NaN fails it
 		return fail("-loss must be in [0, 1]")
+	case *deadline < 0:
+		return fail("-flowdeadline must not be negative")
+	case *maxRetx < 0:
+		return fail("-maxretx must not be negative")
 	}
 	adv, err := netem.AdversityPreset(*advName)
 	if err != nil {

@@ -53,10 +53,17 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-loss", "1.5"}, "flowtrace: -loss must be in [0, 1]\n"},
 		{[]string{"-loss", "-0.1"}, "flowtrace: -loss must be in [0, 1]\n"},
 		{[]string{"-loss", "NaN"}, "flowtrace: -loss must be in [0, 1]\n"},
+		{[]string{"-flowdeadline", "-1s"}, "flowtrace: -flowdeadline must not be negative\n"},
+		{[]string{"-maxretx", "-5"}, "flowtrace: -maxretx must not be negative\n"},
+		{[]string{"-flowdeadline", "-1s", "-maxretx", "-5"}, "flowtrace: -flowdeadline must not be negative\n"},
 	} {
 		code, stdout, stderr := invoke(tc.args...)
 		if code != 2 || stdout != "" || !strings.Contains(stderr, tc.stderr) || strings.Count(stderr, "\n") != 1 {
 			t.Errorf("%v: exit %d stdout %q stderr %q; want exit 2 and one line with %q", tc.args, code, stdout, stderr, tc.stderr)
 		}
+	}
+	// A negative -maxtimeouts is not an error: it retries forever.
+	if code, _, stderr := invoke("-maxtimeouts", "-1"); code != 0 {
+		t.Errorf("-maxtimeouts -1: exit %d: %s", code, stderr)
 	}
 }

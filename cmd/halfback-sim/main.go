@@ -68,7 +68,7 @@ func (s *shape) Meta() fleet.JournalMeta {
 	if s.csv {
 		args = append(args, "-csv")
 	}
-	return fleet.JournalMeta{Exhibit: s.fig, Seed: s.seed, Args: args}
+	return fleet.JournalMeta{Seed: s.seed, Args: args}
 }
 
 func (s *shape) Check() error {

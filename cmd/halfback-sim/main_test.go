@@ -93,3 +93,24 @@ func TestFig3IsTheExperimentRender(t *testing.T) {
 		}
 	}
 }
+
+// The blackout exhibit keeps its stalled no-give-up cell as a FAILED
+// row. The journal is that cell's only record: stderr names the journal
+// once, no file appears beside it, and -repro of the journal re-runs the
+// cell to the same stall.
+func TestReproReplaysJournaledFailure(t *testing.T) {
+	dir := t.TempDir()
+	journal := filepath.Join(dir, "j")
+	code, _, stderr := invoke("-fig", "blackout", "-workers", "2", "-journal", journal)
+	if code != 0 || strings.Count(stderr, "-repro "+journal+"\n") != 1 {
+		t.Fatalf("exit %d, want 0 and one line naming -repro %s:\n%s", code, journal, stderr)
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 1 {
+		t.Errorf("the run wrote %d files, want only the journal", len(files))
+	}
+	code, stdout, stderr := invoke("-repro", journal)
+	if code != 1 || !strings.Contains(stdout, "sweep 0 cell 8 (blackout cell=TCP(no-give-up))") ||
+		!strings.Contains(stdout, "=== reproduced: stalled: ") {
+		t.Errorf("-repro: exit %d, want 1 and the stall reproduced\n%s%s", code, stdout, stderr)
+	}
+}

@@ -176,14 +176,14 @@ func run(schemeName string, flowBytes int, cfg PathConfig, withTrace bool) (*Flo
 // of the paper, or an extension; ExhibitIDs lists the IDs — at the
 // given scale in (0,1], returning rendered tables. Scale 1 is paper
 // scale; smaller values shrink trial counts and horizons
-// proportionally.
+// proportionally. A scale outside (0,1] is an error.
 func Exhibit(id string, seed uint64, scale float64) ([]*metrics.Table, error) {
 	e, err := experiment.Lookup(id)
 	if err != nil {
 		return nil, err
 	}
-	if scale <= 0 || scale > 1 {
-		scale = 1
+	if !(scale > 0 && scale <= 1) { // positive form: NaN fails it
+		return nil, fmt.Errorf("halfback: scale %v outside (0, 1]", scale)
 	}
 	res := e.Run(seed, experiment.Scale{Trials: scale, Horizon: scale})
 	return res.Tables(), nil

@@ -94,6 +94,16 @@ func TestExhibitRegistry(t *testing.T) {
 	}
 }
 
+// A scale outside (0,1] is an error, not a silent paper-scale run or a
+// one-sample table.
+func TestExhibitRejectsBadScale(t *testing.T) {
+	for _, scale := range []float64{0, -0.5, 1.5, math.Inf(1), math.NaN()} {
+		if tabs, err := Exhibit("12", 1, scale); err == nil || tabs != nil {
+			t.Errorf("scale %v: %d tables, err %v; want an error", scale, len(tabs), err)
+		}
+	}
+}
+
 func TestFetchTraceWalkthrough(t *testing.T) {
 	st, tr, err := FetchTrace(Halfback, 14600, PathConfig{DropSeqs: []int32{8}})
 	if err != nil {

@@ -28,14 +28,14 @@ import (
 )
 
 // Shape is what differs between tools. One value describes one run: the
-// harness makes a fresh one for every command line, journal meta or
-// repro bundle it has to interpret.
+// harness makes a fresh one for every command line or journal meta it
+// has to interpret.
 type Shape interface {
 	// Bind declares the tool's own flags on fs. None may share a name
 	// with an execution flag.
 	Bind(fs *flag.FlagSet)
-	// Meta renders the run for the journal: Exhibit, Seed and, in Args,
-	// every flag that changes output bytes, in canonical form. Parsing
+	// Meta renders the run for the journal: Seed and, in Args, every
+	// flag that changes output bytes, in canonical form. Parsing
 	// Args into a fresh Shape must describe the same run; that is all
 	// -resume, -repro and a worker ever know about it.
 	Meta() fleet.JournalMeta
@@ -81,7 +81,7 @@ func (x *Exec) bind(fs *flag.FlagSet) {
 	fs.StringVar(&x.MemProfile, "memprofile", "", "write an allocation profile to this file on exit")
 	fs.StringVar(&x.Journal, "journal", "", "write-ahead cell journal for this run (must not exist yet)")
 	fs.StringVar(&x.Resume, "resume", "", "resume a journaled run: replay its completed cells, execute the rest")
-	fs.StringVar(&x.Repro, "repro", "", "replay one failed cell from its repro bundle (written next to the journal)")
+	fs.StringVar(&x.Repro, "repro", "", "re-run each failed cell of a journaled run, one at a time")
 	fs.StringVar(&x.ServeWorker, "serve-worker", "", "run as a distributed-sweep worker listening on this address (:0 picks a port, announced on stdout)")
 	fs.StringVar(&x.WorkersRemote, "workers-remote", "", "comma-separated worker addresses: coordinate the run across them (requires -journal or -resume)")
 	fs.IntVar(&x.Distributed, "distributed", 0, "single-binary distributed mode: fork N local workers and coordinate across them (requires -journal or -resume)")
@@ -153,9 +153,9 @@ func (h *harness) fail(code int, format string, args ...any) int {
 	return code
 }
 
-// shapeFlags is the flag set a journal's or bundle's Args are parsed
-// with: the shape flags alone, so no execution flag can come from a
-// meta and no shape flag of a -resume command line survives.
+// shapeFlags is the flag set a journal's Args are parsed with: the
+// shape flags alone, so no execution flag can come from a meta and no
+// shape flag of a -resume command line survives.
 func (h *harness) shapeFlags(s Shape) *flag.FlagSet {
 	fs := flag.NewFlagSet(h.name, flag.ContinueOnError)
 	fs.SetOutput(h.stderr)
@@ -163,7 +163,7 @@ func (h *harness) shapeFlags(s Shape) *flag.FlagSet {
 	return fs
 }
 
-// shapeOf rebuilds the Shape a journal or bundle recorded.
+// shapeOf rebuilds the Shape a journal recorded.
 func (h *harness) shapeOf(meta fleet.JournalMeta) (Shape, error) {
 	if meta.Tool != h.name {
 		return nil, fmt.Errorf("written by %q, not %s", meta.Tool, h.name)
@@ -264,8 +264,11 @@ func (h *harness) run(args []string) (code int) {
 
 	failed := shape.Run(&Env{Ctx: ctx, Workers: workers, Run: run, Out: h.stdout, Exec: x, h: h})
 	if journal != nil {
-		for _, path := range journal.Bundles() {
-			h.logf("repro bundle written: replay with %s -repro %s", h.name, path)
+		for _, p := range journal.Progress() {
+			if p.Failed > 0 {
+				h.logf("failed cells journaled: replay with %s -repro %s", h.name, journal.Path())
+				break
+			}
 		}
 	}
 	switch {
@@ -460,39 +463,52 @@ func (h *harness) workerStart(x *Exec) dist.StartFunc {
 	}
 }
 
-// repro replays exactly one failed cell from its bundle: the recorded
-// shape's program with every other cell skipped. Exit 1 when the
-// failure reproduces, 0 when the cell now completes.
+// repro re-runs every cell whose latest journal record is a failure, in
+// address order, each in its own run of the recorded shape's program
+// with every other cell skipped. Exit 1 when a failure reproduces or a
+// cell never executes, 0 when every cell now completes, 2 when the
+// journal is unusable, another tool's, or records no failed cell.
 func (h *harness) repro(x *Exec) int {
-	b, err := fleet.LoadReproBundle(x.Repro)
+	data, err := os.ReadFile(x.Repro)
 	if err != nil {
 		return h.fail(2, "%v", err)
 	}
-	shape, err := h.shapeOf(b.Meta)
+	scan, err := fleet.ScanJournal(data)
+	if err != nil {
+		return h.fail(2, "%s: %v", x.Repro, err)
+	}
+	shape, err := h.shapeOf(scan.Meta)
 	if err == nil {
 		err = shape.Check()
 	}
 	if err != nil {
-		return h.fail(2, "bundle %s: %v", x.Repro, err)
+		return h.fail(2, "journal %s: %v", x.Repro, err)
 	}
-	run := strings.Join(b.Meta.Args, " ")
-	fmt.Fprintf(h.stdout, "=== repro: %s %s: sweep %d cell %d (%s)\n", h.name, run, b.Sweep, b.Cell, b.Label)
-	fmt.Fprintf(h.stdout, "=== recorded failure: %s: %s\n", b.Class, firstLine(b.Error))
+	failures := scan.Failures()
+	if len(failures) == 0 {
+		return h.fail(2, "journal %s records no failed cell", x.Repro)
+	}
+	run := strings.Join(scan.Meta.Args, " ")
+	code := 0
+	for _, f := range failures {
+		fmt.Fprintf(h.stdout, "=== repro: %s %s: sweep %d cell %d (%s)\n", h.name, run, f.Sweep, f.Cell, f.Label)
+		fmt.Fprintf(h.stdout, "=== recorded failure: %s: %s\n", f.Class, firstLine(f.Error))
 
-	target := &fleet.CellTarget{Sweep: b.Sweep, Cell: b.Cell}
-	// The cell's outcome is read off the target, not off the program.
-	shape.Run(&Env{Ctx: context.Background(), Workers: 1, Run: &fleet.Run{Target: target}, Exec: x, h: h})
-	ran, cellErr := target.Outcome()
-	switch {
-	case !ran:
-		return h.fail(1, "cell s%dc%d never executed — bundle does not match the sweeps of %s %s", b.Sweep, b.Cell, h.name, run)
-	case cellErr != nil:
-		fmt.Fprintf(h.stdout, "=== reproduced: %s: %v\n", fleet.Classify(cellErr), cellErr)
-		return 1
-	default:
-		fmt.Fprintln(h.stdout, "=== cell completed cleanly: the recorded failure did not reproduce")
-		return 0
+		target := &fleet.CellTarget{Sweep: f.Sweep, Cell: f.Cell}
+		// The cell's outcome is read off the target, not off the program.
+		shape.Run(&Env{Ctx: context.Background(), Workers: 1, Run: &fleet.Run{Target: target}, Exec: x, h: h})
+		ran, cellErr := target.Outcome()
+		switch {
+		case !ran:
+			code = h.fail(1, "cell s%dc%d never executed — the journal does not match the sweeps of %s %s", f.Sweep, f.Cell, h.name, run)
+		case cellErr != nil:
+			fmt.Fprintf(h.stdout, "=== reproduced: %s: %v\n", fleet.Classify(cellErr), cellErr)
+			code = 1
+		default:
+			fmt.Fprintln(h.stdout, "=== cell completed cleanly: the recorded failure did not reproduce")
+		}
 	}
+	return code
 }
 
 // firstLine truncates multi-line error text (panic stacks) for the

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -71,7 +70,7 @@ func (s *fakeShape) Bind(fs *flag.FlagSet) {
 }
 
 func (s *fakeShape) Meta() fleet.JournalMeta {
-	return fleet.JournalMeta{Exhibit: "fake", Seed: s.seed, Args: []string{
+	return fleet.JournalMeta{Seed: s.seed, Args: []string{
 		"-cells", strconv.Itoa(s.cells), "-sweeps", strconv.Itoa(s.sweeps),
 		"-seed", strconv.FormatUint(s.seed, 10), "-fail", strconv.Itoa(s.fail),
 	}}
@@ -245,7 +244,8 @@ func TestExitCodes(t *testing.T) {
 		{name: "worker profile unwritable", args: []string{"-serve-worker", "127.0.0.1:0", "-cpuprofile", fresh("no/such/dir/p")}, code: 1, stderr: "-cpuprofile"},
 		{name: "profile unwritable", args: []string{"-cpuprofile", fresh("no/such/dir/p")}, code: 1, stderr: "-cpuprofile"},
 		{name: "mem profile unwritable", args: []string{"-memprofile", fresh("no/such/dir/m")}, code: 0, stderr: "-memprofile"},
-		{name: "repro missing", args: []string{"-repro", fresh("missing.json")}, code: 2},
+		{name: "repro missing", args: []string{"-repro", fresh("missing")}, code: 2},
+		{name: "repro not a journal", args: []string{"-repro", existing}, code: 2, stderr: "journal corrupt"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newFake()
@@ -414,8 +414,8 @@ func TestInterruptDrainsAndResumes(t *testing.T) {
 	}
 }
 
-// A failed cell drops a bundle the harness names; -repro replays
-// exactly that cell of exactly that sweep.
+// A failed cell is journaled and the harness names the journal once;
+// -repro of the journal replays exactly that cell of exactly that sweep.
 func TestReproRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	f := newFake()
@@ -425,17 +425,15 @@ func TestReproRoundTrip(t *testing.T) {
 	if r.code != 1 {
 		t.Fatalf("exit %d, want 1\n%s", r.code, r.stderr)
 	}
-	m := regexp.MustCompile(`(?m)^fake: repro bundle written: replay with fake -repro (\S+)$`).FindStringSubmatch(r.stderr)
-	if m == nil {
-		t.Fatalf("stderr names no bundle: %s", r.stderr)
+	if want := "fake: failed cells journaled: replay with fake -repro " + journal + "\n"; strings.Count(r.stderr, "-repro") != 1 || !strings.Contains(r.stderr, want) {
+		t.Fatalf("stderr lacks the one line %q:\n%s", want, r.stderr)
 	}
-	bundle := m[1]
-	if _, err := os.Stat(bundle); err != nil {
-		t.Fatal(err)
+	if files, _ := os.ReadDir(dir); len(files) != 1 {
+		t.Errorf("the run wrote %d files, want only the journal", len(files))
 	}
 
 	f.ran = nil
-	r = f.invoke(nil, "-repro", bundle)
+	r = f.invoke(nil, "-repro", journal)
 	if r.code != 1 || !strings.Contains(r.stdout, "=== reproduced: error: boom") {
 		t.Errorf("exit %d, want 1 and the failure reproduced\n%s%s", r.code, r.stdout, r.stderr)
 	}
@@ -449,31 +447,55 @@ func TestReproRoundTrip(t *testing.T) {
 	}
 
 	f.failing.Store(false)
-	r = f.invoke(nil, "-repro", bundle)
+	r = f.invoke(nil, "-repro", journal)
 	if r.code != 0 || !strings.Contains(r.stdout, "did not reproduce") {
 		t.Errorf("exit %d, want 0 with the failure switched off\n%s%s", r.code, r.stdout, r.stderr)
 	}
 
-	data, err := os.ReadFile(bundle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	foreign := filepath.Join(dir, "foreign.json")
-	if err := os.WriteFile(foreign, bytes.Replace(data, []byte(`"tool": "fake"`), []byte(`"tool": "other"`), 1), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	args := []string{"-cells", "6", "-sweeps", "2", "-seed", "1", "-fail", "4"}
+	foreign := filepath.Join(dir, "foreign")
+	writeFailedJournal(t, foreign, fleet.JournalMeta{Tool: "other", Args: args}, 2)
 	r = f.invoke(nil, "-repro", foreign)
 	if r.code != 2 || !strings.Contains(r.stderr, `written by "other", not fake`) {
 		t.Errorf("exit %d, want 2 naming the other tool\n%s", r.code, r.stderr)
 	}
 
-	stale := filepath.Join(dir, "stale.json")
-	if err := os.WriteFile(stale, bytes.Replace(data, []byte(`"sweep": 1`), []byte(`"sweep": 5`), 1), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	stale := filepath.Join(dir, "stale")
+	writeFailedJournal(t, stale, fleet.JournalMeta{Tool: "fake", Args: args}, 6)
 	r = f.invoke(nil, "-repro", stale)
 	if r.code != 1 || !strings.Contains(r.stderr, "never executed") {
 		t.Errorf("exit %d, want 1 for a cell the program never makes\n%s", r.code, r.stderr)
+	}
+
+	clean := filepath.Join(dir, "clean")
+	if r := f.invoke(nil, "-journal", clean); r.code != 0 || strings.Contains(r.stderr, "-repro") {
+		t.Fatalf("clean run: exit %d\n%s", r.code, r.stderr)
+	}
+	r = f.invoke(nil, "-repro", clean)
+	if r.code != 2 || !strings.Contains(r.stderr, "records no failed cell") || r.stdout != "" {
+		t.Errorf("exit %d, want 2 for a journal without a failure\n%s%s", r.code, r.stdout, r.stderr)
+	}
+}
+
+// writeFailedJournal journals a run of meta with sweeps one-cell sweeps,
+// the last of which fails.
+func writeFailedJournal(t *testing.T, path string, meta fleet.JournalMeta, sweeps int) {
+	t.Helper()
+	j, err := fleet.CreateJournal(path, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := &fleet.Run{Journal: j}
+	for sw := 0; sw < sweeps; sw++ {
+		fleet.MapOpts(fleet.Options{Workers: 1, Run: run}, 1, func(_, _ int) (int, error) {
+			if sw == sweeps-1 {
+				return 0, errors.New("boom")
+			}
+			return 0, nil
+		})
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -40,13 +40,14 @@ func distTestScale() Scale {
 	return Scale{Trials: Quick.Trials, Horizon: Quick.Horizon, Workers: 4}
 }
 
-// distMeta encodes everything a worker needs to re-derive the run —
-// exhibit, seed, and the scale via Args — into the journal meta that
+// distMeta encodes everything a worker needs to re-derive the run — the
+// seed, and the exhibit and scale via Args — into the journal meta that
 // Configure ships.
 func distMeta(id string, seed uint64, sc Scale) fleet.JournalMeta {
 	return fleet.JournalMeta{
-		Tool: distTestTool, Exhibit: id, Seed: seed,
+		Tool: distTestTool, Seed: seed,
 		Args: []string{
+			id,
 			strconv.FormatFloat(sc.Trials, 'g', -1, 64),
 			strconv.FormatFloat(sc.Horizon, 'g', -1, 64),
 		},
@@ -58,18 +59,18 @@ func distMeta(id string, seed uint64, sc Scale) fleet.JournalMeta {
 // attached. It must mirror the coordinator's control flow exactly —
 // both are one Entry.Run call — so (sweep, cell) addressing agrees.
 func distEntryStart(ctx context.Context, meta fleet.JournalMeta, run *fleet.Run) error {
-	if len(meta.Args) != 2 {
-		return fmt.Errorf("meta args %q: want trials, horizon", meta.Args)
+	if len(meta.Args) != 3 {
+		return fmt.Errorf("meta args %q: want exhibit, trials, horizon", meta.Args)
 	}
-	trials, err := strconv.ParseFloat(meta.Args[0], 64)
+	trials, err := strconv.ParseFloat(meta.Args[1], 64)
 	if err != nil {
 		return err
 	}
-	horizon, err := strconv.ParseFloat(meta.Args[1], 64)
+	horizon, err := strconv.ParseFloat(meta.Args[2], 64)
 	if err != nil {
 		return err
 	}
-	e, err := Lookup(meta.Exhibit)
+	e, err := Lookup(meta.Args[0])
 	if err != nil {
 		return err
 	}

@@ -45,8 +45,7 @@ func multihopUtils() []float64 { return []float64{0.10, 0.30, 0.50} }
 
 func runMultihopCell(seed uint64, schemeName string, util float64, horizon sim.Duration) fleet.Row {
 	rng := sim.NewRand(seed ^ hashString("multihop"+schemeName) ^ uint64(util*1e4))
-	cfg := netem.ParkingLotConfig{Hops: 3}
-	pl := netem.NewParkingLot(sim.NewScheduler(), rng.ForkNamed("net"), cfg)
+	pl := netem.NewParkingLot(sim.NewScheduler(), rng.ForkNamed("net"))
 	var w transport.World
 	w.Reset(pl.Net, 1)
 	launch := func(at sim.Time, inst *scheme.Instance, bytes int, src, dst *netem.Node, label string) {
@@ -58,7 +57,7 @@ func runMultihopCell(seed uint64, schemeName string, util float64, horizon sim.D
 	// Per-hop TCP cross traffic at the target utilization.
 	crossInst := scheme.MustNew(scheme.TCP)
 	dist := workload.Fixed{Bytes: PlanetLabFlowBytes}
-	ia := workload.MeanInterarrivalFor(dist.Mean(), util, cfg.Defaulted().BottleneckBps)
+	ia := workload.MeanInterarrivalFor(dist.Mean(), util, pl.Bottlenecks[0].RateBps)
 	for i := range pl.CrossSrc {
 		for _, a := range workload.PoissonArrivals(rng.ForkNamed("cross"), dist, ia, horizon) {
 			launch(a.At, crossInst, a.Bytes, pl.CrossSrc[i], pl.CrossDst[i], "cross")

@@ -27,7 +27,7 @@ type recycleCell struct {
 
 const (
 	tamperNone      = iota
-	tamperHooks     // Fig 3's kit: OnConn, Net.Trace, a Client.Deliver wrapper, a link OnDrop tap
+	tamperHooks     // Fig 3's kit: OnConn, Net.Trace, a Client.Deliver wrapper
 	tamperAdversity // torture adversity (flap events, slow-path packets) and CoDel on the links
 	tamperKinds
 )
@@ -90,7 +90,6 @@ func runRecycleCell(t *testing.T, ps *PathSim, c recycleCell, hookCalls *int) ce
 	case tamperHooks:
 		ps.OnConn = func(*transport.Conn) { *hookCalls++ }
 		ps.Path.Net.Trace = func(netem.TraceEvent) { *hookCalls++ }
-		ps.Path.Back.OnDrop = func(*netem.Packet, sim.Time) { *hookCalls++ }
 		inner := ps.Path.Client.Deliver
 		swallowed := false
 		ps.Path.Client.Deliver = func(pkt *netem.Packet, now sim.Time) {

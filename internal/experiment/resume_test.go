@@ -36,7 +36,7 @@ func testCrashResume(t *testing.T, id string) {
 		base = Scale{Trials: tiny.Trials, Horizon: tiny.Horizon, Workers: 4}
 	}
 	want := renderAll(e.Run(seed, base))
-	meta := fleet.JournalMeta{Tool: "halfback-sim", Exhibit: id, Seed: seed}
+	meta := fleet.JournalMeta{Tool: "halfback-sim", Seed: seed, Args: []string{"-fig", id}}
 
 	// Reference journaled run: journaling must not change a single byte.
 	dir := t.TempDir()

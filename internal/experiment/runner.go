@@ -150,8 +150,8 @@ func NewPathSim(seed uint64, cfg netem.PathConfig) *PathSim {
 // PathSim it allocates them first, so fresh and recycled universes are
 // initialised by the same code. Nothing of the earlier cell survives:
 // pending events, packets in flight, counters, options, flows and every
-// hook (OnConn, Net.Trace, link OnDrop, wrapped Deliver handlers) are
-// cleared by the layers' resets.
+// hook (OnConn, Net.Trace, wrapped Deliver handlers) are cleared by the
+// layers' resets.
 func (p *PathSim) Reset(seed uint64, cfg netem.PathConfig) {
 	if p.Path == nil {
 		p.Sched = sim.NewScheduler()

@@ -106,7 +106,7 @@ func advance(at []int, axes []Axis) {
 // sc.Workers goroutines via the fleet engine and returns their results in
 // row-major order, so every sweep renders identically whatever the worker
 // count. Sweeps are numbered in the order they are made, which is what a
-// journal or a repro bundle addresses a cell by. A cell that fails or
+// journal and -repro address a cell by. A cell that fails or
 // panics becomes a job error labelled with its point on the axes while
 // the remaining cells still run; then a degraded sweep returns the errors
 // index-aligned with the cells (a failed cell holds its zero value), and
@@ -145,7 +145,7 @@ func runSweep[T any](sc Scale, id string, axes []Axis, degraded bool, cell func(
 }
 
 // cellLabel names a cell by its exhibit and its label on every axis, for
-// error reports, journal failure records and repro bundles.
+// error reports and journal failure records.
 func cellLabel(id string, axes []Axis, at []int) string {
 	label := id
 	for k, a := range axes {

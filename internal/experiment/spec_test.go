@@ -22,7 +22,7 @@ func (s *serveAll) ServeSweep(_ uint32, n int, run func(cell uint32) *fleet.Cell
 }
 
 // TestSpecRunner pins the one runner every swept exhibit goes through:
-// the row-major cell order journals and repro bundles address cells by,
+// the row-major cell order journals and -repro address cells by,
 // the label accessor, and what a failed cell, a worker and a repro get
 // back.
 func TestSpecRunner(t *testing.T) {

@@ -145,8 +145,8 @@ type Options struct {
 	Ctx context.Context
 	// Workers is the concurrency bound, normalized by Workers().
 	Workers int
-	// Label, when non-nil, names job i for error reports, journal
-	// failure records and repro bundles.
+	// Label, when non-nil, names job i for error reports and journal
+	// failure records.
 	Label func(int) string
 	// Run, when non-nil, attaches the crash-safety layer: journal
 	// write-through/replay and the single-cell repro target.
@@ -386,16 +386,16 @@ func (c *cellRunner[T]) serveCell(cell uint32) (res *CellOutcome) {
 	i := int(cell)
 	defer func() {
 		if r := recover(); r != nil {
-			res = failureOutcome(c.label(i), capturePanic(r))
+			res = failureOutcome(capturePanic(r))
 		}
 	}()
 	out, err := c.exec(i)
 	if err != nil {
-		return failureOutcome(c.label(i), err)
+		return failureOutcome(err)
 	}
 	data, err := encodeCellData(&out)
 	if err != nil {
-		return failureOutcome(c.label(i), fmt.Errorf("encode cell result: %w", err))
+		return failureOutcome(fmt.Errorf("encode cell result: %w", err))
 	}
 	return &CellOutcome{Data: data}
 }

@@ -48,7 +48,6 @@ import (
 //
 //   - at the end of every MapOpts, before the dispatcher is told the
 //     sweep has merged;
-//   - inside appendFailure, before the repro bundle is written;
 //   - after the meta record, in CreateJournal;
 //   - in Close.
 //
@@ -63,9 +62,9 @@ import (
 // than flushEvery plus one write+fsync after its append returned. Death
 // of the process (SIGKILL, the second SIGINT's os.Exit, a runtime fatal)
 // and loss of power both lose the records appended since the last flush
-// began, and nothing that was reported (sweep done, bundle written, meta):
-// that passed a barrier. The lost cells re-execute on resume from their
-// own seeds to the same bytes.
+// began, and nothing that was reported (sweep done, meta): that passed a
+// barrier. The lost cells re-execute on resume from their own seeds to
+// the same bytes.
 //
 // Replay is last-record-wins per (sweep, cell): a failure later
 // superseded by a success (a resumed re-execution) replays as the
@@ -100,11 +99,9 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // re-parses Args and re-runs the identical sweep with the journal
 // attached.
 type JournalMeta struct {
-	Version int      `json:"version"`
-	Tool    string   `json:"tool"`              // "halfback-sim", "fctsweep", ...
-	Exhibit string   `json:"exhibit,omitempty"` // exhibit ID for halfback-sim runs
-	Seed    uint64   `json:"seed"`
-	Args    []string `json:"args"`
+	Tool string   `json:"tool"` // "halfback-sim", "fctsweep", ...
+	Seed uint64   `json:"seed"`
+	Args []string `json:"args"`
 }
 
 // JournalRecord is one decoded cell record (meta is carried separately
@@ -164,6 +161,18 @@ func (s *JournalScan) Canonical() []JournalRecord {
 		}
 		return out[a].Cell < out[b].Cell
 	})
+	return out
+}
+
+// Failures returns the cells whose latest record is a failure, in
+// address order: the cells `-repro <journal>` re-runs.
+func (s *JournalScan) Failures() []JournalRecord {
+	var out []JournalRecord
+	for _, rec := range s.Canonical() {
+		if rec.Kind == recFail {
+			out = append(out, rec)
+		}
+	}
 	return out
 }
 
@@ -336,7 +345,6 @@ type Journal struct {
 	replay   map[cellKey][]byte // cells whose latest record is a success (payload)
 	progress map[uint32]*SweepProgress
 	sweeps   []uint32 // sweep IDs in begin order
-	bundles  []string // repro bundle paths written this process
 
 	// Group commit, all under mu. batch holds the sealed records queued
 	// since the flusher last took it (they are never written to again),
@@ -358,9 +366,6 @@ type Journal struct {
 // an existing file: a journal is a run's only durable state, so
 // overwriting one must be an explicit `rm`, not a flag typo.
 func CreateJournal(path string, meta JournalMeta) (*Journal, error) {
-	if meta.Version == 0 {
-		meta.Version = 1
-	}
 	body, err := json.Marshal(meta)
 	if err != nil {
 		return nil, err
@@ -563,14 +568,6 @@ func (j *Journal) Replayable() int {
 	return len(j.replay)
 }
 
-// Bundles returns the repro bundle paths written by this process, in
-// emission order.
-func (j *Journal) Bundles() []string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return append([]string(nil), j.bundles...)
-}
-
 // Progress returns per-sweep completion counters in sweep-begin order,
 // the data behind the INTERRUPTED partial table.
 func (j *Journal) Progress() []SweepProgress {
@@ -680,15 +677,13 @@ func (j *Journal) AppendCellData(sweep, cell uint32, data []byte) error {
 	return nil
 }
 
-// appendFailure journals one failed cell and, once the record is
-// durable, emits its repro bundle — a bundle must never point at a
-// failure the journal could still lose. Journal I/O errors here are
-// deliberately not returned: the cell's real error is already on its
-// way to the caller and must not be masked by a bookkeeping failure;
-// being sticky, they surface at the sweep barrier. Last-record-wins
-// applies within a journal: a failure recorded after a success
-// supersedes it (and vice versa), the same order ScanJournal-based
-// replay reconstructs.
+// appendFailure journals one failed cell. Like a success, it becomes
+// durable at the sweep barrier. Journal I/O errors here are deliberately
+// not returned: the cell's real error is already on its way to the
+// caller and must not be masked by a bookkeeping failure; being sticky,
+// they surface at the sweep barrier. Last-record-wins applies within a
+// journal: a failure recorded after a success supersedes it (and vice
+// versa), the same order ScanJournal-based replay reconstructs.
 func (j *Journal) appendFailure(sweep, cell uint32, label, class, msg string) {
 	fields := [...]string{label, class, msg}
 	body := 0
@@ -706,9 +701,6 @@ func (j *Journal) appendFailure(sweep, cell uint32, label, class, msg string) {
 	}
 	delete(j.replay, cellKey{sweep, cell})
 	j.progressLocked(sweep).Failed++
-	if j.barrierLocked() == nil {
-		j.writeBundleLocked(sweep, cell, label, class, msg)
-	}
 }
 
 // appendRecord seals rec — a buffer whose first recHeaderLen bytes are
@@ -733,44 +725,4 @@ func (j *Journal) appendRecord(rec []byte) error {
 	j.batch = append(j.batch, rec)
 	j.queued++
 	return nil
-}
-
-// ReproBundle is the self-contained description of one failed cell: it
-// carries everything `halfback-sim -repro` needs to rebuild the exact
-// universe (the run's meta incl. full args and seed, plus the sweep and
-// cell index the deterministic sweep order maps back to one universe).
-type ReproBundle struct {
-	Meta  JournalMeta `json:"meta"`
-	Sweep uint32      `json:"sweep"`
-	Cell  uint32      `json:"cell"`
-	Label string      `json:"label,omitempty"`
-	Class string      `json:"class"`
-	Error string      `json:"error"`
-}
-
-// LoadReproBundle reads a bundle written next to a journal.
-func LoadReproBundle(path string) (*ReproBundle, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var b ReproBundle
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("repro bundle %s: %w", path, err)
-	}
-	return &b, nil
-}
-
-// writeBundleLocked emits the failed cell's repro bundle next to the
-// journal. Best-effort: bundle I/O must not mask the cell's error.
-func (j *Journal) writeBundleLocked(sweep, cell uint32, label, class, msg string) {
-	b := ReproBundle{Meta: j.meta, Sweep: sweep, Cell: cell, Label: label, Class: class, Error: msg}
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return
-	}
-	path := fmt.Sprintf("%s.s%dc%d.repro.json", j.path, sweep, cell)
-	if os.WriteFile(path, append(data, '\n'), 0o644) == nil {
-		j.bundles = append(j.bundles, path)
-	}
 }

@@ -40,7 +40,6 @@ type seamFile struct {
 	syncDelay   time.Duration // a slow disk, for the coalescing test
 	failWriteAt int           // 1-based Write call that tears and fails; 0: never
 	syncErr     error         // what every Sync returns instead of syncing
-	onSync      func()        // called inside every Sync, before it returns
 
 	mu          sync.Mutex
 	calls       []byte // 'W' and 'S' in call order
@@ -104,9 +103,6 @@ func (s *seamFile) Sync() error {
 	defer s.leave()
 	s.stall(false, n)
 	time.Sleep(s.syncDelay)
-	if s.onSync != nil {
-		s.onSync()
-	}
 	if s.syncErr != nil {
 		return s.syncErr
 	}
@@ -471,8 +467,8 @@ func TestJournalSyncErrorIsSticky(t *testing.T) {
 		t.Fatalf("append after a failed sync = %v", err)
 	}
 	j.appendFailure(0, 2, "cell-2", ClassError, "boom")
-	if b := j.Bundles(); len(b) != 0 {
-		t.Fatalf("repro bundle %v written for a failure record that was refused", b)
+	if p := j.Progress(); p[0].Failed != 0 {
+		t.Fatalf("a refused failure record was counted: %+v", p)
 	}
 	for _, workers := range []int{1, 2} {
 		out, err := MapOpts(Options{Workers: workers, Run: &Run{Journal: j}}, 6,
@@ -692,43 +688,32 @@ func TestJournalCloseSyncsJoinsAndIsIdempotent(t *testing.T) {
 	}
 }
 
-// (f) A repro bundle never exists before its failure record is durable.
-func TestJournalFailureDurableBeforeBundle(t *testing.T) {
+// (f) A failure record waits for nothing, like a success: appendFailure
+// returns with the disk stalled, and the record is durable at the sweep
+// barrier.
+func TestJournalFailureAppendDoesNotWaitForSync(t *testing.T) {
 	j, sf := openSeamJournal(t)
-	bundle := fmt.Sprintf("%s.s0c7.repro.json", j.Path())
-	var early atomic.Bool
-	sf.onSync = func() {
-		if _, err := os.Stat(bundle); err == nil {
-			early.Store(true)
-		}
-	}
 	sf.gate(false)
+	j.appendFailure(0, 7, "cell-7", ClassPanicked, "boom")
+	sf.awaitFlush(t, 1) // the failure record is written, its sync is in flight
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		j.appendFailure(0, 7, "cell-7", ClassPanicked, "boom")
+		if err := j.barrier(); err != nil {
+			t.Error(err)
+		}
 	}()
-	sf.awaitFlush(t, 1) // the failure record is written, its sync is in flight
-	stillBlocked(t, done, "appendFailure with its record not yet durable")
-	if _, err := os.Stat(bundle); err == nil {
-		t.Fatal("the bundle exists while the record's flush is still in flight")
-	}
+	stillBlocked(t, done, "barrier with the failure record not yet durable")
 	sf.open()
 	<-done
-	if early.Load() {
-		t.Fatal("the bundle existed during a sync")
-	}
-	if b := j.Bundles(); len(b) != 1 || b[0] != bundle {
-		t.Fatalf("bundles = %v, want [%s]", b, bundle)
-	}
-	if _, err := os.Stat(bundle); err != nil {
-		t.Fatal(err)
-	}
 	if sf.flushed[0] != 1 {
-		t.Fatalf("the flush the bundle waited for carried %d records, want 1", sf.flushed[0])
+		t.Fatalf("the flush carried %d records, want the failure record", sf.flushed[0])
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if f := scanPath(t, j.Path()).Failures(); len(f) != 1 || f[0].Cell != 7 {
+		t.Fatalf("failures on disk: %+v", f)
 	}
 }
 

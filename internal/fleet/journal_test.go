@@ -17,10 +17,9 @@ import (
 
 func testMeta() JournalMeta {
 	return JournalMeta{
-		Tool:    "halfback-sim",
-		Exhibit: "3",
-		Seed:    42,
-		Args:    []string{"-fig", "3", "-seed", "42", "-scale", "0.25"},
+		Tool: "halfback-sim",
+		Seed: 42,
+		Args: []string{"-fig", "3", "-seed", "42", "-scale", "0.25"},
 	}
 }
 
@@ -76,12 +75,9 @@ func TestJournalCreateResumeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if got, want := j.Meta(), testMeta(); got.Tool != want.Tool || got.Exhibit != want.Exhibit ||
+	if got, want := j.Meta(), testMeta(); got.Tool != want.Tool ||
 		got.Seed != want.Seed || strings.Join(got.Args, " ") != strings.Join(want.Args, " ") {
 		t.Fatalf("meta round-trip: got %+v want %+v", got, want)
-	}
-	if j.Meta().Version != 1 {
-		t.Fatalf("version not defaulted: %d", j.Meta().Version)
 	}
 	if got := j.Replayable(); got != 3 {
 		t.Fatalf("Replayable = %d, want 3 (cell 2 failed)", got)
@@ -469,40 +465,55 @@ func TestRunSweepNumberingAcrossMaps(t *testing.T) {
 	}
 }
 
-func TestJournalFailureEmitsReproBundle(t *testing.T) {
+// Failures lists the cells whose latest record is a failure, in address
+// order, each with its label, class and error: what -repro re-runs and
+// prints. A failure a later success superseded is not listed.
+func TestJournalScanFailures(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.journal")
 	j, err := CreateJournal(path, testMeta())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close()
 	run := &Run{Journal: j}
-	_, err = MapOpts(Options{Run: run, Label: func(i int) string { return fmt.Sprintf("universe-%d", i) }},
-		3, func(i, attempt int) (int, error) {
-			if i == 1 {
-				panic("universe exploded")
-			}
-			return i, nil
-		})
-	if err == nil {
-		t.Fatal("want failure")
+	for s := 0; s < 2; s++ {
+		_, err = MapOpts(Options{Workers: 2, Run: run, Label: func(i int) string { return fmt.Sprintf("universe-%d-%d", s, i) }},
+			4, func(i, attempt int) (int, error) {
+				switch {
+				case i == 3-s:
+					panic("universe exploded")
+				case s == 0 && i == 0:
+					return 0, errors.New("boom")
+				}
+				return i, nil
+			})
+		if err == nil {
+			t.Fatal("want failure")
+		}
 	}
-	bundles := j.Bundles()
-	if len(bundles) != 1 {
-		t.Fatalf("%d bundles, want 1: %v", len(bundles), bundles)
-	}
-	b, err := LoadReproBundle(bundles[0])
-	if err != nil {
+	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if b.Sweep != 0 || b.Cell != 1 || b.Label != "universe-1" || b.Class != ClassPanicked {
-		t.Fatalf("bundle = %+v", b)
+	// A resumed run's success supersedes sweep 0's failed cell 0.
+	if j, err = ResumeJournal(path); err != nil {
+		t.Fatal(err)
 	}
-	if b.Meta.Tool != "halfback-sim" || len(b.Meta.Args) == 0 {
-		t.Fatalf("bundle meta not self-contained: %+v", b.Meta)
+	if err := j.appendCell(0, 0, new(int)); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(b.Error, "universe exploded") {
-		t.Fatalf("bundle error lost the panic: %q", b.Error)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	got := scanPath(t, path).Failures()
+	if len(got) != 2 {
+		t.Fatalf("%d failures, want 2: %+v", len(got), got)
+	}
+	for k, want := range []struct{ sweep, cell uint32 }{{0, 3}, {1, 2}} {
+		f := got[k]
+		if f.Sweep != want.sweep || f.Cell != want.cell || f.Class != ClassPanicked ||
+			f.Label != fmt.Sprintf("universe-%d-%d", want.sweep, want.cell) || !strings.Contains(f.Error, "universe exploded") {
+			t.Errorf("failure %d = %+v, want sweep %d cell %d", k, f, want.sweep, want.cell)
+		}
 	}
 }
 

@@ -36,9 +36,7 @@ type CellOutcome struct {
 	Data []byte
 	// Failed marks a cell whose final attempt errored.
 	Failed bool
-	// Label, Class and Error describe the failure (Label is the
-	// worker-side job label, Class a Class* constant).
-	Label string
+	// Class and Error describe the failure (Class is a Class* constant).
 	Class string
 	Error string
 }
@@ -95,8 +93,8 @@ func outcomeFailure(res *CellOutcome) error {
 }
 
 // failureOutcome freezes a local cell failure into its wire form.
-func failureOutcome(label string, err error) *CellOutcome {
-	return &CellOutcome{Failed: true, Label: label, Class: Classify(err), Error: err.Error()}
+func failureOutcome(err error) *CellOutcome {
+	return &CellOutcome{Failed: true, Class: Classify(err), Error: err.Error()}
 }
 
 // errServeOnly guards against wiring both hooks into one Run: a process

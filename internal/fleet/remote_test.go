@@ -122,7 +122,7 @@ func TestDispatchRemoteFailureKeepsClass(t *testing.T) {
 	defer j.Close()
 	d := &fakeDispatcher{outcomes: map[cellKey]*CellOutcome{
 		{0, 0}: successOutcome(t, cellResult{Name: "ok"}),
-		{0, 1}: {Failed: true, Label: "w:cell-1", Class: ClassPanicked, Error: "worker panicked: boom"},
+		{0, 1}: {Failed: true, Class: ClassPanicked, Error: "worker panicked: boom"},
 	}}
 	_, err = MapOpts(Options{
 		Run:   &Run{Journal: j, Dispatch: d},
@@ -274,7 +274,7 @@ func TestServeRunsRequestedCells(t *testing.T) {
 	}
 
 	bad := srv.got[3]
-	if bad == nil || !bad.Failed || bad.Class != ClassPanicked || bad.Label != "cell-3" {
+	if bad == nil || !bad.Failed || bad.Class != ClassPanicked {
 		t.Fatalf("cell 3 outcome = %+v, want captured panic", bad)
 	}
 	if !strings.Contains(bad.Error, "cell 3 explodes") {

@@ -115,33 +115,6 @@ func TestDroppedPacketsReturnToPool(t *testing.T) {
 	}
 }
 
-// TestOnDropHookStillFires: the per-link user hook runs on every loss,
-// before the packet is recycled.
-func TestOnDropHookStillFires(t *testing.T) {
-	sched := sim.NewScheduler()
-	net := NewNetwork(sched, sim.NewRand(1))
-	a := net.AddNode("a")
-	b := net.AddNode("b")
-	link := net.AddLink(a, b, LinkConfig{RateBps: 1 * Mbps, Delay: 0, BufferCap: 2000})
-	net.ComputeRoutes()
-	b.Deliver = func(*Packet, sim.Time) {}
-	var seqs []int32
-	link.OnDrop = func(pkt *Packet, now sim.Time) { seqs = append(seqs, pkt.Seq) }
-	for i := 0; i < 5; i++ {
-		pkt := net.NewPacket()
-		pkt.Kind, pkt.Src, pkt.Dst, pkt.Size, pkt.Seq = KindData, a.ID, b.ID, 1500, int32(i)
-		net.Inject(pkt, 0)
-	}
-	if len(seqs) == 0 {
-		t.Fatal("OnDrop hook never fired")
-	}
-	if int64(len(seqs)) != link.Stats.Dropped || net.DroppedTotal != link.Stats.Dropped {
-		t.Fatalf("hook fired %d times, link dropped %d, network counted %d",
-			len(seqs), link.Stats.Dropped, net.DroppedTotal)
-	}
-	sched.Run()
-}
-
 // TestPathResetReclaimsAndClears: Reset on a path abandoned mid-transfer
 // (packets queued, one being serialized, others propagating in the
 // arrival ring) returns every one of them to the free list zeroed, and
@@ -154,7 +127,6 @@ func TestPathResetReclaimsAndClears(t *testing.T) {
 	p := NewPath(sched, sim.NewRand(7), old)
 	p.Client.Deliver = func(*Packet, sim.Time) {}
 	p.Net.Trace = func(TraceEvent) {}
-	p.Back.OnDrop = func(*Packet, sim.Time) {}
 	p.Back.Discipline = CoDel
 	p.Forward.SetAdversity(MustAdversityPreset("torture"))
 
@@ -199,8 +171,8 @@ func TestPathResetReclaimsAndClears(t *testing.T) {
 		if l.RateBps != f.RateBps || l.Delay != f.Delay || l.BufferCap != f.BufferCap || l.LossProb != f.LossProb {
 			t.Fatalf("%s: configuration %v, want %v", l.Name(), l, f)
 		}
-		if l.Stats != (LinkStats{}) || l.OnDrop != nil || l.Discipline != DropTail ||
-			l.Adversity().Enabled() || l.advRng != nil || l.Down() || l.aqmReady ||
+		if l.Stats != (LinkStats{}) || l.Discipline != DropTail || l.codel != (codelState{}) || l.red != (redState{}) ||
+			l.Adversity().Enabled() || l.advRng != nil || l.Down() ||
 			l.qLen != 0 || l.arrLen != 0 || l.txPkt != nil || l.busy || l.queuedByte != 0 {
 			t.Fatalf("%s: state of the previous use survived Reset: %+v", l.Name(), l)
 		}

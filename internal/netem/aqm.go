@@ -23,7 +23,7 @@ const (
 	// DropTail is the default: admit until the byte bound, then drop.
 	DropTail QueueDiscipline = iota
 	// CoDel drops at dequeue when packets have sat in the queue longer
-	// than Target for at least Interval, with the standard
+	// than 5 ms for at least 100 ms, with the standard
 	// inverse-sqrt control law.
 	CoDel
 	// RED drops probabilistically at enqueue as the EWMA queue length
@@ -45,54 +45,25 @@ func (q QueueDiscipline) String() string {
 	}
 }
 
-// CoDelParams are the standard constants from the CoDel paper/RFC 8289.
-type CoDelParams struct {
-	// Target is the acceptable standing queue delay (default 5 ms).
-	Target sim.Duration
-	// Interval is the sliding window in which Target must be met at
-	// least once (default 100 ms).
-	Interval sim.Duration
-}
+// CoDel's standard constants (Nichols & Jacobson, RFC 8289): the
+// acceptable standing queue delay, and the sliding window in which it
+// must be met at least once.
+const (
+	codelTarget   = 5 * sim.Millisecond
+	codelInterval = 100 * sim.Millisecond
+)
 
-func (p *CoDelParams) applyDefaults() {
-	if p.Target == 0 {
-		p.Target = 5 * sim.Millisecond
-	}
-	if p.Interval == 0 {
-		p.Interval = 100 * sim.Millisecond
-	}
-}
-
-// REDParams configure Random Early Detection.
-type REDParams struct {
-	// MinBytes and MaxBytes bound the EWMA queue-size region in which
-	// the drop probability ramps from 0 to MaxP. Defaults: 20% and 80%
-	// of the link's buffer.
-	MinBytes, MaxBytes int
-	// MaxP is the drop probability at MaxBytes (default 0.1).
-	MaxP float64
-	// Weight is the EWMA gain (default 0.002).
-	Weight float64
-}
-
-func (p *REDParams) applyDefaults(bufferCap int) {
-	if p.MinBytes == 0 {
-		p.MinBytes = bufferCap / 5
-	}
-	if p.MaxBytes == 0 {
-		p.MaxBytes = bufferCap * 4 / 5
-	}
-	if p.MaxP == 0 {
-		p.MaxP = 0.1
-	}
-	if p.Weight == 0 {
-		p.Weight = 0.002
-	}
-}
+// RED's constants: the drop probability at the upper threshold and the
+// EWMA gain. Its thresholds, between which the drop probability ramps
+// from 0 to redMaxP, are 1/5 and 4/5 of the link's buffer, or of 1 MB
+// when the buffer is unbounded.
+const (
+	redMaxP   float64 = 0.1
+	redWeight float64 = 0.002
+)
 
 // codelState carries CoDel's control-law variables.
 type codelState struct {
-	params       CoDelParams
 	dropping     bool
 	firstAboveAt sim.Time // when delay first exceeded target (0 = not above)
 	dropNextAt   sim.Time
@@ -112,15 +83,14 @@ func invSqrt(n int) float64 {
 // the packet at the head should be dropped instead of transmitted.
 // sojourn is how long the packet waited in the queue.
 func (c *codelState) onDequeue(sojourn sim.Duration, now sim.Time) bool {
-	p := c.params
-	if sojourn < p.Target {
+	if sojourn < codelTarget {
 		// Below target: leave dropping state.
 		c.firstAboveAt = 0
 		c.dropping = false
 		return false
 	}
 	if c.firstAboveAt == 0 {
-		c.firstAboveAt = now.Add(p.Interval)
+		c.firstAboveAt = now.Add(codelInterval)
 		return false
 	}
 	if !c.dropping {
@@ -136,7 +106,7 @@ func (c *codelState) onDequeue(sojourn sim.Duration, now sim.Time) bool {
 				c.dropCount = 1
 			}
 			c.lastCount = c.dropCount
-			c.dropNextAt = now.Add(sim.Duration(float64(p.Interval) * invSqrt(c.dropCount)))
+			c.dropNextAt = now.Add(sim.Duration(float64(codelInterval) * invSqrt(c.dropCount)))
 			return true
 		}
 		return false
@@ -144,7 +114,7 @@ func (c *codelState) onDequeue(sojourn sim.Duration, now sim.Time) bool {
 	if now >= c.dropNextAt {
 		c.dropCount++
 		c.lastCount = c.dropCount
-		c.dropNextAt = c.dropNextAt.Add(sim.Duration(float64(p.Interval) * invSqrt(c.dropCount)))
+		c.dropNextAt = c.dropNextAt.Add(sim.Duration(float64(codelInterval) * invSqrt(c.dropCount)))
 		return true
 	}
 	return false
@@ -152,22 +122,25 @@ func (c *codelState) onDequeue(sojourn sim.Duration, now sim.Time) bool {
 
 // redState carries RED's EWMA.
 type redState struct {
-	params REDParams
-	avg    float64
+	avg float64
 }
 
 // onEnqueue returns true when RED decides to early-drop the arriving
-// packet, given the instantaneous queue size in bytes.
-func (r *redState) onEnqueue(queueBytes int, rng *sim.Rand) bool {
-	p := r.params
-	r.avg = (1-p.Weight)*r.avg + p.Weight*float64(queueBytes)
+// packet, given the instantaneous queue size and the buffer capacity in
+// bytes.
+func (r *redState) onEnqueue(queueBytes, bufferCap int, rng *sim.Rand) bool {
+	if bufferCap <= 0 {
+		bufferCap = 1 << 20
+	}
+	minBytes, maxBytes := bufferCap/5, bufferCap*4/5
+	r.avg = (1-redWeight)*r.avg + redWeight*float64(queueBytes)
 	switch {
-	case r.avg < float64(p.MinBytes):
+	case r.avg < float64(minBytes):
 		return false
-	case r.avg >= float64(p.MaxBytes):
+	case r.avg >= float64(maxBytes):
 		return true
 	default:
-		frac := (r.avg - float64(p.MinBytes)) / float64(p.MaxBytes-p.MinBytes)
-		return rng.Bool(frac * p.MaxP)
+		frac := (r.avg - float64(minBytes)) / float64(maxBytes-minBytes)
+		return rng.Bool(frac * redMaxP)
 	}
 }

@@ -43,19 +43,10 @@ type Link struct {
 	LossProb float64
 
 	// Discipline selects the queue-management algorithm (drop-tail by
-	// default); CoDelConf/REDConf parameterise it. Set before traffic
-	// flows.
+	// default). Set before traffic flows.
 	Discipline QueueDiscipline
-	CoDelConf  CoDelParams
-	REDConf    REDParams
 
 	Stats LinkStats
-
-	// OnDrop, if set, is invoked for every packet lost on this link
-	// (queue overflow, AQM early drop or random loss), after counters
-	// update and before the packet is recycled; the hook must not
-	// retain the packet.
-	OnDrop func(pkt *Packet, now sim.Time)
 
 	net      *Network
 	fromName string
@@ -93,9 +84,8 @@ type Link struct {
 	arrLen  int
 	arrMask int
 
-	codel    codelState
-	red      redState
-	aqmReady bool
+	codel codelState
+	red   redState
 
 	// Fault injection (see adversity.go). advRng is forked from the
 	// network RNG only when SetAdversity installs a non-trivial config,
@@ -111,9 +101,9 @@ type Link struct {
 func (l *Link) Name() string { return l.fromName + "->" + l.toName }
 
 // reset puts the link in the state AddLink builds for cfg: queue,
-// counters, hooks, discipline, adversity state and the TxTime
-// memo cleared, and the loss stream forked afresh from the network RNG
-// under the link's name. Packets still queued, being serialized or in the
+// counters, discipline, adversity state and the TxTime memo cleared,
+// and the loss stream forked afresh from the network RNG under the
+// link's name. Packets still queued, being serialized or in the
 // arrival ring go back to the network's free list; the rings keep their
 // storage. (Packets propagating on the slow path are referenced only by
 // scheduler events, which the scheduler's own reset drops.)
@@ -152,22 +142,6 @@ type linkArrival struct {
 	pkt *Packet
 	at  sim.Time
 	seq uint64
-}
-
-// initAQM lazily seeds the discipline state with defaults.
-func (l *Link) initAQM() {
-	if l.aqmReady {
-		return
-	}
-	l.aqmReady = true
-	l.codel.params = l.CoDelConf
-	l.codel.params.applyDefaults()
-	l.red.params = l.REDConf
-	cap := l.BufferCap
-	if cap <= 0 {
-		cap = 1 << 20
-	}
-	l.red.params.applyDefaults(cap)
 }
 
 // TxTime returns how long serializing size bytes onto this link takes.
@@ -223,24 +197,23 @@ func (l *Link) qPop() queuedPacket {
 func (l *Link) Send(pkt *Packet, now sim.Time) bool {
 	if l.downDepth > 0 {
 		l.Stats.FlapDrops++
-		l.net.dropPacket(l, pkt, now)
+		l.net.dropPacket(pkt, now)
 		return false
 	}
 	if l.LossProb > 0 && l.rng.Bool(l.LossProb) {
 		l.Stats.RandomLosses++
-		l.net.dropPacket(l, pkt, now)
+		l.net.dropPacket(pkt, now)
 		return false
 	}
 	if l.BufferCap > 0 && l.queuedByte+pkt.Size > l.BufferCap {
 		l.Stats.Dropped++
-		l.net.dropPacket(l, pkt, now)
+		l.net.dropPacket(pkt, now)
 		return false
 	}
 	if l.Discipline == RED {
-		l.initAQM()
-		if l.red.onEnqueue(l.queuedByte, l.rng) {
+		if l.red.onEnqueue(l.queuedByte, l.BufferCap, l.rng) {
 			l.Stats.AQMDrops++
-			l.net.dropPacket(l, pkt, now)
+			l.net.dropPacket(pkt, now)
 			return false
 		}
 	}
@@ -267,10 +240,9 @@ func (l *Link) startTransmit(now sim.Time) {
 		l.queuedByte -= head.pkt.Size
 
 		if l.Discipline == CoDel {
-			l.initAQM()
 			if l.codel.onDequeue(now.Sub(head.at), now) {
 				l.Stats.AQMDrops++
-				l.net.dropPacket(l, head.pkt, now)
+				l.net.dropPacket(head.pkt, now)
 				continue // try the next head
 			}
 		}

@@ -164,15 +164,12 @@ func (n *Network) clonePacket(p *Packet) *Packet {
 
 // dropPacket is the single accounting point for every packet lost
 // anywhere in the network: total count, optional trace (the TraceEvent
-// packet copy is only constructed when a tracer is installed), the
-// link's user hook, then release back to the pool.
-func (n *Network) dropPacket(l *Link, pkt *Packet, now sim.Time) {
+// packet copy is only constructed when a tracer is installed), then
+// release back to the pool.
+func (n *Network) dropPacket(pkt *Packet, now sim.Time) {
 	n.DroppedTotal++
 	if n.Trace != nil {
 		n.Trace(TraceEvent{Kind: TraceDrop, At: now, Pkt: *pkt})
-	}
-	if l.OnDrop != nil {
-		l.OnDrop(pkt, now)
 	}
 	n.releasePacket(pkt)
 }
@@ -199,9 +196,8 @@ type LinkConfig struct {
 }
 
 // AddLink creates a unidirectional link from a to b. Drop accounting and
-// tracing are wired through the network itself (see Network.dropPacket);
-// the link's exported OnDrop stays free for callers that want a tap. The
-// human-readable link name is rendered lazily by Link.Name/String rather
+// tracing are wired through the network itself (see Network.dropPacket).
+// The human-readable link name is rendered lazily by Link.Name/String rather
 // than formatted here, keeping topology construction off fmt.
 func (n *Network) AddLink(a, b *Node, cfg LinkConfig) *Link {
 	l := &Link{From: a.ID, To: b.ID, fromName: a.Name, toName: b.Name, net: n}

@@ -77,7 +77,7 @@ const MaxSACKBlocks = 3
 // from Network.NewPacket (a per-Network free list) and hands them to
 // Inject; the network releases a packet back to the pool at its final
 // delivery or drop. No layer may retain a *Packet after its Deliver /
-// OnDrop / Trace hook returns — observers that need the contents keep a
+// Trace hook returns — observers that need the contents keep a
 // copy (TraceEvent already does). Packets built with plain &Packet{}
 // literals still work: the pool ignores them on release.
 type Packet struct {

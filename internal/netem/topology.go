@@ -12,6 +12,13 @@ const (
 	Gbps int64 = 1_000_000_000
 )
 
+// Edge links (host to router) of the dumbbell and the parking lot: 1 Gbps
+// with a generous 1 MB queue, so queueing happens at the bottlenecks.
+const (
+	edgeBps    = 1 * Gbps
+	edgeBuffer = 1 << 20
+)
+
 // Dumbbell is the paper's Fig. 4 topology: n sender hosts connected by
 // 1 Gbps edges to an ingress router, a single bottleneck link to an egress
 // router, and n receiver hosts on 1 Gbps edges. All flows share the
@@ -32,8 +39,6 @@ type DumbbellConfig struct {
 	BottleneckBps  int64        // default 15 Mbps (paper)
 	RTT            sim.Duration // end-to-end two-way propagation; default 60 ms
 	BufferBytes    int          // bottleneck queue capacity; default 115 KB ≈ BDP
-	EdgeBps        int64        // default 1 Gbps
-	EdgeBuffer     int          // edge queue capacity; defaults to generous (1 MB)
 	BottleneckLoss float64      // extra random loss on the bottleneck
 }
 
@@ -49,12 +54,6 @@ func (c *DumbbellConfig) applyDefaults() {
 	}
 	if c.BufferBytes == 0 {
 		c.BufferBytes = 115 * 1000
-	}
-	if c.EdgeBps == 0 {
-		c.EdgeBps = 1 * Gbps
-	}
-	if c.EdgeBuffer == 0 {
-		c.EdgeBuffer = 1 << 20
 	}
 }
 
@@ -100,8 +99,8 @@ func NewDumbbell(sched *sim.Scheduler, rng *sim.Rand, cfg DumbbellConfig) *Dumbb
 	for i := 0; i < cfg.Pairs; i++ {
 		s := net.AddNode(fmt.Sprintf("s%d", i))
 		r := net.AddNode(fmt.Sprintf("r%d", i))
-		net.Connect(s, d.RouterIn, LinkConfig{RateBps: cfg.EdgeBps, Delay: edgeDelay, BufferCap: cfg.EdgeBuffer})
-		net.Connect(r, d.RouterOut, LinkConfig{RateBps: cfg.EdgeBps, Delay: edgeDelay, BufferCap: cfg.EdgeBuffer})
+		net.Connect(s, d.RouterIn, LinkConfig{RateBps: edgeBps, Delay: edgeDelay, BufferCap: edgeBuffer})
+		net.Connect(r, d.RouterOut, LinkConfig{RateBps: edgeBps, Delay: edgeDelay, BufferCap: edgeBuffer})
 		d.Senders = append(d.Senders, s)
 		d.Receivers = append(d.Receivers, r)
 	}
@@ -143,10 +142,9 @@ func NewPath(sched *sim.Scheduler, rng *sim.Rand, cfg PathConfig) *Path {
 // reusing the topology, link rings and packet free list of an earlier
 // use; on a zero Path it builds them first, so a fresh path and a
 // recycled one are initialised by the same code. Whatever the previous
-// use left behind — queued and in-flight packets, counters, Trace, OnDrop
-// and Deliver hooks, AQM and adversity settings — is gone, and
-// both links draw loss from streams forked from rng exactly as on a new
-// path.
+// use left behind — queued and in-flight packets, counters, Trace and
+// Deliver hooks, AQM and adversity settings — is gone, and both links
+// draw loss from streams forked from rng exactly as on a new path.
 func (p *Path) Reset(sched *sim.Scheduler, rng *sim.Rand, cfg PathConfig) {
 	if cfg.RateBps <= 0 {
 		panic("netem: path rate must be positive")

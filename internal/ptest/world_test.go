@@ -35,7 +35,7 @@ func worldTopologies() []worldTopology {
 			return d.Net, []*netem.Link{d.Bottleneck, d.Reverse}, pairs
 		}},
 		{"parkinglot", 7, func(s *sim.Scheduler, r *sim.Rand) (*netem.Network, []*netem.Link, [][2]*netem.Node) {
-			pl := netem.NewParkingLot(s, r, netem.ParkingLotConfig{Hops: 3})
+			pl := netem.NewParkingLot(s, r)
 			pairs := [][2]*netem.Node{{pl.Src, pl.Dst}}
 			for i := range pl.CrossSrc {
 				pairs = append(pairs, [2]*netem.Node{pl.CrossSrc[i], pl.CrossDst[i]})

@@ -20,23 +20,13 @@ type Event struct {
 	Pkt  netem.Packet
 }
 
-// Recorder collects events for a set of flows (nil filter = all flows).
+// Recorder collects the events of every flow on a network.
 type Recorder struct {
-	filter map[netem.FlowID]bool
 	events []Event
 }
 
-// NewRecorder creates a recorder; pass flow IDs to restrict capture.
-func NewRecorder(flows ...netem.FlowID) *Recorder {
-	r := &Recorder{}
-	if len(flows) > 0 {
-		r.filter = make(map[netem.FlowID]bool, len(flows))
-		for _, f := range flows {
-			r.filter[f] = true
-		}
-	}
-	return r
-}
+// NewRecorder creates an empty recorder.
+func NewRecorder() *Recorder { return &Recorder{} }
 
 // Attach installs the recorder on a network. Only one tracer can be
 // attached at a time; Attach composes with any previously installed hook.
@@ -46,15 +36,8 @@ func (r *Recorder) Attach(n *netem.Network) {
 		if prev != nil {
 			prev(ev)
 		}
-		r.observe(ev)
+		r.events = append(r.events, Event{At: ev.At, Kind: ev.Kind, Pkt: ev.Pkt})
 	}
-}
-
-func (r *Recorder) observe(ev netem.TraceEvent) {
-	if r.filter != nil && !r.filter[ev.Pkt.Flow] {
-		return
-	}
-	r.events = append(r.events, Event{At: ev.At, Kind: ev.Kind, Pkt: ev.Pkt})
 }
 
 // Events returns the captured events in observation order.

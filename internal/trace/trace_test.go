@@ -45,23 +45,6 @@ func TestRecorderCapturesLifecycle(t *testing.T) {
 	}
 }
 
-func TestRecorderFlowFilter(t *testing.T) {
-	sched, n, a, b := buildNet(t)
-	rec := NewRecorder(7)
-	rec.Attach(n)
-	n.Inject(&netem.Packet{Kind: netem.KindData, Flow: 7, Src: a.ID, Dst: b.ID, Size: 100}, 0)
-	n.Inject(&netem.Packet{Kind: netem.KindData, Flow: 9, Src: a.ID, Dst: b.ID, Size: 100}, 0)
-	sched.Run()
-	for _, ev := range rec.Events() {
-		if ev.Pkt.Flow != 7 {
-			t.Fatalf("captured foreign flow %d", ev.Pkt.Flow)
-		}
-	}
-	if len(rec.Events()) != 2 { // send + recv for flow 7
-		t.Fatalf("events %d", len(rec.Events()))
-	}
-}
-
 func TestSequenceRendering(t *testing.T) {
 	sched, n, a, b := buildNet(t)
 	rec := NewRecorder()

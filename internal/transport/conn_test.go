@@ -254,10 +254,8 @@ func TestReceiverGeneratesSACK(t *testing.T) {
 	w := newWorld(t, cleanPath())
 	conn, _ := dial(t, w, 100_000, Options{})
 
-	// Drop exactly the 5th data packet by flipping loss for its
-	// serialization window. Simpler: intercept with OnDrop? Use a
-	// custom hook: count data packets through the forward link by
-	// wrapping Deliver on the client node.
+	// Drop exactly the 5th data packet: count data packets through the
+	// forward link by wrapping Deliver on the client node.
 	inner := w.path.Client.Deliver
 	dropped := false
 	seen := 0
