@@ -19,7 +19,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -120,6 +122,14 @@ func (s *shape) Check() error {
 			return fmt.Errorf("bad utilization %q", f)
 		}
 		s.utils = append(s.utils, v/100)
+	}
+	// The cells turn -rate into bits/s and into a Poisson interarrival;
+	// a rate past either's range would panic in every cell.
+	if s.rateMbps > math.MaxInt64/netem.Mbps {
+		return fmt.Errorf("-rate %d Mbit/s overflows int64 bits/s", s.rateMbps)
+	}
+	if workload.MeanInterarrivalFor(workload.Fixed{Bytes: s.flowBytes}.Mean(), slices.Max(s.utils), s.rateMbps*netem.Mbps) < 1 {
+		return fmt.Errorf("-rate %d Mbit/s is too high: %d-byte flows would arrive under 1ns apart", s.rateMbps, s.flowBytes)
 	}
 	s.names = strings.Split(s.schemes, ",")
 	for i := range s.names {

@@ -27,6 +27,8 @@ func TestShapeValidation(t *testing.T) {
 		{"-flow", "0", "-flow must be positive"},
 		{"-flow", "-5", "-flow must be positive"},
 		{"-rate", "0", "-rate must be positive"},
+		{"-rate", "9300000000000000", "overflows int64 bits/s"},
+		{"-rate", "9223372036854", "-rate 9223372036854 Mbit/s is too high"},
 		{"-buffer", "0", "-buffer must be positive"},
 		{"-rtt", "0s", "-rtt must be positive"},
 		{"-horizon", "0s", "-horizon must be positive"},

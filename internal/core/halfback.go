@@ -371,7 +371,7 @@ func (l *Logic) stepReverse(env cc.Env, now sim.Time) {
 		srtt := env.SRTT()
 		next := int32(-1)
 		anyHole := false
-		for seq := min32(l.st.PacedHi, sc.HighSent()+1) - 1; seq >= sc.CumAck(); seq-- {
+		for seq := min(l.st.PacedHi, sc.HighSent()+1) - 1; seq >= sc.CumAck(); seq-- {
 			if sc.IsAcked(seq) {
 				continue
 			}
@@ -392,13 +392,6 @@ func (l *Logic) stepReverse(env cc.Env, now sim.Time) {
 	}
 	l.sendProactive(env, l.st.RoprPtr, now)
 	l.st.RoprPtr--
-}
-
-func min32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // stepForward is the §5 ablation: the pointer starts at the beginning of

@@ -493,9 +493,8 @@ func TestMain(m *testing.M) {
 				prog.delay = 200 * time.Millisecond
 			}
 			os.Exit(ServeWorker("127.0.0.1:0", WorkerOptions{
-				Key:         ResolveKey(""),
-				Start:       prog.start,
-				DrainLinger: 50 * time.Millisecond,
+				Key:   ResolveKey(""),
+				Start: prog.start,
 				Logf: func(f string, a ...any) {
 					fmt.Fprintf(os.Stderr, f+"\n", a...)
 				},

@@ -301,8 +301,7 @@ func TestZombieGenerationIsFenced(t *testing.T) {
 }
 
 // In-process drain: in-flight cells finish and reply, new work and
-// sessions are refused, Ping flips Running=false, and the worker exits
-// on its own.
+// sessions are refused, and the worker exits on its own.
 func TestDrainFinishesInFlightAndRefusesNewWork(t *testing.T) {
 	release := make(chan struct{})
 	var started atomic.Int32
@@ -319,7 +318,7 @@ func TestDrainFinishesInFlightAndRefusesNewWork(t *testing.T) {
 			})
 		return err
 	}
-	w, _ := startWorker(t, WorkerOptions{Start: start, DrainLinger: 2 * time.Second})
+	w, _ := startWorker(t, WorkerOptions{Start: start})
 	api := &workerAPI{w}
 	meta := testMeta(1)
 	if err := api.Configure(&ConfigureArgs{Gen: 1, Proto: ProtoVersion, Meta: meta}, &ConfigureReply{}); err != nil {
@@ -339,18 +338,11 @@ func TestDrainFinishesInFlightAndRefusesNewWork(t *testing.T) {
 	}
 
 	go w.Drain()
-	// Draining is observable immediately: Running=false, new cells and
-	// sessions refused — while the in-flight cell is still running.
-	var ping PingReply
-	for {
-		if err := api.Ping(&PingArgs{Gen: 1}, &ping); err != nil {
-			t.Fatalf("Ping during drain: %v", err)
-		}
-		if !ping.Running {
-			break
-		}
+	// Once draining, new cells and sessions are refused — while the
+	// in-flight cell is still running.
+	for !w.isDraining() {
 		if time.Now().After(deadline) {
-			t.Fatal("Ping never reported Running=false during drain")
+			t.Fatal("Drain never began")
 		}
 		time.Sleep(time.Millisecond)
 	}

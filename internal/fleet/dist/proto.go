@@ -117,10 +117,6 @@ type PingArgs struct {
 // PingReply reports worker liveness (the RPC completing is the signal;
 // the fields are diagnostics).
 type PingReply struct {
-	// Running is true while the worker's program is still executing
-	// and the worker is not draining (a draining worker finishes its
-	// in-flight leases but accepts no new ones).
-	Running bool
 	// Fenced mirrors ConfigureReply.Fenced.
 	Fenced uint64
 }

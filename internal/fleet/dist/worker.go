@@ -37,10 +37,6 @@ type WorkerOptions struct {
 	// Key is the shared cluster secret; when set, every accepted
 	// connection must pass the HMAC handshake before RPC.
 	Key []byte
-	// DrainLinger is how long a drained worker lingers before exiting,
-	// so the coordinator's next Ping can observe Running=false instead
-	// of a vanished endpoint (default 300ms).
-	DrainLinger time.Duration
 	// Logf, when non-nil, receives worker diagnostics (stderr-style).
 	Logf func(format string, args ...any)
 }
@@ -52,12 +48,8 @@ func (o WorkerOptions) registerWait() time.Duration {
 	return o.RegisterWait
 }
 
-func (o WorkerOptions) drainLinger() time.Duration {
-	if o.DrainLinger <= 0 {
-		return 300 * time.Millisecond
-	}
-	return o.DrainLinger
-}
+// drainFlush is how long a drained worker process outlives its drain.
+const drainFlush = 300 * time.Millisecond
 
 // handshakeTimeout bounds the pre-RPC handshake on each accepted
 // connection — a garbage or stalled peer must not pin a goroutine.
@@ -82,7 +74,7 @@ type Worker struct {
 	drainMu   sync.Mutex
 	drainCond *sync.Cond
 	// draining is set by Drain: in-flight leases finish, new ones are
-	// refused, Ping answers Running=false.
+	// refused.
 	draining bool
 	inflight int
 
@@ -150,9 +142,8 @@ func (w *Worker) Stop() {
 }
 
 // Drain is the graceful stop: refuse new leases, let in-flight ones
-// finish and reply, linger briefly so the coordinator's next Ping
-// observes Running=false, then Stop. Idempotent; returns when the
-// worker is down.
+// finish and reply, then Stop. Idempotent; returns when the worker is
+// down.
 func (w *Worker) Drain() {
 	w.drainMu.Lock()
 	if w.draining {
@@ -166,10 +157,6 @@ func (w *Worker) Drain() {
 		w.drainCond.Wait()
 	}
 	w.drainMu.Unlock()
-	select {
-	case <-w.done:
-	case <-time.After(w.opts.drainLinger()):
-	}
 	w.Stop()
 }
 
@@ -463,15 +450,8 @@ func (a *workerAPI) EndSweep(args *EndSweepArgs, _ *Empty) error {
 func (a *workerAPI) Ping(args *PingArgs, reply *PingReply) error {
 	w := a.w
 	reply.Fenced = w.fenced.Load()
-	sess, err := w.liveSession(args.Gen)
-	if err != nil {
-		return err
-	}
-	sess.mu.Lock()
-	running := !sess.finished
-	sess.mu.Unlock()
-	reply.Running = running && !w.isDraining()
-	return nil
+	_, err := w.liveSession(args.Gen)
+	return err
 }
 
 // Shutdown stops the worker process.
@@ -495,9 +475,9 @@ const stdinExitEnv = "HALFBACK_DIST_STDIN_EXIT"
 // opts.Key), announces the bound address on stdout, runs a worker built
 // from opts, and serves coordinator sessions until a Shutdown RPC, a
 // signal, or — for forked workers — stdin EOF. The first SIGINT/SIGTERM
-// drains gracefully (in-flight cells finish and reply, Ping turns
-// Running=false, then exit 130); a second signal force-quits. Returns
-// the process exit code: 0 clean, 130 interrupted, 2 usage/bind error.
+// drains gracefully (in-flight cells finish and reply, then exit 130);
+// a second signal force-quits. Returns the process exit code: 0 clean,
+// 130 interrupted, 2 usage/bind error.
 func ServeWorker(addr string, opts WorkerOptions) int {
 	logf := opts.Logf
 	if len(opts.Key) == 0 && !LoopbackAddr(addr) {
@@ -547,6 +527,10 @@ func ServeWorker(addr string, opts WorkerOptions) int {
 		return 1
 	}
 	if interrupted.Load() {
+		// net/rpc writes a lease's reply after its handler returns, so
+		// the drain's last replies may still be on their way out: give
+		// them time to reach the coordinator before the process dies.
+		time.Sleep(drainFlush)
 		return 130
 	}
 	return 0

@@ -118,9 +118,9 @@ func TestDroppedPacketsReturnToPool(t *testing.T) {
 // TestPathResetReclaimsAndClears: Reset on a path abandoned mid-transfer
 // (packets queued, one being serialized, others propagating in the
 // arrival ring) returns every one of them to the free list zeroed, and
-// leaves nothing of the previous use: counters, hooks, discipline,
-// adversity and the TxTime memo are gone, the links carry the new
-// configuration, and both draw the loss sequence a new path would.
+// leaves nothing of the previous use: counters, hooks, discipline and
+// adversity are gone, the links carry the new configuration, and both
+// draw the loss sequence a new path would.
 func TestPathResetReclaimsAndClears(t *testing.T) {
 	old := PathConfig{RateBps: 1 * Mbps, RTT: 40 * sim.Millisecond, BufferBytes: 1 << 20, LossProb: 0.1}
 	sched := sim.NewScheduler()
@@ -177,7 +177,7 @@ func TestPathResetReclaimsAndClears(t *testing.T) {
 			t.Fatalf("%s: state of the previous use survived Reset: %+v", l.Name(), l)
 		}
 		if l.TxTime(SegmentSize) != f.TxTime(SegmentSize) {
-			t.Fatalf("%s: TxTime memo survived a rate change", l.Name())
+			t.Fatalf("%s: TxTime does not follow the new rate", l.Name())
 		}
 		for k := 0; k < 64; k++ {
 			if a, b := l.rng.Uint64(), f.rng.Uint64(); a != b {

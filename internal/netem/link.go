@@ -60,10 +60,6 @@ type Link struct {
 	qMask      int
 	queuedByte int
 	busy       bool
-	// txMemoSize/txMemoDur memoize the last TxTime computation (see
-	// TxTime).
-	txMemoSize int
-	txMemoDur  sim.Duration
 
 	// txPkt is the packet currently being serialized; the transmit-done
 	// event carries only the link and picks the packet up from here.
@@ -101,12 +97,12 @@ type Link struct {
 func (l *Link) Name() string { return l.fromName + "->" + l.toName }
 
 // reset puts the link in the state AddLink builds for cfg: queue,
-// counters, discipline, adversity state and the TxTime memo cleared,
-// and the loss stream forked afresh from the network RNG under the
-// link's name. Packets still queued, being serialized or in the
-// arrival ring go back to the network's free list; the rings keep their
-// storage. (Packets propagating on the slow path are referenced only by
-// scheduler events, which the scheduler's own reset drops.)
+// counters, discipline and adversity state cleared, and the loss
+// stream forked afresh from the network RNG under the link's name.
+// Packets still queued, being serialized or in the arrival ring go back
+// to the network's free list; the rings keep their storage. (Packets
+// propagating on the slow path are referenced only by scheduler events,
+// which the scheduler's own reset drops.)
 func (l *Link) reset(cfg LinkConfig) {
 	if cfg.RateBps <= 0 {
 		panic("netem: link rate must be positive")
@@ -146,16 +142,7 @@ type linkArrival struct {
 
 // TxTime returns how long serializing size bytes onto this link takes.
 func (l *Link) TxTime(size int) sim.Duration {
-	// One-entry memo: a link carries at most a handful of distinct
-	// packet sizes (full segments one way, ACKs the other), so the
-	// 64-bit division is almost always skippable. The cached value is
-	// the exact quotient, so results are bit-identical.
-	if size == l.txMemoSize && l.txMemoDur != 0 {
-		return l.txMemoDur
-	}
-	d := sim.Duration(int64(size) * 8 * int64(sim.Second) / l.RateBps)
-	l.txMemoSize, l.txMemoDur = size, d
-	return d
+	return sim.Duration(int64(size) * 8 * int64(sim.Second) / l.RateBps)
 }
 
 // QueuedBytes returns the bytes currently waiting in the link's queue

@@ -76,7 +76,7 @@ func (l *Logic) OnAck(env cc.Env, ev cc.AckEvent, now sim.Time) {
 		if l.st.RTORecovery {
 			l.st.Cwnd += float64(ev.NewCumAcked) // slow start after timeout
 		} else {
-			l.st.Cwnd += float64(ev.NewCumAcked) / maxf(l.st.Cwnd, 1) // congestion avoidance
+			l.st.Cwnd += float64(ev.NewCumAcked) / max(l.st.Cwnd, 1) // congestion avoidance
 		}
 	}
 
@@ -193,11 +193,4 @@ func (l *Logic) pumpNew(env cc.Env, now sim.Time) {
 		}
 		env.SendSegment(next, false, false, now)
 	}
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -156,7 +156,7 @@ func (l *Logic) OnAck(env cc.Env, ev cc.AckEvent, now sim.Time) {
 	sc := env.Sack()
 	if lost := sc.NextLost(sc.CumAck(), env.DupThresh(), l.st.RetxBudget); lost >= 0 {
 		if lost > l.st.LossEventEnd {
-			l.st.Rate = maxf(l.st.Rate/2, l.st.FloorRate)
+			l.st.Rate = max(l.st.Rate/2, l.st.FloorRate)
 			l.st.LossEventEnd = sc.HighSent()
 		}
 	} else if ev.NewCumAcked > 0 && sc.CumAck() > l.st.LossEventEnd && l.st.Rate < l.st.ProbedRate {
@@ -165,7 +165,7 @@ func (l *Logic) OnAck(env cc.Env, ev cc.AckEvent, now sim.Time) {
 		// fast enough to escape the floor-rate regime (one packet per
 		// RTT, where every loss costs a full RTO) within a handful of
 		// loss-free ACKs on chronically lossy paths.
-		l.st.Rate = minf(l.st.Rate*1.25, l.st.ProbedRate)
+		l.st.Rate = min(l.st.Rate*1.25, l.st.ProbedRate)
 	}
 	if !l.st.Ticking && !l.st.Probing {
 		l.startTicking(env, now)
@@ -209,7 +209,7 @@ func (l *Logic) onProbeAck(env cc.Env, ev cc.AckEvent, now sim.Time) {
 				recvSpan = m
 			}
 			if recvSpan > sentSpan && sentSpan > 0 {
-				l.st.Rate = maxf(l.st.Rate*float64(sentSpan)/float64(recvSpan), l.st.FloorRate)
+				l.st.Rate = max(l.st.Rate*float64(sentSpan)/float64(recvSpan), l.st.FloorRate)
 			}
 		}
 		l.probeVerdict(env, ok, now)
@@ -222,14 +222,14 @@ func (l *Logic) probeVerdict(env cc.Env, ok bool, now sim.Time) {
 	if ok || l.st.Rounds >= MaxProbeRounds {
 		if !ok {
 			l.st.Failures++
-			l.st.Rate = maxf(l.st.Rate/2, l.st.FloorRate)
+			l.st.Rate = max(l.st.Rate/2, l.st.FloorRate)
 		}
 		l.st.ProbedRate = l.st.Rate
 		l.startTicking(env, now)
 		return
 	}
 	l.st.Failures++
-	l.st.Rate = maxf(l.st.Rate/2, l.st.FloorRate)
+	l.st.Rate = max(l.st.Rate/2, l.st.FloorRate)
 	// PCP pauses before re-probing, yielding to whatever is building
 	// the queue.
 	srtt := env.SRTT()
@@ -301,7 +301,7 @@ func (l *Logic) OnTimer(env cc.Env, kind cc.TimerKind, now sim.Time) {
 
 func (l *Logic) OnLoss(env cc.Env, now sim.Time) {
 	l.st.RetxBudget++
-	l.st.Rate = maxf(l.st.Rate/2, l.st.FloorRate)
+	l.st.Rate = max(l.st.Rate/2, l.st.FloorRate)
 	sc := env.Sack()
 	l.st.LossEventEnd = sc.HighSent()
 	if seq := sc.CumAck(); seq < env.NumSegs() && sc.SentOnce(seq) && !sc.IsAcked(seq) {
@@ -315,18 +315,4 @@ func (l *Logic) OnLoss(env cc.Env, now sim.Time) {
 // Decision reports the current rate; PCP is always rate-paced.
 func (l *Logic) Decision() cc.Decision {
 	return cc.Decision{RateBps: l.st.Rate, Pacing: true}
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

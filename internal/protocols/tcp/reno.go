@@ -111,7 +111,7 @@ func (r *Reno) OnAck(env cc.Env, ev cc.AckEvent, now sim.Time) {
 func (r *Reno) enterRecovery(env cc.Env, now sim.Time) {
 	sc := env.Sack()
 	pipe := float64(sc.Pipe(env.DupThresh()))
-	r.Ssthresh = maxf(pipe/2, 2)
+	r.Ssthresh = max(pipe/2, 2)
 	r.Cwnd = r.Ssthresh
 	r.InRecovery = true
 	r.RecoveryPoint = sc.HighSent()
@@ -123,7 +123,7 @@ func (r *Reno) enterRecovery(env cc.Env, now sim.Time) {
 func (r *Reno) OnLoss(env cc.Env, now sim.Time) {
 	sc := env.Sack()
 	pipe := float64(sc.Pipe(env.DupThresh()))
-	r.Ssthresh = maxf(pipe/2, 2)
+	r.Ssthresh = max(pipe/2, 2)
 	r.Cwnd = 1
 	r.InRecovery = false
 	r.RetxBudget++
@@ -190,11 +190,4 @@ func (r *Reno) pump(env cc.Env, now sim.Time) {
 		}
 		r.transmit(env, next, false, now)
 	}
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -20,10 +20,8 @@ type receiver struct {
 
 	// cumFold is the XOR fold of the nonces of segments [0, cumAck),
 	// maintained as cumAck advances; sendAck extends it with the
-	// advertised SACK ranges (memoized in rfold — recovery re-sends the
-	// same widening ranges on every ACK) to form the receipt proof.
+	// advertised SACK ranges to form the receipt proof.
 	cumFold uint64
-	rfold   foldCache
 
 	// Delayed-ACK state (Options.DelayedAcks): unacked counts data
 	// packets received since the last ACK; ackTimer bounds the delay
@@ -164,7 +162,7 @@ func (r *receiver) sendAck(seq int32, now sim.Time) {
 	// strictly above cumAck, so nothing is folded twice).
 	ack.Nonce = r.cumFold
 	for i := 0; i < ack.NumSACK; i++ {
-		ack.Nonce ^= r.rfold.fold(&c.val, ack.SACK[i].Lo, ack.SACK[i].Hi)
+		ack.Nonce ^= c.val.foldRange(ack.SACK[i].Lo, ack.SACK[i].Hi)
 	}
 	c.net.Inject(ack, now)
 }

@@ -101,7 +101,7 @@ type AckUpdate struct {
 // Update folds an incoming ACK into the scoreboard.
 func (s *Scoreboard) Update(pkt *netem.Packet) AckUpdate {
 	var up AckUpdate
-	if end := min32(pkt.CumAck, s.n); end > s.cumAck {
+	if end := min(pkt.CumAck, s.n); end > s.cumAck {
 		// Clamp before computing the delta: an ACK claiming beyond the
 		// end of the flow (corrupt, or crafted) must not report phantom
 		// progress — once cumAck sits at n, replaying it is a duplicate.
@@ -127,8 +127,8 @@ func (s *Scoreboard) Update(pkt *netem.Packet) AckUpdate {
 		// A well-behaved receiver can only acknowledge data that was
 		// sent; clamp to highSent so a corrupt or adversarial ACK
 		// cannot poison the pipe accounting.
-		hi := min32(r.Hi, s.highSent+1)
-		for seq := max32(r.Lo, s.cumAck); seq < hi && seq < s.n; seq++ {
+		hi := min(r.Hi, s.highSent+1)
+		for seq := max(r.Lo, s.cumAck); seq < hi && seq < s.n; seq++ {
 			if !s.sacked[seq] {
 				s.sacked[seq] = true
 				s.sackedCnt++
@@ -248,7 +248,7 @@ func (s *Scoreboard) anyMarkAbove(seq int32) bool {
 	if s.markCnt == 0 {
 		return false
 	}
-	for i := max32(seq, s.cumAck); i <= s.highSent && i < s.n; i++ {
+	for i := max(seq, s.cumAck); i <= s.highSent && i < s.n; i++ {
 		if s.lostMark[i] && !s.sacked[i] {
 			return true
 		}
@@ -296,24 +296,10 @@ func (s *Scoreboard) Pipe(dupThresh int) int32 {
 // HighestUnacked returns the highest sent segment index that the receiver
 // is not known to hold, or -1 if none.
 func (s *Scoreboard) HighestUnacked() int32 {
-	for seq := min32(s.highSent, s.n-1); seq >= s.cumAck; seq-- {
+	for seq := min(s.highSent, s.n-1); seq >= s.cumAck; seq-- {
 		if !s.sacked[seq] {
 			return seq
 		}
 	}
 	return -1
-}
-
-func max32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
 }

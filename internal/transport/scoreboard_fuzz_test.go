@@ -7,13 +7,6 @@ import (
 	"halfback/internal/netem"
 )
 
-// FuzzScoreboard drives the SACK scoreboard with a fuzzer-chosen
-// interleaving of sends and adversarial ACKs. Sends follow the caller
-// contract (sequence numbers in range — the connection only sends its
-// own segments) but ACK packets carry arbitrary attacker-controlled
-// fields, exactly what a hostile or corrupted network can deliver.
-// After every operation the structural invariants must hold and a
-// replayed ACK must change nothing.
 // FuzzScoreboardSACKPermutation is the normalization audit for SACK
 // application: the scoreboard treats SACK blocks as a set union, so
 // any permutation, duplication, or re-splitting of the honest blocks
@@ -116,9 +109,23 @@ func FuzzScoreboardSACKPermutation(f *testing.F) {
 	})
 }
 
+// FuzzScoreboard drives the SACK scoreboard with a fuzzer-chosen
+// interleaving of sends and adversarial ACKs. Sends follow the caller
+// contract (sequence numbers in range — the connection only sends its
+// own segments) but ACK packets carry arbitrary attacker-controlled
+// fields, exactly what a hostile or corrupted network can deliver.
+// After every operation the structural invariants must hold, a
+// replayed ACK must change nothing, and DeemedLost, NextLost and Pipe —
+// which read the prefix-sum cache and stop scanning early — must equal
+// a naive recount over the scoreboard's bitmaps (naiveLost).
 func FuzzScoreboard(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 2, 3})
 	f.Add([]byte{0, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 2})
+	// Eight sends, then two SACK-only ACKs ({2}, then {4,5}) that leave
+	// the cumulative point at 0: the second must refresh the prefix sums.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0,
+		2, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3,
+		2, 0, 0, 0, 0, 1, 0, 0, 0, 4, 0, 0, 0, 6})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const n = 32
 		s := NewScoreboard(n)
@@ -178,6 +185,62 @@ func FuzzScoreboard(f *testing.F) {
 					t.Fatalf("seq %d below CumAck %d not acked", seq, s.CumAck())
 				}
 			}
+			for _, dupThresh := range []int{1, 3} {
+				lost := naiveLost(s, dupThresh)
+				for seq := int32(-1); seq <= n; seq++ {
+					want := seq >= 0 && seq < n && lost[seq]
+					if got := s.DeemedLost(seq, dupThresh); got != want {
+						t.Fatalf("DeemedLost(%d, %d) = %v, recount says %v", seq, dupThresh, got, want)
+					}
+					for _, maxRetx := range []int{1, 2, 300} {
+						want := int32(-1)
+						for i := max(seq, s.cumAck); i <= s.highSent; i++ {
+							if lost[i] && int(s.retx[i]) < min(maxRetx, 255) {
+								want = i
+								break
+							}
+						}
+						if got := s.NextLost(seq, dupThresh, maxRetx); got != want {
+							t.Fatalf("NextLost(%d, %d, %d) = %d, recount says %d", seq, dupThresh, maxRetx, got, want)
+						}
+					}
+				}
+				// Pipe: every segment in [cumAck, highSent] neither acked
+				// nor deemed lost, plus every retransmission at or above
+				// cumAck.
+				var pipe int32
+				for i := s.cumAck; i < n; i++ {
+					if i <= s.highSent && !s.sacked[i] && !lost[i] {
+						pipe++
+					}
+					pipe += int32(s.retx[i])
+				}
+				if got := s.Pipe(dupThresh); got != pipe {
+					t.Fatalf("Pipe(%d) = %d, recount says %d", dupThresh, got, pipe)
+				}
+			}
 		}
 	})
+}
+
+// naiveLost recounts, from the scoreboard's bitmaps alone, which
+// segments DeemedLost should report: sent, unacknowledged, at or above
+// cumAck, and either timeout-marked or with at least dupThresh SACKed
+// segments above them up to highSent. It uses neither the prefix-sum
+// cache nor the incremental counters.
+func naiveLost(s *Scoreboard, dupThresh int) []bool {
+	lost := make([]bool, s.n)
+	for seq := s.cumAck; seq <= s.highSent; seq++ {
+		if s.sacked[seq] || !s.sentOnce[seq] {
+			continue
+		}
+		above := 0
+		for i := seq + 1; i <= s.highSent; i++ {
+			if s.sacked[i] {
+				above++
+			}
+		}
+		lost[seq] = s.lostMark[seq] || above >= dupThresh
+	}
+	return lost
 }

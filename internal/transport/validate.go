@@ -124,70 +124,15 @@ const (
 	dupAckBudgetPerSend = 4
 )
 
-// foldEntry is one memoized SACK-range fold.
-type foldEntry struct {
-	lo, hi int32
-	fold   uint64
-}
-
-// foldCache memoizes the XOR nonce folds of recently seen SACK ranges,
-// keyed by lower bound and extended forward as a range widens. During
-// a recovery episode both endpoints handle the same few (growing)
-// ranges on every ACK; without the cache each ACK refolds O(range
-// span) nonces, which turns loss-heavy flows quadratic in the window.
-// Cached folds never go stale — SegNonce is a pure function of the
-// flow secret and the sequence number.
-type foldCache struct {
-	e    [4]foldEntry
-	next uint8
-}
-
-// fold returns the XOR of SegNonce over [lo, hi).
-func (c *foldCache) fold(v *AckValidator, lo, hi int32) uint64 {
-	for i := range c.e {
-		en := &c.e[i]
-		if en.lo == lo && en.hi > 0 {
-			if en.hi <= hi {
-				for s := en.hi; s < hi; s++ {
-					en.fold ^= v.SegNonce(s)
-				}
-				en.hi = hi
-				return en.fold
-			}
-			break // the range shrank (reordered stale ACK): recompute
-		}
-	}
-	var f uint64
-	for s := lo; s < hi; s++ {
-		f ^= v.SegNonce(s)
-	}
-	c.e[c.next] = foldEntry{lo: lo, hi: hi, fold: f}
-	c.next = (c.next + 1) & 3
-	return f
-}
-
 // AckValidator holds the sender-side validation state for one flow: the
-// nonce key, an incrementally maintained XOR fold of the nonces below
-// the scoreboard's cumulative-ACK point, a fold cache for the advertised
-// ranges, and a memo of the last nothing-new ACK so dup-ACK storms cost
-// O(1) each instead of a per-segment rescan. It is embedded by value in
-// Conn and costs no allocations.
+// nonce key and an incrementally maintained XOR fold of the nonces below
+// the scoreboard's cumulative-ACK point. It is embedded by value in Conn
+// and costs no allocations.
 type AckValidator struct {
 	secret   uint64
 	cumFold  uint64 // XOR fold of SegNonce over [0, foldedTo)
 	foldedTo int32
 	dupAcks  int64
-	rfold    foldCache
-
-	// Memo of the most recent ACK that claimed nothing new, valid only
-	// while the scoreboard's acked bits are unchanged — with cumAck
-	// fixed, sacked bits are only ever added, so (cumAck, sackedCnt)
-	// versions the bit state exactly.
-	dupValid            bool
-	dupNr               int8
-	dupCum              int32
-	dupRanges           [netem.MaxSACKBlocks]netem.SeqRange
-	dupVerCum, dupVerSk int32
 }
 
 // Init keys the validator for a flow. The per-flow secret is derived
@@ -206,8 +151,6 @@ func (v *AckValidator) Init(flow netem.FlowID) {
 	v.cumFold = 0
 	v.foldedTo = 0
 	v.dupAcks = 0
-	v.rfold = foldCache{}
-	v.dupValid = false
 }
 
 // SegNonce returns the nonce the sender stamps on DATA segment seq —
@@ -223,31 +166,32 @@ func (v *AckValidator) SegNonce(seq int32) uint64 {
 	return x
 }
 
+// foldRange returns the XOR fold of SegNonce over [lo, hi).
+func (v *AckValidator) foldRange(lo, hi int32) uint64 {
+	var f uint64
+	for seq := lo; seq < hi; seq++ {
+		f ^= v.SegNonce(seq)
+	}
+	return f
+}
+
 // foldTo returns the XOR fold of SegNonce over [0, k), extending the
 // incremental prefix fold when k is at or beyond it (the common case:
 // cumulative ACKs only advance) and recomputing from scratch for the
 // rare reordered ACK whose cumulative point sits below the fold.
 func (v *AckValidator) foldTo(k int32) uint64 {
 	if k >= v.foldedTo {
-		f := v.cumFold
-		for seq := v.foldedTo; seq < k; seq++ {
-			f ^= v.SegNonce(seq)
-		}
-		return f
+		return v.cumFold ^ v.foldRange(v.foldedTo, k)
 	}
-	var f uint64
-	for seq := int32(0); seq < k; seq++ {
-		f ^= v.SegNonce(seq)
-	}
-	return f
+	return v.foldRange(0, k)
 }
 
 // Commit advances the incremental prefix fold to the scoreboard's
 // cumulative-ACK point after an accepted ACK has been applied.
 func (v *AckValidator) Commit(s *Scoreboard) {
-	for v.foldedTo < s.cumAck {
-		v.cumFold ^= v.SegNonce(v.foldedTo)
-		v.foldedTo++
+	if s.cumAck > v.foldedTo {
+		v.cumFold ^= v.foldRange(v.foldedTo, s.cumAck)
+		v.foldedTo = s.cumAck
 	}
 }
 
@@ -326,24 +270,11 @@ func (v *AckValidator) Check(s *Scoreboard, pkt *netem.Packet, dataSent int64) P
 	// restate known state (duplicates, reordered stragglers) skip the
 	// proof but draw down the dup-ACK budget.
 	isNew := cum > s.cumAck
-	if !isNew {
-		if v.dupValid && v.dupVerCum == s.cumAck && v.dupVerSk == s.sackedCnt &&
-			v.dupCum == cum && v.dupNr == int8(nr) && v.dupRanges == ranges {
-			// Identical to the last nothing-new ACK against unchanged
-			// acked state: a dup-ACK storm costs O(1) per ACK.
-		} else {
-			for i := 0; i < nr && !isNew; i++ {
-				for seq := max32(ranges[i].Lo, s.cumAck); seq < ranges[i].Hi; seq++ {
-					if !s.IsAcked(seq) {
-						isNew = true
-						break
-					}
-				}
-			}
-			if !isNew {
-				v.dupValid = true
-				v.dupCum, v.dupNr, v.dupRanges = cum, int8(nr), ranges
-				v.dupVerCum, v.dupVerSk = s.cumAck, s.sackedCnt
+	for i := 0; i < nr && !isNew; i++ {
+		for seq := max(ranges[i].Lo, s.cumAck); seq < ranges[i].Hi; seq++ {
+			if !s.IsAcked(seq) {
+				isNew = true
+				break
 			}
 		}
 	}
@@ -356,7 +287,7 @@ func (v *AckValidator) Check(s *Scoreboard, pkt *netem.Packet, dataSent int64) P
 	}
 	expect := v.foldTo(cum)
 	for i := 0; i < nr; i++ {
-		expect ^= v.rfold.fold(v, ranges[i].Lo, ranges[i].Hi)
+		expect ^= v.foldRange(ranges[i].Lo, ranges[i].Hi)
 	}
 	if pkt.Nonce != expect {
 		return MisbehaviorNonceMismatch

@@ -15,7 +15,9 @@ import (
 // defined PeerMisbehavior class, an accepted ACK never regresses the
 // cumulative-ACK point, and the verdict is deterministic (checking the
 // same ACK twice against unchanged state agrees, modulo the dup-ACK
-// budget drawing down).
+// budget drawing down). After every Commit, foldTo(k) must equal a
+// from-zero fold for every k up to HighSent+1 — below the incremental
+// fold's point too, the path a reordered straggler takes.
 func FuzzAckValidate(f *testing.F) {
 	f.Add(int32(4), int32(-1), int32(4), uint64(0), []byte(nil))
 	f.Add(int32(64), int32(-1), int32(64), uint64(0), []byte(nil))
@@ -38,6 +40,7 @@ func FuzzAckValidate(f *testing.F) {
 		}
 		s.Update(warm)
 		v.Commit(s)
+		checkFolds(t, v, s)
 
 		before := s.CumAck()
 		class := v.Check(s, pkt, 16)
@@ -60,6 +63,7 @@ func FuzzAckValidate(f *testing.F) {
 		// past the sent window.
 		s.Update(pkt)
 		v.Commit(s)
+		checkFolds(t, v, s)
 		if s.CumAck() < before {
 			t.Fatalf("CumAck regressed %d → %d", before, s.CumAck())
 		}
@@ -67,4 +71,17 @@ func FuzzAckValidate(f *testing.F) {
 			t.Fatalf("CumAck %d passed HighSent %d", s.CumAck(), s.HighSent())
 		}
 	})
+}
+
+// checkFolds compares the validator's prefix fold with a from-zero XOR
+// of SegNonce at every cumulative point in [0, HighSent+1].
+func checkFolds(t *testing.T, v *AckValidator, s *Scoreboard) {
+	t.Helper()
+	var want uint64
+	for k := int32(0); k <= s.HighSent()+1; k++ {
+		if got := v.foldTo(k); got != want {
+			t.Fatalf("foldTo(%d) = %#x with the fold at %d, from-zero fold %#x", k, got, v.foldedTo, want)
+		}
+		want ^= v.SegNonce(k)
+	}
 }
