@@ -99,8 +99,8 @@ type Env struct {
 	// coordinator's slots in a distributed run, every CPU on a worker,
 	// one in a repro.
 	Workers int
-	// Run carries the journal, dispatcher, serve hook or repro target
-	// into every sweep. Never nil.
+	// Run carries the journal, dispatcher or serve hook into every
+	// sweep. Never nil.
 	Run *fleet.Run
 	// Out receives the tables. It is nil on a worker and in a repro,
 	// where the program makes its sweeps and renders nothing.
@@ -465,9 +465,10 @@ func (h *harness) workerStart(x *Exec) dist.StartFunc {
 
 // repro re-runs every cell whose latest journal record is a failure, in
 // address order, each in its own run of the recorded shape's program
-// with every other cell skipped. Exit 1 when a failure reproduces or a
-// cell never executes, 0 when every cell now completes, 2 when the
-// journal is unusable, another tool's, or records no failed cell.
+// served by a reproCell, so every other cell is skipped. Exit 1 when a
+// failure reproduces or a cell never executes, 0 when every cell now
+// completes, 2 when the journal is unusable, another tool's, or records
+// no failed cell.
 func (h *harness) repro(x *Exec) int {
 	data, err := os.ReadFile(x.Repro)
 	if err != nil {
@@ -494,21 +495,35 @@ func (h *harness) repro(x *Exec) int {
 		fmt.Fprintf(h.stdout, "=== repro: %s %s: sweep %d cell %d (%s)\n", h.name, run, f.Sweep, f.Cell, f.Label)
 		fmt.Fprintf(h.stdout, "=== recorded failure: %s: %s\n", f.Class, firstLine(f.Error))
 
-		target := &fleet.CellTarget{Sweep: f.Sweep, Cell: f.Cell}
-		// The cell's outcome is read off the target, not off the program.
-		shape.Run(&Env{Ctx: context.Background(), Workers: 1, Run: &fleet.Run{Target: target}, Exec: x, h: h})
-		ran, cellErr := target.Outcome()
-		switch {
-		case !ran:
+		// The cell's outcome is read off the server, not off the program.
+		cell := &reproCell{sweep: f.Sweep, cell: f.Cell}
+		shape.Run(&Env{Ctx: context.Background(), Workers: 1, Run: &fleet.Run{Serve: cell}, Exec: x, h: h})
+		switch res := cell.outcome; {
+		case res == nil:
 			code = h.fail(1, "cell s%dc%d never executed — the journal does not match the sweeps of %s %s", f.Sweep, f.Cell, h.name, run)
-		case cellErr != nil:
-			fmt.Fprintf(h.stdout, "=== reproduced: %s: %v\n", fleet.Classify(cellErr), cellErr)
+		case res.Failed:
+			fmt.Fprintf(h.stdout, "=== reproduced: %s: %s\n", res.Class, res.Error)
 			code = 1
 		default:
 			fmt.Fprintln(h.stdout, "=== cell completed cleanly: the recorded failure did not reproduce")
 		}
 	}
 	return code
+}
+
+// reproCell is -repro's fleet.SweepServer: of all the sweeps a program
+// offers, it runs the one cell it was made for, once, and keeps the
+// outcome; every other cell stays unrun.
+type reproCell struct {
+	sweep, cell uint32
+	outcome     *fleet.CellOutcome // nil until the cell ran
+}
+
+func (r *reproCell) ServeSweep(sweep uint32, n int, run func(cell uint32) *fleet.CellOutcome) error {
+	if sweep == r.sweep && r.cell < uint32(n) {
+		r.outcome = run(r.cell)
+	}
+	return nil
 }
 
 // firstLine truncates multi-line error text (panic stacks) for the

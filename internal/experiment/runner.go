@@ -36,14 +36,14 @@ type Scale struct {
 	Workers int
 
 	// Ctx, when non-nil, cancels cell dispatch: on cancellation every
-	// in-flight universe finishes (and is journaled), undispatched
-	// cells surface as canceled job errors, and the sweep's panic is
-	// recognizable via fleet.Interrupted. A nil Ctx never cancels.
+	// in-flight universe finishes (and is journaled) and undispatched
+	// cells surface as job errors of class fleet.ClassCanceled. A nil
+	// Ctx never cancels.
 	Ctx context.Context
 
 	// Run, when non-nil, attaches the crash-safety layer to every
 	// sweep of the exhibit: write-ahead journaling of completed cells
-	// (with replay on resume) and the single-cell repro target. Output
+	// (with replay on resume), or a remote-execution hook. Output
 	// is bit-identical with or without it — replayed cells decode to
 	// exactly the values their universes produced, because every
 	// universe derives all randomness from its own seed.

@@ -21,6 +21,20 @@ func (s *serveAll) ServeSweep(_ uint32, n int, run func(cell uint32) *fleet.Cell
 	return nil
 }
 
+// serveOne is a repro's side: it runs one cell of one sweep and keeps
+// its outcome, which never reaches the grid either.
+type serveOne struct {
+	sweep, cell uint32
+	outcome     *fleet.CellOutcome
+}
+
+func (s *serveOne) ServeSweep(sweep uint32, n int, run func(cell uint32) *fleet.CellOutcome) error {
+	if sweep == s.sweep && s.cell < uint32(n) {
+		s.outcome = run(s.cell)
+	}
+	return nil
+}
+
 // TestSpecRunner pins the one runner every swept exhibit goes through:
 // the row-major cell order journals and -repro address cells by,
 // the label accessor, and what a failed cell, a worker and a repro get
@@ -43,7 +57,7 @@ func TestSpecRunner(t *testing.T) {
 	// point is the cell at row-major index i, by the i/cols, i%cols
 	// indexing of a two-axis grid applied twice.
 	point := func(i int) fleet.Row { return fleet.Row{float64(i / 12), float64(i / 4 % 3), float64(i % 4)} }
-	target := &fleet.CellTarget{Sweep: 0, Cell: 17}
+	repro := &serveOne{sweep: 0, cell: 17}
 	worker := &serveAll{}
 
 	for _, tc := range []struct {
@@ -97,14 +111,14 @@ func TestSpecRunner(t *testing.T) {
 				t.Errorf("served %d cells, want %d", worker.served, n)
 			}
 		}},
-		{name: "repro", sc: Scale{Workers: 1, Run: &fleet.Run{Target: target}}, check: func(t *testing.T, g *Grid) {
+		{name: "repro", sc: Scale{Workers: 1, Run: &fleet.Run{Serve: repro}}, check: func(t *testing.T, g *Grid) {
 			for i, row := range g.Rows {
-				if (i == 17) != (row != nil) {
-					t.Errorf("cell %d: row %v", i, row)
+				if row != nil {
+					t.Errorf("cell %d reached the repro's grid: %v", i, row)
 				}
 			}
-			if ran, err := target.Outcome(); !ran || err != nil {
-				t.Errorf("target ran %v, err %v", ran, err)
+			if res := repro.outcome; res == nil || res.Failed {
+				t.Errorf("cell 17's outcome is %+v, want a success", res)
 			}
 		}},
 	} {

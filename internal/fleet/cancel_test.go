@@ -21,22 +21,6 @@ func TestClassifyCanceled(t *testing.T) {
 	}
 }
 
-func TestInterrupted(t *testing.T) {
-	if Interrupted(nil) {
-		t.Fatal("Interrupted(nil)")
-	}
-	if Interrupted(errors.New("plain")) {
-		t.Fatal("plain error classed interrupted")
-	}
-	je := &JobError{Index: 4, Err: context.Canceled}
-	if !Interrupted(errors.Join(&JobError{Index: 0, Err: errors.New("crash")}, je)) {
-		t.Fatal("joined error with a canceled job not recognized")
-	}
-	if Interrupted(&JobError{Index: 0, Err: errors.New("crash")}) {
-		t.Fatal("non-canceled JobError classed interrupted")
-	}
-}
-
 // A context canceled before Map starts yields n labelled canceled
 // JobErrors and zero executions, on both paths.
 func TestMapCanceledBeforeStart(t *testing.T) {
@@ -65,9 +49,6 @@ func TestMapCanceledBeforeStart(t *testing.T) {
 		if jes[2].Label != "cell-2" {
 			t.Fatalf("workers=%d: canceled jobs lost their labels: %q", w, jes[2].Label)
 		}
-		if !Interrupted(err) {
-			t.Fatalf("workers=%d: Interrupted(err) = false", w)
-		}
 	}
 }
 
@@ -86,9 +67,6 @@ func TestMapCancelMidSweepDrains(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("drained run reported no error")
-	}
-	if !Interrupted(err) {
-		t.Fatalf("drain not recognized as interrupted: %v", err)
 	}
 	executed := int(ran.Load())
 	if executed < 10 || executed >= n {

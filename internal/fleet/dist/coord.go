@@ -31,12 +31,12 @@ type Options struct {
 	// ConfigureTimeout bounds each Configure call (default 30s) — a
 	// dialable but mute endpoint must not hang Connect or a reconnect.
 	ConfigureTimeout time.Duration
-	// RunCellTimeout bounds each lease (one RunCells call) and each
-	// EndSweep call (default 10m — cells legitimately run for minutes;
-	// the deadline exists so a *trickling connection* cannot wedge
-	// dispatch forever, not to police cell runtime). On expiry the
-	// connection is torn down and the reconnect path takes over;
-	// re-running a cell is safe because results are seed-determined.
+	// RunCellTimeout bounds each lease, one RunCells call (default 10m —
+	// cells legitimately run for minutes; the deadline exists so a
+	// *trickling connection* cannot wedge dispatch forever, not to
+	// police cell runtime). On expiry the connection is torn down and
+	// the reconnect path takes over; re-running a cell is safe because
+	// results are seed-determined.
 	RunCellTimeout time.Duration
 
 	// Key is the shared cluster secret. When set, every connection runs
@@ -107,8 +107,9 @@ func redialBackoff(base time.Duration, attempt int) time.Duration {
 
 // ErrNoWorkers reports that every worker is dead. fleet treats any
 // DispatchCell error as infrastructure failure and runs the cell
-// locally, so a coordinator that outlives its whole fleet degrades to a
-// serial run instead of a dead one.
+// locally, at most GOMAXPROCS cells at once, so a coordinator that
+// outlives its whole fleet degrades to a local run instead of a dead
+// one.
 var ErrNoWorkers = errors.New("dist: no live workers")
 
 // errCoordClosed aborts in-flight calls when the coordinator shuts
@@ -716,39 +717,10 @@ func (c *Coordinator) attempt(wc *workerConn, lease []*pendingCell) {
 	c.pumpLocked()
 }
 
-// SweepDone implements fleet.Dispatcher: every cell of the sweep has
-// merged into the canonical journal, so release the workers' ServeSweep
-// calls. Delivery is asynchronous but rides the reconnect path: a
-// worker behind a transient partition still gets its EndSweep once the
-// link heals, instead of wedging in the finished sweep until
-// RegisterWait. A worker that stays unreachable is logged; the next
-// coordinator incarnation's Configure releases it.
-func (c *Coordinator) SweepDone(sweep uint32) {
-	args := &EndSweepArgs{Gen: c.gen, Sweep: sweep}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	var targets []*workerConn
-	for _, wc := range c.workers {
-		if !wc.dead {
-			targets = append(targets, wc)
-		}
-	}
-	c.wg.Add(len(targets))
-	c.mu.Unlock()
-	for _, wc := range targets {
-		go func(wc *workerConn) {
-			defer c.wg.Done()
-			var e Empty
-			err := c.callWorker(wc, "Worker.EndSweep", args, &e, c.opts.RunCellTimeout)
-			if err != nil && !errors.Is(err, errCoordClosed) {
-				c.logf("dist: EndSweep(%d) to %s undelivered: %v", sweep, wc.addr, err)
-			}
-		}(wc)
-	}
-}
+// SweepDone does nothing: a worker is never told that a sweep has ended
+// (protocol v6). It stays because benchmark/probes.go, which times this
+// package's round trip, calls it.
+func (c *Coordinator) SweepDone(sweep uint32) {}
 
 // ShutdownWorkers asks every live worker process to exit — the clean
 // end of a run whose workers this coordinator owns. A worker that does

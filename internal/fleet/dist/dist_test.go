@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -190,6 +191,43 @@ func TestDistributedRunMatchesSerial(t *testing.T) {
 	coord.ShutdownWorkers()
 }
 
+// recordServer runs every cell of every sweep a program offers and keeps
+// the outcomes: the bytes a worker sends for them.
+type recordServer map[[2]uint32]*fleet.CellOutcome
+
+func (r recordServer) ServeSweep(sweep uint32, n int, run func(cell uint32) *fleet.CellOutcome) error {
+	for c := uint32(0); c < uint32(n); c++ {
+		r[[2]uint32{sweep, c}] = run(c)
+	}
+	return nil
+}
+
+// A worker's program registers every sweep and runs on, and nothing
+// tells it that a sweep has ended: a coordinator that asks for sweep 2
+// before sweep 0, and never calls SweepDone, gets both served.
+func TestWorkerServesSweepsInAnyOrder(t *testing.T) {
+	const seed = 5
+	want := recordServer{}
+	if _, err := (&testProgram{sweeps: 3, cells: 2}).run(context.Background(), seed, 1, &fleet.Run{Serve: want}); err != nil {
+		t.Fatal(err)
+	}
+	_, addr := startWorker(t, WorkerOptions{Start: (&testProgram{sweeps: 3, cells: 2}).start, RegisterWait: time.Second})
+	coord, err := Connect([]string{addr}, nil, testMeta(seed), fastOpts(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	for _, at := range [][2]uint32{{2, 1}, {0, 0}} {
+		res, err := coord.DispatchCell(at[0], at[1], "")
+		if err != nil {
+			t.Fatalf("sweep %d cell %d: %v", at[0], at[1], err)
+		}
+		if res.Failed || !bytes.Equal(res.Data, want[at].Data) {
+			t.Fatalf("sweep %d cell %d: outcome %+v, want %+v", at[0], at[1], res, want[at])
+		}
+	}
+}
+
 // Killing a worker's process (connection reset) mid-sweep reassigns its
 // in-flight cells to survivors; the run completes with identical
 // results.
@@ -296,7 +334,7 @@ func TestConfigureGenerations(t *testing.T) {
 		}
 	}
 
-	api := &workerAPI{w}
+	api := &workerAPI{w: w}
 	meta := testMeta(1)
 	var r1, r2, r3 ConfigureReply
 	if err := api.Configure(&ConfigureArgs{Gen: 10, Proto: ProtoVersion, Meta: meta}, &r1); err != nil {

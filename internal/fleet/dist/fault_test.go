@@ -234,7 +234,7 @@ func TestZombieGenerationIsFenced(t *testing.T) {
 		return err
 	}
 	w, _ := startWorker(t, WorkerOptions{Start: start})
-	api := &workerAPI{w}
+	api := &workerAPI{w: w}
 	meta := testMeta(1)
 
 	if err := api.Configure(&ConfigureArgs{Gen: 100, Proto: ProtoVersion, Meta: meta}, &ConfigureReply{}); err != nil {
@@ -264,9 +264,6 @@ func TestZombieGenerationIsFenced(t *testing.T) {
 		!strings.Contains(err.Error(), "stale generation") {
 		t.Fatalf("zombie Ping err = %v", err)
 	}
-	if err := api.EndSweep(&EndSweepArgs{Gen: 100, Sweep: 0}, &Empty{}); err == nil {
-		t.Fatal("zombie EndSweep accepted")
-	}
 	if err := api.RunCells(&RunCellsArgs{Gen: 100, Sweep: 0, Cells: []uint32{1}}, &RunCellsReply{}); err == nil {
 		t.Fatal("zombie RunCells accepted")
 	}
@@ -294,7 +291,7 @@ func TestZombieGenerationIsFenced(t *testing.T) {
 
 	// The live reply channel reports the accumulated fence count.
 	var ping PingReply
-	api2 := &workerAPI{w}
+	api2 := &workerAPI{w: w}
 	if err := api2.Ping(&PingArgs{Gen: 200}, &ping); err == nil && ping.Fenced < 3 {
 		t.Fatalf("Fenced = %d, want ≥ 3 refusals counted", ping.Fenced)
 	}
@@ -319,7 +316,7 @@ func TestDrainFinishesInFlightAndRefusesNewWork(t *testing.T) {
 		return err
 	}
 	w, _ := startWorker(t, WorkerOptions{Start: start})
-	api := &workerAPI{w}
+	api := &workerAPI{w: w}
 	meta := testMeta(1)
 	if err := api.Configure(&ConfigureArgs{Gen: 1, Proto: ProtoVersion, Meta: meta}, &ConfigureReply{}); err != nil {
 		t.Fatal(err)

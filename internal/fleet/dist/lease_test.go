@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -381,7 +382,7 @@ func TestDrainFailsQueuedCellsAndFinishesInFlightLease(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("the drained sweep never returned")
 	}
-	if !fleet.Interrupted(res.err) {
+	if !slices.ContainsFunc(fleet.JobErrors(res.err), func(je *fleet.JobError) bool { return je.Class() == fleet.ClassCanceled }) {
 		t.Fatalf("sweep err = %v, want an interrupted sweep", res.err)
 	}
 	if n := len(fleet.JobErrors(res.err)); n != cells-1 {
@@ -398,28 +399,68 @@ func TestDrainFailsQueuedCellsAndFinishesInFlightLease(t *testing.T) {
 	}
 }
 
-// A v4 build (gob cell payloads) meets a v5 build (fixed-layout rows),
-// either way round: the session is refused with both versions named.
-func TestV4PeerMeetsV5Peer(t *testing.T) {
-	if ProtoVersion != 5 {
-		t.Fatalf("ProtoVersion = %d; this test pins the v4→v5 boundary", ProtoVersion)
+// A v5 build (a worker waits in every sweep until the coordinator ends
+// it) meets a v6 build (the coordinator never does), either way round:
+// the session is refused with both versions named.
+func TestV5PeerMeetsV6Peer(t *testing.T) {
+	if ProtoVersion != 6 {
+		t.Fatalf("ProtoVersion = %d; this test pins the v5→v6 boundary", ProtoVersion)
 	}
-	// A v4 worker's hello reaches this coordinator.
+	// A v5 worker's hello reaches this coordinator.
 	client, server := net.Pipe()
 	defer client.Close()
 	go func() {
 		defer server.Close()
-		writeFrame(server, frameHello, []byte{0, 4, 0})
+		writeFrame(server, frameHello, []byte{0, 5, 0})
 	}()
 	err := clientHandshake(client, nil)
-	if err == nil || !strings.Contains(err.Error(), "v4") || !strings.Contains(err.Error(), "v5") {
-		t.Fatalf("v4 worker hello: err = %v, want a refusal naming v4 and v5", err)
+	if err == nil || !strings.Contains(err.Error(), "v5") || !strings.Contains(err.Error(), "v6") {
+		t.Fatalf("v5 worker hello: err = %v, want a refusal naming v5 and v6", err)
 	}
-	// A v4 coordinator's Configure reaches this worker.
+	// A v5 coordinator's Configure reaches this worker.
 	w, _ := startWorker(t, WorkerOptions{Start: (&testProgram{sweeps: 1, cells: 1}).start})
-	err = (&workerAPI{w}).Configure(&ConfigureArgs{Gen: 1, Proto: 4, Meta: testMeta(1)}, &ConfigureReply{})
-	if err == nil || !strings.Contains(err.Error(), "v4") || !strings.Contains(err.Error(), "v5") {
-		t.Fatalf("v4 Configure: err = %v, want a refusal naming v4 and v5", err)
+	err = (&workerAPI{w: w}).Configure(&ConfigureArgs{Gen: 1, Proto: 5, Meta: testMeta(1)}, &ConfigureReply{})
+	if err == nil || !strings.Contains(err.Error(), "v5") || !strings.Contains(err.Error(), "v6") {
+		t.Fatalf("v5 Configure: err = %v, want a refusal naming v5 and v6", err)
+	}
+}
+
+// A Shutdown's reply reaches the coordinator, and the worker stops only
+// once the connection that asked for it closes.
+func TestShutdownRepliesThenStopsOnDisconnect(t *testing.T) {
+	w, addr := startWorker(t, WorkerOptions{Start: (&testProgram{sweeps: 1, cells: 1}).start})
+	var logMu sync.Mutex
+	var logged []string
+	opts := fastOpts(t)
+	opts.Logf = func(format string, args ...any) {
+		logMu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		logMu.Unlock()
+	}
+	coord, err := Connect([]string{addr}, nil, testMeta(1), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+
+	coord.ShutdownWorkers()
+	logMu.Lock()
+	for _, line := range logged {
+		if strings.Contains(line, "undelivered") {
+			t.Errorf("the Shutdown reply did not arrive: %q", line)
+		}
+	}
+	logMu.Unlock()
+	select {
+	case <-w.Done():
+		t.Fatal("the worker stopped while the coordinator's connection was open")
+	case <-time.After(100 * time.Millisecond):
+	}
+	coord.Close()
+	select {
+	case <-w.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the worker did not stop once the coordinator's connection closed")
 	}
 }
 

@@ -55,8 +55,11 @@ import "halfback/internal/fleet"
 // v2: authenticated session handshake before net/rpc, Fenced counters
 // in replies. v3: RunCells (a lease of N cells) replaces RunCell. v4:
 // Configure uploads nothing (workers keep no journal). v5: a cell's
-// payload is a fixed-layout fleet.Row (journal format HBJRNL02).
-const ProtoVersion = 5
+// payload is a fixed-layout fleet.Row (journal format HBJRNL02). v6:
+// nothing tells a worker that a sweep has ended — its program registers
+// every sweep and runs ahead — so a v5 worker would wait in its first
+// sweep for an end that never comes.
+const ProtoVersion = 6
 
 // ConfigureArgs establishes (or re-establishes) a worker session: the
 // worker tears down any previous session and starts the run Meta
@@ -81,8 +84,8 @@ type ConfigureReply struct {
 
 // RunCellsArgs is one lease: the worker produces the outcomes of Cells,
 // all of sweep Sweep, in order. The call blocks until the worker's
-// program registers the sweep (both sides reach sweeps in the same
-// order, so the wait is brief).
+// program registers the sweep (it runs ahead of the coordinator once
+// started, so the wait is at most its start-up).
 type RunCellsArgs struct {
 	Gen   uint64
 	Sweep uint32
@@ -96,16 +99,6 @@ type RunCellsArgs struct {
 // coordinator puts its cells back in the queue.
 type RunCellsReply struct {
 	Outcomes []fleet.CellOutcome
-}
-
-// EndSweepArgs tells the worker every cell of the sweep has merged into
-// the canonical journal; its program's Map call returns and the run
-// advances. EndSweep is sticky: arriving before the worker registers
-// the sweep (a fully-replayed sweep on the coordinator side) completes
-// the registration immediately when it happens.
-type EndSweepArgs struct {
-	Gen   uint64
-	Sweep uint32
 }
 
 // PingArgs is the heartbeat. A worker that stops answering within the

@@ -28,11 +28,11 @@ type WorkerOptions struct {
 	// Start runs the configured program (required).
 	Start StartFunc
 	// RegisterWait bounds how long a RunCells call waits for the program
-	// to offer its sweep (default 30s). Both sides run the same
-	// deterministic program and advance sweeps in lockstep, so a sweep
-	// the coordinator asks for is at most a program-startup away; a
-	// worker that blows this deadline has a hung or dead program, and
-	// the erroring call makes the coordinator reassign the lease.
+	// to offer its sweep (default 30s). The program registers each sweep
+	// it reaches and runs on, so a sweep the coordinator asks for is at
+	// most a program start-up away; a worker that blows this deadline
+	// has a hung or dead program, and the erroring call makes the
+	// coordinator reassign the lease.
 	RegisterWait time.Duration
 	// Key is the shared cluster secret; when set, every accepted
 	// connection must pass the HMAC handshake before RPC.
@@ -122,8 +122,9 @@ func (w *Worker) logf(format string, args ...any) {
 	}
 }
 
-// Done is closed when the worker is asked to stop (Shutdown RPC, signal
-// or stdin EOF under a forking parent).
+// Done is closed when the worker stops: after a Shutdown RPC, once the
+// connection that asked for it closes; after a signal's drain; or on
+// stdin EOF under a forking parent.
 func (w *Worker) Done() <-chan struct{} { return w.done }
 
 // Stop tears the worker down immediately: the live session is canceled
@@ -165,10 +166,6 @@ func (w *Worker) Drain() {
 // the worker is keyed — mutual HMAC authentication) before a single
 // RPC byte is decoded.
 func (w *Worker) Serve(lis net.Listener) error {
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Worker", &workerAPI{w}); err != nil {
-		return err
-	}
 	go func() {
 		<-w.done
 		lis.Close()
@@ -183,16 +180,32 @@ func (w *Worker) Serve(lis net.Listener) error {
 				return err
 			}
 		}
-		go func(conn net.Conn) {
-			if err := handshakeTimed(conn, handshakeTimeout, func(conn net.Conn) error {
-				return serverHandshake(conn, w.opts.Key)
-			}); err != nil {
-				w.logf("dist worker: handshake with %v failed: %v", conn.RemoteAddr(), err)
-				conn.Close()
-				return
-			}
-			srv.ServeConn(conn)
-		}(conn)
+		go w.serveConn(conn)
+	}
+}
+
+// serveConn runs the handshake and then net/rpc on one connection. A
+// Shutdown asked on the connection stops the worker once it closes:
+// net/rpc writes a reply only after its handler returns, so stopping
+// in the handler would race the reply out.
+func (w *Worker) serveConn(conn net.Conn) {
+	if err := handshakeTimed(conn, handshakeTimeout, func(conn net.Conn) error {
+		return serverHandshake(conn, w.opts.Key)
+	}); err != nil {
+		w.logf("dist worker: handshake with %v failed: %v", conn.RemoteAddr(), err)
+		conn.Close()
+		return
+	}
+	api := &workerAPI{w: w}
+	srv := rpc.NewServer()
+	if err := srv.RegisterName("Worker", api); err != nil {
+		w.logf("dist worker: %v", err)
+		conn.Close()
+		return
+	}
+	srv.ServeConn(conn)
+	if api.shutdown.Load() {
+		w.Stop()
 	}
 }
 
@@ -212,16 +225,11 @@ type session struct {
 	exited   chan struct{}
 }
 
-// sweepState tracks one sweep on the worker. It is created by whichever
-// side arrives first: the program registering it (ServeSweep) or the
-// coordinator ending it (EndSweep before registration, the
-// fully-replayed-sweep case).
+// sweepState is one sweep the program has registered: its size and the
+// runner of its cells.
 type sweepState struct {
-	registered bool
-	n          int
-	run        func(cell uint32) *fleet.CellOutcome
-	endOnce    sync.Once
-	ended      chan struct{}
+	n   int
+	run func(cell uint32) *fleet.CellOutcome
 }
 
 func newSession(gen uint64) *session {
@@ -235,30 +243,19 @@ func newSession(gen uint64) *session {
 	return s
 }
 
-func (s *session) sweepState(id uint32) *sweepState {
-	ss := s.sweeps[id]
-	if ss == nil {
-		ss = &sweepState{ended: make(chan struct{})}
-		s.sweeps[id] = ss
-	}
-	return ss
-}
-
 // ServeSweep implements fleet.SweepServer: it publishes the sweep's
-// cell runner for RunCells calls and blocks until the coordinator ends
-// the sweep or the session dies.
+// cell runner for RunCells calls, for as long as the session lives, and
+// returns, so the program runs on to its next sweep. A torn-down
+// session refuses the sweep, failing its cells.
 func (s *session) ServeSweep(sweep uint32, n int, run func(cell uint32) *fleet.CellOutcome) error {
+	if err := s.ctx.Err(); err != nil {
+		return err
+	}
 	s.mu.Lock()
-	ss := s.sweepState(sweep)
-	ss.registered, ss.n, ss.run = true, n, run
+	s.sweeps[sweep] = &sweepState{n: n, run: run}
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	select {
-	case <-ss.ended:
-		return nil
-	case <-s.ctx.Done():
-		return s.ctx.Err()
-	}
+	return nil
 }
 
 // waitSweep blocks until the program registers the sweep — or errors
@@ -280,7 +277,7 @@ func (s *session) waitSweep(id uint32, wait time.Duration) (*sweepState, error) 
 		if err := s.ctx.Err(); err != nil {
 			return nil, fmt.Errorf("dist: session torn down: %w", err)
 		}
-		if ss := s.sweeps[id]; ss != nil && ss.registered {
+		if ss := s.sweeps[id]; ss != nil {
 			return ss, nil
 		}
 		if s.finished {
@@ -319,9 +316,13 @@ func (s *session) teardown() {
 	<-s.exited
 }
 
-// workerAPI is the RPC surface; only these methods are exported to the
-// wire.
-type workerAPI struct{ w *Worker }
+// workerAPI is one connection's RPC surface; only these methods are
+// exported to the wire.
+type workerAPI struct {
+	w *Worker
+	// shutdown is set by a Shutdown on this connection.
+	shutdown atomic.Bool
+}
 
 // Configure establishes the session for args.Gen: idempotent for the
 // live generation, a full replace for a newer one — and a fencing
@@ -432,20 +433,6 @@ func (a *workerAPI) RunCells(args *RunCellsArgs, reply *RunCellsReply) error {
 	return nil
 }
 
-// EndSweep releases the program's ServeSweep for the given sweep;
-// sticky if it arrives before registration.
-func (a *workerAPI) EndSweep(args *EndSweepArgs, _ *Empty) error {
-	sess, err := a.w.liveSession(args.Gen)
-	if err != nil {
-		return err
-	}
-	sess.mu.Lock()
-	ss := sess.sweepState(args.Sweep)
-	sess.mu.Unlock()
-	ss.endOnce.Do(func() { close(ss.ended) })
-	return nil
-}
-
 // Ping answers the heartbeat for a live generation.
 func (a *workerAPI) Ping(args *PingArgs, reply *PingReply) error {
 	w := a.w
@@ -454,10 +441,11 @@ func (a *workerAPI) Ping(args *PingArgs, reply *PingReply) error {
 	return err
 }
 
-// Shutdown stops the worker process.
+// Shutdown stops the worker process once this connection closes — by
+// the coordinator's Close or its death — so the reply is out first.
 func (a *workerAPI) Shutdown(_ *ShutdownArgs, _ *Empty) error {
 	a.w.logf("dist worker: shutdown requested")
-	go a.w.Stop() // let the reply flush before the listener dies
+	a.shutdown.Store(true)
 	return nil
 }
 

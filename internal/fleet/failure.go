@@ -54,19 +54,6 @@ func Classify(err error) string {
 	return ClassError
 }
 
-// Interrupted reports whether the joined error of a Map call contains
-// at least one cell that was skipped because the sweep's context was
-// cancelled — the signature of a graceful drain, as opposed to cells
-// that genuinely failed.
-func Interrupted(err error) bool {
-	for _, je := range JobErrors(err) {
-		if je.Class() == ClassCanceled {
-			return true
-		}
-	}
-	return false
-}
-
 // PanicError is a captured job panic: the recovered value plus the
 // goroutine stack at the point of recovery.
 type PanicError struct {

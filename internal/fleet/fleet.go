@@ -77,55 +77,23 @@ func Workers(n int) int {
 	return n
 }
 
-// CellTarget selects a single cell of a run for re-execution: the
-// repro path. A Map call whose Options carry a Run with a non-nil
-// Target executes only cell Cell of sweep Sweep; every other job
-// returns its zero value with a nil error, and journal replay is
-// bypassed so the target really re-runs. The target records its cell's
-// outcome so the repro driver can report it even when the surrounding
-// exhibit absorbs cell errors into degraded-mode tables.
-type CellTarget struct {
-	Sweep uint32
-	Cell  uint32
-
-	mu  sync.Mutex
-	ran bool
-	err error
-}
-
-func (t *CellTarget) record(err error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.ran, t.err = true, err
-}
-
-// Outcome reports whether the target cell executed and, if so, how it
-// ended (nil = completed cleanly).
-func (t *CellTarget) Outcome() (ran bool, err error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.ran, t.err
-}
-
 // Run couples the cross-sweep state of one logical run: the optional
-// write-ahead journal and the optional single-cell repro target. Sweep
-// IDs are assigned in Map-call order, which is deterministic because a
-// run's sweeps are launched sequentially (each Map call blocks until
-// its cells are merged), so the same program with the same inputs
-// numbers its sweeps identically on every execution — the property
-// journal replay and cell repro both key on.
+// write-ahead journal and the optional remote-execution hook. Sweep IDs
+// are assigned in Map-call order, which is deterministic because a
+// run's sweeps are launched sequentially (each Map call returns before
+// the next starts), so the same program with the same inputs numbers
+// its sweeps identically on every execution — the property journal
+// replay, workers and cell repro all key on.
 type Run struct {
 	Journal *Journal
-	Target  *CellTarget
 
 	// Dispatch, when non-nil, makes this process the coordinator of a
 	// distributed run: cells resolve through the Dispatcher instead of
 	// executing locally (DESIGN.md §12). Mutually exclusive with Serve.
 	Dispatch Dispatcher
-	// Serve, when non-nil, makes this process a worker: every sweep is
-	// offered to the SweepServer for remote execution and the local
-	// result slice stays at zero values. Mutually exclusive with
-	// Dispatch.
+	// Serve, when non-nil, makes this process a worker (or a repro):
+	// every sweep is offered to the SweepServer and the local result
+	// slice stays at zero values. Mutually exclusive with Dispatch.
 	Serve SweepServer
 
 	sweep atomic.Uint32
@@ -148,8 +116,8 @@ type Options struct {
 	// Label, when non-nil, names job i for error reports and journal
 	// failure records.
 	Label func(int) string
-	// Run, when non-nil, attaches the crash-safety layer: journal
-	// write-through/replay and the single-cell repro target.
+	// Run, when non-nil, attaches the crash-safety layer (journal
+	// write-through/replay) or a remote-execution hook.
 	Run *Run
 }
 
@@ -185,11 +153,11 @@ func MapOpts[T any](o Options, n int, fn func(i, attempt int) (T, error)) ([]T, 
 	job := newCellRunner(o, n, fn)
 
 	if r := o.Run; r != nil && r.Serve != nil {
-		// Worker side of a distributed run: offer the sweep's cells to
-		// the coordinator and return zero values — only the coordinator
-		// assembles real results. A serve failure (session torn down,
-		// coordinator gone) labels every cell so the surrounding sweep
-		// fails loudly instead of rendering a silently empty exhibit.
+		// Worker side of a distributed run, or a repro: register the
+		// sweep's cells with the server and return zero values — only the
+		// coordinator assembles real results. A serve failure (session
+		// torn down) labels every cell so the surrounding sweep fails
+		// loudly instead of rendering a silently empty exhibit.
 		if r.Dispatch != nil {
 			panic(errServeOnly)
 		}
@@ -242,39 +210,38 @@ func MapOpts[T any](o Options, n int, fn func(i, attempt int) (T, error)) ([]T, 
 	return out, job.sweepDone(errs)
 }
 
-// cellRunner executes one cell end to end: repro filtering, journal
-// replay, dispatch, panic capture, and journal write-through.
+// cellRunner executes one cell end to end: journal replay, dispatch,
+// panic capture, and journal write-through.
 type cellRunner[T any] struct {
 	o     Options
 	fn    func(i, attempt int) (T, error)
 	sweep uint32 // this Map call's sweep ID within o.Run
+	// local bounds the cells a dispatching Map executes itself once
+	// dispatch fails; nil without a dispatcher.
+	local chan struct{}
 }
 
 func newCellRunner[T any](o Options, n int, fn func(i, attempt int) (T, error)) *cellRunner[T] {
 	c := &cellRunner[T]{o: o, fn: fn}
-	if o.Run != nil {
-		c.sweep = o.Run.nextSweep()
-		if j := o.Run.Journal; j != nil {
-			j.beginSweep(c.sweep, n)
+	if r := o.Run; r != nil {
+		c.sweep = r.nextSweep()
+		if r.Journal != nil {
+			r.Journal.beginSweep(c.sweep, n)
+		}
+		if r.Dispatch != nil {
+			c.local = make(chan struct{}, runtime.GOMAXPROCS(0))
 		}
 	}
 	return c
 }
 
 // sweepDone is the one exit of every MapOpts that ran a sweep. It waits
-// for the journal's barrier — every cell this sweep appended is durable,
-// or the journal's error joins the cells' as a sweep error — and only
-// then tells the dispatcher (if any) that every cell has merged,
-// releasing workers blocked on the sweep's end.
+// for the journal's barrier: every cell this sweep appended is durable,
+// or the journal's error joins the cells' as a sweep error.
 func (c *cellRunner[T]) sweepDone(errs []error) error {
-	if r := c.o.Run; r != nil {
-		if r.Journal != nil {
-			if err := r.Journal.barrier(); err != nil {
-				errs = append(errs, fmt.Errorf("journal %s: sweep %d is not durable: %w", r.Journal.Path(), c.sweep, err))
-			}
-		}
-		if r.Dispatch != nil {
-			r.Dispatch.SweepDone(c.sweep)
+	if r := c.o.Run; r != nil && r.Journal != nil {
+		if err := r.Journal.barrier(); err != nil {
+			errs = append(errs, fmt.Errorf("journal %s: sweep %d is not durable: %w", r.Journal.Path(), c.sweep, err))
 		}
 	}
 	return errors.Join(errs...)
@@ -296,27 +263,17 @@ func (c *cellRunner[T]) run(i int) (T, error) {
 	return out, err
 }
 
-// resolve handles replay/filter and dispatch, then executes the cell
-// with journal write-through of its outcome.
+// resolve handles replay and dispatch, then executes the cell with
+// journal write-through of its outcome.
 func (c *cellRunner[T]) resolve(i int) (out T, err error) {
 	var (
-		j      *Journal
-		target *CellTarget
+		j *Journal
+		d Dispatcher
 	)
 	if r := c.o.Run; r != nil {
-		j, target = r.Journal, r.Target
+		j, d = r.Journal, r.Dispatch
 	}
-	if target != nil {
-		if target.Sweep != c.sweep || target.Cell != uint32(i) {
-			// Repro mode: every cell but the target is skipped. The
-			// zero value is fine — repro output is the target cell's
-			// outcome, not the surrounding tables.
-			var zero T
-			return zero, nil
-		}
-		// The target itself always re-executes (no replay), so a repro
-		// run reproduces the failure rather than reading it back.
-	} else if j != nil {
+	if j != nil {
 		if data, ok := j.lookupCell(c.sweep, uint32(i)); ok {
 			if derr := decodeCell(data, &out); derr != nil {
 				var zero T
@@ -326,7 +283,7 @@ func (c *cellRunner[T]) resolve(i int) (out T, err error) {
 		}
 	}
 
-	if d := dispatcherOf(c.o.Run); d != nil && target == nil {
+	if d != nil {
 		if res, derr := d.DispatchCell(c.sweep, uint32(i), c.label(i)); derr == nil {
 			if res.Failed {
 				rerr := outcomeFailure(res)
@@ -348,11 +305,15 @@ func (c *cellRunner[T]) resolve(i int) (out T, err error) {
 			}
 			return out, nil
 		}
-		// Dispatch infrastructure failed (every worker dead): fall
-		// through and execute the cell locally — the result is the same
-		// bytes, because cells derive everything from their own seed.
-		// Unless the sweep was cancelled meanwhile: a cell that started
-		// nowhere (the dispatcher is draining) does not start now.
+		// Dispatch infrastructure failed (every worker dead): execute the
+		// cell here instead — the result is the same bytes, because cells
+		// derive everything from their own seed — but no more of them at
+		// once than there are CPUs, however many goroutines the dispatch
+		// window runs. Unless the sweep was cancelled meanwhile: a cell
+		// that started nowhere (the dispatcher is draining) does not
+		// start now.
+		c.local <- struct{}{}
+		defer func() { <-c.local }()
 		if ctx := c.o.Ctx; ctx != nil && ctx.Err() != nil {
 			var zero T
 			return zero, ctx.Err()
@@ -360,9 +321,6 @@ func (c *cellRunner[T]) resolve(i int) (out T, err error) {
 	}
 
 	out, err = c.exec(i)
-	if target != nil {
-		target.record(err)
-	}
 	if j != nil {
 		if err != nil {
 			j.appendFailure(c.sweep, uint32(i), c.label(i), Classify(err), err.Error())
@@ -398,14 +356,6 @@ func (c *cellRunner[T]) serveCell(cell uint32) (res *CellOutcome) {
 		return failureOutcome(fmt.Errorf("encode cell result: %w", err))
 	}
 	return &CellOutcome{Data: data}
-}
-
-// dispatcherOf extracts the coordinator hook, nil-safe.
-func dispatcherOf(r *Run) Dispatcher {
-	if r == nil {
-		return nil
-	}
-	return r.Dispatch
 }
 
 // exec runs the job function once with panic capture, so a captured

@@ -18,10 +18,11 @@ import "fmt"
 //
 //   - Serve (worker side): MapOpts registers the sweep — its size and a
 //     closure that runs one cell with panic capture and encodes its
-//     outcome — with the SweepServer and blocks until the coordinator
-//     declares the sweep complete. The worker journals nothing and its
-//     own result slice stays at zero values; only the coordinator
-//     journals and renders.
+//     outcome — with the SweepServer and returns at once, so a worker's
+//     program runs ahead and offers every sweep of its run. The worker
+//     journals nothing and its own result slice stays at zero values;
+//     only the coordinator journals and renders. A repro is the same
+//     hook with one cell to run.
 //
 // Both sides run the same deterministic program (same tool, args and
 // seed), so they agree on sweep numbering and cell counts without any
@@ -51,17 +52,15 @@ type Dispatcher interface {
 	// the engine then falls back to executing the cell locally, which
 	// yields the identical result because cells are seed-determined.
 	DispatchCell(sweep, cell uint32, label string) (*CellOutcome, error)
-	// SweepDone announces that every cell of the sweep has merged, so
-	// workers blocked in ServeSweep can move on to the next sweep.
-	SweepDone(sweep uint32)
 }
 
 // SweepServer is the worker-side hook: ServeSweep offers a sweep's
 // cells for remote execution. run executes one cell with panic capture
-// and returns its wire outcome; it never panics and is
-// safe to call concurrently for distinct cells. ServeSweep blocks until
-// the coordinator ends the sweep (or the session dies) and returns nil
-// on a clean end — the worker's Map call then returns zero values.
+// and returns its wire outcome; it never panics, is safe to call
+// concurrently for distinct cells, and stays usable after ServeSweep
+// has returned. ServeSweep registers the sweep and returns: nil, and
+// the worker's Map call returns zero values, or an error that fails
+// every cell of the sweep.
 type SweepServer interface {
 	ServeSweep(sweep uint32, n int, run func(cell uint32) *CellOutcome) error
 }

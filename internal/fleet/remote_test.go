@@ -4,17 +4,18 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // fakeDispatcher resolves cells from a canned table, recording every
 // call — the coordinator hook without any RPC underneath.
 type fakeDispatcher struct {
 	mu       sync.Mutex
-	done     []uint32
 	outcomes map[cellKey]*CellOutcome
 	infraErr error // returned for cells missing from outcomes
 	calls    int
@@ -31,12 +32,6 @@ func (d *fakeDispatcher) DispatchCell(sweep, cell uint32, label string) (*CellOu
 		return nil, d.infraErr
 	}
 	return nil, fmt.Errorf("no outcome for sweep %d cell %d", sweep, cell)
-}
-
-func (d *fakeDispatcher) SweepDone(sweep uint32) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.done = append(d.done, sweep)
 }
 
 // successOutcome encodes a cellResult the way a worker would.
@@ -79,9 +74,6 @@ func TestDispatchResolvesCellsRemotely(t *testing.T) {
 		if out[i].Name != want {
 			t.Fatalf("out[%d] = %+v, want Name %q", i, out[i], want)
 		}
-	}
-	if len(d.done) != 1 || d.done[0] != 0 {
-		t.Fatalf("sweep lifecycle: done=%v, want sweep 0 done once", d.done)
 	}
 	j.Close()
 
@@ -180,6 +172,35 @@ func TestDispatchInfrastructureFallsBackLocally(t *testing.T) {
 	}
 	if _, ok := j.lookupCell(0, 1); !ok {
 		t.Fatal("locally executed fallback cell not journaled")
+	}
+}
+
+// However many goroutines the dispatch window runs, the cells they fall
+// back to executing once every worker is dead run at most GOMAXPROCS at
+// a time, and each still yields its own result.
+func TestDispatchFallbackIsBoundedByCPUs(t *testing.T) {
+	const n = 256
+	d := &fakeDispatcher{infraErr: errors.New("all workers dead")}
+	var running, peak atomic.Int32
+	out, err := MapOpts(Options{Workers: 64, Run: &Run{Dispatch: d}}, n,
+		func(i, attempt int) (int, error) {
+			now := running.Add(1)
+			for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
+			}
+			time.Sleep(100 * time.Microsecond)
+			running.Add(-1)
+			return i * 3, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, cpus := peak.Load(), runtime.GOMAXPROCS(0); got > int32(cpus) {
+		t.Fatalf("%d cells ran locally at once, want at most GOMAXPROCS=%d", got, cpus)
+	}
+	for i, v := range out {
+		if v != i*3 {
+			t.Fatalf("out[%d] = %d, want %d", i, v, i*3)
+		}
 	}
 }
 
