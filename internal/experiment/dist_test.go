@@ -193,15 +193,13 @@ func (r *remoteCount) DispatchCell(sweep, cell uint32, label string) (*fleet.Cel
 	return out, err
 }
 
-// startLocalWorkers runs n in-process dist workers on loopback, keyed
-// with key when it is non-empty (so keyed chaos schedules push the HMAC
-// handshake through the faulty connections too), and returns their
-// addresses. They stop at the end of the test.
-func startLocalWorkers(t *testing.T, n int, key []byte) []string {
+// startLocalWorkers runs n in-process dist workers on loopback and
+// returns their addresses. They stop at the end of the test.
+func startLocalWorkers(t *testing.T, n int) []string {
 	t.Helper()
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
-		w := dist.NewWorker(dist.WorkerOptions{Start: distEntryStart, Key: key, Logf: t.Logf})
+		w := dist.NewWorker(dist.WorkerOptions{Start: distEntryStart, Logf: t.Logf})
 		lis, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -211,6 +209,30 @@ func startLocalWorkers(t *testing.T, n int, key []byte) []string {
 		addrs[i] = lis.Addr().String()
 	}
 	return addrs
+}
+
+// serialJournal runs the exhibit serially with a journal attached and
+// returns the canonical journal.
+func serialJournal(t *testing.T, e Entry, id string, seed uint64, sc Scale) []fleet.JournalRecord {
+	t.Helper()
+	refPath := filepath.Join(t.TempDir(), "ref.journal")
+	j, err := fleet.CreateJournal(refPath, distMeta(id, seed, sc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rsc := sc
+	rsc.Run = &fleet.Run{Journal: j}
+	e.Run(seed, rsc)
+	j.Close()
+	data, err := os.ReadFile(refPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan, err := fleet.ScanJournal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scan.Canonical()
 }
 
 // TestDistributedMatchesSerial shards each contract exhibit across
@@ -245,7 +267,7 @@ func TestDistributedMatchesSerial(t *testing.T) {
 				}
 			}
 
-			addrs := startLocalWorkers(t, 3, nil)
+			addrs := startLocalWorkers(t, 3)
 			j, err := fleet.CreateJournal(filepath.Join(t.TempDir(), "run.journal"), distMeta(id, seed, sc))
 			if err != nil {
 				t.Fatal(err)
@@ -282,7 +304,7 @@ func TestDistributedMatchesSerial(t *testing.T) {
 			// A row's payload does not depend on the process that coded
 			// it, so a Row exhibit's distributed journal is its serial one.
 			if id == "adversity" {
-				_, serial := chaosReference(t, e, id, seed, sc)
+				serial := serialJournal(t, e, id, seed, sc)
 				if err := j.Close(); err != nil {
 					t.Fatal(err)
 				}
@@ -342,10 +364,7 @@ func TestChaosWorkerSIGKILL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	// Fast heartbeat so the kill is detected promptly even if the victim
-	// happens to hold no lease at that instant.
-	coord, err := dist.Connect(forked.Addrs, j, j.Meta(),
-		dist.Options{HeartbeatEvery: 50 * time.Millisecond, Logf: t.Logf})
+	coord, err := dist.Connect(forked.Addrs, j, j.Meta(), dist.Options{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // The session handshake runs on every coordinator→worker connection
 // before net/rpc takes over. It does two jobs:
 //
-//   - Version agreement: the worker's hello carries ProtoVersion, so a
+//   - Version agreement: the worker's hello carries protoVersion, so a
 //     coordinator built from different source fails immediately with an
 //     error naming both versions instead of a gob decode mystery.
 //
@@ -52,11 +52,11 @@ func ResolveKey(flagVal string) []byte {
 	return []byte(v)
 }
 
-// LoopbackAddr reports whether addr (host:port or bare host) is
+// loopbackAddr reports whether addr (host:port or bare host) is
 // unambiguously loopback. Wildcard binds ("", "0.0.0.0", "::") and
 // non-loopback IPs are not; hostnames other than "localhost" are not
 // (no resolving — the check must be conservative).
-func LoopbackAddr(addr string) bool {
+func loopbackAddr(addr string) bool {
 	host := addr
 	if h, _, err := net.SplitHostPort(addr); err == nil {
 		host = h
@@ -185,7 +185,7 @@ func isPermanent(err error) bool {
 // worker's own proof. With an empty key the exchange degenerates to a
 // version check.
 func serverHandshake(conn net.Conn, key []byte) error {
-	hello := []byte{byte(ProtoVersion >> 8), byte(ProtoVersion)}
+	hello := []byte{byte(protoVersion >> 8), byte(protoVersion)}
 	var nonceS [nonceLen]byte
 	if len(key) > 0 {
 		if _, err := rand.Read(nonceS[:]); err != nil {
@@ -248,8 +248,8 @@ func clientHandshake(conn net.Conn, key []byte) error {
 		return permanent(errors.New("dist: handshake: malformed worker hello"))
 	}
 	proto := int(payload[0])<<8 | int(payload[1])
-	if proto != ProtoVersion {
-		return permanent(fmt.Errorf("dist: protocol version mismatch: this coordinator speaks v%d, the worker speaks v%d — one side is a stale build; rebuild both sides from the same source", ProtoVersion, proto))
+	if proto != protoVersion {
+		return permanent(fmt.Errorf("dist: protocol version mismatch: this coordinator speaks v%d, the worker speaks v%d — one side is a stale build; rebuild both sides from the same source", protoVersion, proto))
 	}
 	wantAuth := payload[2]&helloFlagAuth != 0
 	switch {

@@ -167,7 +167,7 @@ func TestGarbageAndBareRPCRejectedByKeyedWorker(t *testing.T) {
 	callErr := make(chan error, 1)
 	go func() {
 		callErr <- client.Call("Worker.Configure",
-			&ConfigureArgs{Gen: 1, Proto: ProtoVersion, Meta: testMeta(1)}, &ConfigureReply{})
+			&ConfigureArgs{Gen: 1, Proto: protoVersion, Meta: testMeta(1)}, &ConfigureReply{})
 	}()
 	select {
 	case err := <-callErr:
@@ -186,7 +186,7 @@ func TestProtoMismatchMessageNamesBothVersions(t *testing.T) {
 	defer client.Close()
 	go func() {
 		defer server.Close()
-		stale := ProtoVersion + 7
+		stale := protoVersion + 7
 		hello := []byte{byte(stale >> 8), byte(stale), 0}
 		writeFrame(server, frameHello, hello)
 	}()
@@ -195,7 +195,7 @@ func TestProtoMismatchMessageNamesBothVersions(t *testing.T) {
 		t.Fatal("mismatched proto accepted")
 	}
 	for _, want := range []string{
-		fmt.Sprintf("v%d", ProtoVersion), fmt.Sprintf("v%d", ProtoVersion+7), "rebuild both sides",
+		fmt.Sprintf("v%d", protoVersion), fmt.Sprintf("v%d", protoVersion+7), "rebuild both sides",
 	} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("mismatch error %q should contain %q", err, want)
@@ -237,8 +237,8 @@ func TestLoopbackAddr(t *testing.T) {
 		"[::]:9001":      false,
 		"example.com:80": false,
 	} {
-		if got := LoopbackAddr(addr); got != want {
-			t.Errorf("LoopbackAddr(%q) = %v, want %v", addr, got, want)
+		if got := loopbackAddr(addr); got != want {
+			t.Errorf("loopbackAddr(%q) = %v, want %v", addr, got, want)
 		}
 	}
 }

@@ -107,11 +107,11 @@ func startWorker(t *testing.T, opts WorkerOptions) (*Worker, string) {
 func fastOpts(t *testing.T) Options {
 	return Options{
 		SlotsPerWorker:  2,
-		HeartbeatEvery:  50 * time.Millisecond,
-		HeartbeatMisses: 3,
-		RedialAttempts:  1,
-		RedialBackoff:   10 * time.Millisecond,
-		DialTimeout:     2 * time.Second,
+		heartbeatEvery:  50 * time.Millisecond,
+		heartbeatMisses: 3,
+		redialAttempts:  1,
+		redialBackoff:   10 * time.Millisecond,
+		dialTimeout:     2 * time.Second,
 		Logf:            t.Logf,
 	}
 }
@@ -211,7 +211,7 @@ func TestWorkerServesSweepsInAnyOrder(t *testing.T) {
 	if _, err := (&testProgram{sweeps: 3, cells: 2}).run(context.Background(), seed, 1, &fleet.Run{Serve: want}); err != nil {
 		t.Fatal(err)
 	}
-	_, addr := startWorker(t, WorkerOptions{Start: (&testProgram{sweeps: 3, cells: 2}).start, RegisterWait: time.Second})
+	_, addr := startWorker(t, WorkerOptions{Start: (&testProgram{sweeps: 3, cells: 2}).start, registerWait: time.Second})
 	coord, err := Connect([]string{addr}, nil, testMeta(seed), fastOpts(t))
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +277,7 @@ func TestWorkerDeathReassignsCells(t *testing.T) {
 	}
 }
 
-// With every worker dead the dispatcher reports ErrNoWorkers and fleet
+// With every worker dead the dispatcher reports errNoWorkers and fleet
 // falls back to local execution — the run still completes with the same
 // bytes.
 func TestAllWorkersDeadFallsBackLocal(t *testing.T) {
@@ -337,17 +337,17 @@ func TestConfigureGenerations(t *testing.T) {
 	api := &workerAPI{w: w}
 	meta := testMeta(1)
 	var r1, r2, r3 ConfigureReply
-	if err := api.Configure(&ConfigureArgs{Gen: 10, Proto: ProtoVersion, Meta: meta}, &r1); err != nil {
+	if err := api.Configure(&ConfigureArgs{Gen: 10, Proto: protoVersion, Meta: meta}, &r1); err != nil {
 		t.Fatal(err)
 	}
 	waitStarts(1, "first configure")
-	if err := api.Configure(&ConfigureArgs{Gen: 10, Proto: ProtoVersion, Meta: meta}, &r2); err != nil {
+	if err := api.Configure(&ConfigureArgs{Gen: 10, Proto: protoVersion, Meta: meta}, &r2); err != nil {
 		t.Fatal(err)
 	}
 	if got := starts.Load(); got != 1 {
 		t.Fatalf("same-gen reconfigure restarted the program (%d starts)", got)
 	}
-	if err := api.Configure(&ConfigureArgs{Gen: 11, Proto: ProtoVersion, Meta: meta}, &r3); err != nil {
+	if err := api.Configure(&ConfigureArgs{Gen: 11, Proto: protoVersion, Meta: meta}, &r3); err != nil {
 		t.Fatal(err)
 	}
 	waitStarts(2, "new generation")
@@ -356,7 +356,7 @@ func TestConfigureGenerations(t *testing.T) {
 		!strings.Contains(err.Error(), "stale generation") {
 		t.Fatalf("stale Ping err = %v", err)
 	}
-	if err := api.Configure(&ConfigureArgs{Gen: 12, Proto: ProtoVersion + 1, Meta: meta}, &ConfigureReply{}); err == nil ||
+	if err := api.Configure(&ConfigureArgs{Gen: 12, Proto: protoVersion + 1, Meta: meta}, &ConfigureReply{}); err == nil ||
 		!strings.Contains(err.Error(), "protocol version") {
 		t.Fatalf("proto mismatch err = %v", err)
 	}
@@ -426,7 +426,7 @@ func TestHeartbeatDeclaresUnresponsiveWorkerDead(t *testing.T) {
 
 	canon := newCanonJournal(t, meta)
 	opts := fastOpts(t)
-	opts.ConfigureTimeout = 300 * time.Millisecond
+	opts.configureTimeout = 300 * time.Millisecond
 	_, err = Connect([]string{lis.Addr().String()}, canon, meta, opts)
 	if err == nil {
 		t.Fatal("Connect succeeded against a mute endpoint — Configure must have failed")
@@ -445,7 +445,7 @@ func TestHeartbeatDeclaresUnresponsiveWorkerDead(t *testing.T) {
 		}
 		return nil
 	}
-	_, hungAddr := startWorker(t, WorkerOptions{Start: hungStart, RegisterWait: 100 * time.Millisecond})
+	_, hungAddr := startWorker(t, WorkerOptions{Start: hungStart, registerWait: 100 * time.Millisecond})
 	okProg := &testProgram{sweeps: 1, cells: 3}
 	_, okAddr := startWorker(t, WorkerOptions{Start: okProg.start})
 

@@ -50,13 +50,13 @@ func TestPartitionedWorkerRedialedNotReassigned(t *testing.T) {
 	})
 	canon := newCanonJournal(t, meta)
 	opts := fastOpts(t)
-	opts.Dial = inj.Dialer()
-	opts.RedialAttempts = 8
-	opts.RedialBackoff = 20 * time.Millisecond
-	opts.ConfigureTimeout = 500 * time.Millisecond
-	opts.RunCellTimeout = 400 * time.Millisecond
-	opts.HeartbeatEvery = 100 * time.Millisecond
-	opts.HeartbeatMisses = 5
+	opts.dial = inj.Dialer()
+	opts.redialAttempts = 8
+	opts.redialBackoff = 20 * time.Millisecond
+	opts.configureTimeout = 500 * time.Millisecond
+	opts.runCellTimeout = 400 * time.Millisecond
+	opts.heartbeatEvery = 100 * time.Millisecond
+	opts.heartbeatMisses = 5
 	coord, err := Connect([]string{addr}, canon, meta, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -172,8 +172,8 @@ func TestSeveredConnectionRedialsIdempotently(t *testing.T) {
 	dialer := &recordingDialer{}
 	canon := newCanonJournal(t, meta)
 	opts := fastOpts(t)
-	opts.Dial = dialer.dial
-	opts.RedialAttempts = 4
+	opts.dial = dialer.dial
+	opts.redialAttempts = 4
 	coord, err := Connect([]string{addr}, canon, meta, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +237,7 @@ func TestZombieGenerationIsFenced(t *testing.T) {
 	api := &workerAPI{w: w}
 	meta := testMeta(1)
 
-	if err := api.Configure(&ConfigureArgs{Gen: 100, Proto: ProtoVersion, Meta: meta}, &ConfigureReply{}); err != nil {
+	if err := api.Configure(&ConfigureArgs{Gen: 100, Proto: protoVersion, Meta: meta}, &ConfigureReply{}); err != nil {
 		t.Fatal(err)
 	}
 	// A gen-100 cell goes in flight and blocks inside its closure.
@@ -255,7 +255,7 @@ func TestZombieGenerationIsFenced(t *testing.T) {
 
 	// The successor arrives. The old session tears down; the zombie's
 	// cell is still running.
-	if err := api.Configure(&ConfigureArgs{Gen: 200, Proto: ProtoVersion, Meta: meta}, &ConfigureReply{}); err != nil {
+	if err := api.Configure(&ConfigureArgs{Gen: 200, Proto: protoVersion, Meta: meta}, &ConfigureReply{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -269,7 +269,7 @@ func TestZombieGenerationIsFenced(t *testing.T) {
 	}
 	// An even older incarnation cannot replace the live session either.
 	var stale ConfigureReply
-	if err := api.Configure(&ConfigureArgs{Gen: 150, Proto: ProtoVersion, Meta: meta}, &stale); err == nil ||
+	if err := api.Configure(&ConfigureArgs{Gen: 150, Proto: protoVersion, Meta: meta}, &stale); err == nil ||
 		!strings.Contains(err.Error(), "fenced") {
 		t.Fatalf("stale Configure err = %v", err)
 	}
@@ -318,7 +318,7 @@ func TestDrainFinishesInFlightAndRefusesNewWork(t *testing.T) {
 	w, _ := startWorker(t, WorkerOptions{Start: start})
 	api := &workerAPI{w: w}
 	meta := testMeta(1)
-	if err := api.Configure(&ConfigureArgs{Gen: 1, Proto: ProtoVersion, Meta: meta}, &ConfigureReply{}); err != nil {
+	if err := api.Configure(&ConfigureArgs{Gen: 1, Proto: protoVersion, Meta: meta}, &ConfigureReply{}); err != nil {
 		t.Fatal(err)
 	}
 	cellDone := make(chan error, 1)
@@ -347,7 +347,7 @@ func TestDrainFinishesInFlightAndRefusesNewWork(t *testing.T) {
 		!strings.Contains(err.Error(), "draining") {
 		t.Fatalf("RunCells during drain err = %v, want draining refusal", err)
 	}
-	if err := api.Configure(&ConfigureArgs{Gen: 2, Proto: ProtoVersion, Meta: meta}, &ConfigureReply{}); err == nil ||
+	if err := api.Configure(&ConfigureArgs{Gen: 2, Proto: protoVersion, Meta: meta}, &ConfigureReply{}); err == nil ||
 		!strings.Contains(err.Error(), "draining") {
 		t.Fatalf("Configure during drain err = %v, want draining refusal", err)
 	}

@@ -403,8 +403,8 @@ func TestDrainFailsQueuedCellsAndFinishesInFlightLease(t *testing.T) {
 // it) meets a v6 build (the coordinator never does), either way round:
 // the session is refused with both versions named.
 func TestV5PeerMeetsV6Peer(t *testing.T) {
-	if ProtoVersion != 6 {
-		t.Fatalf("ProtoVersion = %d; this test pins the v5→v6 boundary", ProtoVersion)
+	if protoVersion != 6 {
+		t.Fatalf("protoVersion = %d; this test pins the v5→v6 boundary", protoVersion)
 	}
 	// A v5 worker's hello reaches this coordinator.
 	client, server := net.Pipe()
@@ -480,7 +480,7 @@ func (c swallowConn) Write(p []byte) (int, error) {
 }
 
 // ShutdownWorkers is deadlined like every other RPC: a worker that never
-// answers costs DialTimeout and a log line, not the run.
+// answers costs dialTimeout and a log line, not the run.
 func TestShutdownWorkersDoesNotWedgeOnMuteWorker(t *testing.T) {
 	wp := &testProgram{sweeps: 1, cells: 1}
 	_, addr := startWorker(t, WorkerOptions{Start: wp.start})
@@ -488,9 +488,9 @@ func TestShutdownWorkersDoesNotWedgeOnMuteWorker(t *testing.T) {
 	var logMu sync.Mutex
 	var logged []string
 	opts := fastOpts(t)
-	opts.HeartbeatEvery = time.Hour // keep the heartbeat out of the way
-	opts.DialTimeout = 200 * time.Millisecond
-	opts.Dial = func(addr string) (net.Conn, error) {
+	opts.heartbeatEvery = time.Hour // keep the heartbeat out of the way
+	opts.dialTimeout = 200 * time.Millisecond
+	opts.dial = func(addr string) (net.Conn, error) {
 		conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
 		if err != nil {
 			return nil, err

@@ -46,7 +46,7 @@ package dist
 
 import "halfback/internal/fleet"
 
-// ProtoVersion guards against a coordinator and worker built from
+// protoVersion guards against a coordinator and worker built from
 // different journal or wire formats talking past each other. It is
 // carried both in the pre-RPC handshake hello (where a mismatch fails
 // with an error naming both versions) and in ConfigureArgs (defense in
@@ -59,7 +59,7 @@ import "halfback/internal/fleet"
 // nothing tells a worker that a sweep has ended — its program registers
 // every sweep and runs ahead — so a v5 worker would wait in its first
 // sweep for an end that never comes.
-const ProtoVersion = 6
+const protoVersion = 6
 
 // ConfigureArgs establishes (or re-establishes) a worker session: the
 // worker tears down any previous session and starts the run Meta

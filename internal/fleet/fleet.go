@@ -68,9 +68,9 @@ func (e *JobError) Unwrap() error { return e.Err }
 // Classify and the Class* constants.
 func (e *JobError) Class() string { return Classify(e.Err) }
 
-// Workers normalizes a requested worker count: values ≤ 0 select one
+// workers normalizes a requested worker count: values ≤ 0 select one
 // worker per available CPU (GOMAXPROCS); 1 forces the serial path.
-func Workers(n int) int {
+func workers(n int) int {
 	if n <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}
@@ -111,7 +111,7 @@ type Options struct {
 	// undispatched job reports a JobError wrapping Ctx.Err(). A nil
 	// Ctx never cancels.
 	Ctx context.Context
-	// Workers is the concurrency bound, normalized by Workers().
+	// Workers is the concurrency bound, normalized by workers().
 	Workers int
 	// Label, when non-nil, names job i for error reports and journal
 	// failure records.
@@ -121,7 +121,7 @@ type Options struct {
 	Run *Run
 }
 
-// MapOpts runs fn for every index in [0,n) across Workers(o.Workers)
+// MapOpts runs fn for every index in [0,n) across workers(o.Workers)
 // goroutines and returns the results in index order: out[i] is fn(i)'s
 // value no matter which worker ran it or when it finished. On top of
 // the bounded fan-out and ordered merge it does panic capture,
@@ -169,7 +169,7 @@ func MapOpts[T any](o Options, n int, fn func(i, attempt int) (T, error)) ([]T, 
 		return out, job.sweepDone(errs)
 	}
 
-	w := Workers(o.Workers)
+	w := workers(o.Workers)
 	if w > n {
 		w = n
 	}

@@ -12,14 +12,14 @@ import (
 )
 
 func TestWorkersNormalize(t *testing.T) {
-	if got := Workers(0); got < 1 {
-		t.Fatalf("Workers(0) = %d, want ≥1", got)
+	if got := workers(0); got < 1 {
+		t.Fatalf("workers(0) = %d, want ≥1", got)
 	}
-	if got := Workers(-3); got < 1 {
-		t.Fatalf("Workers(-3) = %d, want ≥1", got)
+	if got := workers(-3); got < 1 {
+		t.Fatalf("workers(-3) = %d, want ≥1", got)
 	}
-	if got := Workers(5); got != 5 {
-		t.Fatalf("Workers(5) = %d", got)
+	if got := workers(5); got != 5 {
+		t.Fatalf("workers(5) = %d", got)
 	}
 }
 

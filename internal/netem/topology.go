@@ -35,11 +35,10 @@ type Dumbbell struct {
 
 // DumbbellConfig parameterises the Fig. 4 topology.
 type DumbbellConfig struct {
-	Pairs          int          // number of sender/receiver host pairs
-	BottleneckBps  int64        // default 15 Mbps (paper)
-	RTT            sim.Duration // end-to-end two-way propagation; default 60 ms
-	BufferBytes    int          // bottleneck queue capacity; default 115 KB ≈ BDP
-	BottleneckLoss float64      // extra random loss on the bottleneck
+	Pairs         int          // number of sender/receiver host pairs
+	BottleneckBps int64        // default 15 Mbps (paper)
+	RTT           sim.Duration // end-to-end two-way propagation; default 60 ms
+	BufferBytes   int          // bottleneck queue capacity; default 115 KB ≈ BDP
 }
 
 func (c *DumbbellConfig) applyDefaults() {
@@ -89,7 +88,7 @@ func NewDumbbell(sched *sim.Scheduler, rng *sim.Rand, cfg DumbbellConfig) *Dumbb
 
 	d.Bottleneck = net.AddLink(d.RouterIn, d.RouterOut, LinkConfig{
 		RateBps: cfg.BottleneckBps, Delay: coreDelay,
-		BufferCap: cfg.BufferBytes, LossProb: cfg.BottleneckLoss,
+		BufferCap: cfg.BufferBytes,
 	})
 	d.Reverse = net.AddLink(d.RouterOut, d.RouterIn, LinkConfig{
 		RateBps: cfg.BottleneckBps, Delay: coreDelay,

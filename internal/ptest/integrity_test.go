@@ -25,10 +25,8 @@ func TestPayloadIntegrityAllSchemes(t *testing.T) {
 		name := names[i]
 		sched := sim.NewScheduler()
 		sched.MaxEvents = 100_000_000
-		d := netem.NewDumbbell(sched, sim.NewRand(1234), netem.DumbbellConfig{
-			Pairs:          1,
-			BottleneckLoss: 0.01,
-		})
+		d := netem.NewDumbbell(sched, sim.NewRand(1234), netem.DumbbellConfig{Pairs: 1})
+		d.Bottleneck.LossProb = 0.01
 		adv := netem.Adversity{ReorderProb: 0.10, ReorderDelay: 4 * sim.Millisecond}
 		d.Bottleneck.SetAdversity(adv)
 		d.Reverse.SetAdversity(adv)
