@@ -179,7 +179,8 @@ type Env interface {
 	WindowLimit() int32
 	// DupThresh returns the SACK loss-inference threshold.
 	DupThresh() int
-	// HandshakeRTT returns the SYN→SYNACK measurement.
+	// HandshakeRTT returns the SYN→SYNACK measurement: the round trip
+	// of the SYN the SYNACK answered, not counting lost SYNs.
 	HandshakeRTT() sim.Duration
 	// SRTT returns the smoothed RTT estimate (0 before any sample).
 	SRTT() sim.Duration

@@ -53,6 +53,13 @@ func TestHostilePathRegressions(t *testing.T) {
 			RateBps: 6 * netem.Mbps, UpRateBps: 5 * netem.Mbps, RTT: 190 * sim.Millisecond,
 			BufferBytes: 88 * 1024, LossProb: 0.09,
 		}},
+		// Five lost SYNs made the handshake RTT 31.245 s, and PCP, pacing
+		// against it, did not complete in 300 s (the SYNACK now echoes
+		// the answered SYN's send time).
+		{0xc0444dc3d7248050, netem.PathConfig{
+			RateBps: 18 * netem.Mbps, UpRateBps: 2 * netem.Mbps, RTT: 245 * sim.Millisecond,
+			BufferBytes: 4 * 1024, LossProb: 0.10,
+		}},
 	} {
 		for _, name := range scheme.AllNames() {
 			st := NewPathSim(row.seed, row.cfg).FetchOnce(scheme.MustNew(name), 50_000, 300*sim.Second)

@@ -113,7 +113,7 @@ func (h *AttackHost) OnReceiverPacket(c *transport.Conn, pkt *netem.Packet, now 
 		c.EmitFromReceiver(func(p *netem.Packet) {
 			p.Kind = netem.KindSYNACK
 			p.Size = netem.ControlSize
-			p.Window = c.Opts.FlowWindow
+			p.Window, p.Echo = c.Opts.FlowWindow, pkt.Echo
 		}, now)
 
 	case netem.KindProbe:

@@ -208,9 +208,14 @@ func (c *Conn) handleSenderPacket(pkt *netem.Packet, now sim.Time) {
 		}
 		c.state = stateEstablished
 		c.Stats.Established = now
-		// The handshake RTT sample the aggressive schemes pace
-		// against is measured from our own SYN emission.
+		// The handshake RTT the aggressive schemes pace against is the
+		// answered SYN's round trip: the SYNACK echoes that SYN's send
+		// time, so backoff spent on lost SYNs is not taken for path
+		// delay (Karn's rule). An echo outside [Start, now] is not ours.
 		c.Stats.HandshakeRTT = now.Sub(c.Stats.Start)
+		if pkt.Echo >= c.Stats.Start && pkt.Echo <= now {
+			c.Stats.HandshakeRTT = now.Sub(pkt.Echo)
+		}
 		if c.Stats.HandshakeRetx == 0 {
 			c.RTT.Sample(c.Stats.HandshakeRTT)
 		}

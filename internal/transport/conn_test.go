@@ -223,6 +223,33 @@ func TestSYNLossRecovery(t *testing.T) {
 	}
 }
 
+// TestHandshakeRTTIgnoresLostSYNs loses the first k SYNs and checks
+// that HandshakeRTT is still one path RTT: the SYNACK echoes the send
+// time of the SYN it answers, so the backoff spent on lost SYNs is not
+// taken for path delay (Karn's rule). SYN i leaves at 2^i − 1 s (1 s
+// initial RTO, doubling), so healing the path half a second before
+// SYN k leaves loses exactly SYNs 0…k−1.
+func TestHandshakeRTTIgnoresLostSYNs(t *testing.T) {
+	for k := 0; k <= 5; k++ {
+		w := newWorld(t, cleanPath())
+		conn, _ := dial(t, w, 10_000, Options{})
+		if k > 0 {
+			w.path.Forward.LossProb = 1
+			heal := sim.Time(0).Add(sim.Duration(1<<k)*sim.Second - 1500*sim.Millisecond)
+			w.sched.AtFunc(heal, func(sim.Time, any) { w.path.Forward.LossProb = 0 }, nil)
+		}
+		conn.Start(0)
+		w.sched.Run()
+		st := conn.Stats
+		if !st.Completed || int(st.HandshakeRetx) != k {
+			t.Fatalf("k=%d: completed=%v after %d SYN retransmissions", k, st.Completed, st.HandshakeRetx)
+		}
+		if st.HandshakeRTT < 100*sim.Millisecond || st.HandshakeRTT > 105*sim.Millisecond {
+			t.Errorf("k=%d lost SYNs: HandshakeRTT %v, want the 100 ms path RTT", k, st.HandshakeRTT)
+		}
+	}
+}
+
 func TestRTORecoversTailLoss(t *testing.T) {
 	w := newWorld(t, cleanPath())
 	conn, ctrl := dial(t, w, 30_000, Options{})

@@ -44,9 +44,9 @@ func (r *receiver) handlePacket(pkt *netem.Packet, now sim.Time) {
 	switch pkt.Kind {
 	case netem.KindSYN:
 		// Reply (or re-reply, if the SYNACK was lost) with the
-		// advertised window.
+		// advertised window, echoing the answered SYN's send time.
 		c.sendControl(netem.KindSYNACK, c.dst, c.src, func(p *netem.Packet) {
-			p.Window = c.Opts.FlowWindow
+			p.Window, p.Echo = c.Opts.FlowWindow, pkt.Echo
 		}, now)
 
 	case netem.KindData:

@@ -38,7 +38,10 @@ type FlowStats struct {
 	AbortedAt sim.Time
 
 	// HandshakeRTT is the SYN→SYNACK measurement the aggressive
-	// schemes pace against.
+	// schemes pace against: the round trip of the SYN the SYNACK
+	// answers, whose send time the SYNACK echoes, so lost SYNs and
+	// their backoff do not count. An echo outside [Start, Established]
+	// falls back to the time since Start.
 	HandshakeRTT sim.Duration
 
 	// DataPktsSent counts all data transmissions including every
