@@ -154,7 +154,7 @@ func (s *shape) Run(env *cli.Env) (failed bool) {
 		pcts[i] = fmt.Sprintf("%.0f%%", u*100)
 	}
 	sweep := &experiment.Spec{ID: "fctsweep", Degraded: true,
-		Plan: func(uint64, experiment.Scale) ([]experiment.Axis, func([]int) (fleet.Row, error)) {
+		Plan: func(uint64, experiment.Scale, []string) ([]experiment.Axis, func([]int) (fleet.Row, error)) {
 			return []experiment.Axis{{Name: "scheme", Labels: s.names}, {Name: "util", Labels: pcts}},
 				func(at []int) (fleet.Row, error) { return s.runCell(s.names[at[0]], s.utils[at[1]]), nil }
 		}}

@@ -99,13 +99,14 @@ func (s *shape) Check() error {
 	return nil
 }
 
-// Run is the exhibit program: the selected entries in registry order,
-// each making its sweeps through sc. A failed exhibit does not stop the
-// ones after it, on a worker either, because sweeps are numbered in the
-// order they are made.
+// Run is the exhibit program: the selected entries in registry order, as
+// one experiment.Program, so a sweep several of them read is made once,
+// at its first reader. A failed exhibit does not stop the ones after
+// it, on a worker either, because sweeps are numbered in the order they
+// are made.
 func (s *shape) Run(env *cli.Env) (failed bool) {
 	sc := experiment.Scale{Trials: s.scale, Horizon: s.scale, Workers: env.Workers, Ctx: env.Ctx, Run: env.Run}
-	for _, e := range s.entries {
+	for _, e := range experiment.Program(s.entries) {
 		start := time.Now()
 		if env.Out != nil {
 			fmt.Fprintf(env.Out, "=== exhibit %s: %s (seed=%d scale=%g workers=%d)\n", e.ID, e.Title, s.seed, s.scale, env.Exec.Workers)

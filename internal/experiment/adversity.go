@@ -46,7 +46,7 @@ const (
 // admissible if they also survive a network that reorders, duplicates,
 // corrupts and disconnects.
 var adversity = &Spec{ID: "adversity", Title: "Safety under network adversity (reorder/dup/corrupt/flap)",
-	Plan: func(seed uint64, sc Scale) ([]Axis, func([]int) (fleet.Row, error)) {
+	Plan: func(seed uint64, sc Scale, _ []string) ([]Axis, func([]int) (fleet.Row, error)) {
 		presets := netem.AdversityPresetNames()
 		schemes := scheme.Evaluated()
 		trials := sc.trials(adversityTrials)

@@ -18,7 +18,7 @@ const aqmBufferBytes = 600_000 // deliberately bloated
 // trip schemes (TCP, TCP-10) and few-round-trip ones (JumpStart,
 // Halfback): one universe per (discipline, scheme) cell.
 var aqm = &Spec{ID: "aqm", Title: "AQM complementarity (CoDel/RED vs drop-tail)",
-	Plan: func(seed uint64, sc Scale) ([]Axis, func([]int) (fleet.Row, error)) {
+	Plan: func(seed uint64, sc Scale, _ []string) ([]Axis, func([]int) (fleet.Row, error)) {
 		horizon := sc.horizon(bufferbloatHorizon)
 		discs := []netem.QueueDiscipline{netem.DropTail, netem.CoDel, netem.RED}
 		schemes := []string{scheme.TCP, scheme.TCP10, scheme.JumpStart, scheme.Halfback}

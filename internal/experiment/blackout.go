@@ -72,7 +72,7 @@ const (
 // Universes that fail supervision (by design, the no-give-up cell) are
 // carried as labelled errors, not panics: the degraded sweep path.
 var blackout = &Spec{ID: "blackout", Title: "Graceful failure under a permanent mid-flow outage", Degraded: true,
-	Plan: func(seed uint64, _ Scale) ([]Axis, func([]int) (fleet.Row, error)) {
+	Plan: func(seed uint64, _ Scale, _ []string) ([]Axis, func([]int) (fleet.Row, error)) {
 		cells := blackoutCells()
 		return []Axis{{"cell", labels(cells, func(c blackoutCell) string { return c.label })}},
 			func(at []int) (fleet.Row, error) {

@@ -37,7 +37,7 @@ func bufferbloatSchemes() []string {
 // size) and Fig. 10(b) (normal retransmissions vs buffer size): one
 // universe per (buffer, scheme) cell.
 var fig10 = &Spec{ID: "10", Title: "Bufferbloat: FCT & retransmissions vs buffer",
-	Plan: func(seed uint64, sc Scale) ([]Axis, func([]int) (fleet.Row, error)) {
+	Plan: func(seed uint64, sc Scale, _ []string) ([]Axis, func([]int) (fleet.Row, error)) {
 		horizon := sc.horizon(bufferbloatHorizon)
 		bufs, schemes := bufferbloatBuffers(), bufferbloatSchemes()
 		kb := func(b int) string { return fmt.Sprintf("%dKB", b/1000) }

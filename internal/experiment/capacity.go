@@ -41,14 +41,14 @@ func capacityUtils() []float64 {
 
 // capacityPlan is the FCT-vs-utilization sweep Figs. 1, 12 and 17 and the
 // extensions' capacity half are read from: one summary row per (scheme,
-// utilization), scheme-major.
-func capacityPlan(schemes []string) func(uint64, Scale) ([]Axis, func([]int) (fleet.Row, error)) {
-	return func(seed uint64, sc Scale) ([]Axis, func([]int) (fleet.Row, error)) {
-		horizon := sc.horizon(capacityHorizon)
-		utils := capacityUtils()
-		return []Axis{{"scheme", schemes}, {"util", labels(utils, pct)}}, func(at []int) (fleet.Row, error) {
-			return runCapacityCell(seed, schemes[at[0]], utils[at[1]], horizon), nil
-		}
+// utilization), scheme-major. Its curves are the schemes: a cell's seed
+// depends on its own scheme and utilization only, so a curve's rows are
+// the same in every sweep that holds it.
+func capacityPlan(seed uint64, sc Scale, schemes []string) ([]Axis, func([]int) (fleet.Row, error)) {
+	horizon := sc.horizon(capacityHorizon)
+	utils := capacityUtils()
+	return []Axis{{"scheme", schemes}, {"util", labels(utils, pct)}}, func(at []int) (fleet.Row, error) {
+		return runCapacityCell(seed, schemes[at[0]], utils[at[1]], horizon), nil
 	}
 }
 
@@ -83,26 +83,18 @@ func feasiblePoints(curve []fleet.Row) int {
 	return len(curve)
 }
 
-// capacityCurves splits a scheme × utilization grid into one curve per
-// scheme, in utilization order.
-func capacityCurves(g *Grid) [][]fleet.Row {
-	out := make([][]fleet.Row, len(g.Axes[0].Labels))
-	g.Each(func(at []int, row fleet.Row) { out[at[0]] = append(out[at[0]], row) })
-	return out
-}
-
 // feasibleTable renders each scheme's feasible capacity (the highest
 // swept utilization of its feasible points) and its FCT at the lowest
 // swept utilization — the two axes of Fig. 1.
 func feasibleTable(g *Grid, title, fctColumn string) *metrics.Table {
 	t := metrics.NewTable(title, "scheme", "feasible_capacity_%", fctColumn)
-	utils := capacityUtils()
-	for si, curve := range capacityCurves(g) {
-		feasible := 0.0
-		if n := feasiblePoints(curve); n > 0 {
-			feasible = utils[n-1]
+	utils, n := capacityUtils(), len(g.Axes[1].Labels)
+	for si, name := range g.Axes[0].Labels {
+		curve, feasible := g.Rows[si*n:(si+1)*n], 0.0
+		if k := feasiblePoints(curve); k > 0 {
+			feasible = utils[k-1]
 		}
-		t.AddRow(g.Axes[0].Labels[si], feasible*100, curve[0][colMeanFCT])
+		t.AddRow(name, feasible*100, curve[0][colMeanFCT])
 	}
 	return t
 }
@@ -136,26 +128,27 @@ func paperSchemes() []string {
 // feasible capacity from the Fig. 12 sweep, y = its common-case
 // (low-load) FCT.
 var fig1 = &Spec{ID: "1", Title: "Latency vs feasible-capacity tradeoff",
-	Plan: capacityPlan(paperSchemes()),
+	reads: fig12, curves: paperSchemes(),
 	Tables: func(g *Grid) []*metrics.Table {
 		return []*metrics.Table{feasibleTable(g, "Fig.1 Latency vs feasible-capacity tradeoff", "common_case_fct_ms")}
 	},
 }
 
 // fig12 reproduces Fig. 12: all-short-flow FCT vs utilization, with
-// feasible capacity per scheme.
+// feasible capacity per scheme. Its sweep is the capacity sweep Figs. 1
+// and 17 and ext read too.
 var fig12 = &Spec{ID: "12", Title: "Feasible capacity, all-short workload",
-	Plan:   capacityPlan(paperSchemes()),
+	Plan: capacityPlan, curves: paperSchemes(),
 	Tables: capacityTables("Fig.12 feasible capacity (all-short-flow workload)", "Fig.12 FCT vs utilization (short flows only)"),
 }
 
 // fig17 reproduces Fig. 17: the §5 ablation sweep isolating ROPR's
 // design decisions (direction, rate, bandwidth budget).
 var fig17 = &Spec{ID: "17", Title: "ROPR design ablations",
-	Plan: capacityPlan([]string{
+	reads: fig12, curves: []string{
 		scheme.Proactive, scheme.TCP, scheme.TCP10,
 		scheme.HalfbackBurst, scheme.HalfbackForward,
 		scheme.JumpStart, scheme.Halfback,
-	}),
+	},
 	Tables: capacityTables("Fig.17 feasible capacity (ablations)", "Fig.17 FCT vs utilization (startup/recovery ablations)"),
 }

@@ -57,10 +57,11 @@ func distMeta(id string, seed uint64, sc Scale) fleet.JournalMeta {
 // distEntryStart is the worker-side program: re-derive the exhibit run
 // from the journal meta and execute it with the session's SweepServer
 // attached. It must mirror the coordinator's control flow exactly —
-// both are one Entry.Run call — so (sweep, cell) addressing agrees.
+// both run the comma-separated exhibits of the meta as one Program — so
+// (sweep, cell) addressing agrees.
 func distEntryStart(ctx context.Context, meta fleet.JournalMeta, run *fleet.Run) error {
 	if len(meta.Args) != 3 {
-		return fmt.Errorf("meta args %q: want exhibit, trials, horizon", meta.Args)
+		return fmt.Errorf("meta args %q: want exhibits, trials, horizon", meta.Args)
 	}
 	trials, err := strconv.ParseFloat(meta.Args[1], 64)
 	if err != nil {
@@ -70,16 +71,33 @@ func distEntryStart(ctx context.Context, meta fleet.JournalMeta, run *fleet.Run)
 	if err != nil {
 		return err
 	}
-	e, err := Lookup(meta.Args[0])
+	entries, err := lookupAll(meta.Args[0])
 	if err != nil {
 		return err
 	}
 	sc := Scale{Trials: trials, Horizon: horizon, Workers: 4, Ctx: ctx, Run: run}
-	// Cell failures surface as journaled outcomes on the coordinator; a
-	// sweep's aggregate panic must not kill the worker program.
-	defer func() { recover() }()
-	e.Run(meta.Seed, sc)
+	for _, e := range Program(entries) {
+		// Cell failures surface as journaled outcomes on the coordinator;
+		// a sweep's aggregate panic must not kill the worker program.
+		func() {
+			defer func() { recover() }()
+			e.Run(meta.Seed, sc)
+		}()
+	}
 	return nil
+}
+
+// lookupAll finds the entries of comma-separated exhibit IDs.
+func lookupAll(ids string) ([]Entry, error) {
+	var entries []Entry
+	for _, id := range strings.Split(ids, ",") {
+		e, err := Lookup(id)
+		if err != nil {
+			return nil, err
+		}
+		entries = append(entries, e)
+	}
+	return entries, nil
 }
 
 // TestMain dispatches the helper roles chaos tests fork: a worker

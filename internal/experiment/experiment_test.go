@@ -256,7 +256,7 @@ func TestFig3Walkthrough(t *testing.T) {
 }
 
 func TestMultihopStructure(t *testing.T) {
-	g := runExhibit(t, "multihop", 5, Scale{Trials: 1, Horizon: 0.15}).(*Grid)
+	g := multihop.Run(5, Scale{Trials: 1, Horizon: 0.15})
 	if len(g.Rows) != 12 {
 		t.Fatalf("rows %d", len(g.Rows))
 	}

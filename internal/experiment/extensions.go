@@ -10,8 +10,8 @@ import (
 // The extension-ablation exhibit: the paper's suggested refinements
 // (§4.2.4's initial burst, §5's reduced proactive budget) evaluated
 // against Halfback proper on the two axes they trade off — small-flow
-// latency and feasible capacity. It is two sweeps, rendered in turn:
-// FCT-by-size on the Internet mix, then a feasible-capacity sweep.
+// latency and feasible capacity. It is two specs, rendered in turn:
+// FCT-by-size on the Internet mix, then feasible capacity.
 
 func extSchemes() []string {
 	return []string{
@@ -22,8 +22,8 @@ func extSchemes() []string {
 
 // extSizes holds each scheme's FCT-by-size row (runFig11Cell) at 25 %
 // utilization on the Internet mix.
-var extSizes = &Spec{ID: "ext",
-	Plan: func(seed uint64, sc Scale) ([]Axis, func([]int) (fleet.Row, error)) {
+var extSizes = &Spec{ID: "ext", Title: "Extensions: initial burst & reduced proactive budget",
+	Plan: func(seed uint64, sc Scale, _ []string) ([]Axis, func([]int) (fleet.Row, error)) {
 		horizon := sc.horizon(fig11Horizon)
 		dist := workload.InternetSizes()
 		schemes := extSchemes()
@@ -39,11 +39,6 @@ var extSizes = &Spec{ID: "ext",
 	},
 }
 
-var extCapacity = &Spec{ID: "ext", Plan: capacityPlan(extSchemes()),
+// extCapacity is each scheme's curve of the capacity sweep (Fig. 12's).
+var extCapacity = &Spec{ID: "ext", reads: fig12, curves: extSchemes(),
 	Tables: capacityTables("Extensions: feasible capacity", "Extensions: FCT vs utilization")}
-
-// extensions runs both sweeps.
-func extensions(seed uint64, sc Scale) Result {
-	sizes, capacity := extSizes.Run(seed, sc), extCapacity.Run(seed, sc)
-	return render(func() []*metrics.Table { return append(sizes.Tables(), capacity.Tables()...) })
-}

@@ -31,7 +31,7 @@ func fig11SizeBuckets() []int {
 // fig11 reproduces Fig. 11(a,b,c): one FCT-by-size row per
 // (distribution, scheme) universe.
 var fig11 = &Spec{ID: "11", Title: "FCT vs flow size (3 distributions)",
-	Plan: func(seed uint64, sc Scale) ([]Axis, func([]int) (fleet.Row, error)) {
+	Plan: func(seed uint64, sc Scale, _ []string) ([]Axis, func([]int) (fleet.Row, error)) {
 		horizon := sc.horizon(fig11Horizon)
 		dists := workload.EvaluatedDistributions()
 		schemes := paperSchemes()

@@ -69,17 +69,26 @@ func checkGolden(t *testing.T, file, got string) {
 // The golden holds one "<id> <events> <sha256>" line per Registry()
 // entry at seed 1, scale 0.05, run serially; the digest is that of the
 // rendered tables, so exhibits without a table golden of their own are
-// pinned byte for byte too. Like the table goldens it is regenerated
-// only on purpose (-update), by a change that says why the lines moved.
+// pinned byte for byte too. Its last line, "all", is the whole registry
+// run as one Program: every shared sweep made once, and the digest of
+// the entries' renderings in turn. Like the table goldens it is
+// regenerated only on purpose (-update), by a change that says why the
+// lines moved.
 func TestExecutedEventCounts(t *testing.T) {
 	if testing.Short() || fleet.RaceEnabled {
-		t.Skip("full-registry run (~15 s); skipped under -short and the race detector")
+		t.Skip("full-registry runs (~30 s); skipped under -short and the race detector")
 	}
-	var got strings.Builder
+	sc := Scale{Trials: 0.05, Horizon: 0.05, Workers: 1}
+	var got, all strings.Builder
 	for _, e := range Registry() {
 		before := sim.ProcessedTotal()
-		res := e.Run(1, Scale{Trials: 0.05, Horizon: 0.05, Workers: 1})
+		res := e.Run(1, sc)
 		fmt.Fprintf(&got, "%s %d %x\n", e.ID, sim.ProcessedTotal()-before, sha256.Sum256([]byte(renderAll(res))))
 	}
+	before := sim.ProcessedTotal()
+	for _, e := range Program(Registry()) {
+		all.WriteString(renderAll(e.Run(1, sc)))
+	}
+	fmt.Fprintf(&got, "all %d %x\n", sim.ProcessedTotal()-before, sha256.Sum256([]byte(all.String())))
 	checkGolden(t, "events_s1_scale005.golden", got.String())
 }

@@ -95,9 +95,9 @@ func TestHeadlineLossySubsetAdvantage(t *testing.T) {
 
 func TestHeadlineFeasibleCapacityOrdering(t *testing.T) {
 	skipHeadline(t)
-	sweep := &Spec{ID: "capacity", Plan: capacityPlan([]string{
+	sweep := &Spec{ID: "capacity", reads: fig12, curves: []string{
 		scheme.TCP, scheme.JumpStart, scheme.Halfback, scheme.Proactive, scheme.HalfbackForward,
-	})}
+	}}
 	feasible := feasibleTable(sweep.Run(17, Scale{Trials: 1, Horizon: 0.35}), "", "low_load_fct_ms")
 	fc := func(name string) float64 { return value(t, feasible, "feasible_capacity_%", name) / 100 }
 	tcp, js, hb := fc(scheme.TCP), fc(scheme.JumpStart), fc(scheme.Halfback)
@@ -187,7 +187,7 @@ func TestHeadlineShortVsLong(t *testing.T) {
 
 func TestHeadlineWebResponse(t *testing.T) {
 	skipHeadline(t)
-	g := runExhibit(t, "16", 31, Scale{Trials: 1, Horizon: 0.4}).(*Grid)
+	g := fig16.Run(31, Scale{Trials: 1, Horizon: 0.4})
 	// §4.4 at low utilization: Halfback at or near the front; TCP
 	// clearly behind it.
 	response := func(name, util string) float64 {
@@ -213,7 +213,7 @@ func TestHeadlineWebResponse(t *testing.T) {
 
 func TestHeadlineAQMComplementarity(t *testing.T) {
 	skipHeadline(t)
-	g := runExhibit(t, "aqm", 3, Scale{Trials: 1, Horizon: 0.3}).(*Grid)
+	g := aqm.Run(3, Scale{Trials: 1, Horizon: 0.3})
 	get := func(s, d string) float64 {
 		row := g.At(d, s)
 		if row == nil {

@@ -19,7 +19,7 @@ const homeServers = 170
 // parent), then every (profile, server, scheme) download is an
 // independent universe.
 var fig9 = &Spec{ID: "9", Title: "Home access networks",
-	Plan: func(seed uint64, sc Scale) ([]Axis, func([]int) (fleet.Row, error)) {
+	Plan: func(seed uint64, sc Scale, _ []string) ([]Axis, func([]int) (fleet.Row, error)) {
 		rng := sim.NewRand(seed)
 		schemes := []string{scheme.Halfback, scheme.TCP}
 		servers := sc.trials(homeServers)

@@ -55,7 +55,7 @@ func misbehaviorModes() []transport.AckValidationMode {
 // Each (attack, scheme, policy) cell is a single deterministic universe,
 // so the exhibit needs no trial scaling.
 var misbehavior = &Spec{ID: "misbehavior", Title: "Safety under misbehaving endpoints (Byzantine receivers)",
-	Plan: func(seed uint64, _ Scale) ([]Axis, func([]int) (fleet.Row, error)) {
+	Plan: func(seed uint64, _ Scale, _ []string) ([]Axis, func([]int) (fleet.Row, error)) {
 		attacks := ptest.AttackerNames()
 		schemes := scheme.Evaluated()
 		modes := misbehaviorModes()

@@ -85,7 +85,7 @@ func runFig13Cell(seed uint64, schemeName string, sched fig13Schedule, horizon s
 // all fan out together and the normalization happens when the tables
 // render.
 var fig13 = &Spec{ID: "13", Title: "Short aggressive vs long TCP",
-	Plan: func(seed uint64, sc Scale) ([]Axis, func([]int) (fleet.Row, error)) {
+	Plan: func(seed uint64, sc Scale, _ []string) ([]Axis, func([]int) (fleet.Row, error)) {
 		horizon := sc.horizon(fig13Horizon)
 		longBytes := int(float64(fig13LongBytes) * sc.Horizon)
 		if longBytes < 2_000_000 {
@@ -150,7 +150,7 @@ const fig14Horizon = 120 * sim.Second
 // mixed) pair per scheme. A homogeneous cell's row is its mean FCT (ms),
 // a mixed one's is runFig14Mixed's.
 var fig14 = &Spec{ID: "14", Title: "TCP-friendliness scatter",
-	Plan: func(seed uint64, sc Scale) ([]Axis, func([]int) (fleet.Row, error)) {
+	Plan: func(seed uint64, sc Scale, _ []string) ([]Axis, func([]int) (fleet.Row, error)) {
 		horizon := sc.horizon(fig14Horizon)
 		utils := fig14Utils()
 		arrivals := make([][]workload.Arrival, len(utils))

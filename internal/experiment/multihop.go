@@ -21,7 +21,7 @@ const multihopHorizon = 120 * sim.Second
 // the latency/safety trade-off the paper studies. One universe per
 // (per-hop utilization, scheme) cell.
 var multihop = &Spec{ID: "multihop", Title: "Parking-lot chain of bottlenecks",
-	Plan: func(seed uint64, sc Scale) ([]Axis, func([]int) (fleet.Row, error)) {
+	Plan: func(seed uint64, sc Scale, _ []string) ([]Axis, func([]int) (fleet.Row, error)) {
 		horizon := sc.horizon(multihopHorizon)
 		utils := multihopUtils()
 		schemes := []string{scheme.TCP, scheme.TCP10, scheme.JumpStart, scheme.Halfback}

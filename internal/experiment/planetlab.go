@@ -29,7 +29,7 @@ func planetLabSchemes() []string {
 // fetchRow). The path population is drawn serially (its generator is
 // shared), then the pair × scheme universes fan out across sc.Workers
 // goroutines.
-func planetLabPlan(seed uint64, sc Scale) ([]Axis, func([]int) (fleet.Row, error)) {
+func planetLabPlan(seed uint64, sc Scale, _ []string) ([]Axis, func([]int) (fleet.Row, error)) {
 	rng := sim.NewRand(seed)
 	n := sc.trials(PlanetLabPairs)
 	specs := workload.PlanetLabPopulation(rng.ForkNamed("paths"), n)
@@ -76,7 +76,7 @@ func cdfTables(title, xlabel string, series map[string][]float64) []*metrics.Tab
 
 // fig5 reproduces Fig. 5: the distribution of normal (reactive)
 // retransmissions per 100 KB flow across the wide-area population.
-var fig5 = &Spec{ID: "5", Title: "Normal retransmissions (PlanetLab)", Plan: planetLabPlan,
+var fig5 = &Spec{ID: "5", Title: "Normal retransmissions (PlanetLab)", reads: fig6,
 	Tables: func(g *Grid) []*metrics.Table {
 		return cdfTables("Fig.5 Normal retransmissions per flow (PlanetLab)",
 			"retransmissions", perScheme(g, colNormalRetx, colDone))
@@ -105,7 +105,7 @@ var fig6 = &Spec{ID: "6", Title: "Flow completion time (PlanetLab)", Plan: plane
 }
 
 // fig7 reproduces Fig. 7: transfer duration in units of path RTT.
-var fig7 = &Spec{ID: "7", Title: "RTTs per transfer (PlanetLab)", Plan: planetLabPlan,
+var fig7 = &Spec{ID: "7", Title: "RTTs per transfer (PlanetLab)", reads: fig6,
 	Tables: func(g *Grid) []*metrics.Table {
 		return cdfTables("Fig.7 RTTs used per transfer (PlanetLab)", "rtts", perScheme(g, colRTTs, colDone))
 	},
@@ -113,7 +113,7 @@ var fig7 = &Spec{ID: "7", Title: "RTTs per transfer (PlanetLab)", Plan: planetLa
 
 // fig8 reproduces Fig. 8: FCT CDF restricted to lossy trials, plus the
 // loss-exposure fractions.
-var fig8 = &Spec{ID: "8", Title: "FCT under loss (PlanetLab)", Plan: planetLabPlan,
+var fig8 = &Spec{ID: "8", Title: "FCT under loss (PlanetLab)", reads: fig6,
 	Tables: func(g *Grid) []*metrics.Table {
 		lossy := perScheme(g, colFCT, colLossSeen)
 		tabs := cdfTables("Fig.8 FCT under packet loss (PlanetLab)", "fct_ms", lossy)

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strconv"
@@ -18,16 +19,20 @@ type Axis struct {
 }
 
 // Spec describes a swept exhibit as data, the way a scenario is a value
-// rather than code: the serial set-up that yields its cell grid, and the
-// tables it renders from the grid. One runner, Run, executes every spec.
+// rather than code: the sweep its tables read and the tables. A sweep is
+// the grid of independent cells one fleet.MapOpts call runs: the spec's
+// own Plan, or another spec's it reads (Fig. 1 reads Fig. 12's grid,
+// Figs. 5, 7 and 8 read Fig. 6's). One runner, runSweep, makes every
+// sweep.
 type Spec struct {
 	ID, Title string
-	// Plan does the exhibit's serial, deterministic set-up (populations,
-	// arrival schedules, the web corpus) and returns the sweep's axes,
-	// whose product in row-major order is the cell grid, and the cell
-	// function that runs the universe at one point of the grid (at holds
-	// the point's index along each axis).
-	Plan func(seed uint64, sc Scale) ([]Axis, func(at []int) (fleet.Row, error))
+	// Plan does the sweep's serial, deterministic set-up (populations,
+	// arrival schedules, the web corpus) and returns its axes, whose
+	// product in row-major order is the cell grid, and the cell function
+	// that runs the universe at one point of the grid (at holds the
+	// point's index along each axis). A curve sweep's first axis is the
+	// curves its readers ask for; other sweeps get none.
+	Plan func(seed uint64, sc Scale, curves []string) ([]Axis, func(at []int) (fleet.Row, error))
 	// Degraded sweeps keep failed cells: their rows are nil and Grid.Errs
 	// says why, so the tables can render them as FAILED(class) rows. Any
 	// other sweep panics with the labelled aggregate of its failed cells
@@ -36,33 +41,122 @@ type Spec struct {
 	// Tables renders the grid. It runs only when the exhibit renders,
 	// never on a worker or in a repro, where every row is nil.
 	Tables func(*Grid) []*metrics.Table
+
+	reads *Spec // the spec whose sweep the tables read, if not this one's
+	// curves are the labels on a curve sweep's first axis the tables
+	// read, in their order. A curve's cells depend on their own labels
+	// only, so any union of curves holds the same rows.
+	curves []string
 }
 
 // Grid is one run of a spec: a row per cell in row-major order of the
 // axes and, for a degraded spec, each cell's error (nil for a cell that
 // completed).
 type Grid struct {
-	Axes []Axis
-	Rows []fleet.Row
-	Errs []error
-	spec *Spec
+	Axes   []Axis
+	Rows   []fleet.Row
+	Errs   []error
+	spec   *Spec
+	curves []string // a program's union of the curves its readers read
+	failed any      // what making the sweep panicked with
 }
 
-// Run plans the spec's sweep and executes it.
-func (s *Spec) Run(seed uint64, sc Scale) *Grid {
-	axes, cell := s.Plan(seed, sc)
-	g := &Grid{Axes: axes, spec: s}
-	g.Rows, g.Errs = runSweep(sc, s.ID, axes, s.Degraded, cell)
-	return g
-}
-
-// entry is the spec's registry entry.
-func (s *Spec) entry() Entry {
-	return Entry{s.ID, s.Title, func(seed uint64, sc Scale) Result { return s.Run(seed, sc) }}
-}
+// Run makes the spec's sweep on its own.
+func (s *Spec) Run(seed uint64, sc Scale) *Grid { return newProgram(s).read(s, seed, sc) }
 
 // Tables renders the grid with its spec's tables.
 func (g *Grid) Tables() []*metrics.Table { return g.spec.Tables(g) }
+
+// program is one run of exhibits that share sweeps: per sweep, the
+// union of its readers' curves in first-use order, then the grid its
+// first reader makes, kept for the rest of the run.
+type program map[*Spec]*Grid
+
+func newProgram(specs ...*Spec) program {
+	p := program{}
+	for _, s := range specs {
+		sw := cmp.Or(s.reads, s)
+		if p[sw] == nil {
+			p[sw] = &Grid{}
+		}
+		for _, c := range s.curves {
+			if !slices.Contains(p[sw].curves, c) {
+				p[sw].curves = append(p[sw].curves, c)
+			}
+		}
+	}
+	return p
+}
+
+// read returns s's view of its sweep: s's curves, in s's order, on the
+// first axis. The first reader makes the sweep, whose cells carry its ID;
+// a sweep that panicked panics every reader.
+func (p program) read(s *Spec, seed uint64, sc Scale) *Grid {
+	sw := cmp.Or(s.reads, s)
+	g := p[sw]
+	if g.Axes == nil && g.failed == nil {
+		defer func() {
+			if g.failed = recover(); g.failed != nil {
+				panic(g.failed)
+			}
+		}()
+		axes, cell := sw.Plan(seed, sc, g.curves)
+		g.Rows, g.Errs = runSweep(sc, s.ID, axes, sw.Degraded, cell)
+		g.Axes = axes
+	}
+	if g.failed != nil {
+		panic(g.failed)
+	}
+	v := *g
+	v.spec = s
+	if s.curves != nil {
+		v.Axes, v.Rows = append([]Axis{{g.Axes[0].Name, s.curves}}, g.Axes[1:]...), nil
+		per := len(g.Rows) / len(g.Axes[0].Labels)
+		for _, c := range s.curves {
+			i := slices.Index(g.Axes[0].Labels, c) * per
+			v.Rows = append(v.Rows, g.Rows[i:i+per]...)
+		}
+	}
+	return &v
+}
+
+// render makes the sweeps specs read, then renders their tables in turn.
+func (p program) render(specs []*Spec, seed uint64, sc Scale) Result {
+	grids := make([]*Grid, len(specs))
+	for i, s := range specs {
+		grids[i] = p.read(s, seed, sc)
+	}
+	return render(func() (tabs []*metrics.Table) {
+		for _, g := range grids {
+			tabs = append(tabs, g.Tables()...)
+		}
+		return tabs
+	})
+}
+
+// entry is the registry entry of an exhibit of specs.
+func entry(specs ...*Spec) Entry {
+	return Entry{ID: specs[0].ID, Title: specs[0].Title, specs: specs,
+		Run: func(seed uint64, sc Scale) Result { return newProgram(specs...).render(specs, seed, sc) }}
+}
+
+// Program returns entries as one run of a program: run in turn with one
+// seed and scale, they render what their own Runs render but make each
+// sweep once, at its first reader (Figs. 1, 12, 17 and ext share one
+// capacity sweep). A run's workers and resumes run the same Program.
+func Program(entries []Entry) []Entry {
+	var specs []*Spec
+	for _, e := range entries {
+		specs = append(specs, e.specs...)
+	}
+	p, out := newProgram(specs...), slices.Clone(entries)
+	for i, e := range out {
+		if e.specs != nil {
+			out[i].Run = func(seed uint64, sc Scale) Result { return p.render(e.specs, seed, sc) }
+		}
+	}
+	return out
+}
 
 // At returns the row of the cell with the given label on each axis, in
 // axis order, or nil when the grid has no such cell.

@@ -45,7 +45,7 @@ func TestSpecRunner(t *testing.T) {
 	// Each cell's row is its own point, so the grid shows where every
 	// cell landed; cells at b1 fail when asked to.
 	spec := func(degraded, fail bool) *Spec {
-		return &Spec{ID: "t", Degraded: degraded, Plan: func(uint64, Scale) ([]Axis, func([]int) (fleet.Row, error)) {
+		return &Spec{ID: "t", Degraded: degraded, Plan: func(uint64, Scale, []string) ([]Axis, func([]int) (fleet.Row, error)) {
 			return axes, func(at []int) (fleet.Row, error) {
 				if fail && at[1] == 1 {
 					return nil, errors.New("boom")

@@ -60,7 +60,7 @@ func makeWebSchedule(seed uint64, util float64, pages []workload.Page, horizon s
 // (utilization, scheme) page-load universe fans out across sc.Workers
 // goroutines.
 var fig16 = &Spec{ID: "16", Title: "Web page response time",
-	Plan: func(seed uint64, sc Scale) ([]Axis, func([]int) (fleet.Row, error)) {
+	Plan: func(seed uint64, sc Scale, _ []string) ([]Axis, func([]int) (fleet.Row, error)) {
 		pages := workload.BuildCorpus(seed^0xeb1, webCorpusSize)
 		horizon := sc.horizon(fig16Horizon)
 		cfg := netem.DumbbellConfig{Pairs: 16}.Defaulted()

@@ -399,29 +399,30 @@ func TestDrainFailsQueuedCellsAndFinishesInFlightLease(t *testing.T) {
 	}
 }
 
-// A v5 build (a worker waits in every sweep until the coordinator ends
-// it) meets a v6 build (the coordinator never does), either way round:
-// the session is refused with both versions named.
-func TestV5PeerMeetsV6Peer(t *testing.T) {
-	if protoVersion != 6 {
-		t.Fatalf("protoVersion = %d; this test pins the v5→v6 boundary", protoVersion)
+// A v6 build (each exhibit of a program makes its own sweeps) meets a v7
+// build (the exhibits share sweeps, so a multi-exhibit run numbers its
+// sweeps differently), either way round: the session is refused with
+// both versions named.
+func TestV6PeerMeetsV7Peer(t *testing.T) {
+	if protoVersion != 7 {
+		t.Fatalf("protoVersion = %d; this test pins the v6→v7 boundary", protoVersion)
 	}
-	// A v5 worker's hello reaches this coordinator.
+	// A v6 worker's hello reaches this coordinator.
 	client, server := net.Pipe()
 	defer client.Close()
 	go func() {
 		defer server.Close()
-		writeFrame(server, frameHello, []byte{0, 5, 0})
+		writeFrame(server, frameHello, []byte{0, 6, 0})
 	}()
 	err := clientHandshake(client, nil)
-	if err == nil || !strings.Contains(err.Error(), "v5") || !strings.Contains(err.Error(), "v6") {
-		t.Fatalf("v5 worker hello: err = %v, want a refusal naming v5 and v6", err)
+	if err == nil || !strings.Contains(err.Error(), "v6") || !strings.Contains(err.Error(), "v7") {
+		t.Fatalf("v6 worker hello: err = %v, want a refusal naming v6 and v7", err)
 	}
-	// A v5 coordinator's Configure reaches this worker.
+	// A v6 coordinator's Configure reaches this worker.
 	w, _ := startWorker(t, WorkerOptions{Start: (&testProgram{sweeps: 1, cells: 1}).start})
-	err = (&workerAPI{w: w}).Configure(&ConfigureArgs{Gen: 1, Proto: 5, Meta: testMeta(1)}, &ConfigureReply{})
-	if err == nil || !strings.Contains(err.Error(), "v5") || !strings.Contains(err.Error(), "v6") {
-		t.Fatalf("v5 Configure: err = %v, want a refusal naming v5 and v6", err)
+	err = (&workerAPI{w: w}).Configure(&ConfigureArgs{Gen: 1, Proto: 6, Meta: testMeta(1)}, &ConfigureReply{})
+	if err == nil || !strings.Contains(err.Error(), "v6") || !strings.Contains(err.Error(), "v7") {
+		t.Fatalf("v6 Configure: err = %v, want a refusal naming v6 and v7", err)
 	}
 }
 

@@ -58,8 +58,10 @@ import "halfback/internal/fleet"
 // payload is a fixed-layout fleet.Row (journal format HBJRNL02). v6:
 // nothing tells a worker that a sweep has ended — its program registers
 // every sweep and runs ahead — so a v5 worker would wait in its first
-// sweep for an end that never comes.
-const protoVersion = 6
+// sweep for an end that never comes. v7: the exhibits of one program
+// share sweeps (journal format HBJRNL03), so a v6 worker would serve a
+// multi-exhibit run's cells under other sweep numbers.
+const protoVersion = 7
 
 // ConfigureArgs establishes (or re-establishes) a worker session: the
 // worker tears down any previous session and starts the run Meta

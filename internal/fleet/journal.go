@@ -21,7 +21,7 @@ import (
 //
 // A journal file is:
 //
-//	8-byte magic "HBJRNL02"
+//	8-byte magic "HBJRNL03"
 //	record*
 //
 // and every record is:
@@ -72,8 +72,10 @@ import (
 // cells re-execute on resume.
 
 // journalMagic identifies a journal file and its format version. Format
-// 01 carried gob cell payloads; ScanJournal refuses it by name.
-const journalMagic = "HBJRNL02"
+// 01 carried gob cell payloads; format 02 numbered the sweeps of a
+// multi-exhibit program one per exhibit, before exhibits shared sweeps.
+// ScanJournal refuses both by name.
+const journalMagic = "HBJRNL03"
 
 // Record kinds.
 const (

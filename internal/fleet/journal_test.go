@@ -320,35 +320,39 @@ func TestScanJournalRejectsCorruption(t *testing.T) {
 	}
 }
 
-// A journal an older build wrote (format HBJRNL01, gob cell payloads) is
-// refused with both formats named, before anything writes to it:
-// resuming it leaves the file byte-identical.
+// A journal an older build wrote is refused with both formats named,
+// before anything writes to it: resuming it leaves the file
+// byte-identical. Format HBJRNL01 carried gob cell payloads; HBJRNL02
+// has this format's records but numbered a multi-exhibit program's
+// sweeps one per exhibit.
 func TestScanJournalRefusesOlderFormat(t *testing.T) {
 	path := buildJournal(t, []error{nil, errors.New("boom")})
 	full, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := append([]byte("HBJRNL01"), full[len(journalMagic):len(full)-3]...) // torn, too
-	if err := os.WriteFile(path, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for name, err := range map[string]error{
-		"ScanJournal": func() error { _, err := ScanJournal(old); return err }(),
-		"ResumeJournal": func() error {
-			j, err := ResumeJournal(path)
-			if err == nil {
-				j.Close()
-			}
-			return err
-		}(),
-	} {
-		if err == nil || !strings.Contains(err.Error(), `"HBJRNL01"`) || !strings.Contains(err.Error(), `"HBJRNL02"`) {
-			t.Errorf("%s: err = %v, want a refusal naming HBJRNL01 and HBJRNL02", name, err)
+	for _, format := range []string{"HBJRNL01", "HBJRNL02"} {
+		old := append([]byte(format), full[len(journalMagic):len(full)-3]...) // torn, too
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, old) {
-		t.Fatalf("the refused journal changed on disk (err %v)", err)
+		for name, err := range map[string]error{
+			"ScanJournal": func() error { _, err := ScanJournal(old); return err }(),
+			"ResumeJournal": func() error {
+				j, err := ResumeJournal(path)
+				if err == nil {
+					j.Close()
+				}
+				return err
+			}(),
+		} {
+			if err == nil || !strings.Contains(err.Error(), `"`+format+`"`) || !strings.Contains(err.Error(), `"HBJRNL03"`) {
+				t.Errorf("%s: err = %v, want a refusal naming %s and HBJRNL03", name, err, format)
+			}
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, old) {
+			t.Fatalf("the refused %s journal changed on disk (err %v)", format, err)
+		}
 	}
 }
 
