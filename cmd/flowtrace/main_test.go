@@ -21,9 +21,18 @@ func TestFig3Walkthrough(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr)
 	}
-	fig3 := experiment.Fig3(1, experiment.Scale{Trials: 1, Horizon: 1, Workers: 1})
-	if !strings.Contains(stdout, "\n\n"+fig3.HalfbackSeq+"\n") {
-		t.Errorf("trace is not the Fig. 3 sequence:\n%s\nwant\n%s", stdout, fig3.HalfbackSeq)
+	e, err := experiment.Lookup("3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The exhibit's last table is its Halfback sequence, a line a row.
+	tabs := e.Run(1, experiment.Scale{Trials: 1, Horizon: 1, Workers: 1}).Tables()
+	var seq strings.Builder
+	for i, lines := 0, tabs[len(tabs)-1]; i < lines.NumRows(); i++ {
+		seq.WriteString(lines.Row(i)[0] + "\n")
+	}
+	if !strings.Contains(stdout, "\n\n"+seq.String()+"\n") {
+		t.Errorf("trace is not the Fig. 3 sequence:\n%s\nwant\n%s", stdout, seq.String())
 	}
 	for _, want := range []string{
 		"flow: Halfback, 14600 bytes (10 segments) over 15Mbps/60ms, buffer 115000B\n",

@@ -65,8 +65,12 @@ func TestFigHelpNamesEveryExhibit(t *testing.T) {
 // Minus its banners, the tool's output is the experiment package's
 // render of the exhibit, whatever the worker count.
 func TestFig3IsTheExperimentRender(t *testing.T) {
+	e, err := experiment.Lookup("3")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var want bytes.Buffer
-	for _, tab := range experiment.Fig3(1, experiment.Scale{Trials: 1, Horizon: 1, Workers: 1}).Tables() {
+	for _, tab := range e.Run(1, experiment.Scale{Trials: 1, Horizon: 1, Workers: 1}).Tables() {
 		tab.WriteTo(&want)
 		want.WriteByte('\n')
 	}

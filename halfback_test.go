@@ -76,34 +76,6 @@ func TestHalfbackHeadlineViaFacade(t *testing.T) {
 	}
 }
 
-func TestExhibitRegistry(t *testing.T) {
-	ids := ExhibitIDs()
-	if len(ids) != 23 {
-		t.Fatalf("exhibits %d", len(ids))
-	}
-	if _, err := Exhibit("nope", 1, 1); err == nil {
-		t.Fatal("unknown exhibit must error")
-	}
-	tabs, err := Exhibit("table1", 1, 1)
-	if err != nil || len(tabs) != 1 {
-		t.Fatalf("table1: %v", err)
-	}
-	tabs, err = Exhibit("2", 1, 0.02)
-	if err != nil || len(tabs) == 0 {
-		t.Fatalf("exhibit 2: %v", err)
-	}
-}
-
-// A scale outside (0,1] is an error, not a silent paper-scale run or a
-// one-sample table.
-func TestExhibitRejectsBadScale(t *testing.T) {
-	for _, scale := range []float64{0, -0.5, 1.5, math.Inf(1), math.NaN()} {
-		if tabs, err := Exhibit("12", 1, scale); err == nil || tabs != nil {
-			t.Errorf("scale %v: %d tables, err %v; want an error", scale, len(tabs), err)
-		}
-	}
-}
-
 func TestFetchTraceWalkthrough(t *testing.T) {
 	st, tr, err := FetchTrace(Halfback, 14600, PathConfig{DropSeqs: []int32{8}})
 	if err != nil {

@@ -53,6 +53,13 @@ func capacityPlan(seed uint64, sc Scale, schemes []string) ([]Axis, func([]int) 
 }
 
 func runCapacityCell(seed uint64, schemeName string, util float64, horizon sim.Duration) fleet.Row {
+	s, arrivals := capacityWorld(seed, schemeName, util, horizon)
+	return summaryRow(&s.World, "", len(arrivals))
+}
+
+// capacityWorld runs one capacity cell's universe to the end of its
+// drain and returns it with the arrivals it launched.
+func capacityWorld(seed uint64, schemeName string, util float64, horizon sim.Duration) (*DumbbellSim, []workload.Arrival) {
 	cfg := netem.DumbbellConfig{Pairs: 16}.Defaulted()
 	s := NewDumbbellSim(seed^hashString(schemeName)^uint64(util*1000), cfg)
 	inst := scheme.MustNew(schemeName)
@@ -65,7 +72,7 @@ func runCapacityCell(seed uint64, schemeName string, util float64, horizon sim.D
 	// Generous drain so slow-but-alive flows can finish; flows that
 	// still cannot complete are the collapse signal.
 	s.Run(horizon + 120*sim.Second)
-	return summaryRow(&s.World, "", len(arrivals))
+	return s, arrivals
 }
 
 // feasiblePoints counts the leading points of a scheme's FCT-vs-

@@ -256,7 +256,8 @@ func serialJournal(t *testing.T, e Entry, id string, seed uint64, sc Scale) []fl
 // TestDistributedMatchesSerial shards each contract exhibit across
 // three workers and requires the rendering to match the serial run byte
 // for byte — and, at Quick scale, the committed goldens: distribution
-// must not be able to shift recorded results even one byte.
+// must not be able to shift recorded results even one byte. Its
+// canonical journal must be the serial run's, record for record.
 func TestDistributedMatchesSerial(t *testing.T) {
 	for _, id := range []string{"2", "3", "15", "adversity"} {
 		id := id
@@ -320,23 +321,21 @@ func TestDistributedMatchesSerial(t *testing.T) {
 				t.Fatal("no cells executed remotely")
 			}
 			// A row's payload does not depend on the process that coded
-			// it, so a Row exhibit's distributed journal is its serial one.
-			if id == "adversity" {
-				serial := serialJournal(t, e, id, seed, sc)
-				if err := j.Close(); err != nil {
-					t.Fatal(err)
-				}
-				data, err := os.ReadFile(j.Path())
-				if err != nil {
-					t.Fatal(err)
-				}
-				scan, err := fleet.ScanJournal(data)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := scan.Canonical(); !reflect.DeepEqual(got, serial) {
-					t.Fatalf("distributed journal is not the serial one: %d canonical records vs %d", len(got), len(serial))
-				}
+			// it, so the distributed journal is the serial one.
+			serial := serialJournal(t, e, id, seed, sc)
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(j.Path())
+			if err != nil {
+				t.Fatal(err)
+			}
+			scan, err := fleet.ScanJournal(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := scan.Canonical(); !reflect.DeepEqual(got, serial) {
+				t.Fatalf("distributed journal is not the serial one: %d canonical records vs %d", len(got), len(serial))
 			}
 		})
 	}

@@ -178,12 +178,12 @@ func TestTable1Static(t *testing.T) {
 }
 
 func TestFig15Shapes(t *testing.T) {
-	res := Fig15(3, tiny)
-	if len(res.Panels) != 4 {
-		t.Fatalf("panels %d", len(res.Panels))
+	g := fig15.Run(3, tiny)
+	if len(g.Rows) != 3 {
+		t.Fatalf("simulated panels %d", len(g.Rows))
 	}
-	tabs := res.Tables()
-	if len(tabs) != 2 {
+	tabs := g.Tables()
+	if len(tabs) != 2 || tabs[0].NumRows() != 4 {
 		t.Fatal("fig15 tables")
 	}
 	if dip := value(t, tabs[0], "bg_dip_mbps", "Optimal"); dip != 7.5 {
@@ -197,9 +197,9 @@ func TestFig15Shapes(t *testing.T) {
 		t.Fatalf("Halfback short (%vms) should beat TCP short (%vms)", hb, tcp1)
 	}
 	// The background must keep delivering in every panel.
-	for _, p := range res.Panels {
-		if len(p.Series) < 2 {
-			t.Fatalf("panel %s series", p.Name)
+	for i, r := range append(g.Rows, fig15Optimal()) {
+		if len(r) < f15Series+2*fig15Buckets {
+			t.Fatalf("panel %d series", i)
 		}
 	}
 }
@@ -231,27 +231,30 @@ func TestCapacityCompletionCollapse(t *testing.T) {
 }
 
 func TestFig3Walkthrough(t *testing.T) {
-	res := Fig3(1, Full)
-	if res.HalfbackStats.Timeouts != 0 {
-		t.Fatalf("Halfback must dodge the timeout (got %d)", res.HalfbackStats.Timeouts)
+	g := fig3.Run(1, Full)
+	hb, tcp := g.At(scheme.Halfback), g.At(scheme.TCP)
+	if hb[f3Timeouts] != 0 {
+		t.Fatalf("Halfback must dodge the timeout (got %v)", hb[f3Timeouts])
 	}
-	if res.TCPStats.Timeouts == 0 {
+	if tcp[f3Timeouts] == 0 {
 		t.Fatal("TCP must pay the timeout in the Fig. 3 scenario")
 	}
-	if !(res.HalfbackStats.FCT() < res.TCPStats.FCT()/2) {
-		t.Fatalf("Halfback (%v) should finish far ahead of TCP (%v)",
-			res.HalfbackStats.FCT(), res.TCPStats.FCT())
+	if !(hb[f3FCT] < tcp[f3FCT]/2) {
+		t.Fatalf("Halfback (%vms) should finish far ahead of TCP (%vms)", hb[f3FCT], tcp[f3FCT])
 	}
-	if res.HalfbackSummary.ProactiveSent < 3 {
-		t.Fatalf("expected several ROPR copies, got %d", res.HalfbackSummary.ProactiveSent)
+	if sum := fig3Trace(hb).Summarize(); sum.ProactiveSent < 3 {
+		t.Fatalf("expected several ROPR copies, got %d", sum.ProactiveSent)
 	}
 	// The trace must show the recovery: the lost segment 8 delivered
 	// via a proactive copy.
-	if !strings.Contains(res.HalfbackSeq, "d8+") {
-		t.Fatal("trace missing the proactive copy of the lost packet")
-	}
-	if len(res.Tables()) != 3 {
+	tabs := g.Tables()
+	if len(tabs) != 3 {
 		t.Fatal("fig3 tables")
+	}
+	var seq strings.Builder
+	tabs[2].WriteTo(&seq)
+	if !strings.Contains(seq.String(), "d8+") {
+		t.Fatal("trace missing the proactive copy of the lost packet")
 	}
 }
 

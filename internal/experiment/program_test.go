@@ -16,9 +16,9 @@ import (
 // programIDs is a selection whose exhibits share sweeps: Figs. 1, 12, 17
 // and ext's capacity half read one capacity sweep (13 curves between
 // them, 8 of which Fig. 1 and Fig. 12 both plot), Figs. 5–8 read one
-// PlanetLab sweep, and Fig. 3 and ext's size half make sweeps of their
-// own in between.
-const programIDs = "1,3,5,6,7,8,12,17,ext"
+// PlanetLab sweep, and Figs. 3 and 15 and ext's size half make sweeps
+// of their own in between.
+const programIDs = "1,3,5,6,7,8,12,15,17,ext"
 
 // TestProgramMatchesOneByOne runs the selection as one Program and
 // requires it to render byte for byte what its entries render one by

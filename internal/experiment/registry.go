@@ -16,13 +16,12 @@ type Entry struct {
 
 // Registry lists the exhibits ("1", "2", "5"–"17", "table1", …) in the
 // order -fig all runs them. Every swept exhibit renders one spec or, for
-// ext, two; Fig. 3's walkthrough and Fig. 15's timelines have cells of
-// their own shape, and Fig. 2 and Table 1 make no sweep.
+// ext, two; Fig. 2 and Table 1 make no sweep.
 func Registry() []Entry {
 	return []Entry{
 		entry(fig1),
 		{ID: "2", Title: "Traffic share by flow size", Run: fig2},
-		{ID: "3", Title: "Fig. 3 walkthrough: ROPR recovers a lost packet", Run: func(s uint64, sc Scale) Result { return Fig3(s, sc) }},
+		entry(fig3),
 		entry(fig5),
 		entry(fig6),
 		entry(fig7),
@@ -33,7 +32,7 @@ func Registry() []Entry {
 		entry(fig12),
 		entry(fig13),
 		entry(fig14),
-		{ID: "15", Title: "Ongoing-flow throughput timelines", Run: func(s uint64, sc Scale) Result { return Fig15(s, sc) }},
+		entry(fig15),
 		entry(fig16),
 		entry(fig17),
 		{ID: "table1", Title: "Startup/recovery design space", Run: func(uint64, Scale) Result { return render(table1) }},

@@ -197,17 +197,17 @@ func advance(at []int, axes []Axis) {
 }
 
 // runSweep fans one universe per cell of the axes' product out across
-// sc.Workers goroutines via the fleet engine and returns their results in
+// sc.Workers goroutines via the fleet engine and returns their rows in
 // row-major order, so every sweep renders identically whatever the worker
 // count. Sweeps are numbered in the order they are made, which is what a
 // journal and -repro address a cell by. A cell that fails or
 // panics becomes a job error labelled with its point on the axes while
 // the remaining cells still run; then a degraded sweep returns the errors
-// index-aligned with the cells (a failed cell holds its zero value), and
-// any other sweep panics with the aggregate, so a broken cell cannot
-// silently produce a truncated exhibit. A worker or a repro run gets zero
-// values back, so an exhibit reads its cells only when it renders.
-func runSweep[T any](sc Scale, id string, axes []Axis, degraded bool, cell func(at []int) (T, error)) ([]T, []error) {
+// index-aligned with the cells (a failed cell's row is nil), and any
+// other sweep panics with the aggregate, so a broken cell cannot
+// silently produce a truncated exhibit. A worker or a repro run gets nil
+// rows back, so an exhibit reads its cells only when it renders.
+func runSweep(sc Scale, id string, axes []Axis, degraded bool, cell func(at []int) (fleet.Row, error)) ([]fleet.Row, []error) {
 	n := 1
 	for _, a := range axes {
 		n *= len(a.Labels)
@@ -224,7 +224,7 @@ func runSweep[T any](sc Scale, id string, axes []Axis, degraded bool, cell func(
 	out, err := fleet.MapOpts(fleet.Options{
 		Ctx: sc.Ctx, Workers: sc.Workers, Run: sc.Run,
 		Label: func(i int) string { return cellLabel(id, axes, point(i)) },
-	}, n, func(i, _ int) (T, error) { return cell(point(i)) })
+	}, n, func(i, _ int) (fleet.Row, error) { return cell(point(i)) })
 	if !degraded {
 		if err != nil {
 			panic(err)

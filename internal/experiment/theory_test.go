@@ -112,3 +112,48 @@ func TestTheoryTransmissionBudgets(t *testing.T) {
 		t.Errorf("Halfback sent %d data packets for %d segments, theory %d", got, n, want)
 	}
 }
+
+// TestTheoryWireBudgetAtExhibitScale checks the transmission budgets
+// above over the ~220 flows of a Fig. 12 capacity cell at 10 % load and
+// its 120 s horizon: the bottleneck's busy share, divided by the payload
+// load the cell's arrivals offer, is the wire bytes the bottleneck
+// serialized per payload byte. A flow that keeps its budget puts
+// budget × n segments of SegmentSize bytes on the wire per
+// n × SegmentPayload payload bytes, so the ratio is the budget (1 for
+// TCP, 103/69 for Halfback, 2 for Proactive) × 1500/1460.
+//
+// Tolerance: one packet per flow, i.e. 1/(budget × n) relative. The
+// budgets are derived for a flow alone on a lossless path; here flows
+// overlap in the bottleneck queue, so a late ACK can release an extra
+// ROPR copy or an overflow cost a retransmission (and a dropped copy is
+// never serialized). The framing the budget rounds away, the short last
+// segment (720 payload bytes in 760 on the wire) and the handshake's
+// 40-byte control packet, is about 60 bytes per flow, well inside one
+// 1,500-byte packet. The allowance is 1.45 % for TCP, 0.97 % for
+// Halfback and 0.72 % for Proactive.
+func TestTheoryWireBudgetAtExhibitScale(t *testing.T) {
+	n := float64(netem.SegmentsFor(PlanetLabFlowBytes))
+	for _, c := range []struct {
+		name    string
+		packets float64 // the budget × n data packets per flow
+	}{
+		{scheme.TCP, n},
+		{scheme.Halfback, n + math.Floor(n/2)},
+		{scheme.Proactive, 2 * n},
+	} {
+		s, arrivals := capacityWorld(1, c.name, 0.10, capacityHorizon)
+		var payload int
+		for _, a := range arrivals {
+			payload += a.Bytes
+		}
+		bottleneck := s.D.Bottleneck
+		offered := float64(8*payload) / (float64(bottleneck.RateBps) * capacityHorizon.Seconds())
+		got := bottleneck.Utilization(capacityHorizon) / offered
+		want := c.packets / n * netem.SegmentSize / netem.SegmentPayload
+		if tol := 1 / c.packets; math.Abs(got/want-1) > tol {
+			t.Errorf("%s: busy share ÷ offered load = %.4f over %d flows, theory %.4f ± %.2f %%",
+				c.name, got, len(arrivals), want, tol*100)
+		}
+		t.Logf("%s: busy share ÷ offered load = %.4f over %d flows, theory %.4f", c.name, got, len(arrivals), want)
+	}
+}

@@ -19,7 +19,10 @@ type Row []float64
 //	uvarint n · n × float64 bits, little-endian
 //
 // so equal rows have equal payloads in every process. Any other cell
-// type is coded by a fresh gob encoder or decoder per value.
+// type is coded by a fresh gob encoder or decoder per value, whose bytes
+// may differ between processes; every exhibit and fctsweep cell is a
+// Row, so the only cells left on gob are the benchmark harness's
+// MapOpts[int] probes (benchmark/probes.go).
 
 // Why decodeCell refuses a Row payload.
 var (

@@ -399,30 +399,29 @@ func TestDrainFailsQueuedCellsAndFinishesInFlightLease(t *testing.T) {
 	}
 }
 
-// A v6 build (each exhibit of a program makes its own sweeps) meets a v7
-// build (the exhibits share sweeps, so a multi-exhibit run numbers its
-// sweeps differently), either way round: the session is refused with
-// both versions named.
-func TestV6PeerMeetsV7Peer(t *testing.T) {
-	if protoVersion != 7 {
-		t.Fatalf("protoVersion = %d; this test pins the v6→v7 boundary", protoVersion)
+// A v7 build (the cells of Figs. 3 and 15 travel as gob) meets a v8
+// build (every cell is a fleet.Row), either way round: the session is
+// refused with both versions named.
+func TestV7PeerMeetsV8Peer(t *testing.T) {
+	if protoVersion != 8 {
+		t.Fatalf("protoVersion = %d; this test pins the v7→v8 boundary", protoVersion)
 	}
-	// A v6 worker's hello reaches this coordinator.
+	// A v7 worker's hello reaches this coordinator.
 	client, server := net.Pipe()
 	defer client.Close()
 	go func() {
 		defer server.Close()
-		writeFrame(server, frameHello, []byte{0, 6, 0})
+		writeFrame(server, frameHello, []byte{0, 7, 0})
 	}()
 	err := clientHandshake(client, nil)
-	if err == nil || !strings.Contains(err.Error(), "v6") || !strings.Contains(err.Error(), "v7") {
-		t.Fatalf("v6 worker hello: err = %v, want a refusal naming v6 and v7", err)
+	if err == nil || !strings.Contains(err.Error(), "v7") || !strings.Contains(err.Error(), "v8") {
+		t.Fatalf("v7 worker hello: err = %v, want a refusal naming v7 and v8", err)
 	}
-	// A v6 coordinator's Configure reaches this worker.
+	// A v7 coordinator's Configure reaches this worker.
 	w, _ := startWorker(t, WorkerOptions{Start: (&testProgram{sweeps: 1, cells: 1}).start})
-	err = (&workerAPI{w: w}).Configure(&ConfigureArgs{Gen: 1, Proto: 6, Meta: testMeta(1)}, &ConfigureReply{})
-	if err == nil || !strings.Contains(err.Error(), "v6") || !strings.Contains(err.Error(), "v7") {
-		t.Fatalf("v6 Configure: err = %v, want a refusal naming v6 and v7", err)
+	err = (&workerAPI{w: w}).Configure(&ConfigureArgs{Gen: 1, Proto: 7, Meta: testMeta(1)}, &ConfigureReply{})
+	if err == nil || !strings.Contains(err.Error(), "v7") || !strings.Contains(err.Error(), "v8") {
+		t.Fatalf("v7 Configure: err = %v, want a refusal naming v7 and v8", err)
 	}
 }
 

@@ -60,8 +60,10 @@ import "halfback/internal/fleet"
 // every sweep and runs ahead — so a v5 worker would wait in its first
 // sweep for an end that never comes. v7: the exhibits of one program
 // share sweeps (journal format HBJRNL03), so a v6 worker would serve a
-// multi-exhibit run's cells under other sweep numbers.
-const protoVersion = 7
+// multi-exhibit run's cells under other sweep numbers. v8: the cells of
+// Figs. 3 and 15 are fleet.Rows too (journal format HBJRNL04), so a v7
+// worker would answer them with gob payloads.
+const protoVersion = 8
 
 // ConfigureArgs establishes (or re-establishes) a worker session: the
 // worker tears down any previous session and starts the run Meta

@@ -21,7 +21,7 @@ import (
 //
 // A journal file is:
 //
-//	8-byte magic "HBJRNL03"
+//	8-byte magic "HBJRNL04"
 //	record*
 //
 // and every record is:
@@ -73,9 +73,10 @@ import (
 
 // journalMagic identifies a journal file and its format version. Format
 // 01 carried gob cell payloads; format 02 numbered the sweeps of a
-// multi-exhibit program one per exhibit, before exhibits shared sweeps.
-// ScanJournal refuses both by name.
-const journalMagic = "HBJRNL03"
+// multi-exhibit program one per exhibit, before exhibits shared sweeps;
+// format 03 still carried gob payloads for the cells of Figs. 3 and 15.
+// ScanJournal refuses all three by name.
+const journalMagic = "HBJRNL04"
 
 // Record kinds.
 const (

@@ -324,14 +324,15 @@ func TestScanJournalRejectsCorruption(t *testing.T) {
 // before anything writes to it: resuming it leaves the file
 // byte-identical. Format HBJRNL01 carried gob cell payloads; HBJRNL02
 // has this format's records but numbered a multi-exhibit program's
-// sweeps one per exhibit.
+// sweeps one per exhibit; HBJRNL03 still carried gob payloads for the
+// cells of Figs. 3 and 15.
 func TestScanJournalRefusesOlderFormat(t *testing.T) {
 	path := buildJournal(t, []error{nil, errors.New("boom")})
 	full, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, format := range []string{"HBJRNL01", "HBJRNL02"} {
+	for _, format := range []string{"HBJRNL01", "HBJRNL02", "HBJRNL03"} {
 		old := append([]byte(format), full[len(journalMagic):len(full)-3]...) // torn, too
 		if err := os.WriteFile(path, old, 0o644); err != nil {
 			t.Fatal(err)
@@ -346,8 +347,8 @@ func TestScanJournalRefusesOlderFormat(t *testing.T) {
 				return err
 			}(),
 		} {
-			if err == nil || !strings.Contains(err.Error(), `"`+format+`"`) || !strings.Contains(err.Error(), `"HBJRNL03"`) {
-				t.Errorf("%s: err = %v, want a refusal naming %s and HBJRNL03", name, err, format)
+			if err == nil || !strings.Contains(err.Error(), `"`+format+`"`) || !strings.Contains(err.Error(), `"HBJRNL04"`) {
+				t.Errorf("%s: err = %v, want a refusal naming %s and HBJRNL04", name, err, format)
 			}
 		}
 		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, old) {

@@ -25,8 +25,10 @@ type Recorder struct {
 	events []Event
 }
 
-// NewRecorder creates an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
+// NewRecorder creates a recorder holding events: none for a fresh
+// capture, or events kept from an earlier one (a journaled cell's) to
+// render and summarize them again.
+func NewRecorder(events ...Event) *Recorder { return &Recorder{events: events} }
 
 // Attach installs the recorder on a network. Only one tracer can be
 // attached at a time; Attach composes with any previously installed hook.
@@ -42,18 +44,6 @@ func (r *Recorder) Attach(n *netem.Network) {
 
 // Events returns the captured events in observation order.
 func (r *Recorder) Events() []Event { return r.events }
-
-// Count returns how many events matched (kind, packet kind) filters; use
-// netem.TraceSend etc. and netem.KindData etc.
-func (r *Recorder) Count(kind netem.TraceEventKind, pktKind netem.PacketKind) int {
-	n := 0
-	for _, ev := range r.events {
-		if ev.Kind == kind && ev.Pkt.Kind == pktKind {
-			n++
-		}
-	}
-	return n
-}
 
 // label renders a compact per-packet tag like "d7", "d7*" (reactive
 // retransmission), "d7+" (proactive copy), "a3" (ACK covering seq 3),

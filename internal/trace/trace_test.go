@@ -30,18 +30,15 @@ func TestRecorderCapturesLifecycle(t *testing.T) {
 		n.Inject(&netem.Packet{Kind: netem.KindData, Src: a.ID, Dst: b.ID, Seq: int32(i), Size: 1000}, 0)
 	}
 	sched.Run()
-	if got := rec.Count(netem.TraceSend, netem.KindData); got != 5 {
-		t.Fatalf("sends %d", got)
-	}
-	if got := rec.Count(netem.TraceRecv, netem.KindData); got != 4 {
-		t.Fatalf("recvs %d", got)
-	}
-	if got := rec.Count(netem.TraceDrop, netem.KindData); got != 1 {
-		t.Fatalf("drops %d", got)
-	}
 	s := rec.Summarize()
 	if s.DataSent != 5 || s.DataDelivered != 4 || s.DataDropped != 1 {
 		t.Fatalf("summary %+v", s)
+	}
+	// Events kept from the capture render and summarize as the capture
+	// does.
+	kept := NewRecorder(rec.Events()...)
+	if kept.Sequence() != rec.Sequence() || kept.Summarize() != s {
+		t.Fatalf("kept events render\n%s\nwant\n%s", kept.Sequence(), rec.Sequence())
 	}
 }
 
