@@ -24,13 +24,8 @@ var aqm = &Spec{ID: "aqm", Title: "AQM complementarity (CoDel/RED vs drop-tail)"
 		schemes := []string{scheme.TCP, scheme.TCP10, scheme.JumpStart, scheme.Halfback}
 		return []Axis{{"discipline", labels(discs, netem.QueueDiscipline.String)}, {"scheme", schemes}},
 			func(at []int) (fleet.Row, error) {
-				disc := discs[at[0]]
-				return runBufferbloatCell(seed^hashString("aqm"+schemes[at[1]])^uint64(disc),
-					netem.DumbbellConfig{Pairs: 4, BufferBytes: aqmBufferBytes},
-					func(s *DumbbellSim) {
-						s.D.Bottleneck.Discipline = disc
-						s.D.Reverse.Discipline = disc
-					}, schemes[at[1]], horizon), nil
+				return runBufferbloatCell(seed^hashString("aqm"+schemes[at[1]])^uint64(discs[at[0]]),
+					aqmBufferBytes, discs[at[0]], schemes[at[1]], horizon), nil
 			}
 	},
 	Tables: func(g *Grid) []*metrics.Table {

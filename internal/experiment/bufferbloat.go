@@ -43,8 +43,7 @@ var fig10 = &Spec{ID: "10", Title: "Bufferbloat: FCT & retransmissions vs buffer
 		kb := func(b int) string { return fmt.Sprintf("%dKB", b/1000) }
 		return []Axis{{"buffer", labels(bufs, kb)}, {"scheme", schemes}}, func(at []int) (fleet.Row, error) {
 			buf := bufs[at[0]]
-			return runBufferbloatCell(seed^uint64(buf)*2654435761,
-				netem.DumbbellConfig{Pairs: 4, BufferBytes: buf}, nil, schemes[at[1]], horizon), nil
+			return runBufferbloatCell(seed^uint64(buf)*2654435761, buf, netem.DropTail, schemes[at[1]], horizon), nil
 		}
 	},
 	Tables: func(g *Grid) []*metrics.Table {
@@ -62,31 +61,26 @@ var fig10 = &Spec{ID: "10", Title: "Bufferbloat: FCT & retransmissions vs buffer
 	},
 }
 
-// runBufferbloatCell runs the §4.2.3 scenario in one universe built from
-// the already-mixed seed and cfg: a long-running background TCP flow on
-// pair 0 plus Poisson 100 KB short flows of schemeName. queue, when
-// non-nil, installs the queue discipline before any traffic starts.
-func runBufferbloatCell(seed uint64, cfg netem.DumbbellConfig, queue func(*DumbbellSim), schemeName string, horizon sim.Duration) fleet.Row {
-	s := NewDumbbellSim(seed, cfg)
-	if queue != nil {
-		queue(s)
-	}
-	inst := scheme.MustNew(schemeName)
-	// Background long flow: plain TCP for the whole run (pair 0), with
-	// an autotuned-size receive window so it can actually occupy a
-	// bloated buffer (the short-flow schemes keep the paper's 141 KB).
-	bgOpts := s.Opts
-	bgOpts.FlowWindow = 4 << 20
-	s.StartFlowOn(0, scheme.MustNew(scheme.TCP), 2_000_000_000, 0, bgOpts, nil)
-
-	// Short flows every 10 s on average, exponential interarrivals,
-	// starting after the background flow has filled the pipe.
-	arrivals := workload.PoissonArrivals(s.Rng.ForkNamed("arrivals"),
-		workload.Fixed{Bytes: PlanetLabFlowBytes}, bufferbloatInterval, horizon-5*sim.Second)
-	for _, a := range arrivals {
-		s.StartFlowAt(a.At.Add(5*sim.Second), inst, a.Bytes)
-	}
-	s.Run(horizon + 60*sim.Second)
-
-	return summaryRow(&s.World, schemeName, len(arrivals))
+// runBufferbloatCell runs the §4.2.3 scenario in one universe built
+// from the already-mixed seed: a long-running background TCP flow on
+// pair 0 plus Poisson 100 KB short flows of schemeName, behind buf-byte
+// bottleneck queues under the discipline disc.
+func runBufferbloatCell(seed uint64, buf int, disc netem.QueueDiscipline, schemeName string, horizon sim.Duration) fleet.Row {
+	s, arrivals := (&cell{seed: seed, net: netem.DumbbellConfig{Pairs: 4, BufferBytes: buf},
+		setup: func(s *DumbbellSim) {
+			s.D.Bottleneck.Discipline = disc
+			s.D.Reverse.Discipline = disc
+			// Background long flow: plain TCP for the whole run (pair 0), with
+			// an autotuned-size receive window so it can actually occupy a
+			// bloated buffer (the short-flow schemes keep the paper's 141 KB).
+			bgOpts := s.Opts
+			bgOpts.FlowWindow = 4 << 20
+			s.StartFlowOn(0, scheme.MustNew(scheme.TCP), 2_000_000_000, 0, bgOpts, nil)
+		},
+		// Short flows every 10 s on average, exponential interarrivals,
+		// starting after the background flow has filled the pipe.
+		classes: []flowClass{{scheme: schemeName, sizes: workload.Fixed{Bytes: PlanetLabFlowBytes},
+			gap: bufferbloatInterval, horizon: horizon - 5*sim.Second, start: 5 * sim.Second, fork: "arrivals"}},
+		runFor: horizon + 60*sim.Second}).run()
+	return summaryRow(&s.World, schemeName, len(arrivals[0]))
 }

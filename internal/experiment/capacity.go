@@ -48,31 +48,20 @@ func capacityPlan(seed uint64, sc Scale, schemes []string) ([]Axis, func([]int) 
 	horizon := sc.horizon(capacityHorizon)
 	utils := capacityUtils()
 	return []Axis{{"scheme", schemes}, {"util", labels(utils, pct)}}, func(at []int) (fleet.Row, error) {
-		return runCapacityCell(seed, schemes[at[0]], utils[at[1]], horizon), nil
+		s, arrivals := capacityCell(seed, schemes[at[0]], utils[at[1]], horizon).run()
+		return summaryRow(&s.World, "", len(arrivals[0])), nil
 	}
 }
 
-func runCapacityCell(seed uint64, schemeName string, util float64, horizon sim.Duration) fleet.Row {
-	s, arrivals := capacityWorld(seed, schemeName, util, horizon)
-	return summaryRow(&s.World, "", len(arrivals))
-}
-
-// capacityWorld runs one capacity cell's universe to the end of its
-// drain and returns it with the arrivals it launched.
-func capacityWorld(seed uint64, schemeName string, util float64, horizon sim.Duration) (*DumbbellSim, []workload.Arrival) {
-	cfg := netem.DumbbellConfig{Pairs: 16}.Defaulted()
-	s := NewDumbbellSim(seed^hashString(schemeName)^uint64(util*1000), cfg)
-	inst := scheme.MustNew(schemeName)
-	dist := workload.Fixed{Bytes: PlanetLabFlowBytes}
-	interarrival := workload.MeanInterarrivalFor(dist.Mean(), util, cfg.BottleneckBps)
-	arrivals := workload.PoissonArrivals(s.Rng.ForkNamed("arrivals"), dist, interarrival, horizon)
-	for _, a := range arrivals {
-		s.StartFlowAt(a.At, inst, a.Bytes)
-	}
-	// Generous drain so slow-but-alive flows can finish; flows that
-	// still cannot complete are the collapse signal.
-	s.Run(horizon + 120*sim.Second)
-	return s, arrivals
+// capacityCell declares one capacity cell: 100 KB flows of the scheme
+// offering util of the bottleneck.
+func capacityCell(seed uint64, schemeName string, util float64, horizon sim.Duration) *cell {
+	return &cell{seed: seed ^ hashString(schemeName) ^ uint64(util*1000), net: netem.DumbbellConfig{Pairs: 16},
+		classes: []flowClass{{scheme: schemeName, sizes: workload.Fixed{Bytes: PlanetLabFlowBytes},
+			share: util, horizon: horizon, fork: "arrivals"}},
+		// Generous drain so slow-but-alive flows can finish; flows that
+		// still cannot complete are the collapse signal.
+		runFor: horizon + 120*sim.Second}
 }
 
 // feasiblePoints counts the leading points of a scheme's FCT-vs-

@@ -6,7 +6,6 @@ import (
 	"halfback/internal/fleet"
 	"halfback/internal/metrics"
 	"halfback/internal/netem"
-	"halfback/internal/scheme"
 	"halfback/internal/sim"
 	"halfback/internal/workload"
 )
@@ -54,18 +53,9 @@ var fig11 = &Spec{ID: "11", Title: "FCT vs flow size (3 distributions)",
 // the mean FCT (ms) and the number of completed flows in columns 2i and
 // 2i+1.
 func runFig11Cell(seed uint64, dist workload.SizeDist, schemeName string, horizon sim.Duration) fleet.Row {
-	cfg := netem.DumbbellConfig{Pairs: 8}.Defaulted()
-	s := NewDumbbellSim(seed^hashString(dist.Name()+schemeName), cfg)
-	inst := scheme.MustNew(schemeName)
-	interarrival := workload.MeanInterarrivalFor(dist.Mean(), fig11Utilization, cfg.BottleneckBps)
-	if interarrival == 0 {
-		interarrival = sim.Millisecond
-	}
-	arrivals := workload.PoissonArrivals(s.Rng.ForkNamed("arrivals"), dist, interarrival, horizon)
-	for _, a := range arrivals {
-		s.StartFlowAt(a.At, inst, a.Bytes)
-	}
-	s.Run(horizon + 60*sim.Second)
+	s, _ := (&cell{seed: seed ^ hashString(dist.Name()+schemeName), net: netem.DumbbellConfig{Pairs: 8},
+		classes: []flowClass{{scheme: schemeName, sizes: dist, share: fig11Utilization, horizon: horizon, fork: "arrivals"}},
+		runFor:  horizon + 60*sim.Second}).run()
 
 	buckets := fig11SizeBuckets()
 	byBucket := make([][]float64, len(buckets))

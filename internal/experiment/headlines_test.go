@@ -135,7 +135,7 @@ func TestHeadlineBufferbloat(t *testing.T) {
 	// of JumpStart's normal retransmissions (paper: ~10×).
 	horizon := headlineScale.horizon(bufferbloatHorizon)
 	cell := func(name string) fleet.Row {
-		return runBufferbloatCell(19^25_000*2654435761, netem.DumbbellConfig{Pairs: 4, BufferBytes: 25_000}, nil, name, horizon)
+		return runBufferbloatCell(19^25_000*2654435761, 25_000, netem.DropTail, name, horizon)
 	}
 	hb, js := cell(scheme.Halfback), cell(scheme.JumpStart)
 	t.Logf("small buffer: HB retx=%.1f fct=%.0f | JS retx=%.1f fct=%.0f",

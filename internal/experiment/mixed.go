@@ -41,41 +41,17 @@ func fig13Schemes() []string {
 	}
 }
 
-// fig13Schedule is the shared arrival schedule for one utilization.
-type fig13Schedule struct {
-	shorts []workload.Arrival
-	longs  []workload.Arrival
-}
-
-func makeFig13Schedule(seed uint64, util float64, horizon sim.Duration, longBytes int) fig13Schedule {
-	rng := sim.NewRand(seed)
-	rate := int64(15 * netem.Mbps)
-	shortIA := workload.MeanInterarrivalFor(float64(PlanetLabFlowBytes), util*fig13ShortShare, rate)
-	longIA := workload.MeanInterarrivalFor(float64(longBytes), util*(1-fig13ShortShare), rate)
-	return fig13Schedule{
-		shorts: workload.PoissonArrivals(rng.ForkNamed("short"),
-			workload.Fixed{Bytes: PlanetLabFlowBytes}, shortIA, horizon),
-		longs: workload.PoissonArrivals(rng.ForkNamed("long"),
-			workload.Fixed{Bytes: longBytes}, longIA, horizon),
-	}
-}
-
-// runFig13Cell runs one schedule with the given short-flow scheme and
-// returns the row (mean short FCT ms, mean long FCT ms) over completed
-// flows.
-func runFig13Cell(seed uint64, schemeName string, sched fig13Schedule, horizon sim.Duration) fleet.Row {
-	s := NewDumbbellSim(seed^hashString("fig13"+schemeName), netem.DumbbellConfig{Pairs: 16})
-	shortInst := scheme.MustNew(schemeName)
-	longInst := scheme.MustNew(scheme.TCP)
-	for _, a := range sched.shorts {
-		s.StartFlowAt(a.At, shortInst, a.Bytes)
-	}
-	for _, a := range sched.longs {
-		c := s.StartFlowAt(a.At, longInst, a.Bytes)
-		c.Stats.Scheme = "long-TCP"
-	}
-	s.Run(horizon + 120*sim.Second)
-	return fleet.Row{meanFCTms(s.Finished, shortInst.Name), meanFCTms(s.Finished, "long-TCP")}
+// fig13Cell declares one Fig. 13 cell: short flows of the named scheme
+// and long TCP flows, both on the utilization's shared schedule.
+func fig13Cell(seed uint64, util float64, short string, horizon sim.Duration, longBytes int) *cell {
+	return &cell{seed: seed ^ hashString("fig13"+short), net: netem.DumbbellConfig{Pairs: 16},
+		shared: true, column: seed ^ uint64(util*10007), runFor: horizon + 120*sim.Second,
+		classes: []flowClass{
+			{scheme: short, sizes: workload.Fixed{Bytes: PlanetLabFlowBytes},
+				share: util * fig13ShortShare, horizon: horizon, fork: "short"},
+			{scheme: scheme.TCP, label: "long-TCP", sizes: workload.Fixed{Bytes: longBytes},
+				share: util * (1 - fig13ShortShare), horizon: horizon, fork: "long"},
+		}}
 }
 
 // fig13 reproduces Fig. 13(a) and (b). Per utilization, the all-TCP
@@ -87,18 +63,12 @@ func runFig13Cell(seed uint64, schemeName string, sched fig13Schedule, horizon s
 var fig13 = &Spec{ID: "13", Title: "Short aggressive vs long TCP",
 	Plan: func(seed uint64, sc Scale, _ []string) ([]Axis, func([]int) (fleet.Row, error)) {
 		horizon := sc.horizon(fig13Horizon)
-		longBytes := int(float64(fig13LongBytes) * sc.Horizon)
-		if longBytes < 2_000_000 {
-			longBytes = 2_000_000
-		}
+		longBytes := max(int(float64(fig13LongBytes)*sc.Horizon), 2_000_000)
 		utils := fig13Utils()
-		schedules := make([]fig13Schedule, len(utils))
-		for i, util := range utils {
-			schedules[i] = makeFig13Schedule(seed^uint64(util*10007), util, horizon, longBytes)
-		}
 		shorts := append([]string{scheme.TCP}, fig13Schemes()...)
 		return []Axis{{"util", labels(utils, pct)}, {"short", shorts}}, func(at []int) (fleet.Row, error) {
-			return runFig13Cell(seed, shorts[at[1]], schedules[at[0]], horizon), nil
+			s, _ := fig13Cell(seed, utils[at[0]], shorts[at[1]], horizon, longBytes).run()
+			return fleet.Row{meanFCTms(s.Finished, shorts[at[1]]), meanFCTms(s.Finished, "long-TCP")}, nil
 		}
 	},
 	Tables: func(g *Grid) []*metrics.Table {
@@ -147,30 +117,32 @@ const fig14Horizon = 120 * sim.Second
 // deployment is an independent universe over a shared per-utilization
 // arrival schedule, so the whole matrix fans out at once: per
 // utilization, the homogeneous TCP reference, then a (homogeneous,
-// mixed) pair per scheme. A homogeneous cell's row is its mean FCT (ms),
-// a mixed one's is runFig14Mixed's.
+// mixed) pair per scheme. A homogeneous cell's row is its mean FCT (ms);
+// a mixed one's is (mean TCP FCT, mean scheme FCT, Jain index over all
+// flows' 1/FCT).
 var fig14 = &Spec{ID: "14", Title: "TCP-friendliness scatter",
 	Plan: func(seed uint64, sc Scale, _ []string) ([]Axis, func([]int) (fleet.Row, error)) {
 		horizon := sc.horizon(fig14Horizon)
 		utils := fig14Utils()
-		arrivals := make([][]workload.Arrival, len(utils))
-		for i, util := range utils {
-			arrivals[i] = workload.PoissonArrivals(
-				sim.NewRand(seed^uint64(util*1e4)).ForkNamed("fig14"),
-				workload.Fixed{Bytes: PlanetLabFlowBytes},
-				workload.MeanInterarrivalFor(float64(PlanetLabFlowBytes), util, 15*netem.Mbps),
-				horizon)
-		}
 		names, deployments := []string{scheme.TCP}, []string{"all-TCP"}
 		for _, name := range fig14Schemes() {
 			names = append(names, name, name)
 			deployments = append(deployments, "all-"+name, "mixed-"+name)
 		}
 		return []Axis{{"util", labels(utils, pct)}, {"deployment", deployments}}, func(at []int) (fleet.Row, error) {
-			if at[1]%2 == 0 && at[1] > 0 {
-				return runFig14Mixed(seed, names[at[1]], arrivals[at[0]], horizon), nil
+			mixed := at[1]%2 == 0 && at[1] > 0
+			s, _ := fig14Cell(seed, utils[at[0]], names[at[1]], mixed, horizon).run()
+			if !mixed {
+				return fleet.Row{meanFCTms(s.Finished, "")}, nil
 			}
-			return fleet.Row{runFig14Homogeneous(seed, names[at[1]], arrivals[at[0]], horizon)}, nil
+			var rates []float64
+			for _, st := range s.Finished {
+				if st.Completed && st.FCT() > 0 {
+					rates = append(rates, 1/st.FCT().Seconds())
+				}
+			}
+			return fleet.Row{meanFCTms(s.Finished, "mixed-TCP"), meanFCTms(s.Finished, names[at[1]]),
+				metrics.JainIndex(rates)}, nil
 		}
 	},
 	// Each point compares a mixed cell with its homogeneous references:
@@ -197,38 +169,16 @@ var fig14 = &Spec{ID: "14", Title: "TCP-friendliness scatter",
 	},
 }
 
-func runFig14Homogeneous(seed uint64, schemeName string, arrivals []workload.Arrival, horizon sim.Duration) float64 {
-	s := NewDumbbellSim(seed^hashString("fig14h"+schemeName), netem.DumbbellConfig{Pairs: 16})
-	inst := scheme.MustNew(schemeName)
-	for _, a := range arrivals {
-		s.StartFlowAt(a.At, inst, a.Bytes)
+// fig14Cell declares one Fig. 14 cell on its utilization's shared
+// schedule: the scheme runs every flow or, mixed, the even arrivals, and
+// TCP labelled "mixed-TCP" the odd ones.
+func fig14Cell(seed uint64, util float64, name string, mixed bool, horizon sim.Duration) *cell {
+	salt, odd := "fig14h", ""
+	if mixed {
+		salt, odd = "fig14m", "mixed-TCP"
 	}
-	s.Run(horizon + 60*sim.Second)
-	return meanFCTms(s.Finished, "")
-}
-
-// runFig14Mixed alternates flows between TCP and the scheme and returns
-// the row (mean TCP FCT, mean scheme FCT, Jain index over all flows'
-// 1/FCT).
-func runFig14Mixed(seed uint64, schemeName string, arrivals []workload.Arrival, horizon sim.Duration) fleet.Row {
-	s := NewDumbbellSim(seed^hashString("fig14m"+schemeName), netem.DumbbellConfig{Pairs: 16})
-	tcpInst := scheme.MustNew(scheme.TCP)
-	inst := scheme.MustNew(schemeName)
-	for i, a := range arrivals {
-		if i%2 == 0 {
-			s.StartFlowAt(a.At, inst, a.Bytes)
-		} else {
-			c := s.StartFlowAt(a.At, tcpInst, a.Bytes)
-			c.Stats.Scheme = "mixed-TCP"
-		}
-	}
-	s.Run(horizon + 60*sim.Second)
-	var rates []float64
-	for _, st := range s.Finished {
-		if st.Completed && st.FCT() > 0 {
-			rates = append(rates, 1/st.FCT().Seconds())
-		}
-	}
-	return fleet.Row{meanFCTms(s.Finished, "mixed-TCP"), meanFCTms(s.Finished, inst.Name),
-		metrics.JainIndex(rates)}
+	return &cell{seed: seed ^ hashString(salt+name), net: netem.DumbbellConfig{Pairs: 16},
+		shared: true, column: seed ^ uint64(util*1e4), runFor: horizon + 60*sim.Second,
+		classes: []flowClass{{scheme: name, oddTCP: odd, sizes: workload.Fixed{Bytes: PlanetLabFlowBytes},
+			share: util, horizon: horizon, fork: "fig14"}}}
 }

@@ -122,6 +122,75 @@ func (s *DumbbellSim) StartFlowOn(at sim.Time, inst *scheme.Instance, bytes, pai
 	return conn
 }
 
+// cell declares one dumbbell universe of a load-swept exhibit: its seed,
+// network, what runs before the flows, and its classes of Poisson flows.
+// One builder makes them all, so every exhibit's load has one formula.
+type cell struct {
+	seed    uint64
+	net     netem.DumbbellConfig
+	setup   func(*DumbbellSim) // if non-nil, runs before any class launches
+	classes []flowClass
+	// shared draws the classes from sim.NewRand(column), not the cell's
+	// stream: every cell of a column sees "the same schedule of flow
+	// arrivals" (§4.3.2).
+	shared bool
+	column uint64
+	runFor sim.Duration // the virtual time the universe runs
+}
+
+// flowClass is one Poisson stream of a cell's flows.
+type flowClass struct {
+	scheme, label string // label, if set, replaces the scheme's name in the stats
+	oddTCP        string // if set, odd arrivals run TCP under this label
+	sizes         workload.SizeDist
+	share         float64      // offered share of the bottleneck, or if 0,
+	gap           sim.Duration // the literal mean interarrival time
+	horizon       sim.Duration // arrivals fall in [0, horizon)
+	start         sim.Duration // and launch this much later
+	fork          string       // the named fork of the stream drawn from
+}
+
+// build makes the cell's universe without running it: NewDumbbellSim
+// draws the "net" fork, setup runs, then each class in order forks its
+// stream, draws its arrivals and launches them round-robin. It returns
+// each class's arrivals.
+func (c *cell) build() (*DumbbellSim, [][]workload.Arrival) {
+	s := NewDumbbellSim(c.seed, c.net)
+	if c.setup != nil {
+		c.setup(s)
+	}
+	rng := s.Rng
+	if c.shared {
+		rng = sim.NewRand(c.column)
+	}
+	arrivals := make([][]workload.Arrival, len(c.classes))
+	for i, fc := range c.classes {
+		gap := fc.gap
+		if fc.share > 0 {
+			gap = workload.MeanInterarrivalFor(fc.sizes.Mean(), fc.share, s.D.Bottleneck.RateBps)
+		}
+		arrivals[i] = workload.PoissonArrivals(rng.ForkNamed(fc.fork), fc.sizes, gap, fc.horizon)
+		insts, labels := []*scheme.Instance{scheme.MustNew(fc.scheme)}, []string{fc.label, fc.oddTCP}
+		if fc.oddTCP != "" {
+			insts = append(insts, scheme.MustNew(scheme.TCP))
+		}
+		for j, a := range arrivals[i] {
+			conn := s.StartFlowAt(a.At.Add(fc.start), insts[j%len(insts)], a.Bytes)
+			if l := labels[j%len(insts)]; l != "" {
+				conn.Stats.Scheme = l
+			}
+		}
+	}
+	return s, arrivals
+}
+
+// run builds the cell and runs its universe.
+func (c *cell) run() (*DumbbellSim, [][]workload.Arrival) {
+	s, arrivals := c.build()
+	s.Run(c.runFor)
+	return s, arrivals
+}
+
 // PathSim is a single wide-area pair world (PlanetLab and home-network
 // experiments): a transport.World on one client, one server and one
 // bottleneck path.

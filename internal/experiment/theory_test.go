@@ -141,10 +141,10 @@ func TestTheoryWireBudgetAtExhibitScale(t *testing.T) {
 		{scheme.Halfback, n + math.Floor(n/2)},
 		{scheme.Proactive, 2 * n},
 	} {
-		s, arrivals := capacityWorld(1, c.name, 0.10, capacityHorizon)
+		s, _ := capacityCell(1, c.name, 0.10, capacityHorizon).run()
 		var payload int
-		for _, a := range arrivals {
-			payload += a.Bytes
+		for _, conn := range s.Conns() {
+			payload += conn.Stats.FlowBytes
 		}
 		bottleneck := s.D.Bottleneck
 		offered := float64(8*payload) / (float64(bottleneck.RateBps) * capacityHorizon.Seconds())
@@ -152,8 +152,8 @@ func TestTheoryWireBudgetAtExhibitScale(t *testing.T) {
 		want := c.packets / n * netem.SegmentSize / netem.SegmentPayload
 		if tol := 1 / c.packets; math.Abs(got/want-1) > tol {
 			t.Errorf("%s: busy share ÷ offered load = %.4f over %d flows, theory %.4f ± %.2f %%",
-				c.name, got, len(arrivals), want, tol*100)
+				c.name, got, len(s.Conns()), want, tol*100)
 		}
-		t.Logf("%s: busy share ÷ offered load = %.4f over %d flows, theory %.4f", c.name, got, len(arrivals), want)
+		t.Logf("%s: busy share ÷ offered load = %.4f over %d flows, theory %.4f", c.name, got, len(s.Conns()), want)
 	}
 }
