@@ -2,7 +2,6 @@ package halfback_test
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"halfback"
@@ -69,11 +68,7 @@ func ExampleFetchTrace() {
 		panic(err)
 	}
 	fmt.Println("=== Halfback: 10-segment flow, packet 9 lost once (the paper's Fig. 3) ===")
-	// The diagram pads its columns; an Output block cannot end a line
-	// in spaces.
-	for line := range strings.Lines(tr.Sequence) {
-		fmt.Println(strings.TrimRight(line, " \n"))
-	}
+	fmt.Print(tr.Sequence)
 	fmt.Printf("\nHalfback: FCT=%v, timeouts=%d, proactive copies=%d\n",
 		st.FCT(), st.Timeouts, tr.ProactiveSent)
 

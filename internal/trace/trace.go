@@ -79,10 +79,10 @@ func label(p *netem.Packet) string {
 // Fig. 3.
 func (r *Recorder) Sequence() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%12s  %-6s %-12s\n", "time", "event", "packet")
-	fmt.Fprintf(&b, "%12s  %-6s %-12s\n", strings.Repeat("-", 12), "-----", "------")
+	fmt.Fprintf(&b, "%12s  %-6s %s\n", "time", "event", "packet")
+	fmt.Fprintf(&b, "%12s  %-6s %s\n", strings.Repeat("-", 12), "-----", "------")
 	for _, ev := range r.events {
-		fmt.Fprintf(&b, "%12s  %-6s %-12s\n", ev.At.String(), ev.Kind.String(), label(&ev.Pkt))
+		fmt.Fprintf(&b, "%12s  %-6s %s\n", ev.At.String(), ev.Kind.String(), label(&ev.Pkt))
 	}
 	return b.String()
 }
